@@ -246,7 +246,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
-    rows = run_ablation(records, kind, SplitSpec(seed=args.seed), workers=args.workers)
+    rows = run_ablation(records, kind, SplitSpec(seed=args.seed))
     report.write_ablation_csv(args.out, rows)
     _say(args, f"ablation over {len(rows)} feature subsets -> {args.out}")
     return 0
@@ -260,7 +260,8 @@ def cmd_feature_experiment(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(
             ("module", "feature_set", "polynomial", "standard_scaler", "model", "lambda",
-             "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test")
+             "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test",
+             "lasso_sweeps", "lasso_unconverged")
         )
         for row in rows:
             writer.writerow(
@@ -277,6 +278,8 @@ def cmd_feature_experiment(args) -> int:
                     repr(row.cv.mse_std),
                     repr(row.test.r2),
                     repr(row.test.mse),
+                    row.lasso_sweeps,
+                    row.lasso_unconverged,
                 )
             )
     _say(args, f"feature-set experiment for {kind.value} -> {args.out}")
@@ -355,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layerwise", required=True)
     p.add_argument("--kind", default="conv2d")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=os.cpu_count())
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("feature-experiment", help="compare feature sets for one layer kind")

@@ -12,9 +12,9 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import combinations
 
 import numpy as np
 
@@ -53,12 +53,14 @@ from .macs import layer_macs
 from .regress import (
     CvReport,
     EvalMetrics,
+    LassoFit,
     LinearModel,
     ModelSpec,
     cross_validate,
     evaluate,
     fit_ols,
     grid_search_lambda,
+    score,
 )
 
 BUNDLE_FORMAT_VERSION = 1
@@ -92,6 +94,9 @@ class PredictorModel:
     test_metrics: EvalMetrics
     test_metrics_joules: EvalMetrics
     cv: CvReport | None = None
+    #: every Lasso fit made in training (the lambda grid, then the CV folds), for
+    #: their sweep counts; bundles do not store them
+    lasso_fits: tuple[LassoFit, ...] = ()
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
         """Predicted joules for one layer; returns (joules, clamped-to-zero flag)."""
@@ -236,15 +241,6 @@ def _default_created() -> str | None:
     return None
 
 
-def _joules_metrics(measured: np.ndarray, predicted: np.ndarray) -> EvalMetrics:
-    residual = measured - predicted
-    ss_res = float(residual @ residual)
-    centered = measured - measured.mean()
-    ss_tot = float(centered @ centered)
-    r2 = (1.0 - ss_res / ss_tot) if ss_tot else (1.0 if ss_res == 0.0 else 0.0)
-    return EvalMetrics(r2=r2, mse=ss_res / len(measured), max_error=float(np.abs(residual).max()))
-
-
 def train_predictor(
     records: list[MeasurementRecord],
     spec: ModelSpec,
@@ -254,18 +250,24 @@ def train_predictor(
 ) -> PredictorModel:
     """Fit one pipeline: train on 70%, tune lambda on 20%, report on the 10% test split."""
     kind = records[0].module
-    if spec.model == "lasso":
-        lam = grid_search_lambda(records, spec, lambda_grid, split_spec)
-        spec = replace(spec, lam=lam)
     train, _, test = split(records, split_spec)
     design, feature_params, target_params = build_design(
         train, spec.feature_set, spec.poly, spec.feature_scaler
     )
-    model = spec.fit(design.X, design.y)
+    grid_fits: tuple[LassoFit, ...] = ()
+    if spec.model == "lasso":
+        # the grid is fitted on this same train split, so its fit at the
+        # chosen penalty is the final model
+        search = grid_search_lambda(records, spec, lambda_grid, split_spec)
+        spec = replace(spec, lam=search.lam)
+        model = search.chosen.model
+        grid_fits = search.fits
+    else:
+        model = spec.fit(design.X, design.y)
     if test:
         test_design = transform_records(test, spec.feature_set, spec.poly, feature_params, target_params)
         test_metrics = evaluate(model, test_design.X, test_design.y)
-        test_metrics_joules = _joules_metrics(
+        test_metrics_joules = score(
             invert_target(test_design.y, target_params),
             invert_target(model.predict(test_design.X), target_params),
         )
@@ -283,6 +285,7 @@ def train_predictor(
         test_metrics=test_metrics,
         test_metrics_joules=test_metrics_joules,
         cv=cv,
+        lasso_fits=grid_fits + (cv.lasso_fits if cv else ()),
     )
 
 
@@ -445,12 +448,9 @@ def evaluate_on_real(
     per_kind = {}
     for kind in sorted({p.kind for p in layer_points}, key=lambda k: k.value):
         pts = [p for p in layer_points if p.kind is kind]
-        per_kind[kind] = _joules_metrics(
-            np.array([p.measured_j for p in pts]), np.array([p.predicted_j for p in pts])
-        )
-    overall = _joules_metrics(
-        np.array([t.measured_j for t in total_points]),
-        np.array([t.predicted_j for t in total_points]),
+        per_kind[kind] = score([p.measured_j for p in pts], [p.predicted_j for p in pts])
+    overall = score(
+        [t.measured_j for t in total_points], [t.predicted_j for t in total_points]
     )
     return RealEvaluation(per_kind, overall, tuple(layer_points), tuple(total_points))
 
@@ -465,6 +465,8 @@ class ExperimentRow:
     lam: float
     cv: CvReport
     test: EvalMetrics
+    lasso_sweeps: int  # most sweeps of any of the row's Lasso fits (0 for OLS)
+    lasso_unconverged: int  # the row's Lasso fits that hit their sweep cap
 
 
 #: the feature-set comparison grid per layer kind (pipeline per table row)
@@ -521,6 +523,8 @@ def run_feature_set_experiment(
                 lam=trained.model.lam,
                 cv=trained.cv,
                 test=trained.test_metrics,
+                lasso_sweeps=max((fit.sweeps for fit in trained.lasso_fits), default=0),
+                lasso_unconverged=sum(not fit.converged for fit in trained.lasso_fits),
             )
         )
     return rows
@@ -534,18 +538,26 @@ class AblationRow:
     mse: float
 
 
+#: subsets solved per batched call, bounding the stacked Gram blocks and test predictions
+_ABLATION_CHUNK = 2048
+#: reciprocal condition number below which a Gram block counts as singular;
+#: its subset is refit by ``fit_ols`` for the minimum-norm solution
+_GRAM_RCOND = 1e-8
+
+
 def run_ablation(
     records: list[MeasurementRecord],
     kind: LayerKind = LayerKind.CONV2D,
     split_spec: SplitSpec | None = None,
-    workers: int | None = None,
 ) -> list[AblationRow]:
     """Fit a standardized linear model on every non-empty feature subset.
 
     The feature universe is the parameters, their log transforms, and the MAC
-    count (15 columns for Conv2d, so 32767 subsets). Fits are independent and
-    run on a thread pool; the returned rows are ordered by bitmask regardless
-    of scheduling.
+    count (15 columns for Conv2d, so 32767 subsets). The columns are
+    standardized once; every subset's least-squares fit is its block of the
+    centred train Gram matrix solved against its part of X^T y, batched by
+    subset size, and scored on the test rows per batch. Rows are ordered by
+    bitmask.
     """
     split_spec = split_spec or SplitSpec()
     subset = [r for r in records if r.module is kind]
@@ -558,28 +570,56 @@ def run_ablation(
         test, FeatureSetKind.LOG_PARAMETER_MAC, None,
         ScalerParams(kind="none", columns=names), target_params,
     )
-    X_train, y_train = design.X, design.y
-    X_test, y_test = test_design.X, test_design.y
-    column_sets = [
-        [i for i in range(len(names)) if mask >> i & 1] for mask in range(1, 2 ** len(names))
-    ]
+    mean = design.X.mean(axis=0)
+    std = design.X.std(axis=0)
+    std[std == 0] = 1.0
+    X_train, y_train = (design.X - mean) / std, design.y
+    X_test, y_test = (test_design.X - mean) / std, test_design.y
+    x_mean, y_mean = X_train.mean(axis=0), y_train.mean()
+    centred = X_train - x_mean
+    gram = centred.T @ centred
+    xty = centred.T @ (y_train - y_mean)
+    test_centred = X_test - x_mean
+    test_spread = y_test - y_test.mean()
+    ss_tot = float(test_spread @ test_spread)
 
-    def fit_mask(args):
-        mask, cols = args
-        Xtr = X_train[:, cols]
-        mean = Xtr.mean(axis=0)
-        std = Xtr.std(axis=0)
-        std[std == 0] = 1.0
-        model = fit_ols((Xtr - mean) / std, y_train)
-        metrics = evaluate(model, (X_test[:, cols] - mean) / std, y_test)
-        return AblationRow(mask, tuple(names[i] for i in cols), metrics.r2, metrics.mse)
-
-    jobs = list(zip(range(1, 2 ** len(names)), column_sets))
+    width = len(names)
+    r2 = np.empty(2**width)
+    mse = np.empty(2**width)
+    singular: list[np.ndarray] = []
+    # a principal block is never worse conditioned than the whole matrix
+    # (eigenvalue interlacing), so a sound whole matrix clears every block
+    eig = np.linalg.eigvalsh(gram)
+    check_blocks = not eig[0] > _GRAM_RCOND * eig[-1]
+    for size in range(1, width + 1):
+        all_cols = np.array(list(combinations(range(width), size)))
+        for start in range(0, len(all_cols), _ABLATION_CHUNK):
+            cols = all_cols[start:start + _ABLATION_CHUNK]
+            blocks = gram[cols[:, :, None], cols[:, None, :]]
+            if check_blocks:
+                eig = np.linalg.eigvalsh(blocks)
+                ok = eig[:, 0] > _GRAM_RCOND * eig[:, -1]
+                singular.extend(cols[~ok])
+                cols, blocks = cols[ok], blocks[ok]
+            beta = np.linalg.solve(blocks, xty[cols][:, :, None])[:, :, 0]
+            residual = y_test - y_mean - np.einsum("tck,ck->ct", test_centred[:, cols], beta)
+            ss_res = np.einsum("ct,ct->c", residual, residual)
+            masks = (1 << cols).sum(axis=1)
+            r2[masks] = 1.0 - ss_res / ss_tot if ss_tot else np.where(ss_res == 0.0, 1.0, 0.0)
+            mse[masks] = ss_res / len(y_test)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularityWarning)
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(fit_mask, jobs, chunksize=256))
-        else:
-            rows = [fit_mask(job) for job in jobs]
-    return rows
+        for cols in singular:
+            metrics = evaluate(fit_ols(X_train[:, cols], y_train), X_test[:, cols], y_test)
+            mask = int((1 << cols).sum())
+            r2[mask], mse[mask] = metrics.r2, metrics.mse
+    # a mask's names are its lowest bit's name followed by the rest's, in column order
+    features: list[tuple[str, ...]] = [()] * 2**width
+    for mask in range(1, 2**width):
+        low = (mask & -mask).bit_length() - 1
+        features[mask] = (names[low],) + features[mask & (mask - 1)]
+    r2_values, mse_values = r2.tolist(), mse.tolist()
+    return [
+        AblationRow(mask, features[mask], r2_values[mask], mse_values[mask])
+        for mask in range(1, 2**width)
+    ]

@@ -223,8 +223,7 @@ def test_07_sum_invariant_and_aggregation_warning(trained_bundle):
 def test_08_ablation_exhaustive_with_mac_gap():
     with criterion(8, "conv ablation: 32767 subsets; MAC subsets dominate", budget_s=300.0):
         records = synth_records(LayerKind.CONV2D, 240, seed=7)
-        rows = run_ablation(records, LayerKind.CONV2D, SplitSpec(seed=11),
-                            workers=os.cpu_count())
+        rows = run_ablation(records, LayerKind.CONV2D, SplitSpec(seed=11))
         assert len(rows) == 32767
         assert sorted(r.mask for r in rows) == list(range(1, 2**15))
         with_mac = [r.r2 for r in rows if "macs" in r.features]
@@ -303,6 +302,6 @@ def test_10_determinism_across_runs(tmp_path):
         ablations = []
         linear_records = [r for r in records if r.module is LayerKind.LINEAR]
         for _ in range(2):
-            rows = run_ablation(linear_records, LayerKind.LINEAR, SplitSpec(seed=4), workers=2)
+            rows = run_ablation(linear_records, LayerKind.LINEAR, SplitSpec(seed=4))
             ablations.append(rows)
         assert ablations[0] == ablations[1]

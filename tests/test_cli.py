@@ -185,6 +185,8 @@ class TestExperiments:
             "parameter", "(log+)parameter", "MACs", "parameter-MAC", "(log+)parameter-MAC",
         }
         assert all(r["module"] == "Linear" for r in rows)
+        assert list(rows[0])[-2:] == ["lasso_sweeps", "lasso_unconverged"]
+        assert all(r["lasso_sweeps"] == r["lasso_unconverged"] == "0" for r in rows)  # OLS rows
 
     def test_feature_experiment_deterministic(self, layerwise_csv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,25 @@ from joulecast.arch import (
     extract_predictable_layers,
     load_architecture,
 )
-from joulecast.dataset import MeasurementRecord, SplitSpec
-from joulecast.errors import AggregationWarning, EmptyDataError, MissingKindError
-from joulecast.features import FeatureSetKind, ScalerParams
+from joulecast.dataset import MeasurementRecord, SplitSpec, split
+from joulecast.errors import (
+    AggregationWarning,
+    EmptyDataError,
+    MissingKindError,
+    NotConvergedWarning,
+    SingularityWarning,
+)
+from joulecast.features import (
+    FeatureSetKind,
+    PolynomialSpec,
+    ScalerParams,
+    build_design,
+    raw_feature_names,
+    transform_records,
+)
 from joulecast.macs import architecture_macs, standalone_macs
 from joulecast.predict import (
+    DEFAULT_LAMBDA_GRID,
     DEFAULT_MODEL_SPECS,
     PredictorBundle,
     PredictorModel,
@@ -24,8 +40,17 @@ from joulecast.predict import (
     run_ablation,
     run_feature_set_experiment,
     train_default_bundle,
+    train_predictor,
 )
-from joulecast.regress import EvalMetrics, LinearModel, ModelSpec
+from joulecast.regress import (
+    EvalMetrics,
+    LinearModel,
+    ModelSpec,
+    evaluate,
+    fit_lasso,
+    fit_ols,
+    grid_search_lambda,
+)
 
 
 class TestTrainDefaultBundle:
@@ -212,6 +237,25 @@ class TestFeatureSetExperiment:
         assert a == b
 
 
+class TestLassoPipeline:
+    def test_final_model_is_the_grid_fit(self):
+        records = synth_records(LayerKind.LINEAR, 60, seed=6)
+        spec = ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(2, True), model="lasso",
+                         max_iter=300)
+        split_spec = SplitSpec(seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            trained = train_predictor(records, spec, split_spec, cv_folds=3)
+            search = grid_search_lambda(records, spec, DEFAULT_LAMBDA_GRID, split_spec)
+            train, _, _ = split(records, split_spec)
+            design, _, _ = build_design(train, spec.feature_set, spec.poly, spec.feature_scaler)
+            refit = fit_lasso(design.X, design.y, search.lam, spec.tol, spec.max_iter)
+        assert trained.spec.lam == search.lam
+        assert trained.model == search.chosen.model
+        np.testing.assert_allclose(trained.model.coefficients, refit.coefficients, rtol=0, atol=1e-12)
+        assert len(trained.lasso_fits) == len(DEFAULT_LAMBDA_GRID) + 3
+
+
 class TestAblationStructure:
     """Structural checks on a small universe; the full 32767-subset run lives
     in the acceptance suite."""
@@ -228,11 +272,36 @@ class TestAblationStructure:
         }
         assert full.r2 == pytest.approx(1.0, abs=1e-9)  # noiseless world
 
-    def test_parallel_matches_serial(self):
-        records = synth_records(LayerKind.LINEAR, 60, seed=5)
-        serial = run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=2), workers=1)
-        parallel = run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=2), workers=4)
-        assert serial == parallel
+    def test_batched_matches_per_subset_oracle(self):
+        # a constant batch size makes batch_size and log_batch_size zero after
+        # standardization, so every subset holding either has a singular block
+        ranges = {LayerKind.LINEAR: {"batch_size": (1, 1), "in_channels": (1, 2000),
+                                     "out_channels": (1, 2000)}}
+        records = synth_records(LayerKind.LINEAR, 60, seed=5, ranges=ranges)
+        split_spec = SplitSpec(seed=2)
+        names = raw_feature_names(LayerKind.LINEAR, FeatureSetKind.LOG_PARAMETER_MAC)
+        train, _, test = split(records, split_spec)
+        design, _, target = build_design(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+        test_design = transform_records(test, FeatureSetKind.LOG_PARAMETER_MAC, None,
+                                        ScalerParams(kind="none", columns=names), target)
+        rows = run_ablation(records, LayerKind.LINEAR, split_spec)
+        assert [r.mask for r in rows] == list(range(1, 128))
+        for row in rows:
+            cols = [i for i in range(len(names)) if row.mask >> i & 1]
+            Xtr = design.X[:, cols]
+            mean = Xtr.mean(axis=0)
+            std = Xtr.std(axis=0)
+            std[std == 0] = 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SingularityWarning)
+                model = fit_ols((Xtr - mean) / std, design.y)
+            oracle = evaluate(model, (test_design.X[:, cols] - mean) / std, test_design.y)
+            assert row.features == tuple(names[i] for i in cols)
+            assert row.r2 == pytest.approx(oracle.r2, rel=0, abs=1e-12)
+            assert row.mse == pytest.approx(oracle.mse, rel=0, abs=1e-12)
+        # minimum norm: a zero column adds nothing to the fit
+        by_mask = {r.mask: r for r in rows}
+        assert by_mask[0b1000110].r2 == pytest.approx(by_mask[0b1000111].r2, abs=1e-12)
 
 
 class TestEnrichment:

@@ -17,6 +17,7 @@ from joulecast.features import FeatureSetKind
 from joulecast.macs import standalone_macs
 from joulecast.regress import (
     EvalMetrics,
+    LassoProblem,
     LinearModel,
     ModelSpec,
     cross_validate,
@@ -27,6 +28,7 @@ from joulecast.regress import (
     group_kfold_indices,
     lasso_objective,
     soft_threshold,
+    solve_lasso,
 )
 
 
@@ -154,6 +156,79 @@ class TestLasso:
         assert coef_large <= coef_small + 1e-12
 
 
+def lasso_reference(X, y, lam, tol, max_iter):
+    """One problem at a time: cyclic coordinate descent with a per-column dot
+    product per step. Returns (coefficients, intercept, sweeps, converged)."""
+    n, p = X.shape
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_mean
+    yc = y - y_mean
+    col_norm = (Xc**2).sum(axis=0) / n
+    beta = np.zeros(p)
+    residual = yc.copy()
+    for sweep in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j in range(p):
+            if col_norm[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = float(Xc[:, j] @ residual) / n + col_norm[j] * old
+            new = soft_threshold(rho, lam) / col_norm[j]
+            if new != old:
+                residual += Xc[:, j] * (old - new)
+                beta[j] = new
+            max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            return beta, y_mean - x_mean @ beta, sweep, True
+    return beta, y_mean - x_mean @ beta, max_iter, False
+
+
+class TestLockstepLasso:
+    def test_batch_matches_one_problem_reference(self):
+        rng = np.random.default_rng(21)
+        p = 6
+        problems = []
+        for n, lam_scale, tol, max_iter in [
+            (40, 0.0, 1e-8, 10_000),    # lambda = 0
+            (55, 1.0, 1e-8, 10_000),    # lambda = lambda_max: all zeros
+            (33, 0.3, 1e-10, 10_000),
+            (61, 0.05, 1e-6, 10_000),
+            (47, 0.1, 0.0, 7),          # tol 0 never converges
+            (38, 0.02, 1e-12, 3),       # capped early
+        ]:
+            X = rng.standard_normal((n, p))
+            X[:, 1] += 0.9 * X[:, 0]  # correlated columns take more sweeps
+            y = X @ rng.standard_normal(p) + 0.3 * rng.standard_normal(n)
+            Xc, yc = X - X.mean(axis=0), y - y.mean()
+            lam_max = max(abs(float(Xc[:, j] @ yc)) for j in range(p)) / n
+            problems.append(LassoProblem(X, y, lam_scale * lam_max, tol, max_iter))
+        refs = [lasso_reference(q.X, q.y, q.lam, q.tol, q.max_iter) for q in problems]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = solve_lasso(problems)
+        unconverged = sum(not ref[3] for ref in refs)
+        assert unconverged == 2
+        assert sum(c.category is NotConvergedWarning for c in caught) == unconverged
+        assert len({ref[2] for ref in refs if ref[3]}) >= 3  # different stopping sweeps
+        assert fits[1].model.coefficients == (0.0,) * p
+        for fit, (beta, intercept, sweeps, converged) in zip(fits, refs):
+            np.testing.assert_allclose(fit.model.coefficients, beta, rtol=0, atol=1e-12)
+            assert fit.model.intercept == pytest.approx(intercept, abs=1e-12)
+            assert fit.sweeps == sweeps
+            assert fit.converged is converged
+
+    def test_mixed_column_counts_rejected(self):
+        rng = np.random.default_rng(22)
+        problems = [
+            LassoProblem(rng.standard_normal((10, 2)), rng.standard_normal(10), 0.1),
+            LassoProblem(rng.standard_normal((10, 3)), rng.standard_normal(10), 0.1),
+        ]
+        with pytest.raises(ColumnMismatchError):
+            solve_lasso(problems)
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         X = np.array([[1.0], [2.0], [3.0]])
@@ -241,12 +316,12 @@ class TestGridSearch:
     def test_singleton_grid(self):
         records = _linear_records(30)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        assert grid_search_lambda(records, spec, [0.0]) == 0.0
+        assert grid_search_lambda(records, spec, [0.0]).lam == 0.0
 
     def test_noiseless_data_prefers_no_penalty(self):
         records = _linear_records(40)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        assert grid_search_lambda(records, spec, [0.0, 1e6], SplitSpec(seed=1)) == 0.0
+        assert grid_search_lambda(records, spec, [0.0, 1e6], SplitSpec(seed=1)).lam == 0.0
 
     def test_sparse_truth_support_recovery(self):
         rng = np.random.default_rng(12)
