@@ -10,6 +10,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 from .errors import ParseError, ShapeError, UnknownPresetError, ValidationError
 
@@ -27,54 +28,7 @@ class LayerKind(str, Enum):
     FLATTEN = "Flatten"
 
 
-ACTIVATION_KINDS = frozenset(
-    {LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX}
-)
-
-#: kinds that carry energy and get a per-type predictor
-PREDICTABLE_KINDS = frozenset(
-    {LayerKind.CONV2D, LayerKind.MAXPOOL2D, LayerKind.LINEAR} | ACTIVATION_KINDS
-)
-
-#: kinds with negligible/no energy, parsed but discarded before prediction
-DISCARDED_KINDS = frozenset(
-    {LayerKind.ADAPTIVE_AVG_POOL, LayerKind.DROPOUT, LayerKind.FLATTEN}
-)
-
-# fields applicable per kind; a standalone (individually measured) config
-# must carry all of them
-_ALLOWED_FIELDS = {
-    LayerKind.CONV2D: frozenset(
-        {"batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding"}
-    ),
-    LayerKind.MAXPOOL2D: frozenset(
-        {"batch_size", "image_size", "kernel_size", "in_channels", "stride", "padding"}
-    ),
-    LayerKind.LINEAR: frozenset({"batch_size", "in_channels", "out_channels"}),
-    LayerKind.RELU: frozenset({"batch_size", "in_channels"}),
-    LayerKind.SIGMOID: frozenset({"batch_size", "in_channels"}),
-    LayerKind.TANH: frozenset({"batch_size", "in_channels"}),
-    LayerKind.SOFTMAX: frozenset({"batch_size", "in_channels"}),
-    LayerKind.ADAPTIVE_AVG_POOL: frozenset({"output_size"}),
-    LayerKind.DROPOUT: frozenset(),
-    LayerKind.FLATTEN: frozenset(),
-}
-
-# fields that must be present even for layers embedded in an architecture
-# (the rest are derivable from the incoming tensor shape)
-_REQUIRED_FIELDS = {
-    LayerKind.CONV2D: frozenset({"kernel_size", "in_channels", "out_channels", "stride", "padding"}),
-    LayerKind.MAXPOOL2D: frozenset({"kernel_size", "stride", "padding"}),
-    LayerKind.LINEAR: frozenset({"in_channels", "out_channels"}),
-    LayerKind.RELU: frozenset(),
-    LayerKind.SIGMOID: frozenset(),
-    LayerKind.TANH: frozenset(),
-    LayerKind.SOFTMAX: frozenset(),
-    LayerKind.ADAPTIVE_AVG_POOL: frozenset({"output_size"}),
-    LayerKind.DROPOUT: frozenset(),
-    LayerKind.FLATTEN: frozenset(),
-}
-
+# every field a LayerConfig can carry, in canonical order
 _CONFIG_FIELDS = (
     "batch_size",
     "image_size",
@@ -95,7 +49,8 @@ class LayerConfig:
     applicable fields set, including ``batch_size``) or *embedded* in an
     architecture, where ``batch_size``/``image_size`` and, for pooling and
     activations, ``in_channels`` are resolved from the incoming shape.
-    For activations ``in_channels`` is the flat input size.
+    For activations ``in_channels`` is the flat input size. Which fields a
+    kind carries, and which it requires, is in its ``KIND_SPECS`` row.
     """
 
     kind: LayerKind
@@ -111,27 +66,27 @@ class LayerConfig:
     def __post_init__(self):
         if not isinstance(self.kind, LayerKind):
             object.__setattr__(self, "kind", LayerKind(self.kind))
-        allowed = _ALLOWED_FIELDS[self.kind]
+        spec = KIND_SPECS[self.kind]
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
             if value is None:
                 continue
-            if name not in allowed:
+            if name not in spec.fields:
                 raise ValidationError(f"{self.kind.value}: field {name!r} is not applicable")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{self.kind.value}: field {name!r} must be an integer")
             minimum = 0 if name == "padding" else 1
             if value < minimum:
                 raise ValidationError(f"{self.kind.value}: {name}={value} is out of range")
-        for name in _REQUIRED_FIELDS[self.kind]:
+        for name in spec.required:
             if getattr(self, name) is None:
                 raise ValidationError(f"{self.kind.value}: field {name!r} is required")
-        if self.kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-            if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:
-                raise ValidationError(
-                    f"{self.kind.value}: kernel {self.kernel_size} exceeds padded input "
-                    f"{self.image_size}+2*{self.padding}"
-                )
+        # only window kinds carry image_size, and they require kernel_size and padding
+        if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:
+            raise ValidationError(
+                f"{self.kind.value}: kernel {self.kernel_size} exceeds padded input "
+                f"{self.image_size}+2*{self.padding}"
+            )
         if self.kind is LayerKind.MAXPOOL2D and self.padding > self.kernel_size // 2:
             raise ValidationError(
                 f"MaxPool2d: padding {self.padding} exceeds half the kernel size {self.kernel_size}"
@@ -139,11 +94,7 @@ class LayerConfig:
 
     def require_standalone(self) -> None:
         """Raise unless this config is fully specified for standalone measurement."""
-        missing = [
-            name
-            for name in sorted(_ALLOWED_FIELDS[self.kind])
-            if getattr(self, name) is None
-        ]
+        missing = [name for name in KIND_SPECS[self.kind].fields if getattr(self, name) is None]
         if missing:
             raise ValidationError(
                 f"{self.kind.value}: standalone config is missing {', '.join(missing)}"
@@ -212,53 +163,135 @@ def conv_output_side(in_side: int, kernel: int, padding: int, stride: int) -> in
     return out
 
 
+def _window_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
+    """A square kernel swept over the image; channels change only if out_channels is set."""
+    if layer.image_size is not None and (
+        input_shape.height != layer.image_size or input_shape.width != layer.image_size
+    ):
+        raise ShapeError(
+            f"{layer.kind.value}: declared image_size {layer.image_size} does not match "
+            f"input {input_shape.height}x{input_shape.width}"
+        )
+    out_h = conv_output_side(input_shape.height, layer.kernel_size, layer.padding, layer.stride)
+    out_w = conv_output_side(input_shape.width, layer.kernel_size, layer.padding, layer.stride)
+    if layer.in_channels is not None and input_shape.channels != layer.in_channels:
+        raise ShapeError(
+            f"{layer.kind.value} expects {layer.in_channels} input channels, got {input_shape.channels}"
+        )
+    channels = input_shape.channels if layer.out_channels is None else layer.out_channels
+    return TensorShape(input_shape.batch, channels, out_h, out_w)
+
+
+def _linear_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
+    if input_shape.height != 1 or input_shape.width != 1:
+        raise ShapeError("Linear requires a flat input (insert a Flatten layer)")
+    if input_shape.channels != layer.in_channels:
+        raise ShapeError(
+            f"Linear expects {layer.in_channels} input features, got {input_shape.channels}"
+        )
+    return TensorShape(input_shape.batch, layer.out_channels, 1, 1)
+
+
+def _elementwise_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
+    """Shape-preserving; a declared in_channels is the flat input size."""
+    if layer.in_channels is not None and input_shape.per_sample_elements != layer.in_channels:
+        raise ShapeError(
+            f"{layer.kind.value} declared input size {layer.in_channels}, "
+            f"got {input_shape.per_sample_elements}"
+        )
+    return input_shape
+
+
+def _flatten_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
+    return TensorShape(input_shape.batch, input_shape.per_sample_elements, 1, 1)
+
+
+def _adaptive_pool_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
+    return TensorShape(input_shape.batch, input_shape.channels, layer.output_size, layer.output_size)
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """The facts about one layer kind that every stage reads.
+
+    ``fields`` are the parameters a config of this kind may set, in canonical
+    order (the order of CSV columns, features and sampler draws); a standalone
+    config sets all of them. ``required`` must be set even on a layer embedded
+    in an architecture; the other fields resolve from its input shape.
+    ``spatial`` kinds take an NCHW input, the others a flat (batch, elements)
+    one. ``predictable`` kinds carry energy: they are sampled, measured
+    standalone and get a predictor; the rest are parsed and discarded.
+    ``output_shape`` resolves the layer's output from its input shape.
+    """
+
+    fields: tuple[str, ...]
+    required: frozenset[str]
+    spatial: bool
+    predictable: bool
+    output_shape: Callable[[TensorShape, LayerConfig], TensorShape]
+
+
+_ACTIVATION = KindSpec(
+    fields=("batch_size", "in_channels"),
+    required=frozenset(),
+    spatial=False,
+    predictable=True,
+    output_shape=_elementwise_shape,
+)
+
+KIND_SPECS: dict[LayerKind, KindSpec] = {
+    LayerKind.CONV2D: KindSpec(
+        fields=("batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding"),
+        required=frozenset({"kernel_size", "in_channels", "out_channels", "stride", "padding"}),
+        spatial=True,
+        predictable=True,
+        output_shape=_window_shape,
+    ),
+    LayerKind.MAXPOOL2D: KindSpec(
+        fields=("batch_size", "image_size", "kernel_size", "in_channels", "stride", "padding"),
+        required=frozenset({"kernel_size", "stride", "padding"}),
+        spatial=True,
+        predictable=True,
+        output_shape=_window_shape,
+    ),
+    LayerKind.LINEAR: KindSpec(
+        fields=("batch_size", "in_channels", "out_channels"),
+        required=frozenset({"in_channels", "out_channels"}),
+        spatial=False,
+        predictable=True,
+        output_shape=_linear_shape,
+    ),
+    LayerKind.RELU: _ACTIVATION,
+    LayerKind.SIGMOID: _ACTIVATION,
+    LayerKind.TANH: _ACTIVATION,
+    LayerKind.SOFTMAX: _ACTIVATION,
+    LayerKind.ADAPTIVE_AVG_POOL: KindSpec(
+        fields=("output_size",),
+        required=frozenset({"output_size"}),
+        spatial=True,
+        predictable=False,
+        output_shape=_adaptive_pool_shape,
+    ),
+    LayerKind.DROPOUT: KindSpec(
+        fields=(), required=frozenset(), spatial=False, predictable=False, output_shape=_elementwise_shape
+    ),
+    LayerKind.FLATTEN: KindSpec(
+        fields=(), required=frozenset(), spatial=True, predictable=False, output_shape=_flatten_shape
+    ),
+}
+
+#: kinds that carry energy and get a per-type predictor, in table order
+PREDICTABLE_KINDS = tuple(kind for kind, spec in KIND_SPECS.items() if spec.predictable)
+
+#: every field a standalone config can carry, in canonical order (the CSV parameter columns)
+STANDALONE_FIELDS = tuple(
+    name for name in _CONFIG_FIELDS if any(name in KIND_SPECS[kind].fields for kind in PREDICTABLE_KINDS)
+)
+
+
 def propagate_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
     """Resolve the output shape of ``layer`` applied to ``input_shape``."""
-    kind = layer.kind
-    if kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        if layer.image_size is not None and (
-            input_shape.height != layer.image_size or input_shape.width != layer.image_size
-        ):
-            raise ShapeError(
-                f"{kind.value}: declared image_size {layer.image_size} does not match "
-                f"input {input_shape.height}x{input_shape.width}"
-            )
-        out_h = conv_output_side(input_shape.height, layer.kernel_size, layer.padding, layer.stride)
-        out_w = conv_output_side(input_shape.width, layer.kernel_size, layer.padding, layer.stride)
-        if kind is LayerKind.CONV2D:
-            if input_shape.channels != layer.in_channels:
-                raise ShapeError(
-                    f"Conv2d expects {layer.in_channels} input channels, got {input_shape.channels}"
-                )
-            channels = layer.out_channels
-        else:
-            if layer.in_channels is not None and input_shape.channels != layer.in_channels:
-                raise ShapeError(
-                    f"MaxPool2d declared {layer.in_channels} channels, got {input_shape.channels}"
-                )
-            channels = input_shape.channels
-        return TensorShape(input_shape.batch, channels, out_h, out_w)
-    if kind is LayerKind.LINEAR:
-        if input_shape.height != 1 or input_shape.width != 1:
-            raise ShapeError("Linear requires a flat input (insert a Flatten layer)")
-        if input_shape.channels != layer.in_channels:
-            raise ShapeError(
-                f"Linear expects {layer.in_channels} input features, got {input_shape.channels}"
-            )
-        return TensorShape(input_shape.batch, layer.out_channels, 1, 1)
-    if kind in ACTIVATION_KINDS or kind is LayerKind.DROPOUT:
-        if kind in ACTIVATION_KINDS and layer.in_channels is not None:
-            if input_shape.per_sample_elements != layer.in_channels:
-                raise ShapeError(
-                    f"{kind.value} declared input size {layer.in_channels}, "
-                    f"got {input_shape.per_sample_elements}"
-                )
-        return input_shape
-    if kind is LayerKind.FLATTEN:
-        return TensorShape(input_shape.batch, input_shape.per_sample_elements, 1, 1)
-    if kind is LayerKind.ADAPTIVE_AVG_POOL:
-        return TensorShape(input_shape.batch, input_shape.channels, layer.output_size, layer.output_size)
-    raise ShapeError(f"cannot propagate through layer kind {kind!r}")
+    return KIND_SPECS[layer.kind].output_shape(input_shape, layer)
 
 
 @dataclass(frozen=True)
@@ -330,51 +363,40 @@ class ArchitectureSpec:
 
 def extract_predictable_layers(arch: ArchitectureSpec) -> list[ResolvedLayer]:
     """Resolved layers that carry energy, skipping the negligible structural ones."""
-    return [r for r in arch.resolve_layers() if r.config.kind in PREDICTABLE_KINDS]
+    return [r for r in arch.resolve_layers() if KIND_SPECS[r.config.kind].predictable]
 
 
 def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerConfig:
-    """Rewrite an embedded layer as the equivalent individually-measurable config."""
-    kind = layer.kind
-    if kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        if input_shape.height != input_shape.width:
-            raise ShapeError(
-                f"{kind.value}: non-square input {input_shape.height}x{input_shape.width} "
-                "has no standalone image_size"
-            )
-        return LayerConfig(
-            kind=kind,
-            batch_size=input_shape.batch,
-            image_size=input_shape.height,
-            kernel_size=layer.kernel_size,
-            in_channels=input_shape.channels,
-            out_channels=layer.out_channels if kind is LayerKind.CONV2D else None,
-            stride=layer.stride,
-            padding=layer.padding,
+    """Rewrite an embedded layer as the equivalent individually-measurable config.
+
+    ``batch_size`` comes from the batch, ``image_size`` from the square side and
+    ``in_channels`` from the channels (spatial kinds) or the per-sample
+    elements (flat kinds); every other field comes from the layer.
+    """
+    spec = KIND_SPECS[layer.kind]
+    if not spec.predictable:
+        raise ValidationError(f"{layer.kind.value} is not individually measurable")
+    if spec.spatial and input_shape.height != input_shape.width:
+        raise ShapeError(
+            f"{layer.kind.value}: non-square input {input_shape.height}x{input_shape.width} "
+            "has no standalone image_size"
         )
-    if kind is LayerKind.LINEAR:
-        return LayerConfig(
-            kind=kind,
-            batch_size=input_shape.batch,
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-        )
-    if kind in ACTIVATION_KINDS:
-        return LayerConfig(
-            kind=kind,
-            batch_size=input_shape.batch,
-            in_channels=input_shape.per_sample_elements,
-        )
-    raise ValidationError(f"{kind.value} is not individually measurable")
+    from_input = {
+        "batch_size": input_shape.batch,
+        "image_size": input_shape.height,
+        "in_channels": input_shape.channels if spec.spatial else input_shape.per_sample_elements,
+    }
+    return LayerConfig(
+        kind=layer.kind,
+        **{name: from_input.get(name, getattr(layer, name)) for name in spec.fields},
+    )
 
 
 def standalone_input_shape(config: LayerConfig) -> TensorShape:
-    """Input tensor shape for a standalone config."""
+    """Input tensor shape for a standalone config; flat inputs use h=w=1."""
     config.require_standalone()
-    if config.kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        return TensorShape(config.batch_size, config.in_channels, config.image_size, config.image_size)
-    # Linear and activations take flat inputs
-    return TensorShape(config.batch_size, config.in_channels, 1, 1)
+    side = config.image_size if KIND_SPECS[config.kind].spatial else 1
+    return TensorShape(config.batch_size, config.in_channels, side, side)
 
 
 def _conv(c_in: int, c_out: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> LayerConfig:

@@ -16,7 +16,14 @@ import sys
 import numpy as np
 
 from . import dataset, predict, probe, report
-from .arch import LayerKind, PRESET_NAMES, extract_predictable_layers, load_architecture
+from .arch import (
+    PREDICTABLE_KINDS,
+    PRESET_NAMES,
+    LayerKind,
+    as_standalone_config,
+    extract_predictable_layers,
+    load_architecture,
+)
 from .dataset import (
     MeasurementRecord,
     ModelWiseLayer,
@@ -28,16 +35,6 @@ from .errors import JoulecastError
 from .macs import architecture_macs, layer_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
-_LAYER_KINDS = {
-    "conv2d": LayerKind.CONV2D,
-    "maxpool2d": LayerKind.MAXPOOL2D,
-    "linear": LayerKind.LINEAR,
-    "relu": LayerKind.RELU,
-    "sigmoid": LayerKind.SIGMOID,
-    "tanh": LayerKind.TANH,
-    "softmax": LayerKind.SOFTMAX,
-}
-
 ARCHITECTURE_BATCH_RANGE = (1, 256)
 
 
@@ -47,12 +44,12 @@ def _say(args, message: str) -> None:
 
 
 def _parse_layer_kind(name: str) -> LayerKind:
-    try:
-        return _LAYER_KINDS[name.lower()]
-    except KeyError:
-        raise JoulecastError(
-            f"unknown layer kind {name!r}; expected one of {', '.join(_LAYER_KINDS)}"
-        ) from None
+    """A predictable kind by its case-insensitive name (conv2d, maxpool2d, ...)."""
+    for kind in PREDICTABLE_KINDS:
+        if kind.value.lower() == name.lower():
+            return kind
+    expected = ", ".join(kind.value.lower() for kind in PREDICTABLE_KINDS)
+    raise JoulecastError(f"unknown layer kind {name!r}; expected one of {expected}")
 
 
 def _probe_backend(args, machine_seed: int):
@@ -70,39 +67,39 @@ def _resolve_window(args) -> float:
 
 
 def cmd_collect(args) -> int:
+    """Measure ``--count`` sampled configs (or preset passes), appending each
+    one's rows to ``--out`` as soon as it is measured, so a crash loses at
+    most the configuration in flight."""
     window = _resolve_window(args)
     rng = np.random.default_rng(args.seed)
     counter, clock, workload_for = _probe_backend(args, args.seed)
     name = args.kind.lower()
     if name in PRESET_NAMES:
         arch = load_architecture(name)
-        records = []
-        for _ in range(args.count):
-            batch = int(rng.integers(ARCHITECTURE_BATCH_RANGE[0], ARCHITECTURE_BATCH_RANGE[1] + 1))
-            records.append(
-                _collect_architecture(arch, batch, window, args.repeats, counter, clock,
-                                      workload_for, args.seed, args.pin_cpu)
-            )
-        dataset.write_modelwise_csv(args.out, records, append=True)
-        _say(args, f"collected {len(records)} {name} measurement(s) into {args.out}")
+        with dataset.appending_modelwise_csv(args.out) as write:
+            for _ in range(args.count):
+                batch = int(rng.integers(ARCHITECTURE_BATCH_RANGE[0], ARCHITECTURE_BATCH_RANGE[1] + 1))
+                write([_collect_architecture(arch, batch, window, args.repeats, counter, clock,
+                                             workload_for, args.seed, args.pin_cpu)])
+        _say(args, f"collected {args.count} {name} measurement(s) into {args.out}")
         return 0
     kind = _parse_layer_kind(args.kind)
-    rows: list[MeasurementRecord] = []
-    for _ in range(args.count):
-        config = sample_config(kind, rng)
-        macs = standalone_macs(config)
-        result = probe.measure_config(
-            config,
-            window_seconds=window,
-            repeats=args.repeats,
-            counter=counter,
-            workload=workload_for(config, macs) if args.simulate else None,
-            clock=clock,
-            seed=args.seed,
-            pin_to_cpu=args.pin_cpu,
-        )
-        for i, repeat in enumerate(result.repeats, start=1):
-            rows.append(
+    written = 0
+    with dataset.appending_layerwise_csv(args.out) as write:
+        for _ in range(args.count):
+            config = sample_config(kind, rng)
+            macs = standalone_macs(config)
+            result = probe.measure_config(
+                config,
+                window_seconds=window,
+                repeats=args.repeats,
+                counter=counter,
+                workload=workload_for(config, macs) if args.simulate else None,
+                clock=clock,
+                seed=args.seed,
+                pin_to_cpu=args.pin_cpu,
+            )
+            rows = [
                 MeasurementRecord(
                     module=kind,
                     config=config,
@@ -111,17 +108,17 @@ def cmd_collect(args) -> int:
                     repeat=i,
                     source=dataset.SOURCE_RANDOM,
                 )
-            )
-    dataset.write_layerwise_csv(args.out, rows, append=True)
-    _say(args, f"collected {len(rows)} {kind.value} row(s) into {args.out}")
+                for i, repeat in enumerate(result.repeats, start=1)
+            ]
+            write(rows)
+            written += len(rows)
+    _say(args, f"collected {written} {kind.value} row(s) into {args.out}")
     return 0
 
 
 def _collect_architecture(
     arch, batch, window, repeats, counter, clock, workload_for, seed, pin_cpu=None
 ) -> ModelWiseRecord:
-    from .arch import as_standalone_config
-
     layers = []
     total_macs = 0
     for resolved in extract_predictable_layers(arch.with_batch(batch)):
@@ -152,7 +149,7 @@ def _collect_architecture(
         total_workload = probe.make_architecture_workload(arch, batch, seed)
     total_result = probe.measure_config(
         None, window_seconds=window, repeats=repeats, counter=counter,
-        workload=total_workload, clock=clock, seed=seed,
+        workload=total_workload, clock=clock, seed=seed, pin_to_cpu=pin_cpu,
     )
     return ModelWiseRecord(
         architecture=arch.name,

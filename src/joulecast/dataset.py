@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .arch import ACTIVATION_KINDS, LayerConfig, LayerKind, PREDICTABLE_KINDS
+from .arch import KIND_SPECS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from .errors import (
     ConsistencyWarning,
     KindMismatchError,
@@ -98,7 +100,10 @@ class SplitSpec:
             raise ValidationError("split fractions must be non-negative")
 
 
-# parameter sampling ranges per layer kind: {field: (lo, hi)} inclusive
+_ACTIVATION_RANGES = {"batch_size": (1, 512), "in_channels": (50_000, 5_000_000)}
+
+# parameter sampling ranges per layer kind: {field: (lo, hi)} inclusive, drawn
+# in key order, which is the kind's canonical field order
 DEFAULT_SAMPLER_RANGES: dict[LayerKind, dict[str, tuple[int, int]]] = {
     LayerKind.CONV2D: {
         "batch_size": (1, 256),
@@ -123,10 +128,10 @@ DEFAULT_SAMPLER_RANGES: dict[LayerKind, dict[str, tuple[int, int]]] = {
         "in_channels": (1, 5000),
         "out_channels": (1, 5000),
     },
-    **{
-        kind: {"batch_size": (1, 512), "in_channels": (50_000, 5_000_000)}
-        for kind in ACTIVATION_KINDS
-    },
+    LayerKind.RELU: dict(_ACTIVATION_RANGES),
+    LayerKind.SIGMOID: dict(_ACTIVATION_RANGES),
+    LayerKind.TANH: dict(_ACTIVATION_RANGES),
+    LayerKind.SOFTMAX: dict(_ACTIVATION_RANGES),
 }
 
 
@@ -148,7 +153,7 @@ def sample_config(
     violating the layer invariants (kernel larger than the padded image,
     pooling padding above half the kernel) are rejected and redrawn.
     """
-    if kind not in PREDICTABLE_KINDS:
+    if not KIND_SPECS[kind].predictable:
         raise ValidationError(f"{kind.value} is not a measurable module kind")
     gen = _as_rng(rng)
     table = (ranges or DEFAULT_SAMPLER_RANGES)[kind]
@@ -163,18 +168,12 @@ def sample_config(
     raise RetryExhaustedError(f"no valid {kind.value} config after {max_retries} draws")
 
 
+_standalone_values = attrgetter(*STANDALONE_FIELDS)
+
+
 def config_key(config: LayerConfig) -> tuple:
     """Canonical hashable identity of a configuration (grouping key for splits)."""
-    return (
-        config.kind.value,
-        config.batch_size,
-        config.image_size,
-        config.kernel_size,
-        config.in_channels,
-        config.out_channels,
-        config.stride,
-        config.padding,
-    )
+    return (config.kind.value, *_standalone_values(config))
 
 
 def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
@@ -243,46 +242,53 @@ def modelwise_to_layerwise(records: list["ModelWiseRecord"]) -> list[Measurement
     return out
 
 
-LAYERWISE_HEADER = (
-    "module",
-    "batch_size",
-    "image_size",
-    "kernel_size",
-    "in_channels",
-    "out_channels",
-    "stride",
-    "padding",
-    "macs",
-    "cpu_energy_j",
-    "repeat",
-    "source",
-)
-
-_PARAM_COLUMNS = ("batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding")
+LAYERWISE_HEADER = ("module", *STANDALONE_FIELDS, "macs", "cpu_energy_j", "repeat", "source")
 
 
 def _config_from_row(kind: LayerKind, row: dict) -> LayerConfig:
     fields = {}
-    for name in _PARAM_COLUMNS:
+    for name in STANDALONE_FIELDS:
         raw = row.get(name, "")
         if raw not in ("", None):
             fields[name] = int(raw)
     return LayerConfig(kind=kind, **fields)
 
 
-def write_layerwise_csv(path, records: list[MeasurementRecord], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+def _layerwise_rows(records: list[MeasurementRecord]):
+    for record in records:
+        cfg = record.config
+        yield (
+            [record.module.value]
+            + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in STANDALONE_FIELDS]
+            + [record.macs, repr(float(record.cpu_energy_j)), record.repeat, record.source]
+        )
+
+
+@contextmanager
+def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
+    """Yield ``write(records)``, which writes the records' rows and flushes
+    them; the header goes first if the file is new."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
-            writer.writerow(LAYERWISE_HEADER)
-        for record in records:
-            cfg = record.config
-            writer.writerow(
-                [record.module.value]
-                + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in _PARAM_COLUMNS]
-                + [record.macs, repr(float(record.cpu_energy_j)), record.repeat, record.source]
-            )
+            writer.writerow(header)
+
+        def write(records) -> None:
+            writer.writerows(to_rows(records))
+            fh.flush()
+
+        yield write
+
+
+def write_layerwise_csv(path, records: list[MeasurementRecord], append: bool = False) -> None:
+    with _csv_writer(path, LAYERWISE_HEADER, _layerwise_rows, append) as write:
+        write(records)
+
+
+def appending_layerwise_csv(path):
+    """Context manager yielding ``write(records)``, which appends the records'
+    rows to ``path`` and flushes them, so a crash loses no written batch."""
+    return _csv_writer(path, LAYERWISE_HEADER, _layerwise_rows, append=True)
 
 
 def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
@@ -330,42 +336,39 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
     return records
 
 
+# the batch size is per record, so layer rows carry the other parameter columns
+_LAYER_FIELDS = tuple(name for name in STANDALONE_FIELDS if name != "batch_size")
+
 MODELWISE_HEADER = (
-    "architecture",
-    "batch_size",
-    "row_type",
-    "layer_index",
-    "module",
-    "image_size",
-    "kernel_size",
-    "in_channels",
-    "out_channels",
-    "stride",
-    "padding",
-    "macs",
-    "cpu_energy_j",
+    "architecture", "batch_size", "row_type", "layer_index", "module", *_LAYER_FIELDS, "macs", "cpu_energy_j",
 )
 
 
-def write_modelwise_csv(path, records: list[ModelWiseRecord], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(MODELWISE_HEADER)
-        for record in records:
-            writer.writerow(
-                [record.architecture, record.batch_size, "total", "", "", "", "", "", "", "", "",
-                 record.total_macs, repr(float(record.total_energy_j))]
+def _modelwise_rows(records: list[ModelWiseRecord]):
+    for record in records:
+        yield (
+            [record.architecture, record.batch_size, "total", "", ""]
+            + [""] * len(_LAYER_FIELDS)
+            + [record.total_macs, repr(float(record.total_energy_j))]
+        )
+        for layer in record.layers:
+            cfg = layer.config
+            yield (
+                [record.architecture, record.batch_size, "layer", layer.layer_index, layer.module.value]
+                + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in _LAYER_FIELDS]
+                + [layer.macs, repr(float(layer.cpu_energy_j))]
             )
-            for layer in record.layers:
-                cfg = layer.config
-                writer.writerow(
-                    [record.architecture, record.batch_size, "layer", layer.layer_index, layer.module.value]
-                    + ["" if getattr(cfg, name) is None else getattr(cfg, name)
-                       for name in _PARAM_COLUMNS if name != "batch_size"]
-                    + [layer.macs, repr(float(layer.cpu_energy_j))]
-                )
+
+
+def write_modelwise_csv(path, records: list[ModelWiseRecord], append: bool = False) -> None:
+    with _csv_writer(path, MODELWISE_HEADER, _modelwise_rows, append) as write:
+        write(records)
+
+
+def appending_modelwise_csv(path):
+    """Context manager yielding ``write(records)``, which appends the records'
+    rows to ``path`` and flushes them, so a crash loses no written batch."""
+    return _csv_writer(path, MODELWISE_HEADER, _modelwise_rows, append=True)
 
 
 def load_modelwise_csv(path) -> list[ModelWiseRecord]:

@@ -1,10 +1,11 @@
 """Design matrices: named feature sets, log features, polynomial expansion, scaling.
 
-The raw feature order is fixed per layer kind: parameters first, then their
-log1p transforms, then the MAC count. Polynomial expansion happens after the
-log features are assembled and before any standardization. The target is
-always min-max normalized to [0, 1] on the training records; predictions are
-mapped back to joules with the linear inverse (no clipping).
+The raw feature order is fixed per layer kind: parameters first (the kind's
+``KindSpec.fields``, in canonical order), then their log1p transforms, then
+the MAC count. Polynomial expansion happens after the log features are
+assembled and before any standardization. The target is always min-max
+normalized to [0, 1] on the training records; predictions are mapped back to
+joules with the linear inverse (no clipping).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .arch import ACTIVATION_KINDS, LayerConfig, LayerKind
+from .arch import KIND_SPECS, LayerConfig, LayerKind
 from .dataset import MeasurementRecord
 from .errors import (
     ConstantColumnWarning,
@@ -63,19 +64,8 @@ _FEATURE_SET_LABELS = {
     FeatureSetKind.LOG_PARAMETER_MAC: "(log+)parameter-MAC",
 }
 
-# parameters usable as features, per kind, in canonical column order
-PARAM_NAMES: dict[LayerKind, tuple[str, ...]] = {
-    LayerKind.CONV2D: (
-        "batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding",
-    ),
-    LayerKind.MAXPOOL2D: ("batch_size", "image_size", "kernel_size", "in_channels", "stride", "padding"),
-    LayerKind.LINEAR: ("batch_size", "in_channels", "out_channels"),
-    **{kind: ("batch_size", "in_channels") for kind in ACTIVATION_KINDS},
-}
-
-
 def raw_feature_names(kind: LayerKind, feature_set: FeatureSetKind) -> tuple[str, ...]:
-    params = PARAM_NAMES[kind]
+    params = KIND_SPECS[kind].fields
     names: tuple[str, ...] = ()
     if feature_set.has_params:
         names += params
@@ -88,7 +78,7 @@ def raw_feature_names(kind: LayerKind, feature_set: FeatureSetKind) -> tuple[str
 
 def raw_feature_row(config: LayerConfig, macs: int, feature_set: FeatureSetKind) -> list[float]:
     """Assemble one raw feature row; log features are ln(1+x) so padding=0 stays finite."""
-    params = [float(getattr(config, name)) for name in PARAM_NAMES[config.kind]]
+    params = [float(getattr(config, name)) for name in KIND_SPECS[config.kind].fields]
     row: list[float] = []
     if feature_set.has_params:
         row += params

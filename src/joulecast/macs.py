@@ -8,7 +8,6 @@ express them on the MAC scale (floor division; one op per element visited).
 from __future__ import annotations
 
 from .arch import (
-    ACTIVATION_KINDS,
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
@@ -66,42 +65,34 @@ def maxpool2d_macs(config: LayerConfig, out: TensorShape) -> int:
 
 
 def relu_macs(in_shape: TensorShape) -> int:
-    """(w_in * h_in * c_in * B) / 2: one elementwise op per element, halved."""
+    """(w_in * h_in * c_in * B) / 2: one elementwise op per element, halved; every activation's rule."""
     return _checked((in_shape.per_sample_elements * in_shape.batch) // 2)
 
 
-def elementwise_macs(in_shape: TensorShape) -> int:
-    """Halved element count; applies to every elementwise activation."""
-    return relu_macs(in_shape)
+# the MAC rule of every kind that has one: (resolved layer, include_bias) -> MACs
+_MAC_RULES = {
+    LayerKind.CONV2D: lambda r, bias: conv2d_macs(r.config, r.output_shape, bias),
+    LayerKind.MAXPOOL2D: lambda r, bias: maxpool2d_macs(r.config, r.output_shape),
+    LayerKind.LINEAR: lambda r, bias: linear_macs(r.config, r.input_shape, bias),
+    LayerKind.RELU: lambda r, bias: relu_macs(r.input_shape),
+    LayerKind.SIGMOID: lambda r, bias: relu_macs(r.input_shape),
+    LayerKind.TANH: lambda r, bias: relu_macs(r.input_shape),
+    LayerKind.SOFTMAX: lambda r, bias: relu_macs(r.input_shape),
+}
 
 
 def layer_macs(resolved: ResolvedLayer, include_bias: bool = True) -> int:
     """MAC count of one resolved layer within an architecture."""
-    kind = resolved.config.kind
-    if kind is LayerKind.CONV2D:
-        return conv2d_macs(resolved.config, resolved.output_shape, include_bias)
-    if kind is LayerKind.LINEAR:
-        return linear_macs(resolved.config, resolved.input_shape, include_bias)
-    if kind is LayerKind.MAXPOOL2D:
-        return maxpool2d_macs(resolved.config, resolved.output_shape)
-    if kind in ACTIVATION_KINDS:
-        return elementwise_macs(resolved.input_shape)
-    raise ValidationError(f"{kind.value} has no MAC count")
+    rule = _MAC_RULES.get(resolved.config.kind)
+    if rule is None:
+        raise ValidationError(f"{resolved.config.kind.value} has no MAC count")
+    return rule(resolved, include_bias)
 
 
 def standalone_macs(config: LayerConfig, include_bias: bool = True) -> int:
     """MAC count of a standalone config (shapes derived from its own fields)."""
     in_shape = standalone_input_shape(config)
-    if config.kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        out = propagate_shape(in_shape, config)
-        if config.kind is LayerKind.CONV2D:
-            return conv2d_macs(config, out, include_bias)
-        return maxpool2d_macs(config, out)
-    if config.kind is LayerKind.LINEAR:
-        return linear_macs(config, in_shape, include_bias)
-    if config.kind in ACTIVATION_KINDS:
-        return elementwise_macs(in_shape)
-    raise ValidationError(f"{config.kind.value} has no MAC count")
+    return layer_macs(ResolvedLayer(0, config, in_shape, propagate_shape(in_shape, config)), include_bias)
 
 
 def architecture_macs(
@@ -123,7 +114,6 @@ __all__ = [
     "linear_macs",
     "maxpool2d_macs",
     "relu_macs",
-    "elementwise_macs",
     "layer_macs",
     "standalone_macs",
     "architecture_macs",

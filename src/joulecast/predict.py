@@ -29,6 +29,7 @@ from .dataset import (
     MeasurementRecord,
     ModelWiseRecord,
     SplitSpec,
+    config_key,
     split,
 )
 from .errors import (
@@ -212,15 +213,10 @@ def dataset_fingerprint(records: list[MeasurementRecord]) -> str:
     """Order-sensitive sha256 over the canonical record encoding."""
     digest = hashlib.sha256()
     for record in records:
-        cfg = record.config
         digest.update(
             "|".join(
                 [
-                    record.module.value,
-                    *(str(getattr(cfg, f)) for f in (
-                        "batch_size", "image_size", "kernel_size", "in_channels",
-                        "out_channels", "stride", "padding",
-                    )),
+                    *map(str, config_key(record.config)),
                     str(record.macs),
                     repr(float(record.cpu_energy_j)),
                     str(record.repeat),

@@ -10,15 +10,18 @@ is fully testable without hardware.
 from __future__ import annotations
 
 import glob
+import math
 import os
 import threading
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .arch import (
+    KIND_SPECS,
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
@@ -118,64 +121,72 @@ def adaptive_avg_pool_forward(x: np.ndarray, output_size: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """One kind's forward pass ``(config, x, weights) -> y`` and, for weighted
+    kinds, its weight tensor shape (the bias has one entry per output)."""
+
+    forward: Callable[[LayerConfig, np.ndarray, dict], np.ndarray]
+    weight_shape: Callable[[LayerConfig], tuple[int, ...]] | None = None
+
+
+_KERNELS: dict[LayerKind, _Kernel] = {
+    LayerKind.CONV2D: _Kernel(
+        lambda c, x, w: conv2d_forward(x, w["weight"], w["bias"], c.stride, c.padding),
+        lambda c: (c.out_channels, c.in_channels, c.kernel_size, c.kernel_size),
+    ),
+    LayerKind.MAXPOOL2D: _Kernel(lambda c, x, w: maxpool2d_forward(x, c.kernel_size, c.stride, c.padding)),
+    LayerKind.LINEAR: _Kernel(
+        lambda c, x, w: linear_forward(x, w["weight"], w["bias"]),
+        lambda c: (c.out_channels, c.in_channels),
+    ),
+    LayerKind.RELU: _Kernel(lambda c, x, w: relu_forward(x)),
+    LayerKind.SIGMOID: _Kernel(lambda c, x, w: sigmoid_forward(x)),
+    LayerKind.TANH: _Kernel(lambda c, x, w: tanh_forward(x)),
+    LayerKind.SOFTMAX: _Kernel(lambda c, x, w: softmax_forward(x)),
+    LayerKind.ADAPTIVE_AVG_POOL: _Kernel(lambda c, x, w: adaptive_avg_pool_forward(x, c.output_size)),
+    LayerKind.DROPOUT: _Kernel(lambda c, x, w: x),  # identity at inference
+    LayerKind.FLATTEN: _Kernel(lambda c, x, w: x.reshape(x.shape[0], -1)),
+}
+
+
 def init_weights(config: LayerConfig, seed: int = 0, dtype=np.float64) -> dict[str, np.ndarray]:
     """Deterministic weight tensors; values only matter for reproducibility."""
+    weight_shape = _KERNELS[config.kind].weight_shape
+    if weight_shape is None:
+        return {}
+    shape = weight_shape(config)
     rng = np.random.default_rng(seed)
-    if config.kind is LayerKind.CONV2D:
-        k = config.kernel_size
-        scale = 1.0 / np.sqrt(config.in_channels * k * k)
-        return {
-            "weight": rng.uniform(-scale, scale, (config.out_channels, config.in_channels, k, k)).astype(dtype),
-            "bias": rng.uniform(-scale, scale, config.out_channels).astype(dtype),
-        }
-    if config.kind is LayerKind.LINEAR:
-        scale = 1.0 / np.sqrt(config.in_channels)
-        return {
-            "weight": rng.uniform(-scale, scale, (config.out_channels, config.in_channels)).astype(dtype),
-            "bias": rng.uniform(-scale, scale, config.out_channels).astype(dtype),
-        }
-    return {}
+    scale = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in)
+    return {
+        "weight": rng.uniform(-scale, scale, shape).astype(dtype),
+        "bias": rng.uniform(-scale, scale, shape[0]).astype(dtype),
+    }
 
 
 def forward_workload(
     config: LayerConfig, x: np.ndarray, weights: dict[str, np.ndarray] | None = None, seed: int = 0
 ) -> np.ndarray:
-    """One forward pass through a standalone module."""
-    kind = config.kind
-    if kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        if x.ndim != 4:
-            raise ShapeError(f"{kind.value} expects a 4-d input, got {x.ndim}-d")
-        if kind is LayerKind.CONV2D:
-            if weights is None:
-                weights = init_weights(config, seed, x.dtype)
-            return conv2d_forward(x, weights["weight"], weights["bias"], config.stride, config.padding)
-        return maxpool2d_forward(x, config.kernel_size, config.stride, config.padding)
-    if kind is LayerKind.LINEAR:
-        if x.ndim != 2 or x.shape[1] != config.in_channels:
-            raise ShapeError(f"Linear expects (batch, {config.in_channels}), got {x.shape}")
-        if weights is None:
-            weights = init_weights(config, seed, x.dtype)
-        return linear_forward(x, weights["weight"], weights["bias"])
-    if kind is LayerKind.RELU:
-        return relu_forward(x)
-    if kind is LayerKind.SIGMOID:
-        return sigmoid_forward(x)
-    if kind is LayerKind.TANH:
-        return tanh_forward(x)
-    if kind is LayerKind.SOFTMAX:
-        return softmax_forward(x)
-    raise ValidationError(f"{kind.value} has no standalone workload")
+    """One forward pass through a standalone module: NCHW input for spatial
+    kinds, (batch, in_channels) for flat ones."""
+    spec = KIND_SPECS[config.kind]
+    if not spec.predictable:
+        raise ValidationError(f"{config.kind.value} has no standalone workload")
+    if spec.spatial and x.ndim != 4:
+        raise ShapeError(f"{config.kind.value} expects a 4-d input, got {x.ndim}-d")
+    if not spec.spatial and (x.ndim != 2 or x.shape[1] != config.in_channels):
+        raise ShapeError(f"{config.kind.value} expects (batch, {config.in_channels}), got {x.shape}")
+    if weights is None:
+        weights = init_weights(config, seed, x.dtype)
+    return _KERNELS[config.kind].forward(config, x, weights)
 
 
 def make_workload(config: LayerConfig, seed: int = 0, dtype=np.float64):
     """Closure running one forward pass; input and weights allocated once."""
-    config.require_standalone()
     shape = standalone_input_shape(config)
+    dims = (shape.batch, shape.channels, shape.height, shape.width)
     rng = np.random.default_rng(seed)
-    if config.kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D):
-        x = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width)).astype(dtype)
-    else:
-        x = rng.standard_normal((shape.batch, shape.channels)).astype(dtype)
+    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2]).astype(dtype)
     weights = init_weights(config, seed, dtype)
 
     def run():
@@ -190,32 +201,15 @@ def make_architecture_workload(arch: ArchitectureSpec, batch_size: int, seed: in
     rng = np.random.default_rng(seed)
     shape = spec.input_shape
     x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width)).astype(dtype)
-    layer_weights = [init_weights(layer, seed + i, dtype) for i, layer in enumerate(spec.layers)]
+    steps = [
+        (_KERNELS[layer.kind].forward, layer, init_weights(layer, seed + i, dtype))
+        for i, layer in enumerate(spec.layers)
+    ]
 
     def run():
         x = x0
-        for layer, weights in zip(spec.layers, layer_weights):
-            kind = layer.kind
-            if kind is LayerKind.FLATTEN:
-                x = x.reshape(x.shape[0], -1)
-            elif kind is LayerKind.DROPOUT:
-                pass  # identity at inference
-            elif kind is LayerKind.ADAPTIVE_AVG_POOL:
-                x = adaptive_avg_pool_forward(x, layer.output_size)
-            elif kind is LayerKind.CONV2D:
-                x = conv2d_forward(x, weights["weight"], weights["bias"], layer.stride, layer.padding)
-            elif kind is LayerKind.MAXPOOL2D:
-                x = maxpool2d_forward(x, layer.kernel_size, layer.stride, layer.padding)
-            elif kind is LayerKind.LINEAR:
-                x = linear_forward(x, weights["weight"], weights["bias"])
-            elif kind is LayerKind.RELU:
-                x = relu_forward(x)
-            elif kind is LayerKind.SIGMOID:
-                x = sigmoid_forward(x)
-            elif kind is LayerKind.TANH:
-                x = tanh_forward(x)
-            elif kind is LayerKind.SOFTMAX:
-                x = softmax_forward(x)
+        for forward, layer, weights in steps:
+            x = forward(layer, x, weights)
         return x
 
     return run
@@ -477,22 +471,3 @@ def measure_config(
         if saved_affinity is not None:
             os.sched_setaffinity(0, saved_affinity)
         _measure_lock.release()
-
-
-def measure_architecture_workload(
-    arch: ArchitectureSpec,
-    batch_size: int,
-    window_seconds: float = 30.0,
-    repeats: int = 3,
-    counter=None,
-    workload=None,
-    clock=None,
-    seed: int = 0,
-) -> ProbeResult:
-    """Meter full-architecture forward passes."""
-    if workload is None:
-        workload = make_architecture_workload(arch, batch_size, seed)
-    return measure_config(
-        None, window_seconds, repeats, counter=counter, workload=workload, clock=clock, seed=seed,
-        warn_on_load=False,
-    )

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from joulecast.arch import (
+    KIND_SPECS,
+    PREDICTABLE_KINDS,
+    STANDALONE_FIELDS,
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
@@ -13,6 +16,7 @@ from joulecast.arch import (
     load_architecture,
     propagate_shape,
 )
+from joulecast.dataset import DEFAULT_SAMPLER_RANGES
 from joulecast.errors import ShapeError, UnknownPresetError, ValidationError
 
 
@@ -232,3 +236,37 @@ class TestStandalone:
         cfg = as_standalone_config(layer, TensorShape(1, 96, 28, 28))
         assert cfg.in_channels == 96
         assert cfg.out_channels is None
+
+
+class TestKindTable:
+    def test_one_row_per_kind(self):
+        assert list(KIND_SPECS) == list(LayerKind)
+
+    def test_sampler_ranges_follow_field_order(self):
+        assert set(DEFAULT_SAMPLER_RANGES) == set(PREDICTABLE_KINDS)
+        for kind in PREDICTABLE_KINDS:
+            assert tuple(DEFAULT_SAMPLER_RANGES[kind]) == KIND_SPECS[kind].fields, kind
+
+    def test_required_fields_are_fields(self):
+        for kind, spec in KIND_SPECS.items():
+            assert spec.required <= set(spec.fields), kind
+
+    def test_predictable_kinds(self):
+        assert PREDICTABLE_KINDS == (
+            LayerKind.CONV2D, LayerKind.MAXPOOL2D, LayerKind.LINEAR,
+            LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX,
+        )
+
+    def test_standalone_fields_are_the_csv_columns(self):
+        assert STANDALONE_FIELDS == (
+            "batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding",
+        )
+
+    @pytest.mark.parametrize("layer", [
+        LayerConfig(kind=LayerKind.ADAPTIVE_AVG_POOL, output_size=2),
+        LayerConfig(kind=LayerKind.DROPOUT),
+        LayerConfig(kind=LayerKind.FLATTEN),
+    ], ids=lambda layer: layer.kind.value)
+    def test_structural_kinds_are_not_measurable(self, layer):
+        with pytest.raises(ValidationError):
+            as_standalone_config(layer, TensorShape(1, 3, 4, 4))

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from conftest import synth_dataset, synth_modelwise
+from joulecast import probe
 from joulecast.cli import main
 from joulecast.dataset import load_layerwise_csv, load_modelwise_csv, write_layerwise_csv, write_modelwise_csv
 
@@ -75,6 +76,63 @@ class TestCollect:
         assert len(records) == 1
         assert len(records[0].layers) == 26
         assert records[0].total_energy_j == pytest.approx(records[0].layer_energy_sum_j, rel=0.2)
+
+    def test_pin_cpu_reaches_every_architecture_measurement(self, tmp_path, monkeypatch):
+        pins = []
+        measure = probe.measure_config
+
+        def spy(*args, pin_to_cpu=None, **kwargs):
+            pins.append(pin_to_cpu)
+            return measure(*args, **kwargs)  # record the pin, do not apply it
+
+        monkeypatch.setattr(probe, "measure_config", spy)
+        code, _ = run("--simulate", "--quiet", "collect", "--kind", "alexnet", "--count", "1",
+                      "--pin-cpu", "0", "--out", str(tmp_path / "model.csv"))
+        assert code == 0
+        assert len(pins) == 18 + 1  # every predictable layer, then the full pass
+        assert pins == [0] * len(pins)
+
+    def test_crash_keeps_measured_layerwise_configs(self, tmp_path, monkeypatch):
+        full, crashed = tmp_path / "full.csv", tmp_path / "crashed.csv"
+        code, _ = run("--seed", "4", "--simulate", "--quiet", "collect",
+                      "--kind", "conv2d", "--count", "5", "--out", str(full))
+        assert code == 0
+        calls = []
+        measure = probe.measure_config
+
+        def crash_on_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("power loss")
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "measure_config", crash_on_third)
+        with pytest.raises(RuntimeError):
+            run("--seed", "4", "--simulate", "--quiet", "collect",
+                "--kind", "conv2d", "--count", "5", "--out", str(crashed))
+        rows = load_layerwise_csv(crashed)
+        assert rows == load_layerwise_csv(full)[:6]  # 2 configs x 3 repeats
+        assert len({r.config for r in rows}) == 2
+
+    def test_crash_keeps_measured_modelwise_records(self, tmp_path, monkeypatch):
+        full, crashed = tmp_path / "full.csv", tmp_path / "crashed.csv"
+        argv = ("--seed", "2", "--simulate", "--quiet", "collect", "--kind", "alexnet", "--count", "3")
+        code, _ = run(*argv, "--out", str(full))
+        assert code == 0
+        totals = []
+        measure = probe.measure_config
+
+        def crash_on_second_total(config, *args, **kwargs):
+            if config is None:
+                totals.append(config)
+                if len(totals) == 2:
+                    raise RuntimeError("power loss")
+            return measure(config, *args, **kwargs)
+
+        monkeypatch.setattr(probe, "measure_config", crash_on_second_total)
+        with pytest.raises(RuntimeError):
+            run(*argv, "--out", str(crashed))
+        assert load_modelwise_csv(crashed) == load_modelwise_csv(full)[:1]
 
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",

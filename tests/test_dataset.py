@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from joulecast.arch import LayerConfig, LayerKind
 from joulecast.dataset import (
     DEFAULT_SAMPLER_RANGES,
+    appending_layerwise_csv,
     MeasurementRecord,
     ModelWiseLayer,
     ModelWiseRecord,
@@ -84,6 +85,33 @@ class TestSampler:
         assert standalone_macs(cfg) >= 0
 
 
+# first draw per kind at seed 0; moves if a kind's field (draw) order changes
+_ACTIVATION_DRAW = dict(batch_size=436, in_channels=3_202_960)
+FIRST_DRAWS = {
+    LayerKind.CONV2D: dict(batch_size=218, image_size=144, kernel_size=6, in_channels=139,
+                           out_channels=158, stride=1, padding=0),
+    LayerKind.MAXPOOL2D: dict(batch_size=218, image_size=144, kernel_size=6, in_channels=139,
+                              stride=2, padding=0),
+    LayerKind.LINEAR: dict(batch_size=436, in_channels=3185, out_channels=2556),
+    LayerKind.RELU: _ACTIVATION_DRAW,
+    LayerKind.SIGMOID: _ACTIVATION_DRAW,
+    LayerKind.TANH: _ACTIVATION_DRAW,
+    LayerKind.SOFTMAX: _ACTIVATION_DRAW,
+}
+
+
+@pytest.mark.parametrize("kind", list(FIRST_DRAWS), ids=lambda k: k.value)
+def test_first_draw_pinned(kind):
+    assert sample_config(kind, 0) == LayerConfig(kind=kind, **FIRST_DRAWS[kind])
+
+
+def test_config_key_pinned():
+    config = LayerConfig(kind=LayerKind.CONV2D, **FIRST_DRAWS[LayerKind.CONV2D])
+    assert config_key(config) == ("Conv2d", 218, 144, 6, 139, 158, 1, 0)
+    linear = LayerConfig(kind=LayerKind.LINEAR, **FIRST_DRAWS[LayerKind.LINEAR])
+    assert config_key(linear) == ("Linear", 436, None, None, 3185, 2556, None, None)
+
+
 class TestSplit:
     def test_ten_distinct_records(self):
         records = [make_record(seed=i, energy=0.1 * (i + 1)) for i in range(10)]
@@ -158,7 +186,8 @@ class TestLayerwiseCsv:
     def test_round_trip_field_identical(self, tmp_path):
         records = [make_record(seed=i, kind=kind, energy=0.001 * (i + 1), repeat=i % 3 + 1)
                    for i, kind in enumerate([LayerKind.CONV2D, LayerKind.LINEAR, LayerKind.RELU,
-                                             LayerKind.MAXPOOL2D, LayerKind.SOFTMAX])]
+                                             LayerKind.MAXPOOL2D, LayerKind.SOFTMAX,
+                                             LayerKind.SIGMOID, LayerKind.TANH])]
         path = tmp_path / "rows.csv"
         write_layerwise_csv(path, records)
         assert load_layerwise_csv(path) == records
@@ -198,6 +227,16 @@ class TestLayerwiseCsv:
         path = tmp_path / "rows.csv"
         write_layerwise_csv(path, [make_record(seed=0)])
         write_layerwise_csv(path, [make_record(seed=1)], append=True)
+        assert len(load_layerwise_csv(path)) == 2
+        assert path.read_text().count("module") == 1  # single header
+
+
+    def test_appending_writer_flushes_each_batch(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        with appending_layerwise_csv(path) as write:
+            write([make_record(seed=0)])
+            assert len(load_layerwise_csv(path)) == 1  # on disk before the file is closed
+            write([make_record(seed=1)])
         assert len(load_layerwise_csv(path)) == 2
         assert path.read_text().count("module") == 1  # single header
 

@@ -1,12 +1,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joulecast.arch import LayerConfig, LayerKind, TensorShape, load_architecture, propagate_shape
+from joulecast.arch import (
+    PRESET_NAMES,
+    LayerConfig,
+    LayerKind,
+    TensorShape,
+    as_standalone_config,
+    extract_predictable_layers,
+    load_architecture,
+    propagate_shape,
+)
 from joulecast.errors import MacOverflowError
 from joulecast.macs import (
     architecture_macs,
     conv2d_macs,
-    elementwise_macs,
+    layer_macs,
     linear_macs,
     maxpool2d_macs,
     relu_macs,
@@ -235,4 +244,14 @@ def test_monotone_in_multiplicative_params(params, grown):
 
 def test_elementwise_matches_relu():
     shape = TensorShape(3, 7, 5, 5)
-    assert elementwise_macs(shape) == relu_macs(shape) == (3 * 7 * 25) // 2
+    assert relu_macs(shape) == (3 * 7 * 25) // 2
+
+
+@pytest.mark.parametrize("include_bias", [True, False])
+@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_standalone_rewrite_keeps_layer_macs(name, batch, include_bias):
+    arch = load_architecture(name).with_batch(batch)
+    for resolved in extract_predictable_layers(arch):
+        config = as_standalone_config(resolved.config, resolved.input_shape)
+        assert standalone_macs(config, include_bias) == layer_macs(resolved, include_bias), resolved.index

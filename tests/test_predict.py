@@ -12,7 +12,7 @@ from joulecast.arch import (
     extract_predictable_layers,
     load_architecture,
 )
-from joulecast.dataset import MeasurementRecord, SplitSpec, split
+from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split
 from joulecast.errors import (
     AggregationWarning,
     EmptyDataError,
@@ -367,3 +367,18 @@ def test_fingerprint_changes_with_data(bundle_dataset):
         cpu_energy_j=altered[0].cpu_energy_j * 2, repeat=altered[0].repeat, source=altered[0].source,
     )
     assert dataset_fingerprint(altered) != fp
+
+
+def test_fingerprint_pinned():
+    # canonical record encoding: moves if the field order or formatting changes
+    records = []
+    for i, (kind, source) in enumerate([(LayerKind.CONV2D, "random"),
+                                        (LayerKind.LINEAR, "real_architecture"),
+                                        (LayerKind.TANH, "random")]):
+        config = sample_config(kind, 1)
+        records.append(MeasurementRecord(module=kind, config=config, macs=standalone_macs(config),
+                                         cpu_energy_j=0.25 * (i + 1), repeat=i + 1, source=source))
+    assert [r.macs for r in records] == [1_145_652_760_800, 2_349_891_648, 313_897_315]
+    assert dataset_fingerprint(records) == (
+        "f64a157e01928f8527036bbbb2a6a79773fd3fd3381662f290629558a13d30c9"
+    )

@@ -26,7 +26,6 @@ from joulecast.probe import (
     relu_forward,
     softmax_forward,
     adaptive_avg_pool_forward,
-    measure_architecture_workload,
 )
 
 
