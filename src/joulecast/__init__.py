@@ -25,7 +25,7 @@ from .dataset import (
     sample_config,
     split,
 )
-from .features import DesignMatrix, FeatureSetKind, PolynomialSpec, ScalerParams, build_design
+from .features import DesignMatrix, FeatureMap, FeatureSetKind, PolynomialSpec
 from .macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs, relu_macs, standalone_macs
 from .predict import (
     EnergyEstimate,
@@ -59,10 +59,9 @@ __all__ = [
     "sample_config",
     "split",
     "DesignMatrix",
+    "FeatureMap",
     "FeatureSetKind",
     "PolynomialSpec",
-    "ScalerParams",
-    "build_design",
     "architecture_macs",
     "conv2d_macs",
     "linear_macs",

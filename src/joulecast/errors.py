@@ -57,10 +57,6 @@ class EmptyDataError(JoulecastError):
     """An evaluation requiring data received none."""
 
 
-class UnfittedScalerError(JoulecastError):
-    """Scaler parameters were used before being fitted."""
-
-
 class ColumnMismatchError(JoulecastError):
     """Design matrix columns do not match the fitted model."""
 

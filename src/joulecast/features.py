@@ -6,12 +6,17 @@ the MAC count. Polynomial expansion happens after the log features are
 assembled and before any standardization. The target is always min-max
 normalized to [0, 1] on the training records; predictions are mapped back to
 joules with the linear inverse (no clipping).
+
+``FeatureMap`` is the one home of that recipe: fitted once on a kind's
+training records, it builds the designs of held-out records and the rows to
+predict from, maps predictions back to joules, and is what a bundle stores of
+the recipe.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
 
@@ -25,7 +30,7 @@ from .errors import (
     EmptyRecordsError,
     KindMismatchError,
     NonFiniteError,
-    UnfittedScalerError,
+    SchemaError,
     ValidationError,
 )
 
@@ -120,124 +125,41 @@ def polynomial_names(names: tuple[str, ...], spec: PolynomialSpec | None) -> tup
     return tuple(out)
 
 
-def _monomials(p: int, spec: PolynomialSpec):
+def _monomials(p: int, spec: PolynomialSpec | None) -> list[tuple[int, ...]]:
     """Index tuples of all monomials, graded by total degree then lexicographic."""
+    if spec is None or spec.degree == 1:
+        return [(i,) for i in range(p)]
     chooser = combinations if spec.interaction_only else combinations_with_replacement
-    for degree in range(1, spec.degree + 1):
-        yield from chooser(range(p), degree)
+    return [combo for degree in range(1, spec.degree + 1) for combo in chooser(range(p), degree)]
+
+
+def _monomial_index(p: int, spec: PolynomialSpec | None) -> np.ndarray:
+    """(degree, monomials) column indices for ``_expand``; shorter monomials
+    are padded with ``p``, the column of ones ``_expand`` appends."""
+    monomials = _monomials(p, spec)
+    index = np.full((len(monomials[-1]), len(monomials)), p)
+    for j, combo in enumerate(monomials):
+        index[: len(combo), j] = combo
+    return index
+
+
+def _expand(X: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each monomial's factors multiplied left to right, the order of
+    ``np.prod``; a padding factor of 1.0 leaves a product bit-identical.
+    ``take`` keeps the result in C order, as ``np.column_stack`` did."""
+    if not np.isfinite(X).all():
+        raise NonFiniteError("polynomial expansion requires finite inputs")
+    X = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    out = X.take(index[0], axis=1)
+    for factors in index[1:]:
+        out *= X.take(factors, axis=1)
+    return out
 
 
 def expand_polynomial(X: np.ndarray, spec: PolynomialSpec | None) -> np.ndarray:
     """Expand columns into monomials of total degree 1..d (no constant column)."""
     X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise NonFiniteError("polynomial expansion requires finite inputs")
-    if spec is None or spec.degree == 1:
-        return X
-    columns = [np.prod(X[:, combo], axis=1) for combo in _monomials(X.shape[1], spec)]
-    return np.column_stack(columns)
-
-
-@dataclass(frozen=True)
-class ScalerParams:
-    """Fitted scaler state; ``columns`` are the kept columns in order."""
-
-    kind: str  # "none" | "zscore" | "minmax"
-    columns: tuple[str, ...] = ()
-    mean: tuple[float, ...] = ()
-    std: tuple[float, ...] = ()
-    minimum: tuple[float, ...] = ()
-    maximum: tuple[float, ...] = ()
-    dropped: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "columns": list(self.columns),
-            "mean": list(self.mean),
-            "std": list(self.std),
-            "minimum": list(self.minimum),
-            "maximum": list(self.maximum),
-            "dropped": list(self.dropped),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalerParams":
-        return cls(
-            kind=data["kind"],
-            columns=tuple(data["columns"]),
-            mean=tuple(data["mean"]),
-            std=tuple(data["std"]),
-            minimum=tuple(data["minimum"]),
-            maximum=tuple(data["maximum"]),
-            dropped=tuple(data["dropped"]),
-        )
-
-
-def fit_feature_scaler(X: np.ndarray, names: tuple[str, ...], kind: str) -> ScalerParams:
-    """Fit per-column statistics; constant columns are dropped under z-scoring."""
-    if kind == "none":
-        return ScalerParams(kind="none", columns=tuple(names))
-    if kind != "zscore":
-        raise ValidationError(f"unsupported feature scaler {kind!r}")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population standard deviation
-    keep = std > 0
-    if not keep.all():
-        dropped = tuple(n for n, k in zip(names, keep) if not k)
-        warnings.warn(
-            f"dropping constant feature columns {list(dropped)}", ConstantColumnWarning, stacklevel=2
-        )
-    else:
-        dropped = ()
-    kept = tuple(n for n, k in zip(names, keep) if k)
-    return ScalerParams(
-        kind="zscore",
-        columns=kept,
-        mean=tuple(float(m) for m, k in zip(mean, keep) if k),
-        std=tuple(float(s) for s, k in zip(std, keep) if k),
-        dropped=dropped,
-    )
-
-
-def apply_feature_scaler(
-    X: np.ndarray, names: tuple[str, ...], params: ScalerParams
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    if params.kind == "none":
-        return np.asarray(X, dtype=float), tuple(names)
-    if params.kind != "zscore":
-        raise ValidationError(f"unsupported feature scaler {params.kind!r}")
-    if not params.columns and not params.dropped:
-        raise UnfittedScalerError("feature scaler has no fitted columns")
-    expected = set(params.columns) | set(params.dropped)
-    if set(names) != expected:
-        raise ValidationError(f"columns {sorted(names)} do not match fitted {sorted(expected)}")
-    index = {n: i for i, n in enumerate(names)}
-    cols = [index[n] for n in params.columns]
-    X = np.asarray(X, dtype=float)[:, cols]
-    return (X - np.asarray(params.mean)) / np.asarray(params.std), params.columns
-
-
-def fit_target_scaler(y: np.ndarray) -> ScalerParams:
-    lo, hi = float(np.min(y)), float(np.max(y))
-    if hi <= lo:
-        raise ValidationError("cannot min-max normalize a constant target")
-    return ScalerParams(kind="minmax", columns=(TARGET_COLUMN,), minimum=(lo,), maximum=(hi,))
-
-
-def transform_target(y, params: ScalerParams):
-    if params.kind != "minmax" or not params.minimum:
-        raise UnfittedScalerError("target scaler is not a fitted min-max scaler")
-    lo, hi = params.minimum[0], params.maximum[0]
-    return (np.asarray(y, dtype=float) - lo) / (hi - lo)
-
-
-def invert_target(y_normalized, params: ScalerParams):
-    """Map normalized predictions back to joules; out-of-range values extrapolate linearly."""
-    if params.kind != "minmax" or not params.minimum:
-        raise UnfittedScalerError("target scaler is not a fitted min-max scaler")
-    lo, hi = params.minimum[0], params.maximum[0]
-    return lo + np.asarray(y_normalized, dtype=float) * (hi - lo)
+    return _expand(X, _monomial_index(X.shape[1], spec))
 
 
 @dataclass(frozen=True)
@@ -253,9 +175,165 @@ class DesignMatrix:
             raise NonFiniteError("design matrix contains NaN/Inf")
 
 
-def default_feature_scaler(feature_set: FeatureSetKind) -> str:
-    # MAC magnitudes dwarf the layer parameters, so MAC-bearing sets standardize
-    return "zscore" if feature_set.has_mac else "none"
+@dataclass(frozen=True)
+class FeatureMap:
+    """One layer kind's feature recipe, fitted on its training records.
+
+    A config and its MACs become a design row: the raw features, their
+    monomials, then the frozen z-score. ``columns`` are the kept columns in
+    order; ``mean``, ``std`` and ``dropped`` (the constant columns) are empty
+    when ``scaler`` is "none". The target is min-max normalized to [0, 1] on
+    the training records. Construction checks that the columns are the
+    recipe's and derives the monomial index and the kept positions once.
+    """
+
+    kind: LayerKind
+    feature_set: FeatureSetKind
+    poly: PolynomialSpec | None
+    scaler: str  # "none" | "zscore"
+    columns: tuple[str, ...]
+    target_min: float
+    target_max: float
+    mean: tuple[float, ...] = ()
+    std: tuple[float, ...] = ()
+    dropped: tuple[str, ...] = ()
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    _kept: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        raw = raw_feature_names(self.kind, self.feature_set)
+        names = polynomial_names(raw, self.poly)
+        if self.scaler == "none":
+            fits = self.columns == names and not (self.mean or self.std or self.dropped)
+        elif self.scaler == "zscore":
+            fits = sorted(self.columns + self.dropped) == sorted(names) and (
+                len(self.mean) == len(self.std) == len(self.columns)
+            )
+        else:
+            raise ValidationError(f"unsupported feature scaler {self.scaler!r}")
+        if not fits:
+            raise ValidationError(
+                f"{self.scaler} scaler over columns {list(self.columns)} (dropped "
+                f"{list(self.dropped)}) does not fit the recipe's columns {list(names)}"
+            )
+        object.__setattr__(self, "_index", _monomial_index(len(raw), self.poly))
+        object.__setattr__(self, "_kept", np.array([names.index(n) for n in self.columns], dtype=int))
+
+    @classmethod
+    def fit(
+        cls,
+        records: list[MeasurementRecord],
+        feature_set: FeatureSetKind,
+        poly: PolynomialSpec | None,
+        scaler: str,
+    ) -> tuple["FeatureMap", DesignMatrix]:
+        """Fit the scalers on ``records`` (the training set); returns the map and their design.
+
+        Z-scoring uses the population standard deviation and drops constant
+        columns with a warning.
+        """
+        kind = _check_homogeneous(records)
+        names = polynomial_names(raw_feature_names(kind, feature_set), poly)
+        raw = _raw_matrix(records, feature_set)
+        stats: dict = {}
+        columns = names
+        if scaler == "zscore":  # other kinds are refused when the map is built
+            X = expand_polynomial(raw, poly)
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+            keep = std > 0
+            columns = tuple(n for n, k in zip(names, keep) if k)
+            stats = {
+                "mean": tuple(float(m) for m in mean[keep]),
+                "std": tuple(float(s) for s in std[keep]),
+                "dropped": tuple(n for n, k in zip(names, keep) if not k),
+            }
+            if stats["dropped"]:
+                warnings.warn(
+                    f"dropping constant feature columns {list(stats['dropped'])}",
+                    ConstantColumnWarning,
+                    stacklevel=2,
+                )
+        y = _energies(records)
+        lo, hi = float(np.min(y)), float(np.max(y))
+        if hi <= lo:
+            raise ValidationError("cannot min-max normalize a constant target")
+        fitted = cls(kind, feature_set, poly, scaler, columns, lo, hi, **stats)
+        return fitted, DesignMatrix(columns, fitted._features(raw), fitted._normalize(y))
+
+    def design(self, records: list[MeasurementRecord]) -> DesignMatrix:
+        """Held-out records through the frozen scalers."""
+        kind = _check_homogeneous(records)
+        if kind is not self.kind:
+            raise KindMismatchError(f"feature map fitted on {self.kind.value}, records are {kind.value}")
+        raw = _raw_matrix(records, self.feature_set)
+        return DesignMatrix(self.columns, self._features(raw), self._normalize(_energies(records)))
+
+    def row(self, config: LayerConfig, macs: int) -> np.ndarray:
+        """One scaled feature row for prediction."""
+        if config.kind is not self.kind:
+            raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
+        return self._features(np.array([raw_feature_row(config, macs, self.feature_set)]))[0]
+
+    def joules(self, normalized):
+        """Map normalized predictions back to joules; out-of-range values extrapolate linearly."""
+        return self.target_min + np.asarray(normalized, dtype=float) * (self.target_max - self.target_min)
+
+    def _features(self, raw: np.ndarray) -> np.ndarray:
+        X = _expand(raw, self._index)
+        if self.scaler == "zscore":
+            # selecting the kept columns leaves X in Fortran order, and later
+            # column means (fit_ols) sum in memory order: keep this layout, or
+            # fitted coefficients move in the last bit
+            X = (X[:, self._kept] - np.asarray(self.mean)) / np.asarray(self.std)
+        return X
+
+    def _normalize(self, y: np.ndarray) -> np.ndarray:
+        return (y - self.target_min) / (self.target_max - self.target_min)
+
+    def to_dict(self) -> dict:
+        """The keys of a bundle model that hold its feature recipe."""
+        return {
+            "layer_kind": self.kind.value,
+            "feature_set": self.feature_set.value,
+            "polynomial": None
+            if self.poly is None
+            else {"degree": self.poly.degree, "interaction_only": self.poly.interaction_only},
+            "feature_scaler_kind": self.scaler,
+            "columns": list(self.columns),
+            "feature_scaler": _scaler_dict(
+                self.scaler, self.columns, mean=self.mean, std=self.std, dropped=self.dropped
+            ),
+            "target_scaler": _scaler_dict(
+                "minmax", (TARGET_COLUMN,), minimum=(self.target_min,), maximum=(self.target_max,)
+            ),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FeatureMap":
+        poly, scaler, target = data["polynomial"], data["feature_scaler"], data["target_scaler"]
+        columns = tuple(data["columns"])
+        recipe = (data["feature_scaler_kind"], columns, "minmax", (TARGET_COLUMN,))
+        if (scaler["kind"], tuple(scaler["columns"]), target["kind"], tuple(target["columns"])) != recipe:
+            raise SchemaError("scaler entries disagree with the model's feature_scaler_kind and columns")
+        (lo,), (hi,) = target["minimum"], target["maximum"]
+        return cls(
+            kind=LayerKind(data["layer_kind"]),
+            feature_set=FeatureSetKind(data["feature_set"]),
+            poly=None if poly is None else PolynomialSpec(poly["degree"], poly["interaction_only"]),
+            scaler=data["feature_scaler_kind"],
+            columns=columns,
+            target_min=float(lo),
+            target_max=float(hi),
+            mean=tuple(map(float, scaler["mean"])),
+            std=tuple(map(float, scaler["std"])),
+            dropped=tuple(scaler["dropped"]),
+        )
+
+
+def _scaler_dict(kind: str, columns: tuple[str, ...], **stats: tuple) -> dict:
+    keys = ("mean", "std", "minimum", "maximum", "dropped")
+    return {"kind": kind, "columns": list(columns), **{key: list(stats.get(key, ())) for key in keys}}
 
 
 def _check_homogeneous(records: list[MeasurementRecord]) -> LayerKind:
@@ -271,50 +349,5 @@ def _raw_matrix(records: list[MeasurementRecord], feature_set: FeatureSetKind) -
     return np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records], dtype=float)
 
 
-def build_design(
-    records: list[MeasurementRecord],
-    feature_set: FeatureSetKind,
-    poly: PolynomialSpec | None = None,
-    feature_scaler: str | None = None,
-) -> tuple[DesignMatrix, ScalerParams, ScalerParams]:
-    """Fit scalers on ``records`` (the training set) and return the scaled design."""
-    kind = _check_homogeneous(records)
-    if feature_scaler is None:
-        feature_scaler = default_feature_scaler(feature_set)
-    names = polynomial_names(raw_feature_names(kind, feature_set), poly)
-    X = expand_polynomial(_raw_matrix(records, feature_set), poly)
-    params = fit_feature_scaler(X, names, feature_scaler)
-    X, names = apply_feature_scaler(X, names, params)
-    y_raw = np.array([r.cpu_energy_j for r in records], dtype=float)
-    target_params = fit_target_scaler(y_raw)
-    return DesignMatrix(names, X, transform_target(y_raw, target_params)), params, target_params
-
-
-def transform_records(
-    records: list[MeasurementRecord],
-    feature_set: FeatureSetKind,
-    poly: PolynomialSpec | None,
-    feature_params: ScalerParams,
-    target_params: ScalerParams,
-) -> DesignMatrix:
-    """Apply frozen scalers to held-out records."""
-    kind = _check_homogeneous(records)
-    names = polynomial_names(raw_feature_names(kind, feature_set), poly)
-    X = expand_polynomial(_raw_matrix(records, feature_set), poly)
-    X, names = apply_feature_scaler(X, names, feature_params)
-    y = transform_target(np.array([r.cpu_energy_j for r in records], dtype=float), target_params)
-    return DesignMatrix(names, X, y)
-
-
-def feature_vector(
-    config: LayerConfig,
-    macs: int,
-    feature_set: FeatureSetKind,
-    poly: PolynomialSpec | None,
-    feature_params: ScalerParams,
-) -> np.ndarray:
-    """Single scaled feature row for prediction."""
-    names = polynomial_names(raw_feature_names(config.kind, feature_set), poly)
-    X = expand_polynomial(np.array([raw_feature_row(config, macs, feature_set)]), poly)
-    X, _ = apply_feature_scaler(X, names, feature_params)
-    return X[0]
+def _energies(records: list[MeasurementRecord]) -> np.ndarray:
+    return np.array([r.cpu_energy_j for r in records], dtype=float)

@@ -37,19 +37,11 @@ from .errors import (
     EmptyDataError,
     MissingKindError,
     ParseError,
+    SchemaError,
     SingularityWarning,
     ValidationError,
 )
-from .features import (
-    FeatureSetKind,
-    PolynomialSpec,
-    ScalerParams,
-    build_design,
-    feature_vector,
-    invert_target,
-    raw_feature_names,
-    transform_records,
-)
+from .features import FeatureMap, FeatureSetKind, PolynomialSpec
 from .macs import layer_macs
 from .regress import (
     CvReport,
@@ -84,13 +76,10 @@ DEFAULT_MODEL_SPECS: dict[LayerKind, ModelSpec] = {
 
 @dataclass(frozen=True)
 class PredictorModel:
-    """One fitted pipeline: spec, frozen scalers, linear model, and its metrics."""
+    """One fitted pipeline: spec, fitted feature map, linear model, and its metrics."""
 
-    layer_kind: LayerKind
     spec: ModelSpec
-    columns: tuple[str, ...]
-    feature_scaler: ScalerParams
-    target_scaler: ScalerParams
+    features: FeatureMap
     model: LinearModel
     test_metrics: EvalMetrics
     test_metrics_joules: EvalMetrics
@@ -101,24 +90,15 @@ class PredictorModel:
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
         """Predicted joules for one layer; returns (joules, clamped-to-zero flag)."""
-        row = feature_vector(config, macs, self.spec.feature_set, self.spec.poly, self.feature_scaler)
-        normalized = float(self.model.predict(row[None, :])[0])
-        joules = float(invert_target(normalized, self.target_scaler))
+        normalized = float(self.model.predict(self.features.row(config, macs)[None, :])[0])
+        joules = float(self.features.joules(normalized))
         if joules < 0.0:
             return 0.0, True
         return joules, False
 
     def to_dict(self) -> dict:
         return {
-            "layer_kind": self.layer_kind.value,
-            "feature_set": self.spec.feature_set.value,
-            "polynomial": None
-            if self.spec.poly is None
-            else {"degree": self.spec.poly.degree, "interaction_only": self.spec.poly.interaction_only},
-            "feature_scaler_kind": self.spec.feature_scaler,
-            "columns": list(self.columns),
-            "feature_scaler": self.feature_scaler.to_dict(),
-            "target_scaler": self.target_scaler.to_dict(),
+            **self.features.to_dict(),
             "model": {
                 "kind": self.model.kind,
                 "lambda": self.model.lam,
@@ -140,27 +120,24 @@ class PredictorModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PredictorModel":
-        poly = data["polynomial"]
-        spec = ModelSpec(
-            feature_set=FeatureSetKind(data["feature_set"]),
-            poly=None if poly is None else PolynomialSpec(poly["degree"], poly["interaction_only"]),
-            feature_scaler=data["feature_scaler_kind"],
-            model=data["model"]["kind"],
-            lam=data["model"]["lambda"],
+        features = FeatureMap.from_dict(data)
+        fitted = data["model"]
+        model = LinearModel(
+            coefficients=tuple(map(float, fitted["coefficients"])),
+            intercept=float(fitted["intercept"]),
+            kind=fitted["kind"],
+            lam=float(fitted["lambda"]),
         )
+        if len(model.coefficients) != len(features.columns):
+            raise SchemaError(
+                f"{len(model.coefficients)} coefficients for {len(features.columns)} columns"
+            )
+        spec = ModelSpec(features.feature_set, features.poly, features.scaler, model.kind, model.lam)
         cv = data["metrics"]["cv"]
         return cls(
-            layer_kind=LayerKind(data["layer_kind"]),
             spec=spec,
-            columns=tuple(data["columns"]),
-            feature_scaler=ScalerParams.from_dict(data["feature_scaler"]),
-            target_scaler=ScalerParams.from_dict(data["target_scaler"]),
-            model=LinearModel(
-                coefficients=tuple(data["model"]["coefficients"]),
-                intercept=data["model"]["intercept"],
-                kind=data["model"]["kind"],
-                lam=data["model"]["lambda"],
-            ),
+            features=features,
+            model=model,
             test_metrics=EvalMetrics(**data["metrics"]["test"]),
             test_metrics_joules=EvalMetrics(**data["metrics"]["test_joules"]),
             cv=None if cv is None else CvReport(cv["k"], tuple(cv["r2_scores"]), tuple(cv["mse_scores"])),
@@ -196,12 +173,20 @@ class PredictorBundle:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid bundle JSON: {exc}") from exc
-        if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
-            raise ValidationError(f"unsupported bundle format_version {doc.get('format_version')!r}")
-        models = {
-            LayerKind(key): PredictorModel.from_dict(value) for key, value in doc["models"].items()
-        }
-        return cls(models=models, metadata=doc.get("metadata", {}))
+        try:
+            if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
+                raise ValidationError(f"unsupported bundle format_version {doc.get('format_version')!r}")
+            models = {}
+            for key, value in doc["models"].items():
+                model = PredictorModel.from_dict(value)
+                if model.features.kind.value != key:
+                    raise SchemaError(f"model under {key!r} is for {model.features.kind.value}")
+                models[model.features.kind] = model
+            return cls(models=models, metadata=doc.get("metadata", {}))
+        except KeyError as exc:
+            raise SchemaError(f"bundle is missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed bundle: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "PredictorBundle":
@@ -245,38 +230,31 @@ def train_predictor(
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
 ) -> PredictorModel:
     """Fit one pipeline: train on 70%, tune lambda on 20%, report on the 10% test split."""
-    kind = records[0].module
-    train, _, test = split(records, split_spec)
-    design, feature_params, target_params = build_design(
-        train, spec.feature_set, spec.poly, spec.feature_scaler
-    )
+    train, val, test = split(records, split_spec)
+    features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
     grid_fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
-        # the grid is fitted on this same train split, so its fit at the
-        # chosen penalty is the final model
-        search = grid_search_lambda(records, spec, lambda_grid, split_spec)
+        # the grid is fitted on this train design, so its fit at the chosen
+        # penalty is the final model
+        search = grid_search_lambda(design, features.design(val), spec, lambda_grid)
         spec = replace(spec, lam=search.lam)
         model = search.chosen.model
         grid_fits = search.fits
     else:
-        model = spec.fit(design.X, design.y)
+        model = fit_ols(design.X, design.y)
     if test:
-        test_design = transform_records(test, spec.feature_set, spec.poly, feature_params, target_params)
+        test_design = features.design(test)
         test_metrics = evaluate(model, test_design.X, test_design.y)
         test_metrics_joules = score(
-            invert_target(test_design.y, target_params),
-            invert_target(model.predict(test_design.X), target_params),
+            features.joules(test_design.y), features.joules(model.predict(test_design.X))
         )
     else:
         test_metrics = EvalMetrics(r2=float("nan"), mse=float("nan"), max_error=float("nan"))
         test_metrics_joules = test_metrics
     cv = cross_validate(train, spec, k=cv_folds, seed=split_spec.seed) if cv_folds else None
     return PredictorModel(
-        layer_kind=kind,
         spec=spec,
-        columns=design.column_names,
-        feature_scaler=feature_params,
-        target_scaler=target_params,
+        features=features,
         model=model,
         test_metrics=test_metrics,
         test_metrics_joules=test_metrics_joules,
@@ -559,13 +537,10 @@ def run_ablation(
     subset = [r for r in records if r.module is kind]
     if not subset:
         raise MissingKindError(f"no records for layer kind {kind.value}")
-    names = raw_feature_names(kind, FeatureSetKind.LOG_PARAMETER_MAC)
     train, _, test = split(subset, split_spec)
-    design, _, target_params = build_design(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-    test_design = transform_records(
-        test, FeatureSetKind.LOG_PARAMETER_MAC, None,
-        ScalerParams(kind="none", columns=names), target_params,
-    )
+    features, design = FeatureMap.fit(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+    test_design = features.design(test)
+    names = features.columns
     mean = design.X.mean(axis=0)
     std = design.X.std(axis=0)
     std[std == 0] = 1.0

@@ -159,8 +159,8 @@ def init_weights(config: LayerConfig, seed: int = 0, dtype=np.float64) -> dict[s
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in)
     return {
-        "weight": rng.uniform(-scale, scale, shape).astype(dtype),
-        "bias": rng.uniform(-scale, scale, shape[0]).astype(dtype),
+        "weight": rng.uniform(-scale, scale, shape).astype(dtype, copy=False),
+        "bias": rng.uniform(-scale, scale, shape[0]).astype(dtype, copy=False),
     }
 
 
@@ -392,7 +392,6 @@ def measure_config(
     workload=None,
     clock=None,
     seed: int = 0,
-    warn_on_load: bool = True,
     pin_to_cpu: int | None = None,
 ) -> ProbeResult:
     """Meter ``repeats`` fixed windows of forward passes through ``config``.
@@ -400,7 +399,8 @@ def measure_config(
     One measurement at a time per process: a concurrent call contaminates the
     shared package counters and is refused outright. ``pin_to_cpu`` restricts
     the process to one CPU for the duration of the measurement (Linux only);
-    by default no affinity is set.
+    by default no affinity is set. Metering real RAPL counters warns when the
+    load average says other processes' energy will leak into the readings.
     """
     if window_seconds <= 0 or repeats < 1:
         raise ValidationError("window_seconds must be positive and repeats >= 1")
@@ -421,7 +421,7 @@ def measure_config(
             workload = make_workload(config, seed)
         if clock is None:
             clock = time.monotonic
-        if warn_on_load and hasattr(os, "getloadavg"):
+        if isinstance(counter, RaplCounterSource) and hasattr(os, "getloadavg"):
             load = os.getloadavg()[0]
             cpus = os.cpu_count() or 1
             if load > 0.5 * cpus:

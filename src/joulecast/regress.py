@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MeasurementRecord, SplitSpec, config_key, split
+from .dataset import MeasurementRecord, config_key
 from .errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -24,12 +24,7 @@ from .errors import (
     TooFewRecordsError,
     ValidationError,
 )
-from .features import (
-    FeatureSetKind,
-    PolynomialSpec,
-    build_design,
-    transform_records,
-)
+from .features import DesignMatrix, FeatureMap, FeatureSetKind, PolynomialSpec
 
 
 @dataclass(frozen=True)
@@ -304,12 +299,9 @@ class ModelSpec:
     tol: float = 1e-8
     max_iter: int = 10_000
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> LinearModel:
-        if self.model == "ols":
-            return fit_ols(X, y)
-        if self.model == "lasso":
-            return fit_lasso(X, y, self.lam, tol=self.tol, max_iter=self.max_iter)
-        raise ValidationError(f"unknown model family {self.model!r}")
+    def __post_init__(self):
+        if self.model not in ("ols", "lasso"):
+            raise ValidationError(f"unknown model family {self.model!r}")
 
 
 def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[int]]:
@@ -348,11 +340,8 @@ def cross_validate(
         held_set = set(held_out)
         train = [r for i, r in enumerate(records) if i not in held_set]
         test = [records[i] for i in held_out]
-        design, feat_params, target_params = build_design(
-            train, spec.feature_set, spec.poly, spec.feature_scaler
-        )
-        test_design = transform_records(test, spec.feature_set, spec.poly, feat_params, target_params)
-        designs.append((design, test_design))
+        features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
+        designs.append((design, features.design(test)))
     fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
         fits = tuple(solve_lasso(
@@ -360,7 +349,7 @@ def cross_validate(
         ))
         models = [fit.model for fit in fits]
     else:
-        models = [spec.fit(d.X, d.y) for d, _ in designs]
+        models = [fit_ols(d.X, d.y) for d, _ in designs]
     metrics = [evaluate(model, t.X, t.y) for model, (_, t) in zip(models, designs)]
     return CvReport(
         k=k,
@@ -387,31 +376,25 @@ class LambdaSearch:
 
 
 def grid_search_lambda(
-    records: list[MeasurementRecord],
+    train: DesignMatrix,
+    val: DesignMatrix,
     spec: ModelSpec,
     grid: Sequence[float],
-    split_spec: SplitSpec | None = None,
 ) -> LambdaSearch:
-    """Solve the whole grid as one ``solve_lasso`` batch on the train split and
-    pick the penalty maximizing validation R^2; ties go to the larger (sparser)
-    lambda. A one-value grid is fitted but not scored."""
+    """Solve the whole grid as one ``solve_lasso`` batch on the train design and
+    pick the penalty maximizing R^2 on the validation design; ties go to the
+    larger (sparser) lambda. A one-value grid is fitted but not scored."""
     if not grid:
         raise ValidationError("lambda grid is empty")
-    split_spec = split_spec or SplitSpec()
-    train, val, _ = split(records, split_spec)
-    design, feat_params, target_params = build_design(
-        train, spec.feature_set, spec.poly, spec.feature_scaler
-    )
     lams = sorted(float(g) for g in grid)
     fits = tuple(solve_lasso(
-        [LassoProblem(design.X, design.y, lam, spec.tol, spec.max_iter) for lam in lams]
+        [LassoProblem(train.X, train.y, lam, spec.tol, spec.max_iter) for lam in lams]
     ))
     best = 0
     if len(fits) > 1:
-        val_design = transform_records(val, spec.feature_set, spec.poly, feat_params, target_params)
         best_r2 = None
         for i, fit in enumerate(fits):
-            r2 = evaluate(fit.model, val_design.X, val_design.y).r2
+            r2 = evaluate(fit.model, val.X, val.y).r2
             if best_r2 is None or r2 >= best_r2:
                 best, best_r2 = i, r2
     return LambdaSearch(fits, best)

@@ -241,21 +241,20 @@ def test_09a_probe_arithmetic_without_hardware():
         clock = TickingClock(step=0.03)
         counter = ScriptedCounter([0, 30_000_000])
         result = measure_config(cfg, window_seconds=30.0, repeats=1, counter=counter,
-                                workload=clock.workload, clock=clock, warn_on_load=False)
+                                workload=clock.workload, clock=clock)
         assert result.repeats[0].passes == 1000
         assert result.energy_per_pass_j == 0.03
 
         clock = TickingClock(step=0.03)
         counter = ScriptedCounter([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000])
         result = measure_config(cfg, window_seconds=30.0, repeats=3, counter=counter,
-                                workload=clock.workload, clock=clock, warn_on_load=False)
+                                workload=clock.workload, clock=clock)
         assert [r.energy_per_pass_j for r in result.repeats] == [0.03, 0.031, 0.029]
         assert result.energy_per_pass_j == pytest.approx(0.03, rel=1e-12)
 
         machine = SimulatedMachine(noise=0.0, seed=1)
         sim = measure_config(cfg, window_seconds=0.01, repeats=3, counter=machine.counter(),
-                             workload=machine.workload(25_000), clock=machine.clock,
-                             warn_on_load=False)
+                             workload=machine.workload(25_000), clock=machine.clock)
         assert sim.energy_per_pass_j == pytest.approx(20.0 * 25_000 / 5e9, rel=1e-6)
 
 
@@ -268,7 +267,7 @@ HAVE_RAPL = bool(discover_rapl_domains())
 def test_09b_rapl_smoke_positive_energy():
     with criterion(9, "RAPL smoke: spin workload draws strictly positive joules"):
         cfg = LayerConfig(kind=LayerKind.TANH, batch_size=8, in_channels=200_000)
-        result = measure_config(cfg, window_seconds=0.5, repeats=1, warn_on_load=False)
+        result = measure_config(cfg, window_seconds=0.5, repeats=1)
         assert result.energy_per_pass_j > 0.0
 
 

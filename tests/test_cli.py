@@ -197,6 +197,34 @@ class TestTrainEstimate:
         assert code == 1
 
 
+def _drop_model_coefficients(doc):
+    del doc["models"]["ReLU"]["model"]["coefficients"]
+    return doc
+
+
+def _rename_conv_to_conv3d(doc):
+    model = doc["models"].pop("Conv2d")
+    model["layer_kind"] = "Conv3d"
+    doc["models"]["Conv3d"] = model
+    return doc
+
+
+class TestMalformedBundle:
+    @pytest.mark.parametrize("malform", [
+        lambda doc: {"format_version": 1},
+        _rename_conv_to_conv3d,
+        _drop_model_coefficients,
+    ], ids=["no-models", "unknown-kind", "no-coefficients"])
+    def test_estimate_exits_one_with_one_line(self, bundle_path, tmp_path, capsys, malform):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malform(json.loads(bundle_path.read_text()))))
+        capsys.readouterr()
+        code = main(["--quiet", "estimate", "--bundle", str(path), "--arch", "vgg11"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 class TestEvaluateReport:
     def test_evaluate_writes_scatter_and_metrics(self, bundle_path, modelwise_csv, tmp_path):
         out_dir = tmp_path / "eval"

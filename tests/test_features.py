@@ -1,37 +1,47 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joulecast.arch import LayerKind
+from joulecast.arch import LayerConfig, LayerKind
 from joulecast.dataset import MeasurementRecord, sample_config
 from joulecast.errors import (
     ConstantColumnWarning,
     DegreeOutOfRangeError,
     EmptyRecordsError,
     KindMismatchError,
-    UnfittedScalerError,
     ValidationError,
 )
 from joulecast.features import (
+    FeatureMap,
     FeatureSetKind,
     PolynomialSpec,
-    ScalerParams,
-    apply_feature_scaler,
-    build_design,
     expand_polynomial,
-    feature_vector,
-    fit_feature_scaler,
-    fit_target_scaler,
-    invert_target,
     polynomial_names,
     raw_feature_names,
     raw_feature_row,
-    transform_records,
-    transform_target,
 )
 from joulecast.macs import standalone_macs
+
+
+def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
+    """ReLU records with the given energies; MACs, batch sizes and widths default to fixed values."""
+    n = len(energies)
+    macs = macs or [1000] * n
+    batch_sizes = batch_sizes or [1] * n
+    in_channels = in_channels or [1000] * n
+    return [
+        MeasurementRecord(module=LayerKind.RELU,
+                          config=LayerConfig(kind=LayerKind.RELU, batch_size=b, in_channels=c),
+                          macs=m, cpu_energy_j=float(e))
+        for e, m, b, c in zip(energies, macs, batch_sizes, in_channels)
+    ]
+
+
+def fit_target(energies):
+    return FeatureMap.fit(relu_records(energies), FeatureSetKind.MAC_ONLY, None, "none")
 
 
 def records_for(kind, n, seed=0, energy=lambda macs: 1e-9 * macs):
@@ -76,6 +86,18 @@ class TestPolynomial:
         with pytest.raises(DegreeOutOfRangeError):
             PolynomialSpec(0)
 
+    @pytest.mark.parametrize("interaction_only", [True, False])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_expansion_matches_np_prod_bitwise(self, degree, interaction_only):
+        # reference: np.prod over each monomial's columns, in polynomial_names order
+        rng = np.random.default_rng(degree)
+        X = rng.standard_normal((200, 5)) * np.exp(rng.uniform(-20, 20, (200, 5)))
+        chooser = combinations if interaction_only else combinations_with_replacement
+        combos = [c for d in range(1, degree + 1) for c in chooser(range(5), d)]
+        reference = np.column_stack([np.prod(X[:, list(c)], axis=1) for c in combos])
+        expanded = expand_polynomial(X, PolynomialSpec(degree, interaction_only))
+        assert expanded.tobytes() == reference.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 4))
     def test_interaction_only_column_count(self, p, d):
@@ -95,57 +117,57 @@ class TestPolynomial:
 
 class TestScalers:
     def test_minmax_normalizes_targets(self):
-        params = fit_target_scaler(np.array([2e-3, 4e-3, 6e-3]))
-        assert transform_target([2e-3, 4e-3, 6e-3], params).tolist() == [0.0, 0.5, 1.0]
+        _, design = fit_target([2e-3, 4e-3, 6e-3])
+        assert design.y.tolist() == [0.0, 0.5, 1.0]
 
     def test_training_minimum_maps_to_zero(self):
-        params = fit_target_scaler(np.array([0.7, 1.3, 9.0]))
-        assert transform_target(0.7, params) == 0.0
+        _, design = fit_target([0.7, 1.3, 9.0])
+        assert design.y[0] == 0.0
 
     def test_extrapolation_is_linear(self):
-        params = fit_target_scaler(np.array([1.0, 3.0]))
-        assert invert_target(1.5, params) == 1.0 + 1.5 * 2.0
+        features, _ = fit_target([1.0, 3.0])
+        assert features.joules(1.5) == 1.0 + 1.5 * 2.0
 
     def test_zscore_population_std(self):
-        params = fit_feature_scaler(np.array([[1.0], [2.0], [3.0]]), ("x",), "zscore")
-        scaled, names = apply_feature_scaler(np.array([[1.0], [2.0], [3.0]]), ("x",), params)
-        assert names == ("x",)
-        np.testing.assert_allclose(scaled[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
+        records = relu_records([1.0, 2.0, 3.0], macs=[1, 2, 3])
+        _, design = FeatureMap.fit(records, FeatureSetKind.MAC_ONLY, None, "zscore")
+        assert design.column_names == ("macs",)
+        np.testing.assert_allclose(design.X[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_dropped(self):
-        X = np.array([[1.0, 5.0], [2.0, 5.0]])
+        records = relu_records([1.0, 2.0], batch_sizes=[5, 5], in_channels=[1, 2])
         with pytest.warns(ConstantColumnWarning):
-            params = fit_feature_scaler(X, ("x", "const"), "zscore")
-        assert params.dropped == ("const",)
-        scaled, names = apply_feature_scaler(X, ("x", "const"), params)
-        assert names == ("x",) and scaled.shape == (2, 1)
-
-    def test_unfitted_scaler_raises(self):
-        with pytest.raises(UnfittedScalerError):
-            transform_target(1.0, ScalerParams(kind="minmax"))
-        with pytest.raises(UnfittedScalerError):
-            apply_feature_scaler(np.ones((1, 1)), ("x",), ScalerParams(kind="zscore"))
+            features, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER, None, "zscore")
+        assert features.dropped == ("batch_size",)
+        assert design.column_names == ("in_channels",) and design.X.shape == (2, 1)
 
     def test_constant_target_rejected(self):
         with pytest.raises(ValidationError):
-            fit_target_scaler(np.array([1.0, 1.0, 1.0]))
+            fit_target([1.0, 1.0, 1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=30).filter(
+        st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=2, max_size=30).filter(
             lambda v: max(v) > min(v)
         )
     )
     def test_target_round_trip_identity(self, values):
         y = np.array(values)
-        params = fit_target_scaler(y)
-        back = invert_target(transform_target(y, params), params)
+        features, design = fit_target(values)
+        back = features.joules(design.y)
         span = y.max() - y.min()  # affine round-trip error scales with the span
         np.testing.assert_allclose(back, y, rtol=1e-12, atol=1e-12 * span)
 
     def test_scaler_params_round_trip(self):
-        params = fit_feature_scaler(np.array([[1.0, 9.0], [3.0, 11.0]]), ("a", "b"), "zscore")
-        assert ScalerParams.from_dict(params.to_dict()) == params
+        records = relu_records([1.0, 2.0, 4.0], macs=[9, 11, 10], batch_sizes=[1, 3, 2])
+        with pytest.warns(ConstantColumnWarning):  # in_channels is constant
+            features, _ = FeatureMap.fit(records, FeatureSetKind.PARAMETER_MAC, None, "zscore")
+        assert FeatureMap.from_dict(features.to_dict()) == features
+
+    def test_columns_must_match_the_recipe(self):
+        with pytest.raises(ValidationError):
+            FeatureMap(LayerKind.RELU, FeatureSetKind.MAC_ONLY, None, "none", ("batch_size",),
+                       target_min=0.0, target_max=1.0)
 
 
 class TestFeatureAssembly:
@@ -178,49 +200,48 @@ class TestFeatureAssembly:
 
 
 class TestBuildDesign:
-    def test_mac_sets_standardize_by_default(self):
-        records = records_for(LayerKind.CONV2D, 30)
-        design, feat, target = build_design(records, FeatureSetKind.PARAMETER_MAC)
-        assert feat.kind == "zscore"
-        design2, feat2, _ = build_design(records, FeatureSetKind.PARAMETER)
-        assert feat2.kind == "none"
-        assert design.X.shape[0] == design2.X.shape[0] == 30
-
     def test_empty_and_mixed_records(self):
         with pytest.raises(EmptyRecordsError):
-            build_design([], FeatureSetKind.PARAMETER)
+            FeatureMap.fit([], FeatureSetKind.PARAMETER, None, "none")
         mixed = records_for(LayerKind.CONV2D, 2) + records_for(LayerKind.LINEAR, 2)
         with pytest.raises(KindMismatchError):
-            build_design(mixed, FeatureSetKind.PARAMETER)
+            FeatureMap.fit(mixed, FeatureSetKind.PARAMETER, None, "none")
+        features, _ = FeatureMap.fit(records_for(LayerKind.CONV2D, 5), FeatureSetKind.PARAMETER, None, "none")
+        linear = records_for(LayerKind.LINEAR, 2)
+        with pytest.raises(KindMismatchError):
+            features.design(linear)
+        with pytest.raises(KindMismatchError):
+            features.row(linear[0].config, linear[0].macs)
 
     def test_deterministic(self):
         records = records_for(LayerKind.MAXPOOL2D, 40, seed=5)
         spec = PolynomialSpec(2, interaction_only=True)
-        a = build_design(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
-        b = build_design(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
-        assert a[0].column_names == b[0].column_names
-        np.testing.assert_array_equal(a[0].X, b[0].X)
-        np.testing.assert_array_equal(a[0].y, b[0].y)
+        a = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
+        b = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
+        assert a[0] == b[0]
+        assert a[1].column_names == b[1].column_names
+        np.testing.assert_array_equal(a[1].X, b[1].X)
+        np.testing.assert_array_equal(a[1].y, b[1].y)
 
     def test_transform_matches_fit_on_same_records(self):
         records = records_for(LayerKind.LINEAR, 25, seed=3)
-        design, feat, target = build_design(records, FeatureSetKind.LOG_PARAMETER_MAC)
-        again = transform_records(records, FeatureSetKind.LOG_PARAMETER_MAC, None, feat, target)
+        features, design = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore")
+        again = features.design(records)
         np.testing.assert_array_equal(design.X, again.X)
         np.testing.assert_array_equal(design.y, again.y)
 
     def test_feature_vector_matches_matrix_row(self):
         records = records_for(LayerKind.CONV2D, 20, seed=9)
         spec = PolynomialSpec(2, interaction_only=True)
-        design, feat, _ = build_design(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
-        row = feature_vector(records[4].config, records[4].macs, FeatureSetKind.PARAMETER_MAC, spec, feat)
+        features, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
+        row = features.row(records[4].config, records[4].macs)
         np.testing.assert_allclose(row, design.X[4], rtol=1e-12)
 
     def test_poly_applied_before_scaling(self):
         # interaction columns must be products of RAW values, not scaled ones
         records = records_for(LayerKind.SIGMOID, 15, seed=2)
         spec = PolynomialSpec(2, interaction_only=True)
-        design, feat, _ = build_design(records, FeatureSetKind.PARAMETER, spec, "none")
+        _, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER, spec, "none")
         b = np.array([r.config.batch_size for r in records], dtype=float)
         s = np.array([r.config.in_channels for r in records], dtype=float)
         idx = design.column_names.index("batch_size*in_channels")

@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +22,7 @@ from joulecast.errors import (
     NotConvergedWarning,
     SingularityWarning,
 )
-from joulecast.features import (
-    FeatureSetKind,
-    PolynomialSpec,
-    ScalerParams,
-    build_design,
-    raw_feature_names,
-    transform_records,
-)
+from joulecast.features import FeatureMap, FeatureSetKind, PolynomialSpec, raw_feature_names
 from joulecast.macs import architecture_macs, standalone_macs
 from joulecast.predict import (
     DEFAULT_LAMBDA_GRID,
@@ -51,6 +46,8 @@ from joulecast.regress import (
     fit_ols,
     grid_search_lambda,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestTrainDefaultBundle:
@@ -101,6 +98,27 @@ class TestBundleRoundTrip:
         text = trained_bundle.to_json()
         assert PredictorBundle.from_json(text).to_json() == text
 
+    # pins on the bundle bytes and an estimate: they move only if training or
+    # prediction arithmetic changes (or on a BLAS build that rounds differently)
+    def test_default_bundle_bytes_pinned(self, bundle_dataset, monkeypatch):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularityWarning)
+            text = train_default_bundle(bundle_dataset, SplitSpec(seed=11)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4769041ff072e87354974bd31de0e00e2ae53a5e2be3e2c41c90a609bc183953"
+        )
+
+    def test_vgg16_total_pinned(self, trained_bundle):
+        total = estimate(trained_bundle, load_architecture("vgg16"), 1).total_joules
+        assert repr(total) == "0.4625452101210034"
+
+    def test_stored_bundle_round_trips_bytes(self):
+        # a committed bundle with a Lasso model and z-scored columns dropped as
+        # constant; loading and saving it again must reproduce it byte for byte
+        text = (DATA_DIR / "bundle_v1.json").read_text(encoding="utf-8")
+        assert PredictorBundle.from_json(text).to_json() == text
+
     def test_predictions_survive_reload(self, trained_bundle, bundle_dataset, tmp_path):
         record = next(r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D)
         model = trained_bundle.models[LayerKind.MAXPOOL2D]
@@ -143,12 +161,9 @@ class TestEstimate:
     def test_negative_predictions_clamped_and_flagged(self):
         # a predictor rigged to always produce negative joules
         rigged = PredictorModel(
-            layer_kind=LayerKind.RELU,
             spec=ModelSpec(FeatureSetKind.MAC_ONLY),
-            columns=("macs",),
-            feature_scaler=ScalerParams(kind="none", columns=("macs",)),
-            target_scaler=ScalerParams(kind="minmax", columns=("cpu_energy_j",),
-                                       minimum=(0.5,), maximum=(1.0,)),
+            features=FeatureMap(LayerKind.RELU, FeatureSetKind.MAC_ONLY, None, "none", ("macs",),
+                                target_min=0.5, target_max=1.0),
             model=LinearModel((0.0,), -10.0),  # normalized prediction -10 -> -4.5 J
             test_metrics=EvalMetrics(0.0, 0.0, 0.0),
             test_metrics_joules=EvalMetrics(0.0, 0.0, 0.0),
@@ -246,9 +261,9 @@ class TestLassoPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
             trained = train_predictor(records, spec, split_spec, cv_folds=3)
-            search = grid_search_lambda(records, spec, DEFAULT_LAMBDA_GRID, split_spec)
-            train, _, _ = split(records, split_spec)
-            design, _, _ = build_design(train, spec.feature_set, spec.poly, spec.feature_scaler)
+            train, val, _ = split(records, split_spec)
+            features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
+            search = grid_search_lambda(design, features.design(val), spec, DEFAULT_LAMBDA_GRID)
             refit = fit_lasso(design.X, design.y, search.lam, spec.tol, spec.max_iter)
         assert trained.spec.lam == search.lam
         assert trained.model == search.chosen.model
@@ -281,9 +296,8 @@ class TestAblationStructure:
         split_spec = SplitSpec(seed=2)
         names = raw_feature_names(LayerKind.LINEAR, FeatureSetKind.LOG_PARAMETER_MAC)
         train, _, test = split(records, split_spec)
-        design, _, target = build_design(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-        test_design = transform_records(test, FeatureSetKind.LOG_PARAMETER_MAC, None,
-                                        ScalerParams(kind="none", columns=names), target)
+        features, design = FeatureMap.fit(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+        test_design = features.design(test)
         rows = run_ablation(records, LayerKind.LINEAR, split_spec)
         assert [r.mask for r in rows] == list(range(1, 128))
         for row in rows:
@@ -332,7 +346,6 @@ class TestEnrichment:
 
     def test_merge_improves_real_validation(self):
         from joulecast.dataset import merge_real_configs
-        from joulecast.features import build_design, transform_records
         from joulecast.regress import evaluate, fit_ols
 
         small = {LayerKind.CONV2D: {
@@ -347,9 +360,9 @@ class TestEnrichment:
         validation = self._real_conv_records(("vgg13", "vgg16"), (1, 2))
 
         def score(train):
-            design, feat, target = build_design(train, FeatureSetKind.MAC_ONLY)
+            features, design = FeatureMap.fit(train, FeatureSetKind.MAC_ONLY, None, "zscore")
             model = fit_ols(design.X, design.y)
-            val = transform_records(validation, FeatureSetKind.MAC_ONLY, None, feat, target)
+            val = features.design(validation)
             return evaluate(model, val.X, val.y).r2
 
         before = score(random_train)

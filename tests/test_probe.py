@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -236,7 +238,7 @@ class TestMeasureConfig:
         counter = ScriptedCounter([0, 30_000_000])  # 30 J over the window
         result = measure_config(
             self.cfg(), window_seconds=30.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+            counter=counter, workload=clock.workload, clock=clock,
         )
         assert result.repeats[0].passes == 1000
         assert result.repeats[0].energy_j == 30.0
@@ -247,7 +249,7 @@ class TestMeasureConfig:
         counter = ScriptedCounter([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000])
         result = measure_config(
             self.cfg(), window_seconds=30.0, repeats=3,
-            counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+            counter=counter, workload=clock.workload, clock=clock,
         )
         per_pass = [r.energy_per_pass_j for r in result.repeats]
         assert per_pass == [0.03, 0.031, 0.029]
@@ -259,7 +261,7 @@ class TestMeasureConfig:
         with pytest.warns(UserWarning, match="failed counter read"):
             result = measure_config(
                 self.cfg(), window_seconds=30.0, repeats=3,
-                counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+                counter=counter, workload=clock.workload, clock=clock,
             )
         assert len(result.repeats) == 2
         assert result.failed_repeats == 1
@@ -272,7 +274,7 @@ class TestMeasureConfig:
             with pytest.raises(AllRepeatsFailedError):
                 measure_config(
                     self.cfg(), window_seconds=30.0, repeats=2,
-                    counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+                    counter=counter, workload=clock.workload, clock=clock,
                 )
 
     def test_wraparound_inside_window(self):
@@ -280,7 +282,7 @@ class TestMeasureConfig:
         counter = ScriptedCounter([999_999_990, 20], max_range=10**9)
         result = measure_config(
             self.cfg(), window_seconds=1.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+            counter=counter, workload=clock.workload, clock=clock,
         )
         assert result.repeats[0].energy_j == pytest.approx(30 / 1e6)
 
@@ -289,7 +291,7 @@ class TestMeasureConfig:
         counter = ScriptedCounter([0, 1_000_000])
         result = measure_config(
             self.cfg(), window_seconds=30.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock, warn_on_load=False,
+            counter=counter, workload=clock.workload, clock=clock,
         )
         assert result.repeats[0].passes == 1
         assert result.repeats[0].long_pass
@@ -300,7 +302,7 @@ class TestMeasureConfig:
             with pytest.raises(ConcurrentMeasurementError):
                 measure_config(self.cfg(), window_seconds=1.0, repeats=1,
                                counter=ScriptedCounter([0, 1]), workload=lambda: None,
-                               clock=lambda: 100.0, warn_on_load=False)
+                               clock=lambda: 100.0)
         finally:
             probe._measure_lock.release()
 
@@ -317,7 +319,7 @@ class TestMeasureConfig:
 
         measure_config(
             self.cfg(), window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
-            workload=workload, clock=clock, warn_on_load=False, pin_to_cpu=cpu,
+            workload=workload, clock=clock, pin_to_cpu=cpu,
         )
         assert seen == [{cpu}]
         assert os.sched_getaffinity(0) == before
@@ -328,10 +330,51 @@ class TestMeasureConfig:
         result = measure_config(
             self.cfg(), window_seconds=0.01, repeats=3,
             counter=machine.counter(), workload=machine.workload(macs),
-            clock=machine.clock, warn_on_load=False,
+            clock=machine.clock,
         )
         expected = 20.0 * macs / 5e9
         assert result.energy_per_pass_j == pytest.approx(expected, rel=1e-6)
+
+
+class TestLoadWarning:
+    """Only real RAPL counters see other processes' energy, so only they warn on load."""
+
+    @pytest.fixture(autouse=True)
+    def busy_machine(self, monkeypatch):
+        monkeypatch.setattr(os, "getloadavg", lambda: (1e6, 1e6, 1e6))
+
+    def cfg(self):
+        return LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=1_000)
+
+    def test_simulated_measurement_does_not_warn(self):
+        machine = SimulatedMachine(noise=0.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            measure_config(self.cfg(), window_seconds=0.01, repeats=1, counter=machine.counter(),
+                           workload=machine.workload(1_000), clock=machine.clock)
+
+    def test_rapl_measurement_warns(self, tmp_path, monkeypatch):
+        domain = tmp_path / "intel-rapl:0"
+        domain.mkdir()
+        (domain / "name").write_text("package-0\n")
+        (domain / "max_energy_range_uj").write_text("1000000\n")
+        (domain / "energy_uj").write_text("5\n")
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
+        clock = TickingClock(step=1.0)
+        with pytest.warns(UserWarning, match="load average"):
+            measure_config(self.cfg(), window_seconds=1.0, repeats=1,
+                           workload=clock.workload, clock=clock)
+
+
+def test_init_weights_keeps_one_copy_of_a_float64_weight():
+    cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)
+    tracemalloc.start()
+    try:
+        weights = probe.init_weights(cfg, seed=0, dtype=np.float64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * weights["weight"].nbytes
 
 
 class TestRaplDiscovery:
@@ -378,5 +421,5 @@ HAVE_RAPL = bool(discover_rapl_domains())
 @pytest.mark.skipif(not HAVE_RAPL, reason="no readable RAPL powercap domains on this host")
 def test_rapl_smoke_measurement():
     cfg = LayerConfig(kind=LayerKind.TANH, batch_size=8, in_channels=100_000)
-    result = measure_config(cfg, window_seconds=0.5, repeats=1, warn_on_load=False)
+    result = measure_config(cfg, window_seconds=0.5, repeats=1)
     assert result.energy_per_pass_j > 0.0

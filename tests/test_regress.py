@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joulecast.arch import LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config
+from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config, split
 from joulecast.errors import (
     ColumnMismatchError,
     NonFiniteError,
     NotConvergedWarning,
     SingularityWarning,
     TooFewRecordsError,
+    ValidationError,
 )
-from joulecast.features import FeatureSetKind
+from joulecast.features import FeatureMap, FeatureSetKind
 from joulecast.macs import standalone_macs
 from joulecast.regress import (
     EvalMetrics,
@@ -312,16 +313,29 @@ class TestCrossValidate:
             assert not (fold_keys & outside)
 
 
+def test_unknown_model_family_rejected():
+    with pytest.raises(ValidationError):
+        ModelSpec(FeatureSetKind.MAC_ONLY, model="ridge")
+
+
+def _train_val_designs(records, spec, split_spec):
+    train, val, _ = split(records, split_spec)
+    features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
+    return design, features.design(val)
+
+
 class TestGridSearch:
     def test_singleton_grid(self):
         records = _linear_records(30)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        assert grid_search_lambda(records, spec, [0.0]).lam == 0.0
+        train, val = _train_val_designs(records, spec, SplitSpec())
+        assert grid_search_lambda(train, val, spec, [0.0]).lam == 0.0
 
     def test_noiseless_data_prefers_no_penalty(self):
         records = _linear_records(40)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        assert grid_search_lambda(records, spec, [0.0, 1e6], SplitSpec(seed=1)).lam == 0.0
+        train, val = _train_val_designs(records, spec, SplitSpec(seed=1))
+        assert grid_search_lambda(train, val, spec, [0.0, 1e6]).lam == 0.0
 
     def test_sparse_truth_support_recovery(self):
         rng = np.random.default_rng(12)
