@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arch import (
     KIND_SPECS,
@@ -43,8 +44,19 @@ DEFAULT_POWERCAP_ROOT = "/sys/class/powercap"
 # forward-pass kernels (reference semantics, deterministic weights)
 # ---------------------------------------------------------------------------
 
+# Size of the im2col column buffer that conv2d_forward reuses for every block.
+_COLUMN_BLOCK_BYTES = 64 << 20
+
+
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Direct convolution (cross-correlation) with zero padding."""
+    """Convolution (cross-correlation) with zero padding, as im2col + GEMM.
+
+    The windows of the padded input are copied, a block at a time, into one
+    reused ``(c_in*k*k, rows*out_w)`` column buffer per sample, and one matmul
+    with the flattened weight writes each block straight into the NCHW output.
+    A block holds whole samples when one sample fits ``_COLUMN_BLOCK_BYTES``,
+    otherwise as many output rows of one sample as fit (at least one row).
+    """
     batch, c_in, h, w = x.shape
     c_out, c_in_w, k, _ = weight.shape
     if c_in_w != c_in:
@@ -57,14 +69,28 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: 
     if padding:
         padded = np.zeros((batch, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding : padding + h, padding : padding + w] = x
-    out = np.zeros((batch, c_out, out_h, out_w), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            window = padded[
-                :, :, ki : ki + (out_h - 1) * stride + 1 : stride, kj : kj + (out_w - 1) * stride + 1 : stride
-            ]
-            out += np.einsum("oc,bcyx->boyx", weight[:, :, ki, kj], window, optimize=True)
-    return out + bias[None, :, None, None]
+    # (batch, c_in, k, k, out_h, out_w): the column matrix of every sample, as a view
+    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    depth = c_in * k * k
+    block = _COLUMN_BLOCK_BYTES // x.itemsize
+    if depth * out_h * out_w <= block:
+        samples, rows = min(batch, block // (depth * out_h * out_w)), out_h
+    else:
+        samples, rows = 1, max(1, block // (depth * out_w))
+    buffer = np.empty(samples * depth * rows * out_w, dtype=x.dtype)
+    flat_weight = weight.reshape(c_out, depth)
+    out = np.empty((batch, c_out, out_h, out_w), dtype=x.dtype)
+    out_planes = out.reshape(batch, c_out, out_h * out_w)
+    for b0 in range(0, batch, samples):
+        b1 = min(b0 + samples, batch)
+        for r0 in range(0, out_h, rows):
+            r1 = min(r0 + rows, out_h)
+            n, width = b1 - b0, (r1 - r0) * out_w
+            columns = buffer[: n * depth * width].reshape(n, depth, width)
+            np.copyto(columns.reshape(n, c_in, k, k, r1 - r0, out_w), windows[b0:b1, ..., r0:r1, :])
+            np.matmul(flat_weight, columns, out=out_planes[b0:b1, :, r0 * out_w : r1 * out_w])
+    out += bias[:, None, None]
+    return out
 
 
 def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
@@ -186,7 +212,7 @@ def make_workload(config: LayerConfig, seed: int = 0, dtype=np.float64):
     shape = standalone_input_shape(config)
     dims = (shape.batch, shape.channels, shape.height, shape.width)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2]).astype(dtype)
+    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2]).astype(dtype, copy=False)
     weights = init_weights(config, seed, dtype)
 
     def run():
@@ -200,7 +226,7 @@ def make_architecture_workload(arch: ArchitectureSpec, batch_size: int, seed: in
     spec = arch.with_batch(batch_size)
     rng = np.random.default_rng(seed)
     shape = spec.input_shape
-    x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width)).astype(dtype)
+    x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width)).astype(dtype, copy=False)
     steps = [
         (_KERNELS[layer.kind].forward, layer, init_weights(layer, seed + i, dtype))
         for i, layer in enumerate(spec.layers)

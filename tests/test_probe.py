@@ -1,13 +1,14 @@
+import math
 import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from joulecast import probe
-from joulecast.arch import LayerConfig, LayerKind, load_architecture
+from joulecast.arch import LayerConfig, LayerKind
 from joulecast.errors import (
     AllRepeatsFailedError,
     ConcurrentMeasurementError,
@@ -155,8 +156,7 @@ class TestKernels:
         np.testing.assert_array_equal(a, b)
 
     def test_architecture_workload_runs(self):
-        run = probe.make_architecture_workload(load_architecture("alexnet"), batch_size=1, seed=0)
-        # shrink: use a tiny custom architecture instead of the 224px preset
+        # a tiny custom architecture instead of a 224px preset
         from joulecast.arch import ArchitectureSpec, TensorShape
 
         tiny = ArchitectureSpec(
@@ -175,7 +175,81 @@ class TestKernels:
         out = probe.make_architecture_workload(tiny, batch_size=2, seed=1)()
         assert out.shape == (2, 5)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=1e-12)
-        del run
+
+
+class TestConvColumnBlocks:
+    """conv2d_forward copies windows into a bounded im2col column buffer and
+    runs one GEMM per block of whole samples or of output rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 7),
+        st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),
+    )
+    @example(batch=2, c_in=3, c_out=2, side=5, k=1, stride=1, padding=0)
+    @example(batch=2, c_in=3, c_out=2, side=4, k=1, stride=3, padding=2)
+    @example(batch=3, c_in=2, c_out=4, side=1, k=5, stride=1, padding=2)
+    @example(batch=1, c_in=4, c_out=1, side=5, k=5, stride=3, padding=0)
+    def test_matches_oracle(self, batch, c_in, c_out, side, k, stride, padding):
+        assume(side + 2 * padding >= k)
+        rng = np.random.default_rng(side * 100 + k * 10 + padding)
+        x = rng.standard_normal((batch, c_in, side, side))
+        weight = rng.standard_normal((c_out, c_in, k, k))
+        bias = rng.standard_normal(c_out)
+        got = conv2d_forward(x, weight, bias, stride, padding)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, conv_oracle(x, weight, bias, stride, padding), rtol=0, atol=1e-12)
+
+    # With a 512-byte (64-element) block: "samples" has 16 column elements per
+    # sample, so 4 samples per block and batch 5 takes 2 GEMMs; "rows" has 196
+    # per sample and 28 per output row, so 2 rows per block and 7 rows take 4
+    # GEMMs per sample; "one row" has 90-element output rows (18 deep, 5 wide),
+    # each over the block, so each of the 5 rows is its own GEMM.
+    @pytest.mark.parametrize(
+        "batch, c_in, side, k, stride, padding, gemms",
+        [
+            pytest.param(5, 1, 3, 2, 1, 0, 2, id="samples"),
+            pytest.param(2, 1, 8, 2, 1, 0, 8, id="rows"),
+            pytest.param(2, 2, 7, 3, 2, 2, 10, id="one row"),
+        ],
+    )
+    def test_multi_block_matches_one_block(self, monkeypatch, batch, c_in, side, k, stride, padding, gemms):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((batch, c_in, side, side))
+        weight = rng.standard_normal((3, c_in, k, k))
+        bias = rng.standard_normal(3)
+        one_block = conv2d_forward(x, weight, bias, stride, padding)
+        calls = []
+        matmul = np.matmul
+
+        def counting_matmul(*args, **kwargs):
+            calls.append(args[1].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "_COLUMN_BLOCK_BYTES", 512)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        blocked = conv2d_forward(x, weight, bias, stride, padding)
+        monkeypatch.undo()
+        assert len(calls) == gemms
+        row_bytes = c_in * k * k * blocked.shape[3] * x.itemsize
+        assert all(math.prod(shape) * x.itemsize <= max(512, row_bytes) for shape in calls)
+        np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked, conv_oracle(x, weight, bias, stride, padding), rtol=0, atol=1e-12)
+
+    def test_column_buffer_is_bounded(self):
+        # unchunked, the column matrix here is 8 * 64*7*7 * 64*64 float64 = 784 MiB
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 64, 64, 64))
+        weight = rng.standard_normal((8, 64, 7, 7))
+        bias = rng.standard_normal(8)
+        tracemalloc.start()
+        try:
+            out = conv2d_forward(x, weight, bias, stride=1, padding=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (8, 8, 64, 64)
+        assert peak < 160e6
 
 
 class TestEnergyDelta:
