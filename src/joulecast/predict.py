@@ -85,7 +85,7 @@ class PredictorModel:
     test_metrics_joules: EvalMetrics
     cv: CvReport | None = None
     #: every Lasso fit made in training (the lambda grid, then the CV folds), for
-    #: their sweep counts; bundles do not store them
+    #: their solver reports; bundles do not store them
     lasso_fits: tuple[LassoFit, ...] = ()
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
@@ -439,12 +439,13 @@ class ExperimentRow:
     lam: float
     cv: CvReport
     test: EvalMetrics
-    lasso_sweeps: int  # most sweeps of any of the row's Lasso fits (0 for OLS)
-    lasso_unconverged: int  # the row's Lasso fits that hit their sweep cap
+    lasso_kkt: float  # largest relative KKT residual of the row's Lasso fits (0 for OLS)
+    lasso_sweeps: int  # most CD sweeps of the row's Lasso fits (0 unless a fit fell back to CD)
+    lasso_unconverged: int  # the row's Lasso fits above the KKT bound
 
 
 #: the feature-set comparison grid per layer kind (pipeline per table row)
-_LASSO_SWEEPS = 500  # reporting-grade budget; raw polynomial columns converge slowly
+_LASSO_SWEEPS = 500  # CD budget for a penalty the Lasso path does not reach
 
 EXPERIMENT_TABLE: dict[LayerKind, tuple[ModelSpec, ...]] = {
     LayerKind.CONV2D: (
@@ -497,6 +498,7 @@ def run_feature_set_experiment(
                 lam=trained.model.lam,
                 cv=trained.cv,
                 test=trained.test_metrics,
+                lasso_kkt=max((fit.kkt for fit in trained.lasso_fits), default=0.0),
                 lasso_sweeps=max((fit.sweeps for fit in trained.lasso_fits), default=0),
                 lasso_unconverged=sum(not fit.converged for fit in trained.lasso_fits),
             )

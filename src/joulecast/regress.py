@@ -1,4 +1,5 @@
-"""Linear regression stack: OLS, batched Lasso coordinate descent, metrics, k-fold CV.
+"""Linear regression stack: OLS, an exact Lasso path, batched Lasso coordinate
+descent, metrics, k-fold CV.
 
 OLS is solved through an orthogonal decomposition (SVD via lstsq), which
 returns the minimum-norm solution on rank-deficient designs. The Lasso
@@ -55,7 +56,7 @@ class CvReport:
     k: int
     r2_scores: tuple[float, ...]
     mse_scores: tuple[float, ...]
-    #: a Lasso spec's fold fits, for their sweep counts; bundles do not store them
+    #: a Lasso spec's fold fits, for their solver reports; bundles do not store them
     lasso_fits: tuple[LassoFit, ...] = ()
 
     @property
@@ -130,9 +131,18 @@ class LassoProblem:
 
 @dataclass(frozen=True)
 class LassoFit:
+    """A Lasso fit with its solver report.
+
+    ``sweeps`` counts coordinate-descent sweeps (0 for a path or OLS fit).
+    ``kkt`` is the optimality residual of ``lasso_kkt``. ``converged`` means
+    the fit met its tol within its sweep cap for ``solve_lasso``, and
+    ``kkt <= KKT_BOUND`` for ``lasso_path``.
+    """
+
     model: LinearModel
     sweeps: int
     converged: bool
+    kkt: float
 
 
 def solve_lasso(problems: Sequence[LassoProblem]) -> list[LassoFit]:
@@ -243,7 +253,7 @@ def solve_lasso(problems: Sequence[LassoProblem]) -> list[LassoFit]:
         model = LinearModel(
             tuple(float(v) for v in beta[:, b]), intercept, kind="lasso", lam=float(problem.lam)
         )
-        fits.append(LassoFit(model, int(sweeps[b]), bool(converged[b])))
+        fits.append(LassoFit(model, int(sweeps[b]), bool(converged[b]), lasso_kkt(*data[b], model)))
     return fits
 
 
@@ -258,9 +268,238 @@ def fit_lasso(
     return solve_lasso([LassoProblem(X, y, lam, tol, max_iter)])[0].model
 
 
+#: largest relative KKT residual (``lasso_kkt``) that a ``lasso_path`` fit counts as converged
+KKT_BOUND = 1e-6
+#: path steps allowed per min(n, p) before the penalties not yet reached fall back to CD
+_PATH_STEPS_PER_RANK = 8
+#: a candidate whose z-scored column keeps less than this share of its (unit)
+#: variance outside the active columns' span is in that span and cannot enter
+_SPAN_TOL = 1e-10
+
+
+def _cholesky_delete(L: np.ndarray, M: np.ndarray, m: int, k: int) -> None:
+    """Drop row and column k from the m x m Cholesky factor held in L[:m, :m]
+    and from its inverse in M[:m, :m], in place.
+
+    Deleting row k leaves L lower Hessenberg; Givens rotations of columns
+    i, i+1 restore the triangle, and the same rotations of rows i, i+1 of
+    L^-1 (then deleting its column k) give the new inverse.
+    """
+    L[k:m - 1, :m] = L[k + 1:m, :m]
+    for i in range(k, m - 1):
+        a, b = L[i, i], L[i, i + 1]
+        r = math.hypot(a, b)
+        c, s = a / r, b / r
+        for rot in (L[i:m - 1, i:i + 2], M[i:i + 2, :m].T):
+            first = rot[:, 0].copy()
+            rot[:, 0] = c * first + s * rot[:, 1]
+            rot[:, 1] = c * rot[:, 1] - s * first
+    M[:m - 1, k:m - 1] = M[:m - 1, k + 1:m]
+    for factor in (L, M):
+        factor[m - 1, :m] = 0.0
+        factor[:m, m - 1] = 0.0
+
+
+def _path_coefficients(
+    Xc: np.ndarray, yc: np.ndarray, lams: Sequence[float], max_steps: int
+) -> dict[float, np.ndarray]:
+    """LARS-Lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004) on
+    centred data, read off at every positive penalty in ``lams`` that it
+    reaches within ``max_steps`` breakpoints.
+
+    In z-scored coordinates b_j = s_j beta_j (s_j the column's standard
+    deviation) column j's penalty is weighted by w_j = 1/s_j. At a penalty
+    lambda with active set A and signs sigma_A, the KKT equalities give
+    G_AA b_A = c_A - lambda (w sigma)_A for the Gram matrix G and the
+    correlations c = Z^T yc / n. Lowering the penalty by t moves b_A by
+    t d with G_AA d = (w sigma)_A, and every residual correlation r_j by
+    -t (G_A^T d)_j. The next breakpoint is the smallest t at which an
+    active coefficient reaches zero (it leaves) or another |r_j| reaches
+    (lambda - t) w_j (it enters); between breakpoints the solution is exact.
+
+    Only the Gram rows of the active columns are kept, one computed per
+    entry, so no p x p matrix is formed. G_AA's Cholesky factor gains a row
+    per entry and loses one per exit. A column whose variance outside the
+    active columns' span is below ``_SPAN_TOL`` cannot enter: its
+    correlation can touch its bound only by rounding, and letting it in
+    would cycle.
+    """
+    n, p = Xc.shape
+    dots = np.array([float(Xc[:, j] @ yc) for j in range(p)])  # per column, as ``solve_lasso``
+    scale = np.sqrt((Xc**2).sum(axis=0) / n)
+    live = scale > 0.0
+    scale[~live] = 1.0
+    ZT = (Xc / scale).T.copy()  # rows are the z-scored columns
+    corr = dots / n / scale
+    weight = 1.0 / scale
+    sides = np.array([[1.0], [-1.0]])
+    targets = sorted({lam for lam in lams if lam > 0.0}, reverse=True)
+    found: dict[float, np.ndarray] = {}
+    lam = float(np.abs(dots).max(initial=0.0)) / n  # lambda_max
+    while targets and targets[0] >= lam:
+        found[targets.pop(0)] = np.zeros(p)
+    if not targets:
+        return found
+
+    first = int(np.argmax(np.abs(dots)))
+    active = [first]
+    sign = [float(np.sign(dots[first]))]
+    size = min(n, p) + 1
+    rows = np.zeros((size, p))  # rows[:m] is G_A, the Gram rows of the active columns
+    rows[0] = ZT @ ZT[first] / n
+    L = np.zeros((size, size))  # L[:m, :m] is G_AA's Cholesky factor
+    M = np.zeros((size, size))  # and M[:m, :m] its inverse
+    L[0, 0] = math.sqrt(rows[0, first])
+    M[0, 0] = 1.0 / L[0, 0]
+    closed = ~live  # dead or active columns
+    closed[first] = True
+    in_span = np.zeros(p, dtype=bool)  # found in the span since the last exit
+    left, left_side = -1, 0  # the last column to leave may not re-enter on the same side at once
+    for _ in range(max_steps):
+        m = len(active)
+        A = np.array(active)
+        Mm = M[:m, :m]
+        push = weight[A] * sign
+        b = Mm.T @ (Mm @ (corr[A] - lam * push))
+        d = Mm.T @ (Mm @ push)
+        if not (np.isfinite(b).all() and np.isfinite(d).all()):
+            break
+        GA = rows[:m]
+        resid, a = corr - b @ GA, d @ GA
+        # exits: b_j + t d_j reaches zero
+        exit_at = np.full(m, np.inf)
+        np.divide(-b, d, out=exit_at, where=d * sign < 0.0)
+        np.maximum(exit_at, 0.0, out=exit_at)
+        # entries: sigma (r_j - t a_j) reaches (lambda - t) w_j; a column
+        # already past its bound enters at once
+        gap = lam * weight - sides * resid
+        rate = weight - sides * a
+        at = np.full((2, p), np.inf)
+        np.divide(gap, rate, out=at, where=rate > 0.0)
+        at[gap <= 0.0] = 0.0
+        at[:, closed | in_span] = np.inf
+        if left >= 0:
+            at[left_side, left] = np.inf
+        entry_at = at.min(axis=0)
+        k = int(np.argmin(exit_at))
+        # the columns due before the next exit, earliest first, enter only if
+        # enough of them lies outside the active span; that share comes from
+        # the data, since G_jj - |L^-1 G_Aj|^2 would cancel to rounding noise
+        due = np.flatnonzero(entry_at < min(exit_at[k], lam))
+        due = due[np.argsort(entry_at[due], kind="stable")]
+        j, entry = -1, np.inf
+        for candidate in due:
+            w = Mm @ GA[:, candidate]
+            outside = ZT[candidate] - (Mm.T @ w) @ ZT[A]
+            pivot = outside @ outside / n
+            if pivot > _SPAN_TOL:
+                j, entry = candidate, entry_at[candidate]
+                break
+            in_span[candidate] = True
+        step = min(exit_at[k], entry, lam)
+        while targets and targets[0] >= lam - step:
+            coef = np.zeros(p)
+            coef[A] = (b + (lam - targets[0]) * d) / scale[A]
+            found[targets.pop(0)] = coef
+        if not targets:
+            break
+        if exit_at[k] <= entry:
+            left, left_side = active.pop(k), int(sign.pop(k) < 0)
+            _cholesky_delete(L, M, m, k)
+            rows[k:m - 1] = rows[k + 1:m]
+            closed[left] = False
+            in_span[:] = False
+        elif m + 1 == size:
+            break  # only a rounding error lets in more columns than rows
+        else:
+            L[m, :m] = w
+            L[m, m] = math.sqrt(pivot)
+            M[m, :m] = -(w @ Mm) / L[m, m]
+            M[m, m] = 1.0 / L[m, m]
+            rows[m] = ZT @ ZT[j] / n
+            active.append(j)
+            sign.append(1.0 if at[0, j] <= at[1, j] else -1.0)
+            closed[j] = True
+            left = -1
+        lam -= step
+    return found
+
+
+def lasso_path(
+    X: np.ndarray,
+    y: np.ndarray,
+    lams: Sequence[float],
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+) -> list[LassoFit]:
+    """Exact Lasso fits at every penalty in ``lams``, in their order, from one
+    LARS-Lasso path on the centred data.
+
+    A penalty of 0 is fitted by ``fit_ols`` (the minimum-norm solution: with
+    more columns than rows the Lasso at 0 is not unique). A penalty the path
+    does not reach within a few times min(n, p) breakpoints falls back to
+    ``solve_lasso`` with ``tol`` and ``max_iter``. Each fit carries its
+    ``lasso_kkt`` residual, and each fit above ``KKT_BOUND`` warns once.
+    """
+    X, y = _check_finite(X, y)
+    lams = [float(lam) for lam in lams]
+    if any(lam < 0 for lam in lams):
+        raise ValidationError(f"lambda grid {lams} must be non-negative")
+    n, p = X.shape
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    found = _path_coefficients(X - x_mean, y - y_mean, lams, _PATH_STEPS_PER_RANK * min(n, p))
+    models = {  # penalty -> (model, CD sweeps)
+        lam: (LinearModel(tuple(map(float, coef)), float(y_mean - x_mean @ coef), "lasso", lam), 0)
+        for lam, coef in found.items()
+    }
+    missed = sorted({lam for lam in lams if lam > 0.0 and lam not in found})
+    if missed:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)  # judged by KKT below
+            fallback = solve_lasso([LassoProblem(X, y, lam, tol, max_iter) for lam in missed])
+        models.update((lam, (fit.model, fit.sweeps)) for lam, fit in zip(missed, fallback))
+    if 0.0 in lams:
+        ols = fit_ols(X, y)
+        models[0.0] = (LinearModel(ols.coefficients, ols.intercept, "lasso", 0.0), 0)
+    fits = {}
+    for lam, (model, sweeps) in models.items():
+        kkt = lasso_kkt(X, y, model)
+        if kkt > KKT_BOUND:
+            warnings.warn(
+                f"lasso (n={n}, lambda={lam:g}) has relative KKT residual {kkt:.2g} > {KKT_BOUND:g}",
+                NotConvergedWarning,
+                stacklevel=2,
+            )
+        fits[lam] = LassoFit(model, sweeps, kkt <= KKT_BOUND, kkt)
+    return [fits[lam] for lam in lams]
+
+
 def lasso_objective(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
     residual = y - model.predict(X)
     return float((residual @ residual) / (2 * len(y)) + model.lam * np.abs(model.coefficients).sum())
+
+
+def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
+    """Relative KKT residual of a Lasso model on its training data.
+
+    With g = Xc^T r / n for the centred design Xc and the residual
+    r = yc - Xc beta, optimality asks g_j = lambda*sign(beta_j) where
+    beta_j != 0 and |g_j| <= lambda where beta_j = 0. The residual is the
+    largest distance of any g_j from that set, divided by lambda, or by
+    lambda_max = max_j |Xc_j . yc| / n when lambda is 0 (and 0 when both are).
+    """
+    X, y = _check_finite(X, y)
+    beta = np.asarray(model.coefficients)
+    Xc = X - X.mean(axis=0)
+    yc = y - y.mean()
+    n = len(y)
+    grad = Xc.T @ (yc - Xc @ beta) / n
+    dist = np.where(
+        beta != 0.0, np.abs(grad - model.lam * np.sign(beta)), np.maximum(np.abs(grad) - model.lam, 0.0)
+    )
+    scale = model.lam if model.lam > 0 else np.abs(Xc.T @ yc).max(initial=0.0) / n
+    return float(dist.max(initial=0.0) / scale) if scale > 0 else 0.0
 
 
 def score(measured: np.ndarray, predicted: np.ndarray) -> EvalMetrics:
@@ -328,7 +567,7 @@ def cross_validate(
 ) -> CvReport:
     """Configuration-grouped k-fold CV; scalers are refit on each fold's training part.
 
-    A Lasso spec solves all folds as one ``solve_lasso`` batch. MSE is
+    A Lasso spec fits each fold with ``lasso_path``. MSE is
     reported as a positive quantity (some frameworks negate it for
     score-maximization APIs).
     """
@@ -344,9 +583,7 @@ def cross_validate(
         designs.append((design, features.design(test)))
     fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
-        fits = tuple(solve_lasso(
-            [LassoProblem(d.X, d.y, spec.lam, spec.tol, spec.max_iter) for d, _ in designs]
-        ))
+        fits = tuple(lasso_path(d.X, d.y, [spec.lam], spec.tol, spec.max_iter)[0] for d, _ in designs)
         models = [fit.model for fit in fits]
     else:
         models = [fit_ols(d.X, d.y) for d, _ in designs]
@@ -381,15 +618,13 @@ def grid_search_lambda(
     spec: ModelSpec,
     grid: Sequence[float],
 ) -> LambdaSearch:
-    """Solve the whole grid as one ``solve_lasso`` batch on the train design and
+    """Fit the whole grid from one ``lasso_path`` on the train design and
     pick the penalty maximizing R^2 on the validation design; ties go to the
     larger (sparser) lambda. A one-value grid is fitted but not scored."""
     if not grid:
         raise ValidationError("lambda grid is empty")
     lams = sorted(float(g) for g in grid)
-    fits = tuple(solve_lasso(
-        [LassoProblem(train.X, train.y, lam, spec.tol, spec.max_iter) for lam in lams]
-    ))
+    fits = tuple(lasso_path(train.X, train.y, lams, spec.tol, spec.max_iter))
     best = 0
     if len(fits) > 1:
         best_r2 = None

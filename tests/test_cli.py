@@ -274,6 +274,19 @@ class TestExperiments:
         assert list(rows[0])[-2:] == ["lasso_sweeps", "lasso_unconverged"]
         assert all(r["lasso_sweeps"] == r["lasso_unconverged"] == "0" for r in rows)  # OLS rows
 
+    def test_feature_experiment_reports_lasso_kkt(self, layerwise_csv, tmp_path):
+        out = tmp_path / "table.csv"
+        code, _ = run("--seed", "3", "--quiet", "feature-experiment",
+                      "--layerwise", str(layerwise_csv), "--kind", "maxpool2d", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert list(rows[0])[-3:] == ["lasso_kkt", "lasso_sweeps", "lasso_unconverged"]
+        lasso = [r for r in rows if r["model"] == "Lasso"]
+        assert len(lasso) == 2
+        assert all(r["lasso_sweeps"] == "0" for r in lasso)  # the path reached every penalty
+        assert all(float(r["lasso_kkt"]) >= 0.0 for r in lasso)
+        assert all(r["lasso_kkt"] == "0.0" for r in rows if r["model"] == "Linear")
+
     def test_feature_experiment_deterministic(self, layerwise_csv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

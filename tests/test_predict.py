@@ -42,9 +42,9 @@ from joulecast.regress import (
     LinearModel,
     ModelSpec,
     evaluate,
-    fit_lasso,
     fit_ols,
     grid_search_lambda,
+    lasso_path,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -264,7 +264,7 @@ class TestLassoPipeline:
             train, val, _ = split(records, split_spec)
             features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
             search = grid_search_lambda(design, features.design(val), spec, DEFAULT_LAMBDA_GRID)
-            refit = fit_lasso(design.X, design.y, search.lam, spec.tol, spec.max_iter)
+            refit = lasso_path(design.X, design.y, [search.lam], spec.tol, spec.max_iter)[0].model
         assert trained.spec.lam == search.lam
         assert trained.model == search.chosen.model
         np.testing.assert_allclose(trained.model.coefficients, refit.coefficients, rtol=0, atol=1e-12)

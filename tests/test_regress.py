@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from joulecast import regress
 from joulecast.arch import LayerKind
 from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config, split
 from joulecast.errors import (
@@ -16,7 +17,9 @@ from joulecast.errors import (
 )
 from joulecast.features import FeatureMap, FeatureSetKind
 from joulecast.macs import standalone_macs
+from joulecast.predict import DEFAULT_LAMBDA_GRID, EXPERIMENT_TABLE
 from joulecast.regress import (
+    KKT_BOUND,
     EvalMetrics,
     LassoProblem,
     LinearModel,
@@ -27,7 +30,9 @@ from joulecast.regress import (
     fit_ols,
     grid_search_lambda,
     group_kfold_indices,
+    lasso_kkt,
     lasso_objective,
+    lasso_path,
     soft_threshold,
     solve_lasso,
 )
@@ -347,3 +352,140 @@ class TestGridSearch:
         model = fit_lasso(X, y, 0.1)
         support = {j for j, b in enumerate(model.coefficients) if abs(b) > 1e-6}
         assert support == {1, 6}
+
+
+def _lambda_max(X, y):
+    Xc, yc = X - X.mean(axis=0), y - y.mean()
+    return max(abs(float(Xc[:, j] @ yc)) for j in range(X.shape[1])) / len(y)
+
+
+def _collinear_wide_problem():
+    """p > n, with an exact duplicate column and a near-collinear pair."""
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((25, 40))
+    X[:, 5] = X[:, 3]
+    X[:, 7] = X[:, 8] + 1e-6 * rng.standard_normal(25)
+    y = X[:, :6] @ np.array([1.0, -2.0, 0.5, 1.5, 0.0, -1.0]) + 0.1 * rng.standard_normal(25)
+    return X, y
+
+
+class TestLassoPath:
+    def test_matches_converged_cd_when_n_exceeds_p(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((80, 6))
+        y = X @ np.array([1.0, -2.0, 0.0, 0.0, 0.5, 3.0]) + 0.3 * rng.standard_normal(80)
+        lam_max = _lambda_max(X, y)
+        # a log grid plus random penalties, which fall between breakpoints
+        lams = [*(lam_max * np.logspace(-5, -0.01, 12)), *(lam_max * rng.uniform(0, 1, 8))]
+        fits = lasso_path(X, y, lams)
+        refs = solve_lasso([LassoProblem(X, y, lam, tol=1e-14, max_iter=100_000) for lam in lams])
+        assert all(ref.converged for ref in refs)
+        for fit, ref in zip(fits, refs):
+            np.testing.assert_allclose(fit.model.coefficients, ref.model.coefficients, rtol=0, atol=1e-9)
+            assert fit.model.intercept == pytest.approx(ref.model.intercept, abs=1e-9)
+            assert fit.sweeps == 0 and fit.converged and fit.kkt <= KKT_BOUND
+
+    def test_collinear_wide_design_completes_without_cycling(self):
+        """CD converges slowly here (it stops at its cap below lambda = 0.1),
+        so the path's KKT residual certifies its optimum and CD's objective,
+        converged or not, bounds it from above."""
+        X, y = _collinear_wide_problem()
+        lams = [1e-4, 1e-3, 1e-2, 1e-1, 0.5]
+        fits = lasso_path(X, y, lams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            refs = solve_lasso([LassoProblem(X, y, lam, tol=1e-12, max_iter=3000) for lam in lams])
+        assert refs[-1].converged
+        for fit, ref in zip(fits, refs):
+            assert fit.sweeps == 0  # reached by the path within its step cap, no fallback
+            assert fit.kkt <= 1e-9
+            assert lasso_objective(X, y, fit.model) <= lasso_objective(X, y, ref.model) + 1e-12
+        # the duplicated pair cannot both be active
+        for fit in fits:
+            assert fit.model.coefficients[3] == 0.0 or fit.model.coefficients[5] == 0.0
+
+    def test_lambda_at_or_above_lambda_max_gives_exact_zeros(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((50, 4))
+        y = X @ np.array([0.5, 0.0, -1.0, 2.0]) + rng.standard_normal(50)
+        lam_max = _lambda_max(X, y)
+        for fit in lasso_path(X, y, [lam_max, 2 * lam_max, 1e6]):
+            assert fit.model.coefficients == (0.0,) * 4
+            assert fit.model.intercept == pytest.approx(y.mean())
+            assert fit.kkt == 0.0 and fit.converged
+
+    def test_zero_penalty_is_the_minimum_norm_ols(self):
+        X, y = _collinear_wide_problem()
+        with pytest.warns(SingularityWarning):
+            ols = fit_ols(X, y)
+        with pytest.warns(SingularityWarning):
+            (fit,) = lasso_path(X, y, [0.0])
+        assert fit.model.coefficients == ols.coefficients
+        assert fit.model.intercept == ols.intercept
+        assert fit.model.kind == "lasso" and fit.model.lam == 0.0 and fit.sweeps == 0
+
+    def test_fits_follow_the_requested_order(self):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((40, 5))
+        y = X @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
+        lams = [0.1, 0.0, 0.01, 0.1, 1e-3]
+        fits = lasso_path(X, y, lams)
+        assert [fit.model.lam for fit in fits] == lams
+        assert fits[0] == fits[3]
+        # one path read at one penalty gives the same fit as read at many
+        for lam, fit in zip(lams, fits):
+            assert lasso_path(X, y, [lam])[0] == fit
+
+    def test_unreached_penalty_falls_back_to_cd(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        X = rng.standard_normal((30, 5))
+        y = X @ rng.standard_normal(5) + 0.2 * rng.standard_normal(30)
+        monkeypatch.setattr(regress, "_PATH_STEPS_PER_RANK", 0)
+        lams = [0.01, 0.1]
+        fits = lasso_path(X, y, lams, tol=1e-10, max_iter=5000)
+        refs = solve_lasso([LassoProblem(X, y, lam, 1e-10, 5000) for lam in lams])
+        for fit, ref in zip(fits, refs):
+            assert fit.model == ref.model
+            assert fit.sweeps == ref.sweeps > 0
+            assert fit.kkt == ref.kkt == lasso_kkt(X, y, ref.model)
+
+    def test_unconverged_fit_warns_once_and_is_flagged(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        X = rng.standard_normal((30, 5))
+        X[:, 1] += 0.9 * X[:, 0]
+        y = X @ rng.standard_normal(5) + 0.2 * rng.standard_normal(30)
+        monkeypatch.setattr(regress, "_PATH_STEPS_PER_RANK", 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = lasso_path(X, y, [0.001, 0.01], max_iter=1)
+        assert all(fit.kkt > KKT_BOUND and not fit.converged for fit in fits)
+        messages = [str(c.message) for c in caught if c.category is NotConvergedWarning]
+        assert len(messages) == 2
+        assert all("KKT residual" in message for message in messages)
+
+    def test_grid_and_folds_no_worse_than_capped_cd(self, bundle_dataset):
+        """The MaxPool2d degree-4 parameter design (56 columns): at every grid
+        penalty, on the train split and on every CV fold, the path's
+        objective is at most that of ``solve_lasso`` at the experiment's cap."""
+        records = [r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D]
+        spec = EXPERIMENT_TABLE[LayerKind.MAXPOOL2D][0]
+        train, _, _ = split(records, SplitSpec(seed=3))
+        parts = [train]
+        for held in group_kfold_indices([config_key(r.config) for r in train], 10, seed=3):
+            held = set(held)
+            parts.append([r for i, r in enumerate(train) if i not in held])
+        designs = [FeatureMap.fit(part, spec.feature_set, spec.poly, spec.feature_scaler)[1] for part in parts]
+        assert designs[0].X.shape[1] <= 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            warnings.simplefilter("ignore", SingularityWarning)
+            paths = [lasso_path(d.X, d.y, DEFAULT_LAMBDA_GRID, spec.tol, spec.max_iter) for d in designs]
+            capped = solve_lasso([
+                LassoProblem(d.X, d.y, lam, spec.tol, spec.max_iter)
+                for d in designs for lam in DEFAULT_LAMBDA_GRID
+            ])
+        capped_fits = iter(capped)
+        for d, fits in zip(designs, paths):
+            for fit in fits:
+                ref = next(capped_fits)
+                assert lasso_objective(d.X, d.y, fit.model) <= lasso_objective(d.X, d.y, ref.model)
