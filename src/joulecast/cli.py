@@ -258,7 +258,7 @@ def cmd_feature_experiment(args) -> int:
         writer.writerow(
             ("module", "feature_set", "polynomial", "standard_scaler", "model", "lambda",
              "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test",
-             "lasso_kkt", "lasso_sweeps", "lasso_unconverged")
+             "lasso_kkt", "lasso_unconverged")
         )
         for row in rows:
             writer.writerow(
@@ -276,7 +276,6 @@ def cmd_feature_experiment(args) -> int:
                     repr(row.test.r2),
                     repr(row.test.mse),
                     repr(row.lasso_kkt),
-                    row.lasso_sweeps,
                     row.lasso_unconverged,
                 )
             )

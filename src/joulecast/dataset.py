@@ -7,6 +7,7 @@ Energies are joules per single forward pass.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -176,6 +177,15 @@ def config_key(config: LayerConfig) -> tuple:
     return (config.kind.value, *_standalone_values(config))
 
 
+def shuffled_group_keys(keys, seed: int) -> list[tuple]:
+    """Configuration-group keys (``config_key``) in the seeded order that
+    splits and CV folds deal them out in: sorted with a missing field as -1
+    and the kind last, then permuted by ``default_rng(seed)``."""
+    ordered = sorted(keys, key=lambda k: tuple(-1 if v is None else v for v in k[1:]) + (k[0],))
+    gen = np.random.default_rng(seed)
+    return [ordered[i] for i in gen.permutation(len(ordered))]
+
+
 def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
     exact = [n * f for f in fractions]
     sizes = [int(x) for x in exact]
@@ -201,9 +211,7 @@ def split(
     groups: dict[tuple, list[MeasurementRecord]] = {}
     for record in records:
         groups.setdefault(config_key(record.config), []).append(record)
-    keys = sorted(groups, key=lambda k: tuple(-1 if v is None else v for v in k[1:]) + (k[0],))
-    gen = np.random.default_rng(spec.seed)
-    keys = [keys[i] for i in gen.permutation(len(keys))]
+    keys = shuffled_group_keys(groups, spec.seed)
     n_train, n_val, _ = _largest_remainder_sizes(
         len(keys), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
     )
@@ -291,8 +299,15 @@ def appending_layerwise_csv(path):
     return _csv_writer(path, LAYERWISE_HEADER, _layerwise_rows, append=True)
 
 
+def _energy_reading(raw: str) -> float | None:
+    """A CSV energy reading, or None if it is missing, non-finite or negative."""
+    energy = float(raw) if raw else math.nan
+    return energy if math.isfinite(energy) and energy >= 0 else None
+
+
 def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
-    """Read layer-wise rows; rows with missing or negative energy are dropped with a warning."""
+    """Read layer-wise rows; rows with a missing, non-finite or negative
+    energy are dropped with a warning."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -302,18 +317,20 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
         if missing:
             raise SchemaError(f"{path}: missing columns {sorted(missing)}")
         for line, row in enumerate(reader, start=2):
+            raw_energy = (row["cpu_energy_j"] or "").strip()
             try:
                 kind = LayerKind(row["module"])
-                raw_energy = (row["cpu_energy_j"] or "").strip()
-                energy = float(raw_energy) if raw_energy else None
+                energy = _energy_reading(raw_energy)
                 config = _config_from_row(kind, row)
                 config.require_standalone()
                 macs = int(row["macs"])
                 repeat = int(row["repeat"] or 1)
                 source = row["source"] or SOURCE_RANDOM
+                if energy is not None:
+                    record = MeasurementRecord(kind, config, macs, energy, repeat, source)
             except (ValueError, ValidationError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
-            if energy is None or energy < 0:
+            if energy is None:
                 warnings.warn(
                     f"{path}: row {line}: dropped erroneous energy reading {raw_energy!r}",
                     UserWarning,
@@ -328,11 +345,7 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
                         ConsistencyWarning,
                         stacklevel=2,
                     )
-            records.append(
-                MeasurementRecord(
-                    module=kind, config=config, macs=macs, cpu_energy_j=energy, repeat=repeat, source=source
-                )
-            )
+            records.append(record)
     return records
 
 
@@ -372,10 +385,15 @@ def appending_modelwise_csv(path):
 
 
 def load_modelwise_csv(path) -> list[ModelWiseRecord]:
-    """Read model-wise rows grouped as one total row followed by its layer rows."""
+    """Read model-wise rows grouped as one total row followed by its layer rows.
+
+    A layer row with a missing, non-finite or negative energy is dropped with
+    a warning; such a total row is dropped together with its layer rows.
+    """
     records: list[ModelWiseRecord] = []
     current: ModelWiseRecord | None = None
     layers: list[ModelWiseLayer] = []
+    dropped_total = False
 
     def flush():
         nonlocal current
@@ -394,12 +412,13 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
         for line, row in enumerate(reader, start=2):
             try:
                 raw_energy = (row["cpu_energy_j"] or "").strip()
-                energy = float(raw_energy) if raw_energy else None
+                energy = _energy_reading(raw_energy)
                 if row["row_type"] == "total":
                     flush()
-                    if energy is None or energy < 0:
+                    dropped_total = energy is None
+                    if dropped_total:
                         warnings.warn(
-                            f"{path}: row {line}: dropped erroneous total {raw_energy!r}",
+                            f"{path}: row {line}: dropped erroneous total {raw_energy!r} and its layer rows",
                             UserWarning,
                             stacklevel=2,
                         )
@@ -411,9 +430,11 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                         total_macs=int(row["macs"] or 0),
                     )
                 elif row["row_type"] == "layer":
+                    if dropped_total:
+                        continue
                     if current is None:
                         raise ParseError(f"{path}: row {line}: layer row before any total row")
-                    if energy is None or energy < 0:
+                    if energy is None:
                         warnings.warn(
                             f"{path}: row {line}: dropped erroneous layer energy {raw_energy!r}",
                             UserWarning,

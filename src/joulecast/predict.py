@@ -440,24 +440,21 @@ class ExperimentRow:
     cv: CvReport
     test: EvalMetrics
     lasso_kkt: float  # largest relative KKT residual of the row's Lasso fits (0 for OLS)
-    lasso_sweeps: int  # most CD sweeps of the row's Lasso fits (0 unless a fit fell back to CD)
     lasso_unconverged: int  # the row's Lasso fits above the KKT bound
 
 
 #: the feature-set comparison grid per layer kind (pipeline per table row)
-_LASSO_SWEEPS = 500  # CD budget for a penalty the Lasso path does not reach
-
 EXPERIMENT_TABLE: dict[LayerKind, tuple[ModelSpec, ...]] = {
     LayerKind.CONV2D: (
-        ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(4, True), "none", "lasso", max_iter=_LASSO_SWEEPS),
-        ModelSpec(FeatureSetKind.LOG_PARAMETER, PolynomialSpec(3, True), "none", "lasso", max_iter=_LASSO_SWEEPS),
+        ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(4, True), "none", "lasso"),
+        ModelSpec(FeatureSetKind.LOG_PARAMETER, PolynomialSpec(3, True), "none", "lasso"),
         ModelSpec(FeatureSetKind.MAC_ONLY),
         ModelSpec(FeatureSetKind.PARAMETER_MAC, None, "zscore"),
         ModelSpec(FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore"),
     ),
     LayerKind.MAXPOOL2D: (
-        ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(4, True), "none", "lasso", max_iter=_LASSO_SWEEPS),
-        ModelSpec(FeatureSetKind.LOG_PARAMETER, PolynomialSpec(3, True), "none", "lasso", max_iter=_LASSO_SWEEPS),
+        ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(4, True), "none", "lasso"),
+        ModelSpec(FeatureSetKind.LOG_PARAMETER, PolynomialSpec(3, True), "none", "lasso"),
         ModelSpec(FeatureSetKind.MAC_ONLY),
         ModelSpec(FeatureSetKind.PARAMETER_MAC, PolynomialSpec(2, True), "zscore"),
         ModelSpec(FeatureSetKind.LOG_PARAMETER_MAC, PolynomialSpec(2, True), "zscore"),
@@ -499,7 +496,6 @@ def run_feature_set_experiment(
                 cv=trained.cv,
                 test=trained.test_metrics,
                 lasso_kkt=max((fit.kkt for fit in trained.lasso_fits), default=0.0),
-                lasso_sweeps=max((fit.sweeps for fit in trained.lasso_fits), default=0),
                 lasso_unconverged=sum(not fit.converged for fit in trained.lasso_fits),
             )
         )

@@ -1,5 +1,4 @@
-"""Linear regression stack: OLS, an exact Lasso path, batched Lasso coordinate
-descent, metrics, k-fold CV.
+"""Linear regression stack: OLS, an exact Lasso path, metrics, k-fold CV.
 
 OLS is solved through an orthogonal decomposition (SVD via lstsq), which
 returns the minimum-norm solution on rank-deficient designs. The Lasso
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MeasurementRecord, config_key
+from .dataset import MeasurementRecord, config_key, shuffled_group_keys
 from .errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -119,158 +118,22 @@ def soft_threshold(z: float, threshold: float) -> float:
 
 
 @dataclass(frozen=True)
-class LassoProblem:
-    """One Lasso fit for ``solve_lasso``: data, penalty and stopping rule."""
-
-    X: np.ndarray
-    y: np.ndarray
-    lam: float
-    tol: float = 1e-8
-    max_iter: int = 10_000
-
-
-@dataclass(frozen=True)
 class LassoFit:
     """A Lasso fit with its solver report.
 
-    ``sweeps`` counts coordinate-descent sweeps (0 for a path or OLS fit).
-    ``kkt`` is the optimality residual of ``lasso_kkt``. ``converged`` means
-    the fit met its tol within its sweep cap for ``solve_lasso``, and
-    ``kkt <= KKT_BOUND`` for ``lasso_path``.
+    ``kkt`` is the optimality residual of ``lasso_kkt``; ``converged`` means
+    ``kkt <= KKT_BOUND``.
     """
 
     model: LinearModel
-    sweeps: int
     converged: bool
     kkt: float
 
 
-def solve_lasso(problems: Sequence[LassoProblem]) -> list[LassoFit]:
-    """Cyclic coordinate descent with soft-thresholding, run on a batch of
-    independent problems in lockstep.
-
-    Every problem is centered on its own data and keeps its own n, lambda,
-    tol and sweep cap; all must have the same number of columns. A problem
-    is frozen after the first sweep whose largest coefficient change is below
-    its tol, so it stops at the sweep it would stop at if solved alone, and
-    each problem that reaches its cap warns. Shorter problems are zero-padded
-    to the longest; their padded residual rows stay at zero, but the padding
-    can change how their dot products round in the last bit.
-
-    A problem with lambda >= lambda_max = max_j |Xc_j . yc| / n (per-column
-    dot products, as a lone sweep computes them) is answered with all zeros
-    at set-up: the batched dot products round differently, and could
-    otherwise leave a coefficient a rounding error above the threshold.
-    """
-    data = [_check_finite(problem.X, problem.y) for problem in problems]
-    if not data:
-        return []
-    count = len(data)
-    width = data[0][0].shape[1]
-    n_rows = np.array([len(y) for _, y in data])
-    columns = np.zeros((width, count, n_rows.max()))  # columns[j, b]: problem b's centred column j
-    col_norm = np.ones((width, count))
-    residual = np.zeros((count, n_rows.max()))
-    beta = np.zeros((width, count))
-    means = []
-    sweeps = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    running = []
-    for b, (problem, (X, y)) in enumerate(zip(problems, data)):
-        if X.shape[1] != width:
-            raise ColumnMismatchError(f"lasso batch mixes {width} and {X.shape[1]} columns")
-        if problem.lam < 0:
-            raise ValidationError(f"lambda={problem.lam} must be non-negative")
-        n = len(y)
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean()
-        Xc = X - x_mean
-        yc = y - y_mean
-        means.append((x_mean, y_mean))
-        norm = (Xc**2).sum(axis=0) / n
-        # a sweep skips a zero-norm column; stored as zeros with unit norm,
-        # its coefficient stays at zero by arithmetic
-        live = np.flatnonzero(norm != 0.0)
-        columns[live, b, :n] = Xc.T[live]
-        col_norm[live, b] = norm[live]
-        residual[b, :n] = yc
-        lam_max = max((abs(float(Xc[:, j] @ yc)) for j in live), default=0.0) / n
-        if problem.max_iter < 1:
-            continue
-        if problem.lam >= lam_max:
-            # every |rho_j| <= lambda, so no sweep moves a coefficient and
-            # tol alone decides whether the first sweep converges
-            converged[b] = problem.tol > 0
-            sweeps[b] = 1 if converged[b] else problem.max_iter
-        else:
-            running.append(b)
-
-    lam = np.array([float(problem.lam) for problem in problems])
-    tol = np.array([float(problem.tol) for problem in problems])
-    cap = np.array([problem.max_iter for problem in problems])
-    active = np.array(running, dtype=int)
-    sweep = 0
-    while active.size:
-        # compact copies of the problems still running
-        cols, norm, coef, res = columns[:, active], col_norm[:, active], beta[:, active], residual[active]
-        n, hi = n_rows[active], lam[active]
-        lo = -hi
-        clipped = np.empty(active.size)
-        done = np.zeros(active.size, dtype=bool)
-        while not done.any():
-            sweep += 1
-            start = coef.copy()
-            for x, norm_j, old in zip(cols, norm, coef):
-                rho = np.vecdot(x, res)
-                rho /= n
-                rho += norm_j * old
-                np.minimum(np.maximum(rho, lo, out=clipped), hi, out=clipped)
-                new = rho - clipped  # soft-threshold
-                new /= norm_j
-                res += x * (old - new)[:, None]
-                old[...] = new
-            # each coefficient moves once per sweep, so this is its largest step
-            max_delta = np.abs(coef - start).max(axis=0)
-            done = (max_delta < tol[active]) | (sweep >= cap[active])
-        beta[:, active] = coef
-        residual[active] = res
-        finished = active[done]
-        sweeps[finished] = sweep
-        converged[finished] = max_delta[done] < tol[finished]
-        active = active[~done]
-
-    fits = []
-    for b, problem in enumerate(problems):
-        if not converged[b]:
-            warnings.warn(
-                f"lasso (n={n_rows[b]}, lambda={problem.lam:g}) stopped after "
-                f"{problem.max_iter} sweeps without reaching tol={problem.tol}",
-                NotConvergedWarning,
-                stacklevel=2,
-            )
-        x_mean, y_mean = means[b]
-        intercept = float(y_mean - x_mean @ beta[:, b])
-        model = LinearModel(
-            tuple(float(v) for v in beta[:, b]), intercept, kind="lasso", lam=float(problem.lam)
-        )
-        fits.append(LassoFit(model, int(sweeps[b]), bool(converged[b]), lasso_kkt(*data[b], model)))
-    return fits
-
-
-def fit_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> LinearModel:
-    """One Lasso fit: ``solve_lasso`` on a batch of one."""
-    return solve_lasso([LassoProblem(X, y, lam, tol, max_iter)])[0].model
-
-
 #: largest relative KKT residual (``lasso_kkt``) that a ``lasso_path`` fit counts as converged
 KKT_BOUND = 1e-6
-#: path steps allowed per min(n, p) before the penalties not yet reached fall back to CD
+#: path steps allowed per min(n, p); a penalty not reached by then gets the
+#: solution at the last penalty reached, which its KKT residual flags
 _PATH_STEPS_PER_RANK = 8
 #: a candidate whose z-scored column keeps less than this share of its (unit)
 #: variance outside the active columns' span is in that span and cannot enter
@@ -304,8 +167,11 @@ def _path_coefficients(
     Xc: np.ndarray, yc: np.ndarray, lams: Sequence[float], max_steps: int
 ) -> dict[float, np.ndarray]:
     """LARS-Lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004) on
-    centred data, read off at every positive penalty in ``lams`` that it
-    reaches within ``max_steps`` breakpoints.
+    centred data, read off at every positive penalty in ``lams``.
+
+    A penalty the path does not reach (it stops after ``max_steps``
+    breakpoints, on a non-finite step, or with a full active set) gets the
+    exact solution at the last penalty it did reach.
 
     In z-scored coordinates b_j = s_j beta_j (s_j the column's standard
     deviation) column j's penalty is weighted by w_j = 1/s_j. At a penalty
@@ -325,7 +191,9 @@ def _path_coefficients(
     would cycle.
     """
     n, p = Xc.shape
-    dots = np.array([float(Xc[:, j] @ yc) for j in range(p)])  # per column, as ``solve_lasso``
+    # one dot product per column: lambda_max computed column by column must
+    # give all zeros, and a matrix-vector product can round it differently
+    dots = np.array([float(Xc[:, j] @ yc) for j in range(p)])
     scale = np.sqrt((Xc**2).sum(axis=0) / n)
     live = scale > 0.0
     scale[~live] = 1.0
@@ -355,6 +223,7 @@ def _path_coefficients(
     closed[first] = True
     in_span = np.zeros(p, dtype=bool)  # found in the span since the last exit
     left, left_side = -1, 0  # the last column to leave may not re-enter on the same side at once
+    reached = np.zeros(p)  # the solution at lam, the last penalty reached
     for _ in range(max_steps):
         m = len(active)
         A = np.array(active)
@@ -403,7 +272,10 @@ def _path_coefficients(
             found[targets.pop(0)] = coef
         if not targets:
             break
+        reached = np.zeros(p)
+        reached[A] = (b + step * d) / scale[A]
         if exit_at[k] <= entry:
+            reached[A[k]] = 0.0
             left, left_side = active.pop(k), int(sign.pop(k) < 0)
             _cholesky_delete(L, M, m, k)
             rows[k:m - 1] = rows[k + 1:m]
@@ -422,24 +294,21 @@ def _path_coefficients(
             closed[j] = True
             left = -1
         lam -= step
+    for target in targets:
+        found[target] = reached
     return found
 
 
-def lasso_path(
-    X: np.ndarray,
-    y: np.ndarray,
-    lams: Sequence[float],
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> list[LassoFit]:
+def lasso_path(X: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> list[LassoFit]:
     """Exact Lasso fits at every penalty in ``lams``, in their order, from one
     LARS-Lasso path on the centred data.
 
     A penalty of 0 is fitted by ``fit_ols`` (the minimum-norm solution: with
     more columns than rows the Lasso at 0 is not unique). A penalty the path
-    does not reach within a few times min(n, p) breakpoints falls back to
-    ``solve_lasso`` with ``tol`` and ``max_iter``. Each fit carries its
-    ``lasso_kkt`` residual, and each fit above ``KKT_BOUND`` warns once.
+    does not reach within a few times min(n, p) breakpoints gets the solution
+    at the last penalty it reached, reported at the requested one. Each fit
+    carries its ``lasso_kkt`` residual, and each fit above ``KKT_BOUND``
+    warns once.
     """
     X, y = _check_finite(X, y)
     lams = [float(lam) for lam in lams]
@@ -449,21 +318,15 @@ def lasso_path(
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     found = _path_coefficients(X - x_mean, y - y_mean, lams, _PATH_STEPS_PER_RANK * min(n, p))
-    models = {  # penalty -> (model, CD sweeps)
-        lam: (LinearModel(tuple(map(float, coef)), float(y_mean - x_mean @ coef), "lasso", lam), 0)
+    models = {
+        lam: LinearModel(tuple(map(float, coef)), float(y_mean - x_mean @ coef), "lasso", lam)
         for lam, coef in found.items()
     }
-    missed = sorted({lam for lam in lams if lam > 0.0 and lam not in found})
-    if missed:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotConvergedWarning)  # judged by KKT below
-            fallback = solve_lasso([LassoProblem(X, y, lam, tol, max_iter) for lam in missed])
-        models.update((lam, (fit.model, fit.sweeps)) for lam, fit in zip(missed, fallback))
     if 0.0 in lams:
         ols = fit_ols(X, y)
-        models[0.0] = (LinearModel(ols.coefficients, ols.intercept, "lasso", 0.0), 0)
+        models[0.0] = LinearModel(ols.coefficients, ols.intercept, "lasso", 0.0)
     fits = {}
-    for lam, (model, sweeps) in models.items():
+    for lam, model in models.items():
         kkt = lasso_kkt(X, y, model)
         if kkt > KKT_BOUND:
             warnings.warn(
@@ -471,8 +334,13 @@ def lasso_path(
                 NotConvergedWarning,
                 stacklevel=2,
             )
-        fits[lam] = LassoFit(model, sweeps, kkt <= KKT_BOUND, kkt)
+        fits[lam] = LassoFit(model, kkt <= KKT_BOUND, kkt)
     return [fits[lam] for lam in lams]
+
+
+def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
+    """One Lasso fit: ``lasso_path`` at one penalty."""
+    return lasso_path(X, y, [lam])[0].model
 
 
 def lasso_objective(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
@@ -535,8 +403,6 @@ class ModelSpec:
     feature_scaler: str = "none"
     model: str = "ols"  # "ols" | "lasso"
     lam: float = 0.0
-    tol: float = 1e-8
-    max_iter: int = 10_000
 
     def __post_init__(self):
         if self.model not in ("ols", "lasso"):
@@ -548,11 +414,9 @@ def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[i
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    unique = sorted(groups, key=lambda key: tuple(-1 if v is None else v for v in key[1:]) + (key[0],))
-    if len(unique) < k:
-        raise TooFewRecordsError(f"{len(unique)} configuration groups cannot fill {k} folds")
-    gen = np.random.default_rng(seed)
-    order = [unique[i] for i in gen.permutation(len(unique))]
+    if len(groups) < k:
+        raise TooFewRecordsError(f"{len(groups)} configuration groups cannot fill {k} folds")
+    order = shuffled_group_keys(groups, seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for pos, key in enumerate(order):
         folds[pos % k].extend(groups[key])
@@ -567,7 +431,8 @@ def cross_validate(
 ) -> CvReport:
     """Configuration-grouped k-fold CV; scalers are refit on each fold's training part.
 
-    A Lasso spec fits each fold with ``lasso_path``. MSE is
+    A Lasso spec fits each fold with ``lasso_path`` at ``spec.lam`` and
+    keeps the fold fits, with their KKT reports, in ``lasso_fits``. MSE is
     reported as a positive quantity (some frameworks negate it for
     score-maximization APIs).
     """
@@ -583,7 +448,7 @@ def cross_validate(
         designs.append((design, features.design(test)))
     fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
-        fits = tuple(lasso_path(d.X, d.y, [spec.lam], spec.tol, spec.max_iter)[0] for d, _ in designs)
+        fits = tuple(lasso_path(d.X, d.y, [spec.lam])[0] for d, _ in designs)
         models = [fit.model for fit in fits]
     else:
         models = [fit_ols(d.X, d.y) for d, _ in designs]
@@ -624,7 +489,7 @@ def grid_search_lambda(
     if not grid:
         raise ValidationError("lambda grid is empty")
     lams = sorted(float(g) for g in grid)
-    fits = tuple(lasso_path(train.X, train.y, lams, spec.tol, spec.max_iter))
+    fits = tuple(lasso_path(train.X, train.y, lams))
     best = 0
     if len(fits) > 1:
         best_r2 = None

@@ -271,8 +271,8 @@ class TestExperiments:
             "parameter", "(log+)parameter", "MACs", "parameter-MAC", "(log+)parameter-MAC",
         }
         assert all(r["module"] == "Linear" for r in rows)
-        assert list(rows[0])[-2:] == ["lasso_sweeps", "lasso_unconverged"]
-        assert all(r["lasso_sweeps"] == r["lasso_unconverged"] == "0" for r in rows)  # OLS rows
+        assert list(rows[0])[-2:] == ["lasso_kkt", "lasso_unconverged"]
+        assert all(r["lasso_kkt"] == "0.0" and r["lasso_unconverged"] == "0" for r in rows)  # OLS rows
 
     def test_feature_experiment_reports_lasso_kkt(self, layerwise_csv, tmp_path):
         out = tmp_path / "table.csv"
@@ -280,10 +280,9 @@ class TestExperiments:
                       "--layerwise", str(layerwise_csv), "--kind", "maxpool2d", "--out", str(out))
         assert code == 0
         rows = list(csv.DictReader(out.open()))
-        assert list(rows[0])[-3:] == ["lasso_kkt", "lasso_sweeps", "lasso_unconverged"]
+        assert list(rows[0])[-2:] == ["lasso_kkt", "lasso_unconverged"]
         lasso = [r for r in rows if r["model"] == "Lasso"]
         assert len(lasso) == 2
-        assert all(r["lasso_sweeps"] == "0" for r in lasso)  # the path reached every penalty
         assert all(float(r["lasso_kkt"]) >= 0.0 for r in lasso)
         assert all(r["lasso_kkt"] == "0.0" for r in rows if r["model"] == "Linear")
 

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from joulecast.dataset import (
 from joulecast.errors import (
     ConsistencyWarning,
     KindMismatchError,
+    ParseError,
     SchemaError,
     TooFewRecordsError,
     ValidationError,
@@ -182,6 +186,17 @@ class TestMerge:
             merge_real_configs([make_record(kind=LayerKind.CONV2D)], [make_record(kind=LayerKind.LINEAR)])
 
 
+def set_cells(path, name, values):
+    """Overwrite one column's text in data rows (0-based index -> text) of a CSV file."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index(name)
+    for index, text in values.items():
+        rows[index + 1][column] = text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 class TestLayerwiseCsv:
     def test_round_trip_field_identical(self, tmp_path):
         records = [make_record(seed=i, kind=kind, energy=0.001 * (i + 1), repeat=i % 3 + 1)
@@ -205,6 +220,22 @@ class TestLayerwiseCsv:
         path.write_text(text)
         with pytest.warns(UserWarning, match="dropped"):
             assert load_layerwise_csv(path) == []
+
+    @pytest.mark.parametrize("reading", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_dropped_with_warning(self, tmp_path, reading):
+        path = tmp_path / "bad.csv"
+        write_layerwise_csv(path, [make_record(seed=0, energy=0.5), make_record(seed=1, energy=0.25)])
+        set_cells(path, "cpu_energy_j", {0: reading})
+        with pytest.warns(UserWarning, match=f"row 2: dropped erroneous energy reading '{reading}'"):
+            loaded = load_layerwise_csv(path)
+        assert [r.cpu_energy_j for r in loaded] == [0.25]
+
+    def test_unknown_source_is_a_parse_error_with_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_layerwise_csv(path, [make_record(seed=0), make_record(seed=1)])
+        set_cells(path, "source", {1: "bogus"})
+        with pytest.raises(ParseError, match=r"bad\.csv: row 3: unknown source 'bogus'"):
+            load_layerwise_csv(path)
 
     def test_missing_column_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -259,6 +290,28 @@ class TestModelwiseCsv:
         path = tmp_path / "model.csv"
         write_modelwise_csv(path, [record])
         assert load_modelwise_csv(path) == [record]
+
+    @pytest.mark.parametrize("reading", ["nan", "inf"])
+    def test_non_finite_layer_energy_dropped_with_warning(self, tmp_path, reading):
+        record = self._record()
+        path = tmp_path / "model.csv"
+        write_modelwise_csv(path, [record])
+        set_cells(path, "cpu_energy_j", {1: reading})  # row 0 is the total, row 1 the Conv2d layer
+        with pytest.warns(UserWarning, match=f"row 3: dropped erroneous layer energy '{reading}'"):
+            (loaded,) = load_modelwise_csv(path)
+        assert loaded.layers == record.layers[1:]
+        assert loaded.total_energy_j == record.total_energy_j
+
+    @pytest.mark.parametrize("reading", ["nan", "inf"])
+    def test_non_finite_total_drops_its_record(self, tmp_path, reading):
+        record = self._record()
+        path = tmp_path / "model.csv"
+        write_modelwise_csv(path, [record, replace(record, architecture="other")])
+        set_cells(path, "cpu_energy_j", {0: reading})
+        with pytest.warns(UserWarning, match=f"row 2: dropped erroneous total '{reading}'"):
+            loaded = load_modelwise_csv(path)
+        assert [r.architecture for r in loaded] == ["other"]
+        assert loaded[0].layers == record.layers
 
     def test_layer_sum_property(self):
         record = self._record()

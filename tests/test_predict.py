@@ -255,8 +255,7 @@ class TestFeatureSetExperiment:
 class TestLassoPipeline:
     def test_final_model_is_the_grid_fit(self):
         records = synth_records(LayerKind.LINEAR, 60, seed=6)
-        spec = ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(2, True), model="lasso",
-                         max_iter=300)
+        spec = ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(2, True), model="lasso")
         split_spec = SplitSpec(seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
@@ -264,7 +263,7 @@ class TestLassoPipeline:
             train, val, _ = split(records, split_spec)
             features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
             search = grid_search_lambda(design, features.design(val), spec, DEFAULT_LAMBDA_GRID)
-            refit = lasso_path(design.X, design.y, [search.lam], spec.tol, spec.max_iter)[0].model
+            refit = lasso_path(design.X, design.y, [search.lam])[0].model
         assert trained.spec.lam == search.lam
         assert trained.model == search.chosen.model
         np.testing.assert_allclose(trained.model.coefficients, refit.coefficients, rtol=0, atol=1e-12)

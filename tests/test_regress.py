@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from joulecast.predict import DEFAULT_LAMBDA_GRID, EXPERIMENT_TABLE
 from joulecast.regress import (
     KKT_BOUND,
     EvalMetrics,
-    LassoProblem,
     LinearModel,
     ModelSpec,
     cross_validate,
@@ -34,7 +34,6 @@ from joulecast.regress import (
     lasso_objective,
     lasso_path,
     soft_threshold,
-    solve_lasso,
 )
 
 
@@ -130,26 +129,6 @@ class TestLasso:
         model = fit_lasso(x[:, None], y, lam)
         assert model.coefficients[0] == pytest.approx(expected, rel=1e-10)
 
-    def test_objective_non_increasing_over_sweeps(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((40, 6))
-        y = X @ rng.standard_normal(6) + 0.2 * rng.standard_normal(40)
-        lam = 0.05
-        objectives = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotConvergedWarning)
-            for sweeps in range(1, 12):
-                model = fit_lasso(X, y, lam, tol=0.0, max_iter=sweeps)
-                objectives.append(lasso_objective(X, y, model))
-        assert all(a >= b - 1e-12 for a, b in zip(objectives, objectives[1:]))
-
-    def test_not_converged_warns(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((30, 5))
-        y = rng.standard_normal(30)
-        with pytest.warns(NotConvergedWarning):
-            fit_lasso(X, y, 0.0, tol=0.0, max_iter=2)
-
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
     def test_univariate_magnitude_non_increasing_in_lambda(self, lam_a, lam_b):
@@ -190,7 +169,129 @@ def lasso_reference(X, y, lam, tol, max_iter):
     return beta, y_mean - x_mean @ beta, max_iter, False
 
 
+@dataclass(frozen=True)
+class CdProblem:
+    """One Lasso fit for ``lockstep_cd``: data, penalty and stopping rule."""
+
+    X: np.ndarray
+    y: np.ndarray
+    lam: float
+    tol: float = 1e-8
+    max_iter: int = 10_000
+
+
+@dataclass(frozen=True)
+class CdFit:
+    model: LinearModel
+    sweeps: int
+    converged: bool
+
+
+def lockstep_cd(problems):
+    """The coordinate-descent oracle for ``lasso_path``: cyclic coordinate
+    descent with soft-thresholding, run on a batch of independent problems
+    in lockstep.
+
+    Every problem is centered on its own data and keeps its own n, lambda,
+    tol and sweep cap; all must have the same number of columns. A problem
+    is frozen after the first sweep whose largest coefficient change is below
+    its tol, so it stops at the sweep it would stop at if solved alone.
+    Shorter problems are zero-padded to the longest; their padded residual
+    rows stay at zero, but the padding can change how their dot products
+    round in the last bit.
+
+    A problem with lambda >= lambda_max = max_j |Xc_j . yc| / n (per-column
+    dot products, as a lone sweep computes them) is answered with all zeros
+    at set-up: the batched dot products round differently, and could
+    otherwise leave a coefficient a rounding error above the threshold.
+    """
+    data = [(np.asarray(q.X, dtype=float), np.asarray(q.y, dtype=float)) for q in problems]
+    count = len(data)
+    width = data[0][0].shape[1]
+    n_rows = np.array([len(y) for _, y in data])
+    columns = np.zeros((width, count, n_rows.max()))  # columns[j, b]: problem b's centred column j
+    col_norm = np.ones((width, count))
+    residual = np.zeros((count, n_rows.max()))
+    beta = np.zeros((width, count))
+    means = []
+    sweeps = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    running = []
+    for b, (problem, (X, y)) in enumerate(zip(problems, data)):
+        if X.shape[1] != width:
+            raise ColumnMismatchError(f"lasso batch mixes {width} and {X.shape[1]} columns")
+        n = len(y)
+        x_mean = X.mean(axis=0)
+        y_mean = y.mean()
+        Xc = X - x_mean
+        yc = y - y_mean
+        means.append((x_mean, y_mean))
+        norm = (Xc**2).sum(axis=0) / n
+        # a sweep skips a zero-norm column; stored as zeros with unit norm,
+        # its coefficient stays at zero by arithmetic
+        live = np.flatnonzero(norm != 0.0)
+        columns[live, b, :n] = Xc.T[live]
+        col_norm[live, b] = norm[live]
+        residual[b, :n] = yc
+        lam_max = max((abs(float(Xc[:, j] @ yc)) for j in live), default=0.0) / n
+        if problem.lam >= lam_max:
+            # every |rho_j| <= lambda, so no sweep moves a coefficient and
+            # tol alone decides whether the first sweep converges
+            converged[b] = problem.tol > 0
+            sweeps[b] = 1 if converged[b] else problem.max_iter
+        else:
+            running.append(b)
+
+    lam = np.array([float(problem.lam) for problem in problems])
+    tol = np.array([float(problem.tol) for problem in problems])
+    cap = np.array([problem.max_iter for problem in problems])
+    active = np.array(running, dtype=int)
+    sweep = 0
+    while active.size:
+        # compact copies of the problems still running
+        cols, norm, coef, res = columns[:, active], col_norm[:, active], beta[:, active], residual[active]
+        n, hi = n_rows[active], lam[active]
+        lo = -hi
+        clipped = np.empty(active.size)
+        done = np.zeros(active.size, dtype=bool)
+        while not done.any():
+            sweep += 1
+            start = coef.copy()
+            for x, norm_j, old in zip(cols, norm, coef):
+                rho = np.vecdot(x, res)
+                rho /= n
+                rho += norm_j * old
+                np.minimum(np.maximum(rho, lo, out=clipped), hi, out=clipped)
+                new = rho - clipped  # soft-threshold
+                new /= norm_j
+                res += x * (old - new)[:, None]
+                old[...] = new
+            # each coefficient moves once per sweep, so this is its largest step
+            max_delta = np.abs(coef - start).max(axis=0)
+            done = (max_delta < tol[active]) | (sweep >= cap[active])
+        beta[:, active] = coef
+        residual[active] = res
+        finished = active[done]
+        sweeps[finished] = sweep
+        converged[finished] = max_delta[done] < tol[finished]
+        active = active[~done]
+
+    fits = []
+    for b, problem in enumerate(problems):
+        x_mean, y_mean = means[b]
+        model = LinearModel(
+            tuple(float(v) for v in beta[:, b]),
+            float(y_mean - x_mean @ beta[:, b]),
+            kind="lasso",
+            lam=float(problem.lam),
+        )
+        fits.append(CdFit(model, int(sweeps[b]), bool(converged[b])))
+    return fits
+
+
 class TestLockstepLasso:
+    """``lockstep_cd`` against the one-problem ``lasso_reference``."""
+
     def test_batch_matches_one_problem_reference(self):
         rng = np.random.default_rng(21)
         p = 6
@@ -208,15 +309,11 @@ class TestLockstepLasso:
             y = X @ rng.standard_normal(p) + 0.3 * rng.standard_normal(n)
             Xc, yc = X - X.mean(axis=0), y - y.mean()
             lam_max = max(abs(float(Xc[:, j] @ yc)) for j in range(p)) / n
-            problems.append(LassoProblem(X, y, lam_scale * lam_max, tol, max_iter))
+            problems.append(CdProblem(X, y, lam_scale * lam_max, tol, max_iter))
         refs = [lasso_reference(q.X, q.y, q.lam, q.tol, q.max_iter) for q in problems]
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fits = solve_lasso(problems)
-        unconverged = sum(not ref[3] for ref in refs)
-        assert unconverged == 2
-        assert sum(c.category is NotConvergedWarning for c in caught) == unconverged
+        fits = lockstep_cd(problems)
+        assert sum(not ref[3] for ref in refs) == 2
         assert len({ref[2] for ref in refs if ref[3]}) >= 3  # different stopping sweeps
         assert fits[1].model.coefficients == (0.0,) * p
         for fit, (beta, intercept, sweeps, converged) in zip(fits, refs):
@@ -228,11 +325,11 @@ class TestLockstepLasso:
     def test_mixed_column_counts_rejected(self):
         rng = np.random.default_rng(22)
         problems = [
-            LassoProblem(rng.standard_normal((10, 2)), rng.standard_normal(10), 0.1),
-            LassoProblem(rng.standard_normal((10, 3)), rng.standard_normal(10), 0.1),
+            CdProblem(rng.standard_normal((10, 2)), rng.standard_normal(10), 0.1),
+            CdProblem(rng.standard_normal((10, 3)), rng.standard_normal(10), 0.1),
         ]
         with pytest.raises(ColumnMismatchError):
-            solve_lasso(problems)
+            lockstep_cd(problems)
 
 
 class TestEvaluate:
@@ -378,12 +475,12 @@ class TestLassoPath:
         # a log grid plus random penalties, which fall between breakpoints
         lams = [*(lam_max * np.logspace(-5, -0.01, 12)), *(lam_max * rng.uniform(0, 1, 8))]
         fits = lasso_path(X, y, lams)
-        refs = solve_lasso([LassoProblem(X, y, lam, tol=1e-14, max_iter=100_000) for lam in lams])
+        refs = lockstep_cd([CdProblem(X, y, lam, tol=1e-14, max_iter=100_000) for lam in lams])
         assert all(ref.converged for ref in refs)
         for fit, ref in zip(fits, refs):
             np.testing.assert_allclose(fit.model.coefficients, ref.model.coefficients, rtol=0, atol=1e-9)
             assert fit.model.intercept == pytest.approx(ref.model.intercept, abs=1e-9)
-            assert fit.sweeps == 0 and fit.converged and fit.kkt <= KKT_BOUND
+            assert fit.converged and fit.kkt <= KKT_BOUND
 
     def test_collinear_wide_design_completes_without_cycling(self):
         """CD converges slowly here (it stops at its cap below lambda = 0.1),
@@ -392,13 +489,10 @@ class TestLassoPath:
         X, y = _collinear_wide_problem()
         lams = [1e-4, 1e-3, 1e-2, 1e-1, 0.5]
         fits = lasso_path(X, y, lams)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotConvergedWarning)
-            refs = solve_lasso([LassoProblem(X, y, lam, tol=1e-12, max_iter=3000) for lam in lams])
+        refs = lockstep_cd([CdProblem(X, y, lam, tol=1e-12, max_iter=3000) for lam in lams])
         assert refs[-1].converged
         for fit, ref in zip(fits, refs):
-            assert fit.sweeps == 0  # reached by the path within its step cap, no fallback
-            assert fit.kkt <= 1e-9
+            assert fit.converged and fit.kkt <= 1e-9
             assert lasso_objective(X, y, fit.model) <= lasso_objective(X, y, ref.model) + 1e-12
         # the duplicated pair cannot both be active
         for fit in fits:
@@ -422,7 +516,7 @@ class TestLassoPath:
             (fit,) = lasso_path(X, y, [0.0])
         assert fit.model.coefficients == ols.coefficients
         assert fit.model.intercept == ols.intercept
-        assert fit.model.kind == "lasso" and fit.model.lam == 0.0 and fit.sweeps == 0
+        assert fit.model.kind == "lasso" and fit.model.lam == 0.0
 
     def test_fits_follow_the_requested_order(self):
         rng = np.random.default_rng(33)
@@ -436,18 +530,42 @@ class TestLassoPath:
         for lam, fit in zip(lams, fits):
             assert lasso_path(X, y, [lam])[0] == fit
 
-    def test_unreached_penalty_falls_back_to_cd(self, monkeypatch):
+    def test_unreached_penalty_gets_the_last_reached_point(self, monkeypatch):
+        """With no path steps allowed, the last penalty reached is lambda_max:
+        every penalty below it gets all zeros, reported at the requested
+        penalty and flagged by that penalty's KKT residual."""
         rng = np.random.default_rng(34)
         X = rng.standard_normal((30, 5))
         y = X @ rng.standard_normal(5) + 0.2 * rng.standard_normal(30)
         monkeypatch.setattr(regress, "_PATH_STEPS_PER_RANK", 0)
         lams = [0.01, 0.1]
-        fits = lasso_path(X, y, lams, tol=1e-10, max_iter=5000)
-        refs = solve_lasso([LassoProblem(X, y, lam, 1e-10, 5000) for lam in lams])
-        for fit, ref in zip(fits, refs):
-            assert fit.model == ref.model
-            assert fit.sweeps == ref.sweeps > 0
-            assert fit.kkt == ref.kkt == lasso_kkt(X, y, ref.model)
+        assert max(lams) < _lambda_max(X, y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = lasso_path(X, y, lams)
+        assert [fit.model.lam for fit in fits] == lams
+        for fit in fits:
+            assert fit.model.coefficients == (0.0,) * 5
+            assert fit.model.intercept == pytest.approx(y.mean())
+            assert fit.kkt == lasso_kkt(X, y, fit.model) > KKT_BOUND
+            assert not fit.converged
+        assert sum(c.category is NotConvergedWarning for c in caught) == len(lams)
+
+    def test_last_reached_point_is_exact_at_its_breakpoint(self):
+        """Stopped after one breakpoint, the path's point for a penalty it did
+        not reach is the exact Lasso solution at that breakpoint's penalty."""
+        rng = np.random.default_rng(36)
+        X = rng.standard_normal((40, 6))
+        y = X @ np.array([2.0, -1.0, 0.5, 0.0, 0.0, 1.0]) + 0.1 * rng.standard_normal(40)
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        (coef,) = regress._path_coefficients(Xc, yc, [1e-6], 1).values()
+        assert np.count_nonzero(coef) == 1
+        # the penalty at which the second column enters is the active one's |gradient|
+        grad = Xc.T @ (yc - Xc @ coef) / len(y)
+        lam = float(np.abs(grad[coef != 0.0])[0])
+        assert 1e-6 < lam < _lambda_max(X, y)
+        model = LinearModel(tuple(coef), float(y.mean() - X.mean(axis=0) @ coef), "lasso", lam)
+        assert lasso_kkt(X, y, model) <= 1e-9
 
     def test_unconverged_fit_warns_once_and_is_flagged(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -457,7 +575,7 @@ class TestLassoPath:
         monkeypatch.setattr(regress, "_PATH_STEPS_PER_RANK", 0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fits = lasso_path(X, y, [0.001, 0.01], max_iter=1)
+            fits = lasso_path(X, y, [0.001, 0.01])
         assert all(fit.kkt > KKT_BOUND and not fit.converged for fit in fits)
         messages = [str(c.message) for c in caught if c.category is NotConvergedWarning]
         assert len(messages) == 2
@@ -466,7 +584,7 @@ class TestLassoPath:
     def test_grid_and_folds_no_worse_than_capped_cd(self, bundle_dataset):
         """The MaxPool2d degree-4 parameter design (56 columns): at every grid
         penalty, on the train split and on every CV fold, the path's
-        objective is at most that of ``solve_lasso`` at the experiment's cap."""
+        objective is at most that of coordinate descent capped at 500 sweeps."""
         records = [r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D]
         spec = EXPERIMENT_TABLE[LayerKind.MAXPOOL2D][0]
         train, _, _ = split(records, SplitSpec(seed=3))
@@ -479,11 +597,10 @@ class TestLassoPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
             warnings.simplefilter("ignore", SingularityWarning)
-            paths = [lasso_path(d.X, d.y, DEFAULT_LAMBDA_GRID, spec.tol, spec.max_iter) for d in designs]
-            capped = solve_lasso([
-                LassoProblem(d.X, d.y, lam, spec.tol, spec.max_iter)
-                for d in designs for lam in DEFAULT_LAMBDA_GRID
-            ])
+            paths = [lasso_path(d.X, d.y, DEFAULT_LAMBDA_GRID) for d in designs]
+        capped = lockstep_cd([
+            CdProblem(d.X, d.y, lam, tol=1e-8, max_iter=500) for d in designs for lam in DEFAULT_LAMBDA_GRID
+        ])
         capped_fits = iter(capped)
         for d, fits in zip(designs, paths):
             for fit in fits:
