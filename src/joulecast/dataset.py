@@ -11,7 +11,8 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -201,22 +202,28 @@ def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
 def split(
     records: list[MeasurementRecord], spec: SplitSpec
 ) -> tuple[list[MeasurementRecord], list[MeasurementRecord], list[MeasurementRecord]]:
-    """Deterministic grouped train/val/test partition.
+    """Deterministic grouped train/val/test partition (``split_indices``)."""
+    parts = split_indices([config_key(r.config) for r in records], spec)
+    return tuple([records[i] for i in part] for part in parts)
+
+
+def split_indices(keys: Sequence[tuple], spec: SplitSpec) -> tuple[list[int], list[int], list[int]]:
+    """Positions of the train/val/test parts of records with these config keys.
 
     All repeats of one configuration land in the same part; fractions are
     applied to the configuration groups with largest-remainder rounding.
     """
-    if len(records) < 10:
-        raise TooFewRecordsError(f"need at least 10 records to split, got {len(records)}")
-    groups: dict[tuple, list[MeasurementRecord]] = {}
-    for record in records:
-        groups.setdefault(config_key(record.config), []).append(record)
-    keys = shuffled_group_keys(groups, spec.seed)
+    if len(keys) < 10:
+        raise TooFewRecordsError(f"need at least 10 records to split, got {len(keys)}")
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    order = shuffled_group_keys(groups, spec.seed)
     n_train, n_val, _ = _largest_remainder_sizes(
-        len(keys), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
+        len(order), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
     )
     parts: tuple[list, list, list] = ([], [], [])
-    for pos, key in enumerate(keys):
+    for pos, key in enumerate(order):
         bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
         parts[bucket].extend(groups[key])
     return parts
@@ -307,27 +314,51 @@ def _energy_reading(raw: str) -> float | None:
 
 def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
     """Read layer-wise rows; rows with a missing, non-finite or negative
-    energy are dropped with a warning."""
+    energy are dropped with a warning.
+
+    Each distinct configuration (its module and parameter cells) is parsed,
+    checked and MAC-counted once; its repeats reuse the result, and every
+    row's own cells are still checked against it.
+    """
     records = []
+    # configuration cells -> [config, recomputed MACs or None until needed]
+    parsed: dict[tuple, list] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file")
-        missing = set(LAYERWISE_HEADER) - set(reader.fieldnames)
+        missing = set(LAYERWISE_HEADER) - set(header)
         if missing:
             raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        for line, row in enumerate(reader, start=2):
-            raw_energy = (row["cpu_energy_j"] or "").strip()
+        column = {name: i for i, name in enumerate(header)}
+        config_cells = itemgetter(*(column[name] for name in ("module", *STANDALONE_FIELDS)))
+        cells = itemgetter(*(column[name] for name in ("cpu_energy_j", "macs", "repeat", "source")))
+        width = len(header)
+        # blank lines are skipped and short rows padded with empty cells
+        for line, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_energy, raw_macs, raw_repeat, source = cells(row)
+            raw_energy = raw_energy.strip()
+            key = config_cells(row)
+            known = parsed.get(key)
+            # a new configuration is checked in the order of a full parse:
+            # module, energy, then the configuration itself
             try:
-                kind = LayerKind(row["module"])
+                if known is None:
+                    kind = LayerKind(key[0])
                 energy = _energy_reading(raw_energy)
-                config = _config_from_row(kind, row)
-                config.require_standalone()
-                macs = int(row["macs"])
-                repeat = int(row["repeat"] or 1)
-                source = row["source"] or SOURCE_RANDOM
+                if known is None:
+                    config = _config_from_row(kind, dict(zip(STANDALONE_FIELDS, key[1:])))
+                    config.require_standalone()
+                    known = parsed[key] = [config, None]
+                config = known[0]
+                macs = int(raw_macs)
+                repeat = int(raw_repeat or 1)
+                source = source or SOURCE_RANDOM
                 if energy is not None:
-                    record = MeasurementRecord(kind, config, macs, energy, repeat, source)
+                    record = MeasurementRecord(config.kind, config, macs, energy, repeat, source)
             except (ValueError, ValidationError) as exc:
                 raise ParseError(f"{path}: row {line}: {exc}") from exc
             if energy is None:
@@ -338,10 +369,11 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
                 )
                 continue
             if verify_macs:
-                recomputed = standalone_macs(config)
-                if recomputed != macs:
+                if known[1] is None:
+                    known[1] = standalone_macs(config)
+                if known[1] != macs:
                     warnings.warn(
-                        f"{path}: row {line}: stored macs {macs} != recomputed {recomputed}",
+                        f"{path}: row {line}: stored macs {macs} != recomputed {known[1]}",
                         ConsistencyWarning,
                         stacklevel=2,
                     )

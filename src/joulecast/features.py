@@ -10,10 +10,13 @@ joules with the linear inverse (no clipping).
 ``FeatureMap`` is the one home of that recipe: fitted once on a kind's
 training records, it builds the designs of held-out records and the rows to
 predict from, maps predictions back to joules, and is what a bundle stores of
-the recipe.
+the recipe. Training builds a kind's ``KindMatrix`` once and fits and
+designs on index rows of it, so splits, CV folds and pipelines share one raw
+matrix.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .arch import KIND_SPECS, LayerConfig, LayerKind
-from .dataset import MeasurementRecord
+from .dataset import MeasurementRecord, config_key
 from .errors import (
     ConstantColumnWarning,
     DegreeOutOfRangeError,
@@ -175,6 +178,58 @@ class DesignMatrix:
             raise NonFiniteError("design matrix contains NaN/Inf")
 
 
+@dataclass(frozen=True, eq=False)
+class KindMatrix:
+    """One layer kind's records as arrays, built in one pass over them.
+
+    ``raw`` holds every raw feature of each record: the parameters, their
+    log1p values, then the MAC count (the ``LOG_PARAMETER_MAC`` row), so
+    each feature set is a column selection of it with the floats
+    ``raw_feature_row`` gives. ``energy`` holds the target and ``keys`` the
+    ``config_key`` groups that splits and CV folds keep together. Feature
+    maps are fitted on, and build designs from, rows of it.
+    """
+
+    kind: LayerKind
+    raw: np.ndarray
+    energy: np.ndarray
+    keys: tuple[tuple, ...]
+
+    @classmethod
+    def build(cls, records: list[MeasurementRecord]) -> "KindMatrix":
+        kind = _check_homogeneous(records)
+        raw = [raw_feature_row(r.config, r.macs, FeatureSetKind.LOG_PARAMETER_MAC) for r in records]
+        return cls(
+            kind,
+            np.array(raw, dtype=float),
+            np.array([r.cpu_energy_j for r in records], dtype=float),
+            tuple(config_key(r.config) for r in records),
+        )
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """What a (kind, feature set, expansion) triple fixes before any fit."""
+
+    raw_columns: np.ndarray  # the feature set's columns of ``KindMatrix.raw``
+    names: tuple[str, ...]  # the monomials' names, in design order
+    sorted_names: tuple[str, ...]
+    position: dict[str, int]  # name -> position in ``names``
+    index: np.ndarray  # ``_monomial_index`` of the raw columns
+
+
+@functools.cache
+def _recipe(kind: LayerKind, feature_set: FeatureSetKind, poly: PolynomialSpec | None) -> _Recipe:
+    everything = raw_feature_names(kind, FeatureSetKind.LOG_PARAMETER_MAC)
+    raw = raw_feature_names(kind, feature_set)
+    names = polynomial_names(raw, poly)
+    columns = np.array([everything.index(n) for n in raw])
+    index = _monomial_index(len(raw), poly)
+    for frozen in (columns, index):
+        frozen.flags.writeable = False
+    return _Recipe(columns, names, tuple(sorted(names)), {n: i for i, n in enumerate(names)}, index)
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """One layer kind's feature recipe, fitted on its training records.
@@ -184,7 +239,8 @@ class FeatureMap:
     order; ``mean``, ``std`` and ``dropped`` (the constant columns) are empty
     when ``scaler`` is "none". The target is min-max normalized to [0, 1] on
     the training records. Construction checks that the columns are the
-    recipe's and derives the monomial index and the kept positions once.
+    recipe's; the recipe's names and monomial index are derived once per
+    (kind, feature set, expansion) and shared.
     """
 
     kind: LayerKind
@@ -197,16 +253,16 @@ class FeatureMap:
     mean: tuple[float, ...] = ()
     std: tuple[float, ...] = ()
     dropped: tuple[str, ...] = ()
-    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    _recipe: _Recipe = field(init=False, repr=False, compare=False)
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = raw_feature_names(self.kind, self.feature_set)
-        names = polynomial_names(raw, self.poly)
+        recipe = _recipe(self.kind, self.feature_set, self.poly)
+        names = recipe.names
         if self.scaler == "none":
             fits = self.columns == names and not (self.mean or self.std or self.dropped)
         elif self.scaler == "zscore":
-            fits = sorted(self.columns + self.dropped) == sorted(names) and (
+            fits = tuple(sorted(self.columns + self.dropped)) == recipe.sorted_names and (
                 len(self.mean) == len(self.std) == len(self.columns)
             )
         else:
@@ -216,8 +272,8 @@ class FeatureMap:
                 f"{self.scaler} scaler over columns {list(self.columns)} (dropped "
                 f"{list(self.dropped)}) does not fit the recipe's columns {list(names)}"
             )
-        object.__setattr__(self, "_index", _monomial_index(len(raw), self.poly))
-        object.__setattr__(self, "_kept", np.array([names.index(n) for n in self.columns], dtype=int))
+        object.__setattr__(self, "_recipe", recipe)
+        object.__setattr__(self, "_kept", np.array([recipe.position[n] for n in self.columns], dtype=int))
 
     @classmethod
     def fit(
@@ -227,18 +283,32 @@ class FeatureMap:
         poly: PolynomialSpec | None,
         scaler: str,
     ) -> tuple["FeatureMap", DesignMatrix]:
-        """Fit the scalers on ``records`` (the training set); returns the map and their design.
+        """``fit_rows`` on all of ``records``."""
+        return cls.fit_rows(KindMatrix.build(records), np.arange(len(records)), feature_set, poly, scaler)
+
+    @classmethod
+    def fit_rows(
+        cls,
+        matrix: KindMatrix,
+        rows,
+        feature_set: FeatureSetKind,
+        poly: PolynomialSpec | None,
+        scaler: str,
+    ) -> tuple["FeatureMap", DesignMatrix]:
+        """Fit the scalers on ``rows`` of ``matrix`` (the training set, in
+        that order); returns the map and their design.
 
         Z-scoring uses the population standard deviation and drops constant
         columns with a warning.
         """
-        kind = _check_homogeneous(records)
-        names = polynomial_names(raw_feature_names(kind, feature_set), poly)
-        raw = _raw_matrix(records, feature_set)
+        if not len(rows):
+            raise EmptyRecordsError("no records to build a design matrix from")
+        recipe = _recipe(matrix.kind, feature_set, poly)
+        names = recipe.names
+        X = _expand(matrix.raw[np.ix_(rows, recipe.raw_columns)], recipe.index)
         stats: dict = {}
         columns = names
         if scaler == "zscore":  # other kinds are refused when the map is built
-            X = expand_polynomial(raw, poly)
             mean = X.mean(axis=0)
             std = X.std(axis=0)
             keep = std > 0
@@ -254,20 +324,27 @@ class FeatureMap:
                     ConstantColumnWarning,
                     stacklevel=2,
                 )
-        y = _energies(records)
+        y = matrix.energy[rows]
         lo, hi = float(np.min(y)), float(np.max(y))
         if hi <= lo:
             raise ValidationError("cannot min-max normalize a constant target")
-        fitted = cls(kind, feature_set, poly, scaler, columns, lo, hi, **stats)
-        return fitted, DesignMatrix(columns, fitted._features(raw), fitted._normalize(y))
+        fitted = cls(matrix.kind, feature_set, poly, scaler, columns, lo, hi, **stats)
+        return fitted, DesignMatrix(columns, fitted._scale(X), fitted._normalize(y))
 
     def design(self, records: list[MeasurementRecord]) -> DesignMatrix:
         """Held-out records through the frozen scalers."""
-        kind = _check_homogeneous(records)
-        if kind is not self.kind:
-            raise KindMismatchError(f"feature map fitted on {self.kind.value}, records are {kind.value}")
-        raw = _raw_matrix(records, self.feature_set)
-        return DesignMatrix(self.columns, self._features(raw), self._normalize(_energies(records)))
+        return self.design_rows(KindMatrix.build(records), np.arange(len(records)))
+
+    def design_rows(self, matrix: KindMatrix, rows) -> DesignMatrix:
+        """Held-out ``rows`` of ``matrix`` through the frozen scalers."""
+        if matrix.kind is not self.kind:
+            raise KindMismatchError(
+                f"feature map fitted on {self.kind.value}, records are {matrix.kind.value}"
+            )
+        if not len(rows):
+            raise EmptyRecordsError("no records to build a design matrix from")
+        raw = matrix.raw[np.ix_(rows, self._recipe.raw_columns)]
+        return DesignMatrix(self.columns, self._features(raw), self._normalize(matrix.energy[rows]))
 
     def row(self, config: LayerConfig, macs: int) -> np.ndarray:
         """One scaled feature row for prediction."""
@@ -280,7 +357,9 @@ class FeatureMap:
         return self.target_min + np.asarray(normalized, dtype=float) * (self.target_max - self.target_min)
 
     def _features(self, raw: np.ndarray) -> np.ndarray:
-        X = _expand(raw, self._index)
+        return self._scale(_expand(raw, self._recipe.index))
+
+    def _scale(self, X: np.ndarray) -> np.ndarray:
         if self.scaler == "zscore":
             # selecting the kept columns leaves X in Fortran order, and later
             # column means (fit_ols) sum in memory order: keep this layout, or
@@ -344,10 +423,3 @@ def _check_homogeneous(records: list[MeasurementRecord]) -> LayerKind:
         raise KindMismatchError(f"records mix layer kinds {sorted(k.value for k in kinds)}")
     return next(iter(kinds))
 
-
-def _raw_matrix(records: list[MeasurementRecord], feature_set: FeatureSetKind) -> np.ndarray:
-    return np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records], dtype=float)
-
-
-def _energies(records: list[MeasurementRecord]) -> np.ndarray:
-    return np.array([r.cpu_energy_j for r in records], dtype=float)

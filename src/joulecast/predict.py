@@ -30,7 +30,7 @@ from .dataset import (
     ModelWiseRecord,
     SplitSpec,
     config_key,
-    split,
+    split_indices,
 )
 from .errors import (
     AggregationWarning,
@@ -41,7 +41,7 @@ from .errors import (
     SingularityWarning,
     ValidationError,
 )
-from .features import FeatureMap, FeatureSetKind, PolynomialSpec
+from .features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
 from .macs import layer_macs
 from .regress import (
     CvReport,
@@ -49,7 +49,7 @@ from .regress import (
     LassoFit,
     LinearModel,
     ModelSpec,
-    cross_validate,
+    cross_validate_rows,
     evaluate,
     fit_ols,
     grid_search_lambda,
@@ -229,21 +229,33 @@ def train_predictor(
     cv_folds: int | None = 10,
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
 ) -> PredictorModel:
-    """Fit one pipeline: train on 70%, tune lambda on 20%, report on the 10% test split."""
-    train, val, test = split(records, split_spec)
-    features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
+    """``train_on_matrix`` on one kind's ``records``."""
+    return train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds, lambda_grid)
+
+
+def train_on_matrix(
+    matrix: KindMatrix,
+    spec: ModelSpec,
+    split_spec: SplitSpec,
+    cv_folds: int | None = 10,
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
+) -> PredictorModel:
+    """Fit one pipeline on a kind's records: train on 70%, tune lambda on
+    20%, report on the 10% test split."""
+    train, val, test = split_indices(matrix.keys, split_spec)
+    features, design = FeatureMap.fit_rows(matrix, train, spec.feature_set, spec.poly, spec.feature_scaler)
     grid_fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
         # the grid is fitted on this train design, so its fit at the chosen
         # penalty is the final model
-        search = grid_search_lambda(design, features.design(val), spec, lambda_grid)
+        search = grid_search_lambda(design, features.design_rows(matrix, val), spec, lambda_grid)
         spec = replace(spec, lam=search.lam)
         model = search.chosen.model
         grid_fits = search.fits
     else:
         model = fit_ols(design.X, design.y)
     if test:
-        test_design = features.design(test)
+        test_design = features.design_rows(matrix, test)
         test_metrics = evaluate(model, test_design.X, test_design.y)
         test_metrics_joules = score(
             features.joules(test_design.y), features.joules(model.predict(test_design.X))
@@ -251,7 +263,7 @@ def train_predictor(
     else:
         test_metrics = EvalMetrics(r2=float("nan"), mse=float("nan"), max_error=float("nan"))
         test_metrics_joules = test_metrics
-    cv = cross_validate(train, spec, k=cv_folds, seed=split_spec.seed) if cv_folds else None
+    cv = cross_validate_rows(matrix, train, spec, k=cv_folds, seed=split_spec.seed) if cv_folds else None
     return PredictorModel(
         spec=spec,
         features=features,
@@ -281,7 +293,7 @@ def train_default_bundle(
     for kind in kinds:
         if kind not in by_kind:
             raise MissingKindError(f"no records for layer kind {kind.value}")
-        models[kind] = train_predictor(by_kind[kind], specs[kind], split_spec, cv_folds)
+        models[kind] = train_on_matrix(KindMatrix.build(by_kind[kind]), specs[kind], split_spec, cv_folds)
     meta = {
         "hardware": "unknown",
         "dataset_hash": dataset_fingerprint(records),
@@ -482,9 +494,10 @@ def run_feature_set_experiment(
     subset = [r for r in records if r.module is kind]
     if not subset:
         raise MissingKindError(f"no records for layer kind {kind.value}")
+    matrix = KindMatrix.build(subset)
     rows = []
     for spec in EXPERIMENT_TABLE[kind]:
-        trained = train_predictor(subset, spec, split_spec, cv_folds, lambda_grid)
+        trained = train_on_matrix(matrix, spec, split_spec, cv_folds, lambda_grid)
         rows.append(
             ExperimentRow(
                 module=kind,
@@ -535,9 +548,10 @@ def run_ablation(
     subset = [r for r in records if r.module is kind]
     if not subset:
         raise MissingKindError(f"no records for layer kind {kind.value}")
-    train, _, test = split(subset, split_spec)
-    features, design = FeatureMap.fit(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-    test_design = features.design(test)
+    matrix = KindMatrix.build(subset)
+    train, _, test = split_indices(matrix.keys, split_spec)
+    features, design = FeatureMap.fit_rows(matrix, train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+    test_design = features.design_rows(matrix, test)
     names = features.columns
     mean = design.X.mean(axis=0)
     std = design.X.std(axis=0)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MeasurementRecord, config_key, shuffled_group_keys
+from .dataset import MeasurementRecord, shuffled_group_keys
 from .errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -24,7 +24,7 @@ from .errors import (
     TooFewRecordsError,
     ValidationError,
 )
-from .features import DesignMatrix, FeatureMap, FeatureSetKind, PolynomialSpec
+from .features import DesignMatrix, FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,19 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
 ) -> CvReport:
-    """Configuration-grouped k-fold CV; scalers are refit on each fold's training part.
+    """``cross_validate_rows`` on all of ``records``."""
+    return cross_validate_rows(KindMatrix.build(records), np.arange(len(records)), spec, k, seed)
+
+
+def cross_validate_rows(
+    matrix: KindMatrix,
+    rows,
+    spec: ModelSpec,
+    k: int = 10,
+    seed: int = 0,
+) -> CvReport:
+    """Configuration-grouped k-fold CV over ``rows`` of ``matrix``; scalers
+    are refit on each fold's training part.
 
     A Lasso spec fits each fold with ``lasso_path`` at ``spec.lam`` and
     keeps the fold fits, with their KKT reports, in ``lasso_fits``. MSE is
@@ -438,14 +450,14 @@ def cross_validate(
     """
     if k < 2:
         raise ValidationError(f"k={k} must be at least 2")
-    folds = group_kfold_indices([config_key(r.config) for r in records], k, seed)
+    rows = np.asarray(rows)
+    folds = group_kfold_indices([matrix.keys[i] for i in rows], k, seed)
     designs = []
     for held_out in folds:
-        held_set = set(held_out)
-        train = [r for i, r in enumerate(records) if i not in held_set]
-        test = [records[i] for i in held_out]
-        features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
-        designs.append((design, features.design(test)))
+        features, design = FeatureMap.fit_rows(
+            matrix, np.delete(rows, held_out), spec.feature_set, spec.poly, spec.feature_scaler
+        )
+        designs.append((design, features.design_rows(matrix, rows[held_out])))
     fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
         fits = tuple(lasso_path(d.X, d.y, [spec.lam])[0] for d, _ in designs)

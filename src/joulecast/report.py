@@ -6,6 +6,8 @@ import csv
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch import LayerKind
 from .errors import ParseError, SchemaError
 from .predict import AblationRow, LayerPoint, TotalPoint
@@ -26,18 +28,42 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path, required) -> list[dict]:
+def _read_columns(path, required, names) -> list[tuple[str, ...]]:
+    """The ``names`` columns of a CSV whose header holds the ``required``
+    columns, one tuple of cells per column; blank lines are skipped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = set(required) - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+        reader = csv.reader(fh)
         try:
-            return list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = set(required) - set(header)
+            if missing:
+                raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+            rows = [row for row in reader if row]
         except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from exc
+    column = {name: i for i, name in enumerate(header)}
+    positions = [column[name] for name in names]
+    width = max(positions) + 1
+    for line, row in enumerate(rows, start=2):
+        if len(row) < width:
+            raise ParseError(f"{path}: row {line}: {len(row)} of {len(header)} columns")
+    table = list(zip(*rows)) if rows else [()] * width
+    return [table[i] for i in positions]
+
+
+def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
+    """``cells`` of column ``name`` as floats; a cell that is not a number is a ParseError."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        for line, cell in enumerate(cells, start=2):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {line}: {name} {cell!r} is not a number") from None
+        raise
 
 
 LAYER_SCATTER_HEADER = ("architecture", "batch_size", "layer_index", "module", "measured_j", "predicted_j")
@@ -70,26 +96,30 @@ def write_totals_csv(path, points: tuple[TotalPoint, ...]) -> None:
 
 
 def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    _write_csv(
-        path,
-        ABLATION_HEADER,
-        [
-            (row.mask, "+".join(row.features), int("macs" in row.features),
-             repr(float(row.r2)), repr(float(row.mse)))
-            for row in rows
-        ],
-    )
+    """The bytes ``csv.writer`` writes for these rows, joined in one pass: the
+    feature names are identifiers and the scores floats, so no cell needs
+    quoting."""
+    lines = [",".join(ABLATION_HEADER)]
+    lines += [
+        f"{row.mask},{'+'.join(row.features)},{int('macs' in row.features)},"
+        f"{float(row.r2)!r},{float(row.mse)!r}"
+        for row in rows
+    ]
+    lines.append("")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
     """One measured-vs-predicted scatter per layer kind (ground truth on x)."""
-    rows = _read_csv(csv_path, LAYER_SCATTER_HEADER)
+    module, measured, predicted = _read_columns(
+        csv_path, LAYER_SCATTER_HEADER, ("module", "measured_j", "predicted_j")
+    )
+    points = list(zip(module, _numbers(csv_path, "measured_j", measured),
+                      _numbers(csv_path, "predicted_j", predicted)))
     artifacts = []
-    kinds = sorted({row["module"] for row in rows})
-    for kind in kinds:
-        pts = [
-            (float(r["measured_j"]), float(r["predicted_j"])) for r in rows if r["module"] == kind
-        ]
+    for kind in sorted(set(module)):
+        pts = [(x, y) for m, x, y in points if m == kind]
         svg = scatter_svg(
             [(kind, pts)],
             title=f"{kind}: measured vs predicted energy per pass",
@@ -103,16 +133,20 @@ def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
     return artifacts
 
 
+def _totals_by_arch(csv_path, y_column: str) -> list[tuple[str, list[tuple[float, float]]]]:
+    """(measured total, ``y_column``) points of a totals CSV per architecture, sorted."""
+    arch, measured, y = _read_columns(csv_path, TOTALS_HEADER, ("architecture", "measured_j", y_column))
+    by_arch: dict[str, list[tuple[float, float]]] = {}
+    for name, point in zip(arch, zip(_numbers(csv_path, "measured_j", measured),
+                                     _numbers(csv_path, y_column, y))):
+        by_arch.setdefault(name, []).append(point)
+    return sorted(by_arch.items())
+
+
 def totals_scatter_artifact(csv_path, out_dir) -> ReportArtifact:
     """Measured totals vs summed per-layer predictions, grouped by architecture."""
-    rows = _read_csv(csv_path, TOTALS_HEADER)
-    by_arch: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        by_arch.setdefault(row["architecture"], []).append(
-            (float(row["measured_j"]), float(row["predicted_j"]))
-        )
     svg = scatter_svg(
-        sorted(by_arch.items()),
+        _totals_by_arch(csv_path, "predicted_j"),
         title="Full-architecture energy: measured vs predicted",
         xlabel="measured energy (J)",
         ylabel="sum of layer predictions (J)",
@@ -125,14 +159,8 @@ def totals_scatter_artifact(csv_path, out_dir) -> ReportArtifact:
 
 def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
     """Measured totals vs the sum of the per-layer measurements (consistency check)."""
-    rows = _read_csv(csv_path, TOTALS_HEADER)
-    by_arch: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        by_arch.setdefault(row["architecture"], []).append(
-            (float(row["measured_j"]), float(row["layer_measured_sum_j"]))
-        )
     svg = scatter_svg(
-        sorted(by_arch.items()),
+        _totals_by_arch(csv_path, "layer_measured_sum_j"),
         title="Total measured energy vs layer-wise aggregate",
         xlabel="total measured energy (J)",
         ylabel="sum of layer measurements (J)",
@@ -145,15 +173,17 @@ def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
 
 def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
     """Relative per-kind contribution to each architecture's measured energy."""
-    rows = _read_csv(layer_csv_path, LAYER_SCATTER_HEADER)
+    arch, module, measured = _read_columns(
+        layer_csv_path, LAYER_SCATTER_HEADER, ("architecture", "module", "measured_j")
+    )
     totals: dict[str, dict[str, float]] = {}
-    for row in rows:
-        arch = totals.setdefault(row["architecture"], {})
-        arch[row["module"]] = arch.get(row["module"], 0.0) + float(row["measured_j"])
+    for name, kind, joules in zip(arch, module, _numbers(layer_csv_path, "measured_j", measured)):
+        parts = totals.setdefault(name, {})
+        parts[kind] = parts.get(kind, 0.0) + joules
     kind_order = [k.value for k in LayerKind]
     bars = [
-        (arch, [(kind, parts[kind]) for kind in kind_order if kind in parts])
-        for arch, parts in sorted(totals.items())
+        (name, [(kind, parts[kind]) for kind in kind_order if kind in parts])
+        for name, parts in sorted(totals.items())
     ]
     svg = stacked_bar_svg(
         bars,
@@ -168,11 +198,11 @@ def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
 
 def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
     """Subset index vs test score, split by MAC membership."""
-    rows = _read_csv(csv_path, ABLATION_HEADER)
-    with_mac = [(float(r["mask"]), float(r["r2"])) for r in rows if r["contains_mac"] == "1"]
-    without = [(float(r["mask"]), float(r["r2"])) for r in rows if r["contains_mac"] != "1"]
+    mask, contains_mac, r2 = _read_columns(csv_path, ABLATION_HEADER, ("mask", "contains_mac", "r2"))
+    points = np.column_stack([_numbers(csv_path, "mask", mask), _numbers(csv_path, "r2", r2)])
+    with_mac = np.array(contains_mac) == "1"
     svg = scatter_svg(
-        [("with MAC count", with_mac), ("without MAC count", without)],
+        [("with MAC count", points[with_mac]), ("without MAC count", points[~with_mac])],
         title="Feature-subset scores",
         xlabel="feature subset index",
         ylabel="test R^2",

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 480
 MARGIN = {"left": 72, "right": 160, "top": 40, "bottom": 56}
 
@@ -62,19 +64,19 @@ class _Canvas:
 
 
 def scatter_svg(
-    series: list[tuple[str, list[tuple[float, float]]]],
+    series: list[tuple[str, object]],
     title: str,
     xlabel: str,
     ylabel: str,
     diagonal: bool = True,
 ) -> str:
-    """Scatter plot of (x, y) series; the diagonal marks perfect predictions."""
-    points = [p for _, pts in series for p in pts]
-    if not points:
-        xs = ys = [0.0, 1.0]
-    else:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+    """Scatter plot of (x, y) series; the diagonal marks perfect predictions.
+
+    Each series' points are a sequence of (x, y) pairs or an (n, 2) array.
+    """
+    arrays = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts in series]
+    xs = [x for pts in arrays for x in pts[:, 0].tolist()] or [0.0, 1.0]
+    ys = [y for pts in arrays for y in pts[:, 1].tolist()] or [0.0, 1.0]
     lo = min(min(xs), min(ys), 0.0)
     hi = max(max(xs), max(ys))
     ticks = nice_ticks(lo, hi)
@@ -82,6 +84,7 @@ def scatter_svg(
     x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]
     y0, y1 = HEIGHT - MARGIN["bottom"], MARGIN["top"]
 
+    # scalars and arrays alike, with the same operations in the same order
     def sx(v):
         return x0 + (v - lo) / (hi - lo) * (x1 - x0)
 
@@ -107,12 +110,10 @@ def scatter_svg(
             f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
             'stroke="#999999" stroke-dasharray="6 4"/>'
         )
-    for i, (label, pts) in enumerate(series):
+    for i, ((label, _), pts) in enumerate(zip(series, arrays)):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in pts:
-            canvas.parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.5" fill="{color}" fill-opacity="0.65"/>'
-            )
+        circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3.5" fill="{color}" fill-opacity="0.65"/>'
+        canvas.parts += map(circle.format, sx(pts[:, 0]).tolist(), sy(pts[:, 1]).tolist())
         ly = MARGIN["top"] + 16 * i + 8
         canvas.parts.append(f'<circle cx="{x1 + 16}" cy="{ly}" r="4" fill="{color}"/>')
         canvas.parts.append(f'<text x="{x1 + 26}" y="{ly + 4}" font-size="11">{escape(label)}</text>')

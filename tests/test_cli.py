@@ -9,6 +9,7 @@ from conftest import synth_dataset, synth_modelwise
 from joulecast import probe
 from joulecast.cli import main
 from joulecast.dataset import load_layerwise_csv, load_modelwise_csv, write_layerwise_csv, write_modelwise_csv
+from joulecast.features import KindMatrix
 
 
 def run(*argv):
@@ -257,6 +258,59 @@ class TestEvaluateReport:
     def test_report_without_inputs_fails(self, tmp_path):
         code, _ = run("--quiet", "report", "--out-dir", str(tmp_path / "r"))
         assert code == 1
+
+
+_REPORT_INPUTS = {
+    "--layer-scatter": "architecture,batch_size,layer_index,module,measured_j,predicted_j\n"
+                       "vgg11,1,0,Conv2d,0.5,0.4\n",
+    "--totals": "architecture,batch_size,measured_j,predicted_j,layer_measured_sum_j\nvgg11,1,2.0,1.9,1.8\n",
+    "--ablation": "mask,features,contains_mac,r2,mse\n1,macs,1,0.5,0.01\n",
+}
+
+
+class TestMalformedReportInput:
+    @pytest.mark.parametrize("flag, column", [
+        ("--layer-scatter", "measured_j"),
+        ("--layer-scatter", "predicted_j"),
+        ("--totals", "measured_j"),
+        ("--totals", "predicted_j"),
+        ("--totals", "layer_measured_sum_j"),
+        ("--ablation", "mask"),
+        ("--ablation", "r2"),
+    ])
+    def test_bad_number_exits_one_naming_path_and_row(self, tmp_path, capsys, flag, column):
+        header, good = _REPORT_INPUTS[flag].splitlines()
+        cells = good.split(",")
+        cells[header.split(",").index(column)] = "notanumber"
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
+        capsys.readouterr()
+        code = main(["--quiet", "report", flag, str(path), "--out-dir", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{path}: row 3: {column} 'notanumber' is not a number" in err
+
+
+class TestKindMatrixOncePerKind:
+    @pytest.mark.parametrize("command, builds", [
+        (["train", "--kinds", "conv2d,linear,relu"], 3),
+        (["ablate", "--kind", "linear"], 1),
+        (["feature-experiment", "--kind", "maxpool2d"], 1),
+    ])
+    def test_raw_matrix_built_once_per_kind(self, layerwise_csv, tmp_path, monkeypatch, command, builds):
+        built = []
+        original = KindMatrix.build.__func__
+
+        def counting_build(cls, records):
+            built.append(records[0].module)
+            return original(cls, records)
+
+        monkeypatch.setattr(KindMatrix, "build", classmethod(counting_build))
+        argv = ["--quiet", command[0], "--layerwise", str(layerwise_csv), *command[1:],
+                "--out", str(tmp_path / "out")]
+        assert run(*argv)[0] == 0
+        assert len(built) == len(set(built)) == builds
 
 
 class TestExperiments:

@@ -1,11 +1,12 @@
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joulecast.arch import LayerConfig, LayerKind
+from joulecast.arch import STANDALONE_FIELDS, LayerConfig, LayerKind
 from joulecast.dataset import (
     DEFAULT_SAMPLER_RANGES,
     appending_layerwise_csv,
@@ -270,6 +271,68 @@ class TestLayerwiseCsv:
             write([make_record(seed=1)])
         assert len(load_layerwise_csv(path)) == 2
         assert path.read_text().count("module") == 1  # single header
+
+
+def _parse_each_row(path):
+    """Per-row oracle for the loader: every row's configuration parsed on its own."""
+    records = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            kind = LayerKind(row["module"])
+            fields = {name: int(row[name]) for name in STANDALONE_FIELDS if row[name]}
+            config = LayerConfig(kind=kind, **fields)
+            config.require_standalone()
+            records.append(MeasurementRecord(kind, config, int(row["macs"]), float(row["cpu_energy_j"]),
+                                             int(row["repeat"]), row["source"]))
+    return records
+
+
+def _repeated_records():
+    """Three configurations of two kinds, each measured three times, interleaved."""
+    configs = [make_record(seed=s, kind=k) for s, k in
+               ((0, LayerKind.CONV2D), (1, LayerKind.LINEAR), (2, LayerKind.CONV2D))]
+    return [replace(c, repeat=r, cpu_energy_j=0.1 * (i + 1) + r) for r in (1, 2, 3)
+            for i, c in enumerate(configs)]
+
+
+class TestRepeatedConfigs:
+    def test_loads_what_a_per_row_parse_gives(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        records = _repeated_records()
+        write_layerwise_csv(path, records)
+        loaded = load_layerwise_csv(path)
+        assert loaded == _parse_each_row(path) == records
+
+    def test_mac_mismatch_warns_once_per_row_that_has_it(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        records = _repeated_records()
+        write_layerwise_csv(path, records)
+        # rows 2, 5 and 8 are the three repeats of the first configuration
+        set_cells(path, "macs", {0: str(records[0].macs + 1), 6: str(records[0].macs + 1)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_layerwise_csv(path)
+        messages = [str(w.message) for w in caught if issubclass(w.category, ConsistencyWarning)]
+        assert len(messages) == 2
+        assert "row 2:" in messages[0] and "row 8:" in messages[1]
+        assert [r.macs for r in loaded[::3]] == [records[0].macs + 1, records[0].macs, records[0].macs + 1]
+
+    @pytest.mark.parametrize("column, text", [("macs", "12x"), ("repeat", "0"), ("source", "bogus")])
+    def test_bad_cell_in_a_repeat_is_a_parse_error_with_its_row(self, tmp_path, column, text):
+        path = tmp_path / "rows.csv"
+        write_layerwise_csv(path, _repeated_records())
+        set_cells(path, column, {3: text})  # the second repeat of the first configuration
+        with pytest.raises(ParseError, match=r"rows\.csv: row 5: "):
+            load_layerwise_csv(path)
+
+    def test_short_row_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_layerwise_csv(path, _repeated_records())
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-4])  # no macs, energy, repeat or source
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="row 4: "):
+            load_layerwise_csv(path)
 
 
 class TestModelwiseCsv:

@@ -1,12 +1,14 @@
 import math
+import warnings
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import synth_records
 from joulecast.arch import LayerConfig, LayerKind
-from joulecast.dataset import MeasurementRecord, sample_config
+from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split_indices
 from joulecast.errors import (
     ConstantColumnWarning,
     DegreeOutOfRangeError,
@@ -17,6 +19,7 @@ from joulecast.errors import (
 from joulecast.features import (
     FeatureMap,
     FeatureSetKind,
+    KindMatrix,
     PolynomialSpec,
     expand_polynomial,
     polynomial_names,
@@ -24,6 +27,8 @@ from joulecast.features import (
     raw_feature_row,
 )
 from joulecast.macs import standalone_macs
+from joulecast.predict import DEFAULT_MODEL_SPECS, EXPERIMENT_TABLE
+from joulecast.regress import fit_ols, group_kfold_indices
 
 
 def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
@@ -246,3 +251,85 @@ class TestBuildDesign:
         s = np.array([r.config.in_channels for r in records], dtype=float)
         idx = design.column_names.index("batch_size*in_channels")
         np.testing.assert_array_equal(design.X[:, idx], b * s)
+
+
+def _oracle_design(features, records):
+    """The per-record path the kind matrix replaced: one raw row per record
+    and feature set, expanded, then through the frozen z-score."""
+    raw = np.array([raw_feature_row(r.config, r.macs, features.feature_set) for r in records], dtype=float)
+    X = expand_polynomial(raw, features.poly)
+    if features.scaler == "zscore":
+        names = polynomial_names(raw_feature_names(features.kind, features.feature_set), features.poly)
+        kept = np.array([names.index(c) for c in features.columns], dtype=int)
+        X = (X[:, kept] - np.asarray(features.mean)) / np.asarray(features.std)
+    y = np.array([r.cpu_energy_j for r in records], dtype=float)
+    return X, (y - features.target_min) / (features.target_max - features.target_min)
+
+
+def _oracle_fit(records, feature_set, poly, scaler):
+    kind = records[0].module
+    names = polynomial_names(raw_feature_names(kind, feature_set), poly)
+    raw = np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records], dtype=float)
+    X = expand_polynomial(raw, poly)
+    columns, stats = names, {}
+    if scaler == "zscore":
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        keep = std > 0
+        columns = tuple(n for n, k in zip(names, keep) if k)
+        stats = {
+            "mean": tuple(float(m) for m in mean[keep]),
+            "std": tuple(float(s) for s in std[keep]),
+            "dropped": tuple(n for n, k in zip(names, keep) if not k),
+        }
+    y = np.array([r.cpu_energy_j for r in records], dtype=float)
+    features = FeatureMap(kind, feature_set, poly, scaler, columns, float(y.min()), float(y.max()), **stats)
+    return features, _oracle_design(features, records)
+
+
+def _oracle_cases():
+    cases = [(kind, spec) for kind, specs in EXPERIMENT_TABLE.items() for spec in specs]
+    return cases + list(DEFAULT_MODEL_SPECS.items())
+
+
+class TestKindMatrixOracle:
+    """Maps fitted on rows of one kind matrix equal the per-record path, to the bit."""
+
+    @pytest.mark.parametrize("kind, spec", _oracle_cases(),
+                             ids=lambda v: v.value if isinstance(v, LayerKind) else None)
+    def test_rows_of_kind_matrix_match_per_record_fit(self, kind, spec):
+        records = synth_records(kind, 40, seed=21, repeats=3)
+        matrix = KindMatrix.build(records)
+        train, _, test = split_indices(matrix.keys, SplitSpec(seed=4))
+        folds = group_kfold_indices([matrix.keys[i] for i in train], 5, seed=4)
+        parts = [(train, test)] + [
+            ([train[i] for i in range(len(train)) if i not in set(held)], [train[i] for i in held])
+            for held in folds
+        ]
+        args = (spec.feature_set, spec.poly, spec.feature_scaler)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fit_rows, held_rows in parts:
+                features, design = FeatureMap.fit_rows(matrix, fit_rows, *args)
+                oracle, (X, y) = _oracle_fit([records[i] for i in fit_rows], *args)
+                assert features.to_dict() == oracle.to_dict()
+                assert np.array_equal(design.X, X) and np.array_equal(design.y, y)
+                assert fit_ols(design.X, design.y) == fit_ols(X, y)
+                held = features.design_rows(matrix, held_rows)
+                X_held, y_held = _oracle_design(oracle, [records[i] for i in held_rows])
+                assert np.array_equal(held.X, X_held) and np.array_equal(held.y, y_held)
+
+    def test_every_feature_set_is_a_column_selection(self):
+        records = records_for(LayerKind.CONV2D, 12, seed=5)
+        matrix = KindMatrix.build(records)
+        for feature_set in FeatureSetKind:
+            rows = np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records])
+            everything = raw_feature_names(LayerKind.CONV2D, FeatureSetKind.LOG_PARAMETER_MAC)
+            columns = [everything.index(n) for n in raw_feature_names(LayerKind.CONV2D, feature_set)]
+            assert np.array_equal(matrix.raw[:, columns], rows)
+
+    def test_design_rows_refuses_another_kind_and_no_rows(self):
+        features, _ = FeatureMap.fit(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        with pytest.raises(KindMismatchError):
+            features.design_rows(KindMatrix.build(records_for(LayerKind.CONV2D, 3)), [0])
+        with pytest.raises(EmptyRecordsError):
+            features.design_rows(KindMatrix.build(records_for(LayerKind.LINEAR, 3)), [])
