@@ -502,8 +502,11 @@ def load_architecture(source) -> ArchitectureSpec:
     if lowered in PRESET_NAMES:
         return _preset(lowered)
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text: {exc.reason}") from None
     elif source.lstrip().startswith("{"):
         text = source
     else:

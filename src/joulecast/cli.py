@@ -225,15 +225,11 @@ def cmd_evaluate(args) -> int:
     report.write_layer_scatter_csv(layer_csv, evaluation.layer_points)
     report.write_totals_csv(totals_csv, evaluation.total_points)
     metrics_csv = os.path.join(args.out_dir, "metrics.csv")
-    with open(metrics_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("scope", "r2", "mse", "max_error"))
-        for kind in sorted(evaluation.per_kind, key=lambda k: k.value):
-            m = evaluation.per_kind[kind]
-            writer.writerow((kind.value, repr(m.r2), repr(m.mse), repr(m.max_error)))
-        m = evaluation.overall
-        writer.writerow(("overall", repr(m.r2), repr(m.mse), repr(m.max_error)))
-    for kind in sorted(evaluation.per_kind, key=lambda k: k.value):
+    kinds = sorted(evaluation.per_kind, key=lambda k: k.value)
+    scopes = [(kind.value, evaluation.per_kind[kind]) for kind in kinds] + [("overall", evaluation.overall)]
+    dataset.write_csv(metrics_csv, ("scope", "r2", "mse", "max_error"),
+                      [(scope, repr(m.r2), repr(m.mse), repr(m.max_error)) for scope, m in scopes])
+    for kind in kinds:
         _say(args, f"  {kind.value:<10} r2 {evaluation.per_kind[kind].r2:.3f}")
     _say(args, f"overall full-architecture r2: {evaluation.overall.r2:.3f}")
     _say(args, f"wrote {layer_csv}, {totals_csv}, {metrics_csv}")
@@ -253,32 +249,19 @@ def cmd_feature_experiment(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
     rows = run_feature_set_experiment(records, kind, SplitSpec(seed=args.seed))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("module", "feature_set", "polynomial", "standard_scaler", "model", "lambda",
-             "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test",
-             "lasso_kkt", "lasso_unconverged")
-        )
-        for row in rows:
-            writer.writerow(
-                (
-                    row.module.value,
-                    row.feature_set.label,
-                    row.poly.label if row.poly else "",
-                    "y" if row.scaled else "n",
-                    row.model,
-                    repr(float(row.lam)),
-                    repr(row.cv.r2_mean),
-                    repr(row.cv.r2_std),
-                    repr(row.cv.mse_mean),
-                    repr(row.cv.mse_std),
-                    repr(row.test.r2),
-                    repr(row.test.mse),
-                    repr(row.lasso_kkt),
-                    row.lasso_unconverged,
-                )
-            )
+    dataset.write_csv(
+        args.out,
+        ("module", "feature_set", "polynomial", "standard_scaler", "model", "lambda",
+         "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test",
+         "lasso_kkt", "lasso_unconverged"),
+        [
+            (row.module.value, row.feature_set.label, row.poly.label if row.poly else "",
+             "y" if row.scaled else "n", row.model, repr(float(row.lam)),
+             repr(row.cv.r2_mean), repr(row.cv.r2_std), repr(row.cv.mse_mean), repr(row.cv.mse_std),
+             repr(row.test.r2), repr(row.test.mse), repr(row.lasso_kkt), row.lasso_unconverged)
+            for row in rows
+        ],
+    )
     _say(args, f"feature-set experiment for {kind.value} -> {args.out}")
     return 0
 

@@ -260,13 +260,10 @@ def modelwise_to_layerwise(records: list["ModelWiseRecord"]) -> list[Measurement
 LAYERWISE_HEADER = ("module", *STANDALONE_FIELDS, "macs", "cpu_energy_j", "repeat", "source")
 
 
-def _config_from_row(kind: LayerKind, row: dict) -> LayerConfig:
-    fields = {}
-    for name in STANDALONE_FIELDS:
-        raw = row.get(name, "")
-        if raw not in ("", None):
-            fields[name] = int(raw)
-    return LayerConfig(kind=kind, **fields)
+def _config_from_cells(kind: LayerKind, cells) -> LayerConfig:
+    """The configuration whose ``STANDALONE_FIELDS`` cells these are; an empty
+    cell is an inapplicable field."""
+    return LayerConfig(kind=kind, **{name: int(raw) for name, raw in zip(STANDALONE_FIELDS, cells) if raw})
 
 
 def _layerwise_rows(records: list[MeasurementRecord]):
@@ -281,23 +278,60 @@ def _layerwise_rows(records: list[MeasurementRecord]):
 
 @contextmanager
 def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
-    """Yield ``write(records)``, which writes the records' rows and flushes
-    them; the header goes first if the file is new."""
+    """Yield ``write(items)``, which writes the rows ``to_rows(items)`` and
+    flushes them; the header goes first if the file is new. Every CSV the
+    package writes goes through here, except the ablation table
+    (``report.write_ablation_csv``) and the MAC table on stdout."""
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
             writer.writerow(header)
 
-        def write(records) -> None:
-            writer.writerows(to_rows(records))
+        def write(items) -> None:
+            writer.writerows(to_rows(items))
             fh.flush()
 
         yield write
 
 
+def write_csv(path, header: tuple[str, ...], rows, append: bool = False) -> None:
+    """Write ``rows`` (sequences of cells) under ``header``."""
+    with _csv_writer(path, header, iter, append) as write:
+        write(rows)
+
+
+def read_csv(path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
+    """The column positions and data rows of a UTF-8 CSV whose header holds
+    the ``required`` columns; every CSV the package reads goes through here.
+
+    Blank lines are skipped and not counted, so ``rows[i]`` is row ``i + 2``
+    of the file in every error message. A row shorter than the header is
+    padded with empty cells, which the caller's own cell checks then reject
+    or accept. A malformed or non-UTF-8 file is a ``ParseError`` naming it.
+    """
+    header = None
+    rows: list[list[str]] = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = set(required) - set(header)
+            if missing:
+                raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+            width = len(header)
+            # extend keeps the rows read before a csv.Error, which numbers it
+            rows.extend(row if len(row) >= width else row + [""] * (width - len(row)) for row in reader if row)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {1 if header is None else len(rows) + 2}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    return {name: i for i, name in enumerate(header)}, rows
+
+
 def write_layerwise_csv(path, records: list[MeasurementRecord], append: bool = False) -> None:
-    with _csv_writer(path, LAYERWISE_HEADER, _layerwise_rows, append) as write:
-        write(records)
+    write_csv(path, LAYERWISE_HEADER, _layerwise_rows(records), append)
 
 
 def appending_layerwise_csv(path):
@@ -323,61 +357,49 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
     records = []
     # configuration cells -> [config, recomputed MACs or None until needed]
     parsed: dict[tuple, list] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = set(LAYERWISE_HEADER) - set(header)
-        if missing:
-            raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        column = {name: i for i, name in enumerate(header)}
-        config_cells = itemgetter(*(column[name] for name in ("module", *STANDALONE_FIELDS)))
-        cells = itemgetter(*(column[name] for name in ("cpu_energy_j", "macs", "repeat", "source")))
-        width = len(header)
-        # blank lines are skipped and short rows padded with empty cells
-        for line, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            raw_energy, raw_macs, raw_repeat, source = cells(row)
-            raw_energy = raw_energy.strip()
-            key = config_cells(row)
-            known = parsed.get(key)
-            # a new configuration is checked in the order of a full parse:
-            # module, energy, then the configuration itself
-            try:
-                if known is None:
-                    kind = LayerKind(key[0])
-                energy = _energy_reading(raw_energy)
-                if known is None:
-                    config = _config_from_row(kind, dict(zip(STANDALONE_FIELDS, key[1:])))
-                    config.require_standalone()
-                    known = parsed[key] = [config, None]
-                config = known[0]
-                macs = int(raw_macs)
-                repeat = int(raw_repeat or 1)
-                source = source or SOURCE_RANDOM
-                if energy is not None:
-                    record = MeasurementRecord(config.kind, config, macs, energy, repeat, source)
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"{path}: row {line}: {exc}") from exc
-            if energy is None:
+    column, rows = read_csv(path, LAYERWISE_HEADER)
+    config_cells = itemgetter(*(column[name] for name in ("module", *STANDALONE_FIELDS)))
+    cells = itemgetter(*(column[name] for name in ("cpu_energy_j", "macs", "repeat", "source")))
+    for line, row in enumerate(rows, start=2):
+        raw_energy, raw_macs, raw_repeat, source = cells(row)
+        raw_energy = raw_energy.strip()
+        key = config_cells(row)
+        known = parsed.get(key)
+        # a new configuration is checked in the order of a full parse:
+        # module, energy, then the configuration itself
+        try:
+            if known is None:
+                kind = LayerKind(key[0])
+            energy = _energy_reading(raw_energy)
+            if known is None:
+                config = _config_from_cells(kind, key[1:])
+                config.require_standalone()
+                known = parsed[key] = [config, None]
+            config = known[0]
+            macs = int(raw_macs)
+            repeat = int(raw_repeat or 1)
+            source = source or SOURCE_RANDOM
+            if energy is not None:
+                record = MeasurementRecord(config.kind, config, macs, energy, repeat, source)
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"{path}: row {line}: {exc}") from exc
+        if energy is None:
+            warnings.warn(
+                f"{path}: row {line}: dropped erroneous energy reading {raw_energy!r}",
+                UserWarning,
+                stacklevel=2,
+            )
+            continue
+        if verify_macs:
+            if known[1] is None:
+                known[1] = standalone_macs(config)
+            if known[1] != macs:
                 warnings.warn(
-                    f"{path}: row {line}: dropped erroneous energy reading {raw_energy!r}",
-                    UserWarning,
+                    f"{path}: row {line}: stored macs {macs} != recomputed {known[1]}",
+                    ConsistencyWarning,
                     stacklevel=2,
                 )
-                continue
-            if verify_macs:
-                if known[1] is None:
-                    known[1] = standalone_macs(config)
-                if known[1] != macs:
-                    warnings.warn(
-                        f"{path}: row {line}: stored macs {macs} != recomputed {known[1]}",
-                        ConsistencyWarning,
-                        stacklevel=2,
-                    )
-            records.append(record)
+        records.append(record)
     return records
 
 
@@ -406,8 +428,7 @@ def _modelwise_rows(records: list[ModelWiseRecord]):
 
 
 def write_modelwise_csv(path, records: list[ModelWiseRecord], append: bool = False) -> None:
-    with _csv_writer(path, MODELWISE_HEADER, _modelwise_rows, append) as write:
-        write(records)
+    write_csv(path, MODELWISE_HEADER, _modelwise_rows(records), append)
 
 
 def appending_modelwise_csv(path):
@@ -423,72 +444,71 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
     a warning; such a total row is dropped together with its layer rows.
     """
     records: list[ModelWiseRecord] = []
-    current: ModelWiseRecord | None = None
+    current: tuple[int, ModelWiseRecord] | None = None  # (its total row, the record)
     layers: list[ModelWiseLayer] = []
     dropped_total = False
 
     def flush():
         nonlocal current
         if current is not None:
-            records.append(replace(current, layers=tuple(layers)))
+            total_line, record = current
+            try:
+                records.append(replace(record, layers=tuple(layers)))
+            except ValidationError as exc:
+                raise ParseError(f"{path}: row {total_line}: {exc}") from exc
             current = None
             layers.clear()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = set(MODELWISE_HEADER) - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                raw_energy = (row["cpu_energy_j"] or "").strip()
-                energy = _energy_reading(raw_energy)
-                if row["row_type"] == "total":
-                    flush()
-                    dropped_total = energy is None
-                    if dropped_total:
-                        warnings.warn(
-                            f"{path}: row {line}: dropped erroneous total {raw_energy!r} and its layer rows",
-                            UserWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    current = ModelWiseRecord(
-                        architecture=row["architecture"],
-                        batch_size=int(row["batch_size"]),
-                        total_energy_j=energy,
-                        total_macs=int(row["macs"] or 0),
+    column, rows = read_csv(path, MODELWISE_HEADER)
+    cells = itemgetter(*(column[name] for name in (
+        "architecture", "batch_size", "row_type", "layer_index", "module", "macs", "cpu_energy_j")))
+    config_cells = itemgetter(*(column[name] for name in STANDALONE_FIELDS))
+    for line, row in enumerate(rows, start=2):
+        architecture, batch_size, row_type, layer_index, module, macs, raw_energy = cells(row)
+        raw_energy = raw_energy.strip()
+        try:
+            energy = _energy_reading(raw_energy)
+            if row_type == "total":
+                flush()
+                dropped_total = energy is None
+                if dropped_total:
+                    warnings.warn(
+                        f"{path}: row {line}: dropped erroneous total {raw_energy!r} and its layer rows",
+                        UserWarning,
+                        stacklevel=2,
                     )
-                elif row["row_type"] == "layer":
-                    if dropped_total:
-                        continue
-                    if current is None:
-                        raise ParseError(f"{path}: row {line}: layer row before any total row")
-                    if energy is None:
-                        warnings.warn(
-                            f"{path}: row {line}: dropped erroneous layer energy {raw_energy!r}",
-                            UserWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    kind = LayerKind(row["module"])
-                    config = _config_from_row(kind, {**row, "batch_size": row["batch_size"]})
-                    layers.append(
-                        ModelWiseLayer(
-                            layer_index=int(row["layer_index"]),
-                            module=kind,
-                            config=config,
-                            macs=int(row["macs"]),
-                            cpu_energy_j=energy,
-                        )
+                    continue
+                current = line, ModelWiseRecord(
+                    architecture=architecture,
+                    batch_size=int(batch_size),
+                    total_energy_j=energy,
+                    total_macs=int(macs or 0),
+                )
+            elif row_type == "layer":
+                if dropped_total:
+                    continue
+                if current is None:
+                    raise ParseError(f"{path}: row {line}: layer row before any total row")
+                if energy is None:
+                    warnings.warn(
+                        f"{path}: row {line}: dropped erroneous layer energy {raw_energy!r}",
+                        UserWarning,
+                        stacklevel=2,
                     )
-                else:
-                    raise ValueError(f"unknown row_type {row['row_type']!r}")
-            except ParseError:
-                raise
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"{path}: row {line}: {exc}") from exc
+                    continue
+                kind = LayerKind(module)
+                layers.append(
+                    ModelWiseLayer(
+                        layer_index=int(layer_index),
+                        module=kind,
+                        config=_config_from_cells(kind, config_cells(row)),
+                        macs=int(macs),
+                        cpu_energy_j=energy,
+                    )
+                )
+            else:
+                raise ValueError(f"unknown row_type {row_type!r}")
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"{path}: row {line}: {exc}") from exc
     flush()
     return records

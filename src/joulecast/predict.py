@@ -190,8 +190,12 @@ class PredictorBundle:
 
     @classmethod
     def load(cls, path) -> "PredictorBundle":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        return cls.from_json(text)
 
 
 def dataset_fingerprint(records: list[MeasurementRecord]) -> str:

@@ -2,14 +2,14 @@
 the same in-memory rows, so the CSV alone can regenerate the image."""
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arch import LayerKind
-from .errors import ParseError, SchemaError
+from .dataset import read_csv, write_csv
+from .errors import ParseError
 from .predict import AblationRow, LayerPoint, TotalPoint
 from .svgplot import scatter_svg, stacked_bar_svg
 
@@ -21,36 +21,22 @@ class ReportArtifact:
     svg_path: str
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _read_columns(path, required, names) -> list[tuple[str, ...]]:
+def _columns(path, required, names) -> list[tuple[str, ...]]:
     """The ``names`` columns of a CSV whose header holds the ``required``
-    columns, one tuple of cells per column; blank lines are skipped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file")
-            missing = set(required) - set(header)
-            if missing:
-                raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    column = {name: i for i, name in enumerate(header)}
-    positions = [column[name] for name in names]
-    width = max(positions) + 1
-    for line, row in enumerate(rows, start=2):
-        if len(row) < width:
-            raise ParseError(f"{path}: row {line}: {len(row)} of {len(header)} columns")
-    table = list(zip(*rows)) if rows else [()] * width
-    return [table[i] for i in positions]
+    columns (``dataset.read_csv``), one tuple of cells per column."""
+    column, rows = read_csv(path, required)
+    if not rows:
+        return [()] * len(names)
+    table = list(zip(*rows))
+    return [table[column[name]] for name in names]
+
+
+def _svg_artifact(kind: str, csv_path, out_dir, name: str, svg: str) -> ReportArtifact:
+    """Write ``svg`` to ``out_dir/name``; the artifact pairs it with its CSV."""
+    svg_path = os.path.join(out_dir, name)
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return ReportArtifact(kind, str(csv_path), svg_path)
 
 
 def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
@@ -72,7 +58,7 @@ ABLATION_HEADER = ("mask", "features", "contains_mac", "r2", "mse")
 
 
 def write_layer_scatter_csv(path, points: tuple[LayerPoint, ...]) -> None:
-    _write_csv(
+    write_csv(
         path,
         LAYER_SCATTER_HEADER,
         [
@@ -84,7 +70,7 @@ def write_layer_scatter_csv(path, points: tuple[LayerPoint, ...]) -> None:
 
 
 def write_totals_csv(path, points: tuple[TotalPoint, ...]) -> None:
-    _write_csv(
+    write_csv(
         path,
         TOTALS_HEADER,
         [
@@ -112,7 +98,7 @@ def write_ablation_csv(path, rows: list[AblationRow]) -> None:
 
 def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
     """One measured-vs-predicted scatter per layer kind (ground truth on x)."""
-    module, measured, predicted = _read_columns(
+    module, measured, predicted = _columns(
         csv_path, LAYER_SCATTER_HEADER, ("module", "measured_j", "predicted_j")
     )
     points = list(zip(module, _numbers(csv_path, "measured_j", measured),
@@ -126,16 +112,13 @@ def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
             xlabel="measured energy (J)",
             ylabel="predicted energy (J)",
         )
-        svg_path = os.path.join(out_dir, f"scatter_{kind.lower()}.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        artifacts.append(ReportArtifact("scatter", str(csv_path), svg_path))
+        artifacts.append(_svg_artifact("scatter", csv_path, out_dir, f"scatter_{kind.lower()}.svg", svg))
     return artifacts
 
 
 def _totals_by_arch(csv_path, y_column: str) -> list[tuple[str, list[tuple[float, float]]]]:
     """(measured total, ``y_column``) points of a totals CSV per architecture, sorted."""
-    arch, measured, y = _read_columns(csv_path, TOTALS_HEADER, ("architecture", "measured_j", y_column))
+    arch, measured, y = _columns(csv_path, TOTALS_HEADER, ("architecture", "measured_j", y_column))
     by_arch: dict[str, list[tuple[float, float]]] = {}
     for name, point in zip(arch, zip(_numbers(csv_path, "measured_j", measured),
                                      _numbers(csv_path, y_column, y))):
@@ -151,10 +134,7 @@ def totals_scatter_artifact(csv_path, out_dir) -> ReportArtifact:
         xlabel="measured energy (J)",
         ylabel="sum of layer predictions (J)",
     )
-    svg_path = os.path.join(out_dir, "scatter_totals.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return ReportArtifact("scatter", str(csv_path), svg_path)
+    return _svg_artifact("scatter", csv_path, out_dir, "scatter_totals.svg", svg)
 
 
 def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
@@ -165,15 +145,12 @@ def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
         xlabel="total measured energy (J)",
         ylabel="sum of layer measurements (J)",
     )
-    svg_path = os.path.join(out_dir, "aggregate_vs_total.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return ReportArtifact("aggregate_vs_total", str(csv_path), svg_path)
+    return _svg_artifact("aggregate_vs_total", csv_path, out_dir, "aggregate_vs_total.svg", svg)
 
 
 def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
     """Relative per-kind contribution to each architecture's measured energy."""
-    arch, module, measured = _read_columns(
+    arch, module, measured = _columns(
         layer_csv_path, LAYER_SCATTER_HEADER, ("architecture", "module", "measured_j")
     )
     totals: dict[str, dict[str, float]] = {}
@@ -190,15 +167,12 @@ def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
         title="Layer-type contributions to measured energy",
         ylabel="fraction of measured energy",
     )
-    svg_path = os.path.join(out_dir, "contribution_bars.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return ReportArtifact("contribution_bars", str(layer_csv_path), svg_path)
+    return _svg_artifact("contribution_bars", layer_csv_path, out_dir, "contribution_bars.svg", svg)
 
 
 def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
     """Subset index vs test score, split by MAC membership."""
-    mask, contains_mac, r2 = _read_columns(csv_path, ABLATION_HEADER, ("mask", "contains_mac", "r2"))
+    mask, contains_mac, r2 = _columns(csv_path, ABLATION_HEADER, ("mask", "contains_mac", "r2"))
     points = np.column_stack([_numbers(csv_path, "mask", mask), _numbers(csv_path, "r2", r2)])
     with_mac = np.array(contains_mac) == "1"
     svg = scatter_svg(
@@ -208,7 +182,4 @@ def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
         ylabel="test R^2",
         diagonal=False,
     )
-    svg_path = os.path.join(out_dir, "ablation_scatter.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return ReportArtifact("ablation_scatter", str(csv_path), svg_path)
+    return _svg_artifact("ablation_scatter", csv_path, out_dir, "ablation_scatter.svg", svg)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import synth_dataset, synth_modelwise
 from joulecast import probe
+from joulecast.arch import load_architecture
 from joulecast.cli import main
 from joulecast.dataset import load_layerwise_csv, load_modelwise_csv, write_layerwise_csv, write_modelwise_csv
 from joulecast.features import KindMatrix
@@ -290,6 +291,69 @@ class TestMalformedReportInput:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"{path}: row 3: {column} 'notanumber' is not a number" in err
+
+
+def _write_replaced(data: bytes, dst, old: bytes, new: bytes):
+    """Write ``data`` to ``dst`` with its first ``old`` replaced by ``new``."""
+    assert old in data
+    dst.write_bytes(data.replace(old, new, 1))
+    return dst
+
+
+def _exits_one_naming(capsys, argv, path) -> str:
+    """Run ``argv``; assert exit code 1 and one ``error: <path>...`` line on stderr."""
+    capsys.readouterr()
+    code = main(["--quiet", *map(str, argv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+    return err
+
+
+class TestUnreadableInput:
+    """A file that is not UTF-8, or holds a cell above the csv field limit,
+    is a one-line error naming it, on every entry point that reads one."""
+
+    def test_train_non_utf8(self, layerwise_csv, tmp_path, capsys):
+        path = _write_replaced(layerwise_csv.read_bytes(), tmp_path / "layerwise.csv",
+                               b"Conv2d", b"Conv\xff2d")
+        err = _exits_one_naming(capsys, ["train", "--layerwise", path, "--out", tmp_path / "b.json"], path)
+        assert "not UTF-8" in err
+
+    def test_evaluate_non_utf8(self, bundle_path, modelwise_csv, tmp_path, capsys):
+        path = _write_replaced(modelwise_csv.read_bytes(), tmp_path / "modelwise.csv", b"vgg11", b"vgg\xff11")
+        argv = ["evaluate", "--bundle", bundle_path, "--modelwise", path, "--out-dir", tmp_path / "eval"]
+        assert "not UTF-8" in _exits_one_naming(capsys, argv, path)
+
+    @pytest.mark.parametrize("flag", list(_REPORT_INPUTS))
+    def test_report_non_utf8(self, tmp_path, capsys, flag):
+        path = _write_replaced(_REPORT_INPUTS[flag].encode(), tmp_path / "input.csv", b"1", b"\xff")
+        argv = ["report", flag, path, "--out-dir", tmp_path / "report"]
+        assert "not UTF-8" in _exits_one_naming(capsys, argv, path)
+
+    def test_estimate_bundle_non_utf8(self, bundle_path, tmp_path, capsys):
+        path = _write_replaced(bundle_path.read_bytes(), tmp_path / "bundle.json",
+                               b'"metadata"', b'"metadata\xff"')
+        argv = ["estimate", "--bundle", path, "--arch", "vgg11"]
+        assert "not UTF-8" in _exits_one_naming(capsys, argv, path)
+
+    def test_macs_arch_file_non_utf8(self, tmp_path, capsys):
+        text = load_architecture("vgg11").to_json().encode()
+        path = _write_replaced(text, tmp_path / "arch.json", b'"vgg11"', b'"vgg\xff11"')
+        assert "not UTF-8" in _exits_one_naming(capsys, ["macs", "--arch", path], path)
+
+    def test_train_oversized_cell(self, layerwise_csv, tmp_path, capsys):
+        path = _write_replaced(layerwise_csv.read_bytes(), tmp_path / "layerwise.csv",
+                               b",random", b"," + b"x" * 200_000)
+        err = _exits_one_naming(capsys, ["train", "--layerwise", path, "--out", tmp_path / "b.json"], path)
+        assert err.startswith(f"error: {path}: row 2: field larger than field limit")
+
+    def test_evaluate_oversized_cell(self, bundle_path, modelwise_csv, tmp_path, capsys):
+        path = _write_replaced(modelwise_csv.read_bytes(), tmp_path / "modelwise.csv",
+                               b",layer,", b"," + b"x" * 200_000 + b",")
+        argv = ["evaluate", "--bundle", bundle_path, "--modelwise", path, "--out-dir", tmp_path / "eval"]
+        err = _exits_one_naming(capsys, argv, path)
+        assert err.startswith(f"error: {path}: row 3: field larger than field limit")
 
 
 class TestKindMatrixOncePerKind:

@@ -24,6 +24,7 @@ from joulecast.dataset import (
     write_layerwise_csv,
     write_modelwise_csv,
 )
+from joulecast.dataset import _energy_reading
 from joulecast.errors import (
     ConsistencyWarning,
     KindMismatchError,
@@ -385,6 +386,92 @@ class TestModelwiseCsv:
         assert len(rows) == 2
         assert all(r.source == "real_architecture" for r in rows)
         assert rows[0].macs == self._record().layers[0].macs
+
+
+class TestModelwiseRecordCheck:
+    @pytest.mark.parametrize("disordered, total_row", [(0, 2), (1, 5)])
+    def test_layers_out_of_order_name_path_and_total_row(self, tmp_path, disordered, total_row):
+        record = TestModelwiseCsv()._record()
+        path = tmp_path / "model.csv"
+        write_modelwise_csv(path, [record, replace(record, architecture="other")])
+        # data rows: total, layer 0, layer 1 of each record
+        first_layer = 3 * disordered + 1
+        set_cells(path, "layer_index", {first_layer: "1", first_layer + 1: "0"})
+        with pytest.raises(ParseError, match=rf"model\.csv: row {total_row}: layer measurements must be "
+                                             r"ordered by layer_index"):
+            load_modelwise_csv(path)
+
+
+def _parent_load_modelwise_csv(path):
+    """The model-wise loader as it was, on ``csv.DictReader`` (oracle for the
+    column-position loader)."""
+    records, layers = [], []
+    current = None
+    dropped_total = False
+
+    def flush():
+        nonlocal current
+        if current is not None:
+            records.append(replace(current, layers=tuple(layers)))
+            current = None
+            layers.clear()
+
+    def config_from_row(kind, row):
+        fields = {name: int(row.get(name, "")) for name in STANDALONE_FIELDS
+                  if row.get(name, "") not in ("", None)}
+        return LayerConfig(kind=kind, **fields)
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line, row in enumerate(csv.DictReader(fh), start=2):
+            raw_energy = (row["cpu_energy_j"] or "").strip()
+            energy = _energy_reading(raw_energy)
+            if row["row_type"] == "total":
+                flush()
+                dropped_total = energy is None
+                if dropped_total:
+                    warnings.warn(f"{path}: row {line}: dropped erroneous total {raw_energy!r} and its layer rows")
+                    continue
+                current = ModelWiseRecord(architecture=row["architecture"], batch_size=int(row["batch_size"]),
+                                          total_energy_j=energy, total_macs=int(row["macs"] or 0))
+            elif row["row_type"] == "layer":
+                if dropped_total:
+                    continue
+                if energy is None:
+                    warnings.warn(f"{path}: row {line}: dropped erroneous layer energy {raw_energy!r}")
+                    continue
+                kind = LayerKind(row["module"])
+                layers.append(ModelWiseLayer(int(row["layer_index"]), kind, config_from_row(kind, row),
+                                             int(row["macs"]), energy))
+    flush()
+    return records
+
+
+def _load_with_warnings(loader, path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = loader(path)
+    return records, [str(w.message) for w in caught]
+
+
+def test_modelwise_loader_matches_dictreader_oracle(tmp_path):
+    from joulecast.cli import main
+
+    path = tmp_path / "modelwise.csv"
+    # the model-wise collection of scripts/synthetic_demo.py --seed 0
+    for seed, arch in ((100, "alexnet"), (101, "vgg11")):
+        argv = ["--seed", str(seed), "--simulate", "--quiet", "collect", "--kind", arch, "--count", "2"]
+        assert main([*argv, "--out", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[3].split(",")[2] == "layer"
+    lines[3] = ",".join(lines[3].split(",")[:-2])  # a short layer row: no macs, no energy
+    lines = lines[:1] + [""] + lines[1:20] + ["", ""] + lines[20:] + [""]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    loaded, messages = _load_with_warnings(load_modelwise_csv, path)
+    expected, expected_messages = _load_with_warnings(_parent_load_modelwise_csv, path)
+    assert loaded == expected
+    assert messages == expected_messages == [f"{path}: row 4: dropped erroneous layer energy ''"]
+    assert [len(r.layers) for r in loaded] == [17, 18, 26, 26]
 
 
 def test_record_rejects_negative_energy():
