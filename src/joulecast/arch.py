@@ -507,12 +507,18 @@ def load_architecture(source) -> ArchitectureSpec:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{source}: not UTF-8 text: {exc.reason}") from None
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        raise UnknownPresetError(
-            f"{source!r} is not a preset ({', '.join(PRESET_NAMES)}), an existing file, or JSON text"
-        )
+        try:
+            return _architecture_from_json(text)
+        except ParseError as exc:
+            raise type(exc)(f"{source}: {exc}") from None
+    if source.lstrip().startswith("{"):
+        return _architecture_from_json(source)
+    raise UnknownPresetError(
+        f"{source!r} is not a preset ({', '.join(PRESET_NAMES)}), an existing file, or JSON text"
+    )
+
+
+def _architecture_from_json(text: str) -> ArchitectureSpec:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

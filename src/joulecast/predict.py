@@ -195,7 +195,10 @@ class PredictorBundle:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        return cls.from_json(text)
+        try:
+            return cls.from_json(text)
+        except ParseError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def dataset_fingerprint(records: list[MeasurementRecord]) -> str:

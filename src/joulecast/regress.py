@@ -5,6 +5,10 @@ returns the minimum-norm solution on rank-deficient designs. The Lasso
 minimizes (1/2n)*SS_res + lambda*||beta||_1 with an unpenalized intercept
 handled by centering, so with centered data every coefficient is zeroed once
 lambda >= max_j |X_j^T y| / n.
+
+Both solvers first collapse identical design rows (the repeat measurements
+of one configuration) into one count-weighted row each; the rank cutoff,
+the path's step cap and every 1/n keep the full row count.
 """
 from __future__ import annotations
 
@@ -85,19 +89,41 @@ def _check_finite(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return X, y
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
-    """Least squares with a centered-out intercept.
+def _distinct_rows(Xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Identical rows of a centred design collapsed into one each.
 
-    One iterative-refinement step tightens the solution to machine precision,
-    so exactly representable problems solve exactly.
+    Returns the distinct rows, in order of first appearance, and the mean
+    target of each, both scaled by sqrt(count). Least squares and the Lasso
+    on these rows (with the full row count in every 1/n) have the same
+    minimiser as on all the rows: within a group only the target varies,
+    and its deviations from the group mean are orthogonal to every column.
+    With no repeated row the result equals Xc and yc.
+    """
+    ids: dict[bytes, int] = {}
+    group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in Xc])
+    counts = np.bincount(group)
+    distinct = np.empty((len(counts), Xc.shape[1]))
+    distinct[group] = Xc  # the rows of a group are equal
+    root = np.sqrt(counts)
+    return distinct * root[:, None], np.bincount(group, weights=yc) / counts * root
+
+
+def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Least squares with a centered-out intercept, solved on the design's
+    distinct rows (``_distinct_rows``).
+
+    The rank cutoff is numpy's default for the uncollapsed design,
+    eps*max(n, p) relative to the largest singular value, which the collapse
+    does not change. One iterative-refinement step tightens the solution to
+    machine precision, so exactly representable problems solve exactly.
     """
     X, y = _check_finite(X, y)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
-    Xc = X - x_mean
-    yc = y - y_mean
-    beta, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
-    correction, *_ = np.linalg.lstsq(Xc, yc - Xc @ beta, rcond=None)
+    Xw, yw = _distinct_rows(X - x_mean, y - y_mean)
+    rcond = np.finfo(float).eps * max(X.shape)
+    beta, _, rank, _ = np.linalg.lstsq(Xw, yw, rcond=rcond)
+    correction, *_ = np.linalg.lstsq(Xw, yw - Xw @ beta, rcond=rcond)
     beta = beta + correction
     if rank < X.shape[1]:
         warnings.warn(
@@ -140,29 +166,6 @@ _PATH_STEPS_PER_RANK = 8
 _SPAN_TOL = 1e-10
 
 
-def _cholesky_delete(L: np.ndarray, M: np.ndarray, m: int, k: int) -> None:
-    """Drop row and column k from the m x m Cholesky factor held in L[:m, :m]
-    and from its inverse in M[:m, :m], in place.
-
-    Deleting row k leaves L lower Hessenberg; Givens rotations of columns
-    i, i+1 restore the triangle, and the same rotations of rows i, i+1 of
-    L^-1 (then deleting its column k) give the new inverse.
-    """
-    L[k:m - 1, :m] = L[k + 1:m, :m]
-    for i in range(k, m - 1):
-        a, b = L[i, i], L[i, i + 1]
-        r = math.hypot(a, b)
-        c, s = a / r, b / r
-        for rot in (L[i:m - 1, i:i + 2], M[i:i + 2, :m].T):
-            first = rot[:, 0].copy()
-            rot[:, 0] = c * first + s * rot[:, 1]
-            rot[:, 1] = c * rot[:, 1] - s * first
-    M[:m - 1, k:m - 1] = M[:m - 1, k + 1:m]
-    for factor in (L, M):
-        factor[m - 1, :m] = 0.0
-        factor[:m, m - 1] = 0.0
-
-
 def _path_coefficients(
     Xc: np.ndarray, yc: np.ndarray, lams: Sequence[float], max_steps: int
 ) -> dict[float, np.ndarray]:
@@ -170,8 +173,8 @@ def _path_coefficients(
     centred data, read off at every positive penalty in ``lams``.
 
     A penalty the path does not reach (it stops after ``max_steps``
-    breakpoints, on a non-finite step, or with a full active set) gets the
-    exact solution at the last penalty it did reach.
+    breakpoints, on a non-finite step or a failed refactor, or with a full
+    active set) gets the exact solution at the last penalty it did reach.
 
     In z-scored coordinates b_j = s_j beta_j (s_j the column's standard
     deviation) column j's penalty is weighted by w_j = 1/s_j. At a penalty
@@ -183,25 +186,29 @@ def _path_coefficients(
     active coefficient reaches zero (it leaves) or another |r_j| reaches
     (lambda - t) w_j (it enters); between breakpoints the solution is exact.
 
-    Only the Gram rows of the active columns are kept, one computed per
-    entry, so no p x p matrix is formed. G_AA's Cholesky factor gains a row
-    per entry and loses one per exit. A column whose variance outside the
-    active columns' span is below ``_SPAN_TOL`` cannot enter: its
-    correlation can touch its bound only by rounding, and letting it in
-    would cycle.
+    The path runs on the distinct rows of Xc (``_distinct_rows``) with n
+    the full row count, apart from the correlations c, which come from all
+    the rows: one dot product per column, so that lambda_max computed
+    column by column gives all zeros. Only the Gram rows of the active
+    columns are kept, one computed per entry, so no p x p matrix is formed.
+    The inverse M of G_AA's Cholesky factor gains a row per entry and is
+    refactored, M = inv(cholesky(G_AA)), after each exit. A column whose variance outside the active
+    columns' span is below ``_SPAN_TOL`` cannot enter: its correlation can
+    touch its bound only by rounding, and letting it in would cycle.
     """
+    targets = sorted({lam for lam in lams if lam > 0.0}, reverse=True)
+    if not targets:
+        return {}
     n, p = Xc.shape
-    # one dot product per column: lambda_max computed column by column must
-    # give all zeros, and a matrix-vector product can round it differently
     dots = np.array([float(Xc[:, j] @ yc) for j in range(p)])
-    scale = np.sqrt((Xc**2).sum(axis=0) / n)
+    Xw, _ = _distinct_rows(Xc, yc)
+    scale = np.sqrt((Xw**2).sum(axis=0) / n)
     live = scale > 0.0
     scale[~live] = 1.0
-    ZT = (Xc / scale).T.copy()  # rows are the z-scored columns
+    ZT = (Xw / scale).T.copy()  # rows are the z-scored columns
     corr = dots / n / scale
     weight = 1.0 / scale
     sides = np.array([[1.0], [-1.0]])
-    targets = sorted({lam for lam in lams if lam > 0.0}, reverse=True)
     found: dict[float, np.ndarray] = {}
     lam = float(np.abs(dots).max(initial=0.0)) / n  # lambda_max
     while targets and targets[0] >= lam:
@@ -212,13 +219,11 @@ def _path_coefficients(
     first = int(np.argmax(np.abs(dots)))
     active = [first]
     sign = [float(np.sign(dots[first]))]
-    size = min(n, p) + 1
+    size = min(len(Xw), p) + 1
     rows = np.zeros((size, p))  # rows[:m] is G_A, the Gram rows of the active columns
     rows[0] = ZT @ ZT[first] / n
-    L = np.zeros((size, size))  # L[:m, :m] is G_AA's Cholesky factor
-    M = np.zeros((size, size))  # and M[:m, :m] its inverse
-    L[0, 0] = math.sqrt(rows[0, first])
-    M[0, 0] = 1.0 / L[0, 0]
+    M = np.zeros((size, size))  # M[:m, :m] is the inverse of G_AA's Cholesky factor
+    M[0, 0] = 1.0 / math.sqrt(rows[0, first])
     closed = ~live  # dead or active columns
     closed[first] = True
     in_span = np.zeros(p, dtype=bool)  # found in the span since the last exit
@@ -253,7 +258,7 @@ def _path_coefficients(
         k = int(np.argmin(exit_at))
         # the columns due before the next exit, earliest first, enter only if
         # enough of them lies outside the active span; that share comes from
-        # the data, since G_jj - |L^-1 G_Aj|^2 would cancel to rounding noise
+        # the data, since G_jj - |M G_Aj|^2 would cancel to rounding noise
         due = np.flatnonzero(entry_at < min(exit_at[k], lam))
         due = due[np.argsort(entry_at[due], kind="stable")]
         j, entry = -1, np.inf
@@ -277,17 +282,19 @@ def _path_coefficients(
         if exit_at[k] <= entry:
             reached[A[k]] = 0.0
             left, left_side = active.pop(k), int(sign.pop(k) < 0)
-            _cholesky_delete(L, M, m, k)
             rows[k:m - 1] = rows[k + 1:m]
             closed[left] = False
             in_span[:] = False
+            try:
+                M[:m - 1, :m - 1] = np.linalg.inv(np.linalg.cholesky(rows[:m - 1, active]))
+            except np.linalg.LinAlgError:
+                break
         elif m + 1 == size:
             break  # only a rounding error lets in more columns than rows
         else:
-            L[m, :m] = w
-            L[m, m] = math.sqrt(pivot)
-            M[m, :m] = -(w @ Mm) / L[m, m]
-            M[m, m] = 1.0 / L[m, m]
+            diagonal = math.sqrt(pivot)  # the new row of the factor is (w, diagonal)
+            M[m, :m] = -(w @ Mm) / diagonal
+            M[m, m] = 1.0 / diagonal
             rows[m] = ZT @ ZT[j] / n
             active.append(j)
             sign.append(1.0 if at[0, j] <= at[1, j] else -1.0)
@@ -356,6 +363,8 @@ def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
     beta_j != 0 and |g_j| <= lambda where beta_j = 0. The residual is the
     largest distance of any g_j from that set, divided by lambda, or by
     lambda_max = max_j |Xc_j . yc| / n when lambda is 0 (and 0 when both are).
+    A positive lambda below eps*lambda_max counts as eps*lambda_max, the
+    scale at which rounding alone moves g.
     """
     X, y = _check_finite(X, y)
     beta = np.asarray(model.coefficients)
@@ -366,7 +375,8 @@ def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
     dist = np.where(
         beta != 0.0, np.abs(grad - model.lam * np.sign(beta)), np.maximum(np.abs(grad) - model.lam, 0.0)
     )
-    scale = model.lam if model.lam > 0 else np.abs(Xc.T @ yc).max(initial=0.0) / n
+    lam_max = np.abs(Xc.T @ yc).max(initial=0.0) / n
+    scale = max(model.lam, np.finfo(float).eps * lam_max) if model.lam > 0 else lam_max
     return float(dist.max(initial=0.0) / scale) if scale > 0 else 0.0
 
 

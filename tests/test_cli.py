@@ -311,8 +311,9 @@ def _exits_one_naming(capsys, argv, path) -> str:
 
 
 class TestUnreadableInput:
-    """A file that is not UTF-8, or holds a cell above the csv field limit,
-    is a one-line error naming it, on every entry point that reads one."""
+    """A file that is not UTF-8, holds a cell above the csv field limit, or
+    is malformed JSON, is a one-line error naming it, on every entry point
+    that reads one."""
 
     def test_train_non_utf8(self, layerwise_csv, tmp_path, capsys):
         path = _write_replaced(layerwise_csv.read_bytes(), tmp_path / "layerwise.csv",
@@ -341,6 +342,17 @@ class TestUnreadableInput:
         text = load_architecture("vgg11").to_json().encode()
         path = _write_replaced(text, tmp_path / "arch.json", b'"vgg11"', b'"vgg\xff11"')
         assert "not UTF-8" in _exits_one_naming(capsys, ["macs", "--arch", path], path)
+
+    def test_estimate_bundle_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text('{"format_version": 1,', encoding="utf-8")
+        argv = ["estimate", "--bundle", path, "--arch", "vgg11"]
+        assert "invalid bundle JSON" in _exits_one_naming(capsys, argv, path)
+
+    def test_macs_arch_file_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "arch.json"
+        path.write_text(load_architecture("vgg11").to_json()[:-2], encoding="utf-8")
+        assert "invalid architecture JSON" in _exits_one_naming(capsys, ["macs", "--arch", path], path)
 
     def test_train_oversized_cell(self, layerwise_csv, tmp_path, capsys):
         path = _write_replaced(layerwise_csv.read_bytes(), tmp_path / "layerwise.csv",

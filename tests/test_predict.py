@@ -106,7 +106,7 @@ class TestBundleRoundTrip:
             warnings.simplefilter("ignore", SingularityWarning)
             text = train_default_bundle(bundle_dataset, SplitSpec(seed=11)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4769041ff072e87354974bd31de0e00e2ae53a5e2be3e2c41c90a609bc183953"
+            "5f3fccac7f375f3c049f909c284707328efe71cdc0286930d4ec660a940bb330"
         )
 
     def test_vgg16_total_pinned(self, trained_bundle):

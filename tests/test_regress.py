@@ -606,3 +606,174 @@ class TestLassoPath:
             for fit in fits:
                 ref = next(capped_fits)
                 assert lasso_objective(d.X, d.y, fit.model) <= lasso_objective(d.X, d.y, ref.model)
+
+
+def _repeated_rows(seed, n_distinct=30, p=4):
+    """Distinct rows repeated 1-4 times each, with a different target on
+    every repeat (as collect writes one row per measurement repeat)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_distinct, p))
+    X[:, 1] += 0.8 * X[:, 0]
+    counts = rng.integers(1, 5, n_distinct)
+    counts[0] = 1  # at least one row stays single
+    X = np.repeat(X, counts, axis=0)
+    y = X @ rng.standard_normal(p) + 0.3 * rng.standard_normal(len(X))
+    return X, y
+
+
+def _uncollapsed_ols(X, y):
+    """Least squares on every row, with numpy's default rank cutoff and one
+    refinement step: the solve without the row collapse."""
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    beta, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
+    correction, *_ = np.linalg.lstsq(Xc, yc - Xc @ beta, rcond=None)
+    beta = beta + correction
+    return tuple(float(b) for b in beta), float(y_mean - x_mean @ beta)
+
+
+class TestRepeatedRows:
+    """``fit_ols`` and ``lasso_path`` solve on the distinct rows of the design,
+    weighted by their counts, and give the fits of the uncollapsed problem."""
+
+    def test_ols_matches_normal_equations_oracle(self):
+        for seed in range(5):
+            X, y = _repeated_rows(seed)
+            assert len(np.unique(X, axis=0)) < len(X)
+            model = fit_ols(X, y)
+            beta, intercept = normal_equations_oracle(X, y)
+            np.testing.assert_allclose(model.coefficients, beta, rtol=1e-9)
+            assert model.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-12)
+
+    def test_lasso_path_matches_converged_cd(self):
+        X, y = _repeated_rows(40)
+        lam_max = _lambda_max(X, y)
+        lams = list(lam_max * np.logspace(-4, -0.05, 8))
+        fits = lasso_path(X, y, lams)
+        refs = lockstep_cd([CdProblem(X, y, lam, tol=1e-14, max_iter=100_000) for lam in lams])
+        assert all(ref.converged for ref in refs)
+        for fit, ref in zip(fits, refs):
+            assert fit.converged
+            assert lasso_objective(X, y, fit.model) <= lasso_objective(X, y, ref.model) + 1e-14
+            np.testing.assert_allclose(fit.model.coefficients, ref.model.coefficients, rtol=0, atol=1e-9)
+
+    def test_fits_invariant_under_row_permutation(self):
+        X, y = _repeated_rows(41)
+        perm = np.random.default_rng(42).permutation(len(y))
+        lams = [0.0, 1e-3, 1e-2, 1e-1]
+        ols, shuffled = fit_ols(X, y), fit_ols(X[perm], y[perm])
+        np.testing.assert_allclose(shuffled.coefficients, ols.coefficients, rtol=1e-10)
+        assert shuffled.intercept == pytest.approx(ols.intercept, rel=1e-10)
+        for fit, other in zip(lasso_path(X, y, lams), lasso_path(X[perm], y[perm], lams)):
+            np.testing.assert_allclose(other.model.coefficients, fit.model.coefficients, rtol=1e-9, atol=1e-12)
+            assert other.model.intercept == pytest.approx(fit.model.intercept, rel=1e-9)
+
+    def test_singularity_rank_is_that_of_the_uncollapsed_design(self):
+        """A third column off the span of the first two by a relative 1e-14:
+        numpy's cutoff for the 10 distinct rows (eps*10) keeps it, the cutoff
+        for all 2000 rows (eps*2000) drops it, and the warning reports the
+        latter."""
+        rng = np.random.default_rng(43)
+        distinct = rng.standard_normal((10, 2))
+        third = distinct[:, :1] + 1e-14 * rng.standard_normal((10, 1))
+        X = np.repeat(np.hstack([distinct, third]), 200, axis=0)
+        y = X @ np.array([1.0, 2.0, 0.5]) + rng.standard_normal(len(X))
+        Xc = X - X.mean(axis=0)
+        full_rank = np.linalg.lstsq(Xc, y - y.mean(), rcond=None)[2]
+        distinct_c = np.hstack([distinct, third]) - X.mean(axis=0)
+        assert (full_rank, np.linalg.lstsq(distinct_c, y[::200], rcond=None)[2]) == (2, 3)
+        with pytest.warns(SingularityWarning, match=f"rank {full_rank} < 3 columns"):
+            fit_ols(X, y)
+
+    def test_lambda_max_zeroes_every_coefficient(self):
+        X, y = _repeated_rows(44)
+        lam_max = _lambda_max(X, y)
+        for fit in lasso_path(X, y, [lam_max, 2 * lam_max]):
+            assert fit.model.coefficients == (0.0,) * X.shape[1]
+            assert fit.kkt == 0.0 and fit.converged
+
+    @pytest.mark.parametrize("shape", [(50, 5), (25, 40)])
+    def test_ols_without_repeats_is_bit_identical_to_the_uncollapsed_solve(self, shape):
+        rng = np.random.default_rng(45)
+        for _ in range(5):
+            X = rng.standard_normal(shape)
+            y = rng.standard_normal(shape[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SingularityWarning)
+                model = fit_ols(X, y)
+            assert (model.coefficients, model.intercept) == _uncollapsed_ols(X, y)
+
+
+def _path_with_exits():
+    """Correlated columns whose path drops active columns on the way down."""
+    rng = np.random.default_rng(16)
+    base = rng.standard_normal((40, 3))
+    X = np.column_stack([base, base @ rng.standard_normal((3, 5)) + 0.3 * rng.standard_normal((40, 5))])
+    y = X @ rng.standard_normal(8) + 0.2 * rng.standard_normal(40)
+    return X, y, list(_lambda_max(X, y) * np.logspace(-6, -0.05, 10))
+
+
+class TestPathExits:
+    def _count_refactors(self, monkeypatch, failing=False):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(len(a))
+            if failing:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return calls
+
+    def test_exits_refactor_and_the_fits_stay_exact(self, monkeypatch):
+        X, y, lams = _path_with_exits()
+        calls = self._count_refactors(monkeypatch)
+        fits = lasso_path(X, y, lams)
+        assert calls  # some column left the active set
+        refs = lockstep_cd([CdProblem(X, y, lam, tol=1e-14, max_iter=200_000) for lam in lams])
+        for fit, ref in zip(fits, refs):
+            assert fit.converged and fit.kkt <= 1e-9
+            assert lasso_objective(X, y, fit.model) <= lasso_objective(X, y, ref.model) + 1e-14
+
+    def test_failed_refactor_ends_the_path_and_is_flagged(self, monkeypatch):
+        X, y, lams = _path_with_exits()
+        self._count_refactors(monkeypatch, failing=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = lasso_path(X, y, lams)
+        unreached = [fit for fit in fits if not fit.converged]
+        assert unreached and all(fit.kkt > KKT_BOUND for fit in unreached)
+        assert sum(c.category is NotConvergedWarning for c in caught) == len(unreached)
+        # the last point reached is the exact solution at the first exit, so
+        # every unreached penalty gets the same coefficients
+        assert len({fit.model.coefficients for fit in unreached}) == 1
+
+
+class TestKktScaleFloor:
+    def test_penalty_below_rounding_is_scaled_by_eps_lambda_max(self):
+        """Below eps*lambda_max, rounding alone sets the KKT distance, so the
+        residual is read against that floor: a least-squares solution at a
+        vanishing penalty reads a few units, not 1e307."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(30)[:, None]
+        y = 1.5 * x[:, 0] + 0.1 * rng.standard_normal(30)
+        ols = fit_ols(x, y)
+        readings = [
+            lasso_kkt(x, y, LinearModel(ols.coefficients, ols.intercept, "lasso", lam))
+            for lam in (5e-324, 1e-300)
+        ]
+        assert readings[0] == readings[1]
+        assert 0.0 < readings[0] < 10.0
+
+    def test_penalty_above_the_floor_reads_as_before(self):
+        """Above the floor the residual is the KKT distance over lambda."""
+        X, y = _repeated_rows(47)
+        (fit,) = lasso_path(X, y, [1e-3])
+        model = LinearModel(tuple(np.array(fit.model.coefficients) * 1.01), fit.model.intercept, "lasso", 1e-3)
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        beta = np.asarray(model.coefficients)
+        grad = Xc.T @ (yc - Xc @ beta) / len(y)
+        dist = np.where(beta != 0.0, np.abs(grad - 1e-3 * np.sign(beta)), np.maximum(np.abs(grad) - 1e-3, 0.0))
+        assert lasso_kkt(X, y, model) == dist.max() / 1e-3
