@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -39,6 +39,7 @@ _CONFIG_FIELDS = (
     "padding",
     "output_size",
 )
+_LAYER_KEYS = frozenset(("kind",) + _CONFIG_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -64,30 +65,34 @@ class LayerConfig:
     output_size: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, LayerKind):
-            object.__setattr__(self, "kind", LayerKind(self.kind))
-        spec = KIND_SPECS[self.kind]
+        values = self.__dict__
+        kind = values["kind"]
+        if not isinstance(kind, LayerKind):
+            kind = LayerKind(kind)
+            object.__setattr__(self, "kind", kind)
+        spec = KIND_SPECS[kind]
+        fields = spec.fields
         for name in _CONFIG_FIELDS:
-            value = getattr(self, name)
+            value = values[name]
             if value is None:
                 continue
-            if name not in spec.fields:
-                raise ValidationError(f"{self.kind.value}: field {name!r} is not applicable")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{self.kind.value}: field {name!r} must be an integer")
+            if name not in fields:
+                raise ValidationError(f"{kind.value}: field {name!r} is not applicable")
+            if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValidationError(f"{kind.value}: field {name!r} must be an integer")
             minimum = 0 if name == "padding" else 1
             if value < minimum:
-                raise ValidationError(f"{self.kind.value}: {name}={value} is out of range")
+                raise ValidationError(f"{kind.value}: {name}={value} is out of range")
         for name in spec.required:
-            if getattr(self, name) is None:
-                raise ValidationError(f"{self.kind.value}: field {name!r} is required")
+            if values[name] is None:
+                raise ValidationError(f"{kind.value}: field {name!r} is required")
         # only window kinds carry image_size, and they require kernel_size and padding
         if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:
             raise ValidationError(
-                f"{self.kind.value}: kernel {self.kernel_size} exceeds padded input "
+                f"{kind.value}: kernel {self.kernel_size} exceeds padded input "
                 f"{self.image_size}+2*{self.padding}"
             )
-        if self.kind is LayerKind.MAXPOOL2D and self.padding > self.kernel_size // 2:
+        if kind is LayerKind.MAXPOOL2D and self.padding > self.kernel_size // 2:
             raise ValidationError(
                 f"MaxPool2d: padding {self.padding} exceeds half the kernel size {self.kernel_size}"
             )
@@ -116,10 +121,10 @@ class LayerConfig:
             kind = LayerKind(data["kind"])
         except ValueError:
             raise ValidationError(f"unknown layer kind {data['kind']!r}") from None
-        extra = set(data) - {"kind"} - set(_CONFIG_FIELDS)
+        extra = data.keys() - _LAYER_KEYS
         if extra:
             raise ValidationError(f"{kind.value}: unknown fields {sorted(extra)}")
-        return cls(kind=kind, **{k: v for k, v in data.items() if k != "kind"})
+        return cls(**dict(data, kind=kind))
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,8 @@ class TensorShape:
     width: int
 
     def __post_init__(self):
-        for name in ("batch", "channels", "height", "width"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        for name, v in self.__dict__.items():
+            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))) or v < 1:
                 raise ValidationError(f"TensorShape.{name}={v!r} must be a positive integer")
 
     @property
@@ -306,41 +310,46 @@ class ResolvedLayer:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
+    """A named stack of layers over an input shape.
+
+    Construction propagates the shape through every layer, which validates
+    the spec, and keeps the resolved layers: a spec is immutable, so
+    ``resolve_layers``, ``extract_predictable_layers`` and ``output_shape``
+    read them instead of propagating again.
+    """
+
     name: str
     input_shape: TensorShape
     layers: tuple[LayerConfig, ...]
+    _resolved: tuple[ResolvedLayer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        # shape propagation through every layer must succeed
+        resolved = []
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
             try:
-                shape = propagate_shape(shape, layer)
+                next_shape = propagate_shape(shape, layer)
             except ShapeError as exc:
                 raise ValidationError(f"{self.name}: layer {i} ({layer.kind.value}): {exc}") from exc
+            resolved.append(ResolvedLayer(i, layer, shape, next_shape))
+            shape = next_shape
+        object.__setattr__(self, "_resolved", tuple(resolved))
 
     def with_batch(self, batch_size: int) -> "ArchitectureSpec":
         if batch_size < 1:
             raise ValidationError(f"batch_size={batch_size} must be positive")
+        if type(batch_size) is int and batch_size == self.input_shape.batch:
+            return self
         return replace(self, input_shape=replace(self.input_shape, batch=batch_size))
 
     def resolve_layers(self) -> list[ResolvedLayer]:
         """All layers with concrete shapes, in order."""
-        out = []
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            next_shape = propagate_shape(shape, layer)
-            out.append(ResolvedLayer(i, layer, shape, next_shape))
-            shape = next_shape
-        return out
+        return list(self._resolved)
 
     @property
     def output_shape(self) -> TensorShape:
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = propagate_shape(shape, layer)
-        return shape
+        return self._resolved[-1].output_shape if self._resolved else self.input_shape
 
     def to_dict(self) -> dict:
         return {
@@ -357,13 +366,37 @@ class ArchitectureSpec:
         missing = {"name", "input", "layers"} - set(data)
         if missing:
             raise ValidationError(f"architecture document is missing {sorted(missing)}")
-        layers = tuple(LayerConfig.from_dict(obj) for obj in data["layers"])
-        return cls(data["name"], TensorShape.from_dict(data["input"]), layers)
+        if not isinstance(data["name"], str):
+            raise ValidationError(f"architecture 'name' must be a string, not {_json_type(data['name'])}")
+        if not isinstance(data["input"], dict):
+            raise ValidationError(f"architecture 'input' must be an object, not {_json_type(data['input'])}")
+        if not isinstance(data["layers"], (list, tuple)):
+            raise ValidationError(f"architecture 'layers' must be an array, not {_json_type(data['layers'])}")
+        layers = []
+        for i, obj in enumerate(data["layers"]):
+            if not isinstance(obj, dict):
+                raise ValidationError(f"layer {i} must be an object, not {_json_type(obj)}")
+            try:
+                layers.append(LayerConfig.from_dict(obj))
+            except ValidationError as exc:
+                raise ValidationError(f"layer {i}: {exc}") from None
+        return cls(data["name"], TensorShape.from_dict(data["input"]), tuple(layers))
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type, for error messages."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def extract_predictable_layers(arch: ArchitectureSpec) -> list[ResolvedLayer]:
     """Resolved layers that carry energy, skipping the negligible structural ones."""
-    return [r for r in arch.resolve_layers() if KIND_SPECS[r.config.kind].predictable]
+    return [r for r in arch._resolved if KIND_SPECS[r.config.kind].predictable]
 
 
 def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerConfig:
@@ -381,15 +414,13 @@ def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerC
             f"{layer.kind.value}: non-square input {input_shape.height}x{input_shape.width} "
             "has no standalone image_size"
         )
-    from_input = {
-        "batch_size": input_shape.batch,
-        "image_size": input_shape.height,
-        "in_channels": input_shape.channels if spec.spatial else input_shape.per_sample_elements,
-    }
-    return LayerConfig(
-        kind=layer.kind,
-        **{name: from_input.get(name, getattr(layer, name)) for name in spec.fields},
-    )
+    values = dict(layer.__dict__, batch_size=input_shape.batch)
+    if spec.spatial:  # the predictable spatial kinds are the window kinds, which carry image_size
+        values["image_size"] = input_shape.height
+        values["in_channels"] = input_shape.channels
+    else:
+        values["in_channels"] = input_shape.per_sample_elements
+    return LayerConfig(**values)
 
 
 def standalone_input_shape(config: LayerConfig) -> TensorShape:
@@ -509,7 +540,7 @@ def load_architecture(source) -> ArchitectureSpec:
             raise ParseError(f"{source}: not UTF-8 text: {exc.reason}") from None
         try:
             return _architecture_from_json(text)
-        except ParseError as exc:
+        except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{source}: {exc}") from None
     if source.lstrip().startswith("{"):
         return _architecture_from_json(source)

@@ -84,15 +84,21 @@ def raw_feature_names(kind: LayerKind, feature_set: FeatureSetKind) -> tuple[str
     return names
 
 
+#: (has_params, has_logs, has_mac) per feature set
+_FEATURE_SET_PARTS = {fs: (fs.has_params, fs.has_logs, fs.has_mac) for fs in FeatureSetKind}
+
+
 def raw_feature_row(config: LayerConfig, macs: int, feature_set: FeatureSetKind) -> list[float]:
     """Assemble one raw feature row; log features are ln(1+x) so padding=0 stays finite."""
-    params = [float(getattr(config, name)) for name in KIND_SPECS[config.kind].fields]
+    values = config.__dict__
+    params = [float(values[name]) for name in KIND_SPECS[config.kind].fields]
+    has_params, has_logs, has_mac = _FEATURE_SET_PARTS[feature_set]
     row: list[float] = []
-    if feature_set.has_params:
+    if has_params:
         row += params
-    if feature_set.has_logs:
+    if has_logs:
         row += [math.log1p(v) for v in params]
-    if feature_set.has_mac:
+    if has_mac:
         row.append(float(macs))
     return row
 
@@ -255,6 +261,8 @@ class FeatureMap:
     dropped: tuple[str, ...] = ()
     _recipe: _Recipe = field(init=False, repr=False, compare=False)
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean: np.ndarray = field(init=False, repr=False, compare=False)
+    _std: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         recipe = _recipe(self.kind, self.feature_set, self.poly)
@@ -274,6 +282,10 @@ class FeatureMap:
             )
         object.__setattr__(self, "_recipe", recipe)
         object.__setattr__(self, "_kept", np.array([recipe.position[n] for n in self.columns], dtype=int))
+        for name, values in (("_mean", self.mean), ("_std", self.std)):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def fit(
@@ -347,10 +359,22 @@ class FeatureMap:
         return DesignMatrix(self.columns, self._features(raw), self._normalize(matrix.energy[rows]))
 
     def row(self, config: LayerConfig, macs: int) -> np.ndarray:
-        """One scaled feature row for prediction."""
+        """One scaled feature row for prediction: the single-row form of
+        ``_features``, with the same products and the same scaling."""
         if config.kind is not self.kind:
             raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
-        return self._features(np.array([raw_feature_row(config, macs, self.feature_set)]))[0]
+        raw = raw_feature_row(config, macs, self.feature_set)
+        if not all(map(math.isfinite, raw)):
+            raise NonFiniteError("polynomial expansion requires finite inputs")
+        raw.append(1.0)
+        x = np.array(raw)
+        index = self._recipe.index
+        out = x[index[0]]
+        for factors in index[1:]:
+            out *= x[factors]
+        if self.scaler == "zscore":
+            out = (out[self._kept] - self._mean) / self._std
+        return out
 
     def joules(self, normalized):
         """Map normalized predictions back to joules; out-of-range values extrapolate linearly."""
@@ -364,7 +388,7 @@ class FeatureMap:
             # selecting the kept columns leaves X in Fortran order, and later
             # column means (fit_ols) sum in memory order: keep this layout, or
             # fitted coefficients move in the last bit
-            X = (X[:, self._kept] - np.asarray(self.mean)) / np.asarray(self.std)
+            X = (X[:, self._kept] - self._mean) / self._std
         return X
 
     def _normalize(self, y: np.ndarray) -> np.ndarray:

@@ -90,8 +90,10 @@ class PredictorModel:
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
         """Predicted joules for one layer; returns (joules, clamped-to-zero flag)."""
-        normalized = float(self.model.predict(self.features.row(config, macs)[None, :])[0])
-        joules = float(self.features.joules(normalized))
+        features = self.features
+        normalized = float(self.model.predict(features.row(config, macs)[None, :])[0])
+        # the operations of ``FeatureMap.joules``, on floats
+        joules = features.target_min + normalized * (features.target_max - features.target_min)
         if joules < 0.0:
             return 0.0, True
         return joules, False

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,13 +39,21 @@ class LinearModel:
     kind: str = "ols"  # "ols" | "lasso"
     lam: float = 0.0
 
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """The coefficients as a read-only array, built on first use."""
+        beta = np.array(self.coefficients, dtype=float)
+        beta.flags.writeable = False
+        return beta
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != len(self.coefficients):
+        beta = self.beta
+        if X.shape[1] != len(beta):
             raise ColumnMismatchError(
-                f"model has {len(self.coefficients)} coefficients, matrix has {X.shape[1]} columns"
+                f"model has {len(beta)} coefficients, matrix has {X.shape[1]} columns"
             )
-        return X @ np.asarray(self.coefficients) + self.intercept
+        return X @ beta + self.intercept
 
 
 @dataclass(frozen=True)
@@ -367,7 +376,7 @@ def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
     scale at which rounding alone moves g.
     """
     X, y = _check_finite(X, y)
-    beta = np.asarray(model.coefficients)
+    beta = model.beta
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
     n = len(y)

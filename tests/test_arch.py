@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,11 +113,123 @@ class TestLayerConfig:
             LayerConfig(kind=LayerKind.MAXPOOL2D, kernel_size=3, stride=1, padding=2)
         LayerConfig(kind=LayerKind.MAXPOOL2D, kernel_size=4, stride=1, padding=2)
 
+    @pytest.mark.parametrize("fields, message", [
+        # the first broken rule in canonical field order wins
+        (dict(kind=LayerKind.LINEAR, kernel_size=3, in_channels=1),
+         "Linear: field 'kernel_size' is not applicable"),
+        (dict(kind=LayerKind.LINEAR, in_channels=1), "Linear: field 'out_channels' is required"),
+        (dict(kind=LayerKind.CONV2D, kernel_size=3, in_channels=3, out_channels=8, stride=True, padding=1),
+         "Conv2d: field 'stride' must be an integer"),
+        (dict(kind=LayerKind.CONV2D, kernel_size=np.int64(3), in_channels=3, out_channels=8, stride=1,
+              padding=1),
+         "Conv2d: field 'kernel_size' must be an integer"),
+        (dict(kind=LayerKind.RELU, in_channels=2.0), "ReLU: field 'in_channels' must be an integer"),
+        (dict(kind=LayerKind.CONV2D, kernel_size=3, in_channels=3, out_channels=8, stride=1, padding=-1),
+         "Conv2d: padding=-1 is out of range"),
+        (dict(kind=LayerKind.CONV2D, kernel_size=0, in_channels=3, out_channels=8, stride=1, padding=-1),
+         "Conv2d: kernel_size=0 is out of range"),
+        (dict(kind=LayerKind.CONV2D, image_size=4, kernel_size=9, in_channels=3, out_channels=8, stride=1,
+              padding=1),
+         "Conv2d: kernel 9 exceeds padded input 4+2*1"),
+        (dict(kind=LayerKind.MAXPOOL2D, kernel_size=3, stride=1, padding=2),
+         "MaxPool2d: padding 2 exceeds half the kernel size 3"),
+        (dict(kind=LayerKind.MAXPOOL2D, image_size=2, kernel_size=5, stride=1, padding=3),
+         "MaxPool2d: padding 3 exceeds half the kernel size 5"),
+    ])
+    def test_invalid_config_message(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            LayerConfig(**fields)
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+    def test_kind_string_is_coerced(self):
+        assert LayerConfig(kind="ReLU") == LayerConfig(kind=LayerKind.RELU)
+
     def test_requires_standalone_fields(self):
         cfg = conv_cfg(side=None, batch=None)
         with pytest.raises(ValidationError):
             cfg.require_standalone()
         conv_cfg(side=32, batch=2).require_standalone()
+
+
+class TestTensorShape:
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 8, 8), "TensorShape.batch=0 must be a positive integer"),
+        ((1, True, 8, 8), "TensorShape.channels=True must be a positive integer"),
+        ((1, 3, np.int64(8), 8), "TensorShape.height=np.int64(8) must be a positive integer"),
+        ((1, 3, 8, 8.0), "TensorShape.width=8.0 must be a positive integer"),
+        ((1, 3, -1, "8"), "TensorShape.height=-1 must be a positive integer"),
+    ])
+    def test_invalid_shape_message(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            TensorShape(*args)
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+
+def reference_resolution(arch):
+    """(index, config, input shape, output shape) per layer, propagated here."""
+    out = []
+    shape = arch.input_shape
+    for i, layer in enumerate(arch.layers):
+        next_shape = propagate_shape(shape, layer)
+        out.append((i, layer, shape, next_shape))
+        shape = next_shape
+    return out, shape
+
+
+class TestResolution:
+    @pytest.mark.parametrize("name", ["alexnet", "vgg11", "vgg13", "vgg16"])
+    @pytest.mark.parametrize("batch", [1, 8, 64])
+    def test_matches_reference_propagation(self, name, batch):
+        arch = load_architecture(name).with_batch(batch)
+        expected, output = reference_resolution(arch)
+        resolved = arch.resolve_layers()
+        assert [(r.index, r.config, r.input_shape, r.output_shape) for r in resolved] == expected
+        assert arch.output_shape == output
+        assert extract_predictable_layers(arch) == [
+            r for r in resolved if KIND_SPECS[r.config.kind].predictable
+        ]
+
+    def test_empty_output_is_input(self):
+        arch = ArchitectureSpec("empty", TensorShape(2, 3, 8, 8), ())
+        assert arch.output_shape == arch.input_shape and arch.resolve_layers() == []
+
+    @pytest.mark.parametrize("name", ["alexnet", "vgg16"])
+    @pytest.mark.parametrize("batch", [2, 8, 64])
+    def test_with_batch_equals_fresh_load(self, name, batch):
+        doc = load_architecture(name).to_dict()
+        doc["input"]["batch"] = batch
+        fresh = load_architecture(doc)
+        rebatched = load_architecture(name).with_batch(batch)
+        assert rebatched == fresh
+        assert rebatched.resolve_layers() == fresh.resolve_layers()
+        assert rebatched.output_shape == fresh.output_shape
+
+    def test_with_batch_of_own_batch_is_self(self):
+        arch = load_architecture("vgg11")
+        assert arch.with_batch(1) is arch
+        rebatched = arch.with_batch(4)
+        assert rebatched is not arch and rebatched.with_batch(4) is rebatched
+
+    def test_with_batch_of_a_non_int_one_still_raises(self):
+        with pytest.raises(ValidationError, match=r"^TensorShape\.batch=True must be a positive integer$"):
+            load_architecture("vgg11").with_batch(True)
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_with_batch_rejects_non_positive(self, batch):
+        with pytest.raises(ValidationError) as info:
+            load_architecture("vgg11").with_batch(batch)
+        assert str(info.value) == f"batch_size={batch} must be positive"
+
+    def test_returned_list_is_fresh(self):
+        arch = load_architecture("alexnet")
+        before = arch.resolve_layers()
+        mutated = arch.resolve_layers()
+        mutated.clear()
+        predictable = extract_predictable_layers(arch)
+        predictable.pop()
+        assert arch.resolve_layers() == before
+        assert len(extract_predictable_layers(arch)) == len(predictable) + 1
+        assert arch.output_shape == TensorShape(1, 1000, 1, 1)
 
 
 class TestPresets:
@@ -208,6 +322,37 @@ class TestLoadJson:
         }
         with pytest.raises(ValidationError):
             load_architecture(json.dumps(doc))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"layers": [5]}, "layer 0 must be an object, not a number"),
+        ({"layers": [{"kind": "ReLU"}, "ReLU"]}, "layer 1 must be an object, not a string"),
+        ({"layers": [{"kind": "ReLU"}, None]}, "layer 1 must be an object, not null"),
+        ({"layers": {"kind": "ReLU"}}, "architecture 'layers' must be an array, not an object"),
+        ({"layers": None}, "architecture 'layers' must be an array, not null"),
+        ({"layers": "ReLU"}, "architecture 'layers' must be an array, not a string"),
+        ({"name": 7}, "architecture 'name' must be a string, not a number"),
+        ({"name": None}, "architecture 'name' must be a string, not null"),
+        ({"input": [1, 3, 16, 16]}, "architecture 'input' must be an object, not an array"),
+        ({"input": None}, "architecture 'input' must be an object, not null"),
+        ({"layers": [{"kind": "ReLU"}, {"kind": "Conv"}]}, "layer 1: unknown layer kind 'Conv'"),
+        ({"layers": [{"kernel_size": 3}]}, "layer 0: layer object is missing 'kind'"),
+        ({"layers": [{"kind": "ReLU", "stride": 1}]}, "layer 0: ReLU: field 'stride' is not applicable"),
+        ({"layers": [{"kind": "ReLU", "size": 1}]}, "layer 0: ReLU: unknown fields ['size']"),
+    ])
+    def test_malformed_document_rejected(self, change, message):
+        doc = {"name": "bad", "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
+               "layers": [{"kind": "ReLU"}], **change}
+        for source in (doc, json.dumps(doc)):
+            with pytest.raises(ValidationError) as info:
+                load_architecture(source)
+            assert type(info.value) is ValidationError and str(info.value) == message
+
+    def test_malformed_file_names_path(self, tmp_path):
+        path = tmp_path / "arch.json"
+        path.write_text('{"name": "bad", "input": {"batch": 1, "channels": 3, "height": 4, '
+                        '"width": 4}, "layers": [5]}', encoding="utf-8")
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: layer 0 must be an object")):
+            load_architecture(path)
 
     def test_file_path(self, tmp_path):
         path = tmp_path / "arch.json"

@@ -368,6 +368,25 @@ class TestUnreadableInput:
         assert err.startswith(f"error: {path}: row 3: field larger than field limit")
 
 
+class TestMalformedArchitecture:
+    """An architecture document whose layers are not a list of objects is a
+    one-line error naming the file and the layer, not a traceback."""
+
+    @pytest.mark.parametrize("layers, message", [
+        ([5], "layer 0 must be an object, not a number"),
+        ({"kind": "ReLU"}, "architecture 'layers' must be an array, not an object"),
+        (None, "architecture 'layers' must be an array, not null"),
+    ], ids=["number", "object", "null"])
+    @pytest.mark.parametrize("command", ["estimate", "macs"])
+    def test_one_line_error(self, bundle_path, tmp_path, capsys, command, layers, message):
+        path = tmp_path / "arch.json"
+        doc = {"name": "bad", "input": {"batch": 1, "channels": 3, "height": 8, "width": 8}, "layers": layers}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["estimate", "--bundle", bundle_path, "--arch", path] if command == "estimate" else [
+            "macs", "--arch", path]
+        assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {message}\n"
+
+
 class TestKindMatrixOncePerKind:
     @pytest.mark.parametrize("command, builds", [
         (["train", "--kinds", "conv2d,linear,relu"], 3),

@@ -14,6 +14,7 @@ from joulecast.errors import (
     DegreeOutOfRangeError,
     EmptyRecordsError,
     KindMismatchError,
+    NonFiniteError,
     ValidationError,
 )
 from joulecast.features import (
@@ -317,6 +318,24 @@ class TestKindMatrixOracle:
                 held = features.design_rows(matrix, held_rows)
                 X_held, y_held = _oracle_design(oracle, [records[i] for i in held_rows])
                 assert np.array_equal(held.X, X_held) and np.array_equal(held.y, y_held)
+
+    @pytest.mark.parametrize("kind, spec", _oracle_cases(),
+                             ids=lambda v: v.value if isinstance(v, LayerKind) else None)
+    def test_row_equals_design_row(self, kind, spec):
+        # the single-row path against the per-record design path, to the bit
+        records = synth_records(kind, 40, seed=8, repeats=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            features, _ = FeatureMap.fit(records[:30], spec.feature_set, spec.poly, spec.feature_scaler)
+        X, _ = _oracle_design(features, records)
+        for record, expected in zip(records, X):
+            assert np.array_equal(features.row(record.config, record.macs), expected)
+
+    def test_row_refuses_non_finite_input(self):
+        features, _ = FeatureMap.fit(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        config = records_for(LayerKind.LINEAR, 1)[0].config
+        with pytest.raises(NonFiniteError, match="polynomial expansion requires finite inputs"):
+            features.row(config, math.inf)
 
     def test_every_feature_set_is_a_column_selection(self):
         records = records_for(LayerKind.CONV2D, 12, seed=5)

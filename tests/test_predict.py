@@ -119,6 +119,52 @@ class TestBundleRoundTrip:
         text = (DATA_DIR / "bundle_v1.json").read_text(encoding="utf-8")
         assert PredictorBundle.from_json(text).to_json() == text
 
+    def test_stored_bundle_estimates_pinned(self):
+        # every layer's joules and clamped flag for the presets and a net that
+        # reaches Sigmoid, Tanh and Softmax, at three batches, through all 7
+        # predictors of the committed bundle (a Lasso Linear, a 66-column
+        # z-scored MaxPool2d): moves only if estimate arithmetic changes
+        bundle = PredictorBundle.load(DATA_DIR / "bundle_v1.json")
+        activations = {
+            "name": "activations",
+            "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
+            "layers": [
+                {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 8,
+                 "stride": 1, "padding": 1},
+                {"kind": "Sigmoid"},
+                {"kind": "MaxPool2d", "kernel_size": 2, "stride": 2, "padding": 0},
+                {"kind": "Tanh"},
+                {"kind": "Flatten"},
+                {"kind": "Linear", "in_channels": 512, "out_channels": 10},
+                {"kind": "Softmax"},
+            ],
+        }
+        digest = hashlib.sha256()
+        for source in ("alexnet", "vgg11", "vgg13", "vgg16", activations):
+            arch = load_architecture(source)
+            for batch in (1, 8, 64):
+                for layer in estimate(bundle, arch, batch).layers:
+                    digest.update(f"{arch.name}|{batch}|{layer.layer_index}|"
+                                  f"{layer.joules!r}|{layer.clamped}\n".encode())
+        assert digest.hexdigest() == (
+            "bfcf0ecdde5bd9d3f3f48b584d741a302ec1dfb39c1cf857696abf2cd80d02f8"
+        )
+
+    def test_predict_energy_equals_design_path(self):
+        # each stored predictor's single-row answer against a design matrix
+        # through the model and the map's inverse target, to the bit
+        bundle = PredictorBundle.load(DATA_DIR / "bundle_v1.json")
+        rng = np.random.default_rng(5)
+        for kind, predictor in bundle.models.items():
+            for _ in range(20):
+                config = sample_config(kind, rng)
+                macs = standalone_macs(config)
+                design = predictor.features.design(
+                    [MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)]
+                )
+                expected = float(predictor.features.joules(float(predictor.model.predict(design.X)[0])))
+                assert predictor.predict_energy(config, macs) == (max(expected, 0.0), expected < 0.0)
+
     def test_predictions_survive_reload(self, trained_bundle, bundle_dataset, tmp_path):
         record = next(r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D)
         model = trained_bundle.models[LayerKind.MAXPOOL2D]
