@@ -7,8 +7,9 @@ always fully resolvable.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -40,6 +41,26 @@ _CONFIG_FIELDS = (
     "output_size",
 )
 _LAYER_KEYS = frozenset(("kind",) + _CONFIG_FIELDS)
+#: a LayerConfig's state with no field set, in field order
+_UNSET_CONFIG = dict.fromkeys(("kind",) + _CONFIG_FIELDS)
+#: the check-plan floor of a field the kind does not carry: no int reaches it
+_INAPPLICABLE = math.inf
+
+
+def _instance(cls, state: dict):
+    """An instance of the frozen dataclass ``cls`` whose ``__dict__`` is
+    ``state`` (all its fields, in field order), made without a frozen
+    ``__setattr__`` per field; ``__post_init__`` is not run."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", state)
+    return obj
+
+
+def _validated_config(cls, values: dict) -> "LayerConfig":
+    """``cls(**values)`` for a LayerConfig class: the same instance and the same checks."""
+    config = _instance(cls, values)
+    config.__post_init__()
+    return config
 
 
 @dataclass(frozen=True)
@@ -65,36 +86,43 @@ class LayerConfig:
     output_size: int | None = None
 
     def __post_init__(self):
+        # one pass over the kind's check plan: a plain int in range takes one
+        # test, anything else falls through to the exact checks in the order
+        # that fixes which error comes first
         values = self.__dict__
         kind = values["kind"]
         if not isinstance(kind, LayerKind):
             kind = LayerKind(kind)
             object.__setattr__(self, "kind", kind)
-        spec = KIND_SPECS[kind]
-        fields = spec.fields
-        for name in _CONFIG_FIELDS:
+        missing = False
+        for name, floor, required in _CHECK_PLANS[kind]:
             value = values[name]
-            if value is None:
+            if type(value) is int and value >= floor:
                 continue
-            if name not in fields:
+            if value is None:
+                if required:
+                    missing = True
+                continue
+            if floor is _INAPPLICABLE:
                 raise ValidationError(f"{kind.value}: field {name!r} is not applicable")
             if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValidationError(f"{kind.value}: field {name!r} must be an integer")
-            minimum = 0 if name == "padding" else 1
-            if value < minimum:
+            if value < floor:
                 raise ValidationError(f"{kind.value}: {name}={value} is out of range")
-        for name in spec.required:
-            if values[name] is None:
-                raise ValidationError(f"{kind.value}: field {name!r} is required")
+        if missing:
+            for name in KIND_SPECS[kind].required:
+                if values[name] is None:
+                    raise ValidationError(f"{kind.value}: field {name!r} is required")
         # only window kinds carry image_size, and they require kernel_size and padding
-        if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:
+        image_size = values["image_size"]
+        if image_size is not None and image_size + 2 * values["padding"] < values["kernel_size"]:
             raise ValidationError(
-                f"{kind.value}: kernel {self.kernel_size} exceeds padded input "
-                f"{self.image_size}+2*{self.padding}"
+                f"{kind.value}: kernel {values['kernel_size']} exceeds padded input "
+                f"{image_size}+2*{values['padding']}"
             )
-        if kind is LayerKind.MAXPOOL2D and self.padding > self.kernel_size // 2:
+        if kind is LayerKind.MAXPOOL2D and values["padding"] > values["kernel_size"] // 2:
             raise ValidationError(
-                f"MaxPool2d: padding {self.padding} exceeds half the kernel size {self.kernel_size}"
+                f"MaxPool2d: padding {values['padding']} exceeds half the kernel size {values['kernel_size']}"
             )
 
     def require_standalone(self) -> None:
@@ -124,7 +152,10 @@ class LayerConfig:
         extra = data.keys() - _LAYER_KEYS
         if extra:
             raise ValidationError(f"{kind.value}: unknown fields {sorted(extra)}")
-        return cls(**dict(data, kind=kind))
+        values = dict(_UNSET_CONFIG)
+        values.update(data)
+        values["kind"] = kind
+        return _validated_config(cls, values)
 
 
 @dataclass(frozen=True)
@@ -138,7 +169,9 @@ class TensorShape:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))) or v < 1:
+            if type(v) is int and v >= 1:
+                continue
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValidationError(f"TensorShape.{name}={v!r} must be a positive integer")
 
     @property
@@ -284,6 +317,20 @@ KIND_SPECS: dict[LayerKind, KindSpec] = {
     ),
 }
 
+#: per kind, (field, floor, required) for every field in canonical order; the
+#: floor is the field's minimum, or ``_INAPPLICABLE`` when the kind lacks it
+_CHECK_PLANS: dict[LayerKind, tuple[tuple[str, float, bool], ...]] = {
+    kind: tuple(
+        (
+            name,
+            _INAPPLICABLE if name not in spec.fields else 0 if name == "padding" else 1,
+            name in spec.required,
+        )
+        for name in _CONFIG_FIELDS
+    )
+    for kind, spec in KIND_SPECS.items()
+}
+
 #: kinds that carry energy and get a per-type predictor, in table order
 PREDICTABLE_KINDS = tuple(kind for kind, spec in KIND_SPECS.items() if spec.predictable)
 
@@ -332,7 +379,7 @@ class ArchitectureSpec:
                 next_shape = propagate_shape(shape, layer)
             except ShapeError as exc:
                 raise ValidationError(f"{self.name}: layer {i} ({layer.kind.value}): {exc}") from exc
-            resolved.append(ResolvedLayer(i, layer, shape, next_shape))
+            resolved.append(_resolved_layer(i, layer, shape, next_shape))
             shape = next_shape
         object.__setattr__(self, "_resolved", tuple(resolved))
 
@@ -341,7 +388,30 @@ class ArchitectureSpec:
             raise ValidationError(f"batch_size={batch_size} must be positive")
         if type(batch_size) is int and batch_size == self.input_shape.batch:
             return self
-        return replace(self, input_shape=replace(self.input_shape, batch=batch_size))
+        # Every shape rule copies the batch from its input to its output and
+        # none reads it, so each layer's channels, sides and shape errors are
+        # the same at every batch: this spec's resolution, with the batch
+        # replaced in each shape, is what propagating again would give. One
+        # validated shape is built per distinct (channels, height, width); the
+        # first is the input's, so a bool or float batch raises there. Each
+        # layer's input is the previous layer's output, so ``shape`` carries it.
+        old = self.input_shape
+        key = (old.channels, old.height, old.width)
+        shape = input_shape = TensorShape(batch_size, *key)
+        rebatched = {key: shape}
+        resolved = []
+        for r in self._resolved:
+            out = r.output_shape
+            if out is r.input_shape:  # a rule that passes its input through
+                out = shape
+            else:
+                key = (out.channels, out.height, out.width)
+                out = rebatched.get(key)
+                if out is None:
+                    out = rebatched[key] = TensorShape(batch_size, *key)
+            resolved.append(_resolved_layer(r.index, r.config, shape, out))
+            shape = out
+        return _instance(type(self), dict(self.__dict__, input_shape=input_shape, _resolved=tuple(resolved)))
 
     def resolve_layers(self) -> list[ResolvedLayer]:
         """All layers with concrete shapes, in order."""
@@ -394,6 +464,15 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+def _resolved_layer(
+    index: int, config: LayerConfig, input_shape: TensorShape, output_shape: TensorShape
+) -> ResolvedLayer:
+    return _instance(
+        ResolvedLayer,
+        {"index": index, "config": config, "input_shape": input_shape, "output_shape": output_shape},
+    )
+
+
 def extract_predictable_layers(arch: ArchitectureSpec) -> list[ResolvedLayer]:
     """Resolved layers that carry energy, skipping the negligible structural ones."""
     return [r for r in arch._resolved if KIND_SPECS[r.config.kind].predictable]
@@ -420,7 +499,7 @@ def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerC
         values["in_channels"] = input_shape.channels
     else:
         values["in_channels"] = input_shape.per_sample_elements
-    return LayerConfig(**values)
+    return _validated_config(LayerConfig, values)
 
 
 def standalone_input_shape(config: LayerConfig) -> TensorShape:

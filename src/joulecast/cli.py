@@ -31,7 +31,7 @@ from .dataset import (
     SplitSpec,
     sample_config,
 )
-from .errors import JoulecastError
+from .errors import JoulecastError, ShapeError
 from .macs import architecture_macs, layer_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
@@ -202,7 +202,12 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     bundle = PredictorBundle.load(args.bundle)
     arch = load_architecture(args.arch)
-    result = estimate(bundle, arch, args.batch)
+    try:
+        result = estimate(bundle, arch, args.batch)
+    except ShapeError as exc:
+        if os.path.isfile(args.arch):  # name the file, as its parse errors do
+            raise ShapeError(f"{args.arch}: {exc}") from exc
+        raise
     doc = {"format_version": 1, **result.to_dict()}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:

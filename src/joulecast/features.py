@@ -361,8 +361,7 @@ class FeatureMap:
     def row(self, config: LayerConfig, macs: int) -> np.ndarray:
         """One scaled feature row for prediction: the single-row form of
         ``_features``, with the same products and the same scaling."""
-        if config.kind is not self.kind:
-            raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
+        self._check_kind(config)
         raw = raw_feature_row(config, macs, self.feature_set)
         if not all(map(math.isfinite, raw)):
             raise NonFiniteError("polynomial expansion requires finite inputs")
@@ -375,6 +374,10 @@ class FeatureMap:
         if self.scaler == "zscore":
             out = (out[self._kept] - self._mean) / self._std
         return out
+
+    def _check_kind(self, config: LayerConfig) -> None:
+        if config.kind is not self.kind:
+            raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
 
     def joules(self, normalized):
         """Map normalized predictions back to joules; out-of-range values extrapolate linearly."""

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import combinations
 
@@ -38,6 +38,7 @@ from .errors import (
     MissingKindError,
     ParseError,
     SchemaError,
+    ShapeError,
     SingularityWarning,
     ValidationError,
 )
@@ -87,11 +88,28 @@ class PredictorModel:
     #: every Lasso fit made in training (the lambda grid, then the CV folds), for
     #: their solver reports; bundles do not store them
     lasso_fits: tuple[LassoFit, ...] = ()
+    #: (coefficient, intercept) when the design row is just the MAC count, unscaled; else None
+    _mac_line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # columns == ("macs",) is a MAC_ONLY row with no further monomial, and
+        # an unscaled map keeps exactly its recipe's columns
+        features, model = self.features, self.model
+        scalar = features.scaler == "none" and features.columns == ("macs",) and len(model.coefficients) == 1
+        line = (float(model.coefficients[0]), float(model.intercept)) if scalar else None
+        object.__setattr__(self, "_mac_line", line)
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
         """Predicted joules for one layer; returns (joules, clamped-to-zero flag)."""
         features = self.features
-        normalized = float(self.model.predict(features.row(config, macs)[None, :])[0])
+        line = self._mac_line
+        if line is None:
+            normalized = float(self.model.predict(features.row(config, macs)[None, :])[0])
+        else:
+            # the (1, 1) @ (1,) product is a one-term dot product, which rounds
+            # once, so this scalar product and sum give the same bits
+            features._check_kind(config)
+            normalized = float(macs) * line[0] + line[1]
         # the operations of ``FeatureMap.joules``, on floats
         joules = features.target_min + normalized * (features.target_max - features.target_min)
         if joules < 0.0:
@@ -360,11 +378,15 @@ def estimate(bundle: PredictorBundle, arch: ArchitectureSpec, batch_size: int = 
     total_joules = 0.0
     total_macs = 0
     for layer in resolved:
-        predictor = bundle.model_for(layer.config.kind)
-        standalone = as_standalone_config(layer.config, layer.input_shape)
+        kind = layer.config.kind
+        predictor = bundle.model_for(kind)
+        try:
+            standalone = as_standalone_config(layer.config, layer.input_shape)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {layer.index} ({kind.value}): {exc}") from exc
         macs = layer_macs(layer, include_bias=True)
         joules, clamped = predictor.predict_energy(standalone, macs)
-        layers.append(LayerEstimate(layer.index, layer.config.kind, macs, joules, clamped))
+        layers.append(LayerEstimate(layer.index, kind, macs, joules, clamped))
         total_joules += joules
         total_macs += macs
     return EnergyEstimate(

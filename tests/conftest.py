@@ -49,6 +49,18 @@ TEST_RANGES = {
        (LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX)},
 }
 
+#: a non-square input: it resolves at any batch, and no layer of it has a standalone form
+NON_SQUARE_NET = {
+    "name": "wide",
+    "input": {"batch": 1, "channels": 3, "height": 8, "width": 6},
+    "layers": [
+        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 4, "stride": 1, "padding": 1},
+        {"kind": "MaxPool2d", "kernel_size": 2, "stride": 2, "padding": 0},
+        {"kind": "Flatten"},
+        {"kind": "Linear", "in_channels": 48, "out_channels": 2},
+    ],
+}
+
 MAC_LINEAR_KINDS = (LayerKind.CONV2D, LayerKind.MAXPOOL2D, LayerKind.LINEAR, LayerKind.RELU)
 POLY_ACTIVATIONS = (LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX)
 

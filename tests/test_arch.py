@@ -1,11 +1,16 @@
+import itertools
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import NON_SQUARE_NET
 from joulecast.arch import (
+    _CONFIG_FIELDS,
+    _LAYER_KEYS,
     KIND_SPECS,
     PREDICTABLE_KINDS,
     STANDALONE_FIELDS,
@@ -165,6 +170,150 @@ class TestTensorShape:
         assert type(info.value) is ValidationError and str(info.value) == message
 
 
+# The validators as they stood before the one-pass check plan, copied
+# verbatim: the reference every config and shape must still be accepted or
+# rejected by, with the same first error.
+@dataclass(frozen=True)
+class ReferenceLayerConfig:
+    kind: LayerKind
+    batch_size: int | None = None
+    image_size: int | None = None
+    kernel_size: int | None = None
+    in_channels: int | None = None
+    out_channels: int | None = None
+    stride: int | None = None
+    padding: int | None = None
+    output_size: int | None = None
+
+    def __post_init__(self):
+        values = self.__dict__
+        kind = values["kind"]
+        if not isinstance(kind, LayerKind):
+            kind = LayerKind(kind)
+            object.__setattr__(self, "kind", kind)
+        spec = KIND_SPECS[kind]
+        fields = spec.fields
+        for name in _CONFIG_FIELDS:
+            value = values[name]
+            if value is None:
+                continue
+            if name not in fields:
+                raise ValidationError(f"{kind.value}: field {name!r} is not applicable")
+            if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValidationError(f"{kind.value}: field {name!r} must be an integer")
+            minimum = 0 if name == "padding" else 1
+            if value < minimum:
+                raise ValidationError(f"{kind.value}: {name}={value} is out of range")
+        for name in spec.required:
+            if values[name] is None:
+                raise ValidationError(f"{kind.value}: field {name!r} is required")
+        # only window kinds carry image_size, and they require kernel_size and padding
+        if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:
+            raise ValidationError(
+                f"{kind.value}: kernel {self.kernel_size} exceeds padded input "
+                f"{self.image_size}+2*{self.padding}"
+            )
+        if kind is LayerKind.MAXPOOL2D and self.padding > self.kernel_size // 2:
+            raise ValidationError(
+                f"MaxPool2d: padding {self.padding} exceeds half the kernel size {self.kernel_size}"
+            )
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LayerConfig":
+        if "kind" not in data:
+            raise ValidationError("layer object is missing 'kind'")
+        try:
+            kind = LayerKind(data["kind"])
+        except ValueError:
+            raise ValidationError(f"unknown layer kind {data['kind']!r}") from None
+        extra = data.keys() - _LAYER_KEYS
+        if extra:
+            raise ValidationError(f"{kind.value}: unknown fields {sorted(extra)}")
+        return cls(**dict(data, kind=kind))
+
+
+@dataclass(frozen=True)
+class ReferenceTensorShape:
+    batch: int
+    channels: int
+    height: int
+    width: int
+
+    def __post_init__(self):
+        for name, v in self.__dict__.items():
+            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))) or v < 1:
+                raise ValidationError(f"TensorShape.{name}={v!r} must be a positive integer")
+
+
+def outcome(build):
+    """(exception type, message) if ``build()`` raises, else the built object's state."""
+    try:
+        built = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(built.__dict__.items())
+
+
+field_values = st.one_of(
+    st.none(),
+    st.integers(-2, 12),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-2, 12).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+)
+kinds = st.one_of(st.sampled_from(list(LayerKind)), st.sampled_from([k.value for k in LayerKind] + ["Conv3d"]))
+
+
+class TestValidationEquivalence:
+    @settings(max_examples=600, deadline=None)
+    @given(kind=kinds, fields=st.fixed_dictionaries({}, optional={name: field_values for name in _CONFIG_FIELDS}))
+    def test_layer_config_matches_reference(self, kind, fields):
+        assert outcome(lambda: LayerConfig(kind=kind, **fields)) == outcome(
+            lambda: ReferenceLayerConfig(kind=kind, **fields)
+        )
+        data = dict(fields, kind=kind)
+        assert outcome(lambda: LayerConfig.from_dict(data)) == outcome(
+            lambda: ReferenceLayerConfig.from_dict(data)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(LayerKind)), data=st.data())
+    def test_small_configs_of_every_kind_match_reference(self, kind, data):
+        # every field of the kind set to a small positive int, so the window
+        # and padding checks meet their boundaries, then a few fields changed
+        fields = {name: data.draw(st.integers(1, 6)) for name in KIND_SPECS[kind].fields}
+        fields.update(data.draw(st.dictionaries(
+            st.sampled_from(_CONFIG_FIELDS), st.one_of(st.integers(-1, 6), st.none(), field_values)
+        )))
+        doc = dict(fields, kind=kind.value)
+        assert outcome(lambda: LayerConfig.from_dict(doc)) == outcome(lambda: ReferenceLayerConfig.from_dict(doc))
+
+    @pytest.mark.parametrize("kind", [LayerKind.CONV2D, LayerKind.MAXPOOL2D])
+    def test_window_field_grid_matches_reference(self, kind):
+        # every boundary of the window and padding checks, and every set of
+        # missing required fields, on both window kinds
+        grid = {
+            "image_size": (None, 1, 2, 3, 4),
+            "kernel_size": (None, 1, 2, 3, 4, 5, 6),
+            "padding": (None, 0, 1, 2, 3),
+            "stride": (None, 1),
+            "in_channels": (None, 3),
+            "out_channels": (None, 4) if kind is LayerKind.CONV2D else (None,),
+        }
+        for values in itertools.product(*grid.values()):
+            fields = dict(zip(grid, values))
+            assert outcome(lambda: LayerConfig(kind=kind, **fields)) == outcome(
+                lambda: ReferenceLayerConfig(kind=kind, **fields)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.tuples(field_values, field_values, field_values, field_values))
+    def test_tensor_shape_matches_reference(self, values):
+        assert outcome(lambda: TensorShape(*values)) == outcome(lambda: ReferenceTensorShape(*values))
+
+
 def reference_resolution(arch):
     """(index, config, input shape, output shape) per layer, propagated here."""
     out = []
@@ -174,6 +323,53 @@ def reference_resolution(arch):
         out.append((i, layer, shape, next_shape))
         shape = next_shape
     return out, shape
+
+
+#: the net of the stored-bundle estimate pin: Sigmoid, Tanh and Softmax
+ACTIVATIONS_NET = {
+    "name": "activations",
+    "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
+    "layers": [
+        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 8, "stride": 1, "padding": 1},
+        {"kind": "Sigmoid"},
+        {"kind": "MaxPool2d", "kernel_size": 2, "stride": 2, "padding": 0},
+        {"kind": "Tanh"},
+        {"kind": "Flatten"},
+        {"kind": "Linear", "in_channels": 512, "out_channels": 10},
+        {"kind": "Softmax"},
+    ],
+}
+#: the structural kinds, each after a layer of the same output shape
+POOLED_NET = {
+    "name": "pooled",
+    "input": {"batch": 1, "channels": 3, "height": 12, "width": 12},
+    "layers": [
+        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 4, "stride": 1, "padding": 1},
+        {"kind": "ReLU"},
+        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 4, "out_channels": 4, "stride": 1, "padding": 1},
+        {"kind": "AdaptiveAvgPool", "output_size": 2},
+        {"kind": "Dropout"},
+        {"kind": "Flatten"},
+        {"kind": "Dropout"},
+        {"kind": "Linear", "in_channels": 16, "out_channels": 5},
+        {"kind": "Softmax"},
+    ],
+}
+REBATCH_SOURCES = ["alexnet", "vgg16", ACTIVATIONS_NET, POOLED_NET, NON_SQUARE_NET]
+
+
+def assert_same_resolution(arch, expected):
+    """Every resolved layer equal to the expected one field by field, with the
+    same instance state and field order."""
+    got, want = arch.resolve_layers(), expected.resolve_layers()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert list(g.__dict__) == list(w.__dict__)
+        assert (g.index, g.config, g.input_shape, g.output_shape) == (w.index, w.config, w.input_shape, w.output_shape)
+        for shape in (g.input_shape, g.output_shape):
+            assert type(shape) is TensorShape and list(shape.__dict__) == ["batch", "channels", "height", "width"]
+    assert list(arch.__dict__) == list(expected.__dict__)
 
 
 class TestResolution:
@@ -193,16 +389,31 @@ class TestResolution:
         arch = ArchitectureSpec("empty", TensorShape(2, 3, 8, 8), ())
         assert arch.output_shape == arch.input_shape and arch.resolve_layers() == []
 
-    @pytest.mark.parametrize("name", ["alexnet", "vgg16"])
+    @pytest.mark.parametrize("source", REBATCH_SOURCES, ids=lambda s: s if isinstance(s, str) else s["name"])
     @pytest.mark.parametrize("batch", [2, 8, 64])
-    def test_with_batch_equals_fresh_load(self, name, batch):
-        doc = load_architecture(name).to_dict()
+    def test_with_batch_equals_fresh_load(self, source, batch):
+        doc = load_architecture(source).to_dict()
         doc["input"]["batch"] = batch
         fresh = load_architecture(doc)
-        rebatched = load_architecture(name).with_batch(batch)
+        rebatched = load_architecture(source).with_batch(batch)
         assert rebatched == fresh
-        assert rebatched.resolve_layers() == fresh.resolve_layers()
+        assert_same_resolution(rebatched, fresh)
         assert rebatched.output_shape == fresh.output_shape
+
+    @pytest.mark.parametrize("source", REBATCH_SOURCES, ids=lambda s: s if isinstance(s, str) else s["name"])
+    @pytest.mark.parametrize("batch", [2, 8, 64])
+    def test_with_batch_round_trip(self, source, batch):
+        arch = load_architecture(source)
+        back = arch.with_batch(batch).with_batch(1)
+        assert back is not arch and back == arch
+        assert_same_resolution(back, arch)
+
+    @pytest.mark.parametrize("source", REBATCH_SOURCES, ids=lambda s: s if isinstance(s, str) else s["name"])
+    def test_with_batch_builds_one_shape_per_distinct_shape(self, source):
+        arch = load_architecture(source).with_batch(8)
+        shapes = [arch.input_shape] + [s for r in arch.resolve_layers() for s in (r.input_shape, r.output_shape)]
+        assert len({id(s) for s in shapes}) == len(set(shapes))
+        assert all(s.batch == 8 for s in shapes)
 
     def test_with_batch_of_own_batch_is_self(self):
         arch = load_architecture("vgg11")
@@ -213,6 +424,12 @@ class TestResolution:
     def test_with_batch_of_a_non_int_one_still_raises(self):
         with pytest.raises(ValidationError, match=r"^TensorShape\.batch=True must be a positive integer$"):
             load_architecture("vgg11").with_batch(True)
+
+    @pytest.mark.parametrize("batch", [2.0, np.int64(4)], ids=["float", "int64"])
+    def test_with_batch_of_a_float_or_numpy_one_raises(self, batch):
+        with pytest.raises(ValidationError) as info:
+            load_architecture("vgg11").with_batch(batch)
+        assert str(info.value) == f"TensorShape.batch={batch!r} must be a positive integer"
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_with_batch_rejects_non_positive(self, batch):

@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import synth_dataset, synth_modelwise
+from conftest import NON_SQUARE_NET, synth_dataset, synth_modelwise
 from joulecast import probe
 from joulecast.arch import load_architecture
 from joulecast.cli import main
@@ -384,6 +384,37 @@ class TestMalformedArchitecture:
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["estimate", "--bundle", bundle_path, "--arch", path] if command == "estimate" else [
             "macs", "--arch", path]
+        assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {message}\n"
+
+
+class TestEstimateLayerErrors:
+    """A layer that is invalid, or has no standalone form at estimate time, is
+    a one-line error naming the file and the layer, at any batch."""
+
+    NON_SQUARE = "layer 0 (Conv2d): Conv2d: non-square input 8x6 has no standalone image_size"
+
+    @pytest.mark.parametrize("batch", ["1", "8"])
+    def test_non_square_input_names_file_and_layer(self, bundle_path, tmp_path, capsys, batch):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(NON_SQUARE_NET), encoding="utf-8")
+        argv = ["estimate", "--bundle", bundle_path, "--arch", path, "--batch", batch]
+        assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {self.NON_SQUARE}\n"
+
+    def test_non_square_json_text_names_the_layer(self, bundle_path, capsys):
+        capsys.readouterr()
+        code = main(["--quiet", "estimate", "--bundle", str(bundle_path), "--arch", json.dumps(NON_SQUARE_NET)])
+        assert code == 1 and capsys.readouterr().err == f"error: {self.NON_SQUARE}\n"
+
+    @pytest.mark.parametrize("layer, message", [
+        ({"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 4, "stride": True, "padding": 1},
+         "layer 0: Conv2d: field 'stride' must be an integer"),
+        ({"kind": "ReLU", "kernel_size": 3}, "layer 0: ReLU: field 'kernel_size' is not applicable"),
+    ], ids=["bool", "inapplicable"])
+    def test_invalid_field_names_file_and_layer(self, bundle_path, tmp_path, capsys, layer, message):
+        path = tmp_path / "arch.json"
+        doc = {"name": "bad", "input": {"batch": 1, "channels": 3, "height": 8, "width": 8}, "layers": [layer]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["estimate", "--bundle", bundle_path, "--arch", path]
         assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {message}\n"
 
 

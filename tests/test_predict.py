@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA, synth_modelwise, synth_records
+from conftest import ALPHA, NON_SQUARE_NET, synth_modelwise, synth_records
 from joulecast.arch import (
     ArchitectureSpec,
     LayerKind,
@@ -18,12 +18,14 @@ from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split
 from joulecast.errors import (
     AggregationWarning,
     EmptyDataError,
+    KindMismatchError,
     MissingKindError,
     NotConvergedWarning,
+    ShapeError,
     SingularityWarning,
 )
 from joulecast.features import FeatureMap, FeatureSetKind, PolynomialSpec, raw_feature_names
-from joulecast.macs import architecture_macs, standalone_macs
+from joulecast.macs import INT64_MAX, architecture_macs, standalone_macs
 from joulecast.predict import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_MODEL_SPECS,
@@ -177,6 +179,54 @@ class TestBundleRoundTrip:
         assert before == after
 
 
+@pytest.fixture(scope="module")
+def demo_bundle(tmp_path_factory):
+    """The bundle of ``scripts/synthetic_demo.py --seed 0``: 60 simulated
+    configs of each kind, collected with seeds 0-6, trained with seed 0."""
+    from joulecast.cli import main
+
+    directory = tmp_path_factory.mktemp("demo")
+    layerwise, bundle = directory / "layerwise.csv", directory / "bundle.json"
+    kinds = ("conv2d", "maxpool2d", "linear", "relu", "sigmoid", "tanh", "softmax")
+    for seed, kind in enumerate(kinds):
+        assert main(["--seed", str(seed), "--simulate", "--quiet", "collect", "--kind", kind,
+                     "--count", "60", "--out", str(layerwise)]) == 0
+    assert main(["--seed", "0", "--quiet", "train", "--layerwise", str(layerwise), "--out", str(bundle)]) == 0
+    return PredictorBundle.load(bundle)
+
+
+class TestOneColumnPredictors:
+    """A predictor whose design row is the bare MAC count answers with a
+    scalar product and sum; it must equal the design path to the bit."""
+
+    @pytest.mark.parametrize("source", ["stored", "demo"])
+    def test_equals_design_path_bit_for_bit(self, source, demo_bundle):
+        bundle = PredictorBundle.load(DATA_DIR / "bundle_v1.json") if source == "stored" else demo_bundle
+        one_column = {kind: model for kind, model in bundle.models.items()
+                      if model.features.scaler == "none" and len(model.features.columns) == 1}
+        assert LayerKind.CONV2D in one_column and LayerKind.RELU in one_column
+        rng = np.random.default_rng(13)
+        draws = [int(2 ** rng.uniform(0, 63)) for _ in range(500)]
+        draws += [int(m) for m in rng.integers(1, INT64_MAX, 500, endpoint=True)]
+        for kind, predictor in one_column.items():
+            config = sample_config(kind, rng)
+            features = predictor.features
+            for macs in [1, 2**53 + 1, INT64_MAX] + draws:
+                design = features.design(
+                    [MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)]
+                )
+                expected = float(features.joules(float(predictor.model.predict(design.X)[0])))
+                joules, clamped = predictor.predict_energy(config, macs)
+                assert clamped == (expected < 0.0)
+                assert joules.hex() == (0.0 if clamped else expected).hex()
+
+    def test_keeps_the_kind_mismatch_error(self):
+        predictor = PredictorBundle.load(DATA_DIR / "bundle_v1.json").model_for(LayerKind.CONV2D)
+        with pytest.raises(KindMismatchError) as info:
+            predictor.predict_energy(sample_config(LayerKind.RELU, 0), 10)
+        assert str(info.value) == "feature map fitted on Conv2d, config is ReLU"
+
+
 class TestEstimate:
     def test_no_predictable_layers_total_zero(self, trained_bundle):
         arch = ArchitectureSpec("drop", TensorShape(1, 3, 8, 8),
@@ -197,6 +247,14 @@ class TestEstimate:
         result = estimate(trained_bundle, arch, 1)
         _, total_macs = architecture_macs(arch)
         assert result.total_joules == pytest.approx(ALPHA * total_macs, rel=0.02)
+
+    @pytest.mark.parametrize("batch", [1, 8, 64])
+    def test_non_square_input_names_the_layer_at_every_batch(self, trained_bundle, batch):
+        with pytest.raises(ShapeError) as info:
+            estimate(trained_bundle, load_architecture(NON_SQUARE_NET), batch)
+        assert str(info.value) == (
+            "layer 0 (Conv2d): Conv2d: non-square input 8x6 has no standalone image_size"
+        )
 
     def test_missing_kind_rejected(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
