@@ -29,6 +29,9 @@ class LayerKind(str, Enum):
     FLATTEN = "Flatten"
 
 
+#: every kind by its value; a member finds itself, as it equals and hashes as its value
+_KINDS_BY_VALUE = {kind.value: kind for kind in LayerKind}
+
 # every field a LayerConfig can carry, in canonical order
 _CONFIG_FIELDS = (
     "batch_size",
@@ -56,11 +59,12 @@ def _instance(cls, state: dict):
     return obj
 
 
-def _validated_config(cls, values: dict) -> "LayerConfig":
-    """``cls(**values)`` for a LayerConfig class: the same instance and the same checks."""
-    config = _instance(cls, values)
-    config.__post_init__()
-    return config
+def _validated(cls, values: dict):
+    """``cls(**values)`` for a frozen dataclass with a ``__post_init__`` and
+    ``values`` in field order: the same instance and the same checks."""
+    obj = _instance(cls, values)
+    obj.__post_init__()
+    return obj
 
 
 @dataclass(frozen=True)
@@ -146,16 +150,15 @@ class LayerConfig:
         if "kind" not in data:
             raise ValidationError("layer object is missing 'kind'")
         try:
-            kind = LayerKind(data["kind"])
-        except ValueError:
+            kind = _KINDS_BY_VALUE[data["kind"]]
+        except (KeyError, TypeError):  # an unhashable kind is unknown too
             raise ValidationError(f"unknown layer kind {data['kind']!r}") from None
-        extra = data.keys() - _LAYER_KEYS
-        if extra:
-            raise ValidationError(f"{kind.value}: unknown fields {sorted(extra)}")
+        if not _LAYER_KEYS.issuperset(data):
+            raise ValidationError(f"{kind.value}: unknown fields {sorted(data.keys() - _LAYER_KEYS)}")
         values = dict(_UNSET_CONFIG)
         values.update(data)
         values["kind"] = kind
-        return _validated_config(cls, values)
+        return _validated(cls, values)
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,11 @@ class TensorShape:
         return cls(data["batch"], data["channels"], data["height"], data["width"])
 
 
+def _shape(batch: int, channels: int, height: int, width: int) -> TensorShape:
+    """``TensorShape(batch, channels, height, width)``: the same instance and the same checks."""
+    return _validated(TensorShape, {"batch": batch, "channels": channels, "height": height, "width": width})
+
+
 def conv_output_side(in_side: int, kernel: int, padding: int, stride: int) -> int:
     """Output side of a square convolution/pooling window sweep."""
     out = (in_side + 2 * padding - kernel) // stride + 1
@@ -216,7 +224,7 @@ def _window_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
             f"{layer.kind.value} expects {layer.in_channels} input channels, got {input_shape.channels}"
         )
     channels = input_shape.channels if layer.out_channels is None else layer.out_channels
-    return TensorShape(input_shape.batch, channels, out_h, out_w)
+    return _shape(input_shape.batch, channels, out_h, out_w)
 
 
 def _linear_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
@@ -226,7 +234,7 @@ def _linear_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
         raise ShapeError(
             f"Linear expects {layer.in_channels} input features, got {input_shape.channels}"
         )
-    return TensorShape(input_shape.batch, layer.out_channels, 1, 1)
+    return _shape(input_shape.batch, layer.out_channels, 1, 1)
 
 
 def _elementwise_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
@@ -240,11 +248,11 @@ def _elementwise_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorSh
 
 
 def _flatten_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
-    return TensorShape(input_shape.batch, input_shape.per_sample_elements, 1, 1)
+    return _shape(input_shape.batch, input_shape.per_sample_elements, 1, 1)
 
 
 def _adaptive_pool_shape(input_shape: TensorShape, layer: LayerConfig) -> TensorShape:
-    return TensorShape(input_shape.batch, input_shape.channels, layer.output_size, layer.output_size)
+    return _shape(input_shape.batch, input_shape.channels, layer.output_size, layer.output_size)
 
 
 @dataclass(frozen=True)
@@ -397,7 +405,7 @@ class ArchitectureSpec:
         # layer's input is the previous layer's output, so ``shape`` carries it.
         old = self.input_shape
         key = (old.channels, old.height, old.width)
-        shape = input_shape = TensorShape(batch_size, *key)
+        shape = input_shape = _shape(batch_size, *key)
         rebatched = {key: shape}
         resolved = []
         for r in self._resolved:
@@ -408,7 +416,7 @@ class ArchitectureSpec:
                 key = (out.channels, out.height, out.width)
                 out = rebatched.get(key)
                 if out is None:
-                    out = rebatched[key] = TensorShape(batch_size, *key)
+                    out = rebatched[key] = _shape(batch_size, *key)
             resolved.append(_resolved_layer(r.index, r.config, shape, out))
             shape = out
         return _instance(type(self), dict(self.__dict__, input_shape=input_shape, _resolved=tuple(resolved)))
@@ -478,12 +486,16 @@ def extract_predictable_layers(arch: ArchitectureSpec) -> list[ResolvedLayer]:
     return [r for r in arch._resolved if KIND_SPECS[r.config.kind].predictable]
 
 
-def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerConfig:
+def as_standalone_config(
+    layer: LayerConfig, input_shape: TensorShape, batch: int | None = None
+) -> LayerConfig:
     """Rewrite an embedded layer as the equivalent individually-measurable config.
 
-    ``batch_size`` comes from the batch, ``image_size`` from the square side and
-    ``in_channels`` from the channels (spatial kinds) or the per-sample
-    elements (flat kinds); every other field comes from the layer.
+    ``batch_size`` comes from ``batch`` (by default the input's batch),
+    ``image_size`` from the square side and ``in_channels`` from the channels
+    (spatial kinds) or the per-sample elements (flat kinds); every other
+    field comes from the layer. No other field reads the batch, so a layer
+    resolved at one batch gives its standalone config at any other.
     """
     spec = KIND_SPECS[layer.kind]
     if not spec.predictable:
@@ -493,13 +505,13 @@ def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerC
             f"{layer.kind.value}: non-square input {input_shape.height}x{input_shape.width} "
             "has no standalone image_size"
         )
-    values = dict(layer.__dict__, batch_size=input_shape.batch)
+    values = dict(layer.__dict__, batch_size=input_shape.batch if batch is None else batch)
     if spec.spatial:  # the predictable spatial kinds are the window kinds, which carry image_size
         values["image_size"] = input_shape.height
         values["in_channels"] = input_shape.channels
     else:
         values["in_channels"] = input_shape.per_sample_elements
-    return _validated_config(LayerConfig, values)
+    return _validated(LayerConfig, values)
 
 
 def standalone_input_shape(config: LayerConfig) -> TensorShape:

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .dataset import (
     SplitSpec,
     sample_config,
 )
-from .errors import JoulecastError, ShapeError
+from .errors import JoulecastError, MacOverflowError, ShapeError
 from .macs import architecture_macs, layer_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
@@ -160,11 +161,23 @@ def _collect_architecture(
     )
 
 
+@contextmanager
+def _naming_arch_file(arch: str):
+    """Prefix a shape or MAC-overflow error with ``--arch`` when it is a file, as its parse errors are."""
+    try:
+        yield
+    except (ShapeError, MacOverflowError) as exc:
+        if os.path.isfile(arch):
+            raise type(exc)(f"{arch}: {exc}") from exc
+        raise
+
+
 def cmd_macs(args) -> int:
     arch = load_architecture(args.arch)
     if args.batch:
         arch = arch.with_batch(args.batch)
-    per_layer, total = architecture_macs(arch, include_bias=not args.no_bias)
+    with _naming_arch_file(args.arch):
+        per_layer, total = architecture_macs(arch, include_bias=not args.no_bias)
     writer = csv.writer(sys.stdout)
     writer.writerow(("layer_index", "module", "macs"))
     for index, kind, macs in per_layer:
@@ -202,12 +215,8 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     bundle = PredictorBundle.load(args.bundle)
     arch = load_architecture(args.arch)
-    try:
+    with _naming_arch_file(args.arch):
         result = estimate(bundle, arch, args.batch)
-    except ShapeError as exc:
-        if os.path.isfile(args.arch):  # name the file, as its parse errors do
-            raise ShapeError(f"{args.arch}: {exc}") from exc
-        raise
     doc = {"format_version": 1, **result.to_dict()}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:

@@ -23,70 +23,90 @@ from .errors import MacOverflowError, ValidationError
 INT64_MAX = 2**63 - 1
 
 
-def _checked(value: int) -> int:
+def _checked(value: int, where: str = "") -> int:
     if value > INT64_MAX:
-        raise MacOverflowError(f"MAC count {value} exceeds the 64-bit budget")
+        raise MacOverflowError(f"{where}MAC count {value} exceeds the 64-bit budget")
     return value
+
+
+# The MAC rules, one per formula: (config, shape, batch, include_bias) -> MACs.
+# Each reads the channels and sides of one shape (see ``_MAC_RULES``) and
+# takes the batch as an argument, so a layer resolved at one batch counts at
+# any other.
+
+
+def _conv2d(config: LayerConfig, out: TensorShape, batch: int, include_bias: bool) -> int:
+    macs = config.kernel_size**2 * out.width * out.height * config.in_channels * config.out_channels * batch
+    if include_bias:
+        macs += out.width * out.height * config.out_channels * batch
+    return _checked(macs)
+
+
+def _linear(config: LayerConfig, in_shape: TensorShape, batch: int, include_bias: bool) -> int:
+    macs = in_shape.width * in_shape.height * config.in_channels * config.out_channels * batch
+    if include_bias:
+        macs += config.out_channels * batch
+    return _checked(macs)
+
+
+def _maxpool2d(config: LayerConfig, out: TensorShape, batch: int, include_bias: bool) -> int:
+    ops = config.kernel_size**2 * out.width * out.height * out.channels * batch
+    return _checked(ops // 2)
+
+
+def _elementwise(config: LayerConfig | None, in_shape: TensorShape, batch: int, include_bias: bool) -> int:
+    return _checked((in_shape.per_sample_elements * batch) // 2)
 
 
 def conv2d_macs(config: LayerConfig, out: TensorShape, include_bias: bool = True) -> int:
     """k^2 * w_out * h_out * c_in * c_out * B, plus one MAC per output element for bias."""
     if config.kind is not LayerKind.CONV2D:
         raise ValidationError(f"conv2d_macs got a {config.kind.value} config")
-    macs = (
-        config.kernel_size**2
-        * out.width
-        * out.height
-        * config.in_channels
-        * config.out_channels
-        * out.batch
-    )
-    if include_bias:
-        macs += out.width * out.height * config.out_channels * out.batch
-    return _checked(macs)
+    return _conv2d(config, out, out.batch, include_bias)
 
 
 def linear_macs(config: LayerConfig, in_shape: TensorShape, include_bias: bool = True) -> int:
     """w_in * h_in * c_in * c_out * B, plus c_out * B for bias."""
     if config.kind is not LayerKind.LINEAR:
         raise ValidationError(f"linear_macs got a {config.kind.value} config")
-    macs = in_shape.width * in_shape.height * config.in_channels * config.out_channels * in_shape.batch
-    if include_bias:
-        macs += config.out_channels * in_shape.batch
-    return _checked(macs)
+    return _linear(config, in_shape, in_shape.batch, include_bias)
 
 
 def maxpool2d_macs(config: LayerConfig, out: TensorShape) -> int:
     """(k^2 * w_out * h_out * c_in * B) / 2: comparison ops halved onto the MAC scale."""
     if config.kind is not LayerKind.MAXPOOL2D:
         raise ValidationError(f"maxpool2d_macs got a {config.kind.value} config")
-    ops = config.kernel_size**2 * out.width * out.height * out.channels * out.batch
-    return _checked(ops // 2)
+    return _maxpool2d(config, out, out.batch, False)
 
 
 def relu_macs(in_shape: TensorShape) -> int:
     """(w_in * h_in * c_in * B) / 2: one elementwise op per element, halved; every activation's rule."""
-    return _checked((in_shape.per_sample_elements * in_shape.batch) // 2)
+    return _elementwise(None, in_shape, in_shape.batch, False)
 
 
-# the MAC rule of every kind that has one: (resolved layer, include_bias) -> MACs
+#: the MAC rule of every kind that has one, and whether it reads the layer's
+#: output shape (else its input shape)
 _MAC_RULES = {
-    LayerKind.CONV2D: lambda r, bias: conv2d_macs(r.config, r.output_shape, bias),
-    LayerKind.MAXPOOL2D: lambda r, bias: maxpool2d_macs(r.config, r.output_shape),
-    LayerKind.LINEAR: lambda r, bias: linear_macs(r.config, r.input_shape, bias),
-    LayerKind.RELU: lambda r, bias: relu_macs(r.input_shape),
-    LayerKind.SIGMOID: lambda r, bias: relu_macs(r.input_shape),
-    LayerKind.TANH: lambda r, bias: relu_macs(r.input_shape),
-    LayerKind.SOFTMAX: lambda r, bias: relu_macs(r.input_shape),
+    LayerKind.CONV2D: (_conv2d, True),
+    LayerKind.MAXPOOL2D: (_maxpool2d, True),
+    LayerKind.LINEAR: (_linear, False),
+    LayerKind.RELU: (_elementwise, False),
+    LayerKind.SIGMOID: (_elementwise, False),
+    LayerKind.TANH: (_elementwise, False),
+    LayerKind.SOFTMAX: (_elementwise, False),
 }
 
 
-def layer_macs(resolved: ResolvedLayer, include_bias: bool = True) -> int:
-    """MAC count of one resolved layer within an architecture."""
-    rule = _MAC_RULES.get(resolved.config.kind)
-    if rule is None:
-        raise ValidationError(f"{resolved.config.kind.value} has no MAC count")
-    return rule(resolved, include_bias)
+def layer_macs(resolved: ResolvedLayer, include_bias: bool = True, batch: int | None = None) -> int:
+    """MAC count of one resolved layer within an architecture, at ``batch``
+    (by default the batch of its shapes)."""
+    config = resolved.config
+    try:
+        rule, reads_output = _MAC_RULES[config.kind]
+    except KeyError:
+        raise ValidationError(f"{config.kind.value} has no MAC count") from None
+    shape = resolved.output_shape if reads_output else resolved.input_shape
+    return rule(config, shape, shape.batch if batch is None else batch, include_bias)
 
 
 def standalone_macs(config: LayerConfig, include_bias: bool = True) -> int:
@@ -102,9 +122,13 @@ def architecture_macs(
     per_layer = []
     total = 0
     for resolved in extract_predictable_layers(arch):
-        macs = layer_macs(resolved, include_bias)
-        per_layer.append((resolved.index, resolved.config.kind, macs))
-        total = _checked(total + macs)
+        kind = resolved.config.kind
+        try:
+            macs = layer_macs(resolved, include_bias)
+        except MacOverflowError as exc:
+            raise MacOverflowError(f"layer {resolved.index} ({kind.value}): {exc}") from exc
+        per_layer.append((resolved.index, kind, macs))
+        total = _checked(total + macs, "total: ")
     return per_layer, total
 
 

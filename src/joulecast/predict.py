@@ -22,6 +22,7 @@ from .arch import (
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
+    _instance,
     as_standalone_config,
     extract_predictable_layers,
 )
@@ -35,6 +36,7 @@ from .dataset import (
 from .errors import (
     AggregationWarning,
     EmptyDataError,
+    MacOverflowError,
     MissingKindError,
     ParseError,
     SchemaError,
@@ -43,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
-from .macs import layer_macs
+from .macs import _checked, layer_macs
 from .regress import (
     CvReport,
     EvalMetrics,
@@ -372,23 +374,31 @@ class EnergyEstimate:
 
 
 def estimate(bundle: PredictorBundle, arch: ArchitectureSpec, batch_size: int = 1) -> EnergyEstimate:
-    """Per-layer predictions summed in layer order (fixed accumulation order)."""
-    resolved = extract_predictable_layers(arch.with_batch(batch_size))
+    """Per-layer predictions summed in layer order (fixed accumulation order).
+
+    The layers are the spec's own resolution, counted and rewritten at
+    ``batch_size``: no shape rule reads the batch, so resolving again at
+    ``batch_size`` would give the same channels, sides and errors.
+    """
+    if type(batch_size) is not int or batch_size < 1:
+        arch.with_batch(batch_size)  # a bad batch raises here, as a re-batched spec's does
     layers = []
     total_joules = 0.0
     total_macs = 0
-    for layer in resolved:
+    for layer in extract_predictable_layers(arch):
         kind = layer.config.kind
         predictor = bundle.model_for(kind)
         try:
-            standalone = as_standalone_config(layer.config, layer.input_shape)
-        except ShapeError as exc:
-            raise ShapeError(f"layer {layer.index} ({kind.value}): {exc}") from exc
-        macs = layer_macs(layer, include_bias=True)
+            standalone = as_standalone_config(layer.config, layer.input_shape, batch_size)
+            macs = layer_macs(layer, True, batch_size)
+        except (ShapeError, MacOverflowError) as exc:
+            raise type(exc)(f"layer {layer.index} ({kind.value}): {exc}") from exc
+        total_macs = _checked(total_macs + macs, "total: ")
         joules, clamped = predictor.predict_energy(standalone, macs)
-        layers.append(LayerEstimate(layer.index, kind, macs, joules, clamped))
+        layers.append(_instance(LayerEstimate, {
+            "layer_index": layer.index, "kind": kind, "macs": macs, "joules": joules, "clamped": clamped,
+        }))
         total_joules += joules
-        total_macs += macs
     return EnergyEstimate(
         architecture=arch.name,
         batch_size=batch_size,

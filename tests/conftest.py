@@ -61,6 +61,21 @@ NON_SQUARE_NET = {
     ],
 }
 
+#: the net of the stored-bundle estimate pin: Sigmoid, Tanh and Softmax
+ACTIVATIONS_NET = {
+    "name": "activations",
+    "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
+    "layers": [
+        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 8, "stride": 1, "padding": 1},
+        {"kind": "Sigmoid"},
+        {"kind": "MaxPool2d", "kernel_size": 2, "stride": 2, "padding": 0},
+        {"kind": "Tanh"},
+        {"kind": "Flatten"},
+        {"kind": "Linear", "in_channels": 512, "out_channels": 10},
+        {"kind": "Softmax"},
+    ],
+}
+
 MAC_LINEAR_KINDS = (LayerKind.CONV2D, LayerKind.MAXPOOL2D, LayerKind.LINEAR, LayerKind.RELU)
 POLY_ACTIVATIONS = (LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX)
 

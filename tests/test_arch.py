@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NON_SQUARE_NET
+from conftest import ACTIVATIONS_NET, NON_SQUARE_NET
 from joulecast.arch import (
     _CONFIG_FIELDS,
     _LAYER_KEYS,
@@ -308,6 +308,21 @@ class TestValidationEquivalence:
                 lambda: ReferenceLayerConfig(kind=kind, **fields)
             )
 
+    @pytest.mark.parametrize("kind", [
+        "Conv3d", "", "conv2d", "CONV2D", " Conv2d", ["Conv2d"], {"kind": "Conv2d"}, None, 3, 2.5, True,
+        LayerKind.CONV2D, LayerKind.SOFTMAX, "Flatten",
+    ], ids=repr)
+    @pytest.mark.parametrize("extra", [{}, {"bias": True}, {"groups": 2, "dilation": 1}, {1: 2}])
+    def test_parse_errors_match_reference(self, kind, extra):
+        # the parse (a value->member lookup of the kind, a subset test of the
+        # keys) against the reference's ``LayerKind(...)`` and key-set difference
+        fields = {"kernel_size": 3, "in_channels": 3, "out_channels": 4, "stride": 1, "padding": 1}
+        data = {"kind": kind, **(fields if kind is LayerKind.CONV2D else {}), **extra}
+        got = outcome(lambda: LayerConfig.from_dict(data))
+        assert got == outcome(lambda: ReferenceLayerConfig.from_dict(data))
+        if not isinstance(got, list):
+            assert got[0] is ValidationError
+
     @settings(max_examples=300, deadline=None)
     @given(values=st.tuples(field_values, field_values, field_values, field_values))
     def test_tensor_shape_matches_reference(self, values):
@@ -325,20 +340,6 @@ def reference_resolution(arch):
     return out, shape
 
 
-#: the net of the stored-bundle estimate pin: Sigmoid, Tanh and Softmax
-ACTIVATIONS_NET = {
-    "name": "activations",
-    "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
-    "layers": [
-        {"kind": "Conv2d", "kernel_size": 3, "in_channels": 3, "out_channels": 8, "stride": 1, "padding": 1},
-        {"kind": "Sigmoid"},
-        {"kind": "MaxPool2d", "kernel_size": 2, "stride": 2, "padding": 0},
-        {"kind": "Tanh"},
-        {"kind": "Flatten"},
-        {"kind": "Linear", "in_channels": 512, "out_channels": 10},
-        {"kind": "Softmax"},
-    ],
-}
 #: the structural kinds, each after a layer of the same output shape
 POOLED_NET = {
     "name": "pooled",

@@ -418,6 +418,39 @@ class TestEstimateLayerErrors:
         assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {message}\n"
 
 
+class TestMacOverflowErrors:
+    """A per-layer or total MAC count past the 64-bit budget is a one-line
+    error naming the layer or the total, and the file, on estimate and macs."""
+
+    def _doc(self, features, layers):
+        return {"name": "big", "input": {"batch": 1, "channels": features, "height": 1, "width": 1},
+                "layers": layers}
+
+    CASES = [
+        (3 * 10**9, [{"kind": "Linear", "in_channels": 3 * 10**9, "out_channels": 2 * 10**9},
+                     {"kind": "Linear", "in_channels": 2 * 10**9, "out_channels": 2 * 10**9}],
+         "total: MAC count 10000000004000000000 exceeds the 64-bit budget"),
+        (4 * 10**9, [{"kind": "ReLU"}, {"kind": "Linear", "in_channels": 4 * 10**9, "out_channels": 4 * 10**9}],
+         "layer 1 (Linear): MAC count 16000000004000000000 exceeds the 64-bit budget"),
+    ]
+
+    @pytest.mark.parametrize("features, layers, message", CASES, ids=["total", "layer"])
+    @pytest.mark.parametrize("command", ["estimate", "macs"])
+    def test_file_names_file_and_layer(self, bundle_path, tmp_path, capsys, command, features, layers, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(self._doc(features, layers)), encoding="utf-8")
+        argv = ["estimate", "--bundle", bundle_path, "--arch", path] if command == "estimate" else [
+            "macs", "--arch", path]
+        assert _exits_one_naming(capsys, argv, path) == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("features, layers, message", CASES, ids=["total", "layer"])
+    def test_json_text_names_the_layer(self, bundle_path, capsys, features, layers, message):
+        capsys.readouterr()
+        text = json.dumps(self._doc(features, layers))
+        code = main(["--quiet", "estimate", "--bundle", str(bundle_path), "--arch", text])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestKindMatrixOncePerKind:
     @pytest.mark.parametrize("command, builds", [
         (["train", "--kinds", "conv2d,linear,relu"], 3),

@@ -255,3 +255,29 @@ def test_standalone_rewrite_keeps_layer_macs(name, batch, include_bias):
     for resolved in extract_predictable_layers(arch):
         config = as_standalone_config(resolved.config, resolved.input_shape)
         assert standalone_macs(config, include_bias) == layer_macs(resolved, include_bias), resolved.index
+
+
+@pytest.mark.parametrize("include_bias", [True, False])
+@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_batch_argument_counts_as_rebatched_layer(name, batch, include_bias):
+    # no MAC rule reads a shape's batch: a layer resolved at batch 2 counts
+    # at any batch as the layer resolved at that batch does
+    at_two = extract_predictable_layers(load_architecture(name).with_batch(2))
+    rebatched = extract_predictable_layers(load_architecture(name).with_batch(batch))
+    assert [layer_macs(r, include_bias, batch) for r in at_two] == [
+        layer_macs(r, include_bias) for r in rebatched
+    ]
+
+
+def test_halving_follows_the_batch():
+    # a 3x3 window over one output element (9 ops) and one element after it:
+    # halving before multiplying by the batch would give 8 and 0 at batch 2
+    arch = load_architecture({
+        "name": "odd", "input": {"batch": 1, "channels": 1, "height": 3, "width": 3},
+        "layers": [{"kind": "MaxPool2d", "kernel_size": 3, "stride": 1, "padding": 0}, {"kind": "Flatten"},
+                   {"kind": "Sigmoid"}],
+    })
+    pool, act = extract_predictable_layers(arch)
+    assert (layer_macs(pool, batch=2), layer_macs(act, batch=2)) == (9, 1)
+    assert (layer_macs(pool, batch=3), layer_macs(act, batch=3)) == (13, 1)
