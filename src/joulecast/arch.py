@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -394,32 +394,7 @@ class ArchitectureSpec:
     def with_batch(self, batch_size: int) -> "ArchitectureSpec":
         if batch_size < 1:
             raise ValidationError(f"batch_size={batch_size} must be positive")
-        if type(batch_size) is int and batch_size == self.input_shape.batch:
-            return self
-        # Every shape rule copies the batch from its input to its output and
-        # none reads it, so each layer's channels, sides and shape errors are
-        # the same at every batch: this spec's resolution, with the batch
-        # replaced in each shape, is what propagating again would give. One
-        # validated shape is built per distinct (channels, height, width); the
-        # first is the input's, so a bool or float batch raises there. Each
-        # layer's input is the previous layer's output, so ``shape`` carries it.
-        old = self.input_shape
-        key = (old.channels, old.height, old.width)
-        shape = input_shape = _shape(batch_size, *key)
-        rebatched = {key: shape}
-        resolved = []
-        for r in self._resolved:
-            out = r.output_shape
-            if out is r.input_shape:  # a rule that passes its input through
-                out = shape
-            else:
-                key = (out.channels, out.height, out.width)
-                out = rebatched.get(key)
-                if out is None:
-                    out = rebatched[key] = _shape(batch_size, *key)
-            resolved.append(_resolved_layer(r.index, r.config, shape, out))
-            shape = out
-        return _instance(type(self), dict(self.__dict__, input_shape=input_shape, _resolved=tuple(resolved)))
+        return replace(self, input_shape=replace(self.input_shape, batch=batch_size))
 
     def resolve_layers(self) -> list[ResolvedLayer]:
         """All layers with concrete shapes, in order."""

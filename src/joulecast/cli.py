@@ -95,7 +95,7 @@ def cmd_collect(args) -> int:
                 window_seconds=window,
                 repeats=args.repeats,
                 counter=counter,
-                workload=workload_for(config, macs) if args.simulate else None,
+                workload=workload_for(config, macs),
                 clock=clock,
                 seed=args.seed,
                 pin_to_cpu=args.pin_cpu,
@@ -174,7 +174,7 @@ def _naming_arch_file(arch: str):
 
 def cmd_macs(args) -> int:
     arch = load_architecture(args.arch)
-    if args.batch:
+    if args.batch is not None:
         arch = arch.with_batch(args.batch)
     with _naming_arch_file(args.arch):
         per_layer, total = architecture_macs(arch, include_bias=not args.no_bias)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("macs", help="print the per-layer MAC table of an architecture")
     p.add_argument("--arch", required=True, help="preset name or architecture JSON (path or text)")
-    p.add_argument("--batch", type=int, default=0, help="override the batch size")
+    p.add_argument("--batch", type=int, default=None, help="batch size (default: the document's own)")
     p.add_argument("--no-bias", action="store_true", help="exclude bias accumulates")
     p.set_defaults(func=cmd_macs)
 

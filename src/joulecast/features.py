@@ -380,8 +380,9 @@ class FeatureMap:
             raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
 
     def joules(self, normalized):
-        """Map normalized predictions back to joules; out-of-range values extrapolate linearly."""
-        return self.target_min + np.asarray(normalized, dtype=float) * (self.target_max - self.target_min)
+        """Map a normalized prediction (a float, or an array of them) back to joules;
+        out-of-range values extrapolate linearly."""
+        return self.target_min + normalized * (self.target_max - self.target_min)
 
     def _features(self, raw: np.ndarray) -> np.ndarray:
         return self._scale(_expand(raw, self._recipe.index))

@@ -112,8 +112,7 @@ class PredictorModel:
             # once, so this scalar product and sum give the same bits
             features._check_kind(config)
             normalized = float(macs) * line[0] + line[1]
-        # the operations of ``FeatureMap.joules``, on floats
-        joules = features.target_min + normalized * (features.target_max - features.target_min)
+        joules = features.joules(normalized)
         if joules < 0.0:
             return 0.0, True
         return joules, False

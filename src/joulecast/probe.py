@@ -26,6 +26,7 @@ from .arch import (
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
+    conv_output_side,
     standalone_input_shape,
 )
 from .errors import (
@@ -61,10 +62,8 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: 
     c_out, c_in_w, k, _ = weight.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv weight expects {c_in_w} channels, input has {c_in}")
-    out_h = (h + 2 * padding - k) // stride + 1
-    out_w = (w + 2 * padding - k) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("convolution output is empty")
+    out_h = conv_output_side(h, k, padding, stride)
+    out_w = conv_output_side(w, k, padding, stride)
     padded = x
     if padding:
         padded = np.zeros((batch, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
@@ -96,10 +95,8 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: 
 def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Window max with -inf padding (every window overlaps the real input)."""
     batch, channels, h, w = x.shape
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("pooling output is empty")
+    out_h = conv_output_side(h, kernel, padding, stride)
+    out_w = conv_output_side(w, kernel, padding, stride)
     padded = x
     if padding:
         padded = np.full((batch, channels, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)

@@ -409,19 +409,6 @@ class TestResolution:
         assert back is not arch and back == arch
         assert_same_resolution(back, arch)
 
-    @pytest.mark.parametrize("source", REBATCH_SOURCES, ids=lambda s: s if isinstance(s, str) else s["name"])
-    def test_with_batch_builds_one_shape_per_distinct_shape(self, source):
-        arch = load_architecture(source).with_batch(8)
-        shapes = [arch.input_shape] + [s for r in arch.resolve_layers() for s in (r.input_shape, r.output_shape)]
-        assert len({id(s) for s in shapes}) == len(set(shapes))
-        assert all(s.batch == 8 for s in shapes)
-
-    def test_with_batch_of_own_batch_is_self(self):
-        arch = load_architecture("vgg11")
-        assert arch.with_batch(1) is arch
-        rebatched = arch.with_batch(4)
-        assert rebatched is not arch and rebatched.with_batch(4) is rebatched
-
     def test_with_batch_of_a_non_int_one_still_raises(self):
         with pytest.raises(ValidationError, match=r"^TensorShape\.batch=True must be a positive integer$"):
             load_architecture("vgg11").with_batch(True)

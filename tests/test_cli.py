@@ -166,6 +166,17 @@ class TestMacs:
         total_without = int(list(csv.DictReader(io.StringIO(without)))[-1]["macs"])
         assert total_with - total_without == 7_426_048 + 9_192 + 0  # conv + linear bias accumulates
 
+    @pytest.mark.parametrize("batch", ["0", "-2"])
+    def test_non_positive_batch_is_the_estimate_error(self, bundle_path, batch, capsys):
+        errors = []
+        for argv in (["macs", "--arch", "vgg11"], ["estimate", "--bundle", str(bundle_path), "--arch", "vgg11"]):
+            capsys.readouterr()
+            assert main(["--quiet", *argv, "--batch", batch]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: batch_size={batch} must be positive\n"] * 2
+
 
 class TestTrainEstimate:
     def test_estimate_reports_26_layers_and_exact_sum(self, bundle_path, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from joulecast import probe
-from joulecast.arch import LayerConfig, LayerKind
+from joulecast.arch import LayerConfig, LayerKind, conv_output_side
 from joulecast.errors import (
     AllRepeatsFailedError,
     ConcurrentMeasurementError,
@@ -116,6 +116,17 @@ class TestKernels:
         x = rng.standard_normal((2, 2, side, side))
         got = maxpool2d_forward(x, k, stride, padding)
         np.testing.assert_array_equal(got, pool_oracle(x, k, stride, padding))
+
+    @pytest.mark.parametrize("h, w, padding", [(2, 2, 0), (6, 2, 0), (2, 6, 0), (1, 1, 1)])
+    def test_window_larger_than_padded_input_is_the_shape_rule_error(self, h, w, padding):
+        with pytest.raises(ShapeError) as expected:
+            conv_output_side(min(h, w), 5, padding, 1)
+        x = np.ones((1, 1, h, w))
+        with pytest.raises(ShapeError) as conv:
+            conv2d_forward(x, np.ones((1, 1, 5, 5)), np.zeros(1), stride=1, padding=padding)
+        with pytest.raises(ShapeError) as pool:
+            maxpool2d_forward(x, 5, stride=1, padding=padding)
+        assert str(conv.value) == str(pool.value) == str(expected.value)
 
     def test_linear(self):
         x = np.array([[1.0, 2.0]])
