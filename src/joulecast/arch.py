@@ -11,7 +11,8 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import ParseError, ShapeError, UnknownPresetError, ValidationError
 
@@ -255,6 +256,43 @@ def _adaptive_pool_shape(input_shape: TensorShape, layer: LayerConfig) -> Tensor
     return _shape(input_shape.batch, input_shape.channels, layer.output_size, layer.output_size)
 
 
+# The MAC rules, one per formula: (config, input shape, output shape, batch,
+# include_bias) -> the exact MAC count of one forward pass; ``macs`` checks
+# it against the 64-bit budget. Each reads the channels and sides of one of
+# the two shapes (the counters in ``macs`` pass None for the other) and takes
+# the batch as an argument, so a layer resolved at one batch counts at any
+# other. Convolution and linear layers count one MAC per multiply; when
+# bias is included, one extra accumulate per biased output element is added.
+# Pooling and activations perform no multiplies, so their op counts are
+# halved to express them on the MAC scale (floor division of the whole
+# count; one op per element visited).
+
+
+def _conv2d_macs(config: LayerConfig, _input, out: TensorShape, batch: int, include_bias: bool) -> int:
+    macs = config.kernel_size**2 * out.width * out.height * config.in_channels * config.out_channels * batch
+    if include_bias:
+        macs += out.width * out.height * config.out_channels * batch
+    return macs
+
+
+def _linear_macs(config: LayerConfig, in_shape: TensorShape, _output, batch: int, include_bias: bool) -> int:
+    macs = in_shape.width * in_shape.height * config.in_channels * config.out_channels * batch
+    if include_bias:
+        macs += config.out_channels * batch
+    return macs
+
+
+def _maxpool2d_macs(config: LayerConfig, _input, out: TensorShape, batch: int, _bias: bool) -> int:
+    return config.kernel_size**2 * out.width * out.height * out.channels * batch // 2
+
+
+def _elementwise_macs(_config, in_shape: TensorShape, _output, batch: int, _bias: bool) -> int:
+    return in_shape.per_sample_elements * batch // 2
+
+
+MacRule = Callable[[LayerConfig, TensorShape, TensorShape, int, bool], int]
+
+
 @dataclass(frozen=True)
 class KindSpec:
     """The facts about one layer kind that every stage reads.
@@ -264,47 +302,83 @@ class KindSpec:
     config sets all of them. ``required`` must be set even on a layer embedded
     in an architecture; the other fields resolve from its input shape.
     ``spatial`` kinds take an NCHW input, the others a flat (batch, elements)
-    one. ``predictable`` kinds carry energy: they are sampled, measured
-    standalone and get a predictor; the rest are parsed and discarded.
-    ``output_shape`` resolves the layer's output from its input shape.
+    one. ``output_shape`` resolves the layer's output from its input shape.
+
+    A *predictable* kind carries energy: it is sampled, measured standalone
+    and gets a predictor. Its row, built by ``_predictable``, holds its MAC
+    rule (``macs``) and the inclusive ``(lo, hi)`` sampler range of each of
+    its fields, keyed in field order; the other kinds are parsed and
+    discarded, and have neither.
     """
 
     fields: tuple[str, ...]
     required: frozenset[str]
     spatial: bool
-    predictable: bool
     output_shape: Callable[[TensorShape, LayerConfig], TensorShape]
+    macs: MacRule | None = None
+    ranges: Mapping[str, tuple[int, int]] | None = None
+    predictable: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "predictable", self.macs is not None)
 
 
-_ACTIVATION = KindSpec(
-    fields=("batch_size", "in_channels"),
-    required=frozenset(),
+def _predictable(
+    ranges: dict[str, tuple[int, int]], required, spatial: bool, output_shape, macs: MacRule
+) -> KindSpec:
+    """The row of a predictable kind whose fields are the keys of ``ranges``."""
+    return KindSpec(tuple(ranges), frozenset(required), spatial, output_shape, macs, MappingProxyType(ranges))
+
+
+_ACTIVATION = _predictable(
+    {"batch_size": (1, 512), "in_channels": (50_000, 5_000_000)},
+    required=(),
     spatial=False,
-    predictable=True,
     output_shape=_elementwise_shape,
+    macs=_elementwise_macs,
 )
 
 KIND_SPECS: dict[LayerKind, KindSpec] = {
-    LayerKind.CONV2D: KindSpec(
-        fields=("batch_size", "image_size", "kernel_size", "in_channels", "out_channels", "stride", "padding"),
-        required=frozenset({"kernel_size", "in_channels", "out_channels", "stride", "padding"}),
+    LayerKind.CONV2D: _predictable(
+        {
+            "batch_size": (1, 256),
+            "image_size": (4, 224),
+            "kernel_size": (1, 11),
+            "in_channels": (1, 512),
+            "out_channels": (1, 512),
+            "stride": (1, 5),
+            "padding": (0, 3),
+        },
+        required=("kernel_size", "in_channels", "out_channels", "stride", "padding"),
         spatial=True,
-        predictable=True,
         output_shape=_window_shape,
+        macs=_conv2d_macs,
     ),
-    LayerKind.MAXPOOL2D: KindSpec(
-        fields=("batch_size", "image_size", "kernel_size", "in_channels", "stride", "padding"),
-        required=frozenset({"kernel_size", "stride", "padding"}),
+    LayerKind.MAXPOOL2D: _predictable(
+        {
+            "batch_size": (1, 256),
+            "image_size": (4, 224),
+            "kernel_size": (1, 11),
+            # pooling preserves channels; the sampled channel range sets the input's
+            "in_channels": (1, 512),
+            "stride": (1, 5),
+            "padding": (0, 3),
+        },
+        required=("kernel_size", "stride", "padding"),
         spatial=True,
-        predictable=True,
         output_shape=_window_shape,
+        macs=_maxpool2d_macs,
     ),
-    LayerKind.LINEAR: KindSpec(
-        fields=("batch_size", "in_channels", "out_channels"),
-        required=frozenset({"in_channels", "out_channels"}),
+    LayerKind.LINEAR: _predictable(
+        {
+            "batch_size": (1, 512),
+            "in_channels": (1, 5000),
+            "out_channels": (1, 5000),
+        },
+        required=("in_channels", "out_channels"),
         spatial=False,
-        predictable=True,
         output_shape=_linear_shape,
+        macs=_linear_macs,
     ),
     LayerKind.RELU: _ACTIVATION,
     LayerKind.SIGMOID: _ACTIVATION,
@@ -314,14 +388,13 @@ KIND_SPECS: dict[LayerKind, KindSpec] = {
         fields=("output_size",),
         required=frozenset({"output_size"}),
         spatial=True,
-        predictable=False,
         output_shape=_adaptive_pool_shape,
     ),
     LayerKind.DROPOUT: KindSpec(
-        fields=(), required=frozenset(), spatial=False, predictable=False, output_shape=_elementwise_shape
+        fields=(), required=frozenset(), spatial=False, output_shape=_elementwise_shape
     ),
     LayerKind.FLATTEN: KindSpec(
-        fields=(), required=frozenset(), spatial=True, predictable=False, output_shape=_flatten_shape
+        fields=(), required=frozenset(), spatial=True, output_shape=_flatten_shape
     ),
 }
 
@@ -588,7 +661,9 @@ PRESET_NAMES = ("alexnet", "vgg11", "vgg13", "vgg16")
 
 
 def load_architecture(source) -> ArchitectureSpec:
-    """Load an architecture from a preset name, JSON file path, JSON text, or dict."""
+    """Load an architecture from a preset name, JSON text (its first
+    non-blank character is ``{``), a JSON file path, or a dict, tried in
+    that order."""
     if isinstance(source, dict):
         return ArchitectureSpec.from_dict(source)
     if isinstance(source, os.PathLike):
@@ -598,6 +673,8 @@ def load_architecture(source) -> ArchitectureSpec:
     lowered = source.strip().lower()
     if lowered in PRESET_NAMES:
         return _preset(lowered)
+    if source.lstrip().startswith("{"):
+        return _architecture_from_json(source)
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -608,8 +685,6 @@ def load_architecture(source) -> ArchitectureSpec:
             return _architecture_from_json(text)
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{source}: {exc}") from None
-    if source.lstrip().startswith("{"):
-        return _architecture_from_json(source)
     raise UnknownPresetError(
         f"{source!r} is not a preset ({', '.join(PRESET_NAMES)}), an existing file, or JSON text"
     )

@@ -102,63 +102,24 @@ class SplitSpec:
             raise ValidationError("split fractions must be non-negative")
 
 
-_ACTIVATION_RANGES = {"batch_size": (1, 512), "in_channels": (50_000, 5_000_000)}
-
-# parameter sampling ranges per layer kind: {field: (lo, hi)} inclusive, drawn
-# in key order, which is the kind's canonical field order
-DEFAULT_SAMPLER_RANGES: dict[LayerKind, dict[str, tuple[int, int]]] = {
-    LayerKind.CONV2D: {
-        "batch_size": (1, 256),
-        "image_size": (4, 224),
-        "kernel_size": (1, 11),
-        "in_channels": (1, 512),
-        "out_channels": (1, 512),
-        "stride": (1, 5),
-        "padding": (0, 3),
-    },
-    LayerKind.MAXPOOL2D: {
-        "batch_size": (1, 256),
-        "image_size": (4, 224),
-        "kernel_size": (1, 11),
-        # pooling preserves channels; the sampled channel range sets the input's
-        "in_channels": (1, 512),
-        "stride": (1, 5),
-        "padding": (0, 3),
-    },
-    LayerKind.LINEAR: {
-        "batch_size": (1, 512),
-        "in_channels": (1, 5000),
-        "out_channels": (1, 5000),
-    },
-    LayerKind.RELU: dict(_ACTIVATION_RANGES),
-    LayerKind.SIGMOID: dict(_ACTIVATION_RANGES),
-    LayerKind.TANH: dict(_ACTIVATION_RANGES),
-    LayerKind.SOFTMAX: dict(_ACTIVATION_RANGES),
-}
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def sample_config(
     kind: LayerKind,
     rng,
     ranges: dict[LayerKind, dict[str, tuple[int, int]]] | None = None,
     max_retries: int = 1000,
 ) -> LayerConfig:
-    """Draw each applicable parameter integer-uniform from its range.
+    """Draw each field integer-uniform from its inclusive range, in key order:
+    the kind's ``KindSpec.ranges``, unless ``ranges`` maps the kind to its own.
 
     ``rng`` may be a seed or a ``numpy.random.Generator``. Configurations
     violating the layer invariants (kernel larger than the padded image,
     pooling padding above half the kernel) are rejected and redrawn.
     """
-    if not KIND_SPECS[kind].predictable:
+    spec = KIND_SPECS[kind]
+    if not spec.predictable:
         raise ValidationError(f"{kind.value} is not a measurable module kind")
-    gen = _as_rng(rng)
-    table = (ranges or DEFAULT_SAMPLER_RANGES)[kind]
+    gen = np.random.default_rng(rng)  # a Generator is returned as it is
+    table = ranges[kind] if ranges else spec.ranges
     for _ in range(max_retries):
         fields = {
             name: int(gen.integers(lo, hi + 1)) for name, (lo, hi) in table.items()

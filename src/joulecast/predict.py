@@ -530,7 +530,8 @@ def run_feature_set_experiment(
 ) -> list[ExperimentRow]:
     """Fit every comparison pipeline for one layer kind; activations are excluded."""
     if kind not in EXPERIMENT_TABLE:
-        raise MissingKindError(f"feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}")
+        covered = "/".join(k.value for k in EXPERIMENT_TABLE)
+        raise MissingKindError(f"feature-set experiment covers {covered}, not {kind.value}")
     subset = [r for r in records if r.module is kind]
     if not subset:
         raise MissingKindError(f"no records for layer kind {kind.value}")

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from joulecast.arch import LayerKind, as_standalone_config, extract_predictable_layers, load_architecture
+from joulecast.arch import KIND_SPECS, LayerKind, as_standalone_config, extract_predictable_layers, load_architecture
 from joulecast.dataset import (
-    DEFAULT_SAMPLER_RANGES,
     MeasurementRecord,
     ModelWiseLayer,
     ModelWiseRecord,
@@ -45,7 +44,7 @@ TEST_RANGES = {
         "in_channels": (1, 2000),
         "out_channels": (1, 2000),
     },
-    **{kind: DEFAULT_SAMPLER_RANGES[kind] for kind in
+    **{kind: KIND_SPECS[kind].ranges for kind in
        (LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX)},
 }
 

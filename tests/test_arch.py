@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -23,8 +24,9 @@ from joulecast.arch import (
     load_architecture,
     propagate_shape,
 )
-from joulecast.dataset import DEFAULT_SAMPLER_RANGES
-from joulecast.errors import ShapeError, UnknownPresetError, ValidationError
+from joulecast.errors import ParseError, ShapeError, UnknownPresetError, ValidationError
+from joulecast.predict import DEFAULT_MODEL_SPECS
+from joulecast.probe import _KERNELS
 
 
 def conv_cfg(side=None, k=3, p=1, s=1, c_in=3, c_out=64, batch=None):
@@ -564,6 +566,26 @@ class TestLoadJson:
         path.write_text(load_architecture("vgg11").to_json())
         assert load_architecture(path) == load_architecture("vgg11")
 
+    def test_json_text_is_not_looked_up_as_a_file(self, monkeypatch, tmp_path):
+        path = tmp_path / "arch.json"
+        path.write_text(load_architecture("alexnet").to_json())
+        text = "\n  " + load_architecture("vgg11").to_json()
+        looked_up = []
+        real_exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda p: looked_up.append(p) or real_exists(p))
+        assert load_architecture(text) == load_architecture("vgg11")
+        assert load_architecture(" VGG11 ") == load_architecture("vgg11")
+        assert looked_up == []
+        assert load_architecture(path) == load_architecture("alexnet")
+        assert looked_up == [str(path)]
+        with pytest.raises(UnknownPresetError) as info:
+            load_architecture("resnet50")
+        assert str(info.value) == (
+            "'resnet50' is not a preset (alexnet, vgg11, vgg13, vgg16), an existing file, or JSON text"
+        )
+        with pytest.raises(ParseError, match="^invalid architecture JSON: "):
+            load_architecture("{not json")
+
 
 class TestStandalone:
     def test_conv_in_architecture(self):
@@ -592,10 +614,17 @@ class TestKindTable:
     def test_one_row_per_kind(self):
         assert list(KIND_SPECS) == list(LayerKind)
 
-    def test_sampler_ranges_follow_field_order(self):
-        assert set(DEFAULT_SAMPLER_RANGES) == set(PREDICTABLE_KINDS)
-        for kind in PREDICTABLE_KINDS:
-            assert tuple(DEFAULT_SAMPLER_RANGES[kind]) == KIND_SPECS[kind].fields, kind
+    def test_every_kind_has_its_facts(self):
+        for kind, spec in KIND_SPECS.items():
+            assert kind in _KERNELS, kind
+            if spec.predictable:
+                assert spec.macs is not None, kind
+                assert tuple(spec.ranges) == spec.fields, kind
+                assert all(lo <= hi for lo, hi in spec.ranges.values()), kind
+                assert kind in DEFAULT_MODEL_SPECS, kind
+            else:
+                assert spec.macs is None and spec.ranges is None, kind
+        assert set(DEFAULT_MODEL_SPECS) == set(PREDICTABLE_KINDS)
 
     def test_required_fields_are_fields(self):
         for kind, spec in KIND_SPECS.items():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joulecast.arch import STANDALONE_FIELDS, LayerConfig, LayerKind
+from joulecast.arch import KIND_SPECS, PREDICTABLE_KINDS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from joulecast.dataset import (
-    DEFAULT_SAMPLER_RANGES,
     appending_layerwise_csv,
     MeasurementRecord,
     ModelWiseLayer,
@@ -47,7 +46,7 @@ def make_record(seed=0, kind=LayerKind.CONV2D, energy=0.5, repeat=1, source="ran
 class TestSampler:
     def test_conv_fields_within_ranges(self):
         rng = np.random.default_rng(0)
-        table = DEFAULT_SAMPLER_RANGES[LayerKind.CONV2D]
+        table = KIND_SPECS[LayerKind.CONV2D].ranges
         for _ in range(200):
             cfg = sample_config(LayerKind.CONV2D, rng)
             for name, (lo, hi) in table.items():
@@ -84,7 +83,7 @@ class TestSampler:
             sample_config(LayerKind.CONV2D, 0, impossible, max_retries=50)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from(sorted(DEFAULT_SAMPLER_RANGES, key=lambda k: k.value)), st.integers(0, 2**31))
+    @given(st.sampled_from(sorted(PREDICTABLE_KINDS, key=lambda k: k.value)), st.integers(0, 2**31))
     def test_samples_always_valid_standalone(self, kind, seed):
         cfg = sample_config(kind, seed)
         cfg.require_standalone()

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,6 +173,18 @@ class TestArchitecture:
     def test_total_is_exact_sum(self):
         per_layer, total = architecture_macs(load_architecture("alexnet"))
         assert total == sum(m for _, _, m in per_layer)
+
+    def test_presets_per_layer_pinned(self):
+        # every preset's per-layer counts at batch 1, 8 and 64, with and without bias
+        lines = []
+        for name in PRESET_NAMES:
+            for batch in (1, 8, 64):
+                for include_bias in (True, False):
+                    per_layer, total = architecture_macs(load_architecture(name).with_batch(batch), include_bias)
+                    lines += [f"{name} {batch} {include_bias} {i} {kind.value} {macs}" for i, kind, macs in per_layer]
+                    lines.append(f"{name} {batch} {include_bias} total {total}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e0b74e611800c6449e2d3d7aaf1a698fabeb9fcfc7fa892ff7d0c077bebdb115"
 
 
 def test_overflow_guard():

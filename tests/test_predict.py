@@ -338,6 +338,12 @@ class TestFeatureSetExperiment:
         with pytest.raises(MissingKindError):
             run_feature_set_experiment(bundle_dataset, LayerKind.SIGMOID, SplitSpec())
 
+    @pytest.mark.parametrize("kind", [LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX])
+    def test_activation_error_names_the_covered_kinds(self, kind):
+        with pytest.raises(MissingKindError) as info:
+            run_feature_set_experiment([], kind, SplitSpec())
+        assert str(info.value) == f"feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}"
+
     def test_mac_sets_beat_parameter_sets_on_mac_world(self, bundle_dataset):
         rows = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.CONV2D],
