@@ -1,5 +1,8 @@
 """CPU energy measurement: native forward-pass workloads metered via RAPL.
 
+The workloads are NumPy float32 kernels (``WORKLOAD_DTYPE``, PyTorch's default
+dtype), with every input and weight drawn directly in that dtype.
+
 The protocol per configuration: read the package energy counters, run as many
 forward passes as fit in a fixed wall-clock window, read again, and normalize
 the (wraparound-safe) delta by the pass count. This repeats up to three times
@@ -39,6 +42,9 @@ from .errors import (
 
 POWERCAP_ROOT_ENV = "JOULECAST_POWERCAP_ROOT"
 DEFAULT_POWERCAP_ROOT = "/sys/class/powercap"
+
+#: dtype of every metered workload's input and weights
+WORKLOAD_DTYPE = np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +179,24 @@ _KERNELS: dict[LayerKind, _Kernel] = {
 }
 
 
-def init_weights(config: LayerConfig, seed: int = 0, dtype=np.float64) -> dict[str, np.ndarray]:
-    """Deterministic weight tensors; values only matter for reproducibility."""
+def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> dict[str, np.ndarray]:
+    """Deterministic weight tensors, uniform on +-1/sqrt(fan-in) and drawn in
+    ``dtype`` in place (no float64 temporary); in float64 the draw is the
+    same as ``rng.uniform(-scale, scale, shape)``."""
     weight_shape = _KERNELS[config.kind].weight_shape
     if weight_shape is None:
         return {}
     shape = weight_shape(config)
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in)
-    return {
-        "weight": rng.uniform(-scale, scale, shape).astype(dtype, copy=False),
-        "bias": rng.uniform(-scale, scale, shape[0]).astype(dtype, copy=False),
-    }
+    scale = 1.0 / math.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in); a Python float keeps the dtype
+
+    def uniform(size):
+        u = rng.random(size, dtype=dtype)
+        u *= 2 * scale
+        u -= scale
+        return u
+
+    return {"weight": uniform(shape), "bias": uniform(shape[0])}
 
 
 def forward_workload(
@@ -204,28 +216,29 @@ def forward_workload(
     return _KERNELS[config.kind].forward(config, x, weights)
 
 
-def make_workload(config: LayerConfig, seed: int = 0, dtype=np.float64):
-    """Closure running one forward pass; input and weights allocated once."""
+def make_workload(config: LayerConfig, seed: int = 0):
+    """Closure running one forward pass and returning its output; input and
+    weights allocated once."""
     shape = standalone_input_shape(config)
     dims = (shape.batch, shape.channels, shape.height, shape.width)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2]).astype(dtype, copy=False)
-    weights = init_weights(config, seed, dtype)
+    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2], dtype=WORKLOAD_DTYPE)
+    weights = init_weights(config, seed)
 
     def run():
-        forward_workload(config, x, weights)
+        return forward_workload(config, x, weights)
 
     return run
 
 
-def make_architecture_workload(arch: ArchitectureSpec, batch_size: int, seed: int = 0, dtype=np.float64):
+def make_architecture_workload(arch: ArchitectureSpec, batch_size: int, seed: int = 0):
     """Closure running one forward pass through the whole architecture."""
     spec = arch.with_batch(batch_size)
     rng = np.random.default_rng(seed)
     shape = spec.input_shape
-    x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width)).astype(dtype, copy=False)
+    x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width), dtype=WORKLOAD_DTYPE)
     steps = [
-        (_KERNELS[layer.kind].forward, layer, init_weights(layer, seed + i, dtype))
+        (_KERNELS[layer.kind].forward, layer, init_weights(layer, seed + i))
         for i, layer in enumerate(spec.layers)
     ]
 

@@ -7,10 +7,17 @@ import pytest
 
 from conftest import NON_SQUARE_NET, synth_dataset, synth_modelwise
 from joulecast import probe
-from joulecast.arch import load_architecture
+from joulecast.arch import LayerKind, load_architecture
 from joulecast.cli import main
-from joulecast.dataset import load_layerwise_csv, load_modelwise_csv, write_layerwise_csv, write_modelwise_csv
+from joulecast.dataset import (
+    SOURCE_RANDOM,
+    load_layerwise_csv,
+    load_modelwise_csv,
+    write_layerwise_csv,
+    write_modelwise_csv,
+)
 from joulecast.features import KindMatrix
+from joulecast.macs import standalone_macs
 
 
 def run(*argv):
@@ -68,6 +75,26 @@ class TestCollect:
                       "--count", "0", "--out", str(out))
         assert code == 0
         assert load_layerwise_csv(out) == []
+
+    @pytest.mark.filterwarnings("ignore:load average")
+    def test_real_kernel_collect_against_a_fake_powercap_tree(self, tmp_path, monkeypatch):
+        domain = tmp_path / "powercap" / "intel-rapl:0"
+        domain.mkdir(parents=True)
+        (domain / "name").write_text("package-0\n")
+        (domain / "max_energy_range_uj").write_text("262143328850\n")
+        (domain / "energy_uj").write_text("12345\n")
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path / "powercap"))
+        out = tmp_path / "measured.csv"
+        code, _ = run("--seed", "0", "--quiet", "collect", "--kind", "linear", "--count", "2",
+                      "--window", "0.001", "--repeats", "1", "--out", str(out))
+        assert code == 0
+        rows = load_layerwise_csv(out)
+        assert len(rows) == 2  # 2 configs x 1 repeat
+        assert len({r.config for r in rows}) == 2
+        for r in rows:
+            assert (r.module, r.repeat, r.source) == (LayerKind.LINEAR, 1, SOURCE_RANDOM)
+            assert r.macs == standalone_macs(r.config)
+            assert r.cpu_energy_j == 0.0  # the fake counter never advances
 
     def test_architecture_collect_is_modelwise(self, tmp_path):
         out = tmp_path / "model.csv"

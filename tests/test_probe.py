@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from joulecast import probe
-from joulecast.arch import LayerConfig, LayerKind, conv_output_side
+from joulecast.arch import (
+    KIND_SPECS,
+    PREDICTABLE_KINDS,
+    LayerConfig,
+    LayerKind,
+    conv_output_side,
+    standalone_input_shape,
+)
 from joulecast.errors import (
     AllRepeatsFailedError,
     ConcurrentMeasurementError,
@@ -185,6 +192,7 @@ class TestKernels:
         )
         out = probe.make_architecture_workload(tiny, batch_size=2, seed=1)()
         assert out.shape == (2, 5)
+        assert out.dtype == np.float32
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=1e-12)
 
 
@@ -451,15 +459,62 @@ class TestLoadWarning:
                            workload=clock.workload, clock=clock)
 
 
-def test_init_weights_keeps_one_copy_of_a_float64_weight():
+# one small standalone config per predictable kind (a missing kind fails as a KeyError)
+_SMALL_CONFIGS = {
+    LayerKind.CONV2D: LayerConfig(kind=LayerKind.CONV2D, batch_size=2, image_size=6, kernel_size=3,
+                                  in_channels=2, out_channels=3, stride=1, padding=1),
+    LayerKind.MAXPOOL2D: LayerConfig(kind=LayerKind.MAXPOOL2D, batch_size=2, image_size=6, kernel_size=3,
+                                     in_channels=2, stride=2, padding=1),
+    LayerKind.LINEAR: LayerConfig(kind=LayerKind.LINEAR, batch_size=2, in_channels=5, out_channels=4),
+    **{kind: LayerConfig(kind=kind, batch_size=2, in_channels=7)
+       for kind in (LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX)},
+}
+
+
+class TestWorkloadDtype:
+    """The metered workloads run in float32, and no kernel upcasts it."""
+
+    @pytest.mark.parametrize("kind", PREDICTABLE_KINDS, ids=lambda k: k.value)
+    def test_float32_kernel_stays_float32_and_matches_float64(self, kind):
+        cfg = _SMALL_CONFIGS[kind]
+        s = standalone_input_shape(cfg)
+        dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
+        x = np.random.default_rng(4).standard_normal(dims)
+        weights = probe.init_weights(cfg, seed=4, dtype=np.float64)
+        out64 = forward_workload(cfg, x, weights)
+        out32 = forward_workload(cfg, x.astype(np.float32), {k: w.astype(np.float32) for k, w in weights.items()})
+        assert out64.dtype == np.float64
+        assert out32.dtype == np.float32
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", PREDICTABLE_KINDS, ids=lambda k: k.value)
+    def test_make_workload_returns_float32(self, kind):
+        out = probe.make_workload(_SMALL_CONFIGS[kind])()
+        assert out.dtype == probe.WORKLOAD_DTYPE == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+def test_init_weights_keeps_one_copy_of_the_weight(dtype):
     cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)
     tracemalloc.start()
     try:
-        weights = probe.init_weights(cfg, seed=0, dtype=np.float64)
+        weights = probe.init_weights(cfg, seed=0, dtype=dtype)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert weights["weight"].dtype == weights["bias"].dtype == dtype
     assert peak < 1.5 * weights["weight"].nbytes
+
+
+@pytest.mark.parametrize("kind", [LayerKind.CONV2D, LayerKind.LINEAR], ids=lambda k: k.value)
+def test_float64_init_weights_is_the_uniform_draw(kind):
+    cfg = _SMALL_CONFIGS[kind]
+    weights = probe.init_weights(cfg, seed=7, dtype=np.float64)
+    shape = weights["weight"].shape
+    scale = 1.0 / np.sqrt(math.prod(shape[1:]))
+    rng = np.random.default_rng(7)
+    assert weights["weight"].tobytes() == rng.uniform(-scale, scale, shape).tobytes()
+    assert weights["bias"].tobytes() == rng.uniform(-scale, scale, shape[0]).tobytes()
 
 
 class TestRaplDiscovery:
