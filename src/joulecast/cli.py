@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .dataset import (
     sample_config,
 )
 from .errors import JoulecastError, MacOverflowError, ShapeError
-from .macs import architecture_macs, layer_macs, standalone_macs
+from .macs import architecture_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
 ARCHITECTURE_BATCH_RANGE = (1, 256)
@@ -120,12 +121,11 @@ def cmd_collect(args) -> int:
 def _collect_architecture(
     arch, batch, window, repeats, counter, clock, workload_for, seed, pin_cpu=None
 ) -> ModelWiseRecord:
+    spec = arch.with_batch(batch)
+    per_layer, total_macs = architecture_macs(spec)
     layers = []
-    total_macs = 0
-    for resolved in extract_predictable_layers(arch.with_batch(batch)):
+    for resolved, (_, _, macs) in zip(extract_predictable_layers(spec), per_layer):
         config = as_standalone_config(resolved.config, resolved.input_shape)
-        macs = layer_macs(resolved, include_bias=True)
-        total_macs += macs
         result = probe.measure_config(
             config,
             window_seconds=window,
@@ -298,7 +298,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged
+    and gives every call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="joulecast",
         description="Predict CPU energy of CNN architectures from layer features; "
@@ -319,13 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True, help="CSV to append rows to")
     p.add_argument("--pin-cpu", type=int, default=None, help="pin the measurement to one CPU")
-    p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("macs", help="print the per-layer MAC table of an architecture")
     p.add_argument("--arch", required=True, help="preset name or architecture JSON (path or text)")
     p.add_argument("--batch", type=int, default=None, help="batch size (default: the document's own)")
     p.add_argument("--no-bias", action="store_true", help="exclude bias accumulates")
-    p.set_defaults(func=cmd_macs)
 
     p = sub.add_parser("train", help="train the per-layer-type predictor bundle")
     p.add_argument("--layerwise", required=True, help="layer-wise measurement CSV")
@@ -333,47 +334,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardware", default=None, help="hardware tag stored in bundle metadata")
     p.add_argument("--kinds", default=None, help="comma-separated subset of layer kinds")
     p.add_argument("--cv-folds", type=int, default=10)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", help="estimate a full architecture's energy")
     p.add_argument("--bundle", required=True)
     p.add_argument("--arch", required=True)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="compare predictions against model-wise measurements")
     p.add_argument("--bundle", required=True)
     p.add_argument("--modelwise", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="fit every feature subset for one layer kind")
     p.add_argument("--layerwise", required=True)
     p.add_argument("--kind", default="conv2d")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("feature-experiment", help="compare feature sets for one layer kind")
     p.add_argument("--layerwise", required=True)
     p.add_argument("--kind", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_feature_experiment)
 
     p = sub.add_parser("report", help="render CSV+SVG artifacts from evaluation outputs")
     p.add_argument("--layer-scatter", default=None, help="layer_scatter.csv from evaluate")
     p.add_argument("--totals", default=None, help="totals_scatter.csv from evaluate")
     p.add_argument("--ablation", default=None, help="ablation CSV from ablate")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not kept in the cached parser, so a rebound cmd_* (a test double, a tracer) is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except JoulecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,14 @@ forward passes as fit in a fixed wall-clock window, read again, and normalize
 the (wraparound-safe) delta by the pass count. This repeats up to three times
 and the per-pass energies are averaged; repeats whose counter reads fail are
 dropped. Counter source, workload, and clock are injectable so the arithmetic
-is fully testable without hardware.
+is fully testable without hardware. ``SimulatedMachine`` stands in for the
+counters and the clock; its workloads fill a window in vectorised steps over
+the same jitter draws as per-pass stepping, so the result is the same to the
+bit.
 """
 from __future__ import annotations
 
+import functools
 import glob
 import math
 import os
@@ -335,10 +339,28 @@ def counters_delta_uj(before: tuple[int, ...], after: tuple[int, ...], max_range
     return sum(energy_delta(b, a, m) for b, a, m in zip(before, after, max_ranges))
 
 
+#: most simulated passes a window advances in one vectorised step, and the
+#: normals drawn at a time for those steps
+_CHUNK_PASSES = 4096
+#: a window with at most this many passes left steps them one at a time: a
+#: vectorised step costs about as much as that many scalar ones
+_SCALAR_PASSES = 8
+
+
 class SimulatedMachine:
     """Deterministic stand-in for a measured host: a virtual clock advanced by
-    each forward pass (time proportional to the pass's MAC count) and an energy
-    counter integrating constant package power over that clock."""
+    each forward pass and an energy counter integrating constant package power
+    over that clock. A pass of ``macs`` MACs takes ``macs / mac_rate`` seconds
+    times the seeded jitter ``max(1 + noise * z, 0.1)``, one standard normal
+    ``z`` per pass.
+
+    ``run_window`` advances a whole measurement window in vectorised steps of
+    up to ``_CHUNK_PASSES`` passes (one pass at a time when at most
+    ``_SCALAR_PASSES`` are left) over the same draws, in the same order, as
+    per-pass stepping, so its pass count and clock are the same to the bit: the
+    normals are drawn through a buffer whose unused draws stay at its front for
+    the next pass.
+    """
 
     def __init__(
         self,
@@ -353,22 +375,74 @@ class SimulatedMachine:
         self.noise = noise
         self.max_range_uj = max_range_uj
         self._rng = np.random.default_rng(seed)
+        self._normals = np.empty(0)  # drawn normals; those from index _used on are unused
+        self._used = 0
         self._t = 0.0
 
     def clock(self) -> float:
         return self._t
 
-    def workload(self, macs: int):
-        base = max(macs, 1) / self.mac_rate
+    def workload(self, macs: int) -> "_SimulatedWorkload":
+        return _SimulatedWorkload(self, max(macs, 1) / self.mac_rate)
 
-        def run():
-            jitter = 1.0 + self.noise * float(self._rng.standard_normal())
-            self._t += base * max(jitter, 0.1)
+    def run_pass(self, base: float) -> None:
+        """One pass of ``base`` seconds before jitter."""
+        if self._used < self._normals.size:
+            z = float(self._normals[self._used])
+            self._used += 1
+        else:
+            z = self._rng.standard_normal()
+        self._t += base * max(1.0 + self.noise * z, 0.1)
 
-        return run
+    def run_window(self, base: float, window_seconds: float) -> tuple[int, float]:
+        """Passes of ``base`` seconds until ``window_seconds`` have elapsed:
+        (passes, elapsed seconds), as per-pass stepping gives them."""
+        start = self._t
+        passes = 0
+        while True:
+            # the unjittered passes left plus two, as jitter may need more; unused draws stay buffered
+            n = int(min(_CHUNK_PASSES, (window_seconds - (self._t - start)) / base + 2))
+            if n <= _SCALAR_PASSES:
+                self.run_pass(base)
+                passes += 1
+                elapsed = self._t - start
+            else:
+                if self._normals.size - self._used < n:
+                    fresh = self._rng.standard_normal(_CHUNK_PASSES)
+                    self._normals = np.concatenate((self._normals[self._used :], fresh))
+                    self._used = 0
+                times = np.maximum(1.0 + self.noise * self._normals[self._used : self._used + n], 0.1)
+                times *= base
+                times[0] += self._t
+                times.cumsum(out=times)  # sequential, so each entry is the clock after repeated +=
+                over = times - start
+                k = min(int(over.searchsorted(window_seconds)), n - 1)  # the pass that fills the window
+                self._used += k + 1
+                self._t = float(times[k])
+                passes += k + 1
+                elapsed = float(over[k])
+            if elapsed >= window_seconds:
+                return passes, elapsed
 
     def counter(self) -> "SimulatedCounter":
         return SimulatedCounter(self)
+
+
+class _SimulatedWorkload:
+    """A pass of fixed MACs on a ``SimulatedMachine``: calling it runs one
+    pass, and ``run_window`` is the window runner ``measure_config`` uses."""
+
+    __slots__ = ("_machine", "_base")
+
+    def __init__(self, machine: SimulatedMachine, base: float):
+        self._machine = machine
+        self._base = base
+
+    def __call__(self) -> None:
+        self._machine.run_pass(self._base)
+
+    def run_window(self, window_seconds: float) -> tuple[int, float]:
+        return self._machine.run_window(self._base, window_seconds)
 
 
 class SimulatedCounter:
@@ -420,6 +494,18 @@ class ProbeResult:
 _measure_lock = threading.Lock()
 
 
+def _run_window(workload, clock, window_seconds: float) -> tuple[int, float]:
+    """Forward passes until ``window_seconds`` have elapsed on ``clock``: (passes, elapsed seconds)."""
+    start = clock()
+    passes = 0
+    while True:
+        workload()
+        passes += 1
+        elapsed = clock() - start
+        if elapsed >= window_seconds:
+            return passes, elapsed
+
+
 def measure_config(
     config: LayerConfig | None,
     window_seconds: float = 30.0,
@@ -437,6 +523,9 @@ def measure_config(
     the process to one CPU for the duration of the measurement (Linux only);
     by default no affinity is set. Metering real RAPL counters warns when the
     load average says other processes' energy will leak into the readings.
+    A workload with a ``run_window(window_seconds)`` method (a simulated one)
+    fills each window itself, on its machine's clock; any other is called once
+    per pass until ``clock`` has advanced by ``window_seconds``.
     """
     if window_seconds <= 0 or repeats < 1:
         raise ValidationError("window_seconds must be positive and repeats >= 1")
@@ -457,6 +546,7 @@ def measure_config(
             workload = make_workload(config, seed)
         if clock is None:
             clock = time.monotonic
+        run_window = getattr(workload, "run_window", None) or functools.partial(_run_window, workload, clock)
         if isinstance(counter, RaplCounterSource) and hasattr(os, "getloadavg"):
             load = os.getloadavg()[0]
             cpus = os.cpu_count() or 1
@@ -471,14 +561,7 @@ def measure_config(
         for _ in range(repeats):
             try:
                 before = counter.read_uj()
-                start = clock()
-                passes = 0
-                while True:
-                    workload()
-                    passes += 1
-                    elapsed = clock() - start
-                    if elapsed >= window_seconds:
-                        break
+                passes, elapsed = run_window(window_seconds)
                 after = counter.read_uj()
             except CounterReadError as exc:
                 failed += 1

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -6,7 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from conftest import NON_SQUARE_NET, synth_dataset, synth_modelwise
-from joulecast import probe
+from joulecast import cli, probe
 from joulecast.arch import LayerKind, load_architecture
 from joulecast.cli import main
 from joulecast.dataset import (
@@ -16,6 +17,7 @@ from joulecast.dataset import (
     write_layerwise_csv,
     write_modelwise_csv,
 )
+from joulecast.errors import MacOverflowError
 from joulecast.features import KindMatrix
 from joulecast.macs import standalone_macs
 
@@ -162,6 +164,37 @@ class TestCollect:
         with pytest.raises(RuntimeError):
             run(*argv, "--out", str(crashed))
         assert load_modelwise_csv(crashed) == load_modelwise_csv(full)[:1]
+
+    def test_simulated_collect_bytes_pinned(self, tmp_path):
+        """The simulated machine's stream, pinned by the digests of its CSVs (taken
+        when every simulated pass was stepped one at a time)."""
+        layerwise, modelwise = tmp_path / "layerwise.csv", tmp_path / "modelwise.csv"
+        for i, kind in enumerate(("conv2d", "maxpool2d", "linear", "relu", "sigmoid", "tanh", "softmax")):
+            code, _ = run("--seed", str(i), "--simulate", "--quiet", "collect",
+                          "--kind", kind, "--count", "4", "--out", str(layerwise))
+            assert code == 0
+        code, _ = run("--seed", "100", "--simulate", "--quiet", "collect",
+                      "--kind", "alexnet", "--count", "1", "--out", str(modelwise))
+        assert code == 0
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (layerwise, modelwise)] == [
+            "e65480db3df6f55277ffaf4779ecd653b267e9ade2b92b56ebc5b1dfbb14750a",
+            "a26ab1d6398dbdd5edb40ba93af3ba85020a18a1c478943c95d02fc3c24173f6",
+        ]
+
+    def test_modelwise_total_past_the_mac_budget_is_the_macs_error(self, capsys, monkeypatch):
+        batch = 2**30  # every VGG16 layer fits 64 bits, their total does not
+        code, _ = run("macs", "--arch", "vgg16", "--batch", str(batch))
+        assert code == 1
+        expected = capsys.readouterr().err.removeprefix("error: ").strip()
+        assert expected.startswith("total: ")
+        measured = []
+        monkeypatch.setattr(probe, "measure_config", lambda *args, **kwargs: measured.append(args))
+        machine = probe.SimulatedMachine()
+        with pytest.raises(MacOverflowError) as exc:
+            cli._collect_architecture(load_architecture("vgg16"), batch, 0.05, 1, machine.counter(),
+                                      machine.clock, lambda config, macs: machine.workload(macs), 0)
+        assert str(exc.value) == expected
+        assert measured == []  # refused before any measurement
 
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",
@@ -544,6 +577,17 @@ class TestExperiments:
                           "--layerwise", str(layerwise_csv), "--kind", "linear", "--out", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_consecutive_calls_share_no_parsed_values(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_macs", lambda args: seen.append(args) or 0)
+        assert main(["--seed", "5", "--quiet", "macs", "--arch", "vgg11", "--batch", "2", "--no-bias"]) == 0
+        assert main(["macs", "--arch", "alexnet"]) == 0
+        assert [(a.seed, a.quiet, a.arch, a.batch, a.no_bias) for a in seen] == [
+            (5, True, "vgg11", 2, True),
+            (0, False, "alexnet", None, False),
+        ]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from joulecast.arch import (
     conv_output_side,
     standalone_input_shape,
 )
+from joulecast.macs import standalone_macs
 from joulecast.errors import (
     AllRepeatsFailedError,
     ConcurrentMeasurementError,
@@ -427,6 +428,124 @@ class TestMeasureConfig:
         )
         expected = 20.0 * macs / 5e9
         assert result.energy_per_pass_j == pytest.approx(expected, rel=1e-6)
+
+
+def _twins(seed, noise=0.01, mac_rate=5e9):
+    """Two machines on one seed: the first is stepped pass by pass, the second fills windows."""
+    return (SimulatedMachine(mac_rate=mac_rate, noise=noise, seed=seed),
+            SimulatedMachine(mac_rate=mac_rate, noise=noise, seed=seed))
+
+
+def _same_window(per_pass, windowed, macs, window):
+    """Fill one window on each twin; both must give the same passes, elapsed time and clock."""
+    expected = probe._run_window(per_pass.workload(macs), per_pass.clock, window)
+    got = windowed.workload(macs).run_window(window)
+    assert got == expected
+    assert windowed.clock() == per_pass.clock()
+    return got
+
+
+def _next_pass_times(machine, n=8):
+    """The clock after each of the next ``n`` passes at a noise that never clamps,
+    so it reads the next ``n`` draws of the machine's stream."""
+    machine.noise = 1e-3
+    times = []
+    for _ in range(n):
+        machine.run_pass(1.0)
+        times.append(machine.clock())
+    return times
+
+
+class TestSimulatedWindow:
+    """A simulated window filled in vectorised steps equals per-pass stepping to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 0.01, 0.3, 5.0]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 10**9), st.floats(0.1, 20_000.0)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_window_matches_per_pass_stepping(self, seed, noise, ops):
+        per_pass, windowed = _twins(seed, noise)
+        for single, macs, span in ops:
+            if single:
+                per_pass.workload(macs)()
+                windowed.workload(macs)()
+                assert windowed.clock() == per_pass.clock()
+            else:  # a window of about ``span`` unjittered passes
+                _same_window(per_pass, windowed, macs, span * macs / per_pass.mac_rate)
+        assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    @pytest.mark.parametrize("passes", [
+        probe._CHUNK_PASSES,  # one step that the window ends on
+        2 * probe._CHUNK_PASSES,  # two
+        probe._CHUNK_PASSES + 1,  # one step, then a single pass
+        probe._CHUNK_PASSES + 20,  # a step that leaves the window open, then a short one
+    ])
+    def test_window_ending_on_a_chunk_boundary(self, passes):
+        # a pass of exactly 2**-20 s: the clock sums exactly and the last pass meets the window
+        per_pass, windowed = _twins(seed=5, noise=0.0, mac_rate=2.0**20)
+        window = passes * 2.0**-20
+        assert _same_window(per_pass, windowed, 1, window) == (passes, window)
+        assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    @pytest.mark.parametrize("chunk, scalar", [(1, 0), (2, 0), (3, 1), (7, 2), (probe._CHUNK_PASSES, 0)])
+    def test_small_chunks_match_per_pass_stepping(self, chunk, scalar, monkeypatch):
+        monkeypatch.setattr(probe, "_CHUNK_PASSES", chunk)
+        monkeypatch.setattr(probe, "_SCALAR_PASSES", scalar)
+        for seed in range(5):
+            per_pass, windowed = _twins(seed, noise=0.3)
+            for macs in (1_000_000, 37_000, 5_000_000, 123_456):
+                _same_window(per_pass, windowed, macs, 0.003)
+                per_pass.workload(macs)()
+                windowed.workload(macs)()
+            assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    def test_single_long_pass(self):
+        per_pass, windowed = _twins(seed=2)
+        macs = 10**9  # 0.2 s per pass against a 0.05 s window
+        assert _same_window(per_pass, windowed, macs, 0.05)[0] == 1
+        result = measure_config(None, window_seconds=0.05, repeats=2, counter=windowed.counter(),
+                                workload=windowed.workload(macs), clock=windowed.clock)
+        assert [(r.passes, r.long_pass) for r in result.repeats] == [(1, True), (1, True)]
+        assert _next_pass_times(windowed) != _next_pass_times(per_pass)  # two passes ahead
+
+    def test_zero_noise_passes_are_the_base_time(self):
+        per_pass, windowed = _twins(seed=8, noise=0.0, mac_rate=2.0**20)
+        assert _same_window(per_pass, windowed, 2**10, 1000 * 2.0**-10) == (1000, 1000 * 2.0**-10)
+
+    def test_clamped_jitter(self):
+        per_pass, windowed = _twins(seed=4, noise=5.0)  # 1 + 5z < 0.1 for about 43% of draws
+        for macs in (1_000, 77_777, 2_000_000):
+            _same_window(per_pass, windowed, macs, 0.01)
+        assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    def test_single_passes_interleaved_with_windows(self):
+        per_pass, windowed = _twins(seed=11)
+        for macs, window in ((40_000, 0.02), (3_000, None), (900, 0.005), (12, None), (5_000_000, 0.05),
+                             (1, None), (1, 0.00002), (80_000, None)):
+            if window is None:
+                per_pass.workload(macs)()
+                windowed.workload(macs)()
+                assert windowed.clock() == per_pass.clock()
+            else:
+                _same_window(per_pass, windowed, macs, window)
+        assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    def test_a_million_pass_window(self):
+        cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
+        macs = standalone_macs(cfg)  # 2 MACs: 0.4 ns a pass
+        per_pass, windowed = _twins(seed=6, noise=0.0)
+        result = measure_config(cfg, window_seconds=4e-4, repeats=1, counter=windowed.counter(),
+                                workload=windowed.workload(macs), clock=windowed.clock)
+        expected = probe._run_window(per_pass.workload(macs), per_pass.clock, 4e-4)
+        assert (result.repeats[0].passes, result.repeats[0].elapsed_s) == expected
+        assert result.repeats[0].passes > 10**6
+        assert windowed.clock() == per_pass.clock()
+        assert result.energy_per_pass_j == pytest.approx(20.0 * macs / 5e9, rel=1e-3)
 
 
 class TestLoadWarning:
