@@ -1,7 +1,12 @@
 """CPU energy measurement: native forward-pass workloads metered via RAPL.
 
 The workloads are NumPy float32 kernels (``WORKLOAD_DTYPE``, PyTorch's default
-dtype), with every input and weight drawn directly in that dtype.
+dtype), with every input and weight drawn directly in that dtype. A large
+weight is drawn in pieces on every CPU in the process's affinity, each piece
+from the seed's PCG64 stream jumped ahead to its start, so its bytes are those
+of one sequential draw. Under a one-CPU affinity, as in a ``pin_to_cpu``
+measurement that builds its own workload, it is drawn on the calling thread,
+and no drawing thread outlives ``init_weights``.
 
 The protocol per configuration: read the package energy counters, run as many
 forward passes as fit in a fixed wall-clock window, read again, and normalize
@@ -183,24 +188,96 @@ _KERNELS: dict[LayerKind, _Kernel] = {
 }
 
 
+#: weight arrays with fewer elements than this are drawn on the calling thread
+_PARALLEL_ELEMENTS = 1 << 20
+#: elements drawn and scaled at a time, so that a block is scaled while still in cache
+_DRAW_BLOCK = 1 << 16
+
+
+def _draw_workers() -> int:
+    """CPUs this process may run on: one weight-drawing thread each."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _uniform_blocks(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill the flat ``out`` from ``rng``, uniform on +-``scale``: the values and
+    the stream position of ``u = rng.random(out.size); u *= 2*scale; u -= scale``."""
+    for i in range(0, out.size, _DRAW_BLOCK):
+        block = out[i : i + _DRAW_BLOCK]
+        rng.random(out=block, dtype=out.dtype)
+        block *= 2 * scale
+        block -= scale
+
+
+def _draw_uniform(out: np.ndarray, seed: int, scale: float) -> np.random.Generator:
+    """Fill the flat ``out`` as ``_uniform_blocks(default_rng(seed), out, scale)``
+    does, split into one piece per CPU, and return a generator left where that
+    sequential draw leaves its stream.
+
+    Each piece starts at an even element: a float32 takes half of one 64-bit
+    PCG64 output and a float64 a whole one, so a piece's generator is the seed's
+    stream advanced by ``start // per_draw`` outputs. Helper threads draw every
+    piece but the last, which the calling thread draws; its generator then ends
+    where the sequential stream does, an odd float32 tail's unused upper half
+    still buffered. All helpers are joined before this returns, and the first
+    exception raised in any piece is raised here.
+    """
+    n = out.size
+    workers = _draw_workers() if n >= _PARALLEL_ELEMENTS else 1
+    step = 2 * -(-n // (2 * workers))
+    starts = range(0, n, step)
+    per_draw = 8 // out.itemsize
+    errors = []
+
+    def fill(start):
+        rng = np.random.Generator(np.random.PCG64(seed).advance(start // per_draw))
+        _uniform_blocks(rng, out[start : start + step], scale)
+        return rng
+
+    def helper(start):
+        try:
+            fill(start)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for start in starts[:-1]:
+            thread = threading.Thread(target=helper, args=(start,))
+            thread.start()
+            helpers.append(thread)
+        rng = fill(starts[-1])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return rng
+
+
 def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> dict[str, np.ndarray]:
     """Deterministic weight tensors, uniform on +-1/sqrt(fan-in) and drawn in
     ``dtype`` in place (no float64 temporary); in float64 the draw is the
-    same as ``rng.uniform(-scale, scale, shape)``."""
+    same as ``rng.uniform(-scale, scale, shape)``.
+
+    The values are those of one sequential draw from ``default_rng(seed)``,
+    the weight and then the bias, byte for byte. A weight of at least
+    ``_PARALLEL_ELEMENTS`` is drawn in pieces on every CPU in the process's
+    affinity (``_draw_uniform``), so under a one-CPU affinity, as in a pinned
+    measurement, it is drawn on the calling thread alone. No thread outlives
+    the call.
+    """
     weight_shape = _KERNELS[config.kind].weight_shape
     if weight_shape is None:
         return {}
     shape = weight_shape(config)
-    rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in); a Python float keeps the dtype
-
-    def uniform(size):
-        u = rng.random(size, dtype=dtype)
-        u *= 2 * scale
-        u -= scale
-        return u
-
-    return {"weight": uniform(shape), "bias": uniform(shape[0])}
+    weight = np.empty(shape, dtype=dtype)
+    rng = _draw_uniform(weight.reshape(-1), seed, scale)
+    bias = np.empty(shape[0], dtype=dtype)
+    _uniform_blocks(rng, bias, scale)
+    return {"weight": weight, "bias": bias}
 
 
 def forward_workload(

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -14,6 +17,7 @@ from joulecast.arch import (
     LayerConfig,
     LayerKind,
     conv_output_side,
+    load_architecture,
     standalone_input_shape,
 )
 from joulecast.macs import standalone_macs
@@ -625,15 +629,173 @@ def test_init_weights_keeps_one_copy_of_the_weight(dtype):
     assert peak < 1.5 * weights["weight"].nbytes
 
 
-@pytest.mark.parametrize("kind", [LayerKind.CONV2D, LayerKind.LINEAR], ids=lambda k: k.value)
-def test_float64_init_weights_is_the_uniform_draw(kind):
-    cfg = _SMALL_CONFIGS[kind]
+@pytest.mark.parametrize("cfg", [
+    pytest.param(_SMALL_CONFIGS[LayerKind.CONV2D], id="conv2d"),
+    pytest.param(_SMALL_CONFIGS[LayerKind.LINEAR], id="linear"),
+    # above the parallel threshold: drawn in pieces
+    pytest.param(LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1000, out_channels=1100),
+                 id="linear-1100x1000"),
+])
+def test_float64_init_weights_is_the_uniform_draw(cfg):
     weights = probe.init_weights(cfg, seed=7, dtype=np.float64)
     shape = weights["weight"].shape
     scale = 1.0 / np.sqrt(math.prod(shape[1:]))
     rng = np.random.default_rng(7)
     assert weights["weight"].tobytes() == rng.uniform(-scale, scale, shape).tobytes()
     assert weights["bias"].tobytes() == rng.uniform(-scale, scale, shape[0]).tobytes()
+
+
+def sequential_weights(cfg, seed, dtype):
+    """The weights as one generator draws them, the weight and then the bias."""
+    shape = (cfg.out_channels, cfg.in_channels)
+    scale = 1.0 / math.sqrt(cfg.in_channels)
+    rng = np.random.default_rng(seed)
+
+    def uniform(size):
+        u = rng.random(size, dtype=dtype)
+        u *= 2 * scale
+        u -= scale
+        return u
+
+    return {"weight": uniform(shape), "bias": uniform(shape[0])}
+
+
+def next_draws(rng):
+    return rng.random(3, dtype=np.float32).tobytes() + rng.random(2).tobytes()
+
+
+def cpus(count):
+    return lambda pid: set(range(count))
+
+
+def counted_threads(monkeypatch):
+    """Patch ``threading.Thread`` to record each thread made; returns the record."""
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return made
+
+
+_THRESHOLD = probe._PARALLEL_ELEMENTS
+_BLOCK = probe._DRAW_BLOCK
+
+
+class TestSplitWeightDraw:
+    """A weight drawn in pieces on every CPU is byte for byte one sequential draw,
+    and no helper thread outlives the draw."""
+
+    # above the parallel threshold
+    LARGE = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)
+
+    @staticmethod
+    def check_split_draw(dtype, out_channels, in_channels, workers, seed):
+        cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=in_channels, out_channels=out_channels)
+        expected = sequential_weights(cfg, seed, dtype)
+        n = out_channels * in_channels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
+            weights = probe.init_weights(cfg, seed, dtype)
+            rng = probe._draw_uniform(np.empty(n, dtype), seed, 1.0)
+        assert weights["weight"].dtype == weights["bias"].dtype == dtype
+        assert weights["weight"].tobytes() == expected["weight"].tobytes()
+        assert weights["bias"].tobytes() == expected["bias"].tobytes()
+        sequential = np.random.default_rng(seed)
+        sequential.random(n, dtype=dtype)
+        assert next_draws(rng) == next_draws(sequential)  # an odd float32 tail leaves its upper half buffered
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        out_channels=st.integers(1, 4),
+        in_channels=st.integers(_THRESHOLD // 4, _THRESHOLD),
+        workers=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dtype=np.float32, out_channels=1, in_channels=_THRESHOLD - 1, workers=2, seed=0)  # below, odd
+    @example(dtype=np.float32, out_channels=1, in_channels=_THRESHOLD, workers=2, seed=0)  # at
+    @example(dtype=np.float32, out_channels=3, in_channels=_THRESHOLD // 3 + 1, workers=2, seed=0)  # above, odd
+    @example(dtype=np.float32, out_channels=4, in_channels=_THRESHOLD // 4 + _BLOCK // 4, workers=3, seed=1)
+    @example(dtype=np.float32, out_channels=3, in_channels=_THRESHOLD // 3 + _BLOCK + 1, workers=4, seed=2)
+    @example(dtype=np.float64, out_channels=1, in_channels=_THRESHOLD, workers=4, seed=3)
+    @example(dtype=np.float64, out_channels=3, in_channels=_THRESHOLD // 3 + 1, workers=3, seed=4)
+    def test_split_draw_is_the_sequential_draw(self, dtype, out_channels, in_channels, workers, seed):
+        self.check_split_draw(dtype, out_channels, in_channels, workers, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        out_channels=st.integers(1, 7),
+        in_channels=st.integers(1, 40),
+        workers=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_draw_at_small_thresholds(self, dtype, out_channels, in_channels, workers, seed):
+        """Many pieces and block boundaries, with the threshold and block shrunk to a few elements."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probe, "_PARALLEL_ELEMENTS", 16)
+            mp.setattr(probe, "_DRAW_BLOCK", 5)
+            self.check_split_draw(dtype, out_channels, in_channels, workers, seed)
+
+    def test_alexnet_weights_pinned(self):
+        """The weights ``make_architecture_workload`` draws for AlexNet at batch 1,
+        pinned by a digest taken when every weight was one sequential draw."""
+        digest = hashlib.sha256()
+        for i, layer in enumerate(load_architecture("alexnet").with_batch(1).layers):
+            for tensor in probe.init_weights(layer, i).values():
+                digest.update(tensor.tobytes())
+        assert digest.hexdigest() == "f7762878ed7d352fdefc70febfec7463720aafe2607dea322b36cdf0b463e0bd"
+
+    def test_no_thread_outlives_a_draw(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4), raising=False)
+        before = threading.active_count()
+        probe.init_weights(self.LARGE)
+        assert threading.active_count() == before
+        probe.make_workload(self.LARGE)
+        assert threading.active_count() == before
+        probe.make_architecture_workload(load_architecture("alexnet"), 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_thread_per_cpu_and_none_on_one_cpu(self, monkeypatch, workers):
+        made = counted_threads(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
+        probe.init_weights(self.LARGE)
+        assert len(made) == workers - 1  # the calling thread draws the last piece
+
+    def test_small_weight_starts_no_thread(self, monkeypatch):
+        made = counted_threads(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4), raising=False)
+        probe.init_weights(LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1000, out_channels=1000))
+        assert made == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_pinned_measurement_draws_on_one_thread(self, monkeypatch):
+        made = counted_threads(monkeypatch)
+        result = measure_config(self.LARGE, window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
+                                clock=itertools.count().__next__, pin_to_cpu=min(os.sched_getaffinity(0)))
+        assert result.repeats[0].passes == 1
+        assert made == []
+
+    def test_failing_helper_is_raised_and_joined(self, monkeypatch):
+        caller = threading.current_thread()
+        fill = probe._uniform_blocks
+
+        def fail_off_the_caller(rng, out, scale):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper failed")
+            fill(rng, out, scale)
+
+        monkeypatch.setattr(probe, "_uniform_blocks", fail_off_the_caller)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4), raising=False)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            probe.init_weights(self.LARGE)
+        assert threading.active_count() == before
 
 
 class TestRaplDiscovery:
