@@ -145,12 +145,9 @@ def _collect_architecture(
                 cpu_energy_j=result.energy_per_pass_j,
             )
         )
-    total_workload = workload_for(None, total_macs)
-    if total_workload is None:
-        total_workload = probe.make_architecture_workload(arch, batch, seed)
     total_result = probe.measure_config(
-        None, window_seconds=window, repeats=repeats, counter=counter,
-        workload=total_workload, clock=clock, seed=seed, pin_to_cpu=pin_cpu,
+        spec, window_seconds=window, repeats=repeats, counter=counter,
+        workload=workload_for(None, total_macs), clock=clock, seed=seed, pin_to_cpu=pin_cpu,
     )
     return ModelWiseRecord(
         architecture=arch.name,
@@ -253,9 +250,9 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
-    rows = run_ablation(records, kind, SplitSpec(seed=args.seed))
-    report.write_ablation_csv(args.out, rows)
-    _say(args, f"ablation over {len(rows)} feature subsets -> {args.out}")
+    table = run_ablation(records, kind, SplitSpec(seed=args.seed))
+    report.write_ablation_csv(args.out, table)
+    _say(args, f"ablation over {len(table.r2) - 1} feature subsets -> {args.out}")
     return 0
 
 

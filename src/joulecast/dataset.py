@@ -2,7 +2,10 @@
 
 Layer-wise rows hold one repeat of one standalone module measurement;
 model-wise rows hold a full-architecture total plus each of its layers.
-Energies are joules per single forward pass.
+Energies are joules per single forward pass. Measurements are written
+through the appending writers (``appending_layerwise_csv``,
+``appending_modelwise_csv``), which flush each batch of rows as it is
+measured; ``write_csv`` writes a whole table at once.
 """
 from __future__ import annotations
 
@@ -255,9 +258,9 @@ def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
         yield write
 
 
-def write_csv(path, header: tuple[str, ...], rows, append: bool = False) -> None:
+def write_csv(path, header: tuple[str, ...], rows) -> None:
     """Write ``rows`` (sequences of cells) under ``header``."""
-    with _csv_writer(path, header, iter, append) as write:
+    with _csv_writer(path, header, iter, append=False) as write:
         write(rows)
 
 
@@ -289,10 +292,6 @@ def read_csv(path, required: Sequence[str]) -> tuple[dict[str, int], list[list[s
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return {name: i for i, name in enumerate(header)}, rows
-
-
-def write_layerwise_csv(path, records: list[MeasurementRecord], append: bool = False) -> None:
-    write_csv(path, LAYERWISE_HEADER, _layerwise_rows(records), append)
 
 
 def appending_layerwise_csv(path):
@@ -386,10 +385,6 @@ def _modelwise_rows(records: list[ModelWiseRecord]):
                 + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in _LAYER_FIELDS]
                 + [layer.macs, repr(float(layer.cpu_energy_j))]
             )
-
-
-def write_modelwise_csv(path, records: list[ModelWiseRecord], append: bool = False) -> None:
-    write_csv(path, MODELWISE_HEADER, _modelwise_rows(records), append)
 
 
 def appending_modelwise_csv(path):

@@ -8,11 +8,11 @@ normalized to [0, 1] on the training records; predictions are mapped back to
 joules with the linear inverse (no clipping).
 
 ``FeatureMap`` is the one home of that recipe: fitted once on a kind's
-training records, it builds the designs of held-out records and the rows to
+training rows, it builds the designs of held-out rows and the rows to
 predict from, maps predictions back to joules, and is what a bundle stores of
-the recipe. Training builds a kind's ``KindMatrix`` once and fits and
-designs on index rows of it, so splits, CV folds and pipelines share one raw
-matrix.
+the recipe. Its entry points take index rows of a ``KindMatrix``, the kind's
+raw matrix built once (``fit_rows``, ``design_rows``), or one config
+(``row``), so splits, CV folds and pipelines share one raw matrix.
 """
 from __future__ import annotations
 
@@ -165,12 +165,6 @@ def _expand(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def expand_polynomial(X: np.ndarray, spec: PolynomialSpec | None) -> np.ndarray:
-    """Expand columns into monomials of total degree 1..d (no constant column)."""
-    X = np.asarray(X, dtype=float)
-    return _expand(X, _monomial_index(X.shape[1], spec))
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
     column_names: tuple[str, ...]
@@ -288,17 +282,6 @@ class FeatureMap:
             object.__setattr__(self, name, array)
 
     @classmethod
-    def fit(
-        cls,
-        records: list[MeasurementRecord],
-        feature_set: FeatureSetKind,
-        poly: PolynomialSpec | None,
-        scaler: str,
-    ) -> tuple["FeatureMap", DesignMatrix]:
-        """``fit_rows`` on all of ``records``."""
-        return cls.fit_rows(KindMatrix.build(records), np.arange(len(records)), feature_set, poly, scaler)
-
-    @classmethod
     def fit_rows(
         cls,
         matrix: KindMatrix,
@@ -342,10 +325,6 @@ class FeatureMap:
             raise ValidationError("cannot min-max normalize a constant target")
         fitted = cls(matrix.kind, feature_set, poly, scaler, columns, lo, hi, **stats)
         return fitted, DesignMatrix(columns, fitted._scale(X), fitted._normalize(y))
-
-    def design(self, records: list[MeasurementRecord]) -> DesignMatrix:
-        """Held-out records through the frozen scalers."""
-        return self.design_rows(KindMatrix.build(records), np.arange(len(records)))
 
     def design_rows(self, matrix: KindMatrix, rows) -> DesignMatrix:
         """Held-out ``rows`` of ``matrix`` through the frozen scalers."""

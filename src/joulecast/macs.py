@@ -16,7 +16,7 @@ from .arch import (
     propagate_shape,
     standalone_input_shape,
 )
-from .errors import MacOverflowError, ValidationError
+from .errors import JoulecastError, MacOverflowError, ValidationError
 
 INT64_MAX = 2**63 - 1
 
@@ -72,19 +72,24 @@ def standalone_macs(config: LayerConfig, include_bias: bool = True) -> int:
     return layer_macs(ResolvedLayer(0, config, in_shape, propagate_shape(in_shape, config)), include_bias)
 
 
+def layer_error(resolved: ResolvedLayer, exc: JoulecastError) -> JoulecastError:
+    """``exc`` again, its message prefixed with the layer it arose in."""
+    return type(exc)(f"layer {resolved.index} ({resolved.config.kind.value}): {exc}")
+
+
 def architecture_macs(
-    arch: ArchitectureSpec, include_bias: bool = True
+    arch: ArchitectureSpec, include_bias: bool = True, batch: int | None = None
 ) -> tuple[list[tuple[int, LayerKind, int]], int]:
-    """Per-layer MAC counts for the predictable layers plus their exact total."""
+    """Per-layer MAC counts for the predictable layers plus their exact total,
+    at ``batch`` (by default the batch of the spec's shapes)."""
     per_layer = []
     total = 0
     for resolved in extract_predictable_layers(arch):
-        kind = resolved.config.kind
         try:
-            macs = layer_macs(resolved, include_bias)
+            macs = layer_macs(resolved, include_bias, batch)
         except MacOverflowError as exc:
-            raise MacOverflowError(f"layer {resolved.index} ({kind.value}): {exc}") from exc
-        per_layer.append((resolved.index, kind, macs))
+            raise layer_error(resolved, exc) from exc
+        per_layer.append((resolved.index, resolved.config.kind, macs))
         total = _checked(total + macs, "total: ")
     return per_layer, total
 
@@ -97,5 +102,6 @@ __all__ = [
     "relu_macs",
     "layer_macs",
     "standalone_macs",
+    "layer_error",
     "architecture_macs",
 ]

@@ -1,10 +1,13 @@
 """Per-layer-type predictor bundle: training, persistence, and architecture estimates.
 
-A bundle holds one fitted regression pipeline per layer kind. Architectures
-are estimated by resolving their layers, predicting each layer's energy from
-its standalone-equivalent configuration and MAC count, and summing in layer
+A bundle holds one fitted regression pipeline per layer kind, each trained
+by ``train_on_matrix`` on rows of its kind's ``KindMatrix``. Architectures
+are estimated by resolving their layers, counting their MACs with
+``macs.architecture_macs``, predicting each layer's energy from its
+standalone-equivalent configuration and MAC count, and summing in layer
 order. Negative predictions (extrapolation artifacts) are clamped to zero and
-flagged.
+flagged. ``run_ablation`` scores every feature subset of one kind into one
+mask-indexed ``AblationTable``.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ from .dataset import (
 from .errors import (
     AggregationWarning,
     EmptyDataError,
-    MacOverflowError,
     MissingKindError,
     ParseError,
     SchemaError,
@@ -45,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
-from .macs import _checked, layer_macs
+from .macs import architecture_macs, layer_error
 from .regress import (
     CvReport,
     EvalMetrics,
@@ -250,17 +252,6 @@ def _default_created() -> str | None:
     return None
 
 
-def train_predictor(
-    records: list[MeasurementRecord],
-    spec: ModelSpec,
-    split_spec: SplitSpec,
-    cv_folds: int | None = 10,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-) -> PredictorModel:
-    """``train_on_matrix`` on one kind's ``records``."""
-    return train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds, lambda_grid)
-
-
 def train_on_matrix(
     matrix: KindMatrix,
     spec: ModelSpec,
@@ -375,24 +366,23 @@ class EnergyEstimate:
 def estimate(bundle: PredictorBundle, arch: ArchitectureSpec, batch_size: int = 1) -> EnergyEstimate:
     """Per-layer predictions summed in layer order (fixed accumulation order).
 
-    The layers are the spec's own resolution, counted and rewritten at
-    ``batch_size``: no shape rule reads the batch, so resolving again at
-    ``batch_size`` would give the same channels, sides and errors.
+    The layers are the spec's own resolution, counted (``architecture_macs``)
+    and rewritten at ``batch_size``: no shape rule reads the batch, so
+    resolving again at ``batch_size`` would give the same channels, sides and
+    errors. A MAC count past the 64-bit budget anywhere in the architecture
+    is refused before any layer is predicted.
     """
     if type(batch_size) is not int or batch_size < 1:
         arch.with_batch(batch_size)  # a bad batch raises here, as a re-batched spec's does
+    per_layer, total_macs = architecture_macs(arch, True, batch_size)
     layers = []
     total_joules = 0.0
-    total_macs = 0
-    for layer in extract_predictable_layers(arch):
-        kind = layer.config.kind
+    for layer, (_, kind, macs) in zip(extract_predictable_layers(arch), per_layer):
         predictor = bundle.model_for(kind)
         try:
             standalone = as_standalone_config(layer.config, layer.input_shape, batch_size)
-            macs = layer_macs(layer, True, batch_size)
-        except (ShapeError, MacOverflowError) as exc:
-            raise type(exc)(f"layer {layer.index} ({kind.value}): {exc}") from exc
-        total_macs = _checked(total_macs + macs, "total: ")
+        except ShapeError as exc:
+            raise layer_error(layer, exc) from exc
         joules, clamped = predictor.predict_energy(standalone, macs)
         layers.append(_instance(LayerEstimate, {
             "layer_index": layer.index, "kind": kind, "macs": macs, "joules": joules, "clamped": clamped,
@@ -556,12 +546,14 @@ def run_feature_set_experiment(
     return rows
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    mask: int
-    features: tuple[str, ...]
-    r2: float
-    mse: float
+@dataclass(frozen=True, eq=False)
+class AblationTable:
+    """Every non-empty feature subset's test scores, indexed by bitmask: bit
+    ``i`` of a mask selects ``columns[i]``. Entry 0, the empty subset, is NaN."""
+
+    columns: tuple[str, ...]
+    r2: np.ndarray
+    mse: np.ndarray
 
 
 #: subsets solved per batched call, bounding the stacked Gram blocks and test predictions
@@ -575,15 +567,14 @@ def run_ablation(
     records: list[MeasurementRecord],
     kind: LayerKind = LayerKind.CONV2D,
     split_spec: SplitSpec | None = None,
-) -> list[AblationRow]:
+) -> AblationTable:
     """Fit a standardized linear model on every non-empty feature subset.
 
     The feature universe is the parameters, their log transforms, and the MAC
     count (15 columns for Conv2d, so 32767 subsets). The columns are
     standardized once; every subset's least-squares fit is its block of the
     centred train Gram matrix solved against its part of X^T y, batched by
-    subset size, and scored on the test rows per batch. Rows are ordered by
-    bitmask.
+    subset size, and scored on the test rows per batch.
     """
     split_spec = split_spec or SplitSpec()
     subset = [r for r in records if r.module is kind]
@@ -637,13 +628,5 @@ def run_ablation(
             metrics = evaluate(fit_ols(X_train[:, cols], y_train), X_test[:, cols], y_test)
             mask = int((1 << cols).sum())
             r2[mask], mse[mask] = metrics.r2, metrics.mse
-    # a mask's names are its lowest bit's name followed by the rest's, in column order
-    features: list[tuple[str, ...]] = [()] * 2**width
-    for mask in range(1, 2**width):
-        low = (mask & -mask).bit_length() - 1
-        features[mask] = (names[low],) + features[mask & (mask - 1)]
-    r2_values, mse_values = r2.tolist(), mse.tolist()
-    return [
-        AblationRow(mask, features[mask], r2_values[mask], mse_values[mask])
-        for mask in range(1, 2**width)
-    ]
+    r2[0] = mse[0] = np.nan
+    return AblationTable(names, r2, mse)

@@ -557,7 +557,7 @@ class RepeatResult:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    config: LayerConfig | None  # None for full-architecture workloads
+    config: LayerConfig | ArchitectureSpec | None
     window_seconds: float
     repeats: tuple[RepeatResult, ...]
     failed_repeats: int = 0
@@ -584,7 +584,7 @@ def _run_window(workload, clock, window_seconds: float) -> tuple[int, float]:
 
 
 def measure_config(
-    config: LayerConfig | None,
+    config: LayerConfig | ArchitectureSpec | None,
     window_seconds: float = 30.0,
     repeats: int = 3,
     counter=None,
@@ -593,12 +593,14 @@ def measure_config(
     seed: int = 0,
     pin_to_cpu: int | None = None,
 ) -> ProbeResult:
-    """Meter ``repeats`` fixed windows of forward passes through ``config``.
+    """Meter ``repeats`` fixed windows of forward passes through ``config``,
+    a layer or a whole architecture at its own batch.
 
     One measurement at a time per process: a concurrent call contaminates the
     shared package counters and is refused outright. ``pin_to_cpu`` restricts
-    the process to one CPU for the duration of the measurement (Linux only);
-    by default no affinity is set. Metering real RAPL counters warns when the
+    the process to one CPU for the duration of the measurement (Linux only),
+    including the building of the workload when none is given; by default no
+    affinity is set. Metering real RAPL counters warns when the
     load average says other processes' energy will leak into the readings.
     A workload with a ``run_window(window_seconds)`` method (a simulated one)
     fills each window itself, on its machine's clock; any other is called once
@@ -620,7 +622,10 @@ def measure_config(
         if workload is None:
             if config is None:
                 raise ValidationError("either a config or an explicit workload is required")
-            workload = make_workload(config, seed)
+            if isinstance(config, ArchitectureSpec):
+                workload = make_architecture_workload(config, config.input_shape.batch, seed)
+            else:
+                workload = make_workload(config, seed)
         if clock is None:
             clock = time.monotonic
         run_window = getattr(workload, "run_window", None) or functools.partial(_run_window, workload, clock)
@@ -654,7 +659,7 @@ def measure_config(
                 )
             )
         if not results:
-            what = config.kind.value if config is not None else "architecture workload"
+            what = config.kind.value if isinstance(config, LayerConfig) else "architecture workload"
             raise AllRepeatsFailedError(f"all {repeats} repeats failed for {what}")
         return ProbeResult(
             config=config,

@@ -144,14 +144,6 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     return LinearModel(tuple(float(b) for b in beta), intercept, kind="ols")
 
 
-def soft_threshold(z: float, threshold: float) -> float:
-    if z > threshold:
-        return z - threshold
-    if z < -threshold:
-        return z + threshold
-    return 0.0
-
-
 @dataclass(frozen=True)
 class LassoFit:
     """A Lasso fit with its solver report.
@@ -357,11 +349,6 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> list[Lass
 def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
     """One Lasso fit: ``lasso_path`` at one penalty."""
     return lasso_path(X, y, [lam])[0].model
-
-
-def lasso_objective(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
-    residual = y - model.predict(X)
-    return float((residual @ residual) / (2 * len(y)) + model.lam * np.abs(model.coefficients).sum())
 
 
 def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:

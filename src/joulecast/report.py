@@ -10,7 +10,7 @@ import numpy as np
 from .arch import LayerKind
 from .dataset import read_csv, write_csv
 from .errors import ParseError
-from .predict import AblationRow, LayerPoint, TotalPoint
+from .predict import AblationTable, LayerPoint, TotalPoint
 from .svgplot import scatter_svg, stacked_bar_svg
 
 
@@ -81,16 +81,20 @@ def write_totals_csv(path, points: tuple[TotalPoint, ...]) -> None:
     )
 
 
-def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    """The bytes ``csv.writer`` writes for these rows, joined in one pass: the
-    feature names are identifiers and the scores floats, so no cell needs
-    quoting."""
+def write_ablation_csv(path, table: AblationTable) -> None:
+    """One row per non-empty subset in mask order, as the bytes ``csv.writer``
+    writes, joined in one pass: the feature names are identifiers and the
+    scores floats, so no cell needs quoting."""
+    names = table.columns
+    mac_bit = 1 << names.index("macs") if "macs" in names else 0
+    # a mask's names are its lowest bit's name, then the rest's, in column order
+    joined = [""] * 2 ** len(names)
     lines = [",".join(ABLATION_HEADER)]
-    lines += [
-        f"{row.mask},{'+'.join(row.features)},{int('macs' in row.features)},"
-        f"{float(row.r2)!r},{float(row.mse)!r}"
-        for row in rows
-    ]
+    for mask, r2, mse in zip(range(1, len(joined)), table.r2.tolist()[1:], table.mse.tolist()[1:]):
+        low = mask & -mask
+        rest = joined[mask ^ low]
+        joined[mask] = names[low.bit_length() - 1] + "+" + rest if rest else names[low.bit_length() - 1]
+        lines.append(f"{mask},{joined[mask]},{int(mask & mac_bit != 0)},{r2!r},{mse!r}")
     lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines))

@@ -11,8 +11,11 @@ from joulecast.dataset import (
     ModelWiseLayer,
     ModelWiseRecord,
     SplitSpec,
+    appending_layerwise_csv,
+    appending_modelwise_csv,
     sample_config,
 )
+from joulecast.features import FeatureMap, KindMatrix
 from joulecast.macs import layer_macs, standalone_macs
 from joulecast.predict import train_default_bundle
 
@@ -126,6 +129,28 @@ def synth_records(
                 )
             )
     return records
+
+
+def write_layerwise(path, records) -> None:
+    """Append ``records`` to a layer-wise CSV through the writer ``collect`` uses."""
+    with appending_layerwise_csv(path) as write:
+        write(records)
+
+
+def write_modelwise(path, records) -> None:
+    """Append ``records`` to a model-wise CSV through the writer ``collect`` uses."""
+    with appending_modelwise_csv(path) as write:
+        write(records)
+
+
+def fit_map(records, feature_set, poly, scaler):
+    """``FeatureMap.fit_rows`` on every row of the records' kind matrix: the map and its design."""
+    return FeatureMap.fit_rows(KindMatrix.build(records), np.arange(len(records)), feature_set, poly, scaler)
+
+
+def design_of(features, records):
+    """``features.design_rows`` on every row of the records' kind matrix."""
+    return features.design_rows(KindMatrix.build(records), np.arange(len(records)))
 
 
 def synth_dataset(seed: int = 7, n_mac: int = 240, n_act: int = 160) -> list[MeasurementRecord]:

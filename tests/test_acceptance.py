@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ALPHA, synth_dataset, synth_modelwise, synth_records
+from conftest import ALPHA, synth_dataset, synth_modelwise, synth_records, write_layerwise
 from joulecast.arch import LayerConfig, LayerKind, load_architecture, propagate_shape, TensorShape
 from joulecast.cli import main as cli_main
 from joulecast.dataset import (
@@ -19,7 +19,6 @@ from joulecast.dataset import (
     load_layerwise_csv,
     sample_config,
     split,
-    write_layerwise_csv,
 )
 from joulecast.errors import AggregationWarning
 from joulecast.macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs
@@ -31,8 +30,9 @@ from joulecast.predict import (
     train_default_bundle,
 )
 from joulecast.probe import SimulatedMachine, energy_delta, measure_config
-from joulecast.regress import fit_lasso, fit_ols, soft_threshold
+from joulecast.regress import fit_lasso, fit_ols
 from test_probe import ScriptedCounter, TickingClock
+from test_regress import soft_threshold
 
 
 @contextmanager
@@ -223,11 +223,12 @@ def test_07_sum_invariant_and_aggregation_warning(trained_bundle):
 def test_08_ablation_exhaustive_with_mac_gap():
     with criterion(8, "conv ablation: 32767 subsets; MAC subsets dominate", budget_s=300.0):
         records = synth_records(LayerKind.CONV2D, 240, seed=7)
-        rows = run_ablation(records, LayerKind.CONV2D, SplitSpec(seed=11))
-        assert len(rows) == 32767
-        assert sorted(r.mask for r in rows) == list(range(1, 2**15))
-        with_mac = [r.r2 for r in rows if "macs" in r.features]
-        without_mac = [r.r2 for r in rows if "macs" not in r.features]
+        table = run_ablation(records, LayerKind.CONV2D, SplitSpec(seed=11))
+        assert len(table.columns) == 15 and len(table.r2) == 2**15  # masks 1..32767, and the empty mask
+        assert np.isfinite(table.r2[1:]).all()
+        mac_bit = 1 << table.columns.index("macs")
+        with_mac = [table.r2[mask] for mask in range(1, 2**15) if mask & mac_bit]
+        without_mac = [table.r2[mask] for mask in range(1, 2**15) if not mask & mac_bit]
         assert len(with_mac) == 2**14 and len(without_mac) == 2**14 - 1
         assert min(with_mac) > max(without_mac)
 
@@ -275,7 +276,7 @@ def test_10_determinism_across_runs(tmp_path):
     with criterion(10, "identical seeds give byte-identical bundles, splits, CSVs", budget_s=120.0):
         records = synth_dataset(seed=21, n_mac=120, n_act=80)
         csv_path = tmp_path / "layerwise.csv"
-        write_layerwise_csv(csv_path, records)
+        write_layerwise(csv_path, records)
 
         bundles = []
         for run in ("a", "b"):
@@ -301,6 +302,6 @@ def test_10_determinism_across_runs(tmp_path):
         ablations = []
         linear_records = [r for r in records if r.module is LayerKind.LINEAR]
         for _ in range(2):
-            rows = run_ablation(linear_records, LayerKind.LINEAR, SplitSpec(seed=4))
-            ablations.append(rows)
+            table = run_ablation(linear_records, LayerKind.LINEAR, SplitSpec(seed=4))
+            ablations.append((table.columns, table.r2.tobytes(), table.mse.tobytes()))
         assert ablations[0] == ablations[1]

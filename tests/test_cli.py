@@ -1,25 +1,23 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import os
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import NON_SQUARE_NET, synth_dataset, synth_modelwise
+from conftest import NON_SQUARE_NET, synth_dataset, synth_modelwise, write_layerwise, write_modelwise
 from joulecast import cli, probe
-from joulecast.arch import LayerKind, load_architecture
+from joulecast.arch import ArchitectureSpec, LayerKind, extract_predictable_layers, load_architecture
 from joulecast.cli import main
-from joulecast.dataset import (
-    SOURCE_RANDOM,
-    load_layerwise_csv,
-    load_modelwise_csv,
-    write_layerwise_csv,
-    write_modelwise_csv,
-)
+from joulecast.dataset import SOURCE_RANDOM, load_layerwise_csv, load_modelwise_csv
 from joulecast.errors import MacOverflowError
 from joulecast.features import KindMatrix
 from joulecast.macs import standalone_macs
+from test_probe import counted_threads
 
 
 def run(*argv):
@@ -32,14 +30,14 @@ def run(*argv):
 @pytest.fixture(scope="module")
 def layerwise_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "layerwise.csv"
-    write_layerwise_csv(path, synth_dataset(seed=7))
+    write_layerwise(path, synth_dataset(seed=7))
     return path
 
 
 @pytest.fixture(scope="module")
 def modelwise_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "modelwise.csv"
-    write_modelwise_csv(path, synth_modelwise(arch_names=("vgg11", "alexnet"), batches=(1, 2), noise=0.005))
+    write_modelwise(path, synth_modelwise(arch_names=("vgg11", "alexnet"), batches=(1, 2), noise=0.005))
     return path
 
 
@@ -154,7 +152,7 @@ class TestCollect:
         measure = probe.measure_config
 
         def crash_on_second_total(config, *args, **kwargs):
-            if config is None:
+            if isinstance(config, ArchitectureSpec):
                 totals.append(config)
                 if len(totals) == 2:
                     raise RuntimeError("power loss")
@@ -195,6 +193,19 @@ class TestCollect:
                                       machine.clock, lambda config, macs: machine.workload(macs), 0)
         assert str(exc.value) == expected
         assert measured == []  # refused before any measurement
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_pinned_architecture_collect_draws_on_one_thread(self, monkeypatch):
+        """The full-pass workload is built inside the pinned region, as each
+        layer's is, so its large weights start no drawing thread."""
+        made = counted_threads(monkeypatch)
+        readings = itertools.count(0, 1_000)
+        counter = SimpleNamespace(max_ranges_uj=(10**12,), read_uj=lambda: (next(readings),))
+        arch = load_architecture("alexnet")
+        record = cli._collect_architecture(arch, 1, 1e-3, 1, counter, None, lambda config, macs: None, 0,
+                                           min(os.sched_getaffinity(0)))
+        assert record.total_energy_j > 0 and len(record.layers) == len(extract_predictable_layers(arch))
+        assert made == []
 
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import write_layerwise, write_modelwise
 from joulecast.arch import KIND_SPECS, PREDICTABLE_KINDS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from joulecast.dataset import (
     appending_layerwise_csv,
@@ -20,8 +21,6 @@ from joulecast.dataset import (
     modelwise_to_layerwise,
     sample_config,
     split,
-    write_layerwise_csv,
-    write_modelwise_csv,
 )
 from joulecast.dataset import _energy_reading
 from joulecast.errors import (
@@ -205,18 +204,18 @@ class TestLayerwiseCsv:
                                              LayerKind.MAXPOOL2D, LayerKind.SOFTMAX,
                                              LayerKind.SIGMOID, LayerKind.TANH])]
         path = tmp_path / "rows.csv"
-        write_layerwise_csv(path, records)
+        write_layerwise(path, records)
         assert load_layerwise_csv(path) == records
 
     def test_single_valid_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_layerwise_csv(path, [make_record()])
+        write_layerwise(path, [make_record()])
         assert len(load_layerwise_csv(path)) == 1
 
     def test_negative_energy_dropped_with_warning(self, tmp_path):
         path = tmp_path / "bad.csv"
         record = make_record()
-        write_layerwise_csv(path, [record])
+        write_layerwise(path, [record])
         text = path.read_text().replace("0.5", "-1.0")
         path.write_text(text)
         with pytest.warns(UserWarning, match="dropped"):
@@ -225,7 +224,7 @@ class TestLayerwiseCsv:
     @pytest.mark.parametrize("reading", ["nan", "inf", "-inf"])
     def test_non_finite_energy_dropped_with_warning(self, tmp_path, reading):
         path = tmp_path / "bad.csv"
-        write_layerwise_csv(path, [make_record(seed=0, energy=0.5), make_record(seed=1, energy=0.25)])
+        write_layerwise(path, [make_record(seed=0, energy=0.5), make_record(seed=1, energy=0.25)])
         set_cells(path, "cpu_energy_j", {0: reading})
         with pytest.warns(UserWarning, match=f"row 2: dropped erroneous energy reading '{reading}'"):
             loaded = load_layerwise_csv(path)
@@ -233,7 +232,7 @@ class TestLayerwiseCsv:
 
     def test_unknown_source_is_a_parse_error_with_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_layerwise_csv(path, [make_record(seed=0), make_record(seed=1)])
+        write_layerwise(path, [make_record(seed=0), make_record(seed=1)])
         set_cells(path, "source", {1: "bogus"})
         with pytest.raises(ParseError, match=r"bad\.csv: row 3: unknown source 'bogus'"):
             load_layerwise_csv(path)
@@ -247,7 +246,7 @@ class TestLayerwiseCsv:
     def test_mac_mismatch_warns_but_keeps(self, tmp_path):
         record = make_record()
         path = tmp_path / "rows.csv"
-        write_layerwise_csv(path, [record])
+        write_layerwise(path, [record])
         text = path.read_text().replace(str(record.macs), str(record.macs + 1))
         path.write_text(text)
         with pytest.warns(ConsistencyWarning):
@@ -257,8 +256,8 @@ class TestLayerwiseCsv:
 
     def test_append_mode(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_layerwise_csv(path, [make_record(seed=0)])
-        write_layerwise_csv(path, [make_record(seed=1)], append=True)
+        write_layerwise(path, [make_record(seed=0)])
+        write_layerwise(path, [make_record(seed=1)])
         assert len(load_layerwise_csv(path)) == 2
         assert path.read_text().count("module") == 1  # single header
 
@@ -299,14 +298,14 @@ class TestRepeatedConfigs:
     def test_loads_what_a_per_row_parse_gives(self, tmp_path):
         path = tmp_path / "rows.csv"
         records = _repeated_records()
-        write_layerwise_csv(path, records)
+        write_layerwise(path, records)
         loaded = load_layerwise_csv(path)
         assert loaded == _parse_each_row(path) == records
 
     def test_mac_mismatch_warns_once_per_row_that_has_it(self, tmp_path):
         path = tmp_path / "rows.csv"
         records = _repeated_records()
-        write_layerwise_csv(path, records)
+        write_layerwise(path, records)
         # rows 2, 5 and 8 are the three repeats of the first configuration
         set_cells(path, "macs", {0: str(records[0].macs + 1), 6: str(records[0].macs + 1)})
         with warnings.catch_warnings(record=True) as caught:
@@ -320,14 +319,14 @@ class TestRepeatedConfigs:
     @pytest.mark.parametrize("column, text", [("macs", "12x"), ("repeat", "0"), ("source", "bogus")])
     def test_bad_cell_in_a_repeat_is_a_parse_error_with_its_row(self, tmp_path, column, text):
         path = tmp_path / "rows.csv"
-        write_layerwise_csv(path, _repeated_records())
+        write_layerwise(path, _repeated_records())
         set_cells(path, column, {3: text})  # the second repeat of the first configuration
         with pytest.raises(ParseError, match=r"rows\.csv: row 5: "):
             load_layerwise_csv(path)
 
     def test_short_row_is_a_parse_error(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_layerwise_csv(path, _repeated_records())
+        write_layerwise(path, _repeated_records())
         lines = path.read_text().splitlines()
         lines[3] = ",".join(lines[3].split(",")[:-4])  # no macs, energy, repeat or source
         path.write_text("\n".join(lines) + "\n")
@@ -351,14 +350,14 @@ class TestModelwiseCsv:
     def test_round_trip(self, tmp_path):
         record = self._record()
         path = tmp_path / "model.csv"
-        write_modelwise_csv(path, [record])
+        write_modelwise(path, [record])
         assert load_modelwise_csv(path) == [record]
 
     @pytest.mark.parametrize("reading", ["nan", "inf"])
     def test_non_finite_layer_energy_dropped_with_warning(self, tmp_path, reading):
         record = self._record()
         path = tmp_path / "model.csv"
-        write_modelwise_csv(path, [record])
+        write_modelwise(path, [record])
         set_cells(path, "cpu_energy_j", {1: reading})  # row 0 is the total, row 1 the Conv2d layer
         with pytest.warns(UserWarning, match=f"row 3: dropped erroneous layer energy '{reading}'"):
             (loaded,) = load_modelwise_csv(path)
@@ -369,7 +368,7 @@ class TestModelwiseCsv:
     def test_non_finite_total_drops_its_record(self, tmp_path, reading):
         record = self._record()
         path = tmp_path / "model.csv"
-        write_modelwise_csv(path, [record, replace(record, architecture="other")])
+        write_modelwise(path, [record, replace(record, architecture="other")])
         set_cells(path, "cpu_energy_j", {0: reading})
         with pytest.warns(UserWarning, match=f"row 2: dropped erroneous total '{reading}'"):
             loaded = load_modelwise_csv(path)
@@ -392,7 +391,7 @@ class TestModelwiseRecordCheck:
     def test_layers_out_of_order_name_path_and_total_row(self, tmp_path, disordered, total_row):
         record = TestModelwiseCsv()._record()
         path = tmp_path / "model.csv"
-        write_modelwise_csv(path, [record, replace(record, architecture="other")])
+        write_modelwise(path, [record, replace(record, architecture="other")])
         # data rows: total, layer 0, layer 1 of each record
         first_layer = 3 * disordered + 1
         set_cells(path, "layer_index", {first_layer: "1", first_layer + 1: "0"})

@@ -21,7 +21,7 @@ from joulecast.arch import (
     extract_predictable_layers,
     load_architecture,
 )
-from joulecast.errors import MacOverflowError
+from joulecast.errors import MacOverflowError, MissingKindError
 from joulecast.macs import architecture_macs, layer_macs
 from joulecast.predict import PredictorBundle, PredictorModel, estimate
 from perfbench.archgen import random_architecture
@@ -136,3 +136,51 @@ class TestMacBudget:
         assert estimate(bundle, arch, 1).total_macs == 2**62 + 2**31
         with pytest.raises(MacOverflowError, match=r"^layer 0 \(Linear\): MAC count \d+ exceeds"):
             estimate(bundle, arch, 4)
+
+    # (architecture, request batch): a layer or the total crosses the budget
+    # only at the request batch, or already at the spec's own
+    AT_BATCH = [
+        (_flat_net(2**31, [_linear(2**31, 2**31)]), 4),
+        (_flat_net(2**30, [_linear(2**30, 2**30), _linear(2**30, 2**30)]), 4),
+        (TOTAL_ONLY, 2),
+        (PER_LAYER, 3),
+    ]
+
+    @pytest.mark.parametrize("arch, batch", AT_BATCH, ids=["layer", "total", "total-own-batch", "layer-own-batch"])
+    def test_architecture_macs_at_a_batch_refuses_as_estimate(self, bundle, arch, batch):
+        with pytest.raises(MacOverflowError) as expected:
+            estimate(bundle, arch, batch)
+        with pytest.raises(MacOverflowError) as got:
+            architecture_macs(arch, True, batch)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(MacOverflowError) as rebatched:
+            architecture_macs(arch.with_batch(batch))
+        assert str(rebatched.value) == str(expected.value)
+
+
+class TestErrorOrder:
+    """With two errors in one architecture, a MAC count past the budget is
+    refused first: ``estimate`` counts every layer (``architecture_macs``)
+    before it looks up a predictor or rewrites a layer as standalone."""
+
+    OVERFLOW = "layer 2 (Linear): MAC count 19300000000000000000 exceeds the 64-bit budget"
+
+    def test_overflow_before_non_square_input(self, bundle):
+        # layer 0 has no standalone form, layer 2 is past the budget
+        arch = ArchitectureSpec("wide", TensorShape(1, 3, 8, 6), (
+            LayerConfig(kind=LayerKind.CONV2D, kernel_size=3, in_channels=3, out_channels=4, stride=1, padding=1),
+            LayerConfig(kind=LayerKind.FLATTEN),
+            _linear(4 * 8 * 6, 10**17),
+        ))
+        with pytest.raises(MacOverflowError) as info:
+            estimate(bundle, arch, 1)
+        assert str(info.value) == self.OVERFLOW
+
+    def test_overflow_before_missing_predictor(self, bundle):
+        # layer 0 is a ReLU the bundle has no predictor for, layer 1 is past the budget
+        no_relu = PredictorBundle({k: m for k, m in bundle.models.items() if k is not LayerKind.RELU}, {})
+        with pytest.raises(MissingKindError, match="ReLU"):
+            estimate(no_relu, _flat_net(8, [LayerConfig(kind=LayerKind.RELU)]), 1)
+        with pytest.raises(MacOverflowError) as info:
+            estimate(no_relu, TestMacBudget.PER_LAYER, 1)
+        assert str(info.value) == TestMacBudget.LAYER_MESSAGE

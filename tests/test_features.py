@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import synth_records
+from conftest import design_of, fit_map, synth_records
 from joulecast.arch import LayerConfig, LayerKind
 from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split_indices
 from joulecast.errors import (
@@ -22,7 +22,8 @@ from joulecast.features import (
     FeatureSetKind,
     KindMatrix,
     PolynomialSpec,
-    expand_polynomial,
+    _expand,
+    _monomial_index,
     polynomial_names,
     raw_feature_names,
     raw_feature_row,
@@ -47,7 +48,24 @@ def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
 
 
 def fit_target(energies):
-    return FeatureMap.fit(relu_records(energies), FeatureSetKind.MAC_ONLY, None, "none")
+    return fit_map(relu_records(energies), FeatureSetKind.MAC_ONLY, None, "none")
+
+
+def expanded(X, spec):
+    """``_expand`` over ``spec``'s monomial index: the expansion every design and row uses."""
+    X = np.asarray(X, dtype=float)
+    return _expand(X, _monomial_index(X.shape[1], spec))
+
+
+def np_prod_expansion(X, spec):
+    """Independent oracle: ``np.prod`` over each monomial's columns, in ``polynomial_names`` order."""
+    p = X.shape[1]
+    if spec is None or spec.degree == 1:
+        combos = [(i,) for i in range(p)]
+    else:
+        chooser = combinations if spec.interaction_only else combinations_with_replacement
+        combos = [c for d in range(1, spec.degree + 1) for c in chooser(range(p), d)]
+    return np.column_stack([np.prod(X[:, list(c)], axis=1) for c in combos])
 
 
 def records_for(kind, n, seed=0, energy=lambda macs: 1e-9 * macs):
@@ -65,26 +83,26 @@ class TestPolynomial:
         X = np.array([[2.0, 3.0]])
         spec = PolynomialSpec(2, interaction_only=True)
         assert polynomial_names(("a", "b"), spec) == ("a", "b", "a*b")
-        assert expand_polynomial(X, spec).tolist() == [[2.0, 3.0, 6.0]]
+        assert expanded(X, spec).tolist() == [[2.0, 3.0, 6.0]]
 
     def test_two_columns_full(self):
         X = np.array([[2.0, 3.0]])
         spec = PolynomialSpec(2, interaction_only=False)
         assert polynomial_names(("a", "b"), spec) == ("a", "b", "a^2", "a*b", "b^2")
-        assert expand_polynomial(X, spec).tolist() == [[2.0, 3.0, 4.0, 6.0, 9.0]]
+        assert expanded(X, spec).tolist() == [[2.0, 3.0, 4.0, 6.0, 9.0]]
 
     def test_three_columns_degree3_ito(self):
         spec = PolynomialSpec(3, interaction_only=True)
         names = polynomial_names(("a", "b", "c"), spec)
         # 3 linear + 3 pairs + abc
         assert names == ("a", "b", "c", "a*b", "a*c", "b*c", "a*b*c")
-        row = expand_polynomial(np.array([[2.0, 3.0, 5.0]]), spec)[0]
+        row = expanded(np.array([[2.0, 3.0, 5.0]]), spec)[0]
         assert row.tolist() == [2, 3, 5, 6, 10, 15, 30]
 
     def test_degree_one_is_identity(self):
         X = np.array([[1.0, 2.0]])
-        assert expand_polynomial(X, PolynomialSpec(1)).tolist() == X.tolist()
-        assert expand_polynomial(X, None) is not None
+        assert expanded(X, PolynomialSpec(1)).tolist() == X.tolist()
+        assert expanded(X, None) is not None
 
     def test_degree_out_of_range(self):
         with pytest.raises(DegreeOutOfRangeError):
@@ -95,14 +113,10 @@ class TestPolynomial:
     @pytest.mark.parametrize("interaction_only", [True, False])
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_expansion_matches_np_prod_bitwise(self, degree, interaction_only):
-        # reference: np.prod over each monomial's columns, in polynomial_names order
         rng = np.random.default_rng(degree)
         X = rng.standard_normal((200, 5)) * np.exp(rng.uniform(-20, 20, (200, 5)))
-        chooser = combinations if interaction_only else combinations_with_replacement
-        combos = [c for d in range(1, degree + 1) for c in chooser(range(5), d)]
-        reference = np.column_stack([np.prod(X[:, list(c)], axis=1) for c in combos])
-        expanded = expand_polynomial(X, PolynomialSpec(degree, interaction_only))
-        assert expanded.tobytes() == reference.tobytes()
+        spec = PolynomialSpec(degree, interaction_only)
+        assert expanded(X, spec).tobytes() == np_prod_expansion(X, spec).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 4))
@@ -136,14 +150,14 @@ class TestScalers:
 
     def test_zscore_population_std(self):
         records = relu_records([1.0, 2.0, 3.0], macs=[1, 2, 3])
-        _, design = FeatureMap.fit(records, FeatureSetKind.MAC_ONLY, None, "zscore")
+        _, design = fit_map(records, FeatureSetKind.MAC_ONLY, None, "zscore")
         assert design.column_names == ("macs",)
         np.testing.assert_allclose(design.X[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_dropped(self):
         records = relu_records([1.0, 2.0], batch_sizes=[5, 5], in_channels=[1, 2])
         with pytest.warns(ConstantColumnWarning):
-            features, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER, None, "zscore")
+            features, design = fit_map(records, FeatureSetKind.PARAMETER, None, "zscore")
         assert features.dropped == ("batch_size",)
         assert design.column_names == ("in_channels",) and design.X.shape == (2, 1)
 
@@ -167,7 +181,7 @@ class TestScalers:
     def test_scaler_params_round_trip(self):
         records = relu_records([1.0, 2.0, 4.0], macs=[9, 11, 10], batch_sizes=[1, 3, 2])
         with pytest.warns(ConstantColumnWarning):  # in_channels is constant
-            features, _ = FeatureMap.fit(records, FeatureSetKind.PARAMETER_MAC, None, "zscore")
+            features, _ = fit_map(records, FeatureSetKind.PARAMETER_MAC, None, "zscore")
         assert FeatureMap.from_dict(features.to_dict()) == features
 
     def test_columns_must_match_the_recipe(self):
@@ -208,22 +222,25 @@ class TestFeatureAssembly:
 class TestBuildDesign:
     def test_empty_and_mixed_records(self):
         with pytest.raises(EmptyRecordsError):
-            FeatureMap.fit([], FeatureSetKind.PARAMETER, None, "none")
+            KindMatrix.build([])
+        matrix = KindMatrix.build(records_for(LayerKind.CONV2D, 5))
+        with pytest.raises(EmptyRecordsError):
+            FeatureMap.fit_rows(matrix, [], FeatureSetKind.PARAMETER, None, "none")
         mixed = records_for(LayerKind.CONV2D, 2) + records_for(LayerKind.LINEAR, 2)
         with pytest.raises(KindMismatchError):
-            FeatureMap.fit(mixed, FeatureSetKind.PARAMETER, None, "none")
-        features, _ = FeatureMap.fit(records_for(LayerKind.CONV2D, 5), FeatureSetKind.PARAMETER, None, "none")
+            KindMatrix.build(mixed)
+        features, _ = FeatureMap.fit_rows(matrix, np.arange(5), FeatureSetKind.PARAMETER, None, "none")
         linear = records_for(LayerKind.LINEAR, 2)
         with pytest.raises(KindMismatchError):
-            features.design(linear)
+            features.design_rows(KindMatrix.build(linear), [0, 1])
         with pytest.raises(KindMismatchError):
             features.row(linear[0].config, linear[0].macs)
 
     def test_deterministic(self):
         records = records_for(LayerKind.MAXPOOL2D, 40, seed=5)
         spec = PolynomialSpec(2, interaction_only=True)
-        a = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
-        b = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
+        a = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
+        b = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
         assert a[0] == b[0]
         assert a[1].column_names == b[1].column_names
         np.testing.assert_array_equal(a[1].X, b[1].X)
@@ -231,15 +248,15 @@ class TestBuildDesign:
 
     def test_transform_matches_fit_on_same_records(self):
         records = records_for(LayerKind.LINEAR, 25, seed=3)
-        features, design = FeatureMap.fit(records, FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore")
-        again = features.design(records)
+        features, design = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore")
+        again = design_of(features, records)
         np.testing.assert_array_equal(design.X, again.X)
         np.testing.assert_array_equal(design.y, again.y)
 
     def test_feature_vector_matches_matrix_row(self):
         records = records_for(LayerKind.CONV2D, 20, seed=9)
         spec = PolynomialSpec(2, interaction_only=True)
-        features, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
+        features, design = fit_map(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
         row = features.row(records[4].config, records[4].macs)
         np.testing.assert_allclose(row, design.X[4], rtol=1e-12)
 
@@ -247,7 +264,7 @@ class TestBuildDesign:
         # interaction columns must be products of RAW values, not scaled ones
         records = records_for(LayerKind.SIGMOID, 15, seed=2)
         spec = PolynomialSpec(2, interaction_only=True)
-        _, design = FeatureMap.fit(records, FeatureSetKind.PARAMETER, spec, "none")
+        _, design = fit_map(records, FeatureSetKind.PARAMETER, spec, "none")
         b = np.array([r.config.batch_size for r in records], dtype=float)
         s = np.array([r.config.in_channels for r in records], dtype=float)
         idx = design.column_names.index("batch_size*in_channels")
@@ -258,7 +275,7 @@ def _oracle_design(features, records):
     """The per-record path the kind matrix replaced: one raw row per record
     and feature set, expanded, then through the frozen z-score."""
     raw = np.array([raw_feature_row(r.config, r.macs, features.feature_set) for r in records], dtype=float)
-    X = expand_polynomial(raw, features.poly)
+    X = np_prod_expansion(raw, features.poly)
     if features.scaler == "zscore":
         names = polynomial_names(raw_feature_names(features.kind, features.feature_set), features.poly)
         kept = np.array([names.index(c) for c in features.columns], dtype=int)
@@ -271,7 +288,7 @@ def _oracle_fit(records, feature_set, poly, scaler):
     kind = records[0].module
     names = polynomial_names(raw_feature_names(kind, feature_set), poly)
     raw = np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records], dtype=float)
-    X = expand_polynomial(raw, poly)
+    X = np_prod_expansion(raw, poly)
     columns, stats = names, {}
     if scaler == "zscore":
         mean, std = X.mean(axis=0), X.std(axis=0)
@@ -326,13 +343,13 @@ class TestKindMatrixOracle:
         records = synth_records(kind, 40, seed=8, repeats=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            features, _ = FeatureMap.fit(records[:30], spec.feature_set, spec.poly, spec.feature_scaler)
+            features, _ = fit_map(records[:30], spec.feature_set, spec.poly, spec.feature_scaler)
         X, _ = _oracle_design(features, records)
         for record, expected in zip(records, X):
             assert np.array_equal(features.row(record.config, record.macs), expected)
 
     def test_row_refuses_non_finite_input(self):
-        features, _ = FeatureMap.fit(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        features, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
         config = records_for(LayerKind.LINEAR, 1)[0].config
         with pytest.raises(NonFiniteError, match="polynomial expansion requires finite inputs"):
             features.row(config, math.inf)
@@ -347,7 +364,7 @@ class TestKindMatrixOracle:
             assert np.array_equal(matrix.raw[:, columns], rows)
 
     def test_design_rows_refuses_another_kind_and_no_rows(self):
-        features, _ = FeatureMap.fit(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        features, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
         with pytest.raises(KindMismatchError):
             features.design_rows(KindMatrix.build(records_for(LayerKind.CONV2D, 3)), [0])
         with pytest.raises(EmptyRecordsError):

@@ -282,6 +282,9 @@ def test_batch_argument_counts_as_rebatched_layer(name, batch, include_bias):
     assert [layer_macs(r, include_bias, batch) for r in at_two] == [
         layer_macs(r, include_bias) for r in rebatched
     ]
+    assert architecture_macs(load_architecture(name).with_batch(2), include_bias, batch) == architecture_macs(
+        load_architecture(name).with_batch(batch), include_bias
+    )
 
 
 def test_halving_follows_the_batch():

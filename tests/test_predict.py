@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA, NON_SQUARE_NET, synth_modelwise, synth_records
+from conftest import ALPHA, NON_SQUARE_NET, design_of, fit_map, synth_modelwise, synth_records
 from joulecast.arch import (
     ArchitectureSpec,
     LayerKind,
@@ -24,7 +24,7 @@ from joulecast.errors import (
     ShapeError,
     SingularityWarning,
 )
-from joulecast.features import FeatureMap, FeatureSetKind, PolynomialSpec, raw_feature_names
+from joulecast.features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec, raw_feature_names
 from joulecast.macs import INT64_MAX, architecture_macs, standalone_macs
 from joulecast.predict import (
     DEFAULT_LAMBDA_GRID,
@@ -37,7 +37,7 @@ from joulecast.predict import (
     run_ablation,
     run_feature_set_experiment,
     train_default_bundle,
-    train_predictor,
+    train_on_matrix,
 )
 from joulecast.regress import (
     EvalMetrics,
@@ -161,9 +161,8 @@ class TestBundleRoundTrip:
             for _ in range(20):
                 config = sample_config(kind, rng)
                 macs = standalone_macs(config)
-                design = predictor.features.design(
-                    [MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)]
-                )
+                record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
+                design = design_of(predictor.features, [record])
                 expected = float(predictor.features.joules(float(predictor.model.predict(design.X)[0])))
                 assert predictor.predict_energy(config, macs) == (max(expected, 0.0), expected < 0.0)
 
@@ -212,9 +211,8 @@ class TestOneColumnPredictors:
             config = sample_config(kind, rng)
             features = predictor.features
             for macs in [1, 2**53 + 1, INT64_MAX] + draws:
-                design = features.design(
-                    [MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)]
-                )
+                record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
+                design = design_of(features, [record])
                 expected = float(features.joules(float(predictor.model.predict(design.X)[0])))
                 joules, clamped = predictor.predict_energy(config, macs)
                 assert clamped == (expected < 0.0)
@@ -369,10 +367,10 @@ class TestLassoPipeline:
         split_spec = SplitSpec(seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
-            trained = train_predictor(records, spec, split_spec, cv_folds=3)
+            trained = train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds=3)
             train, val, _ = split(records, split_spec)
-            features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
-            search = grid_search_lambda(design, features.design(val), spec, DEFAULT_LAMBDA_GRID)
+            features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
+            search = grid_search_lambda(design, design_of(features, val), spec, DEFAULT_LAMBDA_GRID)
             refit = lasso_path(design.X, design.y, [search.lam])[0].model
         assert trained.spec.lam == search.lam
         assert trained.model == search.chosen.model
@@ -386,15 +384,15 @@ class TestAblationStructure:
 
     def test_linear_universe_is_exhaustive(self):
         records = synth_records(LayerKind.LINEAR, 80, seed=4, noise=0.0)
-        rows = run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=1))
-        assert len(rows) == 2**7 - 1  # 3 params + 3 logs + macs
-        assert sorted(r.mask for r in rows) == list(range(1, 128))
-        full = rows[-1]
-        assert set(full.features) == {
+        table = run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=1))
+        assert len(table.r2) == len(table.mse) == 2**7  # 3 params + 3 logs + macs, and the empty mask
+        assert np.isnan(table.r2[0]) and np.isnan(table.mse[0])
+        assert np.isfinite(table.r2[1:]).all() and np.isfinite(table.mse[1:]).all()
+        assert set(table.columns) == {
             "batch_size", "in_channels", "out_channels",
             "log_batch_size", "log_in_channels", "log_out_channels", "macs",
         }
-        assert full.r2 == pytest.approx(1.0, abs=1e-9)  # noiseless world
+        assert table.r2[127] == pytest.approx(1.0, abs=1e-9)  # noiseless world
 
     def test_batched_matches_per_subset_oracle(self):
         # a constant batch size makes batch_size and log_batch_size zero after
@@ -405,12 +403,12 @@ class TestAblationStructure:
         split_spec = SplitSpec(seed=2)
         names = raw_feature_names(LayerKind.LINEAR, FeatureSetKind.LOG_PARAMETER_MAC)
         train, _, test = split(records, split_spec)
-        features, design = FeatureMap.fit(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-        test_design = features.design(test)
-        rows = run_ablation(records, LayerKind.LINEAR, split_spec)
-        assert [r.mask for r in rows] == list(range(1, 128))
-        for row in rows:
-            cols = [i for i in range(len(names)) if row.mask >> i & 1]
+        features, design = fit_map(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+        test_design = design_of(features, test)
+        table = run_ablation(records, LayerKind.LINEAR, split_spec)
+        assert table.columns == names and len(table.r2) == 128
+        for mask in range(1, 128):
+            cols = [i for i in range(len(names)) if mask >> i & 1]
             Xtr = design.X[:, cols]
             mean = Xtr.mean(axis=0)
             std = Xtr.std(axis=0)
@@ -419,12 +417,10 @@ class TestAblationStructure:
                 warnings.simplefilter("ignore", SingularityWarning)
                 model = fit_ols((Xtr - mean) / std, design.y)
             oracle = evaluate(model, (test_design.X[:, cols] - mean) / std, test_design.y)
-            assert row.features == tuple(names[i] for i in cols)
-            assert row.r2 == pytest.approx(oracle.r2, rel=0, abs=1e-12)
-            assert row.mse == pytest.approx(oracle.mse, rel=0, abs=1e-12)
+            assert table.r2[mask] == pytest.approx(oracle.r2, rel=0, abs=1e-12)
+            assert table.mse[mask] == pytest.approx(oracle.mse, rel=0, abs=1e-12)
         # minimum norm: a zero column adds nothing to the fit
-        by_mask = {r.mask: r for r in rows}
-        assert by_mask[0b1000110].r2 == pytest.approx(by_mask[0b1000111].r2, abs=1e-12)
+        assert table.r2[0b1000110] == pytest.approx(table.r2[0b1000111], abs=1e-12)
 
 
 class TestEnrichment:
@@ -469,9 +465,9 @@ class TestEnrichment:
         validation = self._real_conv_records(("vgg13", "vgg16"), (1, 2))
 
         def score(train):
-            features, design = FeatureMap.fit(train, FeatureSetKind.MAC_ONLY, None, "zscore")
+            features, design = fit_map(train, FeatureSetKind.MAC_ONLY, None, "zscore")
             model = fit_ols(design.X, design.y)
-            val = features.design(validation)
+            val = design_of(features, validation)
             return evaluate(model, val.X, val.y).r2
 
         before = score(random_train)

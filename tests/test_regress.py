@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import design_of, fit_map
 from joulecast import regress
 from joulecast.arch import LayerKind
 from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config, split
@@ -16,7 +17,7 @@ from joulecast.errors import (
     TooFewRecordsError,
     ValidationError,
 )
-from joulecast.features import FeatureMap, FeatureSetKind
+from joulecast.features import FeatureSetKind
 from joulecast.macs import standalone_macs
 from joulecast.predict import DEFAULT_LAMBDA_GRID, EXPERIMENT_TABLE
 from joulecast.regress import (
@@ -31,10 +32,23 @@ from joulecast.regress import (
     grid_search_lambda,
     group_kfold_indices,
     lasso_kkt,
-    lasso_objective,
     lasso_path,
-    soft_threshold,
 )
+
+
+def soft_threshold(z: float, threshold: float) -> float:
+    """The soft-thresholding operator: the one-coordinate Lasso solution."""
+    if z > threshold:
+        return z - threshold
+    if z < -threshold:
+        return z + threshold
+    return 0.0
+
+
+def lasso_objective(X, y, model) -> float:
+    """The Lasso objective ||y - X beta - b||^2 / 2n + lambda * ||beta||_1."""
+    residual = y - model.predict(X)
+    return float((residual @ residual) / (2 * len(y)) + model.lam * np.abs(model.coefficients).sum())
 
 
 def normal_equations_oracle(X, y):
@@ -422,8 +436,8 @@ def test_unknown_model_family_rejected():
 
 def _train_val_designs(records, spec, split_spec):
     train, val, _ = split(records, split_spec)
-    features, design = FeatureMap.fit(train, spec.feature_set, spec.poly, spec.feature_scaler)
-    return design, features.design(val)
+    features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
+    return design, design_of(features, val)
 
 
 class TestGridSearch:
@@ -592,7 +606,7 @@ class TestLassoPath:
         for held in group_kfold_indices([config_key(r.config) for r in train], 10, seed=3):
             held = set(held)
             parts.append([r for i, r in enumerate(train) if i not in held])
-        designs = [FeatureMap.fit(part, spec.feature_set, spec.poly, spec.feature_scaler)[1] for part in parts]
+        designs = [fit_map(part, spec.feature_set, spec.poly, spec.feature_scaler)[1] for part in parts]
         assert designs[0].X.shape[1] <= 100
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 
 from conftest import synth_records
@@ -8,7 +10,7 @@ from joulecast import svgplot
 from joulecast.arch import LayerKind
 from joulecast.dataset import SplitSpec
 from joulecast.errors import ParseError
-from joulecast.predict import AblationRow, run_ablation
+from joulecast.predict import AblationTable, run_ablation
 from joulecast.report import (
     ABLATION_HEADER,
     LAYER_SCATTER_HEADER,
@@ -18,16 +20,16 @@ from joulecast.report import (
 )
 
 
-def _csv_writer_bytes(path, rows):
-    """The ablation CSV as ``csv.writer`` writes it, one call per cell."""
+def _csv_writer_bytes(path, table):
+    """The ablation CSV as ``csv.writer`` writes it, one call per cell, with
+    each mask's names read off its bits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATION_HEADER)
-        writer.writerows(
-            (row.mask, "+".join(row.features), int("macs" in row.features),
-             repr(float(row.r2)), repr(float(row.mse)))
-            for row in rows
-        )
+        for mask in range(1, 2 ** len(table.columns)):
+            features = [name for i, name in enumerate(table.columns) if mask >> i & 1]
+            writer.writerow((mask, "+".join(features), int("macs" in features),
+                             repr(float(table.r2[mask])), repr(float(table.mse[mask]))))
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -88,12 +90,11 @@ def _scores_table():
     names = ("batch_size", "in_channels", "log_batch_size", "macs")
     scores = [(-3.25, 2.5), (1e-300, 5e-324), (1.0, 0.0), (0.1 + 0.2, 1e22),
               (-0.0, 7.0), (0.999999999999, 1.5e-17), (-1e-9, 123456789.125)]
-    rows = []
+    r2, mse = np.full(2 ** len(names), np.nan), np.full(2 ** len(names), np.nan)
     for mask in range(1, 2 ** len(names)):
-        r2, mse = scores[mask % len(scores)]
-        features = tuple(n for i, n in enumerate(names) if mask >> i & 1)
-        rows.append(AblationRow(mask, features, r2 * mask, mse))
-    return rows
+        r2[mask], mse[mask] = scores[mask % len(scores)]
+        r2[mask] *= mask
+    return AblationTable(names, r2, mse)
 
 
 @pytest.fixture(scope="module")
@@ -105,21 +106,32 @@ def linear_ablation():
 class TestAblationCsv:
     @pytest.mark.parametrize("table", ["scores", "linear"])
     def test_bytes_equal_csv_writer(self, tmp_path, table, linear_ablation):
-        rows = _scores_table() if table == "scores" else linear_ablation
-        write_ablation_csv(tmp_path / "direct.csv", rows)
-        assert (tmp_path / "direct.csv").read_bytes() == _csv_writer_bytes(tmp_path / "oracle.csv", rows)
+        table = _scores_table() if table == "scores" else linear_ablation
+        write_ablation_csv(tmp_path / "direct.csv", table)
+        assert (tmp_path / "direct.csv").read_bytes() == _csv_writer_bytes(tmp_path / "oracle.csv", table)
 
     def test_no_rows_is_the_header(self, tmp_path):
-        write_ablation_csv(tmp_path / "a.csv", [])
+        write_ablation_csv(tmp_path / "a.csv", AblationTable((), np.full(1, np.nan), np.full(1, np.nan)))
         assert (tmp_path / "a.csv").read_bytes() == b"mask,features,contains_mac,r2,mse\r\n"
+
+    @pytest.mark.parametrize("kind, count, seed, split_seed, digest", [
+        (LayerKind.LINEAR, 80, 4, 1, "893d285585e2d8468bd4b995323645c5fe2ee39c094e7e98b53c501bd1af9d14"),
+        (LayerKind.CONV2D, 240, 7, 11, "43d54969e497ac828b7dd07362fc6e7893ce341444406699275de03242acc3dc"),
+    ], ids=["linear", "conv2d"])
+    def test_bytes_pinned(self, tmp_path, kind, count, seed, split_seed, digest):
+        """The digests were taken from the per-mask row list that the table
+        replaced, before ``run_ablation`` or ``write_ablation_csv`` changed."""
+        table = run_ablation(synth_records(kind, count, seed), kind, SplitSpec(seed=split_seed))
+        write_ablation_csv(tmp_path / "ablation.csv", table)
+        assert hashlib.sha256((tmp_path / "ablation.csv").read_bytes()).hexdigest() == digest
 
 
 class TestAblationSvg:
     @pytest.mark.parametrize("table", ["scores", "linear"])
     def test_equals_per_point_scatter(self, tmp_path, table, linear_ablation):
-        rows = _scores_table() if table == "scores" else linear_ablation
+        table = _scores_table() if table == "scores" else linear_ablation
         path = tmp_path / "ablation.csv"
-        write_ablation_csv(path, rows)
+        write_ablation_csv(path, table)
         artifact = ablation_artifact(path, tmp_path)
         with open(path, newline="") as fh:
             cells = list(csv.DictReader(fh))
