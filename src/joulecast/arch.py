@@ -3,6 +3,13 @@
 Everything here is immutable and pure: shapes are propagated by value and
 architectures validate themselves on construction, so a loaded spec is
 always fully resolvable.
+
+Values are checked where they enter: a ``LayerConfig`` or ``TensorShape``
+built by its constructor or ``from_dict``, and a batch where a call takes
+it (``with_batch``, ``predict.estimate``). Objects derived only from checked
+values (the shapes that resolution produces, the standalone configs
+``estimate`` predicts from) are built unchecked with ``_instance``, as no
+check could fail on them.
 """
 from __future__ import annotations
 
@@ -194,8 +201,10 @@ class TensorShape:
 
 
 def _shape(batch: int, channels: int, height: int, width: int) -> TensorShape:
-    """``TensorShape(batch, channels, height, width)``: the same instance and the same checks."""
-    return _validated(TensorShape, {"batch": batch, "channels": channels, "height": height, "width": width})
+    """``TensorShape(batch, channels, height, width)`` built unchecked: every
+    value is a field of a checked shape or config, a product of them, or a
+    ``conv_output_side``, which is at least 1."""
+    return _instance(TensorShape, {"batch": batch, "channels": channels, "height": height, "width": width})
 
 
 def conv_output_side(in_side: int, kernel: int, padding: int, stride: int) -> int:
@@ -543,8 +552,17 @@ def as_standalone_config(
     ``image_size`` from the square side and ``in_channels`` from the channels
     (spatial kinds) or the per-sample elements (flat kinds); every other
     field comes from the layer. No other field reads the batch, so a layer
-    resolved at one batch gives its standalone config at any other.
+    resolved at one batch gives its standalone config at any other. The
+    pair is checked as a new config would be.
     """
+    return _validated(LayerConfig, _standalone_values(layer, input_shape, batch))
+
+
+def _standalone_values(layer: LayerConfig, input_shape: TensorShape, batch: int | None) -> dict:
+    """The field values of ``as_standalone_config``, unchecked beyond the
+    kind and a square input. They pass the config's checks when the layer
+    resolved to ``input_shape`` and ``batch`` is a positive ``int``: the
+    sweep that resolved it left the padded input no smaller than the kernel."""
     spec = KIND_SPECS[layer.kind]
     if not spec.predictable:
         raise ValidationError(f"{layer.kind.value} is not individually measurable")
@@ -559,7 +577,7 @@ def as_standalone_config(
         values["in_channels"] = input_shape.channels
     else:
         values["in_channels"] = input_shape.per_sample_elements
-    return _validated(LayerConfig, values)
+    return values
 
 
 def standalone_input_shape(config: LayerConfig) -> TensorShape:

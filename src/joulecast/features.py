@@ -240,7 +240,8 @@ class FeatureMap:
     when ``scaler`` is "none". The target is min-max normalized to [0, 1] on
     the training records. Construction checks that the columns are the
     recipe's; the recipe's names and monomial index are derived once per
-    (kind, feature set, expansion) and shared.
+    (kind, feature set, expansion) and shared, and the index of the kept
+    columns alone, which ``row`` reads, once per map.
     """
 
     kind: LayerKind
@@ -255,6 +256,7 @@ class FeatureMap:
     dropped: tuple[str, ...] = ()
     _recipe: _Recipe = field(init=False, repr=False, compare=False)
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_index: np.ndarray = field(init=False, repr=False, compare=False)
     _mean: np.ndarray = field(init=False, repr=False, compare=False)
     _std: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -274,8 +276,10 @@ class FeatureMap:
                 f"{self.scaler} scaler over columns {list(self.columns)} (dropped "
                 f"{list(self.dropped)}) does not fit the recipe's columns {list(names)}"
             )
+        kept = np.array([recipe.position[n] for n in self.columns], dtype=int)
         object.__setattr__(self, "_recipe", recipe)
-        object.__setattr__(self, "_kept", np.array([recipe.position[n] for n in self.columns], dtype=int))
+        object.__setattr__(self, "_kept", kept)
+        object.__setattr__(self, "_row_index", recipe.index[:, kept])
         for name, values in (("_mean", self.mean), ("_std", self.std)):
             array = np.array(values, dtype=float)
             array.flags.writeable = False
@@ -339,19 +343,21 @@ class FeatureMap:
 
     def row(self, config: LayerConfig, macs: int) -> np.ndarray:
         """One scaled feature row for prediction: the single-row form of
-        ``_features``, with the same products and the same scaling."""
+        ``_features``, with the same products and the same scaling. Only the
+        kept columns are formed, and they are z-scored in place."""
         self._check_kind(config)
         raw = raw_feature_row(config, macs, self.feature_set)
         if not all(map(math.isfinite, raw)):
             raise NonFiniteError("polynomial expansion requires finite inputs")
         raw.append(1.0)
         x = np.array(raw)
-        index = self._recipe.index
+        index = self._row_index
         out = x[index[0]]
         for factors in index[1:]:
             out *= x[factors]
         if self.scaler == "zscore":
-            out = (out[self._kept] - self._mean) / self._std
+            out -= self._mean
+            out /= self._std
         return out
 
     def _check_kind(self, config: LayerConfig) -> None:

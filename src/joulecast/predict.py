@@ -26,7 +26,7 @@ from .arch import (
     LayerConfig,
     LayerKind,
     _instance,
-    as_standalone_config,
+    _standalone_values,
     extract_predictable_layers,
 )
 from .dataset import (
@@ -38,6 +38,7 @@ from .dataset import (
 )
 from .errors import (
     AggregationWarning,
+    ColumnMismatchError,
     EmptyDataError,
     MissingKindError,
     ParseError,
@@ -96,10 +97,14 @@ class PredictorModel:
     _mac_line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        features, model = self.features, self.model
+        if len(model.coefficients) != len(features.columns):
+            raise ColumnMismatchError(
+                f"model has {len(model.coefficients)} coefficients, features have {len(features.columns)} columns"
+            )
         # columns == ("macs",) is a MAC_ONLY row with no further monomial, and
         # an unscaled map keeps exactly its recipe's columns
-        features, model = self.features, self.model
-        scalar = features.scaler == "none" and features.columns == ("macs",) and len(model.coefficients) == 1
+        scalar = features.scaler == "none" and features.columns == ("macs",)
         line = (float(model.coefficients[0]), float(model.intercept)) if scalar else None
         object.__setattr__(self, "_mac_line", line)
 
@@ -108,7 +113,8 @@ class PredictorModel:
         features = self.features
         line = self._mac_line
         if line is None:
-            normalized = float(self.model.predict(features.row(config, macs)[None, :])[0])
+            # a 1-D dot: for one row, ``model.predict`` takes the same dot product
+            normalized = float(features.row(config, macs) @ self.model.beta) + self.model.intercept
         else:
             # the (1, 1) @ (1,) product is a one-term dot product, which rounds
             # once, so this scalar product and sum give the same bits
@@ -380,7 +386,10 @@ def estimate(bundle: PredictorBundle, arch: ArchitectureSpec, batch_size: int = 
     for layer, (_, kind, macs) in zip(extract_predictable_layers(arch), per_layer):
         predictor = bundle.model_for(kind)
         try:
-            standalone = as_standalone_config(layer.config, layer.input_shape, batch_size)
+            # a checked layer, the input shape it resolved to and the checked
+            # batch pass every config check: ``as_standalone_config`` without
+            # running them again
+            standalone = _instance(LayerConfig, _standalone_values(layer.config, layer.input_shape, batch_size))
         except ShapeError as exc:
             raise layer_error(layer, exc) from exc
         joules, clamped = predictor.predict_energy(standalone, macs)

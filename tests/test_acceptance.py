@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (visible with ``pytest -s`` or in captured output) and holding
 to its wall-clock budget."""
-import json
 import os
 import time
 import warnings
@@ -13,20 +12,13 @@ import pytest
 from conftest import ALPHA, synth_dataset, synth_modelwise, synth_records, write_layerwise
 from joulecast.arch import LayerConfig, LayerKind, load_architecture, propagate_shape, TensorShape
 from joulecast.cli import main as cli_main
-from joulecast.dataset import (
-    MeasurementRecord,
-    SplitSpec,
-    load_layerwise_csv,
-    sample_config,
-    split,
-)
+from joulecast.dataset import SplitSpec, load_layerwise_csv, split
 from joulecast.errors import AggregationWarning
 from joulecast.macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs
 from joulecast.predict import (
     estimate,
     evaluate_on_real,
     run_ablation,
-    run_feature_set_experiment,
     train_default_bundle,
 )
 from joulecast.probe import SimulatedMachine, energy_delta, measure_config

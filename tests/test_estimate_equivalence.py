@@ -21,7 +21,7 @@ from joulecast.arch import (
     extract_predictable_layers,
     load_architecture,
 )
-from joulecast.errors import MacOverflowError, MissingKindError
+from joulecast.errors import MacOverflowError, MissingKindError, ValidationError
 from joulecast.macs import architecture_macs, layer_macs
 from joulecast.predict import PredictorBundle, PredictorModel, estimate
 from perfbench.archgen import random_architecture
@@ -100,6 +100,43 @@ def test_one_predict_energy_call_per_layer_in_order(bundle, monkeypatch):
     assert [layer.layer_index for layer in result.layers] == [
         r.index for r in extract_predictable_layers(arch)
     ]
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s if isinstance(s, str) else s["name"])
+def test_unchecked_derived_objects_equal_checked_ones(bundle, source, monkeypatch):
+    # resolution builds its shapes, and estimate its standalone configs,
+    # without re-running the checks: each must equal the object the checked
+    # public constructors build from the same values
+    configs = []
+    original = PredictorModel.predict_energy
+
+    def capturing(self, config, macs):
+        configs.append(config)
+        return original(self, config, macs)
+
+    monkeypatch.setattr(PredictorModel, "predict_energy", capturing)
+    arch = load_architecture(source)
+    for batch in (1, 8, 64):
+        configs.clear()
+        estimate(bundle, arch, batch)
+        layers = extract_predictable_layers(arch)
+        assert len(configs) == len(layers)
+        for config, layer in zip(configs, layers):
+            checked = as_standalone_config(layer.config, layer.input_shape, batch)
+            assert type(config) is LayerConfig and list(config.__dict__.items()) == list(checked.__dict__.items())
+        for layer in arch.with_batch(batch).resolve_layers():
+            for shape in (layer.input_shape, layer.output_shape):
+                checked = TensorShape(**shape.to_dict())
+                assert type(shape) is TensorShape and list(shape.__dict__.items()) == list(checked.__dict__.items())
+
+
+def test_public_standalone_rewrite_still_checks_the_pair():
+    # a 7-wide kernel over a 4x4 input padded by 1 never resolves in a spec;
+    # given directly, the pair is refused by the config check
+    layer = LayerConfig(kind=LayerKind.CONV2D, kernel_size=7, in_channels=3, out_channels=4, stride=1, padding=1)
+    with pytest.raises(ValidationError) as info:
+        as_standalone_config(layer, TensorShape(1, 3, 4, 4))
+    assert str(info.value) == "Conv2d: kernel 7 exceeds padded input 4+2*1"
 
 
 def _flat_net(features: int, layers: list[LayerConfig]) -> ArchitectureSpec:

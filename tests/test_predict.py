@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA, NON_SQUARE_NET, design_of, fit_map, synth_modelwise, synth_records
+from conftest import ALPHA, NON_SQUARE_NET, TEST_RANGES, design_of, fit_map, synth_modelwise, synth_records
 from joulecast.arch import (
+    KIND_SPECS,
     ArchitectureSpec,
     LayerKind,
     TensorShape,
@@ -17,6 +18,7 @@ from joulecast.arch import (
 from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split
 from joulecast.errors import (
     AggregationWarning,
+    ColumnMismatchError,
     EmptyDataError,
     KindMismatchError,
     MissingKindError,
@@ -28,7 +30,7 @@ from joulecast.features import FeatureMap, FeatureSetKind, KindMatrix, Polynomia
 from joulecast.macs import INT64_MAX, architecture_macs, standalone_macs
 from joulecast.predict import (
     DEFAULT_LAMBDA_GRID,
-    DEFAULT_MODEL_SPECS,
+    EXPERIMENT_TABLE,
     PredictorBundle,
     PredictorModel,
     dataset_fingerprint,
@@ -223,6 +225,55 @@ class TestOneColumnPredictors:
         with pytest.raises(KindMismatchError) as info:
             predictor.predict_energy(sample_config(LayerKind.RELU, 0), 10)
         assert str(info.value) == "feature map fitted on Conv2d, config is ReLU"
+
+
+#: Conv2d drawn at one stride, so the stride, its log and their products are constant
+ONE_STRIDE = {**TEST_RANGES, LayerKind.CONV2D: {**TEST_RANGES[LayerKind.CONV2D], "stride": (2, 2)}}
+ZSCORED_D2 = ModelSpec(FeatureSetKind.LOG_PARAMETER_MAC, PolynomialSpec(2, interaction_only=True), "zscore")
+FULL_D2 = ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(2))
+
+
+def _fused_row_cases():
+    cases = [(LayerKind.CONV2D, ZSCORED_D2), (LayerKind.TANH, FULL_D2)]
+    return cases + [(kind, spec) for kind, specs in EXPERIMENT_TABLE.items() for spec in specs]
+
+
+class TestFusedRow:
+    """``FeatureMap.row`` forms only the kept monomials and z-scores them in
+    place, and ``predict_energy`` takes a 1-D dot with the coefficients: each
+    must equal the design path (``design_rows``, then ``model.predict`` on the
+    row as a one-row matrix) to the bit."""
+
+    @pytest.mark.parametrize("kind, spec", _fused_row_cases(),
+                             ids=lambda v: v.value if isinstance(v, LayerKind) else None)
+    def test_row_and_prediction_equal_design_path(self, kind, spec):
+        records = synth_records(kind, 40, seed=17, ranges=ONE_STRIDE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            predictor = train_on_matrix(KindMatrix.build(records), spec, SplitSpec(seed=4), cv_folds=None)
+        features = predictor.features
+        if (kind, spec) == (LayerKind.CONV2D, ZSCORED_D2):
+            assert "stride" in features.dropped and "log_stride^2" not in features.columns
+        # the training rows, then draws from the full sampler ranges, which
+        # extrapolate and can clamp
+        records += synth_records(kind, 20, seed=18, ranges={kind: KIND_SPECS[kind].ranges})
+        design = features.design_rows(KindMatrix.build(records), np.arange(len(records)))
+        for record, row in zip(records, design.X):
+            assert np.array_equal(features.row(record.config, record.macs), row)
+            # a z-scored design is in Fortran order, and a strided row takes
+            # another product path: the row ``predict`` used to get was a new,
+            # contiguous array
+            row = row.copy()
+            expected = float(features.joules(float(predictor.model.predict(row[None, :])[0])))
+            joules, clamped = predictor.predict_energy(record.config, record.macs)
+            assert clamped == (expected < 0.0)
+            assert joules.hex() == (0.0 if clamped else expected).hex()
+
+    def test_coefficients_must_match_the_columns(self):
+        features, _ = fit_map(synth_records(LayerKind.RELU, 8, seed=1), FeatureSetKind.PARAMETER, None, "none")
+        with pytest.raises(ColumnMismatchError, match="^model has 1 coefficients, features have 2 columns$"):
+            PredictorModel(ModelSpec(FeatureSetKind.PARAMETER), features, LinearModel((1.0,), 0.0),
+                           EvalMetrics(0.0, 0.0, 0.0), EvalMetrics(0.0, 0.0, 0.0))
 
 
 class TestEstimate:

@@ -28,7 +28,6 @@ from joulecast.errors import (
     ShapeError,
 )
 from joulecast.probe import (
-    RaplDomain,
     SimulatedMachine,
     conv2d_forward,
     counters_delta_uj,

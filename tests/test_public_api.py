@@ -1,7 +1,11 @@
 """Every public module-level function or class in ``src/joulecast`` has a
 caller outside the tests: a reference from ``src/`` other than its own
 definition, from ``perfbench/`` or from ``scripts/``, or a place in
-``joulecast.__all__``. A helper only tests call belongs in the tests."""
+``joulecast.__all__``. A helper only tests call belongs in the tests.
+
+Every name a module in ``src/``, ``tests/`` or ``scripts/`` imports is read
+in it, or listed in its ``__all__``: an unused import hides what a module
+depends on and what a test exercises."""
 import ast
 from pathlib import Path
 
@@ -49,3 +53,29 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if name not in referenced and not (path.stem == "cli" and name.startswith("cmd_"))  # dispatched by name
     ]
     assert sorted(unused) == sorted(ALLOWED)
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """The names ``tree`` binds by import and never reads; ``__all__`` counts as a read."""
+    imported = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read():
+    modules = [path for directory in ("src", "tests", "scripts") for path in sorted((ROOT / directory).rglob("*.py"))]
+    unread = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in modules
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []
