@@ -54,35 +54,34 @@ def _parse_layer_kind(name: str) -> LayerKind:
     raise JoulecastError(f"unknown layer kind {name!r}; expected one of {expected}")
 
 
-def _probe_backend(args, machine_seed: int):
-    """(counter, clock, workload_factory) triple for real or simulated metering."""
-    if args.simulate:
-        machine = probe.SimulatedMachine(seed=machine_seed)
-        return machine.counter(), machine.clock, lambda cfg, macs: machine.workload(macs)
-    return None, None, lambda cfg, macs: None  # probe builds the real workload
-
-
-def _resolve_window(args) -> float:
-    if args.window is not None:
-        return args.window
-    return 0.05 if args.simulate else 30.0
+def _meter(args):
+    """``measure(config, macs)``: the ``probe.measure_config`` result of one
+    config under the collect options, on RAPL or, under ``--simulate``, on one
+    simulated machine seeded by ``--seed``."""
+    window = args.window if args.window is not None else (0.05 if args.simulate else 30.0)
+    options = {"window_seconds": window, "repeats": args.repeats, "seed": args.seed, "pin_to_cpu": args.pin_cpu}
+    if not args.simulate:
+        return lambda config, macs: probe.measure_config(config, **options)  # probe builds the real workload
+    machine = probe.SimulatedMachine(seed=args.seed)
+    counter = machine.counter()
+    return lambda config, macs: probe.measure_config(
+        config, counter=counter, workload=machine.workload(macs), **options
+    )
 
 
 def cmd_collect(args) -> int:
     """Measure ``--count`` sampled configs (or preset passes), appending each
     one's rows to ``--out`` as soon as it is measured, so a crash loses at
     most the configuration in flight."""
-    window = _resolve_window(args)
     rng = np.random.default_rng(args.seed)
-    counter, clock, workload_for = _probe_backend(args, args.seed)
+    measure = _meter(args)
     name = args.kind.lower()
     if name in PRESET_NAMES:
         arch = load_architecture(name)
         with dataset.appending_modelwise_csv(args.out) as write:
             for _ in range(args.count):
                 batch = int(rng.integers(ARCHITECTURE_BATCH_RANGE[0], ARCHITECTURE_BATCH_RANGE[1] + 1))
-                write([_collect_architecture(arch, batch, window, args.repeats, counter, clock,
-                                             workload_for, args.seed, args.pin_cpu)])
+                write([_collect_architecture(arch, batch, measure)])
         _say(args, f"collected {args.count} {name} measurement(s) into {args.out}")
         return 0
     kind = _parse_layer_kind(args.kind)
@@ -91,16 +90,6 @@ def cmd_collect(args) -> int:
         for _ in range(args.count):
             config = sample_config(kind, rng)
             macs = standalone_macs(config)
-            result = probe.measure_config(
-                config,
-                window_seconds=window,
-                repeats=args.repeats,
-                counter=counter,
-                workload=workload_for(config, macs),
-                clock=clock,
-                seed=args.seed,
-                pin_to_cpu=args.pin_cpu,
-            )
             rows = [
                 MeasurementRecord(
                     module=kind,
@@ -110,7 +99,7 @@ def cmd_collect(args) -> int:
                     repeat=i,
                     source=dataset.SOURCE_RANDOM,
                 )
-                for i, repeat in enumerate(result.repeats, start=1)
+                for i, repeat in enumerate(measure(config, macs).repeats, start=1)
             ]
             write(rows)
             written += len(rows)
@@ -118,41 +107,25 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def _collect_architecture(
-    arch, batch, window, repeats, counter, clock, workload_for, seed, pin_cpu=None
-) -> ModelWiseRecord:
+def _collect_architecture(arch, batch, measure) -> ModelWiseRecord:
     spec = arch.with_batch(batch)
     per_layer, total_macs = architecture_macs(spec)
     layers = []
     for resolved, (_, _, macs) in zip(extract_predictable_layers(spec), per_layer):
         config = as_standalone_config(resolved.config, resolved.input_shape)
-        result = probe.measure_config(
-            config,
-            window_seconds=window,
-            repeats=repeats,
-            counter=counter,
-            workload=workload_for(config, macs),
-            clock=clock,
-            seed=seed,
-            pin_to_cpu=pin_cpu,
-        )
         layers.append(
             ModelWiseLayer(
                 layer_index=resolved.index,
                 module=config.kind,
                 config=config,
                 macs=macs,
-                cpu_energy_j=result.energy_per_pass_j,
+                cpu_energy_j=measure(config, macs).energy_per_pass_j,
             )
         )
-    total_result = probe.measure_config(
-        spec, window_seconds=window, repeats=repeats, counter=counter,
-        workload=workload_for(None, total_macs), clock=clock, seed=seed, pin_to_cpu=pin_cpu,
-    )
     return ModelWiseRecord(
         architecture=arch.name,
         batch_size=batch,
-        total_energy_j=total_result.energy_per_pass_j,
+        total_energy_j=measure(spec, total_macs).energy_per_pass_j,
         total_macs=total_macs,
         layers=tuple(layers),
     )
@@ -259,19 +232,24 @@ def cmd_ablate(args) -> int:
 def cmd_feature_experiment(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
-    rows = run_feature_set_experiment(records, kind, SplitSpec(seed=args.seed))
+    rows = []
+    for model in run_feature_set_experiment(records, kind, SplitSpec(seed=args.seed)):
+        spec, cv, test = model.spec, model.cv, model.test_metrics
+        rows.append((
+            kind.value, spec.feature_set.label, spec.poly.label if spec.poly else "",
+            "y" if spec.feature_scaler == "zscore" else "n", "Lasso" if spec.model == "lasso" else "Linear",
+            repr(float(spec.lam)), repr(cv.r2_mean), repr(cv.r2_std), repr(cv.mse_mean), repr(cv.mse_std),
+            repr(test.r2), repr(test.mse),
+            # the largest relative KKT residual of the pipeline's Lasso fits (0 for OLS), and those above the bound
+            repr(max((fit.kkt for fit in model.lasso_fits), default=0.0)),
+            sum(not fit.converged for fit in model.lasso_fits),
+        ))
     dataset.write_csv(
         args.out,
         ("module", "feature_set", "polynomial", "standard_scaler", "model", "lambda",
          "cv_r2_mean", "cv_r2_std", "cv_mse_mean", "cv_mse_std", "r2_test", "mse_test",
          "lasso_kkt", "lasso_unconverged"),
-        [
-            (row.module.value, row.feature_set.label, row.poly.label if row.poly else "",
-             "y" if row.scaled else "n", row.model, repr(float(row.lam)),
-             repr(row.cv.r2_mean), repr(row.cv.r2_std), repr(row.cv.mse_mean), repr(row.cv.mse_std),
-             repr(row.test.r2), repr(row.test.mse), repr(row.lasso_kkt), row.lasso_unconverged)
-            for row in rows
-        ],
+        rows,
     )
     _say(args, f"feature-set experiment for {kind.value} -> {args.out}")
     return 0
@@ -330,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="bundle JSON path")
     p.add_argument("--hardware", default=None, help="hardware tag stored in bundle metadata")
     p.add_argument("--kinds", default=None, help="comma-separated subset of layer kinds")
-    p.add_argument("--cv-folds", type=int, default=10)
+    p.add_argument("--cv-folds", type=int, default=10,
+                   help="grouped cross-validation folds over the train split; 0 skips cross-validation")
 
     p = sub.add_parser("estimate", help="estimate a full architecture's energy")
     p.add_argument("--bundle", required=True)

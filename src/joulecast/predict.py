@@ -6,7 +6,9 @@ are estimated by resolving their layers, counting their MACs with
 ``macs.architecture_macs``, predicting each layer's energy from its
 standalone-equivalent configuration and MAC count, and summing in layer
 order. Negative predictions (extrapolation artifacts) are clamped to zero and
-flagged. ``run_ablation`` scores every feature subset of one kind into one
+flagged. ``run_feature_set_experiment`` trains every ``EXPERIMENT_TABLE``
+pipeline of one kind the same way and returns the trained models;
+``run_ablation`` scores every feature subset of one kind into one
 mask-indexed ``AblationTable``.
 """
 from __future__ import annotations
@@ -258,12 +260,19 @@ def _default_created() -> str | None:
     return None
 
 
+def _kind_matrix(records: list[MeasurementRecord], kind: LayerKind) -> KindMatrix:
+    """The raw matrix of ``kind``'s records, in record order."""
+    subset = [r for r in records if r.module is kind]
+    if not subset:
+        raise MissingKindError(f"no records for layer kind {kind.value}")
+    return KindMatrix.build(subset)
+
+
 def train_on_matrix(
     matrix: KindMatrix,
     spec: ModelSpec,
     split_spec: SplitSpec,
     cv_folds: int | None = 10,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
 ) -> PredictorModel:
     """Fit one pipeline on a kind's records: train on 70%, tune lambda on
     20%, report on the 10% test split."""
@@ -273,7 +282,7 @@ def train_on_matrix(
     if spec.model == "lasso":
         # the grid is fitted on this train design, so its fit at the chosen
         # penalty is the final model
-        search = grid_search_lambda(design, features.design_rows(matrix, val), spec, lambda_grid)
+        search = grid_search_lambda(design, features.design_rows(matrix, val), spec, DEFAULT_LAMBDA_GRID)
         spec = replace(spec, lam=search.lam)
         model = search.chosen.model
         grid_fits = search.fits
@@ -311,14 +320,9 @@ def train_default_bundle(
     """Train the selected pipeline for every requested layer kind."""
     specs = specs or DEFAULT_MODEL_SPECS
     kinds = kinds or tuple(specs)
-    by_kind: dict[LayerKind, list[MeasurementRecord]] = {}
-    for record in records:
-        by_kind.setdefault(record.module, []).append(record)
-    models = {}
-    for kind in kinds:
-        if kind not in by_kind:
-            raise MissingKindError(f"no records for layer kind {kind.value}")
-        models[kind] = train_on_matrix(KindMatrix.build(by_kind[kind]), specs[kind], split_spec, cv_folds)
+    models = {
+        kind: train_on_matrix(_kind_matrix(records, kind), specs[kind], split_spec, cv_folds) for kind in kinds
+    }
     meta = {
         "hardware": "unknown",
         "dataset_hash": dataset_fingerprint(records),
@@ -480,20 +484,6 @@ def evaluate_on_real(
     return RealEvaluation(per_kind, overall, tuple(layer_points), tuple(total_points))
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    module: LayerKind
-    feature_set: FeatureSetKind
-    poly: PolynomialSpec | None
-    scaled: bool
-    model: str
-    lam: float
-    cv: CvReport
-    test: EvalMetrics
-    lasso_kkt: float  # largest relative KKT residual of the row's Lasso fits (0 for OLS)
-    lasso_unconverged: int  # the row's Lasso fits above the KKT bound
-
-
 #: the feature-set comparison grid per layer kind (pipeline per table row)
 EXPERIMENT_TABLE: dict[LayerKind, tuple[ModelSpec, ...]] = {
     LayerKind.CONV2D: (
@@ -525,34 +515,14 @@ def run_feature_set_experiment(
     kind: LayerKind,
     split_spec: SplitSpec,
     cv_folds: int = 10,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-) -> list[ExperimentRow]:
-    """Fit every comparison pipeline for one layer kind; activations are excluded."""
+) -> list[PredictorModel]:
+    """Train every comparison pipeline for one layer kind, in table order;
+    activations are excluded."""
     if kind not in EXPERIMENT_TABLE:
         covered = "/".join(k.value for k in EXPERIMENT_TABLE)
         raise MissingKindError(f"feature-set experiment covers {covered}, not {kind.value}")
-    subset = [r for r in records if r.module is kind]
-    if not subset:
-        raise MissingKindError(f"no records for layer kind {kind.value}")
-    matrix = KindMatrix.build(subset)
-    rows = []
-    for spec in EXPERIMENT_TABLE[kind]:
-        trained = train_on_matrix(matrix, spec, split_spec, cv_folds, lambda_grid)
-        rows.append(
-            ExperimentRow(
-                module=kind,
-                feature_set=spec.feature_set,
-                poly=spec.poly,
-                scaled=spec.feature_scaler == "zscore",
-                model="Lasso" if spec.model == "lasso" else "Linear",
-                lam=trained.model.lam,
-                cv=trained.cv,
-                test=trained.test_metrics,
-                lasso_kkt=max((fit.kkt for fit in trained.lasso_fits), default=0.0),
-                lasso_unconverged=sum(not fit.converged for fit in trained.lasso_fits),
-            )
-        )
-    return rows
+    matrix = _kind_matrix(records, kind)
+    return [train_on_matrix(matrix, spec, split_spec, cv_folds) for spec in EXPERIMENT_TABLE[kind]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,10 +556,7 @@ def run_ablation(
     subset size, and scored on the test rows per batch.
     """
     split_spec = split_spec or SplitSpec()
-    subset = [r for r in records if r.module is kind]
-    if not subset:
-        raise MissingKindError(f"no records for layer kind {kind.value}")
-    matrix = KindMatrix.build(subset)
+    matrix = _kind_matrix(records, kind)
     train, _, test = split_indices(matrix.keys, split_spec)
     features, design = FeatureMap.fit_rows(matrix, train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
     test_design = features.design_rows(matrix, test)

@@ -557,7 +557,7 @@ class RepeatResult:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    config: LayerConfig | ArchitectureSpec | None
+    config: LayerConfig | ArchitectureSpec
     window_seconds: float
     repeats: tuple[RepeatResult, ...]
     failed_repeats: int = 0
@@ -584,7 +584,7 @@ def _run_window(workload, clock, window_seconds: float) -> tuple[int, float]:
 
 
 def measure_config(
-    config: LayerConfig | ArchitectureSpec | None,
+    config: LayerConfig | ArchitectureSpec,
     window_seconds: float = 30.0,
     repeats: int = 3,
     counter=None,
@@ -606,6 +606,8 @@ def measure_config(
     fills each window itself, on its machine's clock; any other is called once
     per pass until ``clock`` has advanced by ``window_seconds``.
     """
+    if not math.isfinite(window_seconds):
+        raise ValidationError(f"window_seconds must be finite and positive, not {window_seconds}")
     if window_seconds <= 0 or repeats < 1:
         raise ValidationError("window_seconds must be positive and repeats >= 1")
     if not _measure_lock.acquire(blocking=False):
@@ -616,12 +618,13 @@ def measure_config(
             if not hasattr(os, "sched_setaffinity"):
                 raise ValidationError("CPU pinning is not supported on this platform")
             saved_affinity = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {pin_to_cpu})
+            try:
+                os.sched_setaffinity(0, {pin_to_cpu})
+            except (OSError, OverflowError, ValueError) as exc:
+                raise ValidationError(f"cannot pin the measurement to CPU {pin_to_cpu}: {exc}") from None
         if counter is None:
             counter = RaplCounterSource()
         if workload is None:
-            if config is None:
-                raise ValidationError("either a config or an explicit workload is required")
             if isinstance(config, ArchitectureSpec):
                 workload = make_architecture_workload(config, config.input_shape.batch, seed)
             else:

@@ -187,10 +187,9 @@ class TestCollect:
         assert expected.startswith("total: ")
         measured = []
         monkeypatch.setattr(probe, "measure_config", lambda *args, **kwargs: measured.append(args))
-        machine = probe.SimulatedMachine()
+        measure = cli._meter(SimpleNamespace(simulate=True, window=0.05, repeats=1, seed=0, pin_cpu=None))
         with pytest.raises(MacOverflowError) as exc:
-            cli._collect_architecture(load_architecture("vgg16"), batch, 0.05, 1, machine.counter(),
-                                      machine.clock, lambda config, macs: machine.workload(macs), 0)
+            cli._collect_architecture(load_architecture("vgg16"), batch, measure)
         assert str(exc.value) == expected
         assert measured == []  # refused before any measurement
 
@@ -201,11 +200,27 @@ class TestCollect:
         made = counted_threads(monkeypatch)
         readings = itertools.count(0, 1_000)
         counter = SimpleNamespace(max_ranges_uj=(10**12,), read_uj=lambda: (next(readings),))
+        measure_config = probe.measure_config
+        monkeypatch.setattr(probe, "measure_config",
+                            lambda config, **kwargs: measure_config(config, counter=counter, **kwargs))
+        measure = cli._meter(SimpleNamespace(simulate=False, window=1e-3, repeats=1, seed=0,
+                                             pin_cpu=min(os.sched_getaffinity(0))))
         arch = load_architecture("alexnet")
-        record = cli._collect_architecture(arch, 1, 1e-3, 1, counter, None, lambda config, macs: None, 0,
-                                           min(os.sched_getaffinity(0)))
+        record = cli._collect_architecture(arch, 1, measure)
         assert record.total_energy_j > 0 and len(record.layers) == len(extract_predictable_layers(arch))
         assert made == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("cpu", ["-1", "100000000000", "4096"])
+    def test_unpinnable_cpu_is_one_line(self, tmp_path, capsys, cpu):
+        before = os.sched_getaffinity(0)
+        code, _ = run("--simulate", "--quiet", "collect", "--kind", "relu", "--count", "1",
+                      "--pin-cpu", cpu, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot pin the measurement to CPU {cpu}: ")
+        assert err.count("\n") == 1
+        assert os.sched_getaffinity(0) == before
 
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",
@@ -588,6 +603,29 @@ class TestExperiments:
                           "--layerwise", str(layerwise_csv), "--kind", "linear", "--out", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::joulecast.errors.SingularityWarning",
+                                "ignore::joulecast.errors.NotConvergedWarning")
+    def test_feature_experiment_bytes_pinned(self, tmp_path):
+        """Each kind's experiment table on one small simulated collect, pinned by its CSV digest."""
+        layerwise = tmp_path / "layerwise.csv"
+        kinds = ("conv2d", "maxpool2d", "linear")
+        for i, kind in enumerate(kinds):
+            code, _ = run("--seed", str(i), "--simulate", "--quiet", "collect",
+                          "--kind", kind, "--count", "20", "--out", str(layerwise))
+            assert code == 0
+        digests = []
+        for kind in kinds:
+            out = tmp_path / f"experiment_{kind}.csv"
+            code, _ = run("--seed", "5", "--quiet", "feature-experiment",
+                          "--layerwise", str(layerwise), "--kind", kind, "--out", str(out))
+            assert code == 0
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests == [
+            "e3b0f8d36fe490cc525cc8114b78fa0bdab3a42c420dee80ab12df73b6bc40ae",
+            "057c6c8d602c1d9799f8455f1c72056b915ef8ae94944698d9769b87dfbe7ef9",
+            "9e63dd2d7e6595fcd538db03ba265a42456aec009d2eb1941fca9826d4b19662",
+        ]
 
     def test_consecutive_calls_share_no_parsed_values(self, monkeypatch):
         seen = []

@@ -373,12 +373,13 @@ class TestEvaluateOnReal:
 
 class TestFeatureSetExperiment:
     def test_linear_kind_has_five_rows(self, bundle_dataset):
-        rows = run_feature_set_experiment(
+        models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.LINEAR],
             LayerKind.LINEAR, SplitSpec(seed=3), cv_folds=5,
         )
-        assert len(rows) == 5
-        assert [r.feature_set for r in rows] == [
+        assert len(models) == 5
+        assert [m.spec for m in models] == list(EXPERIMENT_TABLE[LayerKind.LINEAR])
+        assert [m.spec.feature_set for m in models] == [
             FeatureSetKind.PARAMETER, FeatureSetKind.LOG_PARAMETER, FeatureSetKind.MAC_ONLY,
             FeatureSetKind.PARAMETER_MAC, FeatureSetKind.LOG_PARAMETER_MAC,
         ]
@@ -394,11 +395,11 @@ class TestFeatureSetExperiment:
         assert str(info.value) == f"feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}"
 
     def test_mac_sets_beat_parameter_sets_on_mac_world(self, bundle_dataset):
-        rows = run_feature_set_experiment(
+        models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.CONV2D],
             LayerKind.CONV2D, SplitSpec(seed=3), cv_folds=5,
         )
-        scores = {row.feature_set: row.test.r2 for row in rows}
+        scores = {model.spec.feature_set: model.test_metrics.r2 for model in models}
         mac_worst = min(scores[FeatureSetKind.MAC_ONLY], scores[FeatureSetKind.PARAMETER_MAC],
                         scores[FeatureSetKind.LOG_PARAMETER_MAC])
         param_best = max(scores[FeatureSetKind.PARAMETER], scores[FeatureSetKind.LOG_PARAMETER])

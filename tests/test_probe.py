@@ -26,6 +26,7 @@ from joulecast.errors import (
     ConcurrentMeasurementError,
     RaplUnavailableError,
     ShapeError,
+    ValidationError,
 )
 from joulecast.probe import (
     SimulatedMachine,
@@ -421,6 +422,36 @@ class TestMeasureConfig:
         assert seen == [{cpu}]
         assert os.sched_getaffinity(0) == before
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_refused(self, window):
+        reads = itertools.count()
+
+        def clock():  # a window that can never fill fails here instead of hanging
+            now = next(reads)
+            if now >= 1_000:
+                raise RuntimeError("the window never ended")
+            return float(now)
+
+        with pytest.raises(ValidationError) as info:
+            measure_config(self.cfg(), window_seconds=window, repeats=1, counter=ScriptedCounter([0, 1_000]),
+                           workload=lambda: None, clock=clock)
+        assert str(info.value) == f"window_seconds must be finite and positive, not {window}"
+        assert next(reads) == 0  # refused before the first clock read
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    @pytest.mark.parametrize("cpu", [-1, 100_000_000_000, 4096])
+    def test_unpinnable_cpu_refused(self, cpu):
+        before = os.sched_getaffinity(0)
+        ran = []
+        with pytest.raises(ValidationError) as info:
+            measure_config(self.cfg(), window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
+                           workload=lambda: ran.append(1), clock=TickingClock(step=1.0), pin_to_cpu=cpu)
+        assert str(info.value).startswith(f"cannot pin the measurement to CPU {cpu}: ")
+        assert ran == []
+        assert os.sched_getaffinity(0) == before
+        assert probe._measure_lock.acquire(blocking=False)  # released for the next measurement
+        probe._measure_lock.release()
+
     def test_simulated_machine_energy_tracks_macs(self):
         machine = SimulatedMachine(mac_rate=5e9, power_w=20.0, noise=0.0, seed=0)
         macs = 25_000
@@ -511,7 +542,8 @@ class TestSimulatedWindow:
         per_pass, windowed = _twins(seed=2)
         macs = 10**9  # 0.2 s per pass against a 0.05 s window
         assert _same_window(per_pass, windowed, macs, 0.05)[0] == 1
-        result = measure_config(None, window_seconds=0.05, repeats=2, counter=windowed.counter(),
+        cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
+        result = measure_config(cfg, window_seconds=0.05, repeats=2, counter=windowed.counter(),
                                 workload=windowed.workload(macs), clock=windowed.clock)
         assert [(r.passes, r.long_pass) for r in result.repeats] == [(1, True), (1, True)]
         assert _next_pass_times(windowed) != _next_pass_times(per_pass)  # two passes ahead
