@@ -543,26 +543,24 @@ def extract_predictable_layers(arch: ArchitectureSpec) -> list[ResolvedLayer]:
     return [r for r in arch._resolved if KIND_SPECS[r.config.kind].predictable]
 
 
-def as_standalone_config(
-    layer: LayerConfig, input_shape: TensorShape, batch: int | None = None
-) -> LayerConfig:
+def as_standalone_config(layer: LayerConfig, input_shape: TensorShape) -> LayerConfig:
     """Rewrite an embedded layer as the equivalent individually-measurable config.
 
-    ``batch_size`` comes from ``batch`` (by default the input's batch),
-    ``image_size`` from the square side and ``in_channels`` from the channels
-    (spatial kinds) or the per-sample elements (flat kinds); every other
-    field comes from the layer. No other field reads the batch, so a layer
-    resolved at one batch gives its standalone config at any other. The
-    pair is checked as a new config would be.
+    ``batch_size`` comes from the input's batch, ``image_size`` from the
+    square side and ``in_channels`` from the channels (spatial kinds) or the
+    per-sample elements (flat kinds); every other field comes from the layer.
+    The pair is checked as a new config would be.
     """
-    return _validated(LayerConfig, _standalone_values(layer, input_shape, batch))
+    return _validated(LayerConfig, _standalone_values(layer, input_shape, input_shape.batch))
 
 
-def _standalone_values(layer: LayerConfig, input_shape: TensorShape, batch: int | None) -> dict:
-    """The field values of ``as_standalone_config``, unchecked beyond the
-    kind and a square input. They pass the config's checks when the layer
-    resolved to ``input_shape`` and ``batch`` is a positive ``int``: the
-    sweep that resolved it left the padded input no smaller than the kernel."""
+def _standalone_values(layer: LayerConfig, input_shape: TensorShape, batch: int) -> dict:
+    """The field values of ``as_standalone_config`` at ``batch``, unchecked
+    beyond the kind and a square input. No field but ``batch_size`` reads the
+    batch, so a layer resolved at one batch gives its values at any other.
+    They pass the config's checks when the layer resolved to ``input_shape``
+    and ``batch`` is a positive ``int``: the sweep that resolved it left the
+    padded input no smaller than the kernel."""
     spec = KIND_SPECS[layer.kind]
     if not spec.predictable:
         raise ValidationError(f"{layer.kind.value} is not individually measurable")
@@ -571,7 +569,7 @@ def _standalone_values(layer: LayerConfig, input_shape: TensorShape, batch: int 
             f"{layer.kind.value}: non-square input {input_shape.height}x{input_shape.width} "
             "has no standalone image_size"
         )
-    values = dict(layer.__dict__, batch_size=input_shape.batch if batch is None else batch)
+    values = dict(layer.__dict__, batch_size=batch)
     if spec.spatial:  # the predictable spatial kinds are the window kinds, which carry image_size
         values["image_size"] = input_shape.height
         values["in_channels"] = input_shape.channels
@@ -606,8 +604,8 @@ def _linear(c_in: int, c_out: int) -> LayerConfig:
     return LayerConfig(kind=LayerKind.LINEAR, in_channels=c_in, out_channels=c_out)
 
 
-def _act(kind: LayerKind = LayerKind.RELU) -> LayerConfig:
-    return LayerConfig(kind=kind)
+def _act() -> LayerConfig:
+    return LayerConfig(kind=LayerKind.RELU)
 
 
 _VGG_PLANS = {

@@ -33,7 +33,7 @@ from .dataset import (
     SplitSpec,
     sample_config,
 )
-from .errors import JoulecastError, MacOverflowError, ShapeError
+from .errors import JoulecastError, MacOverflowError, ShapeError, ValidationError
 from .macs import architecture_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
@@ -63,16 +63,17 @@ def _meter(args):
     if not args.simulate:
         return lambda config, macs: probe.measure_config(config, **options)  # probe builds the real workload
     machine = probe.SimulatedMachine(seed=args.seed)
-    counter = machine.counter()
     return lambda config, macs: probe.measure_config(
-        config, counter=counter, workload=machine.workload(macs), **options
+        config, counter=machine, workload=machine.workload(macs), **options
     )
 
 
 def cmd_collect(args) -> int:
     """Measure ``--count`` sampled configs (or preset passes), appending each
     one's rows to ``--out`` as soon as it is measured, so a crash loses at
-    most the configuration in flight."""
+    most the configuration in flight and a refused collect writes nothing."""
+    if args.count < 0:
+        raise ValidationError(f"--count must be >= 0, not {args.count}")
     rng = np.random.default_rng(args.seed)
     measure = _meter(args)
     name = args.kind.lower()

@@ -105,25 +105,27 @@ class SplitSpec:
             raise ValidationError("split fractions must be non-negative")
 
 
+#: draws ``sample_config`` makes before giving up on a kind's ranges
+_SAMPLE_DRAWS = 1000
+
+
 def sample_config(
-    kind: LayerKind,
-    rng,
-    ranges: dict[LayerKind, dict[str, tuple[int, int]]] | None = None,
-    max_retries: int = 1000,
+    kind: LayerKind, rng, ranges: dict[LayerKind, dict[str, tuple[int, int]]] | None = None
 ) -> LayerConfig:
     """Draw each field integer-uniform from its inclusive range, in key order:
     the kind's ``KindSpec.ranges``, unless ``ranges`` maps the kind to its own.
 
     ``rng`` may be a seed or a ``numpy.random.Generator``. Configurations
     violating the layer invariants (kernel larger than the padded image,
-    pooling padding above half the kernel) are rejected and redrawn.
+    pooling padding above half the kernel) are rejected and redrawn, up to
+    ``_SAMPLE_DRAWS`` draws in all.
     """
     spec = KIND_SPECS[kind]
     if not spec.predictable:
         raise ValidationError(f"{kind.value} is not a measurable module kind")
     gen = np.random.default_rng(rng)  # a Generator is returned as it is
     table = ranges[kind] if ranges else spec.ranges
-    for _ in range(max_retries):
+    for _ in range(_SAMPLE_DRAWS):
         fields = {
             name: int(gen.integers(lo, hi + 1)) for name, (lo, hi) in table.items()
         }
@@ -131,7 +133,7 @@ def sample_config(
             return LayerConfig(kind=kind, **fields)
         except ValidationError:
             continue
-    raise RetryExhaustedError(f"no valid {kind.value} config after {max_retries} draws")
+    raise RetryExhaustedError(f"no valid {kind.value} config after {_SAMPLE_DRAWS} draws")
 
 
 _standalone_values = attrgetter(*STANDALONE_FIELDS)
@@ -243,19 +245,31 @@ def _layerwise_rows(records: list[MeasurementRecord]):
 @contextmanager
 def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
     """Yield ``write(items)``, which writes the rows ``to_rows(items)`` and
-    flushes them; the header goes first if the file is new. Every CSV the
-    package writes goes through here, except the ablation table
-    (``report.write_ablation_csv``) and the MAC table on stdout."""
-    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(header)
+    flushes them. The first write opens ``path``, and writes the header if
+    the file is new; a block that ends cleanly without writing still leaves
+    the header. So a caller that fails before its first write leaves no
+    file. Every CSV the package writes goes through here, except the
+    ablation table (``report.write_ablation_csv``) and the MAC table on
+    stdout."""
+    fh = writer = None
 
-        def write(items) -> None:
-            writer.writerows(to_rows(items))
-            fh.flush()
+    def write(items) -> None:
+        nonlocal fh, writer
+        if fh is None:
+            fh = open(path, "a" if append else "w", encoding="utf-8", newline="")
+            writer = csv.writer(fh)
+            if fh.tell() == 0:
+                writer.writerow(header)
+        writer.writerows(to_rows(items))
+        fh.flush()
 
+    try:
         yield write
+        if fh is None:
+            write(())
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

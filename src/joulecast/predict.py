@@ -84,9 +84,8 @@ DEFAULT_MODEL_SPECS: dict[LayerKind, ModelSpec] = {
 
 @dataclass(frozen=True)
 class PredictorModel:
-    """One fitted pipeline: spec, fitted feature map, linear model, and its metrics."""
+    """One fitted pipeline: fitted feature map, linear model, and its metrics."""
 
-    spec: ModelSpec
     features: FeatureMap
     model: LinearModel
     test_metrics: EvalMetrics
@@ -109,6 +108,12 @@ class PredictorModel:
         scalar = features.scaler == "none" and features.columns == ("macs",)
         line = (float(model.coefficients[0]), float(model.intercept)) if scalar else None
         object.__setattr__(self, "_mac_line", line)
+
+    @property
+    def spec(self) -> ModelSpec:
+        """The pipeline this model is, with the penalty it was fitted at."""
+        features, model = self.features, self.model
+        return ModelSpec(features.feature_set, features.poly, features.scaler, model.kind, model.lam)
 
     def predict_energy(self, config: LayerConfig, macs: int) -> tuple[float, bool]:
         """Predicted joules for one layer; returns (joules, clamped-to-zero flag)."""
@@ -163,10 +168,8 @@ class PredictorModel:
             raise SchemaError(
                 f"{len(model.coefficients)} coefficients for {len(features.columns)} columns"
             )
-        spec = ModelSpec(features.feature_set, features.poly, features.scaler, model.kind, model.lam)
         cv = data["metrics"]["cv"]
         return cls(
-            spec=spec,
             features=features,
             model=model,
             test_metrics=EvalMetrics(**data["metrics"]["test"]),
@@ -299,7 +302,6 @@ def train_on_matrix(
         test_metrics_joules = test_metrics
     cv = cross_validate_rows(matrix, train, spec, k=cv_folds, seed=split_spec.seed) if cv_folds else None
     return PredictorModel(
-        spec=spec,
         features=features,
         model=model,
         test_metrics=test_metrics,
@@ -312,16 +314,15 @@ def train_on_matrix(
 def train_default_bundle(
     records: list[MeasurementRecord],
     split_spec: SplitSpec,
-    specs: dict[LayerKind, ModelSpec] | None = None,
     kinds: tuple[LayerKind, ...] | None = None,
     metadata: dict | None = None,
     cv_folds: int | None = 10,
 ) -> PredictorBundle:
-    """Train the selected pipeline for every requested layer kind."""
-    specs = specs or DEFAULT_MODEL_SPECS
-    kinds = kinds or tuple(specs)
+    """Train the ``DEFAULT_MODEL_SPECS`` pipeline of every requested layer
+    kind, by default all of them."""
     models = {
-        kind: train_on_matrix(_kind_matrix(records, kind), specs[kind], split_spec, cv_folds) for kind in kinds
+        kind: train_on_matrix(_kind_matrix(records, kind), DEFAULT_MODEL_SPECS[kind], split_spec, cv_folds)
+        for kind in kinds or DEFAULT_MODEL_SPECS
     }
     meta = {
         "hardware": "unknown",
@@ -439,9 +440,12 @@ class RealEvaluation:
     total_points: tuple[TotalPoint, ...]
 
 
-def evaluate_on_real(
-    bundle: PredictorBundle, records: list[ModelWiseRecord], sum_mismatch_tolerance: float = 0.05
-) -> RealEvaluation:
+#: relative gap between a record's per-layer sum and its measured total above
+#: which ``evaluate_on_real`` warns
+SUM_MISMATCH_TOLERANCE = 0.05
+
+
+def evaluate_on_real(bundle: PredictorBundle, records: list[ModelWiseRecord]) -> RealEvaluation:
     """Compare per-layer and summed predictions to measured architecture data."""
     if not records:
         raise EmptyDataError("no model-wise records to evaluate")
@@ -451,7 +455,7 @@ def evaluate_on_real(
         layer_sum = record.layer_energy_sum_j
         if record.total_energy_j > 0 and record.layers:
             mismatch = abs(layer_sum - record.total_energy_j) / record.total_energy_j
-            if mismatch > sum_mismatch_tolerance:
+            if mismatch > SUM_MISMATCH_TOLERANCE:
                 warnings.warn(
                     f"{record.architecture} (batch {record.batch_size}): per-layer sum "
                     f"{layer_sum:.6g} J deviates {mismatch:.1%} from measured total "

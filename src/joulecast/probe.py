@@ -14,9 +14,9 @@ the (wraparound-safe) delta by the pass count. This repeats up to three times
 and the per-pass energies are averaged; repeats whose counter reads fail are
 dropped. Counter source, workload, and clock are injectable so the arithmetic
 is fully testable without hardware. ``SimulatedMachine`` stands in for the
-counters and the clock; its workloads fill a window in vectorised steps over
-the same jitter draws as per-pass stepping, so the result is the same to the
-bit.
+counters (it is its own counter source) and the clock; its workloads fill a
+window in vectorised steps over the same jitter draws as per-pass stepping,
+so the result is the same to the bit.
 """
 from __future__ import annotations
 
@@ -280,11 +280,10 @@ def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> di
     return {"weight": weight, "bias": bias}
 
 
-def forward_workload(
-    config: LayerConfig, x: np.ndarray, weights: dict[str, np.ndarray] | None = None, seed: int = 0
-) -> np.ndarray:
+def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """One forward pass through a standalone module: NCHW input for spatial
-    kinds, (batch, in_channels) for flat ones."""
+    kinds, (batch, in_channels) for flat ones; the weights are ``init_weights``
+    of seed 0 in the input's dtype unless given."""
     spec = KIND_SPECS[config.kind]
     if not spec.predictable:
         raise ValidationError(f"{config.kind.value} has no standalone workload")
@@ -293,7 +292,7 @@ def forward_workload(
     if not spec.spatial and (x.ndim != 2 or x.shape[1] != config.in_channels):
         raise ShapeError(f"{config.kind.value} expects (batch, {config.in_channels}), got {x.shape}")
     if weights is None:
-        weights = init_weights(config, seed, x.dtype)
+        weights = init_weights(config, 0, x.dtype)
     return _KERNELS[config.kind].forward(config, x, weights)
 
 
@@ -351,11 +350,10 @@ def powercap_root() -> str:
     return os.environ.get(POWERCAP_ROOT_ENV, DEFAULT_POWERCAP_ROOT)
 
 
-def discover_rapl_domains(root: str | None = None, name_prefixes: tuple[str, ...] = ("package",)) -> list[RaplDomain]:
-    """Top-level powercap domains whose name matches; package domains by default."""
-    root = root or powercap_root()
+def discover_rapl_domains() -> list[RaplDomain]:
+    """The readable top-level package domains under ``powercap_root()``."""
     domains = []
-    for path in sorted(glob.glob(os.path.join(root, "intel-rapl:[0-9]*"))):
+    for path in sorted(glob.glob(os.path.join(powercap_root(), "intel-rapl:[0-9]*"))):
         if ":" in os.path.basename(path).split("intel-rapl:", 1)[1]:
             continue  # subdomain like intel-rapl:0:0
         try:
@@ -365,7 +363,7 @@ def discover_rapl_domains(root: str | None = None, name_prefixes: tuple[str, ...
                 max_range = int(fh.read().strip())
         except OSError:
             continue
-        if name_prefixes and not name.startswith(name_prefixes):
+        if not name.startswith("package"):
             continue
         domains.append(RaplDomain(name, os.path.join(path, "energy_uj"), max_range))
     return domains
@@ -388,11 +386,11 @@ def energy_delta(before: int, after: int, max_range: int) -> int:
 class RaplCounterSource:
     """Reads all discovered package domains; deltas are summed per-domain."""
 
-    def __init__(self, domains: list[RaplDomain] | None = None, root: str | None = None):
-        self.domains = domains if domains is not None else discover_rapl_domains(root)
+    def __init__(self):
+        self.domains = discover_rapl_domains()
         if not self.domains:
             raise RaplUnavailableError(
-                f"no readable RAPL package domains under {root or powercap_root()} "
+                f"no readable RAPL package domains under {powercap_root()} "
                 "(missing powercap support or insufficient permissions)"
             )
         try:
@@ -426,10 +424,10 @@ _SCALAR_PASSES = 8
 
 class SimulatedMachine:
     """Deterministic stand-in for a measured host: a virtual clock advanced by
-    each forward pass and an energy counter integrating constant package power
-    over that clock. A pass of ``macs`` MACs takes ``macs / mac_rate`` seconds
-    times the seeded jitter ``max(1 + noise * z, 0.1)``, one standard normal
-    ``z`` per pass.
+    each forward pass, and its own energy counter (``read_uj``, one
+    "simulated" domain) integrating constant package power over that clock. A
+    pass of ``macs`` MACs takes ``macs / mac_rate`` seconds times the seeded
+    jitter ``max(1 + noise * z, 0.1)``, one standard normal ``z`` per pass.
 
     ``run_window`` advances a whole measurement window in vectorised steps of
     up to ``_CHUNK_PASSES`` passes (one pass at a time when at most
@@ -439,18 +437,15 @@ class SimulatedMachine:
     the next pass.
     """
 
-    def __init__(
-        self,
-        mac_rate: float = 5e9,
-        power_w: float = 20.0,
-        noise: float = 0.01,
-        seed: int = 0,
-        max_range_uj: int = 65_532_610_987,
-    ):
+    #: the counter wraps to 0 here, as a package domain's ``max_energy_range_uj``
+    max_range_uj = 65_532_610_987
+    domain_names = ("simulated",)
+    max_ranges_uj = (max_range_uj,)
+
+    def __init__(self, mac_rate: float = 5e9, power_w: float = 20.0, noise: float = 0.01, seed: int = 0):
         self.mac_rate = mac_rate
         self.power_w = power_w
         self.noise = noise
-        self.max_range_uj = max_range_uj
         self._rng = np.random.default_rng(seed)
         self._normals = np.empty(0)  # drawn normals; those from index _used on are unused
         self._used = 0
@@ -458,6 +453,9 @@ class SimulatedMachine:
 
     def clock(self) -> float:
         return self._t
+
+    def read_uj(self) -> tuple[int, ...]:
+        return (int(self.power_w * self._t * 1e6) % self.max_range_uj,)
 
     def workload(self, macs: int) -> "_SimulatedWorkload":
         return _SimulatedWorkload(self, max(macs, 1) / self.mac_rate)
@@ -501,9 +499,6 @@ class SimulatedMachine:
             if elapsed >= window_seconds:
                 return passes, elapsed
 
-    def counter(self) -> "SimulatedCounter":
-        return SimulatedCounter(self)
-
 
 class _SimulatedWorkload:
     """A pass of fixed MACs on a ``SimulatedMachine``: calling it runs one
@@ -520,23 +515,6 @@ class _SimulatedWorkload:
 
     def run_window(self, window_seconds: float) -> tuple[int, float]:
         return self._machine.run_window(self._base, window_seconds)
-
-
-class SimulatedCounter:
-    def __init__(self, machine: SimulatedMachine):
-        self._machine = machine
-
-    @property
-    def domain_names(self) -> tuple[str, ...]:
-        return ("simulated",)
-
-    @property
-    def max_ranges_uj(self) -> tuple[int, ...]:
-        return (self._machine.max_range_uj,)
-
-    def read_uj(self) -> tuple[int, ...]:
-        reading = int(self._machine.power_w * self._machine.clock() * 1e6)
-        return (reading % self._machine.max_range_uj,)
 
 
 # ---------------------------------------------------------------------------

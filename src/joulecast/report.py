@@ -17,7 +17,6 @@ from .svgplot import scatter_svg, stacked_bar_svg
 @dataclass(frozen=True)
 class ReportArtifact:
     kind: str  # scatter | contribution_bars | aggregate_vs_total | ablation_scatter
-    csv_path: str
     svg_path: str
 
 
@@ -31,12 +30,12 @@ def _columns(path, required, names) -> list[tuple[str, ...]]:
     return [table[column[name]] for name in names]
 
 
-def _svg_artifact(kind: str, csv_path, out_dir, name: str, svg: str) -> ReportArtifact:
-    """Write ``svg`` to ``out_dir/name``; the artifact pairs it with its CSV."""
+def _svg_artifact(kind: str, out_dir, name: str, svg: str) -> ReportArtifact:
+    """Write ``svg`` to ``out_dir/name``."""
     svg_path = os.path.join(out_dir, name)
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    return ReportArtifact(kind, str(csv_path), svg_path)
+    return ReportArtifact(kind, svg_path)
 
 
 def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
@@ -116,7 +115,7 @@ def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
             xlabel="measured energy (J)",
             ylabel="predicted energy (J)",
         )
-        artifacts.append(_svg_artifact("scatter", csv_path, out_dir, f"scatter_{kind.lower()}.svg", svg))
+        artifacts.append(_svg_artifact("scatter", out_dir, f"scatter_{kind.lower()}.svg", svg))
     return artifacts
 
 
@@ -138,7 +137,7 @@ def totals_scatter_artifact(csv_path, out_dir) -> ReportArtifact:
         xlabel="measured energy (J)",
         ylabel="sum of layer predictions (J)",
     )
-    return _svg_artifact("scatter", csv_path, out_dir, "scatter_totals.svg", svg)
+    return _svg_artifact("scatter", out_dir, "scatter_totals.svg", svg)
 
 
 def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
@@ -149,7 +148,7 @@ def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
         xlabel="total measured energy (J)",
         ylabel="sum of layer measurements (J)",
     )
-    return _svg_artifact("aggregate_vs_total", csv_path, out_dir, "aggregate_vs_total.svg", svg)
+    return _svg_artifact("aggregate_vs_total", out_dir, "aggregate_vs_total.svg", svg)
 
 
 def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
@@ -171,7 +170,7 @@ def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
         title="Layer-type contributions to measured energy",
         ylabel="fraction of measured energy",
     )
-    return _svg_artifact("contribution_bars", layer_csv_path, out_dir, "contribution_bars.svg", svg)
+    return _svg_artifact("contribution_bars", out_dir, "contribution_bars.svg", svg)
 
 
 def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
@@ -186,4 +185,4 @@ def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
         ylabel="test R^2",
         diagonal=False,
     )
-    return _svg_artifact("ablation_scatter", csv_path, out_dir, "ablation_scatter.svg", svg)
+    return _svg_artifact("ablation_scatter", out_dir, "ablation_scatter.svg", svg)

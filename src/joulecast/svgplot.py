@@ -17,12 +17,12 @@ PALETTE = (
 )
 
 
-def nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], about five of them."""
     if hi <= lo:
         hi = lo + (abs(lo) or 1.0)
     span = hi - lo
-    raw_step = span / max(count - 1, 1)
+    raw_step = span / 4
     magnitude = 10 ** math.floor(math.log10(raw_step))
     for multiple in (1, 2, 2.5, 5, 10):
         step = multiple * magnitude

@@ -246,7 +246,7 @@ def test_09a_probe_arithmetic_without_hardware():
         assert result.energy_per_pass_j == pytest.approx(0.03, rel=1e-12)
 
         machine = SimulatedMachine(noise=0.0, seed=1)
-        sim = measure_config(cfg, window_seconds=0.01, repeats=3, counter=machine.counter(),
+        sim = measure_config(cfg, window_seconds=0.01, repeats=3, counter=machine,
                              workload=machine.workload(25_000), clock=machine.clock)
         assert sim.energy_per_pass_j == pytest.approx(20.0 * 25_000 / 5e9, rel=1e-6)
 

@@ -504,6 +504,12 @@ class TestExtract:
         assert resolved[1].input_shape == TensorShape(2, 4, 8, 8)
 
 
+def _net(*layers, **change) -> dict:
+    """A 16x16 three-channel architecture document of ``layers``, with ``change`` applied."""
+    return {"name": "bad", "input": {"batch": 1, "channels": 3, "height": 16, "width": 16},
+            "layers": list(layers), **change}
+
+
 class TestLoadJson:
     def test_single_conv_document(self):
         doc = {
@@ -553,6 +559,28 @@ class TestLoadJson:
             with pytest.raises(ValidationError) as info:
                 load_architecture(source)
             assert type(info.value) is ValidationError and str(info.value) == message
+
+    @pytest.mark.parametrize("document, message", [
+        ({"name": "bad", "layers": []}, "architecture document is missing ['input']"),
+        (_net(input={"batch": 1, "channels": 3, "height": 16}), "input shape is missing ['width']"),
+        (_net({"kind": "Conv2d", "image_size": 8, "kernel_size": 3, "in_channels": 3, "out_channels": 4,
+               "stride": 1, "padding": 1}),
+         "bad: layer 0 (Conv2d): Conv2d: declared image_size 8 does not match input 16x16"),
+        (_net({"kind": "MaxPool2d", "kernel_size": 2, "in_channels": 4, "stride": 2, "padding": 0}),
+         "bad: layer 0 (MaxPool2d): MaxPool2d expects 4 input channels, got 3"),
+        (_net({"kind": "Flatten"}, {"kind": "Linear", "in_channels": 10, "out_channels": 4}),
+         "bad: layer 1 (Linear): Linear expects 10 input features, got 768"),
+        (_net({"kind": "ReLU", "in_channels": 10}), "bad: layer 0 (ReLU): ReLU declared input size 10, got 768"),
+        ([{"kind": "ReLU"}], "architecture JSON must be an object"),
+        ("ReLU", "architecture JSON must be an object"),
+    ])
+    def test_file_refusals(self, tmp_path, document, message):
+        # every refusal of an architecture file's contents, prefixed with its path
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_architecture(path)
+        assert type(info.value) is ValidationError and str(info.value) == f"{path}: {message}"
 
     def test_malformed_file_names_path(self, tmp_path):
         path = tmp_path / "arch.json"

@@ -222,6 +222,23 @@ class TestCollect:
         assert err.count("\n") == 1
         assert os.sched_getaffinity(0) == before
 
+    @pytest.mark.parametrize("kind", ["relu", "vgg11"])
+    @pytest.mark.parametrize("options, message", [
+        (("--count", "1", "--repeats", "0"), "error: window_seconds must be positive and repeats >= 1\n"),
+        (("--count", "1", "--window", "nan"), "error: window_seconds must be finite and positive, not nan\n"),
+        (("--count", "1", "--pin-cpu", "-1"), "error: cannot pin the measurement to CPU -1: "),
+        (("--count", "-1"), "error: --count must be >= 0, not -1\n"),
+    ], ids=["repeats-0", "window-nan", "pin-cpu-minus-1", "count-minus-1"])
+    def test_refused_collect_leaves_no_out_file(self, tmp_path, capsys, kind, options, message):
+        out = tmp_path / "x.csv"
+        code, printed = run("--simulate", "collect", "--kind", kind, *options, "--out", str(out))
+        err = capsys.readouterr().err
+        assert (code, printed) == (1, "")
+        if message.startswith("error: cannot pin") and not hasattr(os, "sched_setaffinity"):
+            message = "error: CPU pinning is not supported on this platform\n"
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",
                       "--out", str(tmp_path / "x.csv"))
@@ -289,6 +306,14 @@ class TestTrainEstimate:
                           "--out", str(path), "--cv-folds", "2")
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("folds", ["1", "-1"])
+    def test_too_few_cv_folds_is_one_line(self, layerwise_csv, tmp_path, capsys, folds):
+        out = tmp_path / "b.json"
+        code, _ = run("--quiet", "train", "--layerwise", str(layerwise_csv), "--out", str(out), "--cv-folds", folds)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: k={folds} must be at least 2\n"
+        assert not out.exists()
 
     def test_missing_file_exits_one(self, tmp_path):
         code, _ = run("--quiet", "train", "--layerwise", str(tmp_path / "nope.csv"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import write_layerwise, write_modelwise
 from joulecast.arch import KIND_SPECS, PREDICTABLE_KINDS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from joulecast.dataset import (
+    MODELWISE_HEADER,
     appending_layerwise_csv,
     MeasurementRecord,
     ModelWiseLayer,
@@ -78,8 +79,9 @@ class TestSampler:
             "batch_size": (1, 1), "image_size": (4, 4), "kernel_size": (11, 11),
             "in_channels": (1, 1), "out_channels": (1, 1), "stride": (1, 1), "padding": (0, 0),
         }}
-        with pytest.raises(RetryExhaustedError):
-            sample_config(LayerKind.CONV2D, 0, impossible, max_retries=50)
+        with pytest.raises(RetryExhaustedError) as info:
+            sample_config(LayerKind.CONV2D, 0, impossible)
+        assert str(info.value) == "no valid Conv2d config after 1000 draws"
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(sorted(PREDICTABLE_KINDS, key=lambda k: k.value)), st.integers(0, 2**31))
@@ -384,6 +386,28 @@ class TestModelwiseCsv:
         assert len(rows) == 2
         assert all(r.source == "real_architecture" for r in rows)
         assert rows[0].macs == self._record().layers[0].macs
+
+
+_MODELWISE_TOTAL = "tiny,2,total,,," + "," * (len(MODELWISE_HEADER) - 7) + "10,0.5"
+_MODELWISE_RELU = "tiny,2,layer,1,ReLU," + "," * (len(MODELWISE_HEADER) - 7) + "10,0.5"
+
+
+@pytest.mark.parametrize("loader, text, error, message", [
+    (load_layerwise_csv, "", SchemaError, "{path}: empty file"),
+    (load_modelwise_csv, "", SchemaError, "{path}: empty file"),
+    (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_RELU}\n", ParseError,
+     "{path}: row 2: layer row before any total row"),
+    (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL.replace('total', 'sum')}\n",
+     ParseError, "{path}: row 2: unknown row_type 'sum'"),
+    (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n{_MODELWISE_RELU}\n"
+     f"{_MODELWISE_RELU.replace('layer', 'Layer')}\n", ParseError, "{path}: row 4: unknown row_type 'Layer'"),
+])
+def test_csv_refusals(tmp_path, loader, text, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        loader(path)
+    assert type(info.value) is error and str(info.value) == message.format(path=path)
 
 
 class TestModelwiseRecordCheck:

@@ -5,6 +5,7 @@ batch to the standalone rewrite and the MAC rules; the reference below
 re-batches the spec with ``with_batch`` first and reads every batch from the
 resolved shapes. Both must give the same bits and the same errors.
 """
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_unchecked_derived_objects_equal_checked_ones(bundle, source, monkeypatc
         layers = extract_predictable_layers(arch)
         assert len(configs) == len(layers)
         for config, layer in zip(configs, layers):
-            checked = as_standalone_config(layer.config, layer.input_shape, batch)
+            checked = as_standalone_config(layer.config, replace(layer.input_shape, batch=batch))
             assert type(config) is LayerConfig and list(config.__dict__.items()) == list(checked.__dict__.items())
         for layer in arch.with_batch(batch).resolve_layers():
             for shape in (layer.input_shape, layer.output_shape):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 from pathlib import Path
 
@@ -23,8 +24,10 @@ from joulecast.errors import (
     KindMismatchError,
     MissingKindError,
     NotConvergedWarning,
+    SchemaError,
     ShapeError,
     SingularityWarning,
+    ValidationError,
 )
 from joulecast.features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec, raw_feature_names
 from joulecast.macs import INT64_MAX, architecture_macs, standalone_macs
@@ -196,6 +199,36 @@ def demo_bundle(tmp_path_factory):
     return PredictorBundle.load(bundle)
 
 
+def _set(doc: dict, path: str, value) -> None:
+    """Set the ``/``-separated key ``path`` of a decoded bundle to ``value``."""
+    *parents, last = path.split("/")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"format_version": 2}, ValidationError, "unsupported bundle format_version 2"),
+    ({"models/ReLU/model/coefficients": [1.0, 2.0]}, SchemaError, "{path}: 2 coefficients for 1 columns"),
+    ({"models/Tanh/layer_kind": "ReLU"}, SchemaError, "{path}: model under 'Tanh' is for ReLU"),
+    ({"models/ReLU/feature_scaler_kind": "minmax", "models/ReLU/feature_scaler/kind": "minmax"}, ValidationError,
+     "unsupported feature scaler 'minmax'"),
+    ({"models/ReLU/feature_scaler/kind": "zscore"}, SchemaError,
+     "{path}: scaler entries disagree with the model's feature_scaler_kind and columns"),
+    ({"models/ReLU/target_scaler/columns": ["joules"]}, SchemaError,
+     "{path}: scaler entries disagree with the model's feature_scaler_kind and columns"),
+])
+def test_bundle_refusals(tmp_path, changes, error, message):
+    doc = json.loads((DATA_DIR / "bundle_v1.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        _set(doc, key, value)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(error) as info:
+        PredictorBundle.load(path)
+    assert type(info.value) is error and str(info.value) == message.format(path=path)
+
+
 class TestOneColumnPredictors:
     """A predictor whose design row is the bare MAC count answers with a
     scalar product and sum; it must equal the design path to the bit."""
@@ -272,8 +305,7 @@ class TestFusedRow:
     def test_coefficients_must_match_the_columns(self):
         features, _ = fit_map(synth_records(LayerKind.RELU, 8, seed=1), FeatureSetKind.PARAMETER, None, "none")
         with pytest.raises(ColumnMismatchError, match="^model has 1 coefficients, features have 2 columns$"):
-            PredictorModel(ModelSpec(FeatureSetKind.PARAMETER), features, LinearModel((1.0,), 0.0),
-                           EvalMetrics(0.0, 0.0, 0.0), EvalMetrics(0.0, 0.0, 0.0))
+            PredictorModel(features, LinearModel((1.0,), 0.0), EvalMetrics(0.0, 0.0, 0.0), EvalMetrics(0.0, 0.0, 0.0))
 
 
 class TestEstimate:
@@ -314,7 +346,6 @@ class TestEstimate:
     def test_negative_predictions_clamped_and_flagged(self):
         # a predictor rigged to always produce negative joules
         rigged = PredictorModel(
-            spec=ModelSpec(FeatureSetKind.MAC_ONLY),
             features=FeatureMap(LayerKind.RELU, FeatureSetKind.MAC_ONLY, None, "none", ("macs",),
                                 target_min=0.5, target_max=1.0),
             model=LinearModel((0.0,), -10.0),  # normalized prediction -10 -> -4.5 J

@@ -174,8 +174,8 @@ class TestKernels:
         )
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 6, 6))
-        a = forward_workload(cfg, x, seed=5)
-        b = forward_workload(cfg, x, seed=5)
+        a = forward_workload(cfg, x, probe.init_weights(cfg, 5, x.dtype))
+        b = forward_workload(cfg, x, probe.init_weights(cfg, 5, x.dtype))
         np.testing.assert_array_equal(a, b)
 
     def test_architecture_workload_runs(self):
@@ -457,7 +457,7 @@ class TestMeasureConfig:
         macs = 25_000
         result = measure_config(
             self.cfg(), window_seconds=0.01, repeats=3,
-            counter=machine.counter(), workload=machine.workload(macs),
+            counter=machine, workload=machine.workload(macs),
             clock=machine.clock,
         )
         expected = 20.0 * macs / 5e9
@@ -543,7 +543,7 @@ class TestSimulatedWindow:
         macs = 10**9  # 0.2 s per pass against a 0.05 s window
         assert _same_window(per_pass, windowed, macs, 0.05)[0] == 1
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
-        result = measure_config(cfg, window_seconds=0.05, repeats=2, counter=windowed.counter(),
+        result = measure_config(cfg, window_seconds=0.05, repeats=2, counter=windowed,
                                 workload=windowed.workload(macs), clock=windowed.clock)
         assert [(r.passes, r.long_pass) for r in result.repeats] == [(1, True), (1, True)]
         assert _next_pass_times(windowed) != _next_pass_times(per_pass)  # two passes ahead
@@ -574,7 +574,7 @@ class TestSimulatedWindow:
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
         macs = standalone_macs(cfg)  # 2 MACs: 0.4 ns a pass
         per_pass, windowed = _twins(seed=6, noise=0.0)
-        result = measure_config(cfg, window_seconds=4e-4, repeats=1, counter=windowed.counter(),
+        result = measure_config(cfg, window_seconds=4e-4, repeats=1, counter=windowed,
                                 workload=windowed.workload(macs), clock=windowed.clock)
         expected = probe._run_window(per_pass.workload(macs), per_pass.clock, 4e-4)
         assert (result.repeats[0].passes, result.repeats[0].elapsed_s) == expected
@@ -597,7 +597,7 @@ class TestLoadWarning:
         machine = SimulatedMachine(noise=0.0, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            measure_config(self.cfg(), window_seconds=0.01, repeats=1, counter=machine.counter(),
+            measure_config(self.cfg(), window_seconds=0.01, repeats=1, counter=machine,
                            workload=machine.workload(1_000), clock=machine.clock)
 
     def test_rapl_measurement_warns(self, tmp_path, monkeypatch):
@@ -839,14 +839,15 @@ class TestRaplDiscovery:
             (d / "energy_uj").write_text(f"{energy}\n")
         return tmp_path
 
-    def test_discovers_package_domains(self, tmp_path):
+    def test_discovers_package_domains(self, tmp_path, monkeypatch):
         root = self.make_tree(tmp_path, [("package-0", 262143328850, 12345), ("psys", 10**9, 1)])
         sub = tmp_path / "intel-rapl:0:0"
         sub.mkdir()
         (sub / "name").write_text("core\n")
         (sub / "max_energy_range_uj").write_text("1000\n")
         (sub / "energy_uj").write_text("5\n")
-        domains = discover_rapl_domains(str(root))
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
+        domains = discover_rapl_domains()
         assert [d.name for d in domains] == ["package-0"]
         assert domains[0].max_range_uj == 262143328850
         assert probe.read_energy(domains[0]) == 12345
@@ -856,13 +857,41 @@ class TestRaplDiscovery:
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
         assert len(discover_rapl_domains()) == 1
 
-    def test_unavailable_raises(self, tmp_path):
+    def test_unavailable_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path / "nothing"))
         with pytest.raises(RaplUnavailableError):
-            probe.RaplCounterSource(root=str(tmp_path / "nothing"))
+            probe.RaplCounterSource()
 
-    def test_counter_source_reads(self, tmp_path):
+    @pytest.mark.parametrize("files, cause, message", [
+        # a domain missing its name or range, or not a package domain, is not discovered
+        ({"max_energy_range_uj": "1000\n", "energy_uj": "5\n"}, None, "no readable RAPL package domains under {root} "
+         "(missing powercap support or insufficient permissions)"),
+        ({"name": "package-0\n", "energy_uj": "5\n"}, None, "no readable RAPL package domains under {root} "
+         "(missing powercap support or insufficient permissions)"),
+        ({"name": "psys\n", "max_energy_range_uj": "1000\n", "energy_uj": "5\n"}, None,
+         "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
+        # a discovered domain whose counter cannot be read
+        ({"name": "package-0\n", "max_energy_range_uj": "1000\n"}, probe.CounterReadError,
+         "RAPL counters not readable: {counter}: [Errno 2] No such file or directory: '{counter}'"),
+        ({"name": "package-0\n", "max_energy_range_uj": "1000\n", "energy_uj": "abc\n"}, probe.CounterReadError,
+         "RAPL counters not readable: {counter}: invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_tree_refusals(self, tmp_path, monkeypatch, files, cause, message):
+        domain = tmp_path / "intel-rapl:0"
+        domain.mkdir()
+        for name, text in files.items():
+            (domain / name).write_text(text)
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
+        with pytest.raises(RaplUnavailableError) as info:
+            probe.RaplCounterSource()
+        assert type(info.value) is RaplUnavailableError
+        assert str(info.value) == message.format(root=tmp_path, counter=domain / "energy_uj")
+        assert type(info.value.__cause__) is (type(None) if cause is None else cause)
+
+    def test_counter_source_reads(self, tmp_path, monkeypatch):
         root = self.make_tree(tmp_path, [("package-0", 10**6, 111), ("package-1", 10**6, 222)])
-        source = probe.RaplCounterSource(root=str(root))
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
+        source = probe.RaplCounterSource()
         assert source.read_uj() == (111, 222)
         assert source.max_ranges_uj == (10**6, 10**6)
 

@@ -5,7 +5,13 @@ definition, from ``perfbench/`` or from ``scripts/``, or a place in
 
 Every name a module in ``src/``, ``tests/`` or ``scripts/`` imports is read
 in it, or listed in its ``__all__``: an unused import hides what a module
-depends on and what a test exercises."""
+depends on and what a test exercises.
+
+Every parameter with a default, on every function or method in
+``src/joulecast``, is set by some call in ``src/``, ``perfbench/``,
+``scripts/`` or ``tests/``: a setting only one value serves is a constant.
+Calls are matched by the called name alone, and one with a ``*`` or ``**``
+splat counts as setting every parameter it could reach."""
 import ast
 from pathlib import Path
 
@@ -79,3 +85,48 @@ def test_every_imported_name_is_read():
         for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unread == []
+
+
+def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str, int | None]]:
+    """(qualified name, parameter, its position in a call or None if it is
+    keyword-only) for every parameter with a default in ``tree``. A method's
+    call skips ``self`` or ``cls``; ``__init__`` is called by its class name."""
+    owners = {child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for child in node.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(node)
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        offset = 1 if owner and not static else 0
+        name = f"{module}.{owner if node.name == '__init__' else node.name}"
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        found += [(name, arg.arg, i - offset) for i, arg in enumerate(positional) if i >= first]
+        found += [(name, arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def _sets(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether ``call`` passes ``parameter`` (at call position ``index``) by
+    keyword, by position, or through a ``*`` or ``**`` splat."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in (p for directory in ("src", "perfbench", "scripts", "tests") for p in (ROOT / directory).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{function}({parameter})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, parameter, index in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if not any(_sets(call, parameter, index) for call in calls.get(function.rpartition(".")[2], ()))
+    ]
+    assert unset == [], f"parameters no call sets (make each a constant): {unset}"
