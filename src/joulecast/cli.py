@@ -59,12 +59,10 @@ def _meter(args):
     config under the collect options, on RAPL or, under ``--simulate``, on one
     simulated machine seeded by ``--seed``."""
     window = args.window if args.window is not None else (0.05 if args.simulate else 30.0)
-    options = {"window_seconds": window, "repeats": args.repeats, "seed": args.seed, "pin_to_cpu": args.pin_cpu}
-    if not args.simulate:
-        return lambda config, macs: probe.measure_config(config, **options)  # probe builds the real workload
-    machine = probe.SimulatedMachine(seed=args.seed)
+    machine = probe.SimulatedMachine(seed=args.seed) if args.simulate else None
     return lambda config, macs: probe.measure_config(
-        config, counter=machine, workload=machine.workload(macs), **options
+        config, macs, window_seconds=window, repeats=args.repeats, machine=machine, seed=args.seed,
+        pin_to_cpu=args.pin_cpu,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -248,9 +249,14 @@ def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
     flushes them. The first write opens ``path``, and writes the header if
     the file is new; a block that ends cleanly without writing still leaves
     the header. So a caller that fails before its first write leaves no
-    file. Every CSV the package writes goes through here, except the
-    ablation table (``report.write_ablation_csv``) and the MAC table on
-    stdout."""
+    file, and a ``path`` that cannot be written is refused on entry, before
+    the caller's work (a collect's measurements). Every CSV the package
+    writes goes through here, except the ablation table
+    (``report.write_ablation_csv``) and the MAC table on stdout."""
+    new = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()  # the open error now; an append that writes nothing changes no file
+    if new:
+        os.remove(path)
     fh = writer = None
 
     def write(items) -> None:

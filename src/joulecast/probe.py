@@ -5,22 +5,21 @@ dtype), with every input and weight drawn directly in that dtype. A large
 weight is drawn in pieces on every CPU in the process's affinity, each piece
 from the seed's PCG64 stream jumped ahead to its start, so its bytes are those
 of one sequential draw. Under a one-CPU affinity, as in a ``pin_to_cpu``
-measurement that builds its own workload, it is drawn on the calling thread,
-and no drawing thread outlives ``init_weights``.
+measurement, whose machine builds the workload while pinned, it is drawn on
+the calling thread, and no drawing thread outlives ``init_weights``.
 
 The protocol per configuration: read the package energy counters, run as many
 forward passes as fit in a fixed wall-clock window, read again, and normalize
 the (wraparound-safe) delta by the pass count. This repeats up to three times
 and the per-pass energies are averaged; repeats whose counter reads fail are
-dropped. Counter source, workload, and clock are injectable so the arithmetic
-is fully testable without hardware. ``SimulatedMachine`` stands in for the
-counters (it is its own counter source) and the clock; its workloads fill a
-window in vectorised steps over the same jitter draws as per-pass stepping,
-so the result is the same to the bit.
+dropped. The measured host is one object, a machine: ``RaplMachine`` (the
+package counters, real workloads and the wall clock) by default, or one
+passed in, so the arithmetic is fully testable without hardware.
+``SimulatedMachine`` fills a window in vectorised steps over the same jitter
+draws as per-pass stepping, so the result is the same to the bit.
 """
 from __future__ import annotations
 
-import functools
 import glob
 import math
 import os
@@ -351,7 +350,8 @@ def powercap_root() -> str:
 
 
 def discover_rapl_domains() -> list[RaplDomain]:
-    """The readable top-level package domains under ``powercap_root()``."""
+    """The readable top-level package domains under ``powercap_root()``; a
+    non-ASCII name or a range that is not a positive integer is unreadable."""
     domains = []
     for path in sorted(glob.glob(os.path.join(powercap_root(), "intel-rapl:[0-9]*"))):
         if ":" in os.path.basename(path).split("intel-rapl:", 1)[1]:
@@ -361,9 +361,9 @@ def discover_rapl_domains() -> list[RaplDomain]:
                 name = fh.read().strip()
             with open(os.path.join(path, "max_energy_range_uj"), "r", encoding="ascii") as fh:
                 max_range = int(fh.read().strip())
-        except OSError:
+        except (OSError, ValueError):  # unreadable, non-ASCII or not an integer
             continue
-        if not name.startswith("package"):
+        if not name.startswith("package") or max_range <= 0:
             continue
         domains.append(RaplDomain(name, os.path.join(path, "energy_uj"), max_range))
     return domains
@@ -383,8 +383,10 @@ def energy_delta(before: int, after: int, max_range: int) -> int:
     return (after - before + max_range) % max_range
 
 
-class RaplCounterSource:
-    """Reads all discovered package domains; deltas are summed per-domain."""
+class RaplMachine:
+    """The host itself: the summed package domains' counters, real forward-pass
+    workloads and the wall clock. It warns when built, once per measurement,
+    if the load average says other processes' energy will leak in."""
 
     def __init__(self):
         self.domains = discover_rapl_domains()
@@ -397,6 +399,15 @@ class RaplCounterSource:
             self.read_uj()
         except CounterReadError as exc:
             raise RaplUnavailableError(f"RAPL counters not readable: {exc}") from exc
+        if hasattr(os, "getloadavg"):
+            load = os.getloadavg()[0]
+            cpus = os.cpu_count() or 1
+            if load > 0.5 * cpus:
+                warnings.warn(
+                    f"load average {load:.2f} on {cpus} CPUs; concurrent work will contaminate readings",
+                    UserWarning,
+                    stacklevel=3,  # the caller of measure_config
+                )
 
     @property
     def domain_names(self) -> tuple[str, ...]:
@@ -408,6 +419,15 @@ class RaplCounterSource:
 
     def read_uj(self) -> tuple[int, ...]:
         return tuple(read_energy(d) for d in self.domains)
+
+    def workload(self, config: LayerConfig | ArchitectureSpec, macs: int, seed: int):
+        """The closure running one forward pass through ``config``, at its own batch."""
+        if isinstance(config, ArchitectureSpec):
+            return make_architecture_workload(config, config.input_shape.batch, seed)
+        return make_workload(config, seed)
+
+    def run_window(self, workload, window_seconds: float) -> tuple[int, float]:
+        return _run_window(workload, time.monotonic, window_seconds)
 
 
 def counters_delta_uj(before: tuple[int, ...], after: tuple[int, ...], max_ranges: tuple[int, ...]) -> int:
@@ -424,10 +444,11 @@ _SCALAR_PASSES = 8
 
 class SimulatedMachine:
     """Deterministic stand-in for a measured host: a virtual clock advanced by
-    each forward pass, and its own energy counter (``read_uj``, one
-    "simulated" domain) integrating constant package power over that clock. A
-    pass of ``macs`` MACs takes ``macs / mac_rate`` seconds times the seeded
-    jitter ``max(1 + noise * z, 0.1)``, one standard normal ``z`` per pass.
+    each forward pass, and an energy counter (``read_uj``, one "simulated"
+    domain) integrating constant package power over that clock. Its workload
+    is a pass's base time: a pass of ``macs`` MACs takes ``macs / mac_rate``
+    seconds times the seeded jitter ``max(1 + noise * z, 0.1)``, one standard
+    normal ``z`` per pass.
 
     ``run_window`` advances a whole measurement window in vectorised steps of
     up to ``_CHUNK_PASSES`` passes (one pass at a time when at most
@@ -457,8 +478,9 @@ class SimulatedMachine:
     def read_uj(self) -> tuple[int, ...]:
         return (int(self.power_w * self._t * 1e6) % self.max_range_uj,)
 
-    def workload(self, macs: int) -> "_SimulatedWorkload":
-        return _SimulatedWorkload(self, max(macs, 1) / self.mac_rate)
+    def workload(self, config: LayerConfig | ArchitectureSpec, macs: int, seed: int) -> float:
+        """The seconds one pass of ``macs`` MACs takes before jitter."""
+        return max(macs, 1) / self.mac_rate
 
     def run_pass(self, base: float) -> None:
         """One pass of ``base`` seconds before jitter."""
@@ -498,23 +520,6 @@ class SimulatedMachine:
                 elapsed = float(over[k])
             if elapsed >= window_seconds:
                 return passes, elapsed
-
-
-class _SimulatedWorkload:
-    """A pass of fixed MACs on a ``SimulatedMachine``: calling it runs one
-    pass, and ``run_window`` is the window runner ``measure_config`` uses."""
-
-    __slots__ = ("_machine", "_base")
-
-    def __init__(self, machine: SimulatedMachine, base: float):
-        self._machine = machine
-        self._base = base
-
-    def __call__(self) -> None:
-        self._machine.run_pass(self._base)
-
-    def run_window(self, window_seconds: float) -> tuple[int, float]:
-        return self._machine.run_window(self._base, window_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +568,24 @@ def _run_window(workload, clock, window_seconds: float) -> tuple[int, float]:
 
 def measure_config(
     config: LayerConfig | ArchitectureSpec,
+    macs: int,
     window_seconds: float = 30.0,
     repeats: int = 3,
-    counter=None,
-    workload=None,
-    clock=None,
+    machine=None,
     seed: int = 0,
     pin_to_cpu: int | None = None,
 ) -> ProbeResult:
     """Meter ``repeats`` fixed windows of forward passes through ``config``,
-    a layer or a whole architecture at its own batch.
+    a layer or a whole architecture at its own batch, of ``macs`` MACs a pass.
 
+    ``machine`` is the measured host, a ``RaplMachine`` unless given: it has
+    the counter (``read_uj``, ``max_ranges_uj``, ``domain_names``), builds
+    the workload (``workload(config, macs, seed)``) and fills a window with it
+    (``run_window(workload, window_seconds) -> (passes, elapsed seconds)``).
     One measurement at a time per process: a concurrent call contaminates the
     shared package counters and is refused outright. ``pin_to_cpu`` restricts
     the process to one CPU for the duration of the measurement (Linux only),
-    including the building of the workload when none is given; by default no
-    affinity is set. Metering real RAPL counters warns when the
-    load average says other processes' energy will leak into the readings.
-    A workload with a ``run_window(window_seconds)`` method (a simulated one)
-    fills each window itself, on its machine's clock; any other is called once
-    per pass until ``clock`` has advanced by ``window_seconds``.
+    including the building of the workload; by default no affinity is set.
     """
     if not math.isfinite(window_seconds):
         raise ValidationError(f"window_seconds must be finite and positive, not {window_seconds}")
@@ -600,37 +603,20 @@ def measure_config(
                 os.sched_setaffinity(0, {pin_to_cpu})
             except (OSError, OverflowError, ValueError) as exc:
                 raise ValidationError(f"cannot pin the measurement to CPU {pin_to_cpu}: {exc}") from None
-        if counter is None:
-            counter = RaplCounterSource()
-        if workload is None:
-            if isinstance(config, ArchitectureSpec):
-                workload = make_architecture_workload(config, config.input_shape.batch, seed)
-            else:
-                workload = make_workload(config, seed)
-        if clock is None:
-            clock = time.monotonic
-        run_window = getattr(workload, "run_window", None) or functools.partial(_run_window, workload, clock)
-        if isinstance(counter, RaplCounterSource) and hasattr(os, "getloadavg"):
-            load = os.getloadavg()[0]
-            cpus = os.cpu_count() or 1
-            if load > 0.5 * cpus:
-                warnings.warn(
-                    f"load average {load:.2f} on {cpus} CPUs; concurrent work will contaminate readings",
-                    UserWarning,
-                    stacklevel=2,
-                )
+        machine = RaplMachine() if machine is None else machine
+        workload = machine.workload(config, macs, seed)
         results = []
         failed = 0
         for _ in range(repeats):
             try:
-                before = counter.read_uj()
-                passes, elapsed = run_window(window_seconds)
-                after = counter.read_uj()
+                before = machine.read_uj()
+                passes, elapsed = machine.run_window(workload, window_seconds)
+                after = machine.read_uj()
             except CounterReadError as exc:
                 failed += 1
                 warnings.warn(f"dropping repeat with failed counter read: {exc}", UserWarning, stacklevel=2)
                 continue
-            energy_j = counters_delta_uj(before, after, counter.max_ranges_uj) / 1e6
+            energy_j = counters_delta_uj(before, after, machine.max_ranges_uj) / 1e6
             results.append(
                 RepeatResult(
                     passes=passes,
@@ -647,7 +633,7 @@ def measure_config(
             window_seconds=window_seconds,
             repeats=tuple(results),
             failed_repeats=failed,
-            domains=tuple(getattr(counter, "domain_names", ())),
+            domains=tuple(machine.domain_names),
         )
     finally:
         if saved_affinity is not None:

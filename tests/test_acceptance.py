@@ -14,7 +14,7 @@ from joulecast.arch import LayerConfig, LayerKind, load_architecture, propagate_
 from joulecast.cli import main as cli_main
 from joulecast.dataset import SplitSpec, load_layerwise_csv, split
 from joulecast.errors import AggregationWarning
-from joulecast.macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs
+from joulecast.macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs, standalone_macs
 from joulecast.predict import (
     estimate,
     evaluate_on_real,
@@ -23,7 +23,7 @@ from joulecast.predict import (
 )
 from joulecast.probe import SimulatedMachine, energy_delta, measure_config
 from joulecast.regress import fit_lasso, fit_ols
-from test_probe import ScriptedCounter, TickingClock
+from test_probe import ScriptedMachine
 from test_regress import soft_threshold
 
 
@@ -231,23 +231,18 @@ def test_09a_probe_arithmetic_without_hardware():
         assert energy_delta(999_990, 10, 10**6) == 20
 
         cfg = LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=50_000)
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter([0, 30_000_000])
-        result = measure_config(cfg, window_seconds=30.0, repeats=1, counter=counter,
-                                workload=clock.workload, clock=clock)
+        machine = ScriptedMachine([0, 30_000_000], step=0.03)
+        result = measure_config(cfg, 50_000, window_seconds=30.0, repeats=1, machine=machine)
         assert result.repeats[0].passes == 1000
         assert result.energy_per_pass_j == 0.03
 
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000])
-        result = measure_config(cfg, window_seconds=30.0, repeats=3, counter=counter,
-                                workload=clock.workload, clock=clock)
+        machine = ScriptedMachine([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000], step=0.03)
+        result = measure_config(cfg, 50_000, window_seconds=30.0, repeats=3, machine=machine)
         assert [r.energy_per_pass_j for r in result.repeats] == [0.03, 0.031, 0.029]
         assert result.energy_per_pass_j == pytest.approx(0.03, rel=1e-12)
 
         machine = SimulatedMachine(noise=0.0, seed=1)
-        sim = measure_config(cfg, window_seconds=0.01, repeats=3, counter=machine,
-                             workload=machine.workload(25_000), clock=machine.clock)
+        sim = measure_config(cfg, 25_000, window_seconds=0.01, repeats=3, machine=machine)
         assert sim.energy_per_pass_j == pytest.approx(20.0 * 25_000 / 5e9, rel=1e-6)
 
 
@@ -260,7 +255,7 @@ HAVE_RAPL = bool(discover_rapl_domains())
 def test_09b_rapl_smoke_positive_energy():
     with criterion(9, "RAPL smoke: spin workload draws strictly positive joules"):
         cfg = LayerConfig(kind=LayerKind.TANH, batch_size=8, in_channels=200_000)
-        result = measure_config(cfg, window_seconds=0.5, repeats=1)
+        result = measure_config(cfg, standalone_macs(cfg), window_seconds=0.5, repeats=1)
         assert result.energy_per_pass_j > 0.0
 
 

@@ -17,7 +17,7 @@ from joulecast.dataset import SOURCE_RANDOM, load_layerwise_csv, load_modelwise_
 from joulecast.errors import MacOverflowError
 from joulecast.features import KindMatrix
 from joulecast.macs import standalone_macs
-from test_probe import counted_threads
+from test_probe import counted_threads, make_powercap_tree
 
 
 def run(*argv):
@@ -48,6 +48,9 @@ def bundle_path(tmp_path_factory, layerwise_csv):
                   "--out", str(path), "--cv-folds", "0")
     assert code == 0
     return path
+
+
+_NO_DOMAINS = "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"
 
 
 class TestCollect:
@@ -194,21 +197,90 @@ class TestCollect:
         assert measured == []  # refused before any measurement
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
-    def test_pinned_architecture_collect_draws_on_one_thread(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:load average")
+    def test_pinned_architecture_collect_draws_on_one_thread(self, tmp_path, monkeypatch):
         """The full-pass workload is built inside the pinned region, as each
-        layer's is, so its large weights start no drawing thread."""
+        layer's is, so its large weights start no drawing thread. The default
+        ``RaplMachine`` meters a fake powercap tree whose counter advances by
+        1,000 uJ a read."""
         made = counted_threads(monkeypatch)
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**12, 0)])))
         readings = itertools.count(0, 1_000)
-        counter = SimpleNamespace(max_ranges_uj=(10**12,), read_uj=lambda: (next(readings),))
-        measure_config = probe.measure_config
-        monkeypatch.setattr(probe, "measure_config",
-                            lambda config, **kwargs: measure_config(config, counter=counter, **kwargs))
+        monkeypatch.setattr(probe, "read_energy", lambda domain: next(readings))
         measure = cli._meter(SimpleNamespace(simulate=False, window=1e-3, repeats=1, seed=0,
                                              pin_cpu=min(os.sched_getaffinity(0))))
         arch = load_architecture("alexnet")
         record = cli._collect_architecture(arch, 1, measure)
         assert record.total_energy_j > 0 and len(record.layers) == len(extract_predictable_layers(arch))
         assert made == []
+
+    @pytest.mark.parametrize("kind", ["relu", "vgg11"])
+    @pytest.mark.parametrize("domain, message", [
+        (None, _NO_DOMAINS),
+        (("package-0", "abc", 5), _NO_DOMAINS),
+        (("package-\u00e9", 10**6, 5), _NO_DOMAINS),
+        (("package-0", 0, 5), _NO_DOMAINS),
+        (("package-0", 10**6, "abc"), "RAPL counters not readable: {root}/intel-rapl:0/energy_uj: "
+                                      "invalid literal for int() with base 10: 'abc'"),
+    ], ids=["empty", "range-abc", "non-ascii-name", "range-0", "counter-abc"])
+    def test_unusable_rapl_tree_is_refused_before_any_workload(self, tmp_path, capsys, monkeypatch, kind,
+                                                               domain, message):
+        root = tmp_path / "powercap"
+        root.mkdir()
+        if domain is not None:
+            make_powercap_tree(root, [domain])
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
+        built = []
+        monkeypatch.setattr(probe, "make_workload", lambda *args: built.append(args))
+        monkeypatch.setattr(probe, "make_architecture_workload", lambda *args: built.append(args))
+        out = tmp_path / "x.csv"
+        code, _ = run("--quiet", "collect", "--kind", kind, "--count", "1", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(root=root)}\n"
+        assert built == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["relu", "alexnet"])
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/x.csv", "[Errno 2] No such file or directory"),
+        ("a-directory", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_refused_before_any_measurement(self, tmp_path, capsys, monkeypatch, kind,
+                                                              out, reason):
+        (tmp_path / "a-directory").mkdir()
+        measured = []
+        monkeypatch.setattr(probe, "measure_config", lambda *args, **kwargs: measured.append(args))
+        path = tmp_path / out
+        code, _ = run("--simulate", "--quiet", "collect", "--kind", kind, "--count", "1", "--out", str(path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {reason}: '{path}'\n"
+        assert measured == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]  # no file left
+        assert list((tmp_path / "a-directory").iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write anywhere")
+    @pytest.mark.parametrize("existing", [False, True], ids=["read-only-directory", "read-only-file"])
+    def test_read_only_out_is_refused_before_any_measurement(self, tmp_path, capsys, monkeypatch, existing):
+        directory = tmp_path / "read-only"
+        directory.mkdir()
+        path = directory / "x.csv"
+        if existing:
+            path.write_text("kept\n")
+            path.chmod(0o444)
+        else:
+            directory.chmod(0o555)
+        measured = []
+        monkeypatch.setattr(probe, "measure_config", lambda *args, **kwargs: measured.append(args))
+        try:
+            code, _ = run("--simulate", "--quiet", "collect", "--kind", "relu", "--count", "1", "--out", str(path))
+        finally:
+            directory.chmod(0o755)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{path}'\n"
+        assert measured == []
+        assert [p.name for p in directory.iterdir()] == (["x.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "kept\n"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     @pytest.mark.parametrize("cpu", ["-1", "100000000000", "4096"])

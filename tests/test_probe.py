@@ -295,16 +295,31 @@ class TestEnergyDelta:
         assert counters_delta_uj(before, after, (10**6, 10**6)) == 170
 
 
-class ScriptedCounter:
-    """Counter returning a fixed sequence of readings; 'fail' raises."""
+def make_powercap_tree(root, domains):
+    """A fake powercap tree under ``root``: one ``intel-rapl:<i>`` domain per
+    (name, max_range, energy) triple."""
+    for i, (name, max_range, energy) in enumerate(domains):
+        d = root / f"intel-rapl:{i}"
+        d.mkdir()
+        (d / "name").write_text(name + "\n")
+        (d / "max_energy_range_uj").write_text(f"{max_range}\n")
+        (d / "energy_uj").write_text(f"{energy}\n")
+    return root
 
-    def __init__(self, readings, max_range=10**9):
+
+class ScriptedMachine:
+    """A measured host whose counter returns a fixed sequence of readings
+    ('fail' raises) and whose clock advances ``step`` seconds per pass, and
+    only then."""
+
+    domain_names = ("scripted",)
+
+    def __init__(self, readings, step=1.0, max_range=10**9):
         self._readings = list(readings)
-        self._max = max_range
-
-    @property
-    def max_ranges_uj(self):
-        return (self._max,)
+        self.max_ranges_uj = (max_range,)
+        self.step = step
+        self.now = 0.0
+        self.built = []  # the (config, macs, seed) of each workload built
 
     def read_uj(self):
         value = self._readings.pop(0)
@@ -312,19 +327,18 @@ class ScriptedCounter:
             raise probe.CounterReadError("scripted failure")
         return (value,)
 
-
-class TickingClock:
-    """Advances only when the workload runs."""
-
-    def __init__(self, step):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self):
+    def clock(self):
         return self.now
 
-    def workload(self):
+    def run_pass(self):
         self.now += self.step
+
+    def workload(self, config, macs, seed):
+        self.built.append((config, macs, seed))
+        return self.run_pass
+
+    def run_window(self, workload, window_seconds):
+        return probe._run_window(workload, self.clock, window_seconds)
 
 
 class TestMeasureConfig:
@@ -332,65 +346,44 @@ class TestMeasureConfig:
         return LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=50_000)
 
     def test_per_pass_normalization(self):
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter([0, 30_000_000])  # 30 J over the window
-        result = measure_config(
-            self.cfg(), window_seconds=30.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock,
-        )
+        machine = ScriptedMachine([0, 30_000_000], step=0.03)  # 30 J over the window
+        result = measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=1, machine=machine, seed=4)
         assert result.repeats[0].passes == 1000
         assert result.repeats[0].energy_j == 30.0
         assert result.energy_per_pass_j == 0.03
+        assert result.domains == ("scripted",)
+        assert machine.built == [(self.cfg(), 50_000, 4)]  # one workload for the measurement
 
     def test_three_repeat_averaging(self):
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000])
-        result = measure_config(
-            self.cfg(), window_seconds=30.0, repeats=3,
-            counter=counter, workload=clock.workload, clock=clock,
-        )
+        machine = ScriptedMachine([0, 30_000_000, 30_000_000, 61_000_000, 61_000_000, 90_000_000], step=0.03)
+        result = measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=3, machine=machine)
         per_pass = [r.energy_per_pass_j for r in result.repeats]
         assert per_pass == [0.03, 0.031, 0.029]
         assert result.energy_per_pass_j == pytest.approx(0.03, rel=1e-12)
+        assert len(machine.built) == 1
 
     def test_failed_repeat_dropped(self):
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter([0, 30_000_000, "fail", 0, 29_000_000])
+        machine = ScriptedMachine([0, 30_000_000, "fail", 0, 29_000_000], step=0.03)
         with pytest.warns(UserWarning, match="failed counter read"):
-            result = measure_config(
-                self.cfg(), window_seconds=30.0, repeats=3,
-                counter=counter, workload=clock.workload, clock=clock,
-            )
+            result = measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=3, machine=machine)
         assert len(result.repeats) == 2
         assert result.failed_repeats == 1
         assert result.energy_per_pass_j == pytest.approx((0.030 + 0.029) / 2, rel=1e-12)
 
     def test_all_repeats_failed(self):
-        clock = TickingClock(step=0.03)
-        counter = ScriptedCounter(["fail", "fail"])
+        machine = ScriptedMachine(["fail", "fail"], step=0.03)
         with pytest.warns(UserWarning):
             with pytest.raises(AllRepeatsFailedError):
-                measure_config(
-                    self.cfg(), window_seconds=30.0, repeats=2,
-                    counter=counter, workload=clock.workload, clock=clock,
-                )
+                measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=2, machine=machine)
 
     def test_wraparound_inside_window(self):
-        clock = TickingClock(step=1.0)
-        counter = ScriptedCounter([999_999_990, 20], max_range=10**9)
-        result = measure_config(
-            self.cfg(), window_seconds=1.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock,
-        )
+        machine = ScriptedMachine([999_999_990, 20], step=1.0, max_range=10**9)
+        result = measure_config(self.cfg(), 50_000, window_seconds=1.0, repeats=1, machine=machine)
         assert result.repeats[0].energy_j == pytest.approx(30 / 1e6)
 
     def test_single_long_pass_flagged(self):
-        clock = TickingClock(step=45.0)
-        counter = ScriptedCounter([0, 1_000_000])
-        result = measure_config(
-            self.cfg(), window_seconds=30.0, repeats=1,
-            counter=counter, workload=clock.workload, clock=clock,
-        )
+        machine = ScriptedMachine([0, 1_000_000], step=45.0)
+        result = measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=1, machine=machine)
         assert result.repeats[0].passes == 1
         assert result.repeats[0].long_pass
 
@@ -398,9 +391,8 @@ class TestMeasureConfig:
         assert probe._measure_lock.acquire(blocking=False)
         try:
             with pytest.raises(ConcurrentMeasurementError):
-                measure_config(self.cfg(), window_seconds=1.0, repeats=1,
-                               counter=ScriptedCounter([0, 1]), workload=lambda: None,
-                               clock=lambda: 100.0)
+                measure_config(self.cfg(), 50_000, window_seconds=1.0, repeats=1,
+                               machine=ScriptedMachine([0, 1]))
         finally:
             probe._measure_lock.release()
 
@@ -408,46 +400,48 @@ class TestMeasureConfig:
     def test_cpu_pinning_is_restored(self):
         before = os.sched_getaffinity(0)
         cpu = min(before)
-        clock = TickingClock(step=1.0)
         seen = []
 
-        def workload():
-            seen.append(os.sched_getaffinity(0))
-            clock.workload()
+        class Recording(ScriptedMachine):
+            def workload(self, config, macs, seed):
+                seen.append(os.sched_getaffinity(0))
+                return super().workload(config, macs, seed)
 
-        measure_config(
-            self.cfg(), window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
-            workload=workload, clock=clock, pin_to_cpu=cpu,
-        )
-        assert seen == [{cpu}]
+            def run_pass(self):
+                seen.append(os.sched_getaffinity(0))
+                super().run_pass()
+
+        measure_config(self.cfg(), 50_000, window_seconds=1.0, repeats=1, machine=Recording([0, 1_000]),
+                       pin_to_cpu=cpu)
+        assert seen == [{cpu}, {cpu}]  # the workload is built and run pinned
         assert os.sched_getaffinity(0) == before
 
     @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
     def test_non_finite_window_refused(self, window):
+        machine = ScriptedMachine([0, 1_000])
         reads = itertools.count()
 
         def clock():  # a window that can never fill fails here instead of hanging
-            now = next(reads)
-            if now >= 1_000:
+            if next(reads) >= 1_000:
                 raise RuntimeError("the window never ended")
-            return float(now)
+            return machine.now
 
+        machine.clock = clock
         with pytest.raises(ValidationError) as info:
-            measure_config(self.cfg(), window_seconds=window, repeats=1, counter=ScriptedCounter([0, 1_000]),
-                           workload=lambda: None, clock=clock)
+            measure_config(self.cfg(), 50_000, window_seconds=window, repeats=1, machine=machine)
         assert str(info.value) == f"window_seconds must be finite and positive, not {window}"
         assert next(reads) == 0  # refused before the first clock read
+        assert machine.built == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     @pytest.mark.parametrize("cpu", [-1, 100_000_000_000, 4096])
     def test_unpinnable_cpu_refused(self, cpu):
         before = os.sched_getaffinity(0)
-        ran = []
+        machine = ScriptedMachine([0, 1_000])
         with pytest.raises(ValidationError) as info:
-            measure_config(self.cfg(), window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
-                           workload=lambda: ran.append(1), clock=TickingClock(step=1.0), pin_to_cpu=cpu)
+            measure_config(self.cfg(), 50_000, window_seconds=1.0, repeats=1, machine=machine, pin_to_cpu=cpu)
         assert str(info.value).startswith(f"cannot pin the measurement to CPU {cpu}: ")
-        assert ran == []
+        assert machine.built == [] and machine.now == 0.0  # no workload built or run
         assert os.sched_getaffinity(0) == before
         assert probe._measure_lock.acquire(blocking=False)  # released for the next measurement
         probe._measure_lock.release()
@@ -455,13 +449,10 @@ class TestMeasureConfig:
     def test_simulated_machine_energy_tracks_macs(self):
         machine = SimulatedMachine(mac_rate=5e9, power_w=20.0, noise=0.0, seed=0)
         macs = 25_000
-        result = measure_config(
-            self.cfg(), window_seconds=0.01, repeats=3,
-            counter=machine, workload=machine.workload(macs),
-            clock=machine.clock,
-        )
+        result = measure_config(self.cfg(), macs, window_seconds=0.01, repeats=3, machine=machine)
         expected = 20.0 * macs / 5e9
         assert result.energy_per_pass_j == pytest.approx(expected, rel=1e-6)
+        assert result.domains == ("simulated",)
 
 
 def _twins(seed, noise=0.01, mac_rate=5e9):
@@ -470,10 +461,23 @@ def _twins(seed, noise=0.01, mac_rate=5e9):
             SimulatedMachine(mac_rate=mac_rate, noise=noise, seed=seed))
 
 
+# a simulated pass depends on its MACs alone, not on the config or the seed
+_ANY_CONFIG = LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=1)
+
+
+def _one_pass(machine, macs):
+    machine.run_pass(machine.workload(_ANY_CONFIG, macs, 0))
+
+
+def _per_pass_window(machine, macs, window):
+    """The reference: ``window`` filled one pass at a time on the machine's clock."""
+    return probe._run_window(lambda: _one_pass(machine, macs), machine.clock, window)
+
+
 def _same_window(per_pass, windowed, macs, window):
     """Fill one window on each twin; both must give the same passes, elapsed time and clock."""
-    expected = probe._run_window(per_pass.workload(macs), per_pass.clock, window)
-    got = windowed.workload(macs).run_window(window)
+    expected = _per_pass_window(per_pass, macs, window)
+    got = windowed.run_window(windowed.workload(_ANY_CONFIG, macs, 0), window)
     assert got == expected
     assert windowed.clock() == per_pass.clock()
     return got
@@ -506,8 +510,8 @@ class TestSimulatedWindow:
         per_pass, windowed = _twins(seed, noise)
         for single, macs, span in ops:
             if single:
-                per_pass.workload(macs)()
-                windowed.workload(macs)()
+                _one_pass(per_pass, macs)
+                _one_pass(windowed, macs)
                 assert windowed.clock() == per_pass.clock()
             else:  # a window of about ``span`` unjittered passes
                 _same_window(per_pass, windowed, macs, span * macs / per_pass.mac_rate)
@@ -534,8 +538,8 @@ class TestSimulatedWindow:
             per_pass, windowed = _twins(seed, noise=0.3)
             for macs in (1_000_000, 37_000, 5_000_000, 123_456):
                 _same_window(per_pass, windowed, macs, 0.003)
-                per_pass.workload(macs)()
-                windowed.workload(macs)()
+                _one_pass(per_pass, macs)
+                _one_pass(windowed, macs)
             assert _next_pass_times(windowed) == _next_pass_times(per_pass)
 
     def test_single_long_pass(self):
@@ -543,8 +547,7 @@ class TestSimulatedWindow:
         macs = 10**9  # 0.2 s per pass against a 0.05 s window
         assert _same_window(per_pass, windowed, macs, 0.05)[0] == 1
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
-        result = measure_config(cfg, window_seconds=0.05, repeats=2, counter=windowed,
-                                workload=windowed.workload(macs), clock=windowed.clock)
+        result = measure_config(cfg, macs, window_seconds=0.05, repeats=2, machine=windowed)
         assert [(r.passes, r.long_pass) for r in result.repeats] == [(1, True), (1, True)]
         assert _next_pass_times(windowed) != _next_pass_times(per_pass)  # two passes ahead
 
@@ -563,8 +566,8 @@ class TestSimulatedWindow:
         for macs, window in ((40_000, 0.02), (3_000, None), (900, 0.005), (12, None), (5_000_000, 0.05),
                              (1, None), (1, 0.00002), (80_000, None)):
             if window is None:
-                per_pass.workload(macs)()
-                windowed.workload(macs)()
+                _one_pass(per_pass, macs)
+                _one_pass(windowed, macs)
                 assert windowed.clock() == per_pass.clock()
             else:
                 _same_window(per_pass, windowed, macs, window)
@@ -574,9 +577,8 @@ class TestSimulatedWindow:
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
         macs = standalone_macs(cfg)  # 2 MACs: 0.4 ns a pass
         per_pass, windowed = _twins(seed=6, noise=0.0)
-        result = measure_config(cfg, window_seconds=4e-4, repeats=1, counter=windowed,
-                                workload=windowed.workload(macs), clock=windowed.clock)
-        expected = probe._run_window(per_pass.workload(macs), per_pass.clock, 4e-4)
+        result = measure_config(cfg, macs, window_seconds=4e-4, repeats=1, machine=windowed)
+        expected = _per_pass_window(per_pass, macs, 4e-4)
         assert (result.repeats[0].passes, result.repeats[0].elapsed_s) == expected
         assert result.repeats[0].passes > 10**6
         assert windowed.clock() == per_pass.clock()
@@ -597,20 +599,14 @@ class TestLoadWarning:
         machine = SimulatedMachine(noise=0.0, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            measure_config(self.cfg(), window_seconds=0.01, repeats=1, counter=machine,
-                           workload=machine.workload(1_000), clock=machine.clock)
+            measure_config(self.cfg(), 1_000, window_seconds=0.01, repeats=1, machine=machine)
 
     def test_rapl_measurement_warns(self, tmp_path, monkeypatch):
-        domain = tmp_path / "intel-rapl:0"
-        domain.mkdir()
-        (domain / "name").write_text("package-0\n")
-        (domain / "max_energy_range_uj").write_text("1000000\n")
-        (domain / "energy_uj").write_text("5\n")
-        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
-        clock = TickingClock(step=1.0)
-        with pytest.warns(UserWarning, match="load average"):
-            measure_config(self.cfg(), window_seconds=1.0, repeats=1,
-                           workload=clock.workload, clock=clock)
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**6, 5)])))
+        with pytest.warns(UserWarning, match="load average") as record:
+            measure_config(self.cfg(), 1_000, window_seconds=1e-3, repeats=2)
+        assert len(record) == 1  # once per measurement, not per repeat
+        assert record[0].filename == __file__  # at the caller of measure_config
 
 
 # one small standalone config per predictable kind (a missing kind fails as a KeyError)
@@ -805,10 +801,17 @@ class TestSplitWeightDraw:
         assert made == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
-    def test_pinned_measurement_draws_on_one_thread(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:load average")
+    def test_pinned_measurement_draws_on_one_thread(self, tmp_path, monkeypatch):
         made = counted_threads(monkeypatch)
-        result = measure_config(self.LARGE, window_seconds=1.0, repeats=1, counter=ScriptedCounter([0, 1_000]),
-                                clock=itertools.count().__next__, pin_to_cpu=min(os.sched_getaffinity(0)))
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**6, 5)])))
+
+        class OnePassPerTick(probe.RaplMachine):  # the real workload, on a clock that ticks once per read
+            def run_window(self, workload, window_seconds):
+                return probe._run_window(workload, itertools.count().__next__, window_seconds)
+
+        result = measure_config(self.LARGE, standalone_macs(self.LARGE), window_seconds=1.0, repeats=1,
+                                machine=OnePassPerTick(), pin_to_cpu=min(os.sched_getaffinity(0)))
         assert result.repeats[0].passes == 1
         assert made == []
 
@@ -829,18 +832,10 @@ class TestSplitWeightDraw:
         assert threading.active_count() == before
 
 
+@pytest.mark.filterwarnings("ignore:load average")
 class TestRaplDiscovery:
-    def make_tree(self, tmp_path, domains):
-        for i, (name, max_range, energy) in enumerate(domains):
-            d = tmp_path / f"intel-rapl:{i}"
-            d.mkdir()
-            (d / "name").write_text(name + "\n")
-            (d / "max_energy_range_uj").write_text(f"{max_range}\n")
-            (d / "energy_uj").write_text(f"{energy}\n")
-        return tmp_path
-
     def test_discovers_package_domains(self, tmp_path, monkeypatch):
-        root = self.make_tree(tmp_path, [("package-0", 262143328850, 12345), ("psys", 10**9, 1)])
+        root = make_powercap_tree(tmp_path, [("package-0", 262143328850, 12345), ("psys", 10**9, 1)])
         sub = tmp_path / "intel-rapl:0:0"
         sub.mkdir()
         (sub / "name").write_text("core\n")
@@ -853,14 +848,14 @@ class TestRaplDiscovery:
         assert probe.read_energy(domains[0]) == 12345
 
     def test_env_override(self, tmp_path, monkeypatch):
-        self.make_tree(tmp_path, [("package-0", 1000, 1)])
+        make_powercap_tree(tmp_path, [("package-0", 1000, 1)])
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
         assert len(discover_rapl_domains()) == 1
 
     def test_unavailable_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path / "nothing"))
         with pytest.raises(RaplUnavailableError):
-            probe.RaplCounterSource()
+            probe.RaplMachine()
 
     @pytest.mark.parametrize("files, cause, message", [
         # a domain missing its name or range, or not a package domain, is not discovered
@@ -869,6 +864,15 @@ class TestRaplDiscovery:
         ({"name": "package-0\n", "energy_uj": "5\n"}, None, "no readable RAPL package domains under {root} "
          "(missing powercap support or insufficient permissions)"),
         ({"name": "psys\n", "max_energy_range_uj": "1000\n", "energy_uj": "5\n"}, None,
+         "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
+        # a domain whose name is not ASCII, or whose range is not a positive integer, is not discovered
+        ({"name": "package-\u00e9\n", "max_energy_range_uj": "1000\n", "energy_uj": "5\n"}, None,
+         "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
+        ({"name": "package-0\n", "max_energy_range_uj": "abc\n", "energy_uj": "5\n"}, None,
+         "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
+        ({"name": "package-0\n", "max_energy_range_uj": "0\n", "energy_uj": "5\n"}, None,
+         "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
+        ({"name": "package-0\n", "max_energy_range_uj": "-1000\n", "energy_uj": "5\n"}, None,
          "no readable RAPL package domains under {root} (missing powercap support or insufficient permissions)"),
         # a discovered domain whose counter cannot be read
         ({"name": "package-0\n", "max_energy_range_uj": "1000\n"}, probe.CounterReadError,
@@ -880,20 +884,21 @@ class TestRaplDiscovery:
         domain = tmp_path / "intel-rapl:0"
         domain.mkdir()
         for name, text in files.items():
-            (domain / name).write_text(text)
+            (domain / name).write_bytes(text.encode("utf-8"))
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
         with pytest.raises(RaplUnavailableError) as info:
-            probe.RaplCounterSource()
+            probe.RaplMachine()
         assert type(info.value) is RaplUnavailableError
         assert str(info.value) == message.format(root=tmp_path, counter=domain / "energy_uj")
         assert type(info.value.__cause__) is (type(None) if cause is None else cause)
 
-    def test_counter_source_reads(self, tmp_path, monkeypatch):
-        root = self.make_tree(tmp_path, [("package-0", 10**6, 111), ("package-1", 10**6, 222)])
+    def test_machine_reads(self, tmp_path, monkeypatch):
+        root = make_powercap_tree(tmp_path, [("package-0", 10**6, 111), ("package-1", 10**6, 222)])
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
-        source = probe.RaplCounterSource()
-        assert source.read_uj() == (111, 222)
-        assert source.max_ranges_uj == (10**6, 10**6)
+        machine = probe.RaplMachine()
+        assert machine.read_uj() == (111, 222)
+        assert machine.max_ranges_uj == (10**6, 10**6)
+        assert machine.domain_names == ("package-0", "package-1")
 
 
 HAVE_RAPL = bool(discover_rapl_domains())
@@ -902,5 +907,5 @@ HAVE_RAPL = bool(discover_rapl_domains())
 @pytest.mark.skipif(not HAVE_RAPL, reason="no readable RAPL powercap domains on this host")
 def test_rapl_smoke_measurement():
     cfg = LayerConfig(kind=LayerKind.TANH, batch_size=8, in_channels=100_000)
-    result = measure_config(cfg, window_seconds=0.5, repeats=1)
+    result = measure_config(cfg, standalone_macs(cfg), window_seconds=0.5, repeats=1)
     assert result.energy_per_pass_j > 0.0
