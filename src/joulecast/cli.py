@@ -255,6 +255,8 @@ def cmd_feature_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not (args.layer_scatter or args.totals or args.ablation):
+        raise JoulecastError("nothing to report: pass --layer-scatter, --totals, and/or --ablation")
     os.makedirs(args.out_dir, exist_ok=True)
     artifacts = []
     if args.layer_scatter:
@@ -265,8 +267,6 @@ def cmd_report(args) -> int:
         artifacts.append(report.aggregate_vs_total_artifact(args.totals, args.out_dir))
     if args.ablation:
         artifacts.append(report.ablation_artifact(args.ablation, args.out_dir))
-    if not artifacts:
-        raise JoulecastError("nothing to report: pass --layer-scatter, --totals, and/or --ablation")
     for artifact in artifacts:
         _say(args, f"  {artifact.kind}: {artifact.svg_path}")
     return 0

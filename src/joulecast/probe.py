@@ -8,15 +8,19 @@ of one sequential draw. Under a one-CPU affinity, as in a ``pin_to_cpu``
 measurement, whose machine builds the workload while pinned, it is drawn on
 the calling thread, and no drawing thread outlives ``init_weights``.
 
-The protocol per configuration: read the package energy counters, run as many
-forward passes as fit in a fixed wall-clock window, read again, and normalize
-the (wraparound-safe) delta by the pass count. This repeats up to three times
-and the per-pass energies are averaged; repeats whose counter reads fail are
-dropped. The measured host is one object, a machine: ``RaplMachine`` (the
-package counters, real workloads and the wall clock) by default, or one
-passed in, so the arithmetic is fully testable without hardware.
+The protocol per configuration: the measured host, a machine, runs as many
+forward passes as fit in a fixed window and meters that window, reading its
+energy counters at the window's start and end; the energy is normalized by
+the pass count. This repeats up to three times and the per-pass energies are
+averaged; repeats whose counter reads fail are dropped. The machine is
+``RaplMachine`` (the package counters, real workloads and the wall clock) by
+default, or one passed in, so the protocol is testable without hardware.
 ``SimulatedMachine`` fills a window in vectorised steps over the same jitter
 draws as per-pass stepping, so the result is the same to the bit.
+
+The delta (``energy_delta``) allows at most one wrap per window, so a window
+whose energy reaches a counter range (about 262 kJ for RAPL, 65,532 J
+simulated) reads low by whole ranges; ROADMAP item 1 reads between passes.
 """
 from __future__ import annotations
 
@@ -413,10 +417,6 @@ class RaplMachine:
     def domain_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.domains)
 
-    @property
-    def max_ranges_uj(self) -> tuple[int, ...]:
-        return tuple(d.max_range_uj for d in self.domains)
-
     def read_uj(self) -> tuple[int, ...]:
         return tuple(read_energy(d) for d in self.domains)
 
@@ -426,12 +426,12 @@ class RaplMachine:
             return make_architecture_workload(config, config.input_shape.batch, seed)
         return make_workload(config, seed)
 
-    def run_window(self, workload, window_seconds: float) -> tuple[int, float]:
-        return _run_window(workload, time.monotonic, window_seconds)
-
-
-def counters_delta_uj(before: tuple[int, ...], after: tuple[int, ...], max_ranges: tuple[int, ...]) -> int:
-    return sum(energy_delta(b, a, m) for b, a, m in zip(before, after, max_ranges))
+    def run_window(self, workload, window_seconds: float) -> tuple[int, float, int]:
+        """(passes, elapsed seconds, microjoules summed over the domains) of a wall-clock window."""
+        before = self.read_uj()
+        passes, elapsed = _run_window(workload, time.monotonic, window_seconds)
+        after = self.read_uj()
+        return passes, elapsed, sum(energy_delta(b, a, d.max_range_uj) for b, a, d in zip(before, after, self.domains))
 
 
 #: most simulated passes a window advances in one vectorised step, and the
@@ -461,7 +461,6 @@ class SimulatedMachine:
     #: the counter wraps to 0 here, as a package domain's ``max_energy_range_uj``
     max_range_uj = 65_532_610_987
     domain_names = ("simulated",)
-    max_ranges_uj = (max_range_uj,)
 
     def __init__(self, mac_rate: float = 5e9, power_w: float = 20.0, noise: float = 0.01, seed: int = 0):
         self.mac_rate = mac_rate
@@ -491,10 +490,12 @@ class SimulatedMachine:
             z = self._rng.standard_normal()
         self._t += base * max(1.0 + self.noise * z, 0.1)
 
-    def run_window(self, base: float, window_seconds: float) -> tuple[int, float]:
+    def run_window(self, base: float, window_seconds: float) -> tuple[int, float, int]:
         """Passes of ``base`` seconds until ``window_seconds`` have elapsed:
-        (passes, elapsed seconds), as per-pass stepping gives them."""
+        (passes, elapsed seconds, microjoules between the counter's reads at
+        the window's start and end), as per-pass stepping gives them."""
         start = self._t
+        before = self.read_uj()[0]
         passes = 0
         while True:
             # the unjittered passes left plus two, as jitter may need more; unused draws stay buffered
@@ -519,7 +520,7 @@ class SimulatedMachine:
                 passes += k + 1
                 elapsed = float(over[k])
             if elapsed >= window_seconds:
-                return passes, elapsed
+                return passes, elapsed, energy_delta(before, self.read_uj()[0], self.max_range_uj)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +579,11 @@ def measure_config(
     """Meter ``repeats`` fixed windows of forward passes through ``config``,
     a layer or a whole architecture at its own batch, of ``macs`` MACs a pass.
 
-    ``machine`` is the measured host, a ``RaplMachine`` unless given: it has
-    the counter (``read_uj``, ``max_ranges_uj``, ``domain_names``), builds
-    the workload (``workload(config, macs, seed)``) and fills a window with it
-    (``run_window(workload, window_seconds) -> (passes, elapsed seconds)``).
+    ``machine`` is the measured host, a ``RaplMachine`` unless given: it
+    names its counter domains (``domain_names``), builds the workload
+    (``workload(config, macs, seed)``) and fills and meters a window with it
+    (``run_window(workload, window_seconds) -> (passes, elapsed seconds,
+    microjoules)``), raising ``CounterReadError`` when a counter read fails.
     One measurement at a time per process: a concurrent call contaminates the
     shared package counters and is refused outright. ``pin_to_cpu`` restricts
     the process to one CPU for the duration of the measurement (Linux only),
@@ -609,19 +611,16 @@ def measure_config(
         failed = 0
         for _ in range(repeats):
             try:
-                before = machine.read_uj()
-                passes, elapsed = machine.run_window(workload, window_seconds)
-                after = machine.read_uj()
+                passes, elapsed, energy_uj = machine.run_window(workload, window_seconds)
             except CounterReadError as exc:
                 failed += 1
                 warnings.warn(f"dropping repeat with failed counter read: {exc}", UserWarning, stacklevel=2)
                 continue
-            energy_j = counters_delta_uj(before, after, machine.max_ranges_uj) / 1e6
             results.append(
                 RepeatResult(
                     passes=passes,
                     elapsed_s=elapsed,
-                    energy_j=energy_j,
+                    energy_j=energy_uj / 1e6,
                     long_pass=passes == 1 and elapsed > window_seconds,
                 )
             )

@@ -453,6 +453,7 @@ class TestEvaluateReport:
     def test_report_without_inputs_fails(self, tmp_path):
         code, _ = run("--quiet", "report", "--out-dir", str(tmp_path / "r"))
         assert code == 1
+        assert not (tmp_path / "r").exists()  # refused before the directory is made
 
 
 _REPORT_INPUTS = {

@@ -31,7 +31,6 @@ from joulecast.errors import (
 from joulecast.probe import (
     SimulatedMachine,
     conv2d_forward,
-    counters_delta_uj,
     discover_rapl_domains,
     energy_delta,
     forward_workload,
@@ -289,11 +288,6 @@ class TestEnergyDelta:
         delta = energy_delta(before, after, 10**6)
         assert 0 <= delta < 10**6
 
-    def test_multi_domain_sum(self):
-        before = (100, 999_990)
-        after = (250, 10)
-        assert counters_delta_uj(before, after, (10**6, 10**6)) == 170
-
 
 def make_powercap_tree(root, domains):
     """A fake powercap tree under ``root``: one ``intel-rapl:<i>`` domain per
@@ -309,14 +303,14 @@ def make_powercap_tree(root, domains):
 
 class ScriptedMachine:
     """A measured host whose counter returns a fixed sequence of readings
-    ('fail' raises) and whose clock advances ``step`` seconds per pass, and
-    only then."""
+    ('fail' raises), read at each window's start and end, and whose clock
+    advances ``step`` seconds per pass, and only then."""
 
     domain_names = ("scripted",)
 
     def __init__(self, readings, step=1.0, max_range=10**9):
         self._readings = list(readings)
-        self.max_ranges_uj = (max_range,)
+        self.max_range = max_range
         self.step = step
         self.now = 0.0
         self.built = []  # the (config, macs, seed) of each workload built
@@ -338,7 +332,10 @@ class ScriptedMachine:
         return self.run_pass
 
     def run_window(self, workload, window_seconds):
-        return probe._run_window(workload, self.clock, window_seconds)
+        (before,) = self.read_uj()
+        passes, elapsed = probe._run_window(workload, self.clock, window_seconds)
+        (after,) = self.read_uj()
+        return passes, elapsed, energy_delta(before, after, self.max_range)
 
 
 class TestMeasureConfig:
@@ -475,10 +472,13 @@ def _per_pass_window(machine, macs, window):
 
 
 def _same_window(per_pass, windowed, macs, window):
-    """Fill one window on each twin; both must give the same passes, elapsed time and clock."""
+    """Fill one window on each twin; both must give the same passes, elapsed time
+    and clock, and the window's energy must be the per-pass twin's counter delta."""
+    (before,) = per_pass.read_uj()
     expected = _per_pass_window(per_pass, macs, window)
+    (after,) = per_pass.read_uj()
     got = windowed.run_window(windowed.workload(_ANY_CONFIG, macs, 0), window)
-    assert got == expected
+    assert got == (*expected, energy_delta(before, after, per_pass.max_range_uj))
     assert windowed.clock() == per_pass.clock()
     return got
 
@@ -517,6 +517,23 @@ class TestSimulatedWindow:
                 _same_window(per_pass, windowed, macs, span * macs / per_pass.mac_rate)
         assert _next_pass_times(windowed) == _next_pass_times(per_pass)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 0.01, 0.3]),
+        macs=st.integers(10**10, 10**12),  # 2 to 200 virtual seconds a pass
+        window=st.floats(3_277.0, 20_000.0),
+    )
+    @example(seed=0, noise=0.01, macs=10**10, window=3_277.0)
+    def test_window_past_one_counter_range(self, seed, noise, macs, window):
+        """At 20 W a window over 3,277 virtual seconds passes one counter range."""
+        per_pass, windowed = _twins(seed, noise)
+        _one_pass(per_pass, macs)  # start the window off the counter's zero
+        _one_pass(windowed, macs)
+        elapsed = _same_window(per_pass, windowed, macs, window)[1]
+        assert windowed.power_w * elapsed * 1e6 > windowed.max_range_uj
+        assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
     @pytest.mark.parametrize("passes", [
         probe._CHUNK_PASSES,  # one step that the window ends on
         2 * probe._CHUNK_PASSES,  # two
@@ -527,7 +544,7 @@ class TestSimulatedWindow:
         # a pass of exactly 2**-20 s: the clock sums exactly and the last pass meets the window
         per_pass, windowed = _twins(seed=5, noise=0.0, mac_rate=2.0**20)
         window = passes * 2.0**-20
-        assert _same_window(per_pass, windowed, 1, window) == (passes, window)
+        assert _same_window(per_pass, windowed, 1, window)[:2] == (passes, window)
         assert _next_pass_times(windowed) == _next_pass_times(per_pass)
 
     @pytest.mark.parametrize("chunk, scalar", [(1, 0), (2, 0), (3, 1), (7, 2), (probe._CHUNK_PASSES, 0)])
@@ -553,7 +570,7 @@ class TestSimulatedWindow:
 
     def test_zero_noise_passes_are_the_base_time(self):
         per_pass, windowed = _twins(seed=8, noise=0.0, mac_rate=2.0**20)
-        assert _same_window(per_pass, windowed, 2**10, 1000 * 2.0**-10) == (1000, 1000 * 2.0**-10)
+        assert _same_window(per_pass, windowed, 2**10, 1000 * 2.0**-10)[:2] == (1000, 1000 * 2.0**-10)
 
     def test_clamped_jitter(self):
         per_pass, windowed = _twins(seed=4, noise=5.0)  # 1 + 5z < 0.1 for about 43% of draws
@@ -805,13 +822,9 @@ class TestSplitWeightDraw:
     def test_pinned_measurement_draws_on_one_thread(self, tmp_path, monkeypatch):
         made = counted_threads(monkeypatch)
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**6, 5)])))
-
-        class OnePassPerTick(probe.RaplMachine):  # the real workload, on a clock that ticks once per read
-            def run_window(self, workload, window_seconds):
-                return probe._run_window(workload, itertools.count().__next__, window_seconds)
-
-        result = measure_config(self.LARGE, standalone_macs(self.LARGE), window_seconds=1.0, repeats=1,
-                                machine=OnePassPerTick(), pin_to_cpu=min(os.sched_getaffinity(0)))
+        # the default machine and the real workload, in a window that one pass fills
+        result = measure_config(self.LARGE, standalone_macs(self.LARGE), window_seconds=1e-9, repeats=1,
+                                pin_to_cpu=min(os.sched_getaffinity(0)))
         assert result.repeats[0].passes == 1
         assert made == []
 
@@ -897,8 +910,47 @@ class TestRaplDiscovery:
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
         machine = probe.RaplMachine()
         assert machine.read_uj() == (111, 222)
-        assert machine.max_ranges_uj == (10**6, 10**6)
         assert machine.domain_names == ("package-0", "package-1")
+
+
+@pytest.mark.filterwarnings("ignore:load average")
+class TestRaplWindow:
+    """``RaplMachine.run_window`` meters its window on a fake powercap tree whose
+    counters ``probe.read_energy`` scripts, one reading list per domain."""
+
+    def cfg(self):
+        return LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=1_000)
+
+    def script(self, tmp_path, monkeypatch, readings):
+        """``readings`` maps each package domain to its counter's readings ('fail'
+        raises), the first taken when the machine is built."""
+        root = make_powercap_tree(tmp_path, [(name, 10**6, 0) for name in readings])
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
+        left = {name: list(values) for name, values in readings.items()}
+
+        def read_energy(domain):
+            value = left[domain.name].pop(0)
+            if value == "fail":
+                raise probe.CounterReadError(f"{domain.counter_path}: scripted failure")
+            return value
+
+        monkeypatch.setattr(probe, "read_energy", read_energy)
+        return left
+
+    def test_domains_summed_across_a_wrap(self, tmp_path, monkeypatch):
+        left = self.script(tmp_path, monkeypatch, {"package-0": [5, 100, 250], "package-1": [5, 999_990, 10]})
+        result = measure_config(self.cfg(), 1_000, window_seconds=1e-3, repeats=1)
+        assert result.repeats[0].energy_j == 170 / 1e6  # 150 uJ, and 20 uJ across package-1's wrap
+        assert result.domains == ("package-0", "package-1")
+        assert left == {"package-0": [], "package-1": []}  # read once when built, then around the window
+
+    def test_failed_read_mid_measurement_drops_the_repeat(self, tmp_path, monkeypatch):
+        left = self.script(tmp_path, monkeypatch, {"package-0": [0, 0, 1_000, 1_000, "fail", 2_000, 2_500]})
+        with pytest.warns(UserWarning, match="dropping repeat with failed counter read: .*scripted failure"):
+            result = measure_config(self.cfg(), 1_000, window_seconds=1e-3, repeats=3)
+        assert [r.energy_j for r in result.repeats] == [1_000 / 1e6, 500 / 1e6]
+        assert result.failed_repeats == 1
+        assert left == {"package-0": []}
 
 
 HAVE_RAPL = bool(discover_rapl_domains())
