@@ -21,12 +21,10 @@ from .dataset import (
     SplitSpec,
     load_layerwise_csv,
     load_modelwise_csv,
-    merge_real_configs,
     sample_config,
-    split,
 )
 from .features import DesignMatrix, FeatureMap, FeatureSetKind, PolynomialSpec
-from .macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs, relu_macs, standalone_macs
+from .macs import architecture_macs, standalone_macs
 from .predict import (
     EnergyEstimate,
     PredictorBundle,
@@ -38,7 +36,7 @@ from .predict import (
     train_default_bundle,
 )
 from .probe import ProbeResult, RaplDomain, energy_delta, forward_workload, measure_config
-from .regress import CvReport, EvalMetrics, LinearModel, ModelSpec, cross_validate, evaluate, fit_lasso, fit_ols
+from .regress import CvReport, EvalMetrics, LinearModel, ModelSpec, evaluate, fit_ols
 
 __version__ = "0.1.0"
 
@@ -55,18 +53,12 @@ __all__ = [
     "SplitSpec",
     "load_layerwise_csv",
     "load_modelwise_csv",
-    "merge_real_configs",
     "sample_config",
-    "split",
     "DesignMatrix",
     "FeatureMap",
     "FeatureSetKind",
     "PolynomialSpec",
     "architecture_macs",
-    "conv2d_macs",
-    "linear_macs",
-    "maxpool2d_macs",
-    "relu_macs",
     "standalone_macs",
     "EnergyEstimate",
     "PredictorBundle",
@@ -85,9 +77,7 @@ __all__ = [
     "EvalMetrics",
     "LinearModel",
     "ModelSpec",
-    "cross_validate",
     "evaluate",
-    "fit_lasso",
     "fit_ols",
     "__version__",
 ]

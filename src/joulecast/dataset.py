@@ -23,7 +23,6 @@ import numpy as np
 from .arch import KIND_SPECS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from .errors import (
     ConsistencyWarning,
-    KindMismatchError,
     ParseError,
     RetryExhaustedError,
     SchemaError,
@@ -166,14 +165,6 @@ def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
     return sizes
 
 
-def split(
-    records: list[MeasurementRecord], spec: SplitSpec
-) -> tuple[list[MeasurementRecord], list[MeasurementRecord], list[MeasurementRecord]]:
-    """Deterministic grouped train/val/test partition (``split_indices``)."""
-    parts = split_indices([config_key(r.config) for r in records], spec)
-    return tuple([records[i] for i in part] for part in parts)
-
-
 def split_indices(keys: Sequence[tuple], spec: SplitSpec) -> tuple[list[int], list[int], list[int]]:
     """Positions of the train/val/test parts of records with these config keys.
 
@@ -194,34 +185,6 @@ def split_indices(keys: Sequence[tuple], spec: SplitSpec) -> tuple[list[int], li
         bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
         parts[bucket].extend(groups[key])
     return parts
-
-
-def merge_real_configs(
-    train: list[MeasurementRecord], real: list[MeasurementRecord]
-) -> list[MeasurementRecord]:
-    """Enrich a training set with measurements of real-architecture layer configs."""
-    kinds = {r.module for r in train} | {r.module for r in real}
-    if len(kinds) > 1:
-        raise KindMismatchError(f"cannot merge records of mixed kinds {sorted(k.value for k in kinds)}")
-    return list(train) + list(real)
-
-
-def modelwise_to_layerwise(records: list["ModelWiseRecord"]) -> list[MeasurementRecord]:
-    """Per-layer measurements of real architectures as training records."""
-    out = []
-    for record in records:
-        for layer in record.layers:
-            out.append(
-                MeasurementRecord(
-                    module=layer.module,
-                    config=layer.config,
-                    macs=layer.macs,
-                    cpu_energy_j=layer.cpu_energy_j,
-                    repeat=1,
-                    source=SOURCE_REAL,
-                )
-            )
-    return out
 
 
 LAYERWISE_HEADER = ("module", *STANDALONE_FIELDS, "macs", "cpu_energy_j", "repeat", "source")
@@ -417,7 +380,9 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
     """Read model-wise rows grouped as one total row followed by its layer rows.
 
     A layer row with a missing, non-finite or negative energy is dropped with
-    a warning; such a total row is dropped together with its layer rows.
+    a warning; such a total row is dropped together with its layer rows. A
+    layer row's configuration must be a full standalone one, as a layer-wise
+    row's is.
     """
     records: list[ModelWiseRecord] = []
     current: tuple[int, ModelWiseRecord] | None = None  # (its total row, the record)
@@ -473,11 +438,13 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                     )
                     continue
                 kind = LayerKind(module)
+                config = _config_from_cells(kind, config_cells(row))
+                config.require_standalone()
                 layers.append(
                     ModelWiseLayer(
                         layer_index=int(layer_index),
                         module=kind,
-                        config=_config_from_cells(kind, config_cells(row)),
+                        config=config,
                         macs=int(macs),
                         cpu_energy_j=energy,
                     )

@@ -11,7 +11,6 @@ from .arch import (
     LayerConfig,
     LayerKind,
     ResolvedLayer,
-    TensorShape,
     extract_predictable_layers,
     propagate_shape,
     standalone_input_shape,
@@ -25,32 +24,6 @@ def _checked(value: int, where: str = "") -> int:
     if value > INT64_MAX:
         raise MacOverflowError(f"{where}MAC count {value} exceeds the 64-bit budget")
     return value
-
-
-def conv2d_macs(config: LayerConfig, out: TensorShape, include_bias: bool = True) -> int:
-    """k^2 * w_out * h_out * c_in * c_out * B, plus one MAC per output element for bias."""
-    if config.kind is not LayerKind.CONV2D:
-        raise ValidationError(f"conv2d_macs got a {config.kind.value} config")
-    return _checked(KIND_SPECS[config.kind].macs(config, None, out, out.batch, include_bias))
-
-
-def linear_macs(config: LayerConfig, in_shape: TensorShape, include_bias: bool = True) -> int:
-    """w_in * h_in * c_in * c_out * B, plus c_out * B for bias."""
-    if config.kind is not LayerKind.LINEAR:
-        raise ValidationError(f"linear_macs got a {config.kind.value} config")
-    return _checked(KIND_SPECS[config.kind].macs(config, in_shape, None, in_shape.batch, include_bias))
-
-
-def maxpool2d_macs(config: LayerConfig, out: TensorShape) -> int:
-    """(k^2 * w_out * h_out * c_in * B) / 2: comparison ops halved onto the MAC scale."""
-    if config.kind is not LayerKind.MAXPOOL2D:
-        raise ValidationError(f"maxpool2d_macs got a {config.kind.value} config")
-    return _checked(KIND_SPECS[config.kind].macs(config, None, out, out.batch, False))
-
-
-def relu_macs(in_shape: TensorShape) -> int:
-    """(w_in * h_in * c_in * B) / 2: one elementwise op per element, halved; every activation's rule."""
-    return _checked(KIND_SPECS[LayerKind.RELU].macs(None, in_shape, None, in_shape.batch, False))
 
 
 def layer_macs(resolved: ResolvedLayer, include_bias: bool = True, batch: int | None = None) -> int:
@@ -96,10 +69,6 @@ def architecture_macs(
 
 __all__ = [
     "INT64_MAX",
-    "conv2d_macs",
-    "linear_macs",
-    "maxpool2d_macs",
-    "relu_macs",
     "layer_macs",
     "standalone_macs",
     "layer_error",

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MeasurementRecord, shuffled_group_keys
+from .dataset import shuffled_group_keys
 from .errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -346,11 +346,6 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> list[Lass
     return [fits[lam] for lam in lams]
 
 
-def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
-    """One Lasso fit: ``lasso_path`` at one penalty."""
-    return lasso_path(X, y, [lam])[0].model
-
-
 def lasso_kkt(X: np.ndarray, y: np.ndarray, model: LinearModel) -> float:
     """Relative KKT residual of a Lasso model on its training data.
 
@@ -427,16 +422,6 @@ def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[i
     for pos, key in enumerate(order):
         folds[pos % k].extend(groups[key])
     return folds
-
-
-def cross_validate(
-    records: list[MeasurementRecord],
-    spec: ModelSpec,
-    k: int = 10,
-    seed: int = 0,
-) -> CvReport:
-    """``cross_validate_rows`` on all of ``records``."""
-    return cross_validate_rows(KindMatrix.build(records), np.arange(len(records)), spec, k, seed)
 
 
 def cross_validate_rows(

@@ -2,6 +2,7 @@
 the same in-memory rows, so the CSV alone can regenerate the image."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -39,9 +40,9 @@ def _svg_artifact(kind: str, out_dir, name: str, svg: str) -> ReportArtifact:
 
 
 def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
-    """``cells`` of column ``name`` as floats; a cell that is not a number is a ParseError."""
+    """``cells`` of column ``name`` as floats; a cell that is not a finite number is a ParseError."""
     try:
-        return list(map(float, cells))
+        values = list(map(float, cells))
     except ValueError:
         for line, cell in enumerate(cells, start=2):
             try:
@@ -49,6 +50,10 @@ def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
             except ValueError:
                 raise ParseError(f"{path}: row {line}: {name} {cell!r} is not a number") from None
         raise
+    if not all(map(math.isfinite, values)):
+        line = next(line for line, value in enumerate(values, start=2) if not math.isfinite(value))
+        raise ParseError(f"{path}: row {line}: {name} {cells[line - 2]!r} is not a finite number")
+    return values
 
 
 LAYER_SCATTER_HEADER = ("architecture", "batch_size", "layer_index", "module", "measured_j", "predicted_j")

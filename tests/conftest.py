@@ -13,7 +13,9 @@ from joulecast.dataset import (
     SplitSpec,
     appending_layerwise_csv,
     appending_modelwise_csv,
+    config_key,
     sample_config,
+    split_indices,
 )
 from joulecast.features import FeatureMap, KindMatrix
 from joulecast.macs import layer_macs, standalone_macs
@@ -141,6 +143,12 @@ def write_modelwise(path, records) -> None:
     """Append ``records`` to a model-wise CSV through the writer ``collect`` uses."""
     with appending_modelwise_csv(path) as write:
         write(records)
+
+
+def split_records(records, spec):
+    """``records`` dealt into the train, validation and test parts of ``split_indices``."""
+    parts = split_indices([config_key(r.config) for r in records], spec)
+    return tuple([records[i] for i in part] for part in parts)
 
 
 def fit_map(records, feature_set, poly, scaler):

@@ -9,12 +9,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ALPHA, synth_dataset, synth_modelwise, synth_records, write_layerwise
+from conftest import ALPHA, split_records, synth_dataset, synth_modelwise, synth_records, write_layerwise
 from joulecast.arch import LayerConfig, LayerKind, load_architecture, propagate_shape, TensorShape
 from joulecast.cli import main as cli_main
-from joulecast.dataset import SplitSpec, load_layerwise_csv, split
+from joulecast.dataset import SplitSpec, load_layerwise_csv
 from joulecast.errors import AggregationWarning
-from joulecast.macs import architecture_macs, conv2d_macs, linear_macs, maxpool2d_macs, standalone_macs
+from joulecast.macs import architecture_macs, standalone_macs
 from joulecast.predict import (
     estimate,
     evaluate_on_real,
@@ -22,7 +22,7 @@ from joulecast.predict import (
     train_default_bundle,
 )
 from joulecast.probe import SimulatedMachine, energy_delta, measure_config
-from joulecast.regress import fit_lasso, fit_ols
+from joulecast.regress import fit_ols, lasso_path
 from test_probe import ScriptedMachine
 from test_regress import soft_threshold
 
@@ -76,7 +76,7 @@ def test_02_mac_counts_match_loop_oracles():
                             for _ci in range(c_in):
                                 for _k in range(kernel * kernel):
                                     multiplies += 1
-            assert conv2d_macs(conv_cfg, out, include_bias=False) == multiplies
+            assert standalone_macs(conv_cfg, include_bias=False) == multiplies
 
             lin_cfg = LayerConfig(
                 kind=LayerKind.LINEAR, batch_size=batch, in_channels=c_in * 8, out_channels=c_out * 8,
@@ -86,7 +86,7 @@ def test_02_mac_counts_match_loop_oracles():
                 for _o in range(c_out * 8):
                     for _i in range(c_in * 8):
                         lin_mult += 1
-            assert linear_macs(lin_cfg, TensorShape(batch, c_in * 8, 1, 1), include_bias=False) == lin_mult
+            assert standalone_macs(lin_cfg, include_bias=False) == lin_mult
 
             pool_pad = min(padding, kernel // 2)
             pool_cfg = LayerConfig(
@@ -100,7 +100,7 @@ def test_02_mac_counts_match_loop_oracles():
                     for _i in range(pool_out.height):
                         for _j in range(pool_out.width):
                             visits += kernel * kernel
-            assert maxpool2d_macs(pool_cfg, pool_out) == visits // 2
+            assert standalone_macs(pool_cfg) == visits // 2
 
 
 def test_03_ols_against_normal_equations():
@@ -126,7 +126,7 @@ def test_04_lasso_properties():
         X = rng.standard_normal((80, 5))
         y = X @ np.array([1.0, -2.0, 0.0, 0.5, 3.0]) + 0.05 * rng.standard_normal(80)
         ols = fit_ols(X, y)
-        lasso0 = fit_lasso(X, y, 0.0)
+        lasso0 = lasso_path(X, y, [0.0])[0].model
         np.testing.assert_allclose(lasso0.coefficients, ols.coefficients, atol=1e-6)
 
         # the kill threshold applies to the centered problem the solver sees,
@@ -134,7 +134,7 @@ def test_04_lasso_properties():
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
         lam_max = max(abs(float(Xc[:, j] @ yc)) for j in range(X.shape[1])) / len(y)
-        killed = fit_lasso(X, y, lam_max)
+        killed = lasso_path(X, y, [lam_max])[0].model
         assert killed.coefficients == tuple([0.0] * 5)
         assert killed.intercept == pytest.approx(y.mean())
 
@@ -143,7 +143,7 @@ def test_04_lasso_properties():
         lam = 0.3
         x1c, y1c = x1 - x1.mean(), y1 - y1.mean()
         closed = soft_threshold(float(x1c @ y1c) / 50, lam) / (float(x1c @ x1c) / 50)
-        model = fit_lasso(x1[:, None], y1, lam)
+        model = lasso_path(x1[:, None], y1, [lam])[0].model
         assert model.coefficients[0] == pytest.approx(closed, rel=1e-10)
 
 
@@ -275,7 +275,7 @@ def test_10_determinism_across_runs(tmp_path):
         assert bundles[0] == bundles[1]
 
         loaded = load_layerwise_csv(csv_path)
-        assert split(loaded, SplitSpec(seed=4)) == split(loaded, SplitSpec(seed=4))
+        assert split_records(loaded, SplitSpec(seed=4)) == split_records(loaded, SplitSpec(seed=4))
 
         tables = []
         for run in ("a", "b"):

@@ -476,16 +476,18 @@ class TestMalformedReportInput:
     ])
     def test_bad_number_exits_one_naming_path_and_row(self, tmp_path, capsys, flag, column):
         header, good = _REPORT_INPUTS[flag].splitlines()
-        cells = good.split(",")
-        cells[header.split(",").index(column)] = "notanumber"
-        path = tmp_path / "input.csv"
-        path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
-        capsys.readouterr()
-        code = main(["--quiet", "report", flag, str(path), "--out-dir", str(tmp_path / "report")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f"{path}: row 3: {column} 'notanumber' is not a number" in err
+        for cell, refusal in (("notanumber", "is not a number"), ("nan", "is not a finite number"),
+                              ("inf", "is not a finite number")):
+            cells = good.split(",")
+            cells[header.split(",").index(column)] = cell
+            path = tmp_path / "input.csv"
+            path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
+            capsys.readouterr()
+            code = main(["--quiet", "report", flag, str(path), "--out-dir", str(tmp_path / "report")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert f"{path}: row 3: {column} {cell!r} {refusal}" in err
 
 
 def _write_replaced(data: bytes, dst, old: bytes, new: bytes):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import write_layerwise, write_modelwise
+from conftest import split_records, write_layerwise, write_modelwise
 from joulecast.arch import KIND_SPECS, PREDICTABLE_KINDS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from joulecast.dataset import (
     MODELWISE_HEADER,
@@ -18,15 +18,11 @@ from joulecast.dataset import (
     config_key,
     load_layerwise_csv,
     load_modelwise_csv,
-    merge_real_configs,
-    modelwise_to_layerwise,
     sample_config,
-    split,
 )
 from joulecast.dataset import _energy_reading
 from joulecast.errors import (
     ConsistencyWarning,
-    KindMismatchError,
     ParseError,
     SchemaError,
     TooFewRecordsError,
@@ -121,7 +117,7 @@ def test_config_key_pinned():
 class TestSplit:
     def test_ten_distinct_records(self):
         records = [make_record(seed=i, energy=0.1 * (i + 1)) for i in range(10)]
-        train, val, test = split(records, SplitSpec(seed=0))
+        train, val, test = split_records(records, SplitSpec(seed=0))
         assert (len(train), len(val), len(test)) == (7, 2, 1)
 
     def test_repeats_stay_together(self):
@@ -135,7 +131,7 @@ class TestSplit:
                         cpu_energy_j=0.1 * r, repeat=r,
                     )
                 )
-        train, val, test = split(records, SplitSpec(seed=5))
+        train, val, test = split_records(records, SplitSpec(seed=5))
         for part in (train, val, test):
             keys = {config_key(r.config) for r in part}
             assert len(part) == 3 * len(keys)
@@ -143,13 +139,13 @@ class TestSplit:
 
     def test_same_seed_identical_partition(self):
         records = [make_record(seed=i) for i in range(25)]
-        a = split(records, SplitSpec(seed=9))
-        b = split(records, SplitSpec(seed=9))
+        a = split_records(records, SplitSpec(seed=9))
+        b = split_records(records, SplitSpec(seed=9))
         assert a == b
 
     def test_too_few_records(self):
         with pytest.raises(TooFewRecordsError):
-            split([make_record(seed=i) for i in range(9)], SplitSpec())
+            split_records([make_record(seed=i) for i in range(9)], SplitSpec())
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValidationError):
@@ -159,7 +155,7 @@ class TestSplit:
     @given(st.integers(10, 60), st.integers(0, 1000))
     def test_partition_disjoint_and_exhaustive(self, n, seed):
         records = [make_record(seed=i, energy=float(i + 1)) for i in range(n)]
-        train, val, test = split(records, SplitSpec(seed=seed))
+        train, val, test = split_records(records, SplitSpec(seed=seed))
         assert len(train) + len(val) + len(test) == n
         ids = [id(r) for part in (train, val, test) for r in part]
         assert len(set(ids)) == n
@@ -169,23 +165,6 @@ class TestSplit:
             for record in part:
                 parts_by_key.setdefault(config_key(record.config), set()).add(label)
         assert all(len(v) == 1 for v in parts_by_key.values())
-
-
-class TestMerge:
-    def test_concatenation_keeps_tags(self):
-        train = [make_record(seed=i) for i in range(100)]
-        real = [make_record(seed=1000 + i, source="real_architecture") for i in range(20)]
-        merged = merge_real_configs(train, real)
-        assert len(merged) == 120
-        assert sum(1 for r in merged if r.source == "real_architecture") == 20
-
-    def test_empty_real_is_identity(self):
-        train = [make_record(seed=i) for i in range(5)]
-        assert merge_real_configs(train, []) == train
-
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            merge_real_configs([make_record(kind=LayerKind.CONV2D)], [make_record(kind=LayerKind.LINEAR)])
 
 
 def set_cells(path, name, values):
@@ -205,6 +184,7 @@ class TestLayerwiseCsv:
                    for i, kind in enumerate([LayerKind.CONV2D, LayerKind.LINEAR, LayerKind.RELU,
                                              LayerKind.MAXPOOL2D, LayerKind.SOFTMAX,
                                              LayerKind.SIGMOID, LayerKind.TANH])]
+        records.append(make_record(seed=7, source="real_architecture"))  # older files hold such rows
         path = tmp_path / "rows.csv"
         write_layerwise(path, records)
         assert load_layerwise_csv(path) == records
@@ -381,15 +361,18 @@ class TestModelwiseCsv:
         record = self._record()
         assert record.layer_energy_sum_j == pytest.approx(0.0042, rel=1e-12)
 
-    def test_to_layerwise_conversion(self):
-        rows = modelwise_to_layerwise([self._record()])
-        assert len(rows) == 2
-        assert all(r.source == "real_architecture" for r in rows)
-        assert rows[0].macs == self._record().layers[0].macs
-
 
 _MODELWISE_TOTAL = "tiny,2,total,,," + "," * (len(MODELWISE_HEADER) - 7) + "10,0.5"
-_MODELWISE_RELU = "tiny,2,layer,1,ReLU," + "," * (len(MODELWISE_HEADER) - 7) + "10,0.5"
+
+
+def _modelwise_layer(index, module, **fields):
+    """A model-wise layer row of architecture "tiny" at batch 2, with 10 MACs and 0.5 J."""
+    cells = [str(fields.get(name, "")) for name in MODELWISE_HEADER[5:-2]]
+    return ",".join(["tiny", "2", "layer", str(index), module, *cells, "10", "0.5"])
+
+
+_MODELWISE_RELU = _modelwise_layer(1, "ReLU", in_channels=10)
+_MODELWISE_POOL = _modelwise_layer(0, "MaxPool2d", kernel_size=2, in_channels=3, stride=2, padding=0)
 
 
 @pytest.mark.parametrize("loader, text, error, message", [
@@ -401,6 +384,8 @@ _MODELWISE_RELU = "tiny,2,layer,1,ReLU," + "," * (len(MODELWISE_HEADER) - 7) + "
      ParseError, "{path}: row 2: unknown row_type 'sum'"),
     (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n{_MODELWISE_RELU}\n"
      f"{_MODELWISE_RELU.replace('layer', 'Layer')}\n", ParseError, "{path}: row 4: unknown row_type 'Layer'"),
+    (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n{_MODELWISE_POOL}\n", ParseError,
+     "{path}: row 3: MaxPool2d: standalone config is missing image_size"),
 ])
 def test_csv_refusals(tmp_path, loader, text, error, message):
     path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ from joulecast.arch import (
     PRESET_NAMES,
     LayerConfig,
     LayerKind,
+    ResolvedLayer,
     TensorShape,
     as_standalone_config,
     extract_predictable_layers,
@@ -14,15 +15,7 @@ from joulecast.arch import (
     propagate_shape,
 )
 from joulecast.errors import MacOverflowError
-from joulecast.macs import (
-    architecture_macs,
-    conv2d_macs,
-    layer_macs,
-    linear_macs,
-    maxpool2d_macs,
-    relu_macs,
-    standalone_macs,
-)
+from joulecast.macs import architecture_macs, layer_macs, standalone_macs
 
 # Table of per-type totals for a batch-1 VGG11 pass with bias accumulates on.
 VGG11_TOTALS = {
@@ -83,36 +76,30 @@ def conv_config(batch, c_in, c_out, side, k, stride, padding):
 class TestConv:
     def test_unit_conv_is_one_mac(self):
         cfg = conv_config(1, 1, 1, 1, 1, 1, 0)
-        out = TensorShape(1, 1, 1, 1)
-        assert conv2d_macs(cfg, out, include_bias=False) == 1
-        assert conv2d_macs(cfg, out, include_bias=True) == 2
+        assert standalone_macs(cfg, include_bias=False) == 1
+        assert standalone_macs(cfg, include_bias=True) == 2
 
     def test_vgg11_first_conv_matches_oracle(self):
-        cfg = conv_config(1, 3, 64, 224, 3, 1, 1)
-        out = propagate_shape(TensorShape(1, 3, 224, 224), cfg)
-        got = conv2d_macs(cfg, out, include_bias=False)
+        got = standalone_macs(conv_config(1, 3, 64, 224, 3, 1, 1), include_bias=False)
         assert got == 86_704_128
         # the closed form must equal a literal multiply count on a shrunken twin
-        assert conv2d_macs(
-            conv_config(1, 3, 8, 14, 3, 1, 1),
-            propagate_shape(TensorShape(1, 3, 14, 14), conv_config(1, 3, 8, 14, 3, 1, 1)),
-            include_bias=False,
-        ) == conv_oracle(1, 3, 8, 14, 3, 1, 1)
+        assert standalone_macs(conv_config(1, 3, 8, 14, 3, 1, 1), include_bias=False) == conv_oracle(
+            1, 3, 8, 14, 3, 1, 1
+        )
 
 
 class TestLinear:
     def test_unit(self):
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
-        assert linear_macs(cfg, TensorShape(1, 1, 1, 1), include_bias=False) == 1
+        assert standalone_macs(cfg, include_bias=False) == 1
 
     def test_square_4096(self):
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=4096, out_channels=4096)
-        got = linear_macs(cfg, TensorShape(1, 4096, 1, 1), include_bias=False)
+        got = standalone_macs(cfg, include_bias=False)
         assert got == 16_777_216
         assert got == linear_oracle(1, 64, 64) * (4096 // 64) ** 2  # scaled-down oracle
-        assert linear_oracle(3, 17, 29) == linear_macs(
+        assert linear_oracle(3, 17, 29) == standalone_macs(
             LayerConfig(kind=LayerKind.LINEAR, batch_size=3, in_channels=17, out_channels=29),
-            TensorShape(3, 17, 1, 1),
             include_bias=False,
         )
 
@@ -123,28 +110,32 @@ class TestMaxPool:
             kind=LayerKind.MAXPOOL2D, batch_size=2, image_size=1, kernel_size=1,
             in_channels=1, stride=1, padding=0,
         )
-        assert maxpool2d_macs(cfg, TensorShape(2, 1, 1, 1)) == 1  # floor(2/2)
+        assert standalone_macs(cfg) == 1  # floor(2/2)
 
     def test_vgg11_first_pool(self):
         cfg = LayerConfig(
             kind=LayerKind.MAXPOOL2D, batch_size=1, image_size=224, kernel_size=2,
             in_channels=64, stride=2, padding=0,
         )
-        out = propagate_shape(TensorShape(1, 64, 224, 224), cfg)
-        assert maxpool2d_macs(cfg, out) == 1_605_632
-        assert pool_oracle(1, 64, 28, 2, 2, 0) == maxpool2d_macs(
+        assert standalone_macs(cfg) == 1_605_632
+        assert pool_oracle(1, 64, 28, 2, 2, 0) == standalone_macs(
             LayerConfig(kind=LayerKind.MAXPOOL2D, batch_size=1, image_size=28,
                         kernel_size=2, in_channels=64, stride=2, padding=0),
-            TensorShape(1, 64, 14, 14),
         )
+
+
+def relu_layer_macs(shape: TensorShape) -> int:
+    """``layer_macs`` of a ReLU applied to ``shape``."""
+    relu = LayerConfig(kind=LayerKind.RELU)
+    return layer_macs(ResolvedLayer(0, relu, shape, propagate_shape(shape, relu)))
 
 
 class TestRelu:
     def test_tiny(self):
-        assert relu_macs(TensorShape(1, 1, 1, 2)) == 1
+        assert relu_layer_macs(TensorShape(1, 1, 1, 2)) == 1
 
     def test_flat_50k(self):
-        assert relu_macs(TensorShape(1, 50_000, 1, 1)) == 25_000
+        assert relu_layer_macs(TensorShape(1, 50_000, 1, 1)) == 25_000
 
 
 class TestArchitecture:
@@ -191,10 +182,10 @@ def test_overflow_guard():
     cfg = LayerConfig(
         kind=LayerKind.LINEAR, batch_size=512, in_channels=5000, out_channels=5000,
     )
-    big = TensorShape(512, 5000, 1, 1)
-    linear_macs(cfg, big)  # in range
+    out = TensorShape(512, 5000, 1, 1)
+    layer_macs(ResolvedLayer(0, cfg, TensorShape(512, 5000, 1, 1), out))  # in range
     with pytest.raises(MacOverflowError):
-        linear_macs(cfg, TensorShape(512, 5000, 100_000, 100_000))
+        layer_macs(ResolvedLayer(0, cfg, TensorShape(512, 5000, 100_000, 100_000), out))
 
 
 small_conv = st.tuples(
@@ -215,19 +206,14 @@ def test_conv_matches_loop_oracle(params):
     if side + 2 * padding < k:
         return
     cfg = conv_config(batch, c_in, c_out, side, k, stride, padding)
-    out = propagate_shape(TensorShape(batch, c_in, side, side), cfg)
-    assert conv2d_macs(cfg, out, include_bias=False) == conv_oracle(
-        batch, c_in, c_out, side, k, stride, padding
-    )
+    assert standalone_macs(cfg, include_bias=False) == conv_oracle(batch, c_in, c_out, side, k, stride, padding)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40))
 def test_linear_matches_loop_oracle(batch, c_in, c_out):
     cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=batch, in_channels=c_in, out_channels=c_out)
-    assert linear_macs(cfg, TensorShape(batch, c_in, 1, 1), include_bias=False) == linear_oracle(
-        batch, c_in, c_out
-    )
+    assert standalone_macs(cfg, include_bias=False) == linear_oracle(batch, c_in, c_out)
 
 
 @settings(max_examples=100, deadline=None)
@@ -258,7 +244,7 @@ def test_monotone_in_multiplicative_params(params, grown):
 
 def test_elementwise_matches_relu():
     shape = TensorShape(3, 7, 5, 5)
-    assert relu_macs(shape) == (3 * 7 * 25) // 2
+    assert relu_layer_macs(shape) == (3 * 7 * 25) // 2
 
 
 @pytest.mark.parametrize("include_bias", [True, False])

@@ -6,17 +6,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA, NON_SQUARE_NET, TEST_RANGES, design_of, fit_map, synth_modelwise, synth_records
+from conftest import (
+    ALPHA,
+    NON_SQUARE_NET,
+    TEST_RANGES,
+    design_of,
+    fit_map,
+    split_records,
+    synth_modelwise,
+    synth_records,
+)
 from joulecast.arch import (
     KIND_SPECS,
     ArchitectureSpec,
     LayerKind,
     TensorShape,
-    as_standalone_config,
-    extract_predictable_layers,
     load_architecture,
 )
-from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split
+from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config
 from joulecast.errors import (
     AggregationWarning,
     ColumnMismatchError,
@@ -451,7 +458,7 @@ class TestLassoPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
             trained = train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds=3)
-            train, val, _ = split(records, split_spec)
+            train, val, _ = split_records(records, split_spec)
             features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
             search = grid_search_lambda(design, design_of(features, val), spec, DEFAULT_LAMBDA_GRID)
             refit = lasso_path(design.X, design.y, [search.lam])[0].model
@@ -485,7 +492,7 @@ class TestAblationStructure:
         records = synth_records(LayerKind.LINEAR, 60, seed=5, ranges=ranges)
         split_spec = SplitSpec(seed=2)
         names = raw_feature_names(LayerKind.LINEAR, FeatureSetKind.LOG_PARAMETER_MAC)
-        train, _, test = split(records, split_spec)
+        train, _, test = split_records(records, split_spec)
         features, design = fit_map(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
         test_design = design_of(features, test)
         table = run_ablation(records, LayerKind.LINEAR, split_spec)
@@ -504,59 +511,6 @@ class TestAblationStructure:
             assert table.mse[mask] == pytest.approx(oracle.mse, rel=0, abs=1e-12)
         # minimum norm: a zero column adds nothing to the fit
         assert table.r2[0b1000110] == pytest.approx(table.r2[0b1000111], abs=1e-12)
-
-
-class TestEnrichment:
-    """Adding real-architecture configurations to a gap-ridden training set
-    must not hurt validation on real-like configurations."""
-
-    @staticmethod
-    def _curved_record(config):
-        macs = standalone_macs(config)
-        energy = ALPHA * float(macs) ** 1.08  # mild curvature defeats pure extrapolation
-        return MeasurementRecord(module=LayerKind.CONV2D, config=config, macs=macs,
-                                 cpu_energy_j=energy, source="random")
-
-    def _real_conv_records(self, names, batches):
-        out = []
-        for name in names:
-            arch = load_architecture(name)
-            for batch in batches:
-                for resolved in extract_predictable_layers(arch.with_batch(batch)):
-                    if resolved.config.kind is LayerKind.CONV2D:
-                        cfg = as_standalone_config(resolved.config, resolved.input_shape)
-                        record = self._curved_record(cfg)
-                        out.append(MeasurementRecord(
-                            module=record.module, config=record.config, macs=record.macs,
-                            cpu_energy_j=record.cpu_energy_j, source="real_architecture",
-                        ))
-        return out
-
-    def test_merge_improves_real_validation(self):
-        from joulecast.dataset import merge_real_configs
-        from joulecast.regress import evaluate, fit_ols
-
-        small = {LayerKind.CONV2D: {
-            "batch_size": (1, 4), "image_size": (8, 24), "kernel_size": (1, 3),
-            "in_channels": (1, 16), "out_channels": (1, 16), "stride": (1, 2), "padding": (0, 1),
-        }}
-        random_train = [self._curved_record(c) for c in (
-            __import__("joulecast.dataset", fromlist=["sample_config"]).sample_config(
-                LayerKind.CONV2D, seed, small) for seed in range(120)
-        )]
-        real_train = self._real_conv_records(("vgg11",), (1,))
-        validation = self._real_conv_records(("vgg13", "vgg16"), (1, 2))
-
-        def score(train):
-            features, design = fit_map(train, FeatureSetKind.MAC_ONLY, None, "zscore")
-            model = fit_ols(design.X, design.y)
-            val = design_of(features, validation)
-            return evaluate(model, val.X, val.y).r2
-
-        before = score(random_train)
-        after = score(merge_real_configs(random_train, real_train))
-        assert after >= before
-        assert after > 0.9
 
 
 def test_fingerprint_changes_with_data(bundle_dataset):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import design_of, fit_map
+from conftest import design_of, fit_map, split_records
 from joulecast import regress
 from joulecast.arch import LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config, split
+from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config
 from joulecast.errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -17,7 +17,7 @@ from joulecast.errors import (
     TooFewRecordsError,
     ValidationError,
 )
-from joulecast.features import FeatureSetKind
+from joulecast.features import FeatureSetKind, KindMatrix
 from joulecast.macs import standalone_macs
 from joulecast.predict import DEFAULT_LAMBDA_GRID, EXPERIMENT_TABLE
 from joulecast.regress import (
@@ -25,9 +25,8 @@ from joulecast.regress import (
     EvalMetrics,
     LinearModel,
     ModelSpec,
-    cross_validate,
+    cross_validate_rows,
     evaluate,
-    fit_lasso,
     fit_ols,
     grid_search_lambda,
     group_kfold_indices,
@@ -115,7 +114,7 @@ class TestLasso:
         X = rng.standard_normal((80, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.1 * rng.standard_normal(80)
         ols = fit_ols(X, y)
-        lasso = fit_lasso(X, y, 0.0)
+        lasso = lasso_path(X, y, [0.0])[0].model
         np.testing.assert_allclose(lasso.coefficients, ols.coefficients, atol=1e-6)
         assert lasso.intercept == pytest.approx(ols.intercept, abs=1e-6)
 
@@ -128,7 +127,7 @@ class TestLasso:
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
         lam_max = max(abs(float(Xc[:, j] @ yc)) for j in range(3)) / len(y)
-        model = fit_lasso(X, y, lam_max)
+        model = lasso_path(X, y, [lam_max])[0].model
         assert model.coefficients == (0.0, 0.0, 0.0)
         assert model.intercept == pytest.approx(y.mean())
 
@@ -140,7 +139,7 @@ class TestLasso:
         yc = y - y.mean()
         lam = 0.7
         expected = soft_threshold(float(xc @ yc) / len(y), lam) / (float(xc @ xc) / len(y))
-        model = fit_lasso(x[:, None], y, lam)
+        model = lasso_path(x[:, None], y, [lam])[0].model
         assert model.coefficients[0] == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=30, deadline=None)
@@ -150,8 +149,8 @@ class TestLasso:
         x = rng.standard_normal(30)[:, None]
         y = 1.5 * x[:, 0] + 0.1 * rng.standard_normal(30)
         small, large = sorted([lam_a, lam_b])
-        coef_small = abs(fit_lasso(x, y, small).coefficients[0])
-        coef_large = abs(fit_lasso(x, y, large).coefficients[0])
+        coef_small = abs(lasso_path(x, y, [small])[0].model.coefficients[0])
+        coef_large = abs(lasso_path(x, y, [large])[0].model.coefficients[0])
         assert coef_large <= coef_small + 1e-12
 
 
@@ -402,13 +401,16 @@ class TestCrossValidate:
 
     def test_noiseless_linear_r2_is_one(self):
         records = _linear_records(40)
-        report = cross_validate(records, ModelSpec(FeatureSetKind.MAC_ONLY), k=10, seed=1)
+        rows = np.arange(len(records))
+        report = cross_validate_rows(KindMatrix.build(records), rows, ModelSpec(FeatureSetKind.MAC_ONLY), k=10, seed=1)
         assert report.k == 10 and len(report.r2_scores) == 10
         assert report.r2_mean == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_groups(self):
         with pytest.raises(TooFewRecordsError):
-            cross_validate(_linear_records(5), ModelSpec(FeatureSetKind.MAC_ONLY), k=10)
+            cross_validate_rows(
+                KindMatrix.build(_linear_records(5)), np.arange(5), ModelSpec(FeatureSetKind.MAC_ONLY), k=10
+            )
 
     def test_folds_partition_grouped_records(self):
         records = []
@@ -435,7 +437,7 @@ def test_unknown_model_family_rejected():
 
 
 def _train_val_designs(records, spec, split_spec):
-    train, val, _ = split(records, split_spec)
+    train, val, _ = split_records(records, split_spec)
     features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
     return design, design_of(features, val)
 
@@ -460,7 +462,7 @@ class TestGridSearch:
         truth = np.zeros(p)
         truth[[1, 6]] = (2.0, -3.0)
         y = X @ truth + 0.05 * rng.standard_normal(n)
-        model = fit_lasso(X, y, 0.1)
+        model = lasso_path(X, y, [0.1])[0].model
         support = {j for j, b in enumerate(model.coefficients) if abs(b) > 1e-6}
         assert support == {1, 6}
 
@@ -601,7 +603,7 @@ class TestLassoPath:
         objective is at most that of coordinate descent capped at 500 sweeps."""
         records = [r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D]
         spec = EXPERIMENT_TABLE[LayerKind.MAXPOOL2D][0]
-        train, _, _ = split(records, SplitSpec(seed=3))
+        train, _, _ = split_records(records, SplitSpec(seed=3))
         parts = [train]
         for held in group_kfold_indices([config_key(r.config) for r in train], 10, seed=3):
             held = set(held)
