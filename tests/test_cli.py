@@ -455,6 +455,25 @@ class TestEvaluateReport:
         assert code == 1
         assert not (tmp_path / "r").exists()  # refused before the directory is made
 
+    @pytest.mark.parametrize("module, field", [
+        ("Conv2d", "image_size"), ("MaxPool2d", "image_size"), ("MaxPool2d", "in_channels"), ("ReLU", "in_channels"),
+    ])  # cells a layer of a network may leave empty, but a standalone measurement may not
+    def test_evaluate_refuses_a_partial_layer_row(self, bundle_path, modelwise_csv, tmp_path, capsys, module,
+                                                   field):
+        with open(modelwise_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        line = next(i for i, row in enumerate(rows) if row[header.index("module")] == module)
+        rows[line][header.index(field)] = ""
+        path = tmp_path / "modelwise.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out_dir = tmp_path / "eval"
+        argv = ["evaluate", "--bundle", bundle_path, "--modelwise", path, "--out-dir", out_dir]
+        err = _exits_one_naming(capsys, argv, path)
+        assert f"{path}: row {line + 1}: {module}: standalone config is missing {field}" in err
+        assert not out_dir.exists()
+
 
 _REPORT_INPUTS = {
     "--layer-scatter": "architecture,batch_size,layer_index,module,measured_j,predicted_j\n"
@@ -488,6 +507,17 @@ class TestMalformedReportInput:
             assert code == 1
             assert err.count("\n") == 1 and err.startswith("error: ")
             assert f"{path}: row 3: {column} {cell!r} {refusal}" in err
+
+    @pytest.mark.parametrize("column", ["measured_j", "predicted_j"])
+    def test_nan_beside_a_finite_layer_row_writes_no_svg(self, tmp_path, capsys, column):
+        header, good = _REPORT_INPUTS["--layer-scatter"].splitlines()
+        cells = good.split(",")
+        cells[header.split(",").index(column)] = "nan"
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
+        out_dir = tmp_path / "report"
+        _exits_one_naming(capsys, ["report", "--layer-scatter", path, "--out-dir", out_dir], path)
+        assert list(out_dir.iterdir()) == []
 
 
 def _write_replaced(data: bytes, dst, old: bytes, new: bytes):
