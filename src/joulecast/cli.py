@@ -258,17 +258,16 @@ def cmd_report(args) -> int:
     if not (args.layer_scatter or args.totals or args.ablation):
         raise JoulecastError("nothing to report: pass --layer-scatter, --totals, and/or --ablation")
     os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
+    # every input is read and checked, once, before the first chart is written
+    charts = []
     if args.layer_scatter:
-        artifacts += report.layer_scatter_artifacts(args.layer_scatter, args.out_dir)
-        artifacts.append(report.contribution_artifact(args.layer_scatter, args.out_dir))
+        charts += report.layer_charts(args.layer_scatter)
     if args.totals:
-        artifacts.append(report.totals_scatter_artifact(args.totals, args.out_dir))
-        artifacts.append(report.aggregate_vs_total_artifact(args.totals, args.out_dir))
+        charts += report.totals_charts(args.totals)
     if args.ablation:
-        artifacts.append(report.ablation_artifact(args.ablation, args.out_dir))
-    for artifact in artifacts:
-        _say(args, f"  {artifact.kind}: {artifact.svg_path}")
+        charts.append(report.ablation_chart(args.ablation))
+    for chart in charts:
+        _say(args, f"  {chart.kind}: {chart.write(args.out_dir)}")
     return 0
 
 

@@ -247,9 +247,10 @@ def write_csv(path, header: tuple[str, ...], rows) -> None:
         write(rows)
 
 
-def read_csv(path, required: Sequence[str]) -> tuple[dict[str, int], list[list[str]]]:
-    """The column positions and data rows of a UTF-8 CSV whose header holds
-    the ``required`` columns; every CSV the package reads goes through here.
+def read_csv(path, columns: Sequence[str]) -> list[tuple[str, ...]]:
+    """The ``columns`` cells of each data row of a UTF-8 CSV whose header
+    holds those columns, in the order given; every CSV the package reads
+    goes through here, and no other cell is kept.
 
     Blank lines are skipped and not counted, so ``rows[i]`` is row ``i + 2``
     of the file in every error message. A row shorter than the header is
@@ -257,24 +258,27 @@ def read_csv(path, required: Sequence[str]) -> tuple[dict[str, int], list[list[s
     or accept. A malformed or non-UTF-8 file is a ``ParseError`` naming it.
     """
     header = None
-    rows: list[list[str]] = []
+    rows: list[tuple[str, ...]] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
-            missing = set(required) - set(header)
+            missing = set(columns) - set(header)
             if missing:
                 raise SchemaError(f"{path}: missing columns {sorted(missing)}")
             width = len(header)
+            position = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
+            at = [position[name] for name in columns]
+            pick = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
             # extend keeps the rows read before a csv.Error, which numbers it
-            rows.extend(row if len(row) >= width else row + [""] * (width - len(row)) for row in reader if row)
+            rows.extend(pick(row if len(row) >= width else row + [""] * (width - len(row))) for row in reader if row)
     except csv.Error as exc:
         raise ParseError(f"{path}: row {1 if header is None else len(rows) + 2}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    return {name: i for i, name in enumerate(header)}, rows
+    return rows
 
 
 def appending_layerwise_csv(path):
@@ -300,13 +304,10 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
     records = []
     # configuration cells -> [config, recomputed MACs or None until needed]
     parsed: dict[tuple, list] = {}
-    column, rows = read_csv(path, LAYERWISE_HEADER)
-    config_cells = itemgetter(*(column[name] for name in ("module", *STANDALONE_FIELDS)))
-    cells = itemgetter(*(column[name] for name in ("cpu_energy_j", "macs", "repeat", "source")))
-    for line, row in enumerate(rows, start=2):
-        raw_energy, raw_macs, raw_repeat, source = cells(row)
+    for line, row in enumerate(read_csv(path, LAYERWISE_HEADER), start=2):
+        key = row[:-4]  # the module and STANDALONE_FIELDS cells
+        raw_macs, raw_energy, raw_repeat, source = row[-4:]
         raw_energy = raw_energy.strip()
-        key = config_cells(row)
         known = parsed.get(key)
         # a new configuration is checked in the order of a full parse:
         # module, energy, then the configuration itself
@@ -400,12 +401,9 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
             current = None
             layers.clear()
 
-    column, rows = read_csv(path, MODELWISE_HEADER)
-    cells = itemgetter(*(column[name] for name in (
-        "architecture", "batch_size", "row_type", "layer_index", "module", "macs", "cpu_energy_j")))
-    config_cells = itemgetter(*(column[name] for name in STANDALONE_FIELDS))
-    for line, row in enumerate(rows, start=2):
-        architecture, batch_size, row_type, layer_index, module, macs, raw_energy = cells(row)
+    for line, row in enumerate(read_csv(path, MODELWISE_HEADER), start=2):
+        architecture, batch_size, row_type, layer_index, module = row[:5]
+        macs, raw_energy = row[-2:]
         raw_energy = raw_energy.strip()
         try:
             energy = _energy_reading(raw_energy)
@@ -438,7 +436,7 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                     )
                     continue
                 kind = LayerKind(module)
-                config = _config_from_cells(kind, config_cells(row))
+                config = _config_from_cells(kind, (batch_size, *row[5:-2]))  # row[5:-2] is _LAYER_FIELDS
                 config.require_standalone()
                 layers.append(
                     ModelWiseLayer(

@@ -174,8 +174,8 @@ def _path_coefficients(
     centred data, read off at every positive penalty in ``lams``.
 
     A penalty the path does not reach (it stops after ``max_steps``
-    breakpoints, on a non-finite step or a failed refactor, or with a full
-    active set) gets the exact solution at the last penalty it did reach.
+    breakpoints, or on a non-finite step or a failed refactor) gets the
+    exact solution at the last penalty it did reach.
 
     In z-scored coordinates b_j = s_j beta_j (s_j the column's standard
     deviation) column j's penalty is weighted by w_j = 1/s_j. At a penalty
@@ -239,38 +239,41 @@ def _path_coefficients(
         d = Mm.T @ (Mm @ push)
         if not (np.isfinite(b).all() and np.isfinite(d).all()):
             break
-        GA = rows[:m]
-        resid, a = corr - b @ GA, d @ GA
         # exits: b_j + t d_j reaches zero
         exit_at = np.full(m, np.inf)
         np.divide(-b, d, out=exit_at, where=d * sign < 0.0)
         np.maximum(exit_at, 0.0, out=exit_at)
-        # entries: sigma (r_j - t a_j) reaches (lambda - t) w_j; a column
-        # already past its bound enters at once
-        gap = lam * weight - sides * resid
-        rate = weight - sides * a
-        at = np.full((2, p), np.inf)
-        np.divide(gap, rate, out=at, where=rate > 0.0)
-        at[gap <= 0.0] = 0.0
-        at[:, closed | in_span] = np.inf
-        if left >= 0:
-            at[left_side, left] = np.inf
-        entry_at = at.min(axis=0)
         k = int(np.argmin(exit_at))
-        # the columns due before the next exit, earliest first, enter only if
-        # enough of them lies outside the active span; that share comes from
-        # the data, since G_jj - |M G_Aj|^2 would cancel to rounding noise
-        due = np.flatnonzero(entry_at < min(exit_at[k], lam))
-        due = due[np.argsort(entry_at[due], kind="stable")]
         j, entry = -1, np.inf
-        for candidate in due:
-            w = Mm @ GA[:, candidate]
-            outside = ZT[candidate] - (Mm.T @ w) @ ZT[A]
-            pivot = outside @ outside / n
-            if pivot > _SPAN_TOL:
-                j, entry = candidate, entry_at[candidate]
-                break
-            in_span[candidate] = True
+        # the distinct rows of a centred design span at most len(Xw) - 1
+        # dimensions, so an active set that large already spans every column
+        if m < len(Xw) - 1:
+            GA = rows[:m]
+            resid, a = corr - b @ GA, d @ GA
+            # entries: sigma (r_j - t a_j) reaches (lambda - t) w_j; a column
+            # already past its bound enters at once
+            gap = lam * weight - sides * resid
+            rate = weight - sides * a
+            at = np.full((2, p), np.inf)
+            np.divide(gap, rate, out=at, where=rate > 0.0)
+            at[gap <= 0.0] = 0.0
+            at[:, closed | in_span] = np.inf
+            if left >= 0:
+                at[left_side, left] = np.inf
+            entry_at = at.min(axis=0)
+            # the columns due before the next exit, earliest first, enter only if
+            # enough of them lies outside the active span; that share comes from
+            # the data, since G_jj - |M G_Aj|^2 would cancel to rounding noise
+            due = np.flatnonzero(entry_at < min(exit_at[k], lam))
+            due = due[np.argsort(entry_at[due], kind="stable")]
+            for candidate in due:
+                w = Mm @ GA[:, candidate]
+                outside = ZT[candidate] - (Mm.T @ w) @ ZT[A]
+                pivot = outside @ outside / n
+                if pivot > _SPAN_TOL:
+                    j, entry = candidate, entry_at[candidate]
+                    break
+                in_span[candidate] = True
         step = min(exit_at[k], entry, lam)
         while targets and targets[0] >= lam - step:
             coef = np.zeros(p)
@@ -290,8 +293,6 @@ def _path_coefficients(
                 M[:m - 1, :m - 1] = np.linalg.inv(np.linalg.cholesky(rows[:m - 1, active]))
             except np.linalg.LinAlgError:
                 break
-        elif m + 1 == size:
-            break  # only a rounding error lets in more columns than rows
         else:
             diagonal = math.sqrt(pivot)  # the new row of the factor is (w, diagonal)
             M[m, :m] = -(w @ Mm) / diagonal

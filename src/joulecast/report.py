@@ -16,27 +16,24 @@ from .svgplot import scatter_svg, stacked_bar_svg
 
 
 @dataclass(frozen=True)
-class ReportArtifact:
+class Chart:
+    """One rendered SVG and the file name it is written under."""
+
     kind: str  # scatter | contribution_bars | aggregate_vs_total | ablation_scatter
-    svg_path: str
+    name: str
+    svg: str
+
+    def write(self, out_dir) -> str:
+        """Write the SVG to ``out_dir/name`` and return that path."""
+        svg_path = os.path.join(out_dir, self.name)
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            fh.write(self.svg)
+        return svg_path
 
 
-def _columns(path, required, names) -> list[tuple[str, ...]]:
-    """The ``names`` columns of a CSV whose header holds the ``required``
-    columns (``dataset.read_csv``), one tuple of cells per column."""
-    column, rows = read_csv(path, required)
-    if not rows:
-        return [()] * len(names)
-    table = list(zip(*rows))
-    return [table[column[name]] for name in names]
-
-
-def _svg_artifact(kind: str, out_dir, name: str, svg: str) -> ReportArtifact:
-    """Write ``svg`` to ``out_dir/name``."""
-    svg_path = os.path.join(out_dir, name)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return ReportArtifact(kind, svg_path)
+def _columns(path, names) -> list[tuple[str, ...]]:
+    """The ``names`` columns of a CSV (``dataset.read_csv``), one tuple of cells per column."""
+    return list(zip(*read_csv(path, names))) or [()] * len(names)
 
 
 def _numbers(path, name: str, cells: tuple[str, ...]) -> list[float]:
@@ -85,84 +82,53 @@ def write_totals_csv(path, points: tuple[TotalPoint, ...]) -> None:
     )
 
 
+#: ablation rows formatted and written at a time, so the table's text is never held whole
+ABLATION_BLOCK_ROWS = 4096
+
+
 def write_ablation_csv(path, table: AblationTable) -> None:
     """One row per non-empty subset in mask order, as the bytes ``csv.writer``
-    writes, joined in one pass: the feature names are identifiers and the
-    scores floats, so no cell needs quoting."""
+    writes, one block of ``ABLATION_BLOCK_ROWS`` rows at a time: the feature
+    names are identifiers and the scores floats, so no cell needs quoting."""
     names = table.columns
     mac_bit = 1 << names.index("macs") if "macs" in names else 0
     # a mask's names are its lowest bit's name, then the rest's, in column order
     joined = [""] * 2 ** len(names)
-    lines = [",".join(ABLATION_HEADER)]
-    for mask, r2, mse in zip(range(1, len(joined)), table.r2.tolist()[1:], table.mse.tolist()[1:]):
-        low = mask & -mask
-        rest = joined[mask ^ low]
-        joined[mask] = names[low.bit_length() - 1] + "+" + rest if rest else names[low.bit_length() - 1]
-        lines.append(f"{mask},{joined[mask]},{int(mask & mac_bit != 0)},{r2!r},{mse!r}")
-    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(ABLATION_HEADER) + "\r\n")
+        for start in range(1, len(joined), ABLATION_BLOCK_ROWS):
+            stop = min(start + ABLATION_BLOCK_ROWS, len(joined))
+            lines = []
+            for mask, r2, mse in zip(range(start, stop), table.r2[start:stop].tolist(),
+                                     table.mse[start:stop].tolist()):
+                low = mask & -mask
+                rest = joined[mask ^ low]
+                joined[mask] = names[low.bit_length() - 1] + "+" + rest if rest else names[low.bit_length() - 1]
+                lines.append(f"{mask},{joined[mask]},{int(mask & mac_bit != 0)},{r2!r},{mse!r}\r\n")
+            fh.write("".join(lines))
 
 
-def layer_scatter_artifacts(csv_path, out_dir) -> list[ReportArtifact]:
-    """One measured-vs-predicted scatter per layer kind (ground truth on x)."""
-    module, measured, predicted = _columns(
-        csv_path, LAYER_SCATTER_HEADER, ("module", "measured_j", "predicted_j")
+def layer_charts(csv_path) -> list[Chart]:
+    """One measured-vs-predicted scatter per layer kind (ground truth on x),
+    then the relative per-kind contribution to each architecture's measured
+    energy."""
+    arch, module, measured, predicted = _columns(
+        csv_path, ("architecture", "module", "measured_j", "predicted_j")
     )
-    points = list(zip(module, _numbers(csv_path, "measured_j", measured),
-                      _numbers(csv_path, "predicted_j", predicted)))
-    artifacts = []
+    measured = _numbers(csv_path, "measured_j", measured)
+    predicted = _numbers(csv_path, "predicted_j", predicted)
+    charts = []
     for kind in sorted(set(module)):
-        pts = [(x, y) for m, x, y in points if m == kind]
+        pts = [(x, y) for m, x, y in zip(module, measured, predicted) if m == kind]
         svg = scatter_svg(
             [(kind, pts)],
             title=f"{kind}: measured vs predicted energy per pass",
             xlabel="measured energy (J)",
             ylabel="predicted energy (J)",
         )
-        artifacts.append(_svg_artifact("scatter", out_dir, f"scatter_{kind.lower()}.svg", svg))
-    return artifacts
-
-
-def _totals_by_arch(csv_path, y_column: str) -> list[tuple[str, list[tuple[float, float]]]]:
-    """(measured total, ``y_column``) points of a totals CSV per architecture, sorted."""
-    arch, measured, y = _columns(csv_path, TOTALS_HEADER, ("architecture", "measured_j", y_column))
-    by_arch: dict[str, list[tuple[float, float]]] = {}
-    for name, point in zip(arch, zip(_numbers(csv_path, "measured_j", measured),
-                                     _numbers(csv_path, y_column, y))):
-        by_arch.setdefault(name, []).append(point)
-    return sorted(by_arch.items())
-
-
-def totals_scatter_artifact(csv_path, out_dir) -> ReportArtifact:
-    """Measured totals vs summed per-layer predictions, grouped by architecture."""
-    svg = scatter_svg(
-        _totals_by_arch(csv_path, "predicted_j"),
-        title="Full-architecture energy: measured vs predicted",
-        xlabel="measured energy (J)",
-        ylabel="sum of layer predictions (J)",
-    )
-    return _svg_artifact("scatter", out_dir, "scatter_totals.svg", svg)
-
-
-def aggregate_vs_total_artifact(csv_path, out_dir) -> ReportArtifact:
-    """Measured totals vs the sum of the per-layer measurements (consistency check)."""
-    svg = scatter_svg(
-        _totals_by_arch(csv_path, "layer_measured_sum_j"),
-        title="Total measured energy vs layer-wise aggregate",
-        xlabel="total measured energy (J)",
-        ylabel="sum of layer measurements (J)",
-    )
-    return _svg_artifact("aggregate_vs_total", out_dir, "aggregate_vs_total.svg", svg)
-
-
-def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
-    """Relative per-kind contribution to each architecture's measured energy."""
-    arch, module, measured = _columns(
-        layer_csv_path, LAYER_SCATTER_HEADER, ("architecture", "module", "measured_j")
-    )
+        charts.append(Chart("scatter", f"scatter_{kind.lower()}.svg", svg))
     totals: dict[str, dict[str, float]] = {}
-    for name, kind, joules in zip(arch, module, _numbers(layer_csv_path, "measured_j", measured)):
+    for name, kind, joules in zip(arch, module, measured):
         parts = totals.setdefault(name, {})
         parts[kind] = parts.get(kind, 0.0) + joules
     kind_order = [k.value for k in LayerKind]
@@ -175,19 +141,60 @@ def contribution_artifact(layer_csv_path, out_dir) -> ReportArtifact:
         title="Layer-type contributions to measured energy",
         ylabel="fraction of measured energy",
     )
-    return _svg_artifact("contribution_bars", out_dir, "contribution_bars.svg", svg)
+    charts.append(Chart("contribution_bars", "contribution_bars.svg", svg))
+    return charts
 
 
-def ablation_artifact(csv_path, out_dir) -> ReportArtifact:
-    """Subset index vs test score, split by MAC membership."""
-    mask, contains_mac, r2 = _columns(csv_path, ABLATION_HEADER, ("mask", "contains_mac", "r2"))
+def _by_arch(arch, points) -> list[tuple[str, list[tuple[float, float]]]]:
+    """``points`` grouped by their ``arch`` name, sorted by it."""
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for name, point in zip(arch, points):
+        groups.setdefault(name, []).append(point)
+    return sorted(groups.items())
+
+
+def totals_charts(csv_path) -> list[Chart]:
+    """Measured totals vs summed per-layer predictions, then vs the sum of the
+    per-layer measurements (a consistency check), grouped by architecture."""
+    arch, measured, predicted, layer_sum = _columns(
+        csv_path, ("architecture", "measured_j", "predicted_j", "layer_measured_sum_j")
+    )
+    measured = _numbers(csv_path, "measured_j", measured)
+    predicted = _numbers(csv_path, "predicted_j", predicted)
+    layer_sum = _numbers(csv_path, "layer_measured_sum_j", layer_sum)
+    totals = scatter_svg(
+        _by_arch(arch, zip(measured, predicted)),
+        title="Full-architecture energy: measured vs predicted",
+        xlabel="measured energy (J)",
+        ylabel="sum of layer predictions (J)",
+    )
+    aggregate = scatter_svg(
+        _by_arch(arch, zip(measured, layer_sum)),
+        title="Total measured energy vs layer-wise aggregate",
+        xlabel="total measured energy (J)",
+        ylabel="sum of layer measurements (J)",
+    )
+    return [Chart("scatter", "scatter_totals.svg", totals),
+            Chart("aggregate_vs_total", "aggregate_vs_total.svg", aggregate)]
+
+
+def _ablation_points(csv_path) -> tuple[np.ndarray, np.ndarray]:
+    """The (mask, r2) points of an ablation CSV with the MAC count and without it;
+    the cells are let go on return, before the chart is rendered."""
+    mask, contains_mac, r2 = _columns(csv_path, ("mask", "contains_mac", "r2"))
     points = np.column_stack([_numbers(csv_path, "mask", mask), _numbers(csv_path, "r2", r2)])
     with_mac = np.array(contains_mac) == "1"
+    return points[with_mac], points[~with_mac]
+
+
+def ablation_chart(csv_path) -> Chart:
+    """Subset index vs test score, split by MAC membership."""
+    with_mac, without = _ablation_points(csv_path)
     svg = scatter_svg(
-        [("with MAC count", points[with_mac]), ("without MAC count", points[~with_mac])],
+        [("with MAC count", with_mac), ("without MAC count", without)],
         title="Feature-subset scores",
         xlabel="feature subset index",
         ylabel="test R^2",
         diagonal=False,
     )
-    return _svg_artifact("ablation_scatter", out_dir, "ablation_scatter.svg", svg)
+    return Chart("ablation_scatter", "ablation_scatter.svg", svg)

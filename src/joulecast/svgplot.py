@@ -75,10 +75,10 @@ def scatter_svg(
     Each series' points are a sequence of (x, y) pairs or an (n, 2) array.
     """
     arrays = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts in series]
-    xs = [x for pts in arrays for x in pts[:, 0].tolist()] or [0.0, 1.0]
-    ys = [y for pts in arrays for y in pts[:, 1].tolist()] or [0.0, 1.0]
-    lo = min(min(xs), min(ys), 0.0)
-    hi = max(max(xs), max(ys))
+    filled = [pts for pts in arrays if len(pts)]
+    # both axes share one range, from 0 or below; no points span [0, 1]
+    lo = min([float(pts.min()) for pts in filled] + [0.0])
+    hi = max([float(pts.max()) for pts in filled] or [1.0])
     ticks = nice_ticks(lo, hi)
     lo, hi = ticks[0], ticks[-1]
     x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]

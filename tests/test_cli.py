@@ -508,15 +508,27 @@ class TestMalformedReportInput:
             assert err.count("\n") == 1 and err.startswith("error: ")
             assert f"{path}: row 3: {column} {cell!r} {refusal}" in err
 
-    @pytest.mark.parametrize("column", ["measured_j", "predicted_j"])
-    def test_nan_beside_a_finite_layer_row_writes_no_svg(self, tmp_path, capsys, column):
-        header, good = _REPORT_INPUTS["--layer-scatter"].splitlines()
+    @pytest.mark.parametrize("flag, column", [
+        pytest.param("--layer-scatter", "measured_j", id="measured_j"),
+        pytest.param("--layer-scatter", "predicted_j", id="predicted_j"),
+        pytest.param("--totals", "layer_measured_sum_j", id="totals-layer_measured_sum_j"),
+        pytest.param("--ablation", "r2", id="ablation-r2"),
+    ])
+    def test_nan_beside_a_finite_layer_row_writes_no_svg(self, tmp_path, capsys, flag, column):
+        """A refused input leaves no chart, also when the inputs before it are good."""
+        header, good = _REPORT_INPUTS[flag].splitlines()
         cells = good.split(",")
         cells[header.split(",").index(column)] = "nan"
         path = tmp_path / "input.csv"
         path.write_text("\n".join([header, good, ",".join(cells)]) + "\n")
         out_dir = tmp_path / "report"
-        _exits_one_naming(capsys, ["report", "--layer-scatter", path, "--out-dir", out_dir], path)
+        argv = ["report", flag, path, "--out-dir", out_dir]
+        for other, text in _REPORT_INPUTS.items():
+            if other != flag:
+                good_path = tmp_path / f"good{other}.csv"
+                good_path.write_text(text)
+                argv += [other, good_path]
+        _exits_one_naming(capsys, argv, path)
         assert list(out_dir.iterdir()) == []
 
 
@@ -585,6 +597,19 @@ class TestUnreadableInput:
         path = _write_replaced(layerwise_csv.read_bytes(), tmp_path / "layerwise.csv",
                                b",random", b"," + b"x" * 200_000)
         err = _exits_one_naming(capsys, ["train", "--layerwise", path, "--out", tmp_path / "b.json"], path)
+        assert err.startswith(f"error: {path}: row 2: field larger than field limit")
+
+    @pytest.mark.parametrize("flag, column", [
+        ("--ablation", "features"), ("--totals", "batch_size"), ("--layer-scatter", "layer_index"),
+    ])
+    def test_report_oversized_cell_in_an_unplotted_column(self, tmp_path, capsys, flag, column):
+        """``report`` keeps only the columns it plots, but still reads every cell."""
+        header, good = _REPORT_INPUTS[flag].splitlines()
+        cells = good.split(",")
+        cells[header.split(",").index(column)] = "x" * 200_000
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join([header, ",".join(cells)]) + "\n")
+        err = _exits_one_naming(capsys, ["report", flag, path, "--out-dir", tmp_path / "report"], path)
         assert err.startswith(f"error: {path}: row 2: field larger than field limit")
 
     def test_evaluate_oversized_cell(self, bundle_path, modelwise_csv, tmp_path, capsys):

@@ -18,6 +18,7 @@ from joulecast.dataset import (
     config_key,
     load_layerwise_csv,
     load_modelwise_csv,
+    read_csv,
     sample_config,
 )
 from joulecast.dataset import _energy_reading
@@ -393,6 +394,17 @@ def test_csv_refusals(tmp_path, loader, text, error, message):
     with pytest.raises(error) as info:
         loader(path)
     assert type(info.value) is error and str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (("c", "a"), [("3", "1"), ("", "4"), ("9", "7")]),
+    (("b",), [("2",), ("5",), ("",)]),
+])
+def test_read_csv_keeps_the_named_cells_in_their_order(tmp_path, columns, rows):
+    """Blank lines are skipped and a short row is padded, whichever cells are kept."""
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c,d\n1,2,3,x\n\n4,5\n7,,9,y\n", encoding="utf-8")
+    assert read_csv(path, columns) == rows
 
 
 class TestModelwiseRecordCheck:

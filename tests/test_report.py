@@ -14,8 +14,8 @@ from joulecast.predict import AblationTable, run_ablation
 from joulecast.report import (
     ABLATION_HEADER,
     LAYER_SCATTER_HEADER,
-    ablation_artifact,
-    contribution_artifact,
+    ablation_chart,
+    layer_charts,
     write_ablation_csv,
 )
 
@@ -132,7 +132,7 @@ class TestAblationSvg:
         table = _scores_table() if table == "scores" else linear_ablation
         path = tmp_path / "ablation.csv"
         write_ablation_csv(path, table)
-        artifact = ablation_artifact(path, tmp_path)
+        chart = ablation_chart(path)
         with open(path, newline="") as fh:
             cells = list(csv.DictReader(fh))
         expected = _old_scatter_svg(
@@ -140,8 +140,7 @@ class TestAblationSvg:
              ("without MAC count", [(float(r["mask"]), float(r["r2"])) for r in cells if r["contains_mac"] != "1"])],
             title="Feature-subset scores", xlabel="feature subset index", ylabel="test R^2", diagonal=False,
         )
-        with open(artifact.svg_path, encoding="utf-8") as fh:
-            assert fh.read() == expected
+        assert chart.svg == expected
 
     def test_scatter_of_pairs_equals_per_point_scatter(self):
         series = [("a", [(0.5, 0.25), (3.0, -1.75), (1e-3, 2.0)]), ("b", [(7.0, 6.5)]), ("empty", [])]
@@ -155,10 +154,10 @@ class TestMalformedNumbers:
         path = tmp_path / "layers.csv"
         path.write_text(",".join(LAYER_SCATTER_HEADER) + "\nvgg11,1,0,Conv2d,0.5,0.4\nvgg11,1,1,ReLU,oops,0.1\n")
         with pytest.raises(ParseError, match=r"layers\.csv: row 3: measured_j 'oops' is not a number"):
-            contribution_artifact(path, tmp_path)
+            layer_charts(path)
 
     def test_short_row_names_path_and_row(self, tmp_path):
         path = tmp_path / "ablation.csv"
         path.write_text(",".join(ABLATION_HEADER) + "\n1,macs,1,0.5,0.1\n2,batch_size\n")
         with pytest.raises(ParseError, match=r"ablation\.csv: row 3: "):
-            ablation_artifact(path, tmp_path)
+            ablation_chart(path)
