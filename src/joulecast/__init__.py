@@ -23,10 +23,12 @@ from .dataset import (
     load_modelwise_csv,
     sample_config,
 )
-from .features import DesignMatrix, FeatureMap, FeatureSetKind, PolynomialSpec
+from .features import FeatureMap, FeatureSetKind, PolynomialSpec
 from .macs import architecture_macs, standalone_macs
 from .predict import (
+    CvReport,
     EnergyEstimate,
+    ModelSpec,
     PredictorBundle,
     PredictorModel,
     estimate,
@@ -36,7 +38,7 @@ from .predict import (
     train_default_bundle,
 )
 from .probe import ProbeResult, RaplDomain, energy_delta, forward_workload, measure_config
-from .regress import CvReport, EvalMetrics, LinearModel, ModelSpec, evaluate, fit_ols
+from .regress import EvalMetrics, LinearModel, evaluate, fit_ols
 
 __version__ = "0.1.0"
 
@@ -54,13 +56,14 @@ __all__ = [
     "load_layerwise_csv",
     "load_modelwise_csv",
     "sample_config",
-    "DesignMatrix",
     "FeatureMap",
     "FeatureSetKind",
     "PolynomialSpec",
     "architecture_macs",
     "standalone_macs",
+    "CvReport",
     "EnergyEstimate",
+    "ModelSpec",
     "PredictorBundle",
     "PredictorModel",
     "estimate",
@@ -73,10 +76,8 @@ __all__ = [
     "energy_delta",
     "forward_workload",
     "measure_config",
-    "CvReport",
     "EvalMetrics",
     "LinearModel",
-    "ModelSpec",
     "evaluate",
     "fit_ols",
     "__version__",

@@ -144,13 +144,17 @@ def config_key(config: LayerConfig) -> tuple:
     return (config.kind.value, *_standalone_values(config))
 
 
-def shuffled_group_keys(keys, seed: int) -> list[tuple]:
-    """Configuration-group keys (``config_key``) in the seeded order that
-    splits and CV folds deal them out in: sorted with a missing field as -1
-    and the kind last, then permuted by ``default_rng(seed)``."""
-    ordered = sorted(keys, key=lambda k: tuple(-1 if v is None else v for v in k[1:]) + (k[0],))
+def _shuffled_groups(keys: Sequence[tuple], seed: int) -> list[list[int]]:
+    """The positions of ``keys`` grouped by equal key, one group per
+    configuration (``config_key``), in the seeded order that splits and CV
+    folds deal them out in: sorted by key with a missing field as -1 and the
+    kind last, then permuted by ``default_rng(seed)``."""
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    ordered = sorted(groups, key=lambda k: tuple(-1 if v is None else v for v in k[1:]) + (k[0],))
     gen = np.random.default_rng(seed)
-    return [ordered[i] for i in gen.permutation(len(ordered))]
+    return [groups[ordered[i]] for i in gen.permutation(len(ordered))]
 
 
 def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
@@ -173,18 +177,27 @@ def split_indices(keys: Sequence[tuple], spec: SplitSpec) -> tuple[list[int], li
     """
     if len(keys) < 10:
         raise TooFewRecordsError(f"need at least 10 records to split, got {len(keys)}")
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    order = shuffled_group_keys(groups, spec.seed)
+    groups = _shuffled_groups(keys, spec.seed)
     n_train, n_val, _ = _largest_remainder_sizes(
-        len(order), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
+        len(groups), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
     )
     parts: tuple[list, list, list] = ([], [], [])
-    for pos, key in enumerate(order):
+    for pos, group in enumerate(groups):
         bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
-        parts[bucket].extend(groups[key])
+        parts[bucket].extend(group)
     return parts
+
+
+def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[int]]:
+    """Deterministic k folds of record positions, keeping equal keys together:
+    the groups of ``_shuffled_groups`` dealt round-robin."""
+    groups = _shuffled_groups(keys, seed)
+    if len(groups) < k:
+        raise TooFewRecordsError(f"{len(groups)} configuration groups cannot fill {k} folds")
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for pos, group in enumerate(groups):
+        folds[pos % k].extend(group)
+    return folds
 
 
 LAYERWISE_HEADER = ("module", *STANDALONE_FIELDS, "macs", "cpu_energy_j", "repeat", "source")

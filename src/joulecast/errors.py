@@ -53,10 +53,6 @@ class EmptyRecordsError(JoulecastError):
     """An operation requiring records received none."""
 
 
-class EmptyDataError(JoulecastError):
-    """An evaluation requiring data received none."""
-
-
 class ColumnMismatchError(JoulecastError):
     """Design matrix columns do not match the fitted model."""
 

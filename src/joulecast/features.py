@@ -1,18 +1,21 @@
-"""Design matrices: named feature sets, log features, polynomial expansion, scaling.
+"""Feature recipes: one raw row, feature sets as column selections of it,
+polynomial expansion, scaling.
 
-The raw feature order is fixed per layer kind: parameters first (the kind's
-``KindSpec.fields``, in canonical order), then their log1p transforms, then
-the MAC count. Polynomial expansion happens after the log features are
-assembled and before any standardization. The target is always min-max
-normalized to [0, 1] on the training records; predictions are mapped back to
-joules with the linear inverse (no clipping).
+Each layer kind has one raw row (``raw_feature_row``): the parameters (the
+kind's ``KindSpec.fields``, in canonical order), their log1p transforms, then
+the MAC count; a feature set is the parts of it that it keeps
+(``_KEPT_PARTS``). Polynomial expansion happens after the row is assembled
+and before any standardization. The target is always min-max normalized to
+[0, 1] on the training records; predictions are mapped back to joules with
+the linear inverse (no clipping).
 
 ``FeatureMap`` is the one home of that recipe: fitted once on a kind's
 training rows, it builds the designs of held-out rows and the rows to
 predict from, maps predictions back to joules, and is what a bundle stores of
 the recipe. Its entry points take index rows of a ``KindMatrix``, the kind's
 raw matrix built once (``fit_rows``, ``design_rows``), or one config
-(``row``), so splits, CV folds and pipelines share one raw matrix.
+(``row``), so splits, CV folds and pipelines share one raw matrix. Designs
+are plain ``(X, y)`` arrays, whose values ``KindMatrix.build`` checked once.
 """
 from __future__ import annotations
 
@@ -48,18 +51,6 @@ class FeatureSetKind(str, Enum):
     LOG_PARAMETER_MAC = "log_parameter_mac"
 
     @property
-    def has_params(self) -> bool:
-        return self is not FeatureSetKind.MAC_ONLY
-
-    @property
-    def has_logs(self) -> bool:
-        return self in (FeatureSetKind.LOG_PARAMETER, FeatureSetKind.LOG_PARAMETER_MAC)
-
-    @property
-    def has_mac(self) -> bool:
-        return self in (FeatureSetKind.MAC_ONLY, FeatureSetKind.PARAMETER_MAC, FeatureSetKind.LOG_PARAMETER_MAC)
-
-    @property
     def label(self) -> str:
         return _FEATURE_SET_LABELS[self]
 
@@ -72,35 +63,28 @@ _FEATURE_SET_LABELS = {
     FeatureSetKind.LOG_PARAMETER_MAC: "(log+)parameter-MAC",
 }
 
-def raw_feature_names(kind: LayerKind, feature_set: FeatureSetKind) -> tuple[str, ...]:
+#: the parts of the raw row (``raw_feature_row``) each feature set keeps, in row order
+_KEPT_PARTS = {
+    FeatureSetKind.PARAMETER: ("parameters",),
+    FeatureSetKind.LOG_PARAMETER: ("parameters", "logs"),
+    FeatureSetKind.MAC_ONLY: ("macs",),
+    FeatureSetKind.PARAMETER_MAC: ("parameters", "macs"),
+    FeatureSetKind.LOG_PARAMETER_MAC: ("parameters", "logs", "macs"),
+}
+
+
+def raw_feature_names(kind: LayerKind) -> tuple[str, ...]:
+    """The names of ``raw_feature_row``'s columns for one layer kind."""
     params = KIND_SPECS[kind].fields
-    names: tuple[str, ...] = ()
-    if feature_set.has_params:
-        names += params
-    if feature_set.has_logs:
-        names += tuple(f"log_{p}" for p in params)
-    if feature_set.has_mac:
-        names += ("macs",)
-    return names
+    return (*params, *(f"log_{p}" for p in params), "macs")
 
 
-#: (has_params, has_logs, has_mac) per feature set
-_FEATURE_SET_PARTS = {fs: (fs.has_params, fs.has_logs, fs.has_mac) for fs in FeatureSetKind}
-
-
-def raw_feature_row(config: LayerConfig, macs: int, feature_set: FeatureSetKind) -> list[float]:
-    """Assemble one raw feature row; log features are ln(1+x) so padding=0 stays finite."""
+def raw_feature_row(config: LayerConfig, macs: int) -> list[float]:
+    """The raw row every feature set selects from: the parameters, their
+    log1p values (so padding=0 stays finite), then the MAC count."""
     values = config.__dict__
     params = [float(values[name]) for name in KIND_SPECS[config.kind].fields]
-    has_params, has_logs, has_mac = _FEATURE_SET_PARTS[feature_set]
-    row: list[float] = []
-    if has_params:
-        row += params
-    if has_logs:
-        row += [math.log1p(v) for v in params]
-    if has_mac:
-        row.append(float(macs))
-    return row
+    return [*params, *map(math.log1p, params), float(macs)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +127,8 @@ def _monomials(p: int, spec: PolynomialSpec | None) -> list[tuple[int, ...]]:
 
 
 def _monomial_index(p: int, spec: PolynomialSpec | None) -> np.ndarray:
-    """(degree, monomials) column indices for ``_expand``; shorter monomials
-    are padded with ``p``, the column of ones ``_expand`` appends."""
+    """(degree, monomials) indices of ``p`` columns; shorter monomials are
+    padded with ``p``, which stands for a column of ones."""
     monomials = _monomials(p, spec)
     index = np.full((len(monomials[-1]), len(monomials)), p)
     for j, combo in enumerate(monomials):
@@ -153,11 +137,11 @@ def _monomial_index(p: int, spec: PolynomialSpec | None) -> np.ndarray:
 
 
 def _expand(X: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Each monomial's factors multiplied left to right, the order of
-    ``np.prod``; a padding factor of 1.0 leaves a product bit-identical.
-    ``take`` keeps the result in C order, as ``np.column_stack`` did."""
-    if not np.isfinite(X).all():
-        raise NonFiniteError("polynomial expansion requires finite inputs")
+    """The monomials ``index`` names over the columns of ``X`` and, at index
+    ``X.shape[1]``, a column of ones: each monomial's factors multiplied left
+    to right, the order of ``np.prod``; a padding factor of 1.0 leaves a
+    product bit-identical. ``take`` keeps the result in C order, as
+    ``np.column_stack`` did."""
     X = np.concatenate([X, np.ones((len(X), 1))], axis=1)
     out = X.take(index[0], axis=1)
     for factors in index[1:]:
@@ -165,29 +149,15 @@ def _expand(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    column_names: tuple[str, ...]
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if len(self.column_names) != len(set(self.column_names)):
-            raise ValidationError("design matrix columns must be unique")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
-            raise NonFiniteError("design matrix contains NaN/Inf")
-
-
 @dataclass(frozen=True, eq=False)
 class KindMatrix:
     """One layer kind's records as arrays, built in one pass over them.
 
-    ``raw`` holds every raw feature of each record: the parameters, their
-    log1p values, then the MAC count (the ``LOG_PARAMETER_MAC`` row), so
-    each feature set is a column selection of it with the floats
-    ``raw_feature_row`` gives. ``energy`` holds the target and ``keys`` the
+    ``raw`` holds each record's ``raw_feature_row``, of which every feature
+    set is a column selection; ``energy`` holds the target and ``keys`` the
     ``config_key`` groups that splits and CV folds keep together. Feature
-    maps are fitted on, and build designs from, rows of it.
+    maps are fitted on, and build designs from, rows of it. Building checks
+    that every value is finite, once for every design made from it.
     """
 
     kind: LayerKind
@@ -197,37 +167,40 @@ class KindMatrix:
 
     @classmethod
     def build(cls, records: list[MeasurementRecord]) -> "KindMatrix":
-        kind = _check_homogeneous(records)
-        raw = [raw_feature_row(r.config, r.macs, FeatureSetKind.LOG_PARAMETER_MAC) for r in records]
-        return cls(
-            kind,
-            np.array(raw, dtype=float),
-            np.array([r.cpu_energy_j for r in records], dtype=float),
-            tuple(config_key(r.config) for r in records),
-        )
+        if not records:
+            raise EmptyRecordsError("no records to build a design matrix from")
+        kinds = {r.module for r in records}
+        if len(kinds) > 1:
+            raise KindMismatchError(f"records mix layer kinds {sorted(k.value for k in kinds)}")
+        raw = np.array([raw_feature_row(r.config, r.macs) for r in records], dtype=float)
+        energy = np.array([r.cpu_energy_j for r in records], dtype=float)
+        if not (np.isfinite(raw).all() and np.isfinite(energy).all()):
+            raise NonFiniteError("records hold a non-finite MAC count or energy")
+        return cls(kinds.pop(), raw, energy, tuple(config_key(r.config) for r in records))
 
 
 @dataclass(frozen=True)
 class _Recipe:
     """What a (kind, feature set, expansion) triple fixes before any fit."""
 
-    raw_columns: np.ndarray  # the feature set's columns of ``KindMatrix.raw``
     names: tuple[str, ...]  # the monomials' names, in design order
     sorted_names: tuple[str, ...]
     position: dict[str, int]  # name -> position in ``names``
-    index: np.ndarray  # ``_monomial_index`` of the raw columns
+    index: np.ndarray  # the monomials as ``_expand`` indices of the raw row
 
 
 @functools.cache
 def _recipe(kind: LayerKind, feature_set: FeatureSetKind, poly: PolynomialSpec | None) -> _Recipe:
-    everything = raw_feature_names(kind, FeatureSetKind.LOG_PARAMETER_MAC)
-    raw = raw_feature_names(kind, feature_set)
-    names = polynomial_names(raw, poly)
-    columns = np.array([everything.index(n) for n in raw])
-    index = _monomial_index(len(raw), poly)
-    for frozen in (columns, index):
-        frozen.flags.writeable = False
-    return _Recipe(columns, names, tuple(sorted(names)), {n: i for i, n in enumerate(names)}, index)
+    everything = raw_feature_names(kind)
+    p = len(KIND_SPECS[kind].fields)
+    spans = {"parameters": range(p), "logs": range(p, 2 * p), "macs": range(2 * p, 2 * p + 1)}
+    columns = [c for part in _KEPT_PARTS[feature_set] for c in spans[part]]
+    names = polynomial_names(tuple(everything[c] for c in columns), poly)
+    # the monomial index of the kept columns, mapped onto raw-row columns; its
+    # padding becomes the ones column ``_expand`` appends after the raw row
+    index = np.array(columns + [len(everything)])[_monomial_index(len(columns), poly)]
+    index.flags.writeable = False
+    return _Recipe(names, tuple(sorted(names)), {n: i for i, n in enumerate(names)}, index)
 
 
 @dataclass(frozen=True)
@@ -293,9 +266,9 @@ class FeatureMap:
         feature_set: FeatureSetKind,
         poly: PolynomialSpec | None,
         scaler: str,
-    ) -> tuple["FeatureMap", DesignMatrix]:
+    ) -> tuple["FeatureMap", np.ndarray, np.ndarray]:
         """Fit the scalers on ``rows`` of ``matrix`` (the training set, in
-        that order); returns the map and their design.
+        that order); returns the map and their design ``(X, y)``.
 
         Z-scoring uses the population standard deviation and drops constant
         columns with a warning.
@@ -304,7 +277,7 @@ class FeatureMap:
             raise EmptyRecordsError("no records to build a design matrix from")
         recipe = _recipe(matrix.kind, feature_set, poly)
         names = recipe.names
-        X = _expand(matrix.raw[np.ix_(rows, recipe.raw_columns)], recipe.index)
+        X = _expand(matrix.raw[rows], recipe.index)
         stats: dict = {}
         columns = names
         if scaler == "zscore":  # other kinds are refused when the map is built
@@ -328,25 +301,27 @@ class FeatureMap:
         if hi <= lo:
             raise ValidationError("cannot min-max normalize a constant target")
         fitted = cls(matrix.kind, feature_set, poly, scaler, columns, lo, hi, **stats)
-        return fitted, DesignMatrix(columns, fitted._scale(X), fitted._normalize(y))
+        return fitted, fitted._scale(X), fitted._normalize(y)
 
-    def design_rows(self, matrix: KindMatrix, rows) -> DesignMatrix:
-        """Held-out ``rows`` of ``matrix`` through the frozen scalers."""
+    def design_rows(self, matrix: KindMatrix, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The design ``(X, y)`` of held-out ``rows`` of ``matrix``, through
+        the frozen scalers."""
         if matrix.kind is not self.kind:
             raise KindMismatchError(
                 f"feature map fitted on {self.kind.value}, records are {matrix.kind.value}"
             )
         if not len(rows):
             raise EmptyRecordsError("no records to build a design matrix from")
-        raw = matrix.raw[np.ix_(rows, self._recipe.raw_columns)]
-        return DesignMatrix(self.columns, self._features(raw), self._normalize(matrix.energy[rows]))
+        X = self._scale(_expand(matrix.raw[rows], self._recipe.index))
+        return X, self._normalize(matrix.energy[rows])
 
     def row(self, config: LayerConfig, macs: int) -> np.ndarray:
         """One scaled feature row for prediction: the single-row form of
-        ``_features``, with the same products and the same scaling. Only the
-        kept columns are formed, and they are z-scored in place."""
+        ``design_rows``, with the same products and the same scaling. Only the
+        kept columns are formed, and they are z-scored in place. The config
+        comes from outside any ``KindMatrix``, so its raw row is checked here."""
         self._check_kind(config)
-        raw = raw_feature_row(config, macs, self.feature_set)
+        raw = raw_feature_row(config, macs)
         if not all(map(math.isfinite, raw)):
             raise NonFiniteError("polynomial expansion requires finite inputs")
         raw.append(1.0)
@@ -368,9 +343,6 @@ class FeatureMap:
         """Map a normalized prediction (a float, or an array of them) back to joules;
         out-of-range values extrapolate linearly."""
         return self.target_min + normalized * (self.target_max - self.target_min)
-
-    def _features(self, raw: np.ndarray) -> np.ndarray:
-        return self._scale(_expand(raw, self._recipe.index))
 
     def _scale(self, X: np.ndarray) -> np.ndarray:
         if self.scaler == "zscore":
@@ -426,13 +398,4 @@ class FeatureMap:
 def _scaler_dict(kind: str, columns: tuple[str, ...], **stats: tuple) -> dict:
     keys = ("mean", "std", "minimum", "maximum", "dropped")
     return {"kind": kind, "columns": list(columns), **{key: list(stats.get(key, ())) for key in keys}}
-
-
-def _check_homogeneous(records: list[MeasurementRecord]) -> LayerKind:
-    if not records:
-        raise EmptyRecordsError("no records to build a design matrix from")
-    kinds = {r.module for r in records}
-    if len(kinds) > 1:
-        raise KindMismatchError(f"records mix layer kinds {sorted(k.value for k in kinds)}")
-    return next(iter(kinds))
 

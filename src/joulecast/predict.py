@@ -1,12 +1,15 @@
 """Per-layer-type predictor bundle: training, persistence, and architecture estimates.
 
-A bundle holds one fitted regression pipeline per layer kind, each trained
-by ``train_on_matrix`` on rows of its kind's ``KindMatrix``. Architectures
-are estimated by resolving their layers, counting their MACs with
-``macs.architecture_macs``, predicting each layer's energy from its
+A bundle holds one fitted regression pipeline (a ``ModelSpec``) per layer
+kind, each trained by ``train_on_matrix`` on rows of its kind's
+``KindMatrix``: the Lasso penalty is tuned on the validation split
+(``grid_search_lambda``) and the pipeline cross-validated on configuration
+groups (``cross_validate_rows``), with ``regress`` fitting the arrays.
+Architectures are estimated by resolving their layers, counting their MACs
+with ``macs.architecture_macs``, predicting each layer's energy from its
 standalone-equivalent configuration and MAC count, and summing in layer
-order. Negative predictions (extrapolation artifacts) are clamped to zero and
-flagged. ``run_feature_set_experiment`` trains every ``EXPERIMENT_TABLE``
+order. Negative predictions (extrapolation artifacts) are clamped to zero
+and flagged. ``run_feature_set_experiment`` trains every ``EXPERIMENT_TABLE``
 pipeline of one kind the same way and returns the trained models;
 ``run_ablation`` scores every feature subset of one kind into one
 mask-indexed ``AblationTable``.
@@ -20,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +40,13 @@ from .dataset import (
     ModelWiseRecord,
     SplitSpec,
     config_key,
+    group_kfold_indices,
     split_indices,
 )
 from .errors import (
     AggregationWarning,
     ColumnMismatchError,
-    EmptyDataError,
+    EmptyRecordsError,
     MissingKindError,
     ParseError,
     SchemaError,
@@ -51,22 +56,52 @@ from .errors import (
 )
 from .features import FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
 from .macs import architecture_macs, layer_error
-from .regress import (
-    CvReport,
-    EvalMetrics,
-    LassoFit,
-    LinearModel,
-    ModelSpec,
-    cross_validate_rows,
-    evaluate,
-    fit_ols,
-    grid_search_lambda,
-    score,
-)
+from .regress import EvalMetrics, LassoFit, LinearModel, evaluate, fit_ols, lasso_path, score
 
 BUNDLE_FORMAT_VERSION = 1
 
 DEFAULT_LAMBDA_GRID = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One regression pipeline: feature set, expansion, scaling, and model family."""
+
+    feature_set: FeatureSetKind
+    poly: PolynomialSpec | None = None
+    feature_scaler: str = "none"
+    model: str = "ols"  # "ols" | "lasso"
+    lam: float = 0.0
+
+    def __post_init__(self):
+        if self.model not in ("ols", "lasso"):
+            raise ValidationError(f"unknown model family {self.model!r}")
+
+
+@dataclass(frozen=True)
+class CvReport:
+    k: int
+    r2_scores: tuple[float, ...]
+    mse_scores: tuple[float, ...]
+    #: a Lasso spec's fold fits, for their solver reports; bundles do not store them
+    lasso_fits: tuple[LassoFit, ...] = ()
+
+    @property
+    def r2_mean(self) -> float:
+        return float(np.mean(self.r2_scores))
+
+    @property
+    def r2_std(self) -> float:
+        return float(np.std(self.r2_scores))
+
+    @property
+    def mse_mean(self) -> float:
+        return float(np.mean(self.mse_scores))
+
+    @property
+    def mse_std(self) -> float:
+        return float(np.std(self.mse_scores))
+
 
 #: selected pipeline per layer kind (the configurations behind the shipped defaults)
 DEFAULT_MODEL_SPECS: dict[LayerKind, ModelSpec] = {
@@ -271,6 +306,69 @@ def _kind_matrix(records: list[MeasurementRecord], kind: LayerKind) -> KindMatri
     return KindMatrix.build(subset)
 
 
+def cross_validate_rows(
+    matrix: KindMatrix,
+    rows,
+    spec: ModelSpec,
+    k: int = 10,
+    seed: int = 0,
+) -> CvReport:
+    """Configuration-grouped k-fold CV over ``rows`` of ``matrix``; scalers
+    are refit on each fold's training part.
+
+    A Lasso spec fits each fold with ``lasso_path`` at ``spec.lam`` and
+    keeps the fold fits, with their KKT reports, in ``lasso_fits``. MSE is
+    reported as a positive quantity (some frameworks negate it for
+    score-maximization APIs).
+    """
+    if k < 2:
+        raise ValidationError(f"k={k} must be at least 2")
+    rows = np.asarray(rows)
+    folds = group_kfold_indices([matrix.keys[i] for i in rows], k, seed)
+    designs = []
+    for held_out in folds:
+        features, X, y = FeatureMap.fit_rows(
+            matrix, np.delete(rows, held_out), spec.feature_set, spec.poly, spec.feature_scaler
+        )
+        designs.append((X, y, features.design_rows(matrix, rows[held_out])))
+    fits: tuple[LassoFit, ...] = ()
+    if spec.model == "lasso":
+        fits = tuple(lasso_path(X, y, [spec.lam])[0] for X, y, _ in designs)
+        models = [fit.model for fit in fits]
+    else:
+        models = [fit_ols(X, y) for X, y, _ in designs]
+    metrics = [evaluate(model, *held) for model, (_, _, held) in zip(models, designs)]
+    return CvReport(
+        k=k,
+        r2_scores=tuple(m.r2 for m in metrics),
+        mse_scores=tuple(m.mse for m in metrics),
+        lasso_fits=fits,
+    )
+
+
+def grid_search_lambda(
+    train: tuple[np.ndarray, np.ndarray],
+    val: tuple[np.ndarray, np.ndarray],
+    grid: Sequence[float],
+) -> tuple[tuple[LassoFit, ...], LassoFit]:
+    """Fit the whole grid from one ``lasso_path`` on the train design and
+    pick the penalty maximizing R^2 on the validation design; ties go to the
+    larger (sparser) lambda. A one-value grid is fitted but not scored.
+    Returns the fits, ascending in lambda, and the chosen one."""
+    if not grid:
+        raise ValidationError("lambda grid is empty")
+    lams = sorted(float(g) for g in grid)
+    fits = tuple(lasso_path(*train, lams))
+    best = 0
+    if len(fits) > 1:
+        best_r2 = None
+        for i, fit in enumerate(fits):
+            r2 = evaluate(fit.model, *val).r2
+            if best_r2 is None or r2 >= best_r2:
+                best, best_r2 = i, r2
+    return fits, fits[best]
+
+
 def train_on_matrix(
     matrix: KindMatrix,
     spec: ModelSpec,
@@ -280,23 +378,20 @@ def train_on_matrix(
     """Fit one pipeline on a kind's records: train on 70%, tune lambda on
     20%, report on the 10% test split."""
     train, val, test = split_indices(matrix.keys, split_spec)
-    features, design = FeatureMap.fit_rows(matrix, train, spec.feature_set, spec.poly, spec.feature_scaler)
+    features, X, y = FeatureMap.fit_rows(matrix, train, spec.feature_set, spec.poly, spec.feature_scaler)
     grid_fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
         # the grid is fitted on this train design, so its fit at the chosen
         # penalty is the final model
-        search = grid_search_lambda(design, features.design_rows(matrix, val), spec, DEFAULT_LAMBDA_GRID)
-        spec = replace(spec, lam=search.lam)
-        model = search.chosen.model
-        grid_fits = search.fits
+        grid_fits, chosen = grid_search_lambda((X, y), features.design_rows(matrix, val), DEFAULT_LAMBDA_GRID)
+        model = chosen.model
+        spec = replace(spec, lam=model.lam)
     else:
-        model = fit_ols(design.X, design.y)
+        model = fit_ols(X, y)
     if test:
-        test_design = features.design_rows(matrix, test)
-        test_metrics = evaluate(model, test_design.X, test_design.y)
-        test_metrics_joules = score(
-            features.joules(test_design.y), features.joules(model.predict(test_design.X))
-        )
+        X_test, y_test = features.design_rows(matrix, test)
+        test_metrics = evaluate(model, X_test, y_test)
+        test_metrics_joules = score(features.joules(y_test), features.joules(model.predict(X_test)))
     else:
         test_metrics = EvalMetrics(r2=float("nan"), mse=float("nan"), max_error=float("nan"))
         test_metrics_joules = test_metrics
@@ -448,7 +543,7 @@ SUM_MISMATCH_TOLERANCE = 0.05
 def evaluate_on_real(bundle: PredictorBundle, records: list[ModelWiseRecord]) -> RealEvaluation:
     """Compare per-layer and summed predictions to measured architecture data."""
     if not records:
-        raise EmptyDataError("no model-wise records to evaluate")
+        raise EmptyRecordsError("no model-wise records to evaluate")
     layer_points: list[LayerPoint] = []
     total_points: list[TotalPoint] = []
     for record in records:
@@ -562,14 +657,13 @@ def run_ablation(
     split_spec = split_spec or SplitSpec()
     matrix = _kind_matrix(records, kind)
     train, _, test = split_indices(matrix.keys, split_spec)
-    features, design = FeatureMap.fit_rows(matrix, train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-    test_design = features.design_rows(matrix, test)
+    features, X, y_train = FeatureMap.fit_rows(matrix, train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+    X_test, y_test = features.design_rows(matrix, test)
     names = features.columns
-    mean = design.X.mean(axis=0)
-    std = design.X.std(axis=0)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
     std[std == 0] = 1.0
-    X_train, y_train = (design.X - mean) / std, design.y
-    X_test, y_test = (test_design.X - mean) / std, test_design.y
+    X_train, X_test = (X - mean) / std, (X_test - mean) / std
     x_mean, y_mean = X_train.mean(axis=0), y_train.mean()
     centred = X_train - x_mean
     gram = centred.T @ centred

@@ -300,16 +300,21 @@ def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.n
 
 
 def make_workload(config: LayerConfig, seed: int = 0):
-    """Closure running one forward pass and returning its output; input and
-    weights allocated once."""
+    """Closure running one forward pass and returning its output: the pass of
+    ``forward_workload``, with the input, the weights and the kind's kernel
+    bound once, so a metered pass runs the kernel alone."""
+    spec = KIND_SPECS[config.kind]
+    if not spec.predictable:
+        raise ValidationError(f"{config.kind.value} has no standalone workload")
     shape = standalone_input_shape(config)
     dims = (shape.batch, shape.channels, shape.height, shape.width)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dims if KIND_SPECS[config.kind].spatial else dims[:2], dtype=WORKLOAD_DTYPE)
+    x = rng.standard_normal(dims if spec.spatial else dims[:2], dtype=WORKLOAD_DTYPE)
     weights = init_weights(config, seed)
+    forward = _KERNELS[config.kind].forward
 
     def run():
-        return forward_workload(config, x, weights)
+        return forward(config, x, weights)
 
     return run
 

@@ -1,4 +1,4 @@
-"""Linear regression stack: OLS, an exact Lasso path, metrics, k-fold CV.
+"""Linear regression on plain arrays: OLS, an exact Lasso path, and the metrics.
 
 OLS is solved through an orthogonal decomposition (SVD via lstsq), which
 returns the minimum-norm solution on rank-deficient designs. The Lasso
@@ -20,16 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import shuffled_group_keys
 from .errors import (
     ColumnMismatchError,
     NonFiniteError,
     NotConvergedWarning,
     SingularityWarning,
-    TooFewRecordsError,
     ValidationError,
 )
-from .features import DesignMatrix, FeatureMap, FeatureSetKind, KindMatrix, PolynomialSpec
 
 
 @dataclass(frozen=True)
@@ -61,31 +58,6 @@ class EvalMetrics:
     r2: float
     mse: float
     max_error: float
-
-
-@dataclass(frozen=True)
-class CvReport:
-    k: int
-    r2_scores: tuple[float, ...]
-    mse_scores: tuple[float, ...]
-    #: a Lasso spec's fold fits, for their solver reports; bundles do not store them
-    lasso_fits: tuple[LassoFit, ...] = ()
-
-    @property
-    def r2_mean(self) -> float:
-        return float(np.mean(self.r2_scores))
-
-    @property
-    def r2_std(self) -> float:
-        return float(np.std(self.r2_scores))
-
-    @property
-    def mse_mean(self) -> float:
-        return float(np.mean(self.mse_scores))
-
-    @property
-    def mse_std(self) -> float:
-        return float(np.std(self.mse_scores))
 
 
 def _check_finite(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,112 +366,3 @@ def evaluate(model: LinearModel, X: np.ndarray, y: np.ndarray) -> EvalMetrics:
     """``score`` of the model's predictions on an evaluation set."""
     X, y = _check_finite(X, y)
     return score(y, model.predict(X))
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One regression pipeline: feature set, expansion, scaling, and model family."""
-
-    feature_set: FeatureSetKind
-    poly: PolynomialSpec | None = None
-    feature_scaler: str = "none"
-    model: str = "ols"  # "ols" | "lasso"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in ("ols", "lasso"):
-            raise ValidationError(f"unknown model family {self.model!r}")
-
-
-def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[int]]:
-    """Deterministic k folds of record indices, keeping equal keys together."""
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    if len(groups) < k:
-        raise TooFewRecordsError(f"{len(groups)} configuration groups cannot fill {k} folds")
-    order = shuffled_group_keys(groups, seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for pos, key in enumerate(order):
-        folds[pos % k].extend(groups[key])
-    return folds
-
-
-def cross_validate_rows(
-    matrix: KindMatrix,
-    rows,
-    spec: ModelSpec,
-    k: int = 10,
-    seed: int = 0,
-) -> CvReport:
-    """Configuration-grouped k-fold CV over ``rows`` of ``matrix``; scalers
-    are refit on each fold's training part.
-
-    A Lasso spec fits each fold with ``lasso_path`` at ``spec.lam`` and
-    keeps the fold fits, with their KKT reports, in ``lasso_fits``. MSE is
-    reported as a positive quantity (some frameworks negate it for
-    score-maximization APIs).
-    """
-    if k < 2:
-        raise ValidationError(f"k={k} must be at least 2")
-    rows = np.asarray(rows)
-    folds = group_kfold_indices([matrix.keys[i] for i in rows], k, seed)
-    designs = []
-    for held_out in folds:
-        features, design = FeatureMap.fit_rows(
-            matrix, np.delete(rows, held_out), spec.feature_set, spec.poly, spec.feature_scaler
-        )
-        designs.append((design, features.design_rows(matrix, rows[held_out])))
-    fits: tuple[LassoFit, ...] = ()
-    if spec.model == "lasso":
-        fits = tuple(lasso_path(d.X, d.y, [spec.lam])[0] for d, _ in designs)
-        models = [fit.model for fit in fits]
-    else:
-        models = [fit_ols(d.X, d.y) for d, _ in designs]
-    metrics = [evaluate(model, t.X, t.y) for model, (_, t) in zip(models, designs)]
-    return CvReport(
-        k=k,
-        r2_scores=tuple(m.r2 for m in metrics),
-        mse_scores=tuple(m.mse for m in metrics),
-        lasso_fits=fits,
-    )
-
-
-@dataclass(frozen=True)
-class LambdaSearch:
-    """A Lasso penalty grid fitted on the train split, ascending in lambda."""
-
-    fits: tuple[LassoFit, ...]
-    best: int  # index of the fit with the best validation R^2
-
-    @property
-    def chosen(self) -> LassoFit:
-        return self.fits[self.best]
-
-    @property
-    def lam(self) -> float:
-        return self.chosen.model.lam
-
-
-def grid_search_lambda(
-    train: DesignMatrix,
-    val: DesignMatrix,
-    spec: ModelSpec,
-    grid: Sequence[float],
-) -> LambdaSearch:
-    """Fit the whole grid from one ``lasso_path`` on the train design and
-    pick the penalty maximizing R^2 on the validation design; ties go to the
-    larger (sparser) lambda. A one-value grid is fitted but not scored."""
-    if not grid:
-        raise ValidationError("lambda grid is empty")
-    lams = sorted(float(g) for g in grid)
-    fits = tuple(lasso_path(train.X, train.y, lams))
-    best = 0
-    if len(fits) > 1:
-        best_r2 = None
-        for i, fit in enumerate(fits):
-            r2 = evaluate(fit.model, val.X, val.y).r2
-            if best_r2 is None or r2 >= best_r2:
-                best, best_r2 = i, r2
-    return LambdaSearch(fits, best)
-

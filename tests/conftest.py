@@ -152,12 +152,12 @@ def split_records(records, spec):
 
 
 def fit_map(records, feature_set, poly, scaler):
-    """``FeatureMap.fit_rows`` on every row of the records' kind matrix: the map and its design."""
+    """``FeatureMap.fit_rows`` on every row of the records' kind matrix: the map and its design ``(X, y)``."""
     return FeatureMap.fit_rows(KindMatrix.build(records), np.arange(len(records)), feature_set, poly, scaler)
 
 
 def design_of(features, records):
-    """``features.design_rows`` on every row of the records' kind matrix."""
+    """``features.design_rows`` on every row of the records' kind matrix: its design ``(X, y)``."""
     return features.design_rows(KindMatrix.build(records), np.arange(len(records)))
 
 

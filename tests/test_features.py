@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import design_of, fit_map, synth_records
-from joulecast.arch import LayerConfig, LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config, split_indices
+from joulecast.arch import KIND_SPECS, LayerConfig, LayerKind
+from joulecast.dataset import MeasurementRecord, SplitSpec, group_kfold_indices, sample_config, split_indices
 from joulecast.errors import (
     ConstantColumnWarning,
     DegreeOutOfRangeError,
@@ -24,13 +24,13 @@ from joulecast.features import (
     PolynomialSpec,
     _expand,
     _monomial_index,
+    _recipe,
     polynomial_names,
     raw_feature_names,
-    raw_feature_row,
 )
 from joulecast.macs import standalone_macs
 from joulecast.predict import DEFAULT_MODEL_SPECS, EXPERIMENT_TABLE
-from joulecast.regress import fit_ols, group_kfold_indices
+from joulecast.regress import fit_ols
 
 
 def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
@@ -45,6 +45,28 @@ def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
                           macs=m, cpu_energy_j=float(e))
         for e, m, b, c in zip(energies, macs, batch_sizes, in_channels)
     ]
+
+
+def set_names(kind, feature_set):
+    """Independent oracle of a feature set's raw names: the parameters, their
+    logs and the MAC count, each kept or not by the set's name."""
+    params = KIND_SPECS[kind].fields
+    names = ()
+    if feature_set is not FeatureSetKind.MAC_ONLY:
+        names += params
+    if feature_set in (FeatureSetKind.LOG_PARAMETER, FeatureSetKind.LOG_PARAMETER_MAC):
+        names += tuple(f"log_{p}" for p in params)
+    if feature_set in (FeatureSetKind.MAC_ONLY, FeatureSetKind.PARAMETER_MAC, FeatureSetKind.LOG_PARAMETER_MAC):
+        names += ("macs",)
+    return names
+
+
+def set_row(config, macs, feature_set):
+    """Independent oracle of a feature set's raw row, in ``set_names`` order."""
+    values = {name: float(getattr(config, name)) for name in KIND_SPECS[config.kind].fields}
+    values.update({f"log_{name}": math.log1p(v) for name, v in list(values.items())})
+    values["macs"] = float(macs)
+    return [values[name] for name in set_names(config.kind, feature_set)]
 
 
 def fit_target(energies):
@@ -137,29 +159,29 @@ class TestPolynomial:
 
 class TestScalers:
     def test_minmax_normalizes_targets(self):
-        _, design = fit_target([2e-3, 4e-3, 6e-3])
-        assert design.y.tolist() == [0.0, 0.5, 1.0]
+        _, _, y = fit_target([2e-3, 4e-3, 6e-3])
+        assert y.tolist() == [0.0, 0.5, 1.0]
 
     def test_training_minimum_maps_to_zero(self):
-        _, design = fit_target([0.7, 1.3, 9.0])
-        assert design.y[0] == 0.0
+        _, _, y = fit_target([0.7, 1.3, 9.0])
+        assert y[0] == 0.0
 
     def test_extrapolation_is_linear(self):
-        features, _ = fit_target([1.0, 3.0])
+        features, _, _ = fit_target([1.0, 3.0])
         assert features.joules(1.5) == 1.0 + 1.5 * 2.0
 
     def test_zscore_population_std(self):
         records = relu_records([1.0, 2.0, 3.0], macs=[1, 2, 3])
-        _, design = fit_map(records, FeatureSetKind.MAC_ONLY, None, "zscore")
-        assert design.column_names == ("macs",)
-        np.testing.assert_allclose(design.X[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
+        features, X, _ = fit_map(records, FeatureSetKind.MAC_ONLY, None, "zscore")
+        assert features.columns == ("macs",)
+        np.testing.assert_allclose(X[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_dropped(self):
         records = relu_records([1.0, 2.0], batch_sizes=[5, 5], in_channels=[1, 2])
         with pytest.warns(ConstantColumnWarning):
-            features, design = fit_map(records, FeatureSetKind.PARAMETER, None, "zscore")
+            features, X, _ = fit_map(records, FeatureSetKind.PARAMETER, None, "zscore")
         assert features.dropped == ("batch_size",)
-        assert design.column_names == ("in_channels",) and design.X.shape == (2, 1)
+        assert features.columns == ("in_channels",) and X.shape == (2, 1)
 
     def test_constant_target_rejected(self):
         with pytest.raises(ValidationError):
@@ -173,15 +195,15 @@ class TestScalers:
     )
     def test_target_round_trip_identity(self, values):
         y = np.array(values)
-        features, design = fit_target(values)
-        back = features.joules(design.y)
+        features, _, normalized = fit_target(values)
+        back = features.joules(normalized)
         span = y.max() - y.min()  # affine round-trip error scales with the span
         np.testing.assert_allclose(back, y, rtol=1e-12, atol=1e-12 * span)
 
     def test_scaler_params_round_trip(self):
         records = relu_records([1.0, 2.0, 4.0], macs=[9, 11, 10], batch_sizes=[1, 3, 2])
         with pytest.warns(ConstantColumnWarning):  # in_channels is constant
-            features, _ = fit_map(records, FeatureSetKind.PARAMETER_MAC, None, "zscore")
+            features, _, _ = fit_map(records, FeatureSetKind.PARAMETER_MAC, None, "zscore")
         assert FeatureMap.from_dict(features.to_dict()) == features
 
     def test_columns_must_match_the_recipe(self):
@@ -192,7 +214,7 @@ class TestScalers:
 
 class TestFeatureAssembly:
     def test_raw_names_conv_log_param_mac(self):
-        names = raw_feature_names(LayerKind.CONV2D, FeatureSetKind.LOG_PARAMETER_MAC)
+        names = raw_feature_names(LayerKind.CONV2D)
         assert len(names) == 15
         assert names[:7] == ("batch_size", "image_size", "kernel_size", "in_channels",
                              "out_channels", "stride", "padding")
@@ -200,21 +222,20 @@ class TestFeatureAssembly:
 
     def test_feature_set_unions(self):
         for kind in (LayerKind.CONV2D, LayerKind.LINEAR, LayerKind.SIGMOID):
-            params = set(raw_feature_names(kind, FeatureSetKind.PARAMETER))
-            logp = set(raw_feature_names(kind, FeatureSetKind.LOG_PARAMETER))
-            logp_mac = set(raw_feature_names(kind, FeatureSetKind.LOG_PARAMETER_MAC))
+            params = set(_recipe(kind, FeatureSetKind.PARAMETER, None).names)
+            logp = set(_recipe(kind, FeatureSetKind.LOG_PARAMETER, None).names)
+            logp_mac = set(_recipe(kind, FeatureSetKind.LOG_PARAMETER_MAC, None).names)
             assert params < logp
             assert logp | {"macs"} == logp_mac
 
     def test_zero_padding_log_is_finite_zero(self):
         cfg = sample_config(LayerKind.CONV2D, 1)
         cfg = type(cfg)(**{**cfg.__dict__, "padding": 0})
-        row = raw_feature_row(cfg, 10, FeatureSetKind.LOG_PARAMETER)
-        names = raw_feature_names(LayerKind.CONV2D, FeatureSetKind.LOG_PARAMETER)
-        assert row[names.index("log_padding")] == 0.0
+        row = KindMatrix.build([MeasurementRecord(LayerKind.CONV2D, cfg, 10, 1.0)]).raw[0]
+        assert row[raw_feature_names(LayerKind.CONV2D).index("log_padding")] == 0.0
 
     def test_activation_parameters(self):
-        assert raw_feature_names(LayerKind.SOFTMAX, FeatureSetKind.PARAMETER) == (
+        assert _recipe(LayerKind.SOFTMAX, FeatureSetKind.PARAMETER, None).names == (
             "batch_size", "in_channels",
         )
 
@@ -229,7 +250,7 @@ class TestBuildDesign:
         mixed = records_for(LayerKind.CONV2D, 2) + records_for(LayerKind.LINEAR, 2)
         with pytest.raises(KindMismatchError):
             KindMatrix.build(mixed)
-        features, _ = FeatureMap.fit_rows(matrix, np.arange(5), FeatureSetKind.PARAMETER, None, "none")
+        features, _, _ = FeatureMap.fit_rows(matrix, np.arange(5), FeatureSetKind.PARAMETER, None, "none")
         linear = records_for(LayerKind.LINEAR, 2)
         with pytest.raises(KindMismatchError):
             features.design_rows(KindMatrix.build(linear), [0, 1])
@@ -242,42 +263,41 @@ class TestBuildDesign:
         a = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
         b = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, spec, "zscore")
         assert a[0] == b[0]
-        assert a[1].column_names == b[1].column_names
-        np.testing.assert_array_equal(a[1].X, b[1].X)
-        np.testing.assert_array_equal(a[1].y, b[1].y)
+        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a[2], b[2])
 
     def test_transform_matches_fit_on_same_records(self):
         records = records_for(LayerKind.LINEAR, 25, seed=3)
-        features, design = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore")
-        again = design_of(features, records)
-        np.testing.assert_array_equal(design.X, again.X)
-        np.testing.assert_array_equal(design.y, again.y)
+        features, X, y = fit_map(records, FeatureSetKind.LOG_PARAMETER_MAC, None, "zscore")
+        X_again, y_again = design_of(features, records)
+        np.testing.assert_array_equal(X, X_again)
+        np.testing.assert_array_equal(y, y_again)
 
     def test_feature_vector_matches_matrix_row(self):
         records = records_for(LayerKind.CONV2D, 20, seed=9)
         spec = PolynomialSpec(2, interaction_only=True)
-        features, design = fit_map(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
+        features, X, _ = fit_map(records, FeatureSetKind.PARAMETER_MAC, spec, "zscore")
         row = features.row(records[4].config, records[4].macs)
-        np.testing.assert_allclose(row, design.X[4], rtol=1e-12)
+        np.testing.assert_allclose(row, X[4], rtol=1e-12)
 
     def test_poly_applied_before_scaling(self):
         # interaction columns must be products of RAW values, not scaled ones
         records = records_for(LayerKind.SIGMOID, 15, seed=2)
         spec = PolynomialSpec(2, interaction_only=True)
-        _, design = fit_map(records, FeatureSetKind.PARAMETER, spec, "none")
+        features, X, _ = fit_map(records, FeatureSetKind.PARAMETER, spec, "none")
         b = np.array([r.config.batch_size for r in records], dtype=float)
         s = np.array([r.config.in_channels for r in records], dtype=float)
-        idx = design.column_names.index("batch_size*in_channels")
-        np.testing.assert_array_equal(design.X[:, idx], b * s)
+        idx = features.columns.index("batch_size*in_channels")
+        np.testing.assert_array_equal(X[:, idx], b * s)
 
 
 def _oracle_design(features, records):
     """The per-record path the kind matrix replaced: one raw row per record
     and feature set, expanded, then through the frozen z-score."""
-    raw = np.array([raw_feature_row(r.config, r.macs, features.feature_set) for r in records], dtype=float)
+    raw = np.array([set_row(r.config, r.macs, features.feature_set) for r in records], dtype=float)
     X = np_prod_expansion(raw, features.poly)
     if features.scaler == "zscore":
-        names = polynomial_names(raw_feature_names(features.kind, features.feature_set), features.poly)
+        names = polynomial_names(set_names(features.kind, features.feature_set), features.poly)
         kept = np.array([names.index(c) for c in features.columns], dtype=int)
         X = (X[:, kept] - np.asarray(features.mean)) / np.asarray(features.std)
     y = np.array([r.cpu_energy_j for r in records], dtype=float)
@@ -286,8 +306,8 @@ def _oracle_design(features, records):
 
 def _oracle_fit(records, feature_set, poly, scaler):
     kind = records[0].module
-    names = polynomial_names(raw_feature_names(kind, feature_set), poly)
-    raw = np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records], dtype=float)
+    names = polynomial_names(set_names(kind, feature_set), poly)
+    raw = np.array([set_row(r.config, r.macs, feature_set) for r in records], dtype=float)
     X = np_prod_expansion(raw, poly)
     columns, stats = names, {}
     if scaler == "zscore":
@@ -327,14 +347,14 @@ class TestKindMatrixOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for fit_rows, held_rows in parts:
-                features, design = FeatureMap.fit_rows(matrix, fit_rows, *args)
-                oracle, (X, y) = _oracle_fit([records[i] for i in fit_rows], *args)
+                features, X, y = FeatureMap.fit_rows(matrix, fit_rows, *args)
+                oracle, (X_oracle, y_oracle) = _oracle_fit([records[i] for i in fit_rows], *args)
                 assert features.to_dict() == oracle.to_dict()
-                assert np.array_equal(design.X, X) and np.array_equal(design.y, y)
-                assert fit_ols(design.X, design.y) == fit_ols(X, y)
-                held = features.design_rows(matrix, held_rows)
-                X_held, y_held = _oracle_design(oracle, [records[i] for i in held_rows])
-                assert np.array_equal(held.X, X_held) and np.array_equal(held.y, y_held)
+                assert np.array_equal(X, X_oracle) and np.array_equal(y, y_oracle)
+                assert fit_ols(X, y) == fit_ols(X_oracle, y_oracle)
+                X_held, y_held = features.design_rows(matrix, held_rows)
+                X_oracle, y_oracle = _oracle_design(oracle, [records[i] for i in held_rows])
+                assert np.array_equal(X_held, X_oracle) and np.array_equal(y_held, y_oracle)
 
     @pytest.mark.parametrize("kind, spec", _oracle_cases(),
                              ids=lambda v: v.value if isinstance(v, LayerKind) else None)
@@ -343,28 +363,35 @@ class TestKindMatrixOracle:
         records = synth_records(kind, 40, seed=8, repeats=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            features, _ = fit_map(records[:30], spec.feature_set, spec.poly, spec.feature_scaler)
+            features, _, _ = fit_map(records[:30], spec.feature_set, spec.poly, spec.feature_scaler)
         X, _ = _oracle_design(features, records)
         for record, expected in zip(records, X):
             assert np.array_equal(features.row(record.config, record.macs), expected)
 
     def test_row_refuses_non_finite_input(self):
-        features, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        # the single-row path builds the whole raw row, so a set that keeps no
+        # MAC count refuses a non-finite one too
+        records = records_for(LayerKind.LINEAR, 8)
         config = records_for(LayerKind.LINEAR, 1)[0].config
-        with pytest.raises(NonFiniteError, match="polynomial expansion requires finite inputs"):
-            features.row(config, math.inf)
+        for feature_set in (FeatureSetKind.MAC_ONLY, FeatureSetKind.PARAMETER):
+            features, _, _ = fit_map(records, feature_set, None, "none")
+            for macs in (math.inf, math.nan):
+                with pytest.raises(NonFiniteError, match="polynomial expansion requires finite inputs"):
+                    features.row(config, macs)
 
     def test_every_feature_set_is_a_column_selection(self):
-        records = records_for(LayerKind.CONV2D, 12, seed=5)
-        matrix = KindMatrix.build(records)
-        for feature_set in FeatureSetKind:
-            rows = np.array([raw_feature_row(r.config, r.macs, feature_set) for r in records])
-            everything = raw_feature_names(LayerKind.CONV2D, FeatureSetKind.LOG_PARAMETER_MAC)
-            columns = [everything.index(n) for n in raw_feature_names(LayerKind.CONV2D, feature_set)]
-            assert np.array_equal(matrix.raw[:, columns], rows)
+        # each recipe's degree-1 monomials are its set's columns of the raw row
+        for kind in (LayerKind.CONV2D, LayerKind.MAXPOOL2D, LayerKind.SOFTMAX):
+            records = records_for(kind, 12, seed=5)
+            matrix = KindMatrix.build(records)
+            for feature_set in FeatureSetKind:
+                recipe = _recipe(kind, feature_set, None)
+                assert recipe.names == set_names(kind, feature_set)
+                rows = np.array([set_row(r.config, r.macs, feature_set) for r in records])
+                assert np.array_equal(matrix.raw[:, recipe.index[0]], rows)
 
     def test_design_rows_refuses_another_kind_and_no_rows(self):
-        features, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
+        features, _, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
         with pytest.raises(KindMismatchError):
             features.design_rows(KindMatrix.build(records_for(LayerKind.CONV2D, 3)), [0])
         with pytest.raises(EmptyRecordsError):

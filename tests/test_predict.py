@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,10 @@ from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config
 from joulecast.errors import (
     AggregationWarning,
     ColumnMismatchError,
-    EmptyDataError,
+    EmptyRecordsError,
     KindMismatchError,
     MissingKindError,
+    NonFiniteError,
     NotConvergedWarning,
     SchemaError,
     ShapeError,
@@ -41,9 +44,12 @@ from joulecast.macs import INT64_MAX, architecture_macs, standalone_macs
 from joulecast.predict import (
     DEFAULT_LAMBDA_GRID,
     EXPERIMENT_TABLE,
+    ModelSpec,
     PredictorBundle,
     PredictorModel,
+    DEFAULT_MODEL_SPECS,
     dataset_fingerprint,
+    grid_search_lambda,
     estimate,
     evaluate_on_real,
     run_ablation,
@@ -51,15 +57,7 @@ from joulecast.predict import (
     train_default_bundle,
     train_on_matrix,
 )
-from joulecast.regress import (
-    EvalMetrics,
-    LinearModel,
-    ModelSpec,
-    evaluate,
-    fit_ols,
-    grid_search_lambda,
-    lasso_path,
-)
+from joulecast.regress import EvalMetrics, LinearModel, evaluate, fit_ols, lasso_path
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -174,8 +172,8 @@ class TestBundleRoundTrip:
                 config = sample_config(kind, rng)
                 macs = standalone_macs(config)
                 record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
-                design = design_of(predictor.features, [record])
-                expected = float(predictor.features.joules(float(predictor.model.predict(design.X)[0])))
+                X, _ = design_of(predictor.features, [record])
+                expected = float(predictor.features.joules(float(predictor.model.predict(X)[0])))
                 assert predictor.predict_energy(config, macs) == (max(expected, 0.0), expected < 0.0)
 
     def test_predictions_survive_reload(self, trained_bundle, bundle_dataset, tmp_path):
@@ -254,8 +252,8 @@ class TestOneColumnPredictors:
             features = predictor.features
             for macs in [1, 2**53 + 1, INT64_MAX] + draws:
                 record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
-                design = design_of(features, [record])
-                expected = float(features.joules(float(predictor.model.predict(design.X)[0])))
+                X, _ = design_of(features, [record])
+                expected = float(features.joules(float(predictor.model.predict(X)[0])))
                 joules, clamped = predictor.predict_energy(config, macs)
                 assert clamped == (expected < 0.0)
                 assert joules.hex() == (0.0 if clamped else expected).hex()
@@ -297,8 +295,8 @@ class TestFusedRow:
         # the training rows, then draws from the full sampler ranges, which
         # extrapolate and can clamp
         records += synth_records(kind, 20, seed=18, ranges={kind: KIND_SPECS[kind].ranges})
-        design = features.design_rows(KindMatrix.build(records), np.arange(len(records)))
-        for record, row in zip(records, design.X):
+        X, _ = features.design_rows(KindMatrix.build(records), np.arange(len(records)))
+        for record, row in zip(records, X):
             assert np.array_equal(features.row(record.config, record.macs), row)
             # a z-scored design is in Fortran order, and a strided row takes
             # another product path: the row ``predict`` used to get was a new,
@@ -310,7 +308,7 @@ class TestFusedRow:
             assert joules.hex() == (0.0 if clamped else expected).hex()
 
     def test_coefficients_must_match_the_columns(self):
-        features, _ = fit_map(synth_records(LayerKind.RELU, 8, seed=1), FeatureSetKind.PARAMETER, None, "none")
+        features, _, _ = fit_map(synth_records(LayerKind.RELU, 8, seed=1), FeatureSetKind.PARAMETER, None, "none")
         with pytest.raises(ColumnMismatchError, match="^model has 1 coefficients, features have 2 columns$"):
             PredictorModel(features, LinearModel((1.0,), 0.0), EvalMetrics(0.0, 0.0, 0.0), EvalMetrics(0.0, 0.0, 0.0))
 
@@ -397,7 +395,7 @@ class TestEvaluateOnReal:
         assert not [c for c in caught if c.category is AggregationWarning]
 
     def test_empty_records(self, trained_bundle):
-        with pytest.raises(EmptyDataError):
+        with pytest.raises(EmptyRecordsError, match="^no model-wise records to evaluate$"):
             evaluate_on_real(trained_bundle, [])
 
     def test_scatter_points_cover_layers(self, trained_bundle):
@@ -459,13 +457,31 @@ class TestLassoPipeline:
             warnings.simplefilter("ignore", NotConvergedWarning)
             trained = train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds=3)
             train, val, _ = split_records(records, split_spec)
-            features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
-            search = grid_search_lambda(design, design_of(features, val), spec, DEFAULT_LAMBDA_GRID)
-            refit = lasso_path(design.X, design.y, [search.lam])[0].model
-        assert trained.spec.lam == search.lam
-        assert trained.model == search.chosen.model
+            features, X, y = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
+            fits, chosen = grid_search_lambda((X, y), design_of(features, val), DEFAULT_LAMBDA_GRID)
+            refit = lasso_path(X, y, [chosen.model.lam])[0].model
+        assert trained.spec.lam == chosen.model.lam
+        assert trained.model == chosen.model
+        assert trained.lasso_fits[:len(fits)] == fits
         np.testing.assert_allclose(trained.model.coefficients, refit.coefficients, rtol=0, atol=1e-12)
         assert len(trained.lasso_fits) == len(DEFAULT_LAMBDA_GRID) + 3
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_energy_is_refused_where_records_become_arrays(energy):
+    # one record's energy reaches no design: ablation and training both stop
+    # in ``KindMatrix.build``
+    records = synth_records(LayerKind.LINEAR, 20, seed=3)
+    records[5] = replace(records[5], cpu_energy_j=energy)
+    calls = [
+        lambda: run_ablation(records, LayerKind.LINEAR, SplitSpec()),
+        lambda: train_on_matrix(KindMatrix.build(records), DEFAULT_MODEL_SPECS[LayerKind.LINEAR], SplitSpec()),
+        lambda: train_default_bundle(records, SplitSpec(), kinds=(LayerKind.LINEAR,)),
+    ]
+    for call in calls:
+        with pytest.raises(NonFiniteError, match="^records hold a non-finite MAC count or energy$") as info:
+            call()
+        assert info.traceback[-1].name == "build"
 
 
 class TestAblationStructure:
@@ -491,22 +507,22 @@ class TestAblationStructure:
                                      "out_channels": (1, 2000)}}
         records = synth_records(LayerKind.LINEAR, 60, seed=5, ranges=ranges)
         split_spec = SplitSpec(seed=2)
-        names = raw_feature_names(LayerKind.LINEAR, FeatureSetKind.LOG_PARAMETER_MAC)
+        names = raw_feature_names(LayerKind.LINEAR)
         train, _, test = split_records(records, split_spec)
-        features, design = fit_map(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
-        test_design = design_of(features, test)
+        features, X, y = fit_map(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
+        X_test, y_test = design_of(features, test)
         table = run_ablation(records, LayerKind.LINEAR, split_spec)
         assert table.columns == names and len(table.r2) == 128
         for mask in range(1, 128):
             cols = [i for i in range(len(names)) if mask >> i & 1]
-            Xtr = design.X[:, cols]
+            Xtr = X[:, cols]
             mean = Xtr.mean(axis=0)
             std = Xtr.std(axis=0)
             std[std == 0] = 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", SingularityWarning)
-                model = fit_ols((Xtr - mean) / std, design.y)
-            oracle = evaluate(model, (test_design.X[:, cols] - mean) / std, test_design.y)
+                model = fit_ols((Xtr - mean) / std, y)
+            oracle = evaluate(model, (X_test[:, cols] - mean) / std, y_test)
             assert table.r2[mask] == pytest.approx(oracle.r2, rel=0, abs=1e-12)
             assert table.mse[mask] == pytest.approx(oracle.mse, rel=0, abs=1e-12)
         # minimum norm: a zero column adds nothing to the fit

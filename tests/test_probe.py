@@ -660,6 +660,25 @@ class TestWorkloadDtype:
         assert out.dtype == probe.WORKLOAD_DTYPE == np.float32
 
 
+@pytest.mark.parametrize("kind", PREDICTABLE_KINDS, ids=lambda k: k.value)
+def test_make_workload_equals_forward_workload(kind):
+    # the closure's bound kernel runs the pass ``forward_workload`` runs, on
+    # the input and the weights ``make_workload`` draws from its seed
+    cfg = _SMALL_CONFIGS[kind]
+    s = standalone_input_shape(cfg)
+    dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
+    x = np.random.default_rng(6).standard_normal(dims, dtype=probe.WORKLOAD_DTYPE)
+    expected = forward_workload(cfg, x, probe.init_weights(cfg, 6))
+    out = probe.make_workload(cfg, seed=6)()
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_make_workload_refuses_a_kind_with_no_standalone_workload():
+    with pytest.raises(ValidationError, match="^Dropout has no standalone workload$"):
+        probe.make_workload(LayerConfig(kind=LayerKind.DROPOUT))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
 def test_init_weights_keeps_one_copy_of_the_weight(dtype):
     cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)

@@ -1,8 +1,14 @@
 """Every public module-level function or class in ``src/joulecast`` has a
-caller outside the tests: a reference from ``src/`` other than its own
-definition, from ``perfbench/`` or from ``scripts/``. The package's
-``__init__.py`` is no caller: its imports and ``__all__`` only re-export.
-A helper only tests call belongs in the tests.
+caller outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``. A
+caller names the definition by its qualified name: it reads a name it
+imported from the defining module (or from the package, which re-exports
+it), it reads ``<module>.name`` or ``joulecast.name``, or it is a bare read
+inside the defining module. The package's ``__init__.py`` is no caller: its
+imports and ``__all__`` only re-export. A helper only tests call belongs in
+the tests.
+
+``regress`` fits arrays: of the package it imports only ``errors``, so the
+solvers and metrics depend on no feature, dataset or pipeline code.
 
 Every name a module in ``src/``, ``tests/`` or ``scripts/`` imports is read
 in it, or listed in its ``__all__``: an unused import hides what a module
@@ -20,17 +26,46 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "joulecast"
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    """Every name a module reads or imports, and every attribute it reads."""
-    names = set()
+def _source(node: ast.ImportFrom) -> str | None:
+    """The package module a from-import reads from: a module's name,
+    "joulecast" for the package itself, or None outside the package."""
+    if node.level:  # relative imports occur only in the package's own modules
+        return node.module or "joulecast"
+    if node.module == "joulecast" or (node.module or "").startswith("joulecast."):
+        return node.module.rpartition(".")[2]
+    return None
+
+
+def _bindings(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Each name ``tree`` binds by importing from the package: (the module it
+    comes from, its name there); a bound package module is ("joulecast", module)."""
+    bound = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-    return names
+        if isinstance(node, ast.ImportFrom) and _source(node):
+            bound.update({alias.asname or alias.name: (_source(node), alias.name) for alias in node.names})
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "joulecast":
+                    bound[alias.asname or package] = ("joulecast", module if alias.asname else "")
+    return bound
+
+
+def _qualified_reads(tree: ast.Module, stem: str | None = None) -> set[tuple[str, str]]:
+    """(module, name) of every package definition ``tree`` reads by a
+    qualified name; ``stem`` is the module ``tree`` is, whose bare reads count."""
+    bound = _bindings(tree)
+    modules = {name: source[1] or "joulecast" for name, source in bound.items() if source[0] == "joulecast"}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in bound:
+                reads.add(bound[node.id])
+            if stem:
+                reads.add((stem, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads.add((modules[node.value.id], node.attr))
+    return reads
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:
@@ -39,21 +74,29 @@ def _public_definitions(tree: ast.Module) -> list[str]:
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    callers = [ROOT / "perfbench", ROOT / "scripts"]
-    referenced = set()
-    for path in (p for directory in callers for p in directory.rglob("*.py")):
-        referenced |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
-    for path, tree in trees.items():
-        if path.name != "__init__.py":
-            referenced |= _referenced(tree)  # a definition is a FunctionDef or ClassDef, not a Name
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    # what ``joulecast.name`` and ``from joulecast import name`` reach
+    exported = _bindings(trees.pop("__init__"))
+    reads = set()
+    for path in (p for directory in ("perfbench", "scripts") for p in (ROOT / directory).rglob("*.py")):
+        reads |= _qualified_reads(ast.parse(path.read_text(encoding="utf-8")))
+    for stem, tree in trees.items():
+        reads |= _qualified_reads(tree, stem)  # a definition is a FunctionDef or ClassDef, not a Name
+    callers = {exported.get(name, (module, name)) if module == "joulecast" else (module, name)
+               for module, name in reads}
     unused = [
-        f"{path.stem}.{name}"
-        for path, tree in trees.items()
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
         for name in _public_definitions(tree)
-        if name not in referenced and not (path.stem == "cli" and name.startswith("cmd_"))  # dispatched by name
+        if (stem, name) not in callers and not (stem == "cli" and name.startswith("cmd_"))  # dispatched by name
     ]
     assert unused == []
+
+
+def test_regress_imports_only_errors_from_the_package():
+    tree = ast.parse((PACKAGE / "regress.py").read_text(encoding="utf-8"))
+    imported = {module if module != "joulecast" else name for module, name in _bindings(tree).values()}
+    assert imported == {"errors"}
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import design_of, fit_map, split_records
 from joulecast import regress
 from joulecast.arch import LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, sample_config
+from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, group_kfold_indices, sample_config
 from joulecast.errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -19,17 +19,19 @@ from joulecast.errors import (
 )
 from joulecast.features import FeatureSetKind, KindMatrix
 from joulecast.macs import standalone_macs
-from joulecast.predict import DEFAULT_LAMBDA_GRID, EXPERIMENT_TABLE
+from joulecast.predict import (
+    DEFAULT_LAMBDA_GRID,
+    EXPERIMENT_TABLE,
+    ModelSpec,
+    cross_validate_rows,
+    grid_search_lambda,
+)
 from joulecast.regress import (
     KKT_BOUND,
     EvalMetrics,
     LinearModel,
-    ModelSpec,
-    cross_validate_rows,
     evaluate,
     fit_ols,
-    grid_search_lambda,
-    group_kfold_indices,
     lasso_kkt,
     lasso_path,
 )
@@ -438,8 +440,8 @@ def test_unknown_model_family_rejected():
 
 def _train_val_designs(records, spec, split_spec):
     train, val, _ = split_records(records, split_spec)
-    features, design = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
-    return design, design_of(features, val)
+    features, X, y = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
+    return (X, y), design_of(features, val)
 
 
 class TestGridSearch:
@@ -447,13 +449,13 @@ class TestGridSearch:
         records = _linear_records(30)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
         train, val = _train_val_designs(records, spec, SplitSpec())
-        assert grid_search_lambda(train, val, spec, [0.0]).lam == 0.0
+        assert grid_search_lambda(train, val, [0.0])[1].model.lam == 0.0
 
     def test_noiseless_data_prefers_no_penalty(self):
         records = _linear_records(40)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
         train, val = _train_val_designs(records, spec, SplitSpec(seed=1))
-        assert grid_search_lambda(train, val, spec, [0.0, 1e6]).lam == 0.0
+        assert grid_search_lambda(train, val, [0.0, 1e6])[1].model.lam == 0.0
 
     def test_sparse_truth_support_recovery(self):
         rng = np.random.default_rng(12)
@@ -608,20 +610,20 @@ class TestLassoPath:
         for held in group_kfold_indices([config_key(r.config) for r in train], 10, seed=3):
             held = set(held)
             parts.append([r for i, r in enumerate(train) if i not in held])
-        designs = [fit_map(part, spec.feature_set, spec.poly, spec.feature_scaler)[1] for part in parts]
-        assert designs[0].X.shape[1] <= 100
+        designs = [fit_map(part, spec.feature_set, spec.poly, spec.feature_scaler)[1:] for part in parts]
+        assert designs[0][0].shape[1] <= 100
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
             warnings.simplefilter("ignore", SingularityWarning)
-            paths = [lasso_path(d.X, d.y, DEFAULT_LAMBDA_GRID) for d in designs]
+            paths = [lasso_path(X, y, DEFAULT_LAMBDA_GRID) for X, y in designs]
         capped = lockstep_cd([
-            CdProblem(d.X, d.y, lam, tol=1e-8, max_iter=500) for d in designs for lam in DEFAULT_LAMBDA_GRID
+            CdProblem(X, y, lam, tol=1e-8, max_iter=500) for X, y in designs for lam in DEFAULT_LAMBDA_GRID
         ])
         capped_fits = iter(capped)
-        for d, fits in zip(designs, paths):
+        for (X, y), fits in zip(designs, paths):
             for fit in fits:
                 ref = next(capped_fits)
-                assert lasso_objective(d.X, d.y, fit.model) <= lasso_objective(d.X, d.y, ref.model)
+                assert lasso_objective(X, y, fit.model) <= lasso_objective(X, y, ref.model)
 
 
 def _repeated_rows(seed, n_distinct=30, p=4):
