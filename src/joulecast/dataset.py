@@ -65,6 +65,10 @@ class ModelWiseLayer:
     macs: int
     cpu_energy_j: float
 
+    def __post_init__(self):
+        if self.module is not self.config.kind:
+            raise ValidationError("layer module does not match its config kind")
+
 
 @dataclass(frozen=True)
 class ModelWiseRecord:
@@ -82,6 +86,11 @@ class ModelWiseRecord:
             raise ValidationError("energies must be non-negative")
         if list(l.layer_index for l in self.layers) != sorted(l.layer_index for l in self.layers):
             raise ValidationError("layer measurements must be ordered by layer_index")
+        for l in self.layers:  # layer rows carry no batch column: a file gives each the record's
+            if l.config.batch_size != self.batch_size:
+                raise ValidationError(
+                    f"layer {l.layer_index} has batch_size {l.config.batch_size}, its record {self.batch_size}"
+                )
 
     @property
     def layer_energy_sum_j(self) -> float:
@@ -306,6 +315,17 @@ def _energy_reading(raw: str) -> float | None:
     return energy if math.isfinite(energy) and energy >= 0 else None
 
 
+def _warn_on_stored_macs(path, line: int, stored: int, recomputed: int) -> None:
+    """Warn the loader's caller, naming the row, when its stored MAC count is
+    not the one recomputed from its configuration."""
+    if stored != recomputed:
+        warnings.warn(
+            f"{path}: row {line}: stored macs {stored} != recomputed {recomputed}",
+            ConsistencyWarning,
+            stacklevel=3,
+        )
+
+
 def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
     """Read layer-wise rows; rows with a missing, non-finite or negative
     energy are dropped with a warning.
@@ -350,12 +370,7 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
         if verify_macs:
             if known[1] is None:
                 known[1] = standalone_macs(config)
-            if known[1] != macs:
-                warnings.warn(
-                    f"{path}: row {line}: stored macs {macs} != recomputed {known[1]}",
-                    ConsistencyWarning,
-                    stacklevel=2,
-                )
+            _warn_on_stored_macs(path, line, macs, known[1])
         records.append(record)
     return records
 
@@ -395,8 +410,8 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
 
     A layer row with a missing, non-finite or negative energy is dropped with
     a warning; such a total row is dropped together with its layer rows. A
-    layer row's configuration must be a full standalone one, as a layer-wise
-    row's is.
+    layer row's configuration must be a full standalone one, and its stored
+    MACs are recounted from it, as a layer-wise row's are.
     """
     records: list[ModelWiseRecord] = []
     current: tuple[int, ModelWiseRecord] | None = None  # (its total row, the record)
@@ -460,6 +475,7 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                         cpu_energy_j=energy,
                     )
                 )
+                _warn_on_stored_macs(path, line, layers[-1].macs, standalone_macs(config))
             else:
                 raise ValueError(f"unknown row_type {row_type!r}")
         except (ValueError, ValidationError) as exc:

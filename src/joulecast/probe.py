@@ -1,12 +1,14 @@
 """CPU energy measurement: native forward-pass workloads metered via RAPL.
 
 The workloads are NumPy float32 kernels (``WORKLOAD_DTYPE``, PyTorch's default
-dtype), with every input and weight drawn directly in that dtype. A large
-weight is drawn in pieces on every CPU in the process's affinity, each piece
-from the seed's PCG64 stream jumped ahead to its start, so its bytes are those
-of one sequential draw. Under a one-CPU affinity, as in a ``pin_to_cpu``
-measurement, whose machine builds the workload while pinned, it is drawn on
-the calling thread, and no drawing thread outlives ``init_weights``.
+dtype), with every input and weight drawn directly in that dtype, in bulk from
+the raw output of the seed's PCG64 stream and with the bytes of
+``Generator.random``. A large weight, or a standalone workload's input, is
+drawn in pieces on every CPU in the process's affinity, each piece from its
+stream jumped ahead to its start, so its bytes are those of one sequential
+draw. Under a one-CPU affinity, as in a ``pin_to_cpu`` measurement, whose
+machine builds the workload while pinned, it is drawn on the calling thread,
+and no drawing thread outlives the draw.
 
 The protocol per configuration: the measured host, a machine, runs as many
 forward passes as fit in a fixed window and meters that window, reading its
@@ -20,7 +22,8 @@ draws as per-pass stepping, so the result is the same to the bit.
 
 The delta (``energy_delta``) allows at most one wrap per window, so a window
 whose energy reaches a counter range (about 262 kJ for RAPL, 65,532 J
-simulated) reads low by whole ranges; ROADMAP item 1 reads between passes.
+simulated) reads low by whole ranges; ROADMAP item 1 refuses a window longer
+than the counter's safe interval instead, with no extra counter reads.
 """
 from __future__ import annotations
 
@@ -111,7 +114,14 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: 
 
 
 def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Window max with -inf padding (every window overlaps the real input)."""
+    """Window max with -inf padding (every window overlaps the real input).
+
+    Separable: the maxima over each window's columns go into one buffer of
+    every padded row, then the maxima over that buffer's window rows into the
+    output, ``2*(kernel-1)`` strided maxima in all. Columns first keeps every
+    tie (signed zeros, NaN payloads) resolved as a row-major walk over each
+    window resolves it, so the bytes are those of ``kernel**2`` maxima.
+    """
     batch, channels, h, w = x.shape
     out_h = conv_output_side(h, kernel, padding, stride)
     out_w = conv_output_side(w, kernel, padding, stride)
@@ -119,13 +129,16 @@ def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int, padding: int) -> 
     if padding:
         padded = np.full((batch, channels, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
         padded[:, :, padding : padding + h, padding : padding + w] = x
-    out = np.full((batch, channels, out_h, out_w), -np.inf, dtype=x.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            window = padded[
-                :, :, ki : ki + (out_h - 1) * stride + 1 : stride, kj : kj + (out_w - 1) * stride + 1 : stride
-            ]
-            np.maximum(out, window, out=out)
+    columns = _window_max(lambda kj: padded[..., kj : kj + (out_w - 1) * stride + 1 : stride], kernel)
+    return _window_max(lambda ki: columns[:, :, ki : ki + (out_h - 1) * stride + 1 : stride], kernel)
+
+
+def _window_max(offset, kernel: int) -> np.ndarray:
+    """The elementwise maximum of the views ``offset(0)`` to ``offset(kernel - 1)``,
+    taken in that order into a new array."""
+    out = np.maximum(offset(0), offset(1)) if kernel > 1 else offset(0).copy()
+    for i in range(2, kernel):
+        np.maximum(out, offset(i), out=out)
     return out
 
 
@@ -205,18 +218,49 @@ def _draw_workers() -> int:
 
 def _uniform_blocks(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
     """Fill the flat ``out`` from ``rng``, uniform on +-``scale``: the values and
-    the stream position of ``u = rng.random(out.size); u *= 2*scale; u -= scale``."""
+    the stream position of ``u = rng.random(out.size); u *= 2*scale; u -= scale``.
+
+    A float32 takes half of one 64-bit PCG64 output, so its blocks are
+    converted in bulk from the bit generator's raw outputs, one call per two
+    floats: ``(half >> 8) * 2**-24`` for the low and then the high 32-bit half
+    of each output, as ``next_uint32`` and ``Generator.random`` take them. A
+    high half the generator holds buffered (``has_uint32``) is drawn first, and
+    an unused one is left buffered. A float64 takes a whole output either way,
+    and ``Generator.random`` draws it faster than a bulk conversion would.
+    """
+    if out.dtype != np.float32:
+        for i in range(0, out.size, _DRAW_BLOCK):
+            block = out[i : i + _DRAW_BLOCK]
+            rng.random(out=block, dtype=out.dtype)
+            block *= 2 * scale
+            block -= scale
+        return
+    bits = rng.bit_generator
+    state = bits.state
+    has, spare = state["has_uint32"], state["uinteger"]
     for i in range(0, out.size, _DRAW_BLOCK):
         block = out[i : i + _DRAW_BLOCK]
-        rng.random(out=block, dtype=out.dtype)
-        block *= 2 * scale
+        head = 0
+        if has:
+            block[0], head, has = spare >> 8, 1, 0
+        need = block.size - head
+        halves = bits.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")  # low half first
+        if halves.size:  # next_uint32 buffers each high half, used or not
+            has, spare = halves.size - need, int(halves[-1])
+        halves = halves[:need]
+        halves >>= 8
+        block[head:] = halves.view("<i4")  # under 2**24: exact, and a faster cast than from unsigned
+        block *= 2**-24 * 2 * scale  # one product: scaling by a power of two is exact
         block -= scale
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has, spare
+    bits.state = state
 
 
-def _draw_uniform(out: np.ndarray, seed: int, scale: float) -> np.random.Generator:
+def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.random.Generator:
     """Fill the flat ``out`` as ``_uniform_blocks(default_rng(seed), out, scale)``
     does, split into one piece per CPU, and return a generator left where that
-    sequential draw leaves its stream.
+    sequential draw leaves its stream. ``seed`` is any ``PCG64`` entropy.
 
     Each piece starts at an even element: a float32 takes half of one 64-bit
     PCG64 output and a float64 a whole one, so a piece's generator is the seed's
@@ -302,14 +346,18 @@ def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.n
 def make_workload(config: LayerConfig, seed: int = 0):
     """Closure running one forward pass and returning its output: the pass of
     ``forward_workload``, with the input, the weights and the kind's kernel
-    bound once, so a metered pass runs the kernel alone."""
+    bound once, so a metered pass runs the kernel alone.
+
+    The input is uniform on +-1, drawn as the weights are (``_draw_uniform``,
+    on every CPU in the affinity) from a stream of its own, the entropy
+    ``[seed, 1]``, so it is independent of the weights of ``seed``."""
     spec = KIND_SPECS[config.kind]
     if not spec.predictable:
         raise ValidationError(f"{config.kind.value} has no standalone workload")
     shape = standalone_input_shape(config)
     dims = (shape.batch, shape.channels, shape.height, shape.width)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dims if spec.spatial else dims[:2], dtype=WORKLOAD_DTYPE)
+    x = np.empty(dims if spec.spatial else dims[:2], dtype=WORKLOAD_DTYPE)
+    _draw_uniform(x.reshape(-1), [seed, 1], 1.0)
     weights = init_weights(config, seed)
     forward = _KERNELS[config.kind].forward
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 from dataclasses import replace
 
@@ -361,6 +362,36 @@ class TestModelwiseCsv:
     def test_layer_sum_property(self):
         record = self._record()
         assert record.layer_energy_sum_j == pytest.approx(0.0042, rel=1e-12)
+
+    def test_round_trip_recounts_no_consistent_row(self, tmp_path):
+        path = tmp_path / "model.csv"
+        write_modelwise(path, [self._record()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_modelwise_csv(path)
+
+    def test_stored_layer_macs_are_recounted(self, tmp_path):
+        record = self._record()
+        path = tmp_path / "model.csv"
+        write_modelwise(path, [record])
+        set_cells(path, "macs", {2: "999"})  # the ReLU layer row
+        with pytest.warns(ConsistencyWarning, match=f"^{re.escape(str(path))}: row 4: stored macs 999 != recomputed 2048$"):
+            (loaded,) = load_modelwise_csv(path)
+        assert [layer.macs for layer in loaded.layers] == [record.layers[0].macs, 999]
+
+    def test_record_refuses_a_layer_at_another_batch(self):
+        # layer rows carry no batch column, so such a layer would reload at the record's batch
+        record = self._record()
+        with pytest.raises(ValidationError, match="^layer 0 has batch_size 2, its record 8$"):
+            replace(record, batch_size=8)
+        relu = replace(record.layers[1].config, batch_size=1)
+        with pytest.raises(ValidationError, match="^layer 1 has batch_size 1, its record 2$"):
+            replace(record, layers=(record.layers[0], replace(record.layers[1], config=relu)))
+
+    def test_layer_refuses_a_module_other_than_its_config_kind(self):
+        relu = self._record().layers[1].config
+        with pytest.raises(ValidationError, match="^layer module does not match its config kind$"):
+            ModelWiseLayer(0, LayerKind.CONV2D, relu, standalone_macs(relu), 0.001)
 
 
 _MODELWISE_TOTAL = "tiny,2,total,,," + "," * (len(MODELWISE_HEADER) - 7) + "10,0.5"

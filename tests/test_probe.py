@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -85,6 +86,36 @@ def pool_oracle(x, k, stride, padding):
     return out
 
 
+def k2_pool_kernel(x, kernel, stride, padding):
+    """The pooling kernel before the separable one: ``kernel**2`` strided
+    maxima into an output filled with -inf, in row-major window order."""
+    batch, channels, h, w = x.shape
+    out_h = conv_output_side(h, kernel, padding, stride)
+    out_w = conv_output_side(w, kernel, padding, stride)
+    padded = x
+    if padding:
+        padded = np.full((batch, channels, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+    out = np.full((batch, channels, out_h, out_w), -np.inf, dtype=x.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            window = padded[
+                :, :, ki : ki + (out_h - 1) * stride + 1 : stride, kj : kj + (out_w - 1) * stride + 1 : stride
+            ]
+            np.maximum(out, window, out=out)
+    return out
+
+
+def tie_heavy_input(rng, shape, dtype):
+    """Signed zeros, ones and infinities, with a tenth NaNs of random sign and payload."""
+    values = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], dtype), size=shape)
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    sign = uint.type(1) << uint.type(8 * uint.itemsize - 1)
+    nan = np.array(np.nan, dtype).view(uint) | rng.integers(1, 1 << 20, size=shape).astype(uint)
+    nan |= np.where(rng.random(shape) < 0.5, sign, uint.type(0)).astype(uint)
+    return np.where(rng.random(shape) < 0.1, nan.view(dtype), values)
+
+
 class TestKernels:
     def test_unit_conv(self):
         x = np.full((1, 1, 1, 1), 3.0)
@@ -127,6 +158,25 @@ class TestKernels:
         x = rng.standard_normal((2, 2, side, side))
         got = maxpool2d_forward(x, k, stride, padding)
         np.testing.assert_array_equal(got, pool_oracle(x, k, stride, padding))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 7), stride=st.integers(1, 5), padding=st.integers(0, 3),
+        h=st.integers(1, 13), w=st.integers(1, 13), dtype=st.sampled_from([np.float32, np.float64]),
+        ties=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=3, stride=2, padding=0, h=13, w=11, dtype=np.float32, ties=False, seed=0)  # AlexNet's pools
+    @example(k=2, stride=2, padding=0, h=12, w=10, dtype=np.float32, ties=True, seed=1)  # VGG's pools
+    def test_separable_pool_is_the_k2_kernel_to_the_bit(self, k, stride, padding, h, w, dtype, ties, seed):
+        """Same bytes as ``kernel**2`` maxima, non-square inputs, signed-zero ties and NaN payloads included."""
+        assume(padding <= k // 2 and min(h, w) + 2 * padding >= k)
+        rng = np.random.default_rng(seed)
+        shape = (2, 3, h, w)
+        x = tie_heavy_input(rng, shape, dtype) if ties else rng.standard_normal(shape).astype(dtype)
+        got = maxpool2d_forward(x, k, stride, padding)
+        want = k2_pool_kernel(x, k, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("h, w, padding", [(2, 2, 0), (6, 2, 0), (2, 6, 0), (1, 1, 1)])
     def test_window_larger_than_padded_input_is_the_shape_rule_error(self, h, w, padding):
@@ -663,11 +713,14 @@ class TestWorkloadDtype:
 @pytest.mark.parametrize("kind", PREDICTABLE_KINDS, ids=lambda k: k.value)
 def test_make_workload_equals_forward_workload(kind):
     # the closure's bound kernel runs the pass ``forward_workload`` runs, on
-    # the input and the weights ``make_workload`` draws from its seed
+    # the input and the weights ``make_workload`` draws from its seed: the
+    # input uniform on +-1 from the entropy [seed, 1]
     cfg = _SMALL_CONFIGS[kind]
     s = standalone_input_shape(cfg)
     dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
-    x = np.random.default_rng(6).standard_normal(dims, dtype=probe.WORKLOAD_DTYPE)
+    x = np.random.default_rng([6, 1]).random(dims, dtype=probe.WORKLOAD_DTYPE)
+    x *= 2.0
+    x -= 1.0
     expected = forward_workload(cfg, x, probe.init_weights(cfg, 6))
     out = probe.make_workload(cfg, seed=6)()
     assert out.dtype == expected.dtype and out.shape == expected.shape
@@ -865,6 +918,76 @@ class TestSplitWeightDraw:
 
 
 @pytest.mark.filterwarnings("ignore:load average")
+class TestBulkDraw:
+    """Floats converted in bulk from raw PCG64 output are those ``Generator.random``
+    draws, and the generator ends where it leaves its stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        size=st.integers(1, 40),
+        block=st.integers(1, 9),
+        buffered=st.booleans(),
+        scale=st.floats(1e-3, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dtype=np.float32, size=2 * _BLOCK + 1, block=_BLOCK, buffered=True, scale=1.0, seed=0)
+    @example(dtype=np.float32, size=2 * _BLOCK, block=_BLOCK, buffered=False, scale=0.01, seed=1)
+    @example(dtype=np.float64, size=_BLOCK + 3, block=_BLOCK, buffered=True, scale=0.5, seed=2)
+    def test_bulk_draw_is_generator_random(self, dtype, size, block, buffered, scale, seed):
+        def generator():
+            rng = np.random.default_rng(seed)
+            if buffered:
+                rng.random(1, dtype=np.float32)  # leaves the high half of an output buffered
+            return rng
+
+        sequential = generator()
+        expected = sequential.random(size, dtype=dtype)
+        expected *= 2 * scale
+        expected -= scale
+        rng = generator()
+        out = np.empty(size, dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probe, "_DRAW_BLOCK", block)
+            probe._uniform_blocks(rng, out, scale)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == sequential.bit_generator.state
+        assert next_draws(rng) == next_draws(sequential)
+
+    # a ReLU input above the parallel threshold, of an odd number of elements
+    LARGE_INPUT = LayerConfig(kind=LayerKind.RELU, batch_size=3, in_channels=_THRESHOLD // 3 + 5)
+
+    @staticmethod
+    def bound_input(run):
+        return inspect.getclosurevars(run).nonlocals["x"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_input_draw_is_one_sequential_draw_on_every_cpu(self, monkeypatch, workers):
+        made = counted_threads(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
+        x = self.bound_input(probe.make_workload(self.LARGE_INPUT, seed=5))
+        assert len(made) == workers - 1  # none under a one-CPU affinity
+        expected = np.random.default_rng([5, 1]).random(x.shape, dtype=np.float32)
+        expected *= 2.0
+        expected -= 1.0
+        assert x.dtype == np.float32 and x.tobytes() == expected.tobytes()
+
+    def test_input_draw_is_independent_of_the_weights(self):
+        cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=4, in_channels=300, out_channels=2)
+        run = probe.make_workload(cfg, seed=9)
+        x = self.bound_input(run)
+        weights = inspect.getclosurevars(run).nonlocals["weights"]
+        reference = probe.init_weights(cfg, 9)
+        assert all(weights[k].tobytes() == reference[k].tobytes() for k in ("weight", "bias"))
+        # neither the start of the weights' stream nor where the weights leave it
+        for skip in (0, sum(w.size for w in weights.values())):
+            weights_stream = np.random.default_rng(9)
+            weights_stream.random(skip, dtype=np.float32)
+            draw = weights_stream.random(x.size, dtype=np.float32) * 2 - 1
+            assert np.count_nonzero(x.reshape(-1) == draw) == 0
+        assert float(x.min()) >= -1.0 and float(x.max()) < 1.0
+
+
 class TestRaplDiscovery:
     def test_discovers_package_domains(self, tmp_path, monkeypatch):
         root = make_powercap_tree(tmp_path, [("package-0", 262143328850, 12345), ("psys", 10**9, 1)])
