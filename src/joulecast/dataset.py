@@ -23,6 +23,7 @@ import numpy as np
 from .arch import KIND_SPECS, STANDALONE_FIELDS, LayerConfig, LayerKind
 from .errors import (
     ConsistencyWarning,
+    MacOverflowError,
     ParseError,
     RetryExhaustedError,
     SchemaError,
@@ -212,18 +213,17 @@ def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[i
 LAYERWISE_HEADER = ("module", *STANDALONE_FIELDS, "macs", "cpu_energy_j", "repeat", "source")
 
 
-def _config_from_cells(kind: LayerKind, cells) -> LayerConfig:
-    """The configuration whose ``STANDALONE_FIELDS`` cells these are; an empty
-    cell is an inapplicable field."""
-    return LayerConfig(kind=kind, **{name: int(raw) for name, raw in zip(STANDALONE_FIELDS, cells) if raw})
+def _param_cells(config: LayerConfig) -> list:
+    """The ``STANDALONE_FIELDS`` cells of a row of ``config``; an inapplicable
+    field is an empty cell."""
+    return ["" if value is None else value for value in _standalone_values(config)]
 
 
 def _layerwise_rows(records: list[MeasurementRecord]):
     for record in records:
-        cfg = record.config
         yield (
             [record.module.value]
-            + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in STANDALONE_FIELDS]
+            + _param_cells(record.config)
             + [record.macs, repr(float(record.cpu_energy_j)), record.repeat, record.source]
         )
 
@@ -315,15 +315,40 @@ def _energy_reading(raw: str) -> float | None:
     return energy if math.isfinite(energy) and energy >= 0 else None
 
 
-def _warn_on_stored_macs(path, line: int, stored: int, recomputed: int) -> None:
-    """Warn the loader's caller, naming the row, when its stored MAC count is
-    not the one recomputed from its configuration."""
-    if stored != recomputed:
-        warnings.warn(
-            f"{path}: row {line}: stored macs {stored} != recomputed {recomputed}",
-            ConsistencyWarning,
-            stacklevel=3,
-        )
+class _StandaloneCells:
+    """The one path, for both loaders, from a row's module and
+    ``STANDALONE_FIELDS`` cells to its checked standalone configuration. Each
+    distinct cell tuple is parsed once, and its MACs are recounted once, when
+    a kept row first needs them. Every refusal and warning names the row."""
+
+    def __init__(self, path):
+        self.path = path
+        self._known: dict[tuple, list] = {}  # cells -> [config, recounted MACs or None until needed]
+
+    def refusal(self, line: int, exc) -> ParseError:
+        return ParseError(f"{self.path}: row {line}: {exc}")
+
+    def warn(self, line: int, text: str, category=UserWarning, stacklevel: int = 3) -> None:
+        """Warn the loader's caller (at the default ``stacklevel``), naming the row."""
+        warnings.warn(f"{self.path}: row {line}: {text}", category, stacklevel=stacklevel)
+
+    def config(self, line: int, cells: tuple, stored_macs: int | None = None) -> LayerConfig:
+        """The configuration of ``cells``, in which an empty field cell is an
+        inapplicable field; given ``stored_macs``, warn unless they are its recount."""
+        known = self._known.get(cells)
+        try:
+            if known is None:
+                fields = {name: int(raw) for name, raw in zip(STANDALONE_FIELDS, cells[1:]) if raw}
+                config = LayerConfig(kind=LayerKind(cells[0]), **fields)
+                config.require_standalone()
+                known = self._known[cells] = [config, None]
+            if stored_macs is not None and known[1] is None:
+                known[1] = standalone_macs(known[0])
+        except (ValueError, ValidationError, MacOverflowError) as exc:
+            raise self.refusal(line, exc) from exc
+        if stored_macs is not None and stored_macs != known[1]:
+            self.warn(line, f"stored macs {stored_macs} != recomputed {known[1]}", ConsistencyWarning, 4)
+        return known[0]
 
 
 def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
@@ -331,52 +356,36 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
     energy are dropped with a warning.
 
     Each distinct configuration (its module and parameter cells) is parsed,
-    checked and MAC-counted once; its repeats reuse the result, and every
-    row's own cells are still checked against it.
+    checked and MAC-counted once (``_StandaloneCells``); its repeats reuse
+    the result, and every row's own cells are still checked against it.
     """
     records = []
-    # configuration cells -> [config, recomputed MACs or None until needed]
-    parsed: dict[tuple, list] = {}
+    standalone = _StandaloneCells(path)
     for line, row in enumerate(read_csv(path, LAYERWISE_HEADER), start=2):
-        key = row[:-4]  # the module and STANDALONE_FIELDS cells
+        cells = row[:-4]  # the module and STANDALONE_FIELDS cells
         raw_macs, raw_energy, raw_repeat, source = row[-4:]
         raw_energy = raw_energy.strip()
-        known = parsed.get(key)
-        # a new configuration is checked in the order of a full parse:
-        # module, energy, then the configuration itself
+        config = standalone.config(line, cells)
         try:
-            if known is None:
-                kind = LayerKind(key[0])
             energy = _energy_reading(raw_energy)
-            if known is None:
-                config = _config_from_cells(kind, key[1:])
-                config.require_standalone()
-                known = parsed[key] = [config, None]
-            config = known[0]
             macs = int(raw_macs)
             repeat = int(raw_repeat or 1)
             source = source or SOURCE_RANDOM
             if energy is not None:
                 record = MeasurementRecord(config.kind, config, macs, energy, repeat, source)
         except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{path}: row {line}: {exc}") from exc
+            raise standalone.refusal(line, exc) from exc
         if energy is None:
-            warnings.warn(
-                f"{path}: row {line}: dropped erroneous energy reading {raw_energy!r}",
-                UserWarning,
-                stacklevel=2,
-            )
+            standalone.warn(line, f"dropped erroneous energy reading {raw_energy!r}")
             continue
         if verify_macs:
-            if known[1] is None:
-                known[1] = standalone_macs(config)
-            _warn_on_stored_macs(path, line, macs, known[1])
+            standalone.config(line, cells, macs)
         records.append(record)
     return records
 
 
-# the batch size is per record, so layer rows carry the other parameter columns
-_LAYER_FIELDS = tuple(name for name in STANDALONE_FIELDS if name != "batch_size")
+# layer rows carry every parameter column but the first, the per-record batch size
+_LAYER_FIELDS = STANDALONE_FIELDS[1:]
 
 MODELWISE_HEADER = (
     "architecture", "batch_size", "row_type", "layer_index", "module", *_LAYER_FIELDS, "macs", "cpu_energy_j",
@@ -391,10 +400,9 @@ def _modelwise_rows(records: list[ModelWiseRecord]):
             + [record.total_macs, repr(float(record.total_energy_j))]
         )
         for layer in record.layers:
-            cfg = layer.config
             yield (
                 [record.architecture, record.batch_size, "layer", layer.layer_index, layer.module.value]
-                + ["" if getattr(cfg, name) is None else getattr(cfg, name) for name in _LAYER_FIELDS]
+                + _param_cells(layer.config)[1:]  # _LAYER_FIELDS
                 + [layer.macs, repr(float(layer.cpu_energy_j))]
             )
 
@@ -417,6 +425,7 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
     current: tuple[int, ModelWiseRecord] | None = None  # (its total row, the record)
     layers: list[ModelWiseLayer] = []
     dropped_total = False
+    standalone = _StandaloneCells(path)
 
     def flush():
         nonlocal current
@@ -425,7 +434,7 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
             try:
                 records.append(replace(record, layers=tuple(layers)))
             except ValidationError as exc:
-                raise ParseError(f"{path}: row {total_line}: {exc}") from exc
+                raise standalone.refusal(total_line, exc) from exc
             current = None
             layers.clear()
 
@@ -439,11 +448,7 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                 flush()
                 dropped_total = energy is None
                 if dropped_total:
-                    warnings.warn(
-                        f"{path}: row {line}: dropped erroneous total {raw_energy!r} and its layer rows",
-                        UserWarning,
-                        stacklevel=2,
-                    )
+                    standalone.warn(line, f"dropped erroneous total {raw_energy!r} and its layer rows")
                     continue
                 current = line, ModelWiseRecord(
                     architecture=architecture,
@@ -455,30 +460,25 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                 if dropped_total:
                     continue
                 if current is None:
-                    raise ParseError(f"{path}: row {line}: layer row before any total row")
+                    raise standalone.refusal(line, "layer row before any total row")
                 if energy is None:
-                    warnings.warn(
-                        f"{path}: row {line}: dropped erroneous layer energy {raw_energy!r}",
-                        UserWarning,
-                        stacklevel=2,
-                    )
+                    standalone.warn(line, f"dropped erroneous layer energy {raw_energy!r}")
                     continue
-                kind = LayerKind(module)
-                config = _config_from_cells(kind, (batch_size, *row[5:-2]))  # row[5:-2] is _LAYER_FIELDS
-                config.require_standalone()
+                cells = (module, batch_size, *row[5:-2])  # row[5:-2] is _LAYER_FIELDS
+                config = standalone.config(line, cells)
                 layers.append(
                     ModelWiseLayer(
                         layer_index=int(layer_index),
-                        module=kind,
+                        module=config.kind,
                         config=config,
                         macs=int(macs),
                         cpu_energy_j=energy,
                     )
                 )
-                _warn_on_stored_macs(path, line, layers[-1].macs, standalone_macs(config))
+                standalone.config(line, cells, layers[-1].macs)
             else:
                 raise ValueError(f"unknown row_type {row_type!r}")
         except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{path}: row {line}: {exc}") from exc
+            raise standalone.refusal(line, exc) from exc
     flush()
     return records

@@ -325,24 +325,23 @@ def cross_validate_rows(
         raise ValidationError(f"k={k} must be at least 2")
     rows = np.asarray(rows)
     folds = group_kfold_indices([matrix.keys[i] for i in rows], k, seed)
-    designs = []
-    for held_out in folds:
+    fits: list[LassoFit] = []
+    metrics = []
+    for held_out in folds:  # fitted and scored as it is built, so one fold's design is held at a time
         features, X, y = FeatureMap.fit_rows(
             matrix, np.delete(rows, held_out), spec.feature_set, spec.poly, spec.feature_scaler
         )
-        designs.append((X, y, features.design_rows(matrix, rows[held_out])))
-    fits: tuple[LassoFit, ...] = ()
-    if spec.model == "lasso":
-        fits = tuple(lasso_path(X, y, [spec.lam])[0] for X, y, _ in designs)
-        models = [fit.model for fit in fits]
-    else:
-        models = [fit_ols(X, y) for X, y, _ in designs]
-    metrics = [evaluate(model, *held) for model, (_, _, held) in zip(models, designs)]
+        if spec.model == "lasso":
+            fits.append(lasso_path(X, y, [spec.lam])[0])
+            model = fits[-1].model
+        else:
+            model = fit_ols(X, y)
+        metrics.append(evaluate(model, *features.design_rows(matrix, rows[held_out])))
     return CvReport(
         k=k,
         r2_scores=tuple(m.r2 for m in metrics),
         mse_scores=tuple(m.mse for m in metrics),
-        lasso_fits=fits,
+        lasso_fits=tuple(fits),
     )
 
 

@@ -17,6 +17,7 @@ from joulecast.dataset import SOURCE_RANDOM, load_layerwise_csv, load_modelwise_
 from joulecast.errors import MacOverflowError
 from joulecast.features import KindMatrix
 from joulecast.macs import standalone_macs
+from test_dataset import LAYERWISE_PAST_BUDGET, MODELWISE_PAST_BUDGET, PAST_BUDGET
 from test_probe import counted_threads, make_powercap_tree
 
 
@@ -618,6 +619,26 @@ class TestUnreadableInput:
         argv = ["evaluate", "--bundle", bundle_path, "--modelwise", path, "--out-dir", tmp_path / "eval"]
         err = _exits_one_naming(capsys, argv, path)
         assert err.startswith(f"error: {path}: row 3: field larger than field limit")
+
+
+class TestRowPastTheMacBudget:
+    """A layer row whose recounted MACs pass 2**63 - 1 is a one-line error
+    naming its file and row, from either loader."""
+
+    def test_train(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(LAYERWISE_PAST_BUDGET, encoding="utf-8")
+        err = _exits_one_naming(capsys, ["train", "--layerwise", path, "--out", tmp_path / "b.json"], path)
+        assert err == f"error: {path}: row 2: {PAST_BUDGET}\n"
+        assert not (tmp_path / "b.json").exists()
+
+    def test_evaluate(self, bundle_path, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(MODELWISE_PAST_BUDGET, encoding="utf-8")
+        out_dir = tmp_path / "eval"
+        argv = ["evaluate", "--bundle", bundle_path, "--modelwise", path, "--out-dir", out_dir]
+        assert _exits_one_naming(capsys, argv, path) == f"error: {path}: row 3: {PAST_BUDGET}\n"
+        assert not out_dir.exists()
 
 
 class TestMalformedArchitecture:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import split_records, write_layerwise, write_modelwise
 from joulecast.arch import KIND_SPECS, PREDICTABLE_KINDS, STANDALONE_FIELDS, LayerConfig, LayerKind
+from joulecast import dataset
 from joulecast.dataset import (
+    LAYERWISE_HEADER,
     MODELWISE_HEADER,
     appending_layerwise_csv,
     MeasurementRecord,
@@ -308,6 +310,18 @@ class TestRepeatedConfigs:
         with pytest.raises(ParseError, match=r"rows\.csv: row 5: "):
             load_layerwise_csv(path)
 
+    def test_warnings_name_the_loaders_caller(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        records = _repeated_records()
+        write_layerwise(path, records)
+        set_cells(path, "macs", {0: str(records[0].macs + 1)})
+        set_cells(path, "cpu_energy_j", {1: "nan"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_layerwise_csv(path)
+        assert [w.category for w in caught] == [ConsistencyWarning, UserWarning]
+        assert {w.filename for w in caught} == {__file__}
+
     def test_short_row_is_a_parse_error(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_layerwise(path, _repeated_records())
@@ -379,6 +393,35 @@ class TestModelwiseCsv:
             (loaded,) = load_modelwise_csv(path)
         assert [layer.macs for layer in loaded.layers] == [record.layers[0].macs, 999]
 
+    def test_repeated_layer_configs_are_parsed_and_recounted_once(self, tmp_path, monkeypatch):
+        record = self._record()
+        path = tmp_path / "model.csv"
+        write_modelwise(path, [replace(record, architecture=name) for name in ("a", "b", "c")])
+        calls = {"parse": 0, "recount": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(dataset, "LayerConfig", counted("parse", LayerConfig))
+        monkeypatch.setattr(dataset, "standalone_macs", counted("recount", standalone_macs))
+        assert load_modelwise_csv(path) == [replace(record, architecture=name) for name in ("a", "b", "c")]
+        assert calls == {"parse": 2, "recount": 2}  # six layer rows of two configurations
+
+    def test_warnings_name_the_loaders_caller(self, tmp_path):
+        record = self._record()
+        path = tmp_path / "model.csv"
+        write_modelwise(path, [record])
+        set_cells(path, "macs", {2: "999"})
+        set_cells(path, "cpu_energy_j", {1: "nan"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_modelwise_csv(path)
+        assert [w.category for w in caught] == [UserWarning, ConsistencyWarning]
+        assert {w.filename for w in caught} == {__file__}
+
     def test_record_refuses_a_layer_at_another_batch(self):
         # layer rows carry no batch column, so such a layer would reload at the record's batch
         record = self._record()
@@ -405,6 +448,12 @@ def _modelwise_layer(index, module, **fields):
 
 _MODELWISE_RELU = _modelwise_layer(1, "ReLU", in_channels=10)
 _MODELWISE_POOL = _modelwise_layer(0, "MaxPool2d", kernel_size=2, in_channels=3, stride=2, padding=0)
+# a Linear of batch 4e9, 4e9 inputs and one output: 4e9 * 4e9 MACs and a bias per output, past 2**63 - 1
+PAST_BUDGET = "MAC count 16000000004000000000 exceeds the 64-bit budget"
+LAYERWISE_PAST_BUDGET = f"{','.join(LAYERWISE_HEADER)}\nLinear,4000000000,,,4000000000,1,,,0,0.5,1,random\n"
+MODELWISE_PAST_BUDGET = (f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n"
+                          f"{_modelwise_layer(0, 'Linear', in_channels=4000000000, out_channels=1)}\n"
+                          ).replace("tiny,2,", "tiny,4000000000,")
 
 
 @pytest.mark.parametrize("loader, text, error, message", [
@@ -418,6 +467,11 @@ _MODELWISE_POOL = _modelwise_layer(0, "MaxPool2d", kernel_size=2, in_channels=3,
      f"{_MODELWISE_RELU.replace('layer', 'Layer')}\n", ParseError, "{path}: row 4: unknown row_type 'Layer'"),
     (load_modelwise_csv, f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n{_MODELWISE_POOL}\n", ParseError,
      "{path}: row 3: MaxPool2d: standalone config is missing image_size"),
+    (load_layerwise_csv, LAYERWISE_PAST_BUDGET, ParseError, f"{{path}}: row 2: {PAST_BUDGET}"),
+    (load_modelwise_csv, MODELWISE_PAST_BUDGET, ParseError, f"{{path}}: row 3: {PAST_BUDGET}"),
+    # a kind with no fields and no MAC count is refused by the recount, naming its row
+    (load_layerwise_csv, f"{','.join(LAYERWISE_HEADER)}\nDropout,,,,,,,,0,0.5,1,random\n", ParseError,
+     "{path}: row 2: TensorShape.batch=None must be a positive integer"),
 ])
 def test_csv_refusals(tmp_path, loader, text, error, message):
     path = tmp_path / "bad.csv"
