@@ -18,7 +18,6 @@ from .arch import (
 from .dataset import (
     MeasurementRecord,
     ModelWiseRecord,
-    SplitSpec,
     load_layerwise_csv,
     load_modelwise_csv,
     sample_config,
@@ -52,7 +51,6 @@ __all__ = [
     "propagate_shape",
     "MeasurementRecord",
     "ModelWiseRecord",
-    "SplitSpec",
     "load_layerwise_csv",
     "load_modelwise_csv",
     "sample_config",

@@ -138,7 +138,10 @@ class LayerConfig:
             )
 
     def require_standalone(self) -> None:
-        """Raise unless this config is fully specified for standalone measurement."""
+        """Raise unless this config is of a measurable kind and fully
+        specified for standalone measurement."""
+        if not KIND_SPECS[self.kind].predictable:
+            raise ValidationError(f"{self.kind.value} is not individually measurable")
         missing = [name for name in KIND_SPECS[self.kind].fields if getattr(self, name) is None]
         if missing:
             raise ValidationError(
@@ -451,8 +454,8 @@ class ArchitectureSpec:
 
     Construction propagates the shape through every layer, which validates
     the spec, and keeps the resolved layers: a spec is immutable, so
-    ``resolve_layers``, ``extract_predictable_layers`` and ``output_shape``
-    read them instead of propagating again.
+    ``extract_predictable_layers`` and ``output_shape`` read them instead of
+    propagating again.
     """
 
     name: str
@@ -477,10 +480,6 @@ class ArchitectureSpec:
         if batch_size < 1:
             raise ValidationError(f"batch_size={batch_size} must be positive")
         return replace(self, input_shape=replace(self.input_shape, batch=batch_size))
-
-    def resolve_layers(self) -> list[ResolvedLayer]:
-        """All layers with concrete shapes, in order."""
-        return list(self._resolved)
 
     @property
     def output_shape(self) -> TensorShape:

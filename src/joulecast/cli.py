@@ -30,7 +30,6 @@ from .dataset import (
     MeasurementRecord,
     ModelWiseLayer,
     ModelWiseRecord,
-    SplitSpec,
     sample_config,
 )
 from .errors import JoulecastError, MacOverflowError, ShapeError, ValidationError
@@ -91,7 +90,6 @@ def cmd_collect(args) -> int:
             macs = standalone_macs(config)
             rows = [
                 MeasurementRecord(
-                    module=kind,
                     config=config,
                     macs=macs,
                     cpu_energy_j=repeat.energy_per_pass_j,
@@ -115,7 +113,6 @@ def _collect_architecture(arch, batch, measure) -> ModelWiseRecord:
         layers.append(
             ModelWiseLayer(
                 layer_index=resolved.index,
-                module=config.kind,
                 config=config,
                 macs=macs,
                 cpu_energy_j=measure(config, macs).energy_per_pass_j,
@@ -162,7 +159,7 @@ def cmd_train(args) -> int:
         kinds = tuple(_parse_layer_kind(k) for k in args.kinds.split(","))
     bundle = predict.train_default_bundle(
         records,
-        SplitSpec(seed=args.seed),
+        args.seed,
         kinds=kinds,
         metadata={"hardware": args.hardware} if args.hardware else None,
         cv_folds=args.cv_folds,
@@ -222,7 +219,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
-    table = run_ablation(records, kind, SplitSpec(seed=args.seed))
+    table = run_ablation(records, kind, args.seed)
     report.write_ablation_csv(args.out, table)
     _say(args, f"ablation over {len(table.r2) - 1} feature subsets -> {args.out}")
     return 0
@@ -232,7 +229,7 @@ def cmd_feature_experiment(args) -> int:
     records = dataset.load_layerwise_csv(args.layerwise)
     kind = _parse_layer_kind(args.kind)
     rows = []
-    for model in run_feature_set_experiment(records, kind, SplitSpec(seed=args.seed)):
+    for model in run_feature_set_experiment(records, kind, args.seed):
         spec, cv, test = model.spec, model.cv, model.test_metrics
         rows.append((
             kind.value, spec.feature_set.label, spec.poly.label if spec.poly else "",

@@ -40,7 +40,6 @@ SOURCE_REAL = "real_architecture"
 class MeasurementRecord:
     """One layer-wise dataset row: a standalone module, its MACs, and one energy reading."""
 
-    module: LayerKind
     config: LayerConfig
     macs: int
     cpu_energy_j: float
@@ -54,21 +53,22 @@ class MeasurementRecord:
             raise ValidationError("repeat index is 1-based")
         if self.source not in (SOURCE_RANDOM, SOURCE_REAL):
             raise ValidationError(f"unknown source {self.source!r}")
-        if self.module is not self.config.kind:
-            raise ValidationError("record module does not match its config kind")
+
+    @property
+    def module(self) -> LayerKind:
+        return self.config.kind
 
 
 @dataclass(frozen=True)
 class ModelWiseLayer:
     layer_index: int
-    module: LayerKind
     config: LayerConfig
     macs: int
     cpu_energy_j: float
 
-    def __post_init__(self):
-        if self.module is not self.config.kind:
-            raise ValidationError("layer module does not match its config kind")
+    @property
+    def module(self) -> LayerKind:
+        return self.config.kind
 
 
 @dataclass(frozen=True)
@@ -98,21 +98,8 @@ class ModelWiseRecord:
         return float(sum(l.cpu_energy_j for l in self.layers))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/validation/test fractions applied to configuration groups."""
-
-    train_fraction: float = 0.7
-    val_fraction: float = 0.2
-    test_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        total = self.train_fraction + self.val_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"split fractions sum to {total}, expected 1")
-        if min(self.train_fraction, self.val_fraction, self.test_fraction) < 0:
-            raise ValidationError("split fractions must be non-negative")
+#: the train, validation and test fractions of every split
+SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 
 
 #: draws ``sample_config`` makes before giving up on a kind's ranges
@@ -179,18 +166,17 @@ def _largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
     return sizes
 
 
-def split_indices(keys: Sequence[tuple], spec: SplitSpec) -> tuple[list[int], list[int], list[int]]:
+def split_indices(keys: Sequence[tuple], seed: int) -> tuple[list[int], list[int], list[int]]:
     """Positions of the train/val/test parts of records with these config keys.
 
-    All repeats of one configuration land in the same part; fractions are
-    applied to the configuration groups with largest-remainder rounding.
+    All repeats of one configuration land in the same part; the
+    ``SPLIT_FRACTIONS`` are applied to the configuration groups, in the order
+    ``seed`` deals them, with largest-remainder rounding.
     """
     if len(keys) < 10:
         raise TooFewRecordsError(f"need at least 10 records to split, got {len(keys)}")
-    groups = _shuffled_groups(keys, spec.seed)
-    n_train, n_val, _ = _largest_remainder_sizes(
-        len(groups), (spec.train_fraction, spec.val_fraction, spec.test_fraction)
-    )
+    groups = _shuffled_groups(keys, seed)
+    n_train, n_val, _ = _largest_remainder_sizes(len(groups), SPLIT_FRACTIONS)
     parts: tuple[list, list, list] = ([], [], [])
     for pos, group in enumerate(groups):
         bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
@@ -357,7 +343,8 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
 
     Each distinct configuration (its module and parameter cells) is parsed,
     checked and MAC-counted once (``_StandaloneCells``); its repeats reuse
-    the result, and every row's own cells are still checked against it.
+    the result, and every row's own cells, a dropped row's too, are still
+    checked against it.
     """
     records = []
     standalone = _StandaloneCells(path)
@@ -368,18 +355,18 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
         config = standalone.config(line, cells)
         try:
             energy = _energy_reading(raw_energy)
-            macs = int(raw_macs)
-            repeat = int(raw_repeat or 1)
-            source = source or SOURCE_RANDOM
-            if energy is not None:
-                record = MeasurementRecord(config.kind, config, macs, energy, repeat, source)
+            # a dropped row's cells are checked as a kept row's are
+            record = MeasurementRecord(
+                config, int(raw_macs), 0.0 if energy is None else energy, int(raw_repeat or 1),
+                source or SOURCE_RANDOM,
+            )
         except (ValueError, ValidationError) as exc:
             raise standalone.refusal(line, exc) from exc
         if energy is None:
             standalone.warn(line, f"dropped erroneous energy reading {raw_energy!r}")
             continue
         if verify_macs:
-            standalone.config(line, cells, macs)
+            standalone.config(line, cells, record.macs)
         records.append(record)
     return records
 
@@ -469,7 +456,6 @@ def load_modelwise_csv(path) -> list[ModelWiseRecord]:
                 layers.append(
                     ModelWiseLayer(
                         layer_index=int(layer_index),
-                        module=config.kind,
                         config=config,
                         macs=int(macs),
                         cpu_energy_j=energy,

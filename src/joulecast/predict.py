@@ -38,7 +38,6 @@ from .arch import (
 from .dataset import (
     MeasurementRecord,
     ModelWiseRecord,
-    SplitSpec,
     config_key,
     group_kfold_indices,
     split_indices,
@@ -371,12 +370,12 @@ def grid_search_lambda(
 def train_on_matrix(
     matrix: KindMatrix,
     spec: ModelSpec,
-    split_spec: SplitSpec,
+    seed: int,
     cv_folds: int | None = 10,
 ) -> PredictorModel:
     """Fit one pipeline on a kind's records: train on 70%, tune lambda on
-    20%, report on the 10% test split."""
-    train, val, test = split_indices(matrix.keys, split_spec)
+    20%, report on the 10% test split, the split ``seed`` deals."""
+    train, val, test = split_indices(matrix.keys, seed)
     features, X, y = FeatureMap.fit_rows(matrix, train, spec.feature_set, spec.poly, spec.feature_scaler)
     grid_fits: tuple[LassoFit, ...] = ()
     if spec.model == "lasso":
@@ -394,7 +393,7 @@ def train_on_matrix(
     else:
         test_metrics = EvalMetrics(r2=float("nan"), mse=float("nan"), max_error=float("nan"))
         test_metrics_joules = test_metrics
-    cv = cross_validate_rows(matrix, train, spec, k=cv_folds, seed=split_spec.seed) if cv_folds else None
+    cv = cross_validate_rows(matrix, train, spec, k=cv_folds, seed=seed) if cv_folds else None
     return PredictorModel(
         features=features,
         model=model,
@@ -407,7 +406,7 @@ def train_on_matrix(
 
 def train_default_bundle(
     records: list[MeasurementRecord],
-    split_spec: SplitSpec,
+    seed: int,
     kinds: tuple[LayerKind, ...] | None = None,
     metadata: dict | None = None,
     cv_folds: int | None = 10,
@@ -415,13 +414,13 @@ def train_default_bundle(
     """Train the ``DEFAULT_MODEL_SPECS`` pipeline of every requested layer
     kind, by default all of them."""
     models = {
-        kind: train_on_matrix(_kind_matrix(records, kind), DEFAULT_MODEL_SPECS[kind], split_spec, cv_folds)
+        kind: train_on_matrix(_kind_matrix(records, kind), DEFAULT_MODEL_SPECS[kind], seed, cv_folds)
         for kind in kinds or DEFAULT_MODEL_SPECS
     }
     meta = {
         "hardware": "unknown",
         "dataset_hash": dataset_fingerprint(records),
-        "split_seed": split_spec.seed,
+        "split_seed": seed,
     }
     created = _default_created()
     if created:
@@ -611,7 +610,7 @@ EXPERIMENT_TABLE: dict[LayerKind, tuple[ModelSpec, ...]] = {
 def run_feature_set_experiment(
     records: list[MeasurementRecord],
     kind: LayerKind,
-    split_spec: SplitSpec,
+    seed: int,
     cv_folds: int = 10,
 ) -> list[PredictorModel]:
     """Train every comparison pipeline for one layer kind, in table order;
@@ -620,7 +619,7 @@ def run_feature_set_experiment(
         covered = "/".join(k.value for k in EXPERIMENT_TABLE)
         raise MissingKindError(f"feature-set experiment covers {covered}, not {kind.value}")
     matrix = _kind_matrix(records, kind)
-    return [train_on_matrix(matrix, spec, split_spec, cv_folds) for spec in EXPERIMENT_TABLE[kind]]
+    return [train_on_matrix(matrix, spec, seed, cv_folds) for spec in EXPERIMENT_TABLE[kind]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -643,7 +642,7 @@ _GRAM_RCOND = 1e-8
 def run_ablation(
     records: list[MeasurementRecord],
     kind: LayerKind = LayerKind.CONV2D,
-    split_spec: SplitSpec | None = None,
+    seed: int = 0,
 ) -> AblationTable:
     """Fit a standardized linear model on every non-empty feature subset.
 
@@ -653,9 +652,8 @@ def run_ablation(
     centred train Gram matrix solved against its part of X^T y, batched by
     subset size, and scored on the test rows per batch.
     """
-    split_spec = split_spec or SplitSpec()
     matrix = _kind_matrix(records, kind)
-    train, _, test = split_indices(matrix.keys, split_spec)
+    train, _, test = split_indices(matrix.keys, seed)
     features, X, y_train = FeatureMap.fit_rows(matrix, train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
     X_test, y_test = features.design_rows(matrix, test)
     names = features.columns

@@ -217,24 +217,17 @@ def _draw_workers() -> int:
 
 
 def _uniform_blocks(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
-    """Fill the flat ``out`` from ``rng``, uniform on +-``scale``: the values and
-    the stream position of ``u = rng.random(out.size); u *= 2*scale; u -= scale``.
+    """Fill the flat float32 ``out`` from ``rng``, uniform on +-``scale``: the
+    values and the stream position of ``u = rng.random(out.size, np.float32);
+    u *= 2*scale; u -= scale``.
 
-    A float32 takes half of one 64-bit PCG64 output, so its blocks are
+    A float32 takes half of one 64-bit PCG64 output, so the blocks are
     converted in bulk from the bit generator's raw outputs, one call per two
     floats: ``(half >> 8) * 2**-24`` for the low and then the high 32-bit half
     of each output, as ``next_uint32`` and ``Generator.random`` take them. A
     high half the generator holds buffered (``has_uint32``) is drawn first, and
-    an unused one is left buffered. A float64 takes a whole output either way,
-    and ``Generator.random`` draws it faster than a bulk conversion would.
+    an unused one is left buffered.
     """
-    if out.dtype != np.float32:
-        for i in range(0, out.size, _DRAW_BLOCK):
-            block = out[i : i + _DRAW_BLOCK]
-            rng.random(out=block, dtype=out.dtype)
-            block *= 2 * scale
-            block -= scale
-        return
     bits = rng.bit_generator
     state = bits.state
     has, spare = state["has_uint32"], state["uinteger"]
@@ -263,22 +256,21 @@ def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.ra
     sequential draw leaves its stream. ``seed`` is any ``PCG64`` entropy.
 
     Each piece starts at an even element: a float32 takes half of one 64-bit
-    PCG64 output and a float64 a whole one, so a piece's generator is the seed's
-    stream advanced by ``start // per_draw`` outputs. Helper threads draw every
-    piece but the last, which the calling thread draws; its generator then ends
-    where the sequential stream does, an odd float32 tail's unused upper half
-    still buffered. All helpers are joined before this returns, and the first
-    exception raised in any piece is raised here.
+    PCG64 output, so a piece's generator is the seed's stream advanced by
+    ``start // 2`` outputs. Helper threads draw every piece but the last,
+    which the calling thread draws; its generator then ends where the
+    sequential stream does, an odd tail's unused upper half still buffered.
+    All helpers are joined before this returns, and the first exception
+    raised in any piece is raised here.
     """
     n = out.size
     workers = _draw_workers() if n >= _PARALLEL_ELEMENTS else 1
     step = 2 * -(-n // (2 * workers))
     starts = range(0, n, step)
-    per_draw = 8 // out.itemsize
     errors = []
 
     def fill(start):
-        rng = np.random.Generator(np.random.PCG64(seed).advance(start // per_draw))
+        rng = np.random.Generator(np.random.PCG64(seed).advance(start // 2))
         _uniform_blocks(rng, out[start : start + step], scale)
         return rng
 
@@ -303,10 +295,9 @@ def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.ra
     return rng
 
 
-def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> dict[str, np.ndarray]:
+def init_weights(config: LayerConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Deterministic weight tensors, uniform on +-1/sqrt(fan-in) and drawn in
-    ``dtype`` in place (no float64 temporary); in float64 the draw is the
-    same as ``rng.uniform(-scale, scale, shape)``.
+    ``WORKLOAD_DTYPE`` in place (no float64 temporary).
 
     The values are those of one sequential draw from ``default_rng(seed)``,
     the weight and then the bias, byte for byte. A weight of at least
@@ -320,9 +311,9 @@ def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> di
         return {}
     shape = weight_shape(config)
     scale = 1.0 / math.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in); a Python float keeps the dtype
-    weight = np.empty(shape, dtype=dtype)
+    weight = np.empty(shape, dtype=WORKLOAD_DTYPE)
     rng = _draw_uniform(weight.reshape(-1), seed, scale)
-    bias = np.empty(shape[0], dtype=dtype)
+    bias = np.empty(shape[0], dtype=WORKLOAD_DTYPE)
     _uniform_blocks(rng, bias, scale)
     return {"weight": weight, "bias": bias}
 
@@ -330,7 +321,7 @@ def init_weights(config: LayerConfig, seed: int = 0, dtype=WORKLOAD_DTYPE) -> di
 def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """One forward pass through a standalone module: NCHW input for spatial
     kinds, (batch, in_channels) for flat ones; the weights are ``init_weights``
-    of seed 0 in the input's dtype unless given."""
+    of seed 0 unless given."""
     spec = KIND_SPECS[config.kind]
     if not spec.predictable:
         raise ValidationError(f"{config.kind.value} has no standalone workload")
@@ -339,7 +330,7 @@ def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.n
     if not spec.spatial and (x.ndim != 2 or x.shape[1] != config.in_channels):
         raise ShapeError(f"{config.kind.value} expects (batch, {config.in_channels}), got {x.shape}")
     if weights is None:
-        weights = init_weights(config, 0, x.dtype)
+        weights = init_weights(config, 0)
     return _KERNELS[config.kind].forward(config, x, weights)
 
 
@@ -513,11 +504,12 @@ class SimulatedMachine:
 
     #: the counter wraps to 0 here, as a package domain's ``max_energy_range_uj``
     max_range_uj = 65_532_610_987
+    #: the constant package power the counter integrates
+    power_w = 20.0
     domain_names = ("simulated",)
 
-    def __init__(self, mac_rate: float = 5e9, power_w: float = 20.0, noise: float = 0.01, seed: int = 0):
+    def __init__(self, mac_rate: float = 5e9, noise: float = 0.01, seed: int = 0):
         self.mac_rate = mac_rate
-        self.power_w = power_w
         self.noise = noise
         self._rng = np.random.default_rng(seed)
         self._normals = np.empty(0)  # drawn normals; those from index _used on are unused

@@ -10,7 +10,6 @@ from joulecast.dataset import (
     MeasurementRecord,
     ModelWiseLayer,
     ModelWiseRecord,
-    SplitSpec,
     appending_layerwise_csv,
     appending_modelwise_csv,
     config_key,
@@ -123,7 +122,6 @@ def synth_records(
             wobble = 1.0 + noise * float(rng.standard_normal()) if noise else 1.0
             records.append(
                 MeasurementRecord(
-                    module=kind,
                     config=config,
                     macs=macs,
                     cpu_energy_j=max(base * wobble, 1e-12),
@@ -145,9 +143,9 @@ def write_modelwise(path, records) -> None:
         write(records)
 
 
-def split_records(records, spec):
+def split_records(records, seed):
     """``records`` dealt into the train, validation and test parts of ``split_indices``."""
-    parts = split_indices([config_key(r.config) for r in records], spec)
+    parts = split_indices([config_key(r.config) for r in records], seed)
     return tuple([records[i] for i in part] for part in parts)
 
 
@@ -193,7 +191,7 @@ def synth_modelwise(
                 wobble = 1.0 + noise * float(rng.standard_normal()) if noise else 1.0
                 energy = max(true_energy(config, macs) * wobble, 1e-12)
                 layers.append(
-                    ModelWiseLayer(resolved.index, config.kind, config, macs, energy)
+                    ModelWiseLayer(resolved.index, config, macs, energy)
                 )
                 total += energy
                 total_macs += macs
@@ -216,4 +214,4 @@ def bundle_dataset() -> list[MeasurementRecord]:
 
 @pytest.fixture(scope="session")
 def trained_bundle(bundle_dataset):
-    return train_default_bundle(bundle_dataset, SplitSpec(seed=11))
+    return train_default_bundle(bundle_dataset, 11)

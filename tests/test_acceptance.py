@@ -12,7 +12,7 @@ import pytest
 from conftest import ALPHA, split_records, synth_dataset, synth_modelwise, synth_records, write_layerwise
 from joulecast.arch import LayerConfig, LayerKind, load_architecture, propagate_shape, TensorShape
 from joulecast.cli import main as cli_main
-from joulecast.dataset import SplitSpec, load_layerwise_csv
+from joulecast.dataset import load_layerwise_csv
 from joulecast.errors import AggregationWarning
 from joulecast.macs import architecture_macs, standalone_macs
 from joulecast.predict import (
@@ -150,7 +150,7 @@ def test_04_lasso_properties():
 def test_05_synthetic_end_to_end_recovery():
     with criterion(5, "synthetic world: per-kind test R2 >= 0.99, VGG11 within 2%", budget_s=60.0):
         records = synth_dataset(seed=7)
-        bundle = train_default_bundle(records, SplitSpec(seed=11))
+        bundle = train_default_bundle(records, 11)
         for kind, model in bundle.models.items():
             assert model.test_metrics.r2 >= 0.99, f"{kind.value}: {model.test_metrics.r2}"
         arch = load_architecture("vgg11")
@@ -183,7 +183,7 @@ def test_06_published_data_reproduction():
     with criterion(6, "published-data reproduction (per-kind R2 within +/-0.02)"):
         data_dir = os.environ[PAPER_DATA_ENV]
         records = load_layerwise_csv(os.path.join(data_dir, "layerwise.csv"), verify_macs=False)
-        bundle = train_default_bundle(records, SplitSpec(seed=0))
+        bundle = train_default_bundle(records, 0)
         for kind, expected in PUBLISHED_TEST_R2.items():
             got = bundle.models[kind].test_metrics.r2
             assert abs(got - expected) <= 0.02, f"{kind.value}: {got} vs {expected}"
@@ -215,7 +215,7 @@ def test_07_sum_invariant_and_aggregation_warning(trained_bundle):
 def test_08_ablation_exhaustive_with_mac_gap():
     with criterion(8, "conv ablation: 32767 subsets; MAC subsets dominate", budget_s=300.0):
         records = synth_records(LayerKind.CONV2D, 240, seed=7)
-        table = run_ablation(records, LayerKind.CONV2D, SplitSpec(seed=11))
+        table = run_ablation(records, LayerKind.CONV2D, 11)
         assert len(table.columns) == 15 and len(table.r2) == 2**15  # masks 1..32767, and the empty mask
         assert np.isfinite(table.r2[1:]).all()
         mac_bit = 1 << table.columns.index("macs")
@@ -275,7 +275,7 @@ def test_10_determinism_across_runs(tmp_path):
         assert bundles[0] == bundles[1]
 
         loaded = load_layerwise_csv(csv_path)
-        assert split_records(loaded, SplitSpec(seed=4)) == split_records(loaded, SplitSpec(seed=4))
+        assert split_records(loaded, 4) == split_records(loaded, 4)
 
         tables = []
         for run in ("a", "b"):
@@ -289,6 +289,6 @@ def test_10_determinism_across_runs(tmp_path):
         ablations = []
         linear_records = [r for r in records if r.module is LayerKind.LINEAR]
         for _ in range(2):
-            table = run_ablation(linear_records, LayerKind.LINEAR, SplitSpec(seed=4))
+            table = run_ablation(linear_records, LayerKind.LINEAR, 4)
             ablations.append((table.columns, table.r2.tobytes(), table.mse.tobytes()))
         assert ablations[0] == ablations[1]

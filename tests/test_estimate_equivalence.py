@@ -125,7 +125,7 @@ def test_unchecked_derived_objects_equal_checked_ones(bundle, source, monkeypatc
         for config, layer in zip(configs, layers):
             checked = as_standalone_config(layer.config, replace(layer.input_shape, batch=batch))
             assert type(config) is LayerConfig and list(config.__dict__.items()) == list(checked.__dict__.items())
-        for layer in arch.with_batch(batch).resolve_layers():
+        for layer in arch.with_batch(batch)._resolved:
             for shape in (layer.input_shape, layer.output_shape):
                 checked = TensorShape(**shape.to_dict())
                 assert type(shape) is TensorShape and list(shape.__dict__.items()) == list(checked.__dict__.items())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import design_of, fit_map, synth_records
 from joulecast.arch import KIND_SPECS, LayerConfig, LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, group_kfold_indices, sample_config, split_indices
+from joulecast.dataset import MeasurementRecord, group_kfold_indices, sample_config, split_indices
 from joulecast.errors import (
     ConstantColumnWarning,
     DegreeOutOfRangeError,
@@ -40,8 +40,7 @@ def relu_records(energies, macs=None, batch_sizes=None, in_channels=None):
     batch_sizes = batch_sizes or [1] * n
     in_channels = in_channels or [1000] * n
     return [
-        MeasurementRecord(module=LayerKind.RELU,
-                          config=LayerConfig(kind=LayerKind.RELU, batch_size=b, in_channels=c),
+        MeasurementRecord(config=LayerConfig(kind=LayerKind.RELU, batch_size=b, in_channels=c),
                           macs=m, cpu_energy_j=float(e))
         for e, m, b, c in zip(energies, macs, batch_sizes, in_channels)
     ]
@@ -96,7 +95,7 @@ def records_for(kind, n, seed=0, energy=lambda macs: 1e-9 * macs):
     for _ in range(n):
         cfg = sample_config(kind, rng)
         macs = standalone_macs(cfg)
-        out.append(MeasurementRecord(module=kind, config=cfg, macs=macs, cpu_energy_j=energy(macs)))
+        out.append(MeasurementRecord(config=cfg, macs=macs, cpu_energy_j=energy(macs)))
     return out
 
 
@@ -231,7 +230,7 @@ class TestFeatureAssembly:
     def test_zero_padding_log_is_finite_zero(self):
         cfg = sample_config(LayerKind.CONV2D, 1)
         cfg = type(cfg)(**{**cfg.__dict__, "padding": 0})
-        row = KindMatrix.build([MeasurementRecord(LayerKind.CONV2D, cfg, 10, 1.0)]).raw[0]
+        row = KindMatrix.build([MeasurementRecord(cfg, 10, 1.0)]).raw[0]
         assert row[raw_feature_names(LayerKind.CONV2D).index("log_padding")] == 0.0
 
     def test_activation_parameters(self):
@@ -337,7 +336,7 @@ class TestKindMatrixOracle:
     def test_rows_of_kind_matrix_match_per_record_fit(self, kind, spec):
         records = synth_records(kind, 40, seed=21, repeats=3)
         matrix = KindMatrix.build(records)
-        train, _, test = split_indices(matrix.keys, SplitSpec(seed=4))
+        train, _, test = split_indices(matrix.keys, 4)
         folds = group_kfold_indices([matrix.keys[i] for i in train], 5, seed=4)
         parts = [(train, test)] + [
             ([train[i] for i in range(len(train)) if i not in set(held)], [train[i] for i in held])

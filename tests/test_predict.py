@@ -25,7 +25,7 @@ from joulecast.arch import (
     TensorShape,
     load_architecture,
 )
-from joulecast.dataset import MeasurementRecord, SplitSpec, sample_config
+from joulecast.dataset import MeasurementRecord, sample_config
 from joulecast.errors import (
     AggregationWarning,
     ColumnMismatchError,
@@ -70,11 +70,11 @@ class TestTrainDefaultBundle:
     def test_missing_kind(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
         with pytest.raises(MissingKindError):
-            train_default_bundle(conv_only, SplitSpec(seed=0))
+            train_default_bundle(conv_only, 0)
 
     def test_kind_subset(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
-        bundle = train_default_bundle(conv_only, SplitSpec(seed=0), kinds=(LayerKind.CONV2D,))
+        bundle = train_default_bundle(conv_only, 0, kinds=(LayerKind.CONV2D,))
         assert set(bundle.models) == {LayerKind.CONV2D}
 
     def test_selected_pipelines_match_defaults(self, trained_bundle):
@@ -87,8 +87,8 @@ class TestTrainDefaultBundle:
         assert tanh.poly.degree == 2 and not tanh.poly.interaction_only
 
     def test_retrain_is_byte_identical(self, bundle_dataset):
-        a = train_default_bundle(bundle_dataset, SplitSpec(seed=11), cv_folds=None)
-        b = train_default_bundle(bundle_dataset, SplitSpec(seed=11), cv_folds=None)
+        a = train_default_bundle(bundle_dataset, 11, cv_folds=None)
+        b = train_default_bundle(bundle_dataset, 11, cv_folds=None)
         assert a.to_json() == b.to_json()
 
     def test_metadata_fingerprint(self, bundle_dataset, trained_bundle):
@@ -116,7 +116,7 @@ class TestBundleRoundTrip:
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularityWarning)
-            text = train_default_bundle(bundle_dataset, SplitSpec(seed=11)).to_json()
+            text = train_default_bundle(bundle_dataset, 11).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5f3fccac7f375f3c049f909c284707328efe71cdc0286930d4ec660a940bb330"
         )
@@ -171,7 +171,7 @@ class TestBundleRoundTrip:
             for _ in range(20):
                 config = sample_config(kind, rng)
                 macs = standalone_macs(config)
-                record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
+                record = MeasurementRecord(config=config, macs=macs, cpu_energy_j=0.0)
                 X, _ = design_of(predictor.features, [record])
                 expected = float(predictor.features.joules(float(predictor.model.predict(X)[0])))
                 assert predictor.predict_energy(config, macs) == (max(expected, 0.0), expected < 0.0)
@@ -251,7 +251,7 @@ class TestOneColumnPredictors:
             config = sample_config(kind, rng)
             features = predictor.features
             for macs in [1, 2**53 + 1, INT64_MAX] + draws:
-                record = MeasurementRecord(module=kind, config=config, macs=macs, cpu_energy_j=0.0)
+                record = MeasurementRecord(config=config, macs=macs, cpu_energy_j=0.0)
                 X, _ = design_of(features, [record])
                 expected = float(features.joules(float(predictor.model.predict(X)[0])))
                 joules, clamped = predictor.predict_energy(config, macs)
@@ -288,7 +288,7 @@ class TestFusedRow:
         records = synth_records(kind, 40, seed=17, ranges=ONE_STRIDE)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            predictor = train_on_matrix(KindMatrix.build(records), spec, SplitSpec(seed=4), cv_folds=None)
+            predictor = train_on_matrix(KindMatrix.build(records), spec, 4, cv_folds=None)
         features = predictor.features
         if (kind, spec) == (LayerKind.CONV2D, ZSCORED_D2):
             assert "stride" in features.dropped and "log_stride^2" not in features.columns
@@ -344,7 +344,7 @@ class TestEstimate:
 
     def test_missing_kind_rejected(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
-        bundle = train_default_bundle(conv_only, SplitSpec(seed=0), kinds=(LayerKind.CONV2D,))
+        bundle = train_default_bundle(conv_only, 0, kinds=(LayerKind.CONV2D,))
         with pytest.raises(MissingKindError):
             estimate(bundle, load_architecture("vgg11"), 1)
 
@@ -411,7 +411,7 @@ class TestFeatureSetExperiment:
     def test_linear_kind_has_five_rows(self, bundle_dataset):
         models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.LINEAR],
-            LayerKind.LINEAR, SplitSpec(seed=3), cv_folds=5,
+            LayerKind.LINEAR, 3, cv_folds=5,
         )
         assert len(models) == 5
         assert [m.spec for m in models] == list(EXPERIMENT_TABLE[LayerKind.LINEAR])
@@ -422,18 +422,18 @@ class TestFeatureSetExperiment:
 
     def test_activations_rejected(self, bundle_dataset):
         with pytest.raises(MissingKindError):
-            run_feature_set_experiment(bundle_dataset, LayerKind.SIGMOID, SplitSpec())
+            run_feature_set_experiment(bundle_dataset, LayerKind.SIGMOID, 0)
 
     @pytest.mark.parametrize("kind", [LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX])
     def test_activation_error_names_the_covered_kinds(self, kind):
         with pytest.raises(MissingKindError) as info:
-            run_feature_set_experiment([], kind, SplitSpec())
+            run_feature_set_experiment([], kind, 0)
         assert str(info.value) == f"feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}"
 
     def test_mac_sets_beat_parameter_sets_on_mac_world(self, bundle_dataset):
         models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.CONV2D],
-            LayerKind.CONV2D, SplitSpec(seed=3), cv_folds=5,
+            LayerKind.CONV2D, 3, cv_folds=5,
         )
         scores = {model.spec.feature_set: model.test_metrics.r2 for model in models}
         mac_worst = min(scores[FeatureSetKind.MAC_ONLY], scores[FeatureSetKind.PARAMETER_MAC],
@@ -443,8 +443,8 @@ class TestFeatureSetExperiment:
 
     def test_deterministic(self, bundle_dataset):
         records = [r for r in bundle_dataset if r.module is LayerKind.LINEAR]
-        a = run_feature_set_experiment(records, LayerKind.LINEAR, SplitSpec(seed=3), cv_folds=2)
-        b = run_feature_set_experiment(records, LayerKind.LINEAR, SplitSpec(seed=3), cv_folds=2)
+        a = run_feature_set_experiment(records, LayerKind.LINEAR, 3, cv_folds=2)
+        b = run_feature_set_experiment(records, LayerKind.LINEAR, 3, cv_folds=2)
         assert a == b
 
 
@@ -452,11 +452,11 @@ class TestLassoPipeline:
     def test_final_model_is_the_grid_fit(self):
         records = synth_records(LayerKind.LINEAR, 60, seed=6)
         spec = ModelSpec(FeatureSetKind.PARAMETER, PolynomialSpec(2, True), model="lasso")
-        split_spec = SplitSpec(seed=1)
+        split_seed = 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConvergedWarning)
-            trained = train_on_matrix(KindMatrix.build(records), spec, split_spec, cv_folds=3)
-            train, val, _ = split_records(records, split_spec)
+            trained = train_on_matrix(KindMatrix.build(records), spec, split_seed, cv_folds=3)
+            train, val, _ = split_records(records, split_seed)
             features, X, y = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
             fits, chosen = grid_search_lambda((X, y), design_of(features, val), DEFAULT_LAMBDA_GRID)
             refit = lasso_path(X, y, [chosen.model.lam])[0].model
@@ -474,9 +474,9 @@ def test_non_finite_energy_is_refused_where_records_become_arrays(energy):
     records = synth_records(LayerKind.LINEAR, 20, seed=3)
     records[5] = replace(records[5], cpu_energy_j=energy)
     calls = [
-        lambda: run_ablation(records, LayerKind.LINEAR, SplitSpec()),
-        lambda: train_on_matrix(KindMatrix.build(records), DEFAULT_MODEL_SPECS[LayerKind.LINEAR], SplitSpec()),
-        lambda: train_default_bundle(records, SplitSpec(), kinds=(LayerKind.LINEAR,)),
+        lambda: run_ablation(records, LayerKind.LINEAR, 0),
+        lambda: train_on_matrix(KindMatrix.build(records), DEFAULT_MODEL_SPECS[LayerKind.LINEAR], 0),
+        lambda: train_default_bundle(records, 0, kinds=(LayerKind.LINEAR,)),
     ]
     for call in calls:
         with pytest.raises(NonFiniteError, match="^records hold a non-finite MAC count or energy$") as info:
@@ -490,7 +490,7 @@ class TestAblationStructure:
 
     def test_linear_universe_is_exhaustive(self):
         records = synth_records(LayerKind.LINEAR, 80, seed=4, noise=0.0)
-        table = run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=1))
+        table = run_ablation(records, LayerKind.LINEAR, 1)
         assert len(table.r2) == len(table.mse) == 2**7  # 3 params + 3 logs + macs, and the empty mask
         assert np.isnan(table.r2[0]) and np.isnan(table.mse[0])
         assert np.isfinite(table.r2[1:]).all() and np.isfinite(table.mse[1:]).all()
@@ -506,12 +506,12 @@ class TestAblationStructure:
         ranges = {LayerKind.LINEAR: {"batch_size": (1, 1), "in_channels": (1, 2000),
                                      "out_channels": (1, 2000)}}
         records = synth_records(LayerKind.LINEAR, 60, seed=5, ranges=ranges)
-        split_spec = SplitSpec(seed=2)
+        split_seed = 2
         names = raw_feature_names(LayerKind.LINEAR)
-        train, _, test = split_records(records, split_spec)
+        train, _, test = split_records(records, split_seed)
         features, X, y = fit_map(train, FeatureSetKind.LOG_PARAMETER_MAC, None, "none")
         X_test, y_test = design_of(features, test)
-        table = run_ablation(records, LayerKind.LINEAR, split_spec)
+        table = run_ablation(records, LayerKind.LINEAR, split_seed)
         assert table.columns == names and len(table.r2) == 128
         for mask in range(1, 128):
             cols = [i for i in range(len(names)) if mask >> i & 1]
@@ -534,7 +534,7 @@ def test_fingerprint_changes_with_data(bundle_dataset):
     assert fp == dataset_fingerprint(list(bundle_dataset))
     altered = list(bundle_dataset)
     altered[0] = MeasurementRecord(
-        module=altered[0].module, config=altered[0].config, macs=altered[0].macs,
+        config=altered[0].config, macs=altered[0].macs,
         cpu_energy_j=altered[0].cpu_energy_j * 2, repeat=altered[0].repeat, source=altered[0].source,
     )
     assert dataset_fingerprint(altered) != fp
@@ -547,7 +547,7 @@ def test_fingerprint_pinned():
                                         (LayerKind.LINEAR, "real_architecture"),
                                         (LayerKind.TANH, "random")]):
         config = sample_config(kind, 1)
-        records.append(MeasurementRecord(module=kind, config=config, macs=standalone_macs(config),
+        records.append(MeasurementRecord(config=config, macs=standalone_macs(config),
                                          cpu_energy_j=0.25 * (i + 1), repeat=i + 1, source=source))
     assert [r.macs for r in records] == [1_145_652_760_800, 2_349_891_648, 313_897_315]
     assert dataset_fingerprint(records) == (

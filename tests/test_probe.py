@@ -222,9 +222,9 @@ class TestKernels:
             in_channels=2, out_channels=3, stride=1, padding=1,
         )
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 2, 6, 6))
-        a = forward_workload(cfg, x, probe.init_weights(cfg, 5, x.dtype))
-        b = forward_workload(cfg, x, probe.init_weights(cfg, 5, x.dtype))
+        x = rng.standard_normal((1, 2, 6, 6), dtype=np.float32)
+        a = forward_workload(cfg, x, probe.init_weights(cfg, 5))
+        b = forward_workload(cfg, x, probe.init_weights(cfg, 5))
         np.testing.assert_array_equal(a, b)
 
     def test_architecture_workload_runs(self):
@@ -494,7 +494,7 @@ class TestMeasureConfig:
         probe._measure_lock.release()
 
     def test_simulated_machine_energy_tracks_macs(self):
-        machine = SimulatedMachine(mac_rate=5e9, power_w=20.0, noise=0.0, seed=0)
+        machine = SimulatedMachine(mac_rate=5e9, noise=0.0, seed=0)
         macs = 25_000
         result = measure_config(self.cfg(), macs, window_seconds=0.01, repeats=3, machine=machine)
         expected = 20.0 * macs / 5e9
@@ -696,10 +696,10 @@ class TestWorkloadDtype:
         cfg = _SMALL_CONFIGS[kind]
         s = standalone_input_shape(cfg)
         dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
-        x = np.random.default_rng(4).standard_normal(dims)
-        weights = probe.init_weights(cfg, seed=4, dtype=np.float64)
-        out64 = forward_workload(cfg, x, weights)
-        out32 = forward_workload(cfg, x.astype(np.float32), {k: w.astype(np.float32) for k, w in weights.items()})
+        x = np.random.default_rng(4).standard_normal(dims, dtype=np.float32)
+        weights = probe.init_weights(cfg, seed=4)
+        out64 = forward_workload(cfg, x.astype(np.float64), {k: w.astype(np.float64) for k, w in weights.items()})
+        out32 = forward_workload(cfg, x, weights)
         assert out64.dtype == np.float64
         assert out32.dtype == np.float32
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
@@ -732,43 +732,26 @@ def test_make_workload_refuses_a_kind_with_no_standalone_workload():
         probe.make_workload(LayerConfig(kind=LayerKind.DROPOUT))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
-def test_init_weights_keeps_one_copy_of_the_weight(dtype):
+def test_init_weights_keeps_one_copy_of_the_weight():
     cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)
     tracemalloc.start()
     try:
-        weights = probe.init_weights(cfg, seed=0, dtype=dtype)
+        weights = probe.init_weights(cfg, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert weights["weight"].dtype == weights["bias"].dtype == dtype
+    assert weights["weight"].dtype == weights["bias"].dtype == np.float32
     assert peak < 1.5 * weights["weight"].nbytes
 
 
-@pytest.mark.parametrize("cfg", [
-    pytest.param(_SMALL_CONFIGS[LayerKind.CONV2D], id="conv2d"),
-    pytest.param(_SMALL_CONFIGS[LayerKind.LINEAR], id="linear"),
-    # above the parallel threshold: drawn in pieces
-    pytest.param(LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1000, out_channels=1100),
-                 id="linear-1100x1000"),
-])
-def test_float64_init_weights_is_the_uniform_draw(cfg):
-    weights = probe.init_weights(cfg, seed=7, dtype=np.float64)
-    shape = weights["weight"].shape
-    scale = 1.0 / np.sqrt(math.prod(shape[1:]))
-    rng = np.random.default_rng(7)
-    assert weights["weight"].tobytes() == rng.uniform(-scale, scale, shape).tobytes()
-    assert weights["bias"].tobytes() == rng.uniform(-scale, scale, shape[0]).tobytes()
-
-
-def sequential_weights(cfg, seed, dtype):
+def sequential_weights(cfg, seed):
     """The weights as one generator draws them, the weight and then the bias."""
     shape = (cfg.out_channels, cfg.in_channels)
     scale = 1.0 / math.sqrt(cfg.in_channels)
     rng = np.random.default_rng(seed)
 
     def uniform(size):
-        u = rng.random(size, dtype=dtype)
+        u = rng.random(size, dtype=np.float32)
         u *= 2 * scale
         u -= scale
         return u
@@ -809,53 +792,49 @@ class TestSplitWeightDraw:
     LARGE = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=2000, out_channels=2000)
 
     @staticmethod
-    def check_split_draw(dtype, out_channels, in_channels, workers, seed):
+    def check_split_draw(out_channels, in_channels, workers, seed):
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=in_channels, out_channels=out_channels)
-        expected = sequential_weights(cfg, seed, dtype)
+        expected = sequential_weights(cfg, seed)
         n = out_channels * in_channels
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
-            weights = probe.init_weights(cfg, seed, dtype)
-            rng = probe._draw_uniform(np.empty(n, dtype), seed, 1.0)
-        assert weights["weight"].dtype == weights["bias"].dtype == dtype
+            weights = probe.init_weights(cfg, seed)
+            rng = probe._draw_uniform(np.empty(n, np.float32), seed, 1.0)
+        assert weights["weight"].dtype == weights["bias"].dtype == np.float32
         assert weights["weight"].tobytes() == expected["weight"].tobytes()
         assert weights["bias"].tobytes() == expected["bias"].tobytes()
         sequential = np.random.default_rng(seed)
-        sequential.random(n, dtype=dtype)
+        sequential.random(n, dtype=np.float32)
         assert next_draws(rng) == next_draws(sequential)  # an odd float32 tail leaves its upper half buffered
 
     @settings(max_examples=25, deadline=None)
     @given(
-        dtype=st.sampled_from([np.float32, np.float64]),
         out_channels=st.integers(1, 4),
         in_channels=st.integers(_THRESHOLD // 4, _THRESHOLD),
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dtype=np.float32, out_channels=1, in_channels=_THRESHOLD - 1, workers=2, seed=0)  # below, odd
-    @example(dtype=np.float32, out_channels=1, in_channels=_THRESHOLD, workers=2, seed=0)  # at
-    @example(dtype=np.float32, out_channels=3, in_channels=_THRESHOLD // 3 + 1, workers=2, seed=0)  # above, odd
-    @example(dtype=np.float32, out_channels=4, in_channels=_THRESHOLD // 4 + _BLOCK // 4, workers=3, seed=1)
-    @example(dtype=np.float32, out_channels=3, in_channels=_THRESHOLD // 3 + _BLOCK + 1, workers=4, seed=2)
-    @example(dtype=np.float64, out_channels=1, in_channels=_THRESHOLD, workers=4, seed=3)
-    @example(dtype=np.float64, out_channels=3, in_channels=_THRESHOLD // 3 + 1, workers=3, seed=4)
-    def test_split_draw_is_the_sequential_draw(self, dtype, out_channels, in_channels, workers, seed):
-        self.check_split_draw(dtype, out_channels, in_channels, workers, seed)
+    @example(out_channels=1, in_channels=_THRESHOLD - 1, workers=2, seed=0)  # below, odd
+    @example(out_channels=1, in_channels=_THRESHOLD, workers=2, seed=0)  # at
+    @example(out_channels=3, in_channels=_THRESHOLD // 3 + 1, workers=2, seed=0)  # above, odd
+    @example(out_channels=4, in_channels=_THRESHOLD // 4 + _BLOCK // 4, workers=3, seed=1)
+    @example(out_channels=3, in_channels=_THRESHOLD // 3 + _BLOCK + 1, workers=4, seed=2)
+    def test_split_draw_is_the_sequential_draw(self, out_channels, in_channels, workers, seed):
+        self.check_split_draw(out_channels, in_channels, workers, seed)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        dtype=st.sampled_from([np.float32, np.float64]),
         out_channels=st.integers(1, 7),
         in_channels=st.integers(1, 40),
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_split_draw_at_small_thresholds(self, dtype, out_channels, in_channels, workers, seed):
+    def test_split_draw_at_small_thresholds(self, out_channels, in_channels, workers, seed):
         """Many pieces and block boundaries, with the threshold and block shrunk to a few elements."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(probe, "_PARALLEL_ELEMENTS", 16)
             mp.setattr(probe, "_DRAW_BLOCK", 5)
-            self.check_split_draw(dtype, out_channels, in_channels, workers, seed)
+            self.check_split_draw(out_channels, in_channels, workers, seed)
 
     def test_alexnet_weights_pinned(self):
         """The weights ``make_architecture_workload`` draws for AlexNet at batch 1,
@@ -924,17 +903,15 @@ class TestBulkDraw:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        dtype=st.sampled_from([np.float32, np.float64]),
         size=st.integers(1, 40),
         block=st.integers(1, 9),
         buffered=st.booleans(),
         scale=st.floats(1e-3, 4.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dtype=np.float32, size=2 * _BLOCK + 1, block=_BLOCK, buffered=True, scale=1.0, seed=0)
-    @example(dtype=np.float32, size=2 * _BLOCK, block=_BLOCK, buffered=False, scale=0.01, seed=1)
-    @example(dtype=np.float64, size=_BLOCK + 3, block=_BLOCK, buffered=True, scale=0.5, seed=2)
-    def test_bulk_draw_is_generator_random(self, dtype, size, block, buffered, scale, seed):
+    @example(size=2 * _BLOCK + 1, block=_BLOCK, buffered=True, scale=1.0, seed=0)
+    @example(size=2 * _BLOCK, block=_BLOCK, buffered=False, scale=0.01, seed=1)
+    def test_bulk_draw_is_generator_random(self, size, block, buffered, scale, seed):
         def generator():
             rng = np.random.default_rng(seed)
             if buffered:
@@ -942,11 +919,11 @@ class TestBulkDraw:
             return rng
 
         sequential = generator()
-        expected = sequential.random(size, dtype=dtype)
+        expected = sequential.random(size, dtype=np.float32)
         expected *= 2 * scale
         expected -= scale
         rng = generator()
-        out = np.empty(size, dtype)
+        out = np.empty(size, np.float32)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(probe, "_DRAW_BLOCK", block)
             probe._uniform_blocks(rng, out, scale)

@@ -15,10 +15,16 @@ in it, or listed in its ``__all__``: an unused import hides what a module
 depends on and what a test exercises.
 
 Every parameter with a default, on every function or method in
-``src/joulecast``, is set by some call in ``src/``, ``perfbench/``,
-``scripts/`` or ``tests/``: a setting only one value serves is a constant.
-Calls are matched by the called name alone, and one with a ``*`` or ``**``
-splat counts as setting every parameter it could reach."""
+``src/joulecast``, is set to something other than its default by some call
+in ``src/``, ``perfbench/``, ``scripts/`` or ``tests/``: a setting only one
+value serves is a constant. Calls are matched by the called name alone; an
+argument written as the default itself (the same literal value, or the same
+expression) does not set it, and a ``*`` or ``**`` splat counts as setting
+every parameter it could reach.
+
+Every public method or property of a class in ``src/joulecast`` is read
+outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``, matched by
+attribute name alone: one only tests read belongs in the tests."""
 import ast
 from pathlib import Path
 
@@ -125,10 +131,11 @@ def test_every_imported_name_is_read():
     assert unread == []
 
 
-def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str, int | None]]:
+def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str, int | None, ast.expr]]:
     """(qualified name, parameter, its position in a call or None if it is
-    keyword-only) for every parameter with a default in ``tree``. A method's
-    call skips ``self`` or ``cls``; ``__init__`` is called by its class name."""
+    keyword-only, its default) for every parameter with a default in
+    ``tree``. A method's call skips ``self`` or ``cls``; ``__init__`` is
+    called by its class name."""
     owners = {child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for child in node.body}
     found = []
     for node in ast.walk(tree):
@@ -140,18 +147,35 @@ def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str,
         name = f"{module}.{owner if node.name == '__init__' else node.name}"
         positional = node.args.posonlyargs + node.args.args
         first = len(positional) - len(node.args.defaults)
-        found += [(name, arg.arg, i - offset) for i, arg in enumerate(positional) if i >= first]
-        found += [(name, arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
-                  if default is not None]
+        found += [(name, arg.arg, i - offset, default)
+                  for i, (arg, default) in enumerate(zip(positional, [None] * first + node.args.defaults))
+                  if i >= first]
+        found += [(name, arg.arg, None, default)
+                  for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
     return found
 
 
-def _sets(call: ast.Call, parameter: str, index: int | None) -> bool:
-    """Whether ``call`` passes ``parameter`` (at call position ``index``) by
-    keyword, by position, or through a ``*`` or ``**`` splat."""
-    if any(k.arg in (parameter, None) for k in call.keywords):
+def _same_value(a: ast.expr, b: ast.expr) -> bool:
+    """Whether two expressions are the same literal value, or else the same expression."""
+    try:
+        return ast.literal_eval(a) == ast.literal_eval(b)
+    except (ValueError, TypeError):
+        return ast.dump(a) == ast.dump(b)
+
+
+def _sets(call: ast.Call, parameter: str, index: int | None, default: ast.expr) -> bool:
+    """Whether ``call`` passes ``parameter`` (at call position ``index``)
+    something other than ``default``, by keyword or by position, or could
+    through a ``*`` or ``**`` splat."""
+    if any(k.arg is None for k in call.keywords):
         return True
-    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+    passed = [k.value for k in call.keywords if k.arg == parameter]
+    if index is not None:
+        if len(call.args) > index and not any(isinstance(a, ast.Starred) for a in call.args[: index + 1]):
+            passed.append(call.args[index])
+        elif any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+    return any(not _same_value(value, default) for value in passed)
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -164,7 +188,29 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = [
         f"{function}({parameter})"
         for path in sorted(PACKAGE.glob("*.py"))
-        for function, parameter, index in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-        if not any(_sets(call, parameter, index) for call in calls.get(function.rpartition(".")[2], ()))
+        for function, parameter, index, default in _defaulted_parameters(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem
+        )
+        if not any(_sets(call, parameter, index, default) for call in calls.get(function.rpartition(".")[2], ()))
     ]
-    assert unset == [], f"parameters no call sets (make each a constant): {unset}"
+    assert unset == [], f"parameters no call sets to another value (make each a constant): {unset}"
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    read = {
+        node.attr
+        for directory in ("src", "perfbench", "scripts")
+        for path in (ROOT / directory).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == [], f"methods only the tests read (move each to the tests): {unread}"

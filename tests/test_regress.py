@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import design_of, fit_map, split_records
 from joulecast import regress
 from joulecast.arch import LayerKind
-from joulecast.dataset import MeasurementRecord, SplitSpec, config_key, group_kfold_indices, sample_config
+from joulecast.dataset import MeasurementRecord, config_key, group_kfold_indices, sample_config
 from joulecast.errors import (
     ColumnMismatchError,
     NonFiniteError,
@@ -388,7 +388,7 @@ def _linear_records(n, seed=0, noise=0.0):
         macs = standalone_macs(cfg)
         energy = 1e-9 * macs * (1.0 + noise * rng.standard_normal()) + 1e-6
         records.append(
-            MeasurementRecord(module=LayerKind.LINEAR, config=cfg, macs=macs, cpu_energy_j=max(energy, 1e-12))
+            MeasurementRecord(config=cfg, macs=macs, cpu_energy_j=max(energy, 1e-12))
         )
     return records
 
@@ -421,8 +421,7 @@ class TestCrossValidate:
             cfg = sample_config(LayerKind.LINEAR, rng)
             for r in (1, 2):
                 records.append(
-                    MeasurementRecord(module=LayerKind.LINEAR, config=cfg,
-                                      macs=standalone_macs(cfg), cpu_energy_j=0.1 * r, repeat=r)
+                    MeasurementRecord(config=cfg, macs=standalone_macs(cfg), cpu_energy_j=0.1 * r, repeat=r)
                 )
         keys = [config_key(r.config) for r in records]
         folds = group_kfold_indices(keys, 4, seed=2)
@@ -438,8 +437,8 @@ def test_unknown_model_family_rejected():
         ModelSpec(FeatureSetKind.MAC_ONLY, model="ridge")
 
 
-def _train_val_designs(records, spec, split_spec):
-    train, val, _ = split_records(records, split_spec)
+def _train_val_designs(records, spec, split_seed):
+    train, val, _ = split_records(records, split_seed)
     features, X, y = fit_map(train, spec.feature_set, spec.poly, spec.feature_scaler)
     return (X, y), design_of(features, val)
 
@@ -448,13 +447,13 @@ class TestGridSearch:
     def test_singleton_grid(self):
         records = _linear_records(30)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        train, val = _train_val_designs(records, spec, SplitSpec())
+        train, val = _train_val_designs(records, spec, 0)
         assert grid_search_lambda(train, val, [0.0])[1].model.lam == 0.0
 
     def test_noiseless_data_prefers_no_penalty(self):
         records = _linear_records(40)
         spec = ModelSpec(FeatureSetKind.MAC_ONLY, model="lasso")
-        train, val = _train_val_designs(records, spec, SplitSpec(seed=1))
+        train, val = _train_val_designs(records, spec, 1)
         assert grid_search_lambda(train, val, [0.0, 1e6])[1].model.lam == 0.0
 
     def test_sparse_truth_support_recovery(self):
@@ -605,7 +604,7 @@ class TestLassoPath:
         objective is at most that of coordinate descent capped at 500 sweeps."""
         records = [r for r in bundle_dataset if r.module is LayerKind.MAXPOOL2D]
         spec = EXPERIMENT_TABLE[LayerKind.MAXPOOL2D][0]
-        train, _, _ = split_records(records, SplitSpec(seed=3))
+        train, _, _ = split_records(records, 3)
         parts = [train]
         for held in group_kfold_indices([config_key(r.config) for r in train], 10, seed=3):
             held = set(held)

@@ -8,7 +8,6 @@ import pytest
 from conftest import synth_records
 from joulecast import svgplot
 from joulecast.arch import LayerKind
-from joulecast.dataset import SplitSpec
 from joulecast.errors import ParseError
 from joulecast.predict import AblationTable, run_ablation
 from joulecast.report import (
@@ -100,7 +99,7 @@ def _scores_table():
 @pytest.fixture(scope="module")
 def linear_ablation():
     records = synth_records(LayerKind.LINEAR, 60, seed=8)
-    return run_ablation(records, LayerKind.LINEAR, SplitSpec(seed=2))
+    return run_ablation(records, LayerKind.LINEAR, 2)
 
 
 class TestAblationCsv:
@@ -121,7 +120,7 @@ class TestAblationCsv:
     def test_bytes_pinned(self, tmp_path, kind, count, seed, split_seed, digest):
         """The digests were taken from the per-mask row list that the table
         replaced, before ``run_ablation`` or ``write_ablation_csv`` changed."""
-        table = run_ablation(synth_records(kind, count, seed), kind, SplitSpec(seed=split_seed))
+        table = run_ablation(synth_records(kind, count, seed), kind, split_seed)
         write_ablation_csv(tmp_path / "ablation.csv", table)
         assert hashlib.sha256((tmp_path / "ablation.csv").read_bytes()).hexdigest() == digest
 
