@@ -4,23 +4,27 @@ train the per-layer-type bundle, estimate the presets, evaluate against
 simulated full-architecture measurements, and render the report artifacts.
 
 Everything is deterministic for a given --seed and needs no RAPL hardware.
+Each step runs the command line in this process; a step that fails stops
+the demo, naming the step.
 
 Usage:
     python scripts/synthetic_demo.py --out-dir demo_run [--seed 0]
 """
 import argparse
 import os
-import subprocess
-import sys
 
-LAYER_KINDS = ("conv2d", "maxpool2d", "linear", "relu", "sigmoid", "tanh", "softmax")
+from joulecast.arch import PREDICTABLE_KINDS
+from joulecast.cli import main as joulecast_main
+
 ARCHITECTURES = ("alexnet", "vgg11")
 
 
 def cli(*args):
-    command = [sys.executable, "-m", "joulecast.cli", *map(str, args)]
-    print("+", " ".join(command[2:]), flush=True)
-    subprocess.run(command, check=True)
+    argv = [str(arg) for arg in args]
+    print("+ joulecast.cli", " ".join(argv), flush=True)
+    code = joulecast_main(argv)
+    if code:
+        raise SystemExit(f"step failed with exit code {code}: joulecast {' '.join(argv)}")
 
 
 def main():
@@ -35,9 +39,9 @@ def main():
     modelwise = os.path.join(args.out_dir, "modelwise.csv")
     bundle = os.path.join(args.out_dir, "bundle.json")
 
-    for i, kind in enumerate(LAYER_KINDS):
+    for i, kind in enumerate(PREDICTABLE_KINDS):
         cli("--seed", args.seed + i, "--simulate", "collect",
-            "--kind", kind, "--count", args.count, "--out", layerwise)
+            "--kind", kind.value.lower(), "--count", args.count, "--out", layerwise)
     for i, arch in enumerate(ARCHITECTURES):
         cli("--seed", args.seed + 100 + i, "--simulate", "collect",
             "--kind", arch, "--count", 2, "--out", modelwise)

@@ -21,7 +21,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import ParseError, ShapeError, UnknownPresetError, ValidationError
+from .errors import ParseError, ShapeError, ValidationError
 
 
 class LayerKind(str, Enum):
@@ -140,9 +140,7 @@ class LayerConfig:
     def require_standalone(self) -> None:
         """Raise unless this config is of a measurable kind and fully
         specified for standalone measurement."""
-        if not KIND_SPECS[self.kind].predictable:
-            raise ValidationError(f"{self.kind.value} is not individually measurable")
-        missing = [name for name in KIND_SPECS[self.kind].fields if getattr(self, name) is None]
+        missing = [name for name in standalone_spec(self.kind).fields if getattr(self, name) is None]
         if missing:
             raise ValidationError(
                 f"{self.kind.value}: standalone config is missing {', '.join(missing)}"
@@ -320,7 +318,9 @@ class KindSpec:
     and gets a predictor. Its row, built by ``_predictable``, holds its MAC
     rule (``macs``) and the inclusive ``(lo, hi)`` sampler range of each of
     its fields, keyed in field order; the other kinds are parsed and
-    discarded, and have neither.
+    discarded, and have neither. A weighted kind's row also gives the shape
+    of its weight tensor (``weight_shape``); its bias has one entry per
+    output channel.
     """
 
     fields: tuple[str, ...]
@@ -329,6 +329,7 @@ class KindSpec:
     output_shape: Callable[[TensorShape, LayerConfig], TensorShape]
     macs: MacRule | None = None
     ranges: Mapping[str, tuple[int, int]] | None = None
+    weight_shape: Callable[[LayerConfig], tuple[int, ...]] | None = None
     predictable: bool = field(init=False)
 
     def __post_init__(self):
@@ -336,10 +337,12 @@ class KindSpec:
 
 
 def _predictable(
-    ranges: dict[str, tuple[int, int]], required, spatial: bool, output_shape, macs: MacRule
+    ranges: dict[str, tuple[int, int]], required, spatial: bool, output_shape, macs: MacRule, weight_shape=None
 ) -> KindSpec:
     """The row of a predictable kind whose fields are the keys of ``ranges``."""
-    return KindSpec(tuple(ranges), frozenset(required), spatial, output_shape, macs, MappingProxyType(ranges))
+    return KindSpec(
+        tuple(ranges), frozenset(required), spatial, output_shape, macs, MappingProxyType(ranges), weight_shape
+    )
 
 
 _ACTIVATION = _predictable(
@@ -365,6 +368,7 @@ KIND_SPECS: dict[LayerKind, KindSpec] = {
         spatial=True,
         output_shape=_window_shape,
         macs=_conv2d_macs,
+        weight_shape=lambda c: (c.out_channels, c.in_channels, c.kernel_size, c.kernel_size),
     ),
     LayerKind.MAXPOOL2D: _predictable(
         {
@@ -391,6 +395,7 @@ KIND_SPECS: dict[LayerKind, KindSpec] = {
         spatial=False,
         output_shape=_linear_shape,
         macs=_linear_macs,
+        weight_shape=lambda c: (c.out_channels, c.in_channels),
     ),
     LayerKind.RELU: _ACTIVATION,
     LayerKind.SIGMOID: _ACTIVATION,
@@ -426,6 +431,16 @@ _CHECK_PLANS: dict[LayerKind, tuple[tuple[str, float, bool], ...]] = {
 
 #: kinds that carry energy and get a per-type predictor, in table order
 PREDICTABLE_KINDS = tuple(kind for kind, spec in KIND_SPECS.items() if spec.predictable)
+
+
+def standalone_spec(kind: LayerKind) -> KindSpec:
+    """The ``KIND_SPECS`` row of a predictable kind, the kinds with a
+    standalone form; every other kind is refused here, in one wording."""
+    spec = KIND_SPECS[kind]
+    if not spec.predictable:
+        raise ValidationError(f"{kind.value} is not individually measurable")
+    return spec
+
 
 #: every field a standalone config can carry, in canonical order (the CSV parameter columns)
 STANDALONE_FIELDS = tuple(
@@ -560,9 +575,7 @@ def _standalone_values(layer: LayerConfig, input_shape: TensorShape, batch: int)
     They pass the config's checks when the layer resolved to ``input_shape``
     and ``batch`` is a positive ``int``: the sweep that resolved it left the
     padded input no smaller than the kernel."""
-    spec = KIND_SPECS[layer.kind]
-    if not spec.predictable:
-        raise ValidationError(f"{layer.kind.value} is not individually measurable")
+    spec = standalone_spec(layer.kind)
     if spec.spatial and input_shape.height != input_shape.width:
         raise ShapeError(
             f"{layer.kind.value}: non-square input {input_shape.height}x{input_shape.width} "
@@ -700,7 +713,7 @@ def load_architecture(source) -> ArchitectureSpec:
             return _architecture_from_json(text)
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{source}: {exc}") from None
-    raise UnknownPresetError(
+    raise ValidationError(
         f"{source!r} is not a preset ({', '.join(PRESET_NAMES)}), an existing file, or JSON text"
     )
 

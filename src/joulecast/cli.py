@@ -341,10 +341,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except JoulecastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (JoulecastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch import KIND_SPECS, STANDALONE_FIELDS, LayerConfig, LayerKind
+from .arch import STANDALONE_FIELDS, LayerConfig, LayerKind, standalone_spec
 from .errors import (
     ConsistencyWarning,
     MacOverflowError,
     ParseError,
-    RetryExhaustedError,
-    SchemaError,
-    TooFewRecordsError,
     ValidationError,
 )
 from .macs import standalone_macs
@@ -117,9 +114,7 @@ def sample_config(
     pooling padding above half the kernel) are rejected and redrawn, up to
     ``_SAMPLE_DRAWS`` draws in all.
     """
-    spec = KIND_SPECS[kind]
-    if not spec.predictable:
-        raise ValidationError(f"{kind.value} is not a measurable module kind")
+    spec = standalone_spec(kind)
     gen = np.random.default_rng(rng)  # a Generator is returned as it is
     table = ranges[kind] if ranges else spec.ranges
     for _ in range(_SAMPLE_DRAWS):
@@ -130,7 +125,7 @@ def sample_config(
             return LayerConfig(kind=kind, **fields)
         except ValidationError:
             continue
-    raise RetryExhaustedError(f"no valid {kind.value} config after {_SAMPLE_DRAWS} draws")
+    raise ValidationError(f"no valid {kind.value} config after {_SAMPLE_DRAWS} draws")
 
 
 _standalone_values = attrgetter(*STANDALONE_FIELDS)
@@ -174,7 +169,7 @@ def split_indices(keys: Sequence[tuple], seed: int) -> tuple[list[int], list[int
     ``seed`` deals them, with largest-remainder rounding.
     """
     if len(keys) < 10:
-        raise TooFewRecordsError(f"need at least 10 records to split, got {len(keys)}")
+        raise ValidationError(f"need at least 10 records to split, got {len(keys)}")
     groups = _shuffled_groups(keys, seed)
     n_train, n_val, _ = _largest_remainder_sizes(len(groups), SPLIT_FRACTIONS)
     parts: tuple[list, list, list] = ([], [], [])
@@ -189,7 +184,7 @@ def group_kfold_indices(keys: Sequence[tuple], k: int, seed: int) -> list[list[i
     the groups of ``_shuffled_groups`` dealt round-robin."""
     groups = _shuffled_groups(keys, seed)
     if len(groups) < k:
-        raise TooFewRecordsError(f"{len(groups)} configuration groups cannot fill {k} folds")
+        raise ValidationError(f"{len(groups)} configuration groups cannot fill {k} folds")
     folds: list[list[int]] = [[] for _ in range(k)]
     for pos, group in enumerate(groups):
         folds[pos % k].extend(group)
@@ -272,10 +267,10 @@ def read_csv(path, columns: Sequence[str]) -> list[tuple[str, ...]]:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise SchemaError(f"{path}: empty file")
+                raise ParseError(f"{path}: empty file")
             missing = set(columns) - set(header)
             if missing:
-                raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+                raise ParseError(f"{path}: missing columns {sorted(missing)}")
             width = len(header)
             position = {name: i for i, name in enumerate(header)}  # a repeated name is its last column
             at = [position[name] for name in columns]

@@ -1,4 +1,11 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit.
+
+There is one exception class per way a caller handles a failure. Callers
+catch ``ShapeError``, ``ParseError``, ``ValidationError`` and
+``MacOverflowError`` to add context to the message or to draw again, and the
+command line reports every ``JoulecastError`` as a one-line error. A failure
+that no caller tells apart, such as a host without RAPL counters, is a plain
+``JoulecastError``."""
 
 
 class JoulecastError(Exception):
@@ -10,67 +17,16 @@ class ShapeError(JoulecastError):
 
 
 class ParseError(JoulecastError):
-    """Malformed input document (JSON or CSV)."""
-
-
-class SchemaError(ParseError):
-    """Input file is parseable but missing required columns/fields."""
+    """Malformed input document (JSON or CSV), or one missing required columns or keys."""
 
 
 class ValidationError(JoulecastError):
-    """A domain invariant is violated."""
-
-
-class UnknownPresetError(JoulecastError):
-    """Requested architecture preset does not exist."""
+    """A domain invariant is violated: a value out of range, too few or mixed
+    records, a missing layer kind, or a non-finite or mismatched input."""
 
 
 class MacOverflowError(JoulecastError):
     """MAC count exceeds the 64-bit budget."""
-
-
-class RetryExhaustedError(JoulecastError):
-    """Rejection sampling failed to produce a valid configuration."""
-
-
-class TooFewRecordsError(JoulecastError):
-    """Not enough records to split or cross-validate."""
-
-
-class KindMismatchError(JoulecastError):
-    """Records of different layer kinds were mixed where one kind is required."""
-
-
-class MissingKindError(JoulecastError):
-    """No trained predictor (or no records) for a required layer kind."""
-
-
-class DegreeOutOfRangeError(JoulecastError):
-    """Polynomial degree outside the supported range."""
-
-
-class EmptyRecordsError(JoulecastError):
-    """An operation requiring records received none."""
-
-
-class ColumnMismatchError(JoulecastError):
-    """Design matrix columns do not match the fitted model."""
-
-
-class NonFiniteError(JoulecastError):
-    """NaN or Inf encountered where finite values are required."""
-
-
-class RaplUnavailableError(JoulecastError):
-    """No readable RAPL powercap interface on this host."""
-
-
-class AllRepeatsFailedError(JoulecastError):
-    """Every measurement repeat failed; no usable energy reading."""
-
-
-class ConcurrentMeasurementError(JoulecastError):
-    """A second measurement was started while one is already running."""
 
 
 class ConsistencyWarning(UserWarning):

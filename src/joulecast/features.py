@@ -32,11 +32,7 @@ from .arch import KIND_SPECS, LayerConfig, LayerKind
 from .dataset import MeasurementRecord, config_key
 from .errors import (
     ConstantColumnWarning,
-    DegreeOutOfRangeError,
-    EmptyRecordsError,
-    KindMismatchError,
-    NonFiniteError,
-    SchemaError,
+    ParseError,
     ValidationError,
 )
 
@@ -96,7 +92,7 @@ class PolynomialSpec:
 
     def __post_init__(self):
         if not 1 <= self.degree <= 4:
-            raise DegreeOutOfRangeError(f"polynomial degree {self.degree} outside [1, 4]")
+            raise ValidationError(f"polynomial degree {self.degree} outside [1, 4]")
 
     @property
     def label(self) -> str:
@@ -168,14 +164,14 @@ class KindMatrix:
     @classmethod
     def build(cls, records: list[MeasurementRecord]) -> "KindMatrix":
         if not records:
-            raise EmptyRecordsError("no records to build a design matrix from")
+            raise ValidationError("no records to build a design matrix from")
         kinds = {r.module for r in records}
         if len(kinds) > 1:
-            raise KindMismatchError(f"records mix layer kinds {sorted(k.value for k in kinds)}")
+            raise ValidationError(f"records mix layer kinds {sorted(k.value for k in kinds)}")
         raw = np.array([raw_feature_row(r.config, r.macs) for r in records], dtype=float)
         energy = np.array([r.cpu_energy_j for r in records], dtype=float)
         if not (np.isfinite(raw).all() and np.isfinite(energy).all()):
-            raise NonFiniteError("records hold a non-finite MAC count or energy")
+            raise ValidationError("records hold a non-finite MAC count or energy")
         return cls(kinds.pop(), raw, energy, tuple(config_key(r.config) for r in records))
 
 
@@ -274,7 +270,7 @@ class FeatureMap:
         columns with a warning.
         """
         if not len(rows):
-            raise EmptyRecordsError("no records to build a design matrix from")
+            raise ValidationError("no records to build a design matrix from")
         recipe = _recipe(matrix.kind, feature_set, poly)
         names = recipe.names
         X = _expand(matrix.raw[rows], recipe.index)
@@ -307,11 +303,11 @@ class FeatureMap:
         """The design ``(X, y)`` of held-out ``rows`` of ``matrix``, through
         the frozen scalers."""
         if matrix.kind is not self.kind:
-            raise KindMismatchError(
+            raise ValidationError(
                 f"feature map fitted on {self.kind.value}, records are {matrix.kind.value}"
             )
         if not len(rows):
-            raise EmptyRecordsError("no records to build a design matrix from")
+            raise ValidationError("no records to build a design matrix from")
         X = self._scale(_expand(matrix.raw[rows], self._recipe.index))
         return X, self._normalize(matrix.energy[rows])
 
@@ -323,7 +319,7 @@ class FeatureMap:
         self._check_kind(config)
         raw = raw_feature_row(config, macs)
         if not all(map(math.isfinite, raw)):
-            raise NonFiniteError("polynomial expansion requires finite inputs")
+            raise ValidationError("polynomial expansion requires finite inputs")
         raw.append(1.0)
         x = np.array(raw)
         index = self._row_index
@@ -337,7 +333,7 @@ class FeatureMap:
 
     def _check_kind(self, config: LayerConfig) -> None:
         if config.kind is not self.kind:
-            raise KindMismatchError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
+            raise ValidationError(f"feature map fitted on {self.kind.value}, config is {config.kind.value}")
 
     def joules(self, normalized):
         """Map a normalized prediction (a float, or an array of them) back to joules;
@@ -379,7 +375,7 @@ class FeatureMap:
         columns = tuple(data["columns"])
         recipe = (data["feature_scaler_kind"], columns, "minmax", (TARGET_COLUMN,))
         if (scaler["kind"], tuple(scaler["columns"]), target["kind"], tuple(target["columns"])) != recipe:
-            raise SchemaError("scaler entries disagree with the model's feature_scaler_kind and columns")
+            raise ParseError("scaler entries disagree with the model's feature_scaler_kind and columns")
         (lo,), (hi,) = target["minimum"], target["maximum"]
         return cls(
             kind=LayerKind(data["layer_kind"]),

@@ -6,7 +6,6 @@ counting conventions; every count is checked here against the 64-bit budget.
 from __future__ import annotations
 
 from .arch import (
-    KIND_SPECS,
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
@@ -14,8 +13,9 @@ from .arch import (
     extract_predictable_layers,
     propagate_shape,
     standalone_input_shape,
+    standalone_spec,
 )
-from .errors import JoulecastError, MacOverflowError, ValidationError
+from .errors import JoulecastError, MacOverflowError
 
 INT64_MAX = 2**63 - 1
 
@@ -30,9 +30,7 @@ def layer_macs(resolved: ResolvedLayer, include_bias: bool = True, batch: int | 
     """MAC count of one resolved layer within an architecture, at ``batch``
     (by default the batch of its shapes)."""
     config = resolved.config
-    rule = KIND_SPECS[config.kind].macs
-    if rule is None:
-        raise ValidationError(f"{config.kind.value} has no MAC count")
+    rule = standalone_spec(config.kind).macs
     in_shape = resolved.input_shape
     return _checked(
         rule(config, in_shape, resolved.output_shape, in_shape.batch if batch is None else batch, include_bias)

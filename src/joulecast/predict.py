@@ -44,11 +44,7 @@ from .dataset import (
 )
 from .errors import (
     AggregationWarning,
-    ColumnMismatchError,
-    EmptyRecordsError,
-    MissingKindError,
     ParseError,
-    SchemaError,
     ShapeError,
     SingularityWarning,
     ValidationError,
@@ -134,7 +130,7 @@ class PredictorModel:
     def __post_init__(self):
         features, model = self.features, self.model
         if len(model.coefficients) != len(features.columns):
-            raise ColumnMismatchError(
+            raise ValidationError(
                 f"model has {len(model.coefficients)} coefficients, features have {len(features.columns)} columns"
             )
         # columns == ("macs",) is a MAC_ONLY row with no further monomial, and
@@ -199,7 +195,7 @@ class PredictorModel:
             lam=float(fitted["lambda"]),
         )
         if len(model.coefficients) != len(features.columns):
-            raise SchemaError(
+            raise ParseError(
                 f"{len(model.coefficients)} coefficients for {len(features.columns)} columns"
             )
         cv = data["metrics"]["cv"]
@@ -221,7 +217,7 @@ class PredictorBundle:
         try:
             return self.models[kind]
         except KeyError:
-            raise MissingKindError(f"bundle has no predictor for {kind.value}") from None
+            raise ValidationError(f"bundle has no predictor for {kind.value}") from None
 
     def to_json(self) -> str:
         doc = {
@@ -248,13 +244,13 @@ class PredictorBundle:
             for key, value in doc["models"].items():
                 model = PredictorModel.from_dict(value)
                 if model.features.kind.value != key:
-                    raise SchemaError(f"model under {key!r} is for {model.features.kind.value}")
+                    raise ParseError(f"model under {key!r} is for {model.features.kind.value}")
                 models[model.features.kind] = model
             return cls(models=models, metadata=doc.get("metadata", {}))
         except KeyError as exc:
-            raise SchemaError(f"bundle is missing key {exc}") from None
+            raise ParseError(f"bundle is missing key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed bundle: {exc}") from None
+            raise ParseError(f"malformed bundle: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "PredictorBundle":
@@ -301,7 +297,7 @@ def _kind_matrix(records: list[MeasurementRecord], kind: LayerKind) -> KindMatri
     """The raw matrix of ``kind``'s records, in record order."""
     subset = [r for r in records if r.module is kind]
     if not subset:
-        raise MissingKindError(f"no records for layer kind {kind.value}")
+        raise ValidationError(f"no records for layer kind {kind.value}")
     return KindMatrix.build(subset)
 
 
@@ -541,7 +537,7 @@ SUM_MISMATCH_TOLERANCE = 0.05
 def evaluate_on_real(bundle: PredictorBundle, records: list[ModelWiseRecord]) -> RealEvaluation:
     """Compare per-layer and summed predictions to measured architecture data."""
     if not records:
-        raise EmptyRecordsError("no model-wise records to evaluate")
+        raise ValidationError("no model-wise records to evaluate")
     layer_points: list[LayerPoint] = []
     total_points: list[TotalPoint] = []
     for record in records:
@@ -617,7 +613,7 @@ def run_feature_set_experiment(
     activations are excluded."""
     if kind not in EXPERIMENT_TABLE:
         covered = "/".join(k.value for k in EXPERIMENT_TABLE)
-        raise MissingKindError(f"feature-set experiment covers {covered}, not {kind.value}")
+        raise ValidationError(f"feature-set experiment covers {covered}, not {kind.value}")
     matrix = _kind_matrix(records, kind)
     return [train_on_matrix(matrix, spec, seed, cv_folds) for spec in EXPERIMENT_TABLE[kind]]
 

@@ -48,9 +48,7 @@ from .arch import (
     standalone_input_shape,
 )
 from .errors import (
-    AllRepeatsFailedError,
-    ConcurrentMeasurementError,
-    RaplUnavailableError,
+    JoulecastError,
     ShapeError,
     ValidationError,
 )
@@ -175,32 +173,19 @@ def adaptive_avg_pool_forward(x: np.ndarray, output_size: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """One kind's forward pass ``(config, x, weights) -> y`` and, for weighted
-    kinds, its weight tensor shape (the bias has one entry per output)."""
-
-    forward: Callable[[LayerConfig, np.ndarray, dict], np.ndarray]
-    weight_shape: Callable[[LayerConfig], tuple[int, ...]] | None = None
-
-
-_KERNELS: dict[LayerKind, _Kernel] = {
-    LayerKind.CONV2D: _Kernel(
-        lambda c, x, w: conv2d_forward(x, w["weight"], w["bias"], c.stride, c.padding),
-        lambda c: (c.out_channels, c.in_channels, c.kernel_size, c.kernel_size),
-    ),
-    LayerKind.MAXPOOL2D: _Kernel(lambda c, x, w: maxpool2d_forward(x, c.kernel_size, c.stride, c.padding)),
-    LayerKind.LINEAR: _Kernel(
-        lambda c, x, w: linear_forward(x, w["weight"], w["bias"]),
-        lambda c: (c.out_channels, c.in_channels),
-    ),
-    LayerKind.RELU: _Kernel(lambda c, x, w: relu_forward(x)),
-    LayerKind.SIGMOID: _Kernel(lambda c, x, w: sigmoid_forward(x)),
-    LayerKind.TANH: _Kernel(lambda c, x, w: tanh_forward(x)),
-    LayerKind.SOFTMAX: _Kernel(lambda c, x, w: softmax_forward(x)),
-    LayerKind.ADAPTIVE_AVG_POOL: _Kernel(lambda c, x, w: adaptive_avg_pool_forward(x, c.output_size)),
-    LayerKind.DROPOUT: _Kernel(lambda c, x, w: x),  # identity at inference
-    LayerKind.FLATTEN: _Kernel(lambda c, x, w: x.reshape(x.shape[0], -1)),
+#: each kind's forward pass ``(config, x, weights) -> y``; a weighted kind's
+#: weight shape is on its ``KIND_SPECS`` row
+_KERNELS: dict[LayerKind, Callable[[LayerConfig, np.ndarray, dict], np.ndarray]] = {
+    LayerKind.CONV2D: lambda c, x, w: conv2d_forward(x, w["weight"], w["bias"], c.stride, c.padding),
+    LayerKind.MAXPOOL2D: lambda c, x, w: maxpool2d_forward(x, c.kernel_size, c.stride, c.padding),
+    LayerKind.LINEAR: lambda c, x, w: linear_forward(x, w["weight"], w["bias"]),
+    LayerKind.RELU: lambda c, x, w: relu_forward(x),
+    LayerKind.SIGMOID: lambda c, x, w: sigmoid_forward(x),
+    LayerKind.TANH: lambda c, x, w: tanh_forward(x),
+    LayerKind.SOFTMAX: lambda c, x, w: softmax_forward(x),
+    LayerKind.ADAPTIVE_AVG_POOL: lambda c, x, w: adaptive_avg_pool_forward(x, c.output_size),
+    LayerKind.DROPOUT: lambda c, x, w: x,  # identity at inference
+    LayerKind.FLATTEN: lambda c, x, w: x.reshape(x.shape[0], -1),
 }
 
 
@@ -306,7 +291,7 @@ def init_weights(config: LayerConfig, seed: int = 0) -> dict[str, np.ndarray]:
     measurement, it is drawn on the calling thread alone. No thread outlives
     the call.
     """
-    weight_shape = _KERNELS[config.kind].weight_shape
+    weight_shape = KIND_SPECS[config.kind].weight_shape
     if weight_shape is None:
         return {}
     shape = weight_shape(config)
@@ -318,20 +303,24 @@ def init_weights(config: LayerConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return {"weight": weight, "bias": bias}
 
 
+def standalone_array_shape(config: LayerConfig) -> tuple[int, ...]:
+    """The array shape of a standalone config's input (``standalone_input_shape``):
+    NCHW for a spatial kind, (batch, in_channels) for a flat one."""
+    shape = standalone_input_shape(config)
+    dims = (shape.batch, shape.channels, shape.height, shape.width)
+    return dims if KIND_SPECS[config.kind].spatial else dims[:2]
+
+
 def forward_workload(config: LayerConfig, x: np.ndarray, weights: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """One forward pass through a standalone module: NCHW input for spatial
-    kinds, (batch, in_channels) for flat ones; the weights are ``init_weights``
-    of seed 0 unless given."""
-    spec = KIND_SPECS[config.kind]
-    if not spec.predictable:
-        raise ValidationError(f"{config.kind.value} has no standalone workload")
-    if spec.spatial and x.ndim != 4:
-        raise ShapeError(f"{config.kind.value} expects a 4-d input, got {x.ndim}-d")
-    if not spec.spatial and (x.ndim != 2 or x.shape[1] != config.in_channels):
-        raise ShapeError(f"{config.kind.value} expects (batch, {config.in_channels}), got {x.shape}")
+    """One forward pass through a standalone module, whose input ``x`` has
+    the shape ``standalone_array_shape`` gives; the weights are
+    ``init_weights`` of seed 0 unless given."""
+    shape = standalone_array_shape(config)
+    if x.shape != shape:
+        raise ShapeError(f"{config.kind.value} expects an input of shape {shape}, got {x.shape}")
     if weights is None:
         weights = init_weights(config, 0)
-    return _KERNELS[config.kind].forward(config, x, weights)
+    return _KERNELS[config.kind](config, x, weights)
 
 
 def make_workload(config: LayerConfig, seed: int = 0):
@@ -342,15 +331,10 @@ def make_workload(config: LayerConfig, seed: int = 0):
     The input is uniform on +-1, drawn as the weights are (``_draw_uniform``,
     on every CPU in the affinity) from a stream of its own, the entropy
     ``[seed, 1]``, so it is independent of the weights of ``seed``."""
-    spec = KIND_SPECS[config.kind]
-    if not spec.predictable:
-        raise ValidationError(f"{config.kind.value} has no standalone workload")
-    shape = standalone_input_shape(config)
-    dims = (shape.batch, shape.channels, shape.height, shape.width)
-    x = np.empty(dims if spec.spatial else dims[:2], dtype=WORKLOAD_DTYPE)
+    x = np.empty(standalone_array_shape(config), dtype=WORKLOAD_DTYPE)
     _draw_uniform(x.reshape(-1), [seed, 1], 1.0)
     weights = init_weights(config, seed)
-    forward = _KERNELS[config.kind].forward
+    forward = _KERNELS[config.kind]
 
     def run():
         return forward(config, x, weights)
@@ -365,7 +349,7 @@ def make_architecture_workload(arch: ArchitectureSpec, batch_size: int, seed: in
     shape = spec.input_shape
     x0 = rng.standard_normal((shape.batch, shape.channels, shape.height, shape.width), dtype=WORKLOAD_DTYPE)
     steps = [
-        (_KERNELS[layer.kind].forward, layer, init_weights(layer, seed + i))
+        (_KERNELS[layer.kind], layer, init_weights(layer, seed + i))
         for i, layer in enumerate(spec.layers)
     ]
 
@@ -439,14 +423,14 @@ class RaplMachine:
     def __init__(self):
         self.domains = discover_rapl_domains()
         if not self.domains:
-            raise RaplUnavailableError(
+            raise JoulecastError(
                 f"no readable RAPL package domains under {powercap_root()} "
                 "(missing powercap support or insufficient permissions)"
             )
         try:
             self.read_uj()
         except CounterReadError as exc:
-            raise RaplUnavailableError(f"RAPL counters not readable: {exc}") from exc
+            raise JoulecastError(f"RAPL counters not readable: {exc}") from exc
         if hasattr(os, "getloadavg"):
             load = os.getloadavg()[0]
             cpus = os.cpu_count() or 1
@@ -639,7 +623,7 @@ def measure_config(
     if window_seconds <= 0 or repeats < 1:
         raise ValidationError("window_seconds must be positive and repeats >= 1")
     if not _measure_lock.acquire(blocking=False):
-        raise ConcurrentMeasurementError("another measurement is already running in this process")
+        raise JoulecastError("another measurement is already running in this process")
     saved_affinity = None
     try:
         if pin_to_cpu is not None:
@@ -671,7 +655,7 @@ def measure_config(
             )
         if not results:
             what = config.kind.value if isinstance(config, LayerConfig) else "architecture workload"
-            raise AllRepeatsFailedError(f"all {repeats} repeats failed for {what}")
+            raise JoulecastError(f"all {repeats} repeats failed for {what}")
         return ProbeResult(
             config=config,
             window_seconds=window_seconds,

@@ -21,8 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ColumnMismatchError,
-    NonFiniteError,
     NotConvergedWarning,
     SingularityWarning,
     ValidationError,
@@ -47,7 +45,7 @@ class LinearModel:
         X = np.asarray(X, dtype=float)
         beta = self.beta
         if X.shape[1] != len(beta):
-            raise ColumnMismatchError(
+            raise ValidationError(
                 f"model has {len(beta)} coefficients, matrix has {X.shape[1]} columns"
             )
         return X @ beta + self.intercept
@@ -64,7 +62,7 @@ def _check_finite(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteError("regression inputs contain NaN/Inf")
+        raise ValidationError("regression inputs contain NaN/Inf")
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValidationError(f"incompatible shapes X{X.shape}, y{y.shape}")
     return X, y

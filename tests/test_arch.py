@@ -18,15 +18,18 @@ from joulecast.arch import (
     ArchitectureSpec,
     LayerConfig,
     LayerKind,
+    ResolvedLayer,
     TensorShape,
     as_standalone_config,
     extract_predictable_layers,
     load_architecture,
     propagate_shape,
 )
-from joulecast.errors import ParseError, ShapeError, UnknownPresetError, ValidationError
+from joulecast.dataset import sample_config
+from joulecast.errors import ParseError, ShapeError, ValidationError
+from joulecast.macs import layer_macs
 from joulecast.predict import DEFAULT_MODEL_SPECS
-from joulecast.probe import _KERNELS
+from joulecast.probe import _KERNELS, forward_workload, make_workload
 
 
 def conv_cfg(side=None, k=3, p=1, s=1, c_in=3, c_out=64, batch=None):
@@ -445,6 +448,10 @@ class TestResolution:
         assert arch.output_shape == TensorShape(1, 1000, 1, 1)
 
 
+#: the refusal of a name that is no preset, file or JSON text
+UNKNOWN_PRESET = "'resnet50' is not a preset (alexnet, vgg11, vgg13, vgg16), an existing file, or JSON text"
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", ["alexnet", "vgg11", "vgg13", "vgg16"])
     def test_propagates_to_1000_classes(self, name):
@@ -477,7 +484,7 @@ class TestPresets:
         assert again == arch
 
     def test_unknown_preset(self):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(UNKNOWN_PRESET)}$"):
             load_architecture("resnet50")
 
 
@@ -612,7 +619,7 @@ class TestLoadJson:
         assert looked_up == []
         assert load_architecture(path) == load_architecture("alexnet")
         assert looked_up == [str(path)]
-        with pytest.raises(UnknownPresetError) as info:
+        with pytest.raises(ValidationError, match=f"^{re.escape(UNKNOWN_PRESET)}$") as info:
             load_architecture("resnet50")
         assert str(info.value) == (
             "'resnet50' is not a preset (alexnet, vgg11, vgg13, vgg16), an existing file, or JSON text"
@@ -683,3 +690,21 @@ class TestKindTable:
     def test_structural_kinds_are_not_measurable(self, layer):
         with pytest.raises(ValidationError):
             as_standalone_config(layer, TensorShape(1, 3, 4, 4))
+
+
+DROPOUT = LayerConfig(kind=LayerKind.DROPOUT)
+DROPOUT_SHAPE = TensorShape(2, 3, 4, 4)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: sample_config(LayerKind.DROPOUT, 0),
+    DROPOUT.require_standalone,
+    lambda: as_standalone_config(DROPOUT, DROPOUT_SHAPE),
+    lambda: forward_workload(DROPOUT, np.zeros((2, 48), dtype=np.float32)),
+    lambda: make_workload(DROPOUT),
+    lambda: layer_macs(ResolvedLayer(0, DROPOUT, DROPOUT_SHAPE, DROPOUT_SHAPE)),
+], ids=["sample_config", "require_standalone", "as_standalone_config", "forward_workload", "make_workload",
+        "layer_macs"])
+def test_a_kind_with_no_standalone_form_has_one_refusal(refuse):
+    with pytest.raises(ValidationError, match="^Dropout is not individually measurable$"):
+        refuse()

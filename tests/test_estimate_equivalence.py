@@ -22,7 +22,7 @@ from joulecast.arch import (
     extract_predictable_layers,
     load_architecture,
 )
-from joulecast.errors import MacOverflowError, MissingKindError, ValidationError
+from joulecast.errors import MacOverflowError, ValidationError
 from joulecast.macs import architecture_macs, layer_macs
 from joulecast.predict import PredictorBundle, PredictorModel, estimate
 from perfbench.archgen import random_architecture
@@ -217,7 +217,7 @@ class TestErrorOrder:
     def test_overflow_before_missing_predictor(self, bundle):
         # layer 0 is a ReLU the bundle has no predictor for, layer 1 is past the budget
         no_relu = PredictorBundle({k: m for k, m in bundle.models.items() if k is not LayerKind.RELU}, {})
-        with pytest.raises(MissingKindError, match="ReLU"):
+        with pytest.raises(ValidationError, match="^bundle has no predictor for ReLU$"):
             estimate(no_relu, _flat_net(8, [LayerConfig(kind=LayerKind.RELU)]), 1)
         with pytest.raises(MacOverflowError) as info:
             estimate(no_relu, TestMacBudget.PER_LAYER, 1)

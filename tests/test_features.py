@@ -11,10 +11,6 @@ from joulecast.arch import KIND_SPECS, LayerConfig, LayerKind
 from joulecast.dataset import MeasurementRecord, group_kfold_indices, sample_config, split_indices
 from joulecast.errors import (
     ConstantColumnWarning,
-    DegreeOutOfRangeError,
-    EmptyRecordsError,
-    KindMismatchError,
-    NonFiniteError,
     ValidationError,
 )
 from joulecast.features import (
@@ -126,9 +122,9 @@ class TestPolynomial:
         assert expanded(X, None) is not None
 
     def test_degree_out_of_range(self):
-        with pytest.raises(DegreeOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"^polynomial degree 5 outside \[1, 4\]$"):
             PolynomialSpec(5)
-        with pytest.raises(DegreeOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"^polynomial degree 0 outside \[1, 4\]$"):
             PolynomialSpec(0)
 
     @pytest.mark.parametrize("interaction_only", [True, False])
@@ -241,19 +237,19 @@ class TestFeatureAssembly:
 
 class TestBuildDesign:
     def test_empty_and_mixed_records(self):
-        with pytest.raises(EmptyRecordsError):
+        with pytest.raises(ValidationError, match="^no records to build a design matrix from$"):
             KindMatrix.build([])
         matrix = KindMatrix.build(records_for(LayerKind.CONV2D, 5))
-        with pytest.raises(EmptyRecordsError):
+        with pytest.raises(ValidationError, match="^no records to build a design matrix from$"):
             FeatureMap.fit_rows(matrix, [], FeatureSetKind.PARAMETER, None, "none")
         mixed = records_for(LayerKind.CONV2D, 2) + records_for(LayerKind.LINEAR, 2)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValidationError, match=r"^records mix layer kinds \['Conv2d', 'Linear'\]$"):
             KindMatrix.build(mixed)
         features, _, _ = FeatureMap.fit_rows(matrix, np.arange(5), FeatureSetKind.PARAMETER, None, "none")
         linear = records_for(LayerKind.LINEAR, 2)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValidationError, match="^feature map fitted on Conv2d, records are Linear$"):
             features.design_rows(KindMatrix.build(linear), [0, 1])
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValidationError, match="^feature map fitted on Conv2d, config is Linear$"):
             features.row(linear[0].config, linear[0].macs)
 
     def test_deterministic(self):
@@ -375,7 +371,7 @@ class TestKindMatrixOracle:
         for feature_set in (FeatureSetKind.MAC_ONLY, FeatureSetKind.PARAMETER):
             features, _, _ = fit_map(records, feature_set, None, "none")
             for macs in (math.inf, math.nan):
-                with pytest.raises(NonFiniteError, match="polynomial expansion requires finite inputs"):
+                with pytest.raises(ValidationError, match="polynomial expansion requires finite inputs"):
                     features.row(config, macs)
 
     def test_every_feature_set_is_a_column_selection(self):
@@ -391,7 +387,7 @@ class TestKindMatrixOracle:
 
     def test_design_rows_refuses_another_kind_and_no_rows(self):
         features, _, _ = fit_map(records_for(LayerKind.LINEAR, 8), FeatureSetKind.MAC_ONLY, None, "none")
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValidationError, match="^feature map fitted on Linear, records are Conv2d$"):
             features.design_rows(KindMatrix.build(records_for(LayerKind.CONV2D, 3)), [0])
-        with pytest.raises(EmptyRecordsError):
+        with pytest.raises(ValidationError, match="^no records to build a design matrix from$"):
             features.design_rows(KindMatrix.build(records_for(LayerKind.LINEAR, 3)), [])

@@ -28,13 +28,8 @@ from joulecast.arch import (
 from joulecast.dataset import MeasurementRecord, sample_config
 from joulecast.errors import (
     AggregationWarning,
-    ColumnMismatchError,
-    EmptyRecordsError,
-    KindMismatchError,
-    MissingKindError,
-    NonFiniteError,
     NotConvergedWarning,
-    SchemaError,
+    ParseError,
     ShapeError,
     SingularityWarning,
     ValidationError,
@@ -69,7 +64,7 @@ class TestTrainDefaultBundle:
 
     def test_missing_kind(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
-        with pytest.raises(MissingKindError):
+        with pytest.raises(ValidationError, match="^no records for layer kind MaxPool2d$"):
             train_default_bundle(conv_only, 0)
 
     def test_kind_subset(self, bundle_dataset):
@@ -214,13 +209,13 @@ def _set(doc: dict, path: str, value) -> None:
 
 @pytest.mark.parametrize("changes, error, message", [
     ({"format_version": 2}, ValidationError, "unsupported bundle format_version 2"),
-    ({"models/ReLU/model/coefficients": [1.0, 2.0]}, SchemaError, "{path}: 2 coefficients for 1 columns"),
-    ({"models/Tanh/layer_kind": "ReLU"}, SchemaError, "{path}: model under 'Tanh' is for ReLU"),
+    ({"models/ReLU/model/coefficients": [1.0, 2.0]}, ParseError, "{path}: 2 coefficients for 1 columns"),
+    ({"models/Tanh/layer_kind": "ReLU"}, ParseError, "{path}: model under 'Tanh' is for ReLU"),
     ({"models/ReLU/feature_scaler_kind": "minmax", "models/ReLU/feature_scaler/kind": "minmax"}, ValidationError,
      "unsupported feature scaler 'minmax'"),
-    ({"models/ReLU/feature_scaler/kind": "zscore"}, SchemaError,
+    ({"models/ReLU/feature_scaler/kind": "zscore"}, ParseError,
      "{path}: scaler entries disagree with the model's feature_scaler_kind and columns"),
-    ({"models/ReLU/target_scaler/columns": ["joules"]}, SchemaError,
+    ({"models/ReLU/target_scaler/columns": ["joules"]}, ParseError,
      "{path}: scaler entries disagree with the model's feature_scaler_kind and columns"),
 ])
 def test_bundle_refusals(tmp_path, changes, error, message):
@@ -260,7 +255,7 @@ class TestOneColumnPredictors:
 
     def test_keeps_the_kind_mismatch_error(self):
         predictor = PredictorBundle.load(DATA_DIR / "bundle_v1.json").model_for(LayerKind.CONV2D)
-        with pytest.raises(KindMismatchError) as info:
+        with pytest.raises(ValidationError, match="^feature map fitted on Conv2d, config is ReLU$") as info:
             predictor.predict_energy(sample_config(LayerKind.RELU, 0), 10)
         assert str(info.value) == "feature map fitted on Conv2d, config is ReLU"
 
@@ -309,7 +304,7 @@ class TestFusedRow:
 
     def test_coefficients_must_match_the_columns(self):
         features, _, _ = fit_map(synth_records(LayerKind.RELU, 8, seed=1), FeatureSetKind.PARAMETER, None, "none")
-        with pytest.raises(ColumnMismatchError, match="^model has 1 coefficients, features have 2 columns$"):
+        with pytest.raises(ValidationError, match="^model has 1 coefficients, features have 2 columns$"):
             PredictorModel(features, LinearModel((1.0,), 0.0), EvalMetrics(0.0, 0.0, 0.0), EvalMetrics(0.0, 0.0, 0.0))
 
 
@@ -345,7 +340,7 @@ class TestEstimate:
     def test_missing_kind_rejected(self, bundle_dataset):
         conv_only = [r for r in bundle_dataset if r.module is LayerKind.CONV2D]
         bundle = train_default_bundle(conv_only, 0, kinds=(LayerKind.CONV2D,))
-        with pytest.raises(MissingKindError):
+        with pytest.raises(ValidationError, match="^bundle has no predictor for ReLU$"):
             estimate(bundle, load_architecture("vgg11"), 1)
 
     def test_negative_predictions_clamped_and_flagged(self):
@@ -395,7 +390,7 @@ class TestEvaluateOnReal:
         assert not [c for c in caught if c.category is AggregationWarning]
 
     def test_empty_records(self, trained_bundle):
-        with pytest.raises(EmptyRecordsError, match="^no model-wise records to evaluate$"):
+        with pytest.raises(ValidationError, match="^no model-wise records to evaluate$"):
             evaluate_on_real(trained_bundle, [])
 
     def test_scatter_points_cover_layers(self, trained_bundle):
@@ -421,12 +416,13 @@ class TestFeatureSetExperiment:
         ]
 
     def test_activations_rejected(self, bundle_dataset):
-        with pytest.raises(MissingKindError):
+        with pytest.raises(ValidationError, match="^feature-set experiment covers Conv2d/MaxPool2d/Linear, not Sigmoid$"):
             run_feature_set_experiment(bundle_dataset, LayerKind.SIGMOID, 0)
 
     @pytest.mark.parametrize("kind", [LayerKind.RELU, LayerKind.SIGMOID, LayerKind.TANH, LayerKind.SOFTMAX])
     def test_activation_error_names_the_covered_kinds(self, kind):
-        with pytest.raises(MissingKindError) as info:
+        covers = f"^feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}$"
+        with pytest.raises(ValidationError, match=covers) as info:
             run_feature_set_experiment([], kind, 0)
         assert str(info.value) == f"feature-set experiment covers Conv2d/MaxPool2d/Linear, not {kind.value}"
 
@@ -479,7 +475,7 @@ def test_non_finite_energy_is_refused_where_records_become_arrays(energy):
         lambda: train_default_bundle(records, 0, kinds=(LayerKind.LINEAR,)),
     ]
     for call in calls:
-        with pytest.raises(NonFiniteError, match="^records hold a non-finite MAC count or energy$") as info:
+        with pytest.raises(ValidationError, match="^records hold a non-finite MAC count or energy$") as info:
             call()
         assert info.traceback[-1].name == "build"
 

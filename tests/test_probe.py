@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -13,19 +14,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from joulecast import probe
 from joulecast.arch import (
-    KIND_SPECS,
     PREDICTABLE_KINDS,
     LayerConfig,
     LayerKind,
     conv_output_side,
     load_architecture,
-    standalone_input_shape,
 )
 from joulecast.macs import standalone_macs
 from joulecast.errors import (
-    AllRepeatsFailedError,
-    ConcurrentMeasurementError,
-    RaplUnavailableError,
+    JoulecastError,
     ShapeError,
     ValidationError,
 )
@@ -420,7 +417,7 @@ class TestMeasureConfig:
     def test_all_repeats_failed(self):
         machine = ScriptedMachine(["fail", "fail"], step=0.03)
         with pytest.warns(UserWarning):
-            with pytest.raises(AllRepeatsFailedError):
+            with pytest.raises(JoulecastError, match="^all 2 repeats failed for ReLU$"):
                 measure_config(self.cfg(), 50_000, window_seconds=30.0, repeats=2, machine=machine)
 
     def test_wraparound_inside_window(self):
@@ -437,7 +434,7 @@ class TestMeasureConfig:
     def test_concurrent_measurement_refused(self):
         assert probe._measure_lock.acquire(blocking=False)
         try:
-            with pytest.raises(ConcurrentMeasurementError):
+            with pytest.raises(JoulecastError, match="^another measurement is already running in this process$"):
                 measure_config(self.cfg(), 50_000, window_seconds=1.0, repeats=1,
                                machine=ScriptedMachine([0, 1]))
         finally:
@@ -694,8 +691,7 @@ class TestWorkloadDtype:
     @pytest.mark.parametrize("kind", PREDICTABLE_KINDS, ids=lambda k: k.value)
     def test_float32_kernel_stays_float32_and_matches_float64(self, kind):
         cfg = _SMALL_CONFIGS[kind]
-        s = standalone_input_shape(cfg)
-        dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
+        dims = probe.standalone_array_shape(cfg)
         x = np.random.default_rng(4).standard_normal(dims, dtype=np.float32)
         weights = probe.init_weights(cfg, seed=4)
         out64 = forward_workload(cfg, x.astype(np.float64), {k: w.astype(np.float64) for k, w in weights.items()})
@@ -716,8 +712,7 @@ def test_make_workload_equals_forward_workload(kind):
     # the input and the weights ``make_workload`` draws from its seed: the
     # input uniform on +-1 from the entropy [seed, 1]
     cfg = _SMALL_CONFIGS[kind]
-    s = standalone_input_shape(cfg)
-    dims = (s.batch, s.channels, s.height, s.width) if KIND_SPECS[kind].spatial else (s.batch, s.channels)
+    dims = probe.standalone_array_shape(cfg)
     x = np.random.default_rng([6, 1]).random(dims, dtype=probe.WORKLOAD_DTYPE)
     x *= 2.0
     x -= 1.0
@@ -727,8 +722,20 @@ def test_make_workload_equals_forward_workload(kind):
     assert out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind, shape, expected", [
+    (LayerKind.MAXPOOL2D, (5, 4, 20, 20), (2, 2, 6, 6)),
+    (LayerKind.RELU, (9, 7), (2, 7)),
+    (LayerKind.CONV2D, (2, 2, 11, 11), (2, 2, 6, 6)),
+], ids=["MaxPool2d", "ReLU", "Conv2d"])
+def test_forward_workload_refuses_any_other_input_shape(kind, shape, expected):
+    # each kernel would run on such an input, returning an output propagate_shape does not give
+    refusal = f"{kind.value} expects an input of shape {expected}, got {shape}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(refusal)}$"):
+        forward_workload(_SMALL_CONFIGS[kind], np.zeros(shape, dtype=probe.WORKLOAD_DTYPE))
+
+
 def test_make_workload_refuses_a_kind_with_no_standalone_workload():
-    with pytest.raises(ValidationError, match="^Dropout has no standalone workload$"):
+    with pytest.raises(ValidationError, match="^Dropout is not individually measurable$"):
         probe.make_workload(LayerConfig(kind=LayerKind.DROPOUT))
 
 
@@ -986,7 +993,9 @@ class TestRaplDiscovery:
 
     def test_unavailable_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path / "nothing"))
-        with pytest.raises(RaplUnavailableError):
+        unavailable = (f"no readable RAPL package domains under {tmp_path / 'nothing'} "
+                       "(missing powercap support or insufficient permissions)")
+        with pytest.raises(JoulecastError, match=f"^{re.escape(unavailable)}$"):
             probe.RaplMachine()
 
     @pytest.mark.parametrize("files, cause, message", [
@@ -1018,10 +1027,11 @@ class TestRaplDiscovery:
         for name, text in files.items():
             (domain / name).write_bytes(text.encode("utf-8"))
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(tmp_path))
-        with pytest.raises(RaplUnavailableError) as info:
+        expected = message.format(root=tmp_path, counter=domain / "energy_uj")
+        with pytest.raises(JoulecastError, match=f"^{re.escape(expected)}$") as info:
             probe.RaplMachine()
-        assert type(info.value) is RaplUnavailableError
-        assert str(info.value) == message.format(root=tmp_path, counter=domain / "energy_uj")
+        assert type(info.value) is JoulecastError
+        assert str(info.value) == expected
         assert type(info.value.__cause__) is (type(None) if cause is None else cause)
 
     def test_machine_reads(self, tmp_path, monkeypatch):

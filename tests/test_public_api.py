@@ -24,7 +24,15 @@ every parameter it could reach.
 
 Every public method or property of a class in ``src/joulecast`` is read
 outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``, matched by
-attribute name alone: one only tests read belongs in the tests."""
+attribute name alone: one only tests read belongs in the tests.
+
+Every exception class in ``errors`` but the base ``JoulecastError`` is named
+in an ``except`` in ``src/``, ``perfbench/`` or ``scripts/``: a class no
+caller tells apart from another belongs in the class its callers catch.
+
+Only ``arch`` reads ``KindSpec.predictable``: every other module finds a
+kind's standalone form through ``arch.standalone_spec``, which refuses the
+other kinds in one wording, or through ``PREDICTABLE_KINDS``."""
 import ast
 from pathlib import Path
 
@@ -214,3 +222,35 @@ def test_every_public_method_is_read_outside_the_tests():
         and not node.name.startswith("_") and node.name not in read
     ]
     assert unread == [], f"methods only the tests read (move each to the tests): {unread}"
+
+
+def _outside_the_tests():
+    """The parsed Python files of ``src/``, ``perfbench/`` and ``scripts/``, with their paths."""
+    for path in sorted(p for directory in ("src", "perfbench", "scripts") for p in (ROOT / directory).rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_error_class_is_caught_outside_the_tests():
+    classes = {"JoulecastError"}
+    for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body:  # a base comes first
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in classes for b in node.bases):
+            classes.add(node.name)
+    caught = set()
+    for _, tree in _outside_the_tests():
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught |= {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                caught |= {n.attr for n in ast.walk(handler.type) if isinstance(n, ast.Attribute)}
+    uncaught = sorted(classes - caught - {"JoulecastError"})
+    assert uncaught == [], f"error classes no except names (fold each into one its callers catch): {uncaught}"
+
+
+def test_only_arch_reads_whether_a_kind_is_predictable():
+    readers = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _outside_the_tests()
+        if path != PACKAGE / "arch.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "predictable" and isinstance(node.ctx, ast.Load)
+    ]
+    assert readers == [], f"read arch.standalone_spec or PREDICTABLE_KINDS instead: {readers}"
