@@ -3,12 +3,13 @@
 The workloads are NumPy float32 kernels (``WORKLOAD_DTYPE``, PyTorch's default
 dtype), with every input and weight drawn directly in that dtype, in bulk from
 the raw output of the seed's PCG64 stream and with the bytes of
-``Generator.random``. A large weight, or a standalone workload's input, is
-drawn in pieces on every CPU in the process's affinity, each piece from its
-stream jumped ahead to its start, so its bytes are those of one sequential
-draw. Under a one-CPU affinity, as in a ``pin_to_cpu`` measurement, whose
-machine builds the workload while pinned, it is drawn on the calling thread,
-and no drawing thread outlives the draw.
+``Generator.random``. A layer's weight and bias are one draw into one buffer.
+A large buffer, or a standalone workload's input, is drawn in pieces on every
+CPU in the process's affinity, each piece from its stream jumped ahead to its
+start, so its bytes are those of one sequential draw. Under a one-CPU
+affinity, as in a ``pin_to_cpu`` measurement, whose machine builds the
+workload while pinned, it is drawn on the calling thread, and no drawing
+thread outlives the draw.
 
 The protocol per configuration: the measured host, a machine, runs as many
 forward passes as fit in a fixed window and meters that window, reading its
@@ -189,10 +190,10 @@ _KERNELS: dict[LayerKind, Callable[[LayerConfig, np.ndarray, dict], np.ndarray]]
 }
 
 
-#: weight arrays with fewer elements than this are drawn on the calling thread
+#: weight-and-bias buffers or inputs with fewer elements than this are drawn on the calling thread
 _PARALLEL_ELEMENTS = 1 << 20
-#: elements drawn and scaled at a time, so that a block is scaled while still in cache
-_DRAW_BLOCK = 1 << 16
+#: raw 64-bit outputs (two floats each) converted at a time, so that a block is scaled while still in cache
+_DRAW_BLOCK = 1 << 15
 
 
 def _draw_workers() -> int:
@@ -201,52 +202,35 @@ def _draw_workers() -> int:
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _uniform_blocks(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
-    """Fill the flat float32 ``out`` from ``rng``, uniform on +-``scale``: the
-    values and the stream position of ``u = rng.random(out.size, np.float32);
-    u *= 2*scale; u -= scale``.
+def _uniform_blocks(bits: np.random.PCG64, out: np.ndarray, scale: float) -> None:
+    """Fill the flat float32 ``out`` from a fresh ``bits``, uniform on
+    +-``scale``: the values of ``u = Generator(bits).random(out.size,
+    np.float32); u *= 2*scale; u -= scale``.
 
-    A float32 takes half of one 64-bit PCG64 output, so the blocks are
-    converted in bulk from the bit generator's raw outputs, one call per two
-    floats: ``(half >> 8) * 2**-24`` for the low and then the high 32-bit half
-    of each output, as ``next_uint32`` and ``Generator.random`` take them. A
-    high half the generator holds buffered (``has_uint32``) is drawn first, and
-    an unused one is left buffered.
+    A float32 takes half of one 64-bit PCG64 output, so each block of
+    ``_DRAW_BLOCK`` outputs is converted in bulk from the bit generator's raw
+    outputs: ``(half >> 8) * 2**-24`` for the low and then the high 32-bit
+    half of each output, as ``next_uint32`` and ``Generator.random`` take them.
     """
-    bits = rng.bit_generator
-    state = bits.state
-    has, spare = state["has_uint32"], state["uinteger"]
-    for i in range(0, out.size, _DRAW_BLOCK):
-        block = out[i : i + _DRAW_BLOCK]
-        head = 0
-        if has:
-            block[0], head, has = spare >> 8, 1, 0
-        need = block.size - head
-        halves = bits.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")  # low half first
-        if halves.size:  # next_uint32 buffers each high half, used or not
-            has, spare = halves.size - need, int(halves[-1])
-        halves = halves[:need]
+    for i in range(0, out.size, 2 * _DRAW_BLOCK):
+        block = out[i : i + 2 * _DRAW_BLOCK]
+        raw = bits.random_raw(-(-block.size // 2)).astype("<u8", copy=False)
+        halves = raw.view("<u4")[: block.size]  # low half first
         halves >>= 8
-        block[head:] = halves.view("<i4")  # under 2**24: exact, and a faster cast than from unsigned
+        block[:] = halves.view("<i4")  # under 2**24: exact, and a faster cast than from unsigned
         block *= 2**-24 * 2 * scale  # one product: scaling by a power of two is exact
         block -= scale
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = has, spare
-    bits.state = state
 
 
-def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.random.Generator:
-    """Fill the flat ``out`` as ``_uniform_blocks(default_rng(seed), out, scale)``
-    does, split into one piece per CPU, and return a generator left where that
-    sequential draw leaves its stream. ``seed`` is any ``PCG64`` entropy.
+def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> None:
+    """Fill the flat ``out`` as ``_uniform_blocks(PCG64(seed), out, scale)``
+    does, split into one piece per CPU. ``seed`` is any ``PCG64`` entropy.
 
     Each piece starts at an even element: a float32 takes half of one 64-bit
-    PCG64 output, so a piece's generator is the seed's stream advanced by
+    PCG64 output, so a piece's bit generator is the seed's stream advanced by
     ``start // 2`` outputs. Helper threads draw every piece but the last,
-    which the calling thread draws; its generator then ends where the
-    sequential stream does, an odd tail's unused upper half still buffered.
-    All helpers are joined before this returns, and the first exception
-    raised in any piece is raised here.
+    which the calling thread draws. All helpers are joined before this
+    returns, and the first exception raised in any piece is raised here.
     """
     n = out.size
     workers = _draw_workers() if n >= _PARALLEL_ELEMENTS else 1
@@ -255,9 +239,7 @@ def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.ra
     errors = []
 
     def fill(start):
-        rng = np.random.Generator(np.random.PCG64(seed).advance(start // 2))
-        _uniform_blocks(rng, out[start : start + step], scale)
-        return rng
+        _uniform_blocks(np.random.PCG64(seed).advance(start // 2), out[start : start + step], scale)
 
     def helper(start):
         try:
@@ -271,36 +253,34 @@ def _draw_uniform(out: np.ndarray, seed: int | list[int], scale: float) -> np.ra
             thread = threading.Thread(target=helper, args=(start,))
             thread.start()
             helpers.append(thread)
-        rng = fill(starts[-1])
+        fill(starts[-1])
     finally:
         for thread in helpers:
             thread.join()
     if errors:
         raise errors[0]
-    return rng
 
 
 def init_weights(config: LayerConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Deterministic weight tensors, uniform on +-1/sqrt(fan-in) and drawn in
     ``WORKLOAD_DTYPE`` in place (no float64 temporary).
 
-    The values are those of one sequential draw from ``default_rng(seed)``,
-    the weight and then the bias, byte for byte. A weight of at least
-    ``_PARALLEL_ELEMENTS`` is drawn in pieces on every CPU in the process's
-    affinity (``_draw_uniform``), so under a one-CPU affinity, as in a pinned
-    measurement, it is drawn on the calling thread alone. No thread outlives
-    the call.
+    The weight and the bias are views of one buffer, the weight's elements and
+    then the bias's, filled by one sequential draw from ``default_rng(seed)``
+    (``_draw_uniform``). A buffer of at least ``_PARALLEL_ELEMENTS`` is drawn
+    in pieces on every CPU in the process's affinity, so under a one-CPU
+    affinity, as in a pinned measurement, it is drawn on the calling thread
+    alone. No thread outlives the call.
     """
     weight_shape = KIND_SPECS[config.kind].weight_shape
     if weight_shape is None:
         return {}
     shape = weight_shape(config)
+    n = math.prod(shape)
     scale = 1.0 / math.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan-in); a Python float keeps the dtype
-    weight = np.empty(shape, dtype=WORKLOAD_DTYPE)
-    rng = _draw_uniform(weight.reshape(-1), seed, scale)
-    bias = np.empty(shape[0], dtype=WORKLOAD_DTYPE)
-    _uniform_blocks(rng, bias, scale)
-    return {"weight": weight, "bias": bias}
+    buffer = np.empty(n + shape[0], dtype=WORKLOAD_DTYPE)
+    _draw_uniform(buffer, seed, scale)
+    return {"weight": buffer[:n].reshape(shape), "bias": buffer[n:]}
 
 
 def standalone_array_shape(config: LayerConfig) -> tuple[int, ...]:
@@ -500,9 +480,6 @@ class SimulatedMachine:
         self._used = 0
         self._t = 0.0
 
-    def clock(self) -> float:
-        return self._t
-
     def read_uj(self) -> tuple[int, ...]:
         return (int(self.power_w * self._t * 1e6) % self.max_range_uj,)
 
@@ -570,8 +547,6 @@ class RepeatResult:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    config: LayerConfig | ArchitectureSpec
-    window_seconds: float
     repeats: tuple[RepeatResult, ...]
     failed_repeats: int = 0
     domains: tuple[str, ...] = ()  # energy counter domains that were summed
@@ -656,13 +631,7 @@ def measure_config(
         if not results:
             what = config.kind.value if isinstance(config, LayerConfig) else "architecture workload"
             raise JoulecastError(f"all {repeats} repeats failed for {what}")
-        return ProbeResult(
-            config=config,
-            window_seconds=window_seconds,
-            repeats=tuple(results),
-            failed_repeats=failed,
-            domains=tuple(machine.domain_names),
-        )
+        return ProbeResult(repeats=tuple(results), failed_repeats=failed, domains=tuple(machine.domain_names))
     finally:
         if saved_affinity is not None:
             os.sched_setaffinity(0, saved_affinity)

@@ -26,6 +26,10 @@ Every public method or property of a class in ``src/joulecast`` is read
 outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``, matched by
 attribute name alone: one only tests read belongs in the tests.
 
+Every field of a dataclass in ``src/joulecast`` is read in ``src/``,
+``tests/``, ``perfbench/`` or ``scripts/``, as an attribute or by its name
+as a string key: a field nothing reads is state nothing needs.
+
 Every exception class in ``errors`` but the base ``JoulecastError`` is named
 in an ``except`` in ``src/``, ``perfbench/`` or ``scripts/``: a class no
 caller tells apart from another belongs in the class its callers catch.
@@ -222,6 +226,30 @@ def test_every_public_method_is_read_outside_the_tests():
         and not node.name.startswith("_") and node.name not in read
     ]
     assert unread == [], f"methods only the tests read (move each to the tests): {unread}"
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for path in (p for directory in ("src", "tests", "perfbench", "scripts") for p in (ROOT / directory).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [
+        f"{path.stem}.{cls.name}.{node.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef) and any(_is_dataclass(d) for d in cls.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in read
+    ]
+    assert unread == [], f"dataclass fields nothing reads (delete each): {unread}"
 
 
 def _outside_the_tests():
