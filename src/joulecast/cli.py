@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dataset, predict, probe, report
 from .arch import (
+    KIND_SPECS,
     PREDICTABLE_KINDS,
     PRESET_NAMES,
     LayerKind,
@@ -32,7 +33,7 @@ from .dataset import (
     ModelWiseRecord,
     sample_config,
 )
-from .errors import JoulecastError, MacOverflowError, ShapeError, ValidationError
+from .errors import CounterRangeError, JoulecastError, MacOverflowError, ShapeError, ValidationError
 from .macs import architecture_macs, standalone_macs
 from .predict import PredictorBundle, estimate, evaluate_on_real, run_ablation, run_feature_set_experiment
 
@@ -65,29 +66,49 @@ def _meter(args):
     )
 
 
+def _named(config) -> str:
+    """``Kind(field=value, ...)``: a config by its kind and set fields."""
+    fields = ", ".join(f"{name}={getattr(config, name)}" for name in KIND_SPECS[config.kind].fields
+                       if getattr(config, name) is not None)
+    return f"{config.kind.value}({fields})"
+
+
 def cmd_collect(args) -> int:
     """Measure ``--count`` sampled configs (or preset passes), appending each
     one's rows to ``--out`` as soon as it is measured, so a crash loses at
-    most the configuration in flight and a refused collect writes nothing."""
+    most the configuration in flight and a refused collect writes nothing.
+    A config (or preset pass) whose window reached the counters' safe
+    interval is skipped with one stderr line, and the collect goes on."""
     if args.count < 0:
         raise ValidationError(f"--count must be >= 0, not {args.count}")
     rng = np.random.default_rng(args.seed)
     measure = _meter(args)
     name = args.kind.lower()
+    written = 0
     if name in PRESET_NAMES:
         arch = load_architecture(name)
         with dataset.appending_modelwise_csv(args.out) as write:
             for _ in range(args.count):
                 batch = int(rng.integers(ARCHITECTURE_BATCH_RANGE[0], ARCHITECTURE_BATCH_RANGE[1] + 1))
-                write([_collect_architecture(arch, batch, measure)])
-        _say(args, f"collected {args.count} {name} measurement(s) into {args.out}")
+                try:
+                    record = _collect_architecture(arch, batch, measure)
+                except CounterRangeError as exc:
+                    print(f"skipped {name} at batch {batch}: {exc}", file=sys.stderr)
+                    continue
+                write([record])
+                written += 1
+        _say(args, f"collected {written} {name} measurement(s) into {args.out}")
         return 0
     kind = _parse_layer_kind(args.kind)
-    written = 0
     with dataset.appending_layerwise_csv(args.out) as write:
         for _ in range(args.count):
             config = sample_config(kind, rng)
             macs = standalone_macs(config)
+            try:
+                result = measure(config, macs)
+            except CounterRangeError as exc:
+                print(f"skipped {_named(config)}: {exc}", file=sys.stderr)
+                continue
             rows = [
                 MeasurementRecord(
                     config=config,
@@ -96,7 +117,7 @@ def cmd_collect(args) -> int:
                     repeat=i,
                     source=dataset.SOURCE_RANDOM,
                 )
-                for i, repeat in enumerate(measure(config, macs).repeats, start=1)
+                for i, repeat in enumerate(result.repeats, start=1)
             ]
             write(rows)
             written += len(rows)

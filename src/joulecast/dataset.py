@@ -103,11 +103,9 @@ SPLIT_FRACTIONS = (0.7, 0.2, 0.1)
 _SAMPLE_DRAWS = 1000
 
 
-def sample_config(
-    kind: LayerKind, rng, ranges: dict[LayerKind, dict[str, tuple[int, int]]] | None = None
-) -> LayerConfig:
-    """Draw each field integer-uniform from its inclusive range, in key order:
-    the kind's ``KindSpec.ranges``, unless ``ranges`` maps the kind to its own.
+def sample_config(kind: LayerKind, rng) -> LayerConfig:
+    """Draw each field integer-uniform from its inclusive range in the kind's
+    ``KindSpec.ranges``, in key order.
 
     ``rng`` may be a seed or a ``numpy.random.Generator``. Configurations
     violating the layer invariants (kernel larger than the padded image,
@@ -116,10 +114,9 @@ def sample_config(
     """
     spec = standalone_spec(kind)
     gen = np.random.default_rng(rng)  # a Generator is returned as it is
-    table = ranges[kind] if ranges else spec.ranges
     for _ in range(_SAMPLE_DRAWS):
         fields = {
-            name: int(gen.integers(lo, hi + 1)) for name, (lo, hi) in table.items()
+            name: int(gen.integers(lo, hi + 1)) for name, (lo, hi) in spec.ranges.items()
         }
         try:
             return LayerConfig(kind=kind, **fields)
@@ -332,9 +329,10 @@ class _StandaloneCells:
         return known[0]
 
 
-def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord]:
+def load_layerwise_csv(path) -> list[MeasurementRecord]:
     """Read layer-wise rows; rows with a missing, non-finite or negative
-    energy are dropped with a warning.
+    energy are dropped with a warning, and a kept row whose stored MACs are
+    not its recount is kept with a ``ConsistencyWarning``.
 
     Each distinct configuration (its module and parameter cells) is parsed,
     checked and MAC-counted once (``_StandaloneCells``); its repeats reuse
@@ -360,8 +358,7 @@ def load_layerwise_csv(path, verify_macs: bool = True) -> list[MeasurementRecord
         if energy is None:
             standalone.warn(line, f"dropped erroneous energy reading {raw_energy!r}")
             continue
-        if verify_macs:
-            standalone.config(line, cells, record.macs)
+        standalone.config(line, cells, record.macs)
         records.append(record)
     return records
 

@@ -2,8 +2,9 @@
 
 There is one exception class per way a caller handles a failure. Callers
 catch ``ShapeError``, ``ParseError``, ``ValidationError`` and
-``MacOverflowError`` to add context to the message or to draw again, and the
-command line reports every ``JoulecastError`` as a one-line error. A failure
+``MacOverflowError`` to add context to the message or to draw again, and
+``CounterRangeError`` to skip one configuration of a collection; the command
+line reports every ``JoulecastError`` as a one-line error. A failure
 that no caller tells apart, such as a host without RAPL counters, is a plain
 ``JoulecastError``."""
 
@@ -27,6 +28,11 @@ class ValidationError(JoulecastError):
 
 class MacOverflowError(JoulecastError):
     """MAC count exceeds the 64-bit budget."""
+
+
+class CounterRangeError(JoulecastError):
+    """A metered window reached its counters' safe interval, so its energy may
+    have wrapped a counter range more than once and would read low."""
 
 
 class ConsistencyWarning(UserWarning):

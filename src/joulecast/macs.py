@@ -37,10 +37,11 @@ def layer_macs(resolved: ResolvedLayer, include_bias: bool = True, batch: int | 
     )
 
 
-def standalone_macs(config: LayerConfig, include_bias: bool = True) -> int:
-    """MAC count of a standalone config (shapes derived from its own fields)."""
+def standalone_macs(config: LayerConfig) -> int:
+    """MAC count of a standalone config (shapes derived from its own fields),
+    bias accumulates included."""
     in_shape = standalone_input_shape(config)
-    return layer_macs(ResolvedLayer(0, config, in_shape, propagate_shape(in_shape, config)), include_bias)
+    return layer_macs(ResolvedLayer(0, config, in_shape, propagate_shape(in_shape, config)))
 
 
 def layer_error(resolved: ResolvedLayer, exc: JoulecastError) -> JoulecastError:

@@ -607,15 +607,14 @@ def run_feature_set_experiment(
     records: list[MeasurementRecord],
     kind: LayerKind,
     seed: int,
-    cv_folds: int = 10,
 ) -> list[PredictorModel]:
-    """Train every comparison pipeline for one layer kind, in table order;
-    activations are excluded."""
+    """Train every comparison pipeline for one layer kind, in table order,
+    each with 10-fold cross-validation; activations are excluded."""
     if kind not in EXPERIMENT_TABLE:
         covered = "/".join(k.value for k in EXPERIMENT_TABLE)
         raise ValidationError(f"feature-set experiment covers {covered}, not {kind.value}")
     matrix = _kind_matrix(records, kind)
-    return [train_on_matrix(matrix, spec, seed, cv_folds) for spec in EXPERIMENT_TABLE[kind]]
+    return [train_on_matrix(matrix, spec, seed) for spec in EXPERIMENT_TABLE[kind]]
 
 
 @dataclass(frozen=True, eq=False)

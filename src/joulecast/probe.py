@@ -23,8 +23,12 @@ draws as per-pass stepping, so the result is the same to the bit.
 
 The delta (``energy_delta``) allows at most one wrap per window, so a window
 whose energy reaches a counter range (about 262 kJ for RAPL, 65,532 J
-simulated) reads low by whole ranges; ROADMAP item 1 refuses a window longer
-than the counter's safe interval instead, with no extra counter reads.
+simulated) would read low by whole ranges. Each machine has a safe interval,
+``safe_seconds``: its smallest counter range over a bound on the power drawn,
+the longest window whose energy surely stays under one range. Its
+``run_window`` raises ``CounterRangeError`` for a window that lasted that long
+instead of returning an energy, and ``measure_config`` refuses a
+``window_seconds`` that long up front; no extra counter reads are made.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from .arch import (
     standalone_input_shape,
 )
 from .errors import (
+    CounterRangeError,
     JoulecastError,
     ShapeError,
     ValidationError,
@@ -395,10 +400,26 @@ def energy_delta(before: int, after: int, max_range: int) -> int:
     return (after - before + max_range) % max_range
 
 
+def _require_safe(elapsed_s: float, safe_seconds: float) -> None:
+    """Refuse a window that lasted its machine's safe interval: its energy may
+    have passed one counter range, so its delta could read low."""
+    if elapsed_s >= safe_seconds:
+        raise CounterRangeError(
+            f"a {elapsed_s:.6g} s window reached the counters' safe interval of {safe_seconds:.6g} s"
+        )
+
+
+#: the most power, in watts, that one RAPL package domain is taken to draw
+RAPL_PACKAGE_POWER_BOUND_W = 1000.0
+
+
 class RaplMachine:
     """The host itself: the summed package domains' counters, real forward-pass
     workloads and the wall clock. It warns when built, once per measurement,
-    if the load average says other processes' energy will leak in."""
+    if the load average says other processes' energy will leak in.
+
+    Its safe interval is the smallest domain's range over
+    ``RAPL_PACKAGE_POWER_BOUND_W``: about 262 s for a 262 kJ range."""
 
     def __init__(self):
         self.domains = discover_rapl_domains()
@@ -407,6 +428,7 @@ class RaplMachine:
                 f"no readable RAPL package domains under {powercap_root()} "
                 "(missing powercap support or insufficient permissions)"
             )
+        self.safe_seconds = min(d.max_range_uj for d in self.domains) / 1e6 / RAPL_PACKAGE_POWER_BOUND_W
         try:
             self.read_uj()
         except CounterReadError as exc:
@@ -435,9 +457,11 @@ class RaplMachine:
         return make_workload(config, seed)
 
     def run_window(self, workload, window_seconds: float) -> tuple[int, float, int]:
-        """(passes, elapsed seconds, microjoules summed over the domains) of a wall-clock window."""
+        """(passes, elapsed seconds, microjoules summed over the domains) of a
+        wall-clock window, refused once it reaches the safe interval."""
         before = self.read_uj()
         passes, elapsed = _run_window(workload, time.monotonic, window_seconds)
+        _require_safe(elapsed, self.safe_seconds)
         after = self.read_uj()
         return passes, elapsed, sum(energy_delta(b, a, d.max_range_uj) for b, a, d in zip(before, after, self.domains))
 
@@ -470,11 +494,15 @@ class SimulatedMachine:
     max_range_uj = 65_532_610_987
     #: the constant package power the counter integrates
     power_w = 20.0
+    #: the safe interval: its counter range over its power, about 3,276.6 virtual seconds
+    safe_seconds = max_range_uj / 1e6 / power_w
+    #: MACs a pass runs per virtual second, before jitter
+    mac_rate = 5e9
+    #: the standard deviation of a pass's relative jitter
+    noise = 0.01
     domain_names = ("simulated",)
 
-    def __init__(self, mac_rate: float = 5e9, noise: float = 0.01, seed: int = 0):
-        self.mac_rate = mac_rate
-        self.noise = noise
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         self._normals = np.empty(0)  # drawn normals; those from index _used on are unused
         self._used = 0
@@ -499,7 +527,8 @@ class SimulatedMachine:
     def run_window(self, base: float, window_seconds: float) -> tuple[int, float, int]:
         """Passes of ``base`` seconds until ``window_seconds`` have elapsed:
         (passes, elapsed seconds, microjoules between the counter's reads at
-        the window's start and end), as per-pass stepping gives them."""
+        the window's start and end), as per-pass stepping gives them; a window
+        that reaches the safe interval is refused once it ends."""
         start = self._t
         before = self.read_uj()[0]
         passes = 0
@@ -526,6 +555,7 @@ class SimulatedMachine:
                 passes += k + 1
                 elapsed = float(over[k])
             if elapsed >= window_seconds:
+                _require_safe(elapsed, self.safe_seconds)
                 return passes, elapsed, energy_delta(before, self.read_uj()[0], self.max_range_uj)
 
 
@@ -584,10 +614,14 @@ def measure_config(
     a layer or a whole architecture at its own batch, of ``macs`` MACs a pass.
 
     ``machine`` is the measured host, a ``RaplMachine`` unless given: it
-    names its counter domains (``domain_names``), builds the workload
-    (``workload(config, macs, seed)``) and fills and meters a window with it
-    (``run_window(workload, window_seconds) -> (passes, elapsed seconds,
-    microjoules)``), raising ``CounterReadError`` when a counter read fails.
+    names its counter domains (``domain_names``), gives its safe interval
+    (``safe_seconds``), builds the workload (``workload(config, macs,
+    seed)``) and fills and meters a window with it (``run_window(workload,
+    window_seconds) -> (passes, elapsed seconds, microjoules)``), raising
+    ``CounterReadError`` when a counter read fails, which drops the repeat,
+    and ``CounterRangeError`` when the window reached the safe interval, which
+    ends the measurement. A ``window_seconds`` that reaches the safe interval
+    is refused before the workload is built.
     One measurement at a time per process: a concurrent call contaminates the
     shared package counters and is refused outright. ``pin_to_cpu`` restricts
     the process to one CPU for the duration of the measurement (Linux only),
@@ -610,6 +644,11 @@ def measure_config(
             except (OSError, OverflowError, ValueError) as exc:
                 raise ValidationError(f"cannot pin the measurement to CPU {pin_to_cpu}: {exc}") from None
         machine = RaplMachine() if machine is None else machine
+        if window_seconds >= machine.safe_seconds:
+            raise ValidationError(
+                f"window_seconds {window_seconds:g} must be under the counters' safe interval "
+                f"of {machine.safe_seconds:.6g} s"
+            )
         workload = machine.workload(config, macs, seed)
         results = []
         failed = 0

@@ -4,6 +4,7 @@ cleanly in review."""
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -18,7 +19,8 @@ PALETTE = (
 
 
 def nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions covering [lo, hi], about five of them."""
+    """Round tick positions, about five of them, from the last at or below
+    ``lo`` to the last at or below ``hi``: the top one may fall short of ``hi``."""
     if hi <= lo:
         hi = lo + (abs(lo) or 1.0)
     span = hi - lo
@@ -34,6 +36,15 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
     while value <= hi + step * 1e-9:
         ticks.append(round(value, 12))
         value += step
+    return ticks
+
+
+def _covering_ticks(lo: float, hi: float) -> list[float]:
+    """``nice_ticks``, with one step more where its top tick falls short of
+    ``hi``, so the ticks span [lo, hi]."""
+    ticks = nice_ticks(lo, hi)
+    if ticks[-1] < hi:
+        ticks.append(round(ticks[-1] + (ticks[-1] - ticks[-2]), 12))
     return ticks
 
 
@@ -73,41 +84,53 @@ def scatter_svg(
     """Scatter plot of (x, y) series; the diagonal marks perfect predictions.
 
     Each series' points are a sequence of (x, y) pairs or an (n, 2) array.
+    With the diagonal both axes share one range (``nice_ticks``, whose top
+    tick may fall short of the largest value); without it each axis spans its
+    own values (``_covering_ticks``). Each range starts at 0 or below.
     """
     arrays = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts in series]
     filled = [pts for pts in arrays if len(pts)]
-    # both axes share one range, from 0 or below; no points span [0, 1]
-    lo = min([float(pts.min()) for pts in filled] + [0.0])
-    hi = max([float(pts.max()) for pts in filled] or [1.0])
-    ticks = nice_ticks(lo, hi)
-    lo, hi = ticks[0], ticks[-1]
+
+    def axis_ticks(columns, ticks):
+        lo = min([float(pts[:, columns].min()) for pts in filled] + [0.0])
+        hi = max([float(pts[:, columns].max()) for pts in filled] or [1.0])  # no points span [0, 1]
+        return ticks(lo, hi)
+
+    if diagonal:
+        xticks = yticks = axis_ticks(slice(None), nice_ticks)
+    else:
+        xticks, yticks = axis_ticks(0, _covering_ticks), axis_ticks(1, _covering_ticks)
+    xlo, xhi, ylo, yhi = xticks[0], xticks[-1], yticks[0], yticks[-1]
     x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]
     y0, y1 = HEIGHT - MARGIN["bottom"], MARGIN["top"]
 
     # scalars and arrays alike, with the same operations in the same order
     def sx(v):
-        return x0 + (v - lo) / (hi - lo) * (x1 - x0)
+        return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
 
     def sy(v):
-        return y0 + (v - lo) / (hi - lo) * (y1 - y0)
+        return y0 + (v - ylo) / (yhi - ylo) * (y1 - y0)
 
     canvas = _Canvas(title, xlabel, ylabel)
     canvas.parts.append(
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" fill="none" stroke="#333333"/>'
     )
-    for tick in ticks:
-        px, py = sx(tick), sy(tick)
-        canvas.parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="#333333"/>')
-        canvas.parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle" font-size="10">{_fmt(tick)}</text>'
-        )
-        canvas.parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#333333"/>')
-        canvas.parts.append(
-            f'<text x="{x0 - 8}" y="{py + 3:.1f}" text-anchor="end" font-size="10">{_fmt(tick)}</text>'
-        )
+    for xtick, ytick in zip_longest(xticks, yticks):
+        if xtick is not None:
+            px = sx(xtick)
+            canvas.parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="#333333"/>')
+            canvas.parts.append(
+                f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle" font-size="10">{_fmt(xtick)}</text>'
+            )
+        if ytick is not None:
+            py = sy(ytick)
+            canvas.parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#333333"/>')
+            canvas.parts.append(
+                f'<text x="{x0 - 8}" y="{py + 3:.1f}" text-anchor="end" font-size="10">{_fmt(ytick)}</text>'
+            )
     if diagonal:
         canvas.parts.append(
-            f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
+            f'<line x1="{sx(xlo):.1f}" y1="{sy(ylo):.1f}" x2="{sx(xhi):.1f}" y2="{sy(yhi):.1f}" '
             'stroke="#999999" stroke-dasharray="6 4"/>'
         )
     for i, ((label, _), pts) in enumerate(zip(series, arrays)):

@@ -5,17 +5,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from joulecast.arch import KIND_SPECS, LayerKind, as_standalone_config, extract_predictable_layers, load_architecture
+from joulecast.arch import (
+    KIND_SPECS,
+    LayerConfig,
+    LayerKind,
+    ResolvedLayer,
+    as_standalone_config,
+    extract_predictable_layers,
+    load_architecture,
+    propagate_shape,
+    standalone_input_shape,
+)
 from joulecast.dataset import (
+    _SAMPLE_DRAWS,
     MeasurementRecord,
     ModelWiseLayer,
     ModelWiseRecord,
     appending_layerwise_csv,
     appending_modelwise_csv,
     config_key,
-    sample_config,
     split_indices,
 )
+from joulecast.errors import ValidationError
 from joulecast.features import FeatureMap, KindMatrix
 from joulecast.macs import layer_macs, standalone_macs
 from joulecast.predict import train_default_bundle
@@ -103,6 +114,26 @@ def true_energy(config, macs: int) -> float:
     return mac_energy(config, macs)
 
 
+def draw_config(kind: LayerKind, rng: np.random.Generator, table) -> LayerConfig:
+    """``dataset.sample_config``'s draw loop over ``table``, a kind's field
+    ranges, instead of its ``KindSpec.ranges``: the same draws in the same order."""
+    for _ in range(_SAMPLE_DRAWS):
+        fields = {name: int(rng.integers(lo, hi + 1)) for name, (lo, hi) in table.items()}
+        try:
+            return LayerConfig(kind=kind, **fields)
+        except ValidationError:
+            continue
+    raise ValidationError(f"no valid {kind.value} config after {_SAMPLE_DRAWS} draws")
+
+
+def standalone_layer(config: LayerConfig) -> ResolvedLayer:
+    """A standalone config resolved on its own input, as ``macs.standalone_macs``
+    resolves it; ``macs.layer_macs(standalone_layer(config), False)`` counts it
+    without bias accumulates."""
+    in_shape = standalone_input_shape(config)
+    return ResolvedLayer(0, config, in_shape, propagate_shape(in_shape, config))
+
+
 def synth_records(
     kind: LayerKind,
     n: int,
@@ -115,7 +146,7 @@ def synth_records(
     ranges = ranges or TEST_RANGES
     records = []
     for _ in range(n):
-        config = sample_config(kind, rng, ranges)
+        config = draw_config(kind, rng, ranges[kind])
         macs = standalone_macs(config)
         base = true_energy(config, macs)
         for r in range(1, repeats + 1):

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from joulecast import cli, probe
 from joulecast.arch import ArchitectureSpec, LayerKind, extract_predictable_layers, load_architecture
 from joulecast.cli import main
 from joulecast.dataset import SOURCE_RANDOM, load_layerwise_csv, load_modelwise_csv
-from joulecast.errors import MacOverflowError
+from joulecast.errors import CounterRangeError, MacOverflowError
 from joulecast.features import KindMatrix
 from joulecast.macs import standalone_macs
 from test_dataset import LAYERWISE_PAST_BUDGET, MODELWISE_PAST_BUDGET, PAST_BUDGET
@@ -197,6 +198,50 @@ class TestCollect:
         assert str(exc.value) == expected
         assert measured == []  # refused before any measurement
 
+    @pytest.mark.parametrize("seed, skipped", [(0, 0), (1, 3), (2, 1), (3, 1)])
+    def test_simulated_rows_lie_within_5pct_of_the_truth(self, tmp_path, capsys, seed, skipped):
+        """The demo's Conv2d collects: a config whose one pass outlasts the
+        simulator's safe interval is skipped with one stderr line, so no
+        row reads a counter that wrapped more than once."""
+        out = tmp_path / "conv2d.csv"
+        code, _ = run("--seed", str(seed), "--simulate", "--quiet", "collect",
+                      "--kind", "conv2d", "--count", "60", "--out", str(out))
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert len(lines) == skipped
+        assert all(re.fullmatch(r"skipped Conv2d\(batch_size=\d+, .*, padding=\d+\): a \d+(\.\d+)? s window "
+                                r"reached the counters' safe interval of 3276\.63 s", line) for line in lines)
+        rows = load_layerwise_csv(out)
+        assert len(rows) == 3 * (60 - skipped)
+        machine = probe.SimulatedMachine
+        truth = [machine.power_w * max(r.macs, 1) / machine.mac_rate for r in rows]
+        assert [r for r, j in zip(rows, truth) if abs(r.cpu_energy_j / j - 1) > 0.05] == []
+
+    def test_refused_preset_pass_is_skipped(self, tmp_path, capsys, monkeypatch):
+        full, skipped = tmp_path / "full.csv", tmp_path / "skipped.csv"
+        argv = ("--seed", "2", "--simulate", "--quiet", "collect", "--kind", "alexnet", "--count", "3")
+        code, _ = run(*argv, "--out", str(full))
+        assert code == 0
+        totals = []
+        measure = probe.measure_config
+
+        def refuse_second_total(config, *args, **kwargs):
+            if isinstance(config, ArchitectureSpec):
+                totals.append(config)
+                if len(totals) == 2:
+                    raise CounterRangeError("a 4000 s window reached the counters' safe interval of 3276.63 s")
+            return measure(config, *args, **kwargs)
+
+        monkeypatch.setattr(probe, "measure_config", refuse_second_total)
+        code, _ = run(*argv, "--out", str(skipped))
+        assert code == 0
+        records = load_modelwise_csv(full)
+        assert capsys.readouterr().err == (f"skipped alexnet at batch {records[1].batch_size}: a 4000 s window "
+                                           "reached the counters' safe interval of 3276.63 s\n")
+        kept = load_modelwise_csv(skipped)
+        assert kept[0] == records[0]
+        assert [r.batch_size for r in kept] == [records[0].batch_size, records[2].batch_size]
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     @pytest.mark.filterwarnings("ignore:load average")
     def test_pinned_architecture_collect_draws_on_one_thread(self, tmp_path, monkeypatch):
@@ -301,7 +346,9 @@ class TestCollect:
         (("--count", "1", "--window", "nan"), "error: window_seconds must be finite and positive, not nan\n"),
         (("--count", "1", "--pin-cpu", "-1"), "error: cannot pin the measurement to CPU -1: "),
         (("--count", "-1"), "error: --count must be >= 0, not -1\n"),
-    ], ids=["repeats-0", "window-nan", "pin-cpu-minus-1", "count-minus-1"])
+        (("--count", "1", "--window", "4000"),
+         "error: window_seconds 4000 must be under the counters' safe interval of 3276.63 s\n"),
+    ], ids=["repeats-0", "window-nan", "pin-cpu-minus-1", "count-minus-1", "window-4000"])
     def test_refused_collect_leaves_no_out_file(self, tmp_path, capsys, kind, options, message):
         out = tmp_path / "x.csv"
         code, printed = run("--simulate", "collect", "--kind", kind, *options, "--out", str(out))

@@ -2,7 +2,6 @@ import csv
 import re
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -70,13 +69,14 @@ class TestSampler:
         with pytest.raises(ValidationError):
             sample_config(LayerKind.DROPOUT, 0)
 
-    def test_impossible_ranges_exhaust_retries(self):
-        impossible = {LayerKind.CONV2D: {
+    def test_impossible_ranges_exhaust_retries(self, monkeypatch):
+        impossible = {
             "batch_size": (1, 1), "image_size": (4, 4), "kernel_size": (11, 11),
             "in_channels": (1, 1), "out_channels": (1, 1), "stride": (1, 1), "padding": (0, 0),
-        }}
+        }
+        monkeypatch.setitem(KIND_SPECS, LayerKind.CONV2D, replace(KIND_SPECS[LayerKind.CONV2D], ranges=impossible))
         with pytest.raises(ValidationError, match="^no valid Conv2d config after 1000 draws$") as info:
-            sample_config(LayerKind.CONV2D, 0, impossible)
+            sample_config(LayerKind.CONV2D, 0)
         assert str(info.value) == "no valid Conv2d config after 1000 draws"
 
     @settings(max_examples=50, deadline=None)
@@ -460,8 +460,6 @@ MODELWISE_PAST_BUDGET = (f"{','.join(MODELWISE_HEADER)}\n{_MODELWISE_TOTAL}\n"
     # a kind with no standalone form is refused where its module is parsed, naming its row
     (load_layerwise_csv, f"{','.join(LAYERWISE_HEADER)}\nDropout,,,,,,,,0,0.5,1,random\n", ParseError,
      "{path}: row 2: Dropout is not individually measurable"),
-    (partial(load_layerwise_csv, verify_macs=False), f"{','.join(LAYERWISE_HEADER)}\nDropout,,,,,,,,0,0.1,1,random\n",
-     ParseError, "{path}: row 2: Dropout is not individually measurable"),
     # a dropped row's repeat and source are checked as a kept row's are
     (load_layerwise_csv, f"{','.join(LAYERWISE_HEADER)}\nReLU,1,,,4,,,,4,nan,0,bogus\n", ParseError,
      "{path}: row 2: repeat index is 1-based"),

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import standalone_layer
 from joulecast.arch import (
     PRESET_NAMES,
     LayerConfig,
@@ -76,14 +77,14 @@ def conv_config(batch, c_in, c_out, side, k, stride, padding):
 class TestConv:
     def test_unit_conv_is_one_mac(self):
         cfg = conv_config(1, 1, 1, 1, 1, 1, 0)
-        assert standalone_macs(cfg, include_bias=False) == 1
-        assert standalone_macs(cfg, include_bias=True) == 2
+        assert layer_macs(standalone_layer(cfg), False) == 1
+        assert standalone_macs(cfg) == 2
 
     def test_vgg11_first_conv_matches_oracle(self):
-        got = standalone_macs(conv_config(1, 3, 64, 224, 3, 1, 1), include_bias=False)
+        got = layer_macs(standalone_layer(conv_config(1, 3, 64, 224, 3, 1, 1)), False)
         assert got == 86_704_128
         # the closed form must equal a literal multiply count on a shrunken twin
-        assert standalone_macs(conv_config(1, 3, 8, 14, 3, 1, 1), include_bias=False) == conv_oracle(
+        assert layer_macs(standalone_layer(conv_config(1, 3, 8, 14, 3, 1, 1)), False) == conv_oracle(
             1, 3, 8, 14, 3, 1, 1
         )
 
@@ -91,17 +92,16 @@ class TestConv:
 class TestLinear:
     def test_unit(self):
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
-        assert standalone_macs(cfg, include_bias=False) == 1
+        assert layer_macs(standalone_layer(cfg), False) == 1
 
     def test_square_4096(self):
         cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=4096, out_channels=4096)
-        got = standalone_macs(cfg, include_bias=False)
+        got = layer_macs(standalone_layer(cfg), False)
         assert got == 16_777_216
         assert got == linear_oracle(1, 64, 64) * (4096 // 64) ** 2  # scaled-down oracle
-        assert linear_oracle(3, 17, 29) == standalone_macs(
-            LayerConfig(kind=LayerKind.LINEAR, batch_size=3, in_channels=17, out_channels=29),
-            include_bias=False,
-        )
+        assert linear_oracle(3, 17, 29) == layer_macs(standalone_layer(
+            LayerConfig(kind=LayerKind.LINEAR, batch_size=3, in_channels=17, out_channels=29)
+        ), False)
 
 
 class TestMaxPool:
@@ -206,14 +206,14 @@ def test_conv_matches_loop_oracle(params):
     if side + 2 * padding < k:
         return
     cfg = conv_config(batch, c_in, c_out, side, k, stride, padding)
-    assert standalone_macs(cfg, include_bias=False) == conv_oracle(batch, c_in, c_out, side, k, stride, padding)
+    assert layer_macs(standalone_layer(cfg), False) == conv_oracle(batch, c_in, c_out, side, k, stride, padding)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40))
 def test_linear_matches_loop_oracle(batch, c_in, c_out):
     cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=batch, in_channels=c_in, out_channels=c_out)
-    assert standalone_macs(cfg, include_bias=False) == linear_oracle(batch, c_in, c_out)
+    assert layer_macs(standalone_layer(cfg), False) == linear_oracle(batch, c_in, c_out)
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,7 +254,10 @@ def test_standalone_rewrite_keeps_layer_macs(name, batch, include_bias):
     arch = load_architecture(name).with_batch(batch)
     for resolved in extract_predictable_layers(arch):
         config = as_standalone_config(resolved.config, resolved.input_shape)
-        assert standalone_macs(config, include_bias) == layer_macs(resolved, include_bias), resolved.index
+        macs = layer_macs(resolved, include_bias)
+        assert layer_macs(standalone_layer(config), include_bias) == macs, resolved.index
+        if include_bias:
+            assert standalone_macs(config) == macs, resolved.index
 
 
 @pytest.mark.parametrize("include_bias", [True, False])

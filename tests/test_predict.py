@@ -406,7 +406,7 @@ class TestFeatureSetExperiment:
     def test_linear_kind_has_five_rows(self, bundle_dataset):
         models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.LINEAR],
-            LayerKind.LINEAR, 3, cv_folds=5,
+            LayerKind.LINEAR, 3,
         )
         assert len(models) == 5
         assert [m.spec for m in models] == list(EXPERIMENT_TABLE[LayerKind.LINEAR])
@@ -429,7 +429,7 @@ class TestFeatureSetExperiment:
     def test_mac_sets_beat_parameter_sets_on_mac_world(self, bundle_dataset):
         models = run_feature_set_experiment(
             [r for r in bundle_dataset if r.module is LayerKind.CONV2D],
-            LayerKind.CONV2D, 3, cv_folds=5,
+            LayerKind.CONV2D, 3,
         )
         scores = {model.spec.feature_set: model.test_metrics.r2 for model in models}
         mac_worst = min(scores[FeatureSetKind.MAC_ONLY], scores[FeatureSetKind.PARAMETER_MAC],
@@ -439,8 +439,8 @@ class TestFeatureSetExperiment:
 
     def test_deterministic(self, bundle_dataset):
         records = [r for r in bundle_dataset if r.module is LayerKind.LINEAR]
-        a = run_feature_set_experiment(records, LayerKind.LINEAR, 3, cv_folds=2)
-        b = run_feature_set_experiment(records, LayerKind.LINEAR, 3, cv_folds=2)
+        a = run_feature_set_experiment(records, LayerKind.LINEAR, 3)
+        b = run_feature_set_experiment(records, LayerKind.LINEAR, 3)
         assert a == b
 
 

@@ -22,6 +22,7 @@ from joulecast.arch import (
 )
 from joulecast.macs import standalone_macs
 from joulecast.errors import (
+    CounterRangeError,
     JoulecastError,
     ShapeError,
     ValidationError,
@@ -336,6 +337,11 @@ class TestEnergyDelta:
         assert 0 <= delta < 10**6
 
 
+#: a common package domain's ``max_energy_range_uj``, about 262 kJ: its safe
+#: interval at ``probe.RAPL_PACKAGE_POWER_BOUND_W`` is about 262 s
+RAPL_RANGE_UJ = 262_143_328_850
+
+
 def make_powercap_tree(root, domains):
     """A fake powercap tree under ``root``: one ``intel-rapl:<i>`` domain per
     (name, max_range, energy) triple."""
@@ -354,6 +360,7 @@ class ScriptedMachine:
     advances ``step`` seconds per pass, and only then."""
 
     domain_names = ("scripted",)
+    safe_seconds = math.inf
 
     def __init__(self, readings, step=1.0, max_range=10**9):
         self._readings = list(readings)
@@ -491,18 +498,44 @@ class TestMeasureConfig:
         probe._measure_lock.release()
 
     def test_simulated_machine_energy_tracks_macs(self):
-        machine = SimulatedMachine(mac_rate=5e9, noise=0.0, seed=0)
+        machine = simulated(seed=0, noise=0.0)
         macs = 25_000
         result = measure_config(self.cfg(), macs, window_seconds=0.01, repeats=3, machine=machine)
         expected = 20.0 * macs / 5e9
         assert result.energy_per_pass_j == pytest.approx(expected, rel=1e-6)
         assert result.domains == ("simulated",)
 
+    @pytest.mark.parametrize("window", [30.0, 1e9])
+    def test_window_at_the_safe_interval_refused_before_any_workload(self, window):
+        machine = ScriptedMachine([0, 1_000])
+        machine.safe_seconds = 30.0
+        with pytest.raises(ValidationError) as info:
+            measure_config(self.cfg(), 50_000, window_seconds=window, repeats=1, machine=machine)
+        assert str(info.value) == f"window_seconds {window:g} must be under the counters' safe interval of 30 s"
+        assert machine.built == [] and machine.now == 0.0
+        assert probe._measure_lock.acquire(blocking=False)  # released for the next measurement
+        probe._measure_lock.release()
+
+    def test_simulated_window_past_the_safe_interval_ends_the_measurement(self):
+        machine = SimulatedMachine(seed=0)
+        cfg = LayerConfig(kind=LayerKind.LINEAR, batch_size=1, in_channels=1, out_channels=1)
+        # one pass of about 4,000 virtual seconds against a 0.05 s window
+        with pytest.raises(CounterRangeError, match=r"^a \d{4}(\.\d+)? s window reached the counters' "
+                                                    r"safe interval of 3276\.63 s$"):
+            measure_config(cfg, 2 * 10**13, window_seconds=0.05, repeats=3, machine=machine)
+        assert machine._t > SimulatedMachine.safe_seconds  # the first repeat's one pass, and no other
+        assert machine._t < 2 * SimulatedMachine.safe_seconds
+
+
+def simulated(seed=0, noise=0.01, mac_rate=5e9):
+    """A ``SimulatedMachine`` on ``seed`` whose passes run ``mac_rate`` MACs a
+    virtual second, before jitter of relative deviation ``noise``."""
+    return type("Simulated", (SimulatedMachine,), {"noise": noise, "mac_rate": mac_rate})(seed)
+
 
 def _twins(seed, noise=0.01, mac_rate=5e9):
     """Two machines on one seed: the first is stepped pass by pass, the second fills windows."""
-    return (SimulatedMachine(mac_rate=mac_rate, noise=noise, seed=seed),
-            SimulatedMachine(mac_rate=mac_rate, noise=noise, seed=seed))
+    return simulated(seed, noise, mac_rate), simulated(seed, noise, mac_rate)
 
 
 # a simulated pass depends on its MACs alone, not on the config or the seed
@@ -519,13 +552,20 @@ def _per_pass_window(machine, macs, window):
 
 
 def _same_window(per_pass, windowed, macs, window):
-    """Fill one window on each twin; both must give the same passes, elapsed time
-    and clock, and the window's energy must be the per-pass twin's counter delta."""
+    """Fill one window on each twin; both must advance the clock alike. A window
+    under the safe interval must give the per-pass twin's passes, elapsed time
+    and counter delta; one that reached it is refused, and None is returned."""
     (before,) = per_pass.read_uj()
     expected = _per_pass_window(per_pass, macs, window)
     (after,) = per_pass.read_uj()
-    got = windowed.run_window(windowed.workload(_ANY_CONFIG, macs, 0), window)
-    assert got == (*expected, energy_delta(before, after, per_pass.max_range_uj))
+    workload = windowed.workload(_ANY_CONFIG, macs, 0)
+    got = None
+    if expected[1] >= windowed.safe_seconds:
+        with pytest.raises(CounterRangeError, match="^a .* s window reached the counters' safe interval of "):
+            windowed.run_window(workload, window)
+    else:
+        got = windowed.run_window(workload, window)
+        assert got == (*expected, energy_delta(before, after, per_pass.max_range_uj))
     assert windowed._t == per_pass._t
     return got
 
@@ -573,13 +613,27 @@ class TestSimulatedWindow:
     )
     @example(seed=0, noise=0.01, macs=10**10, window=3_277.0)
     def test_window_past_one_counter_range(self, seed, noise, macs, window):
-        """At 20 W a window over 3,277 virtual seconds passes one counter range."""
+        """At 20 W a window over 3,277 virtual seconds passes one counter range:
+        it is refused, after the passes that per-pass stepping takes."""
         per_pass, windowed = _twins(seed, noise)
         _one_pass(per_pass, macs)  # start the window off the counter's zero
         _one_pass(windowed, macs)
-        elapsed = _same_window(per_pass, windowed, macs, window)[1]
-        assert windowed.power_w * elapsed * 1e6 > windowed.max_range_uj
+        start = per_pass._t
+        assert _same_window(per_pass, windowed, macs, window) is None
+        assert windowed.power_w * (per_pass._t - start) * 1e6 > windowed.max_range_uj
         assert _next_pass_times(windowed) == _next_pass_times(per_pass)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_once_wrapping_window_under_the_safe_interval_is_exact(self, seed):
+        per_pass, windowed = _twins(seed)
+        _one_pass(per_pass, 15 * 10**12)  # about 3,000 virtual seconds: the counter near its top
+        _one_pass(windowed, 15 * 10**12)
+        (before,) = windowed.read_uj()
+        passes, elapsed, energy_uj = _same_window(per_pass, windowed, 10**10, 1_000.0)  # 2 s passes
+        (after,) = windowed.read_uj()
+        assert after < before  # the counter wrapped once
+        assert elapsed < windowed.safe_seconds
+        assert energy_uj == pytest.approx(windowed.power_w * elapsed * 1e6, abs=1)
 
     @pytest.mark.parametrize("passes", [
         probe._CHUNK_PASSES,  # one step that the window ends on
@@ -660,13 +714,14 @@ class TestLoadWarning:
         return LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=1_000)
 
     def test_simulated_measurement_does_not_warn(self):
-        machine = SimulatedMachine(noise=0.0, seed=0)
+        machine = simulated(seed=0, noise=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             measure_config(self.cfg(), 1_000, window_seconds=0.01, repeats=1, machine=machine)
 
     def test_rapl_measurement_warns(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**6, 5)])))
+        root = make_powercap_tree(tmp_path, [("package-0", RAPL_RANGE_UJ, 5)])
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
         with pytest.warns(UserWarning, match="load average") as record:
             measure_config(self.cfg(), 1_000, window_seconds=1e-3, repeats=2)
         assert len(record) == 1  # once per measurement, not per repeat
@@ -880,7 +935,8 @@ class TestSplitWeightDraw:
     @pytest.mark.filterwarnings("ignore:load average")
     def test_pinned_measurement_draws_on_one_thread(self, tmp_path, monkeypatch):
         made = counted_threads(monkeypatch)
-        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(make_powercap_tree(tmp_path, [("package-0", 10**6, 5)])))
+        root = make_powercap_tree(tmp_path, [("package-0", RAPL_RANGE_UJ, 5)])
+        monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
         # the default machine and the real workload, in a window that one pass fills
         result = measure_config(self.LARGE, standalone_macs(self.LARGE), window_seconds=1e-9, repeats=1,
                                 pin_to_cpu=min(os.sched_getaffinity(0)))
@@ -1024,12 +1080,14 @@ class TestRaplDiscovery:
         assert str(info.value) == expected
         assert type(info.value.__cause__) is (type(None) if cause is None else cause)
 
+    @pytest.mark.filterwarnings("ignore:load average")  # the host's load, not the code, decides it
     def test_machine_reads(self, tmp_path, monkeypatch):
-        root = make_powercap_tree(tmp_path, [("package-0", 10**6, 111), ("package-1", 10**6, 222)])
+        root = make_powercap_tree(tmp_path, [("package-0", 2 * 10**6, 111), ("package-1", 10**6, 222)])
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
         machine = probe.RaplMachine()
         assert machine.read_uj() == (111, 222)
         assert machine.domain_names == ("package-0", "package-1")
+        assert machine.safe_seconds == 1e-3  # the smaller range, 1 J, at 1 kW
 
 
 @pytest.mark.filterwarnings("ignore:load average")
@@ -1040,10 +1098,10 @@ class TestRaplWindow:
     def cfg(self):
         return LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=1_000)
 
-    def script(self, tmp_path, monkeypatch, readings):
+    def script(self, tmp_path, monkeypatch, readings, max_range=RAPL_RANGE_UJ):
         """``readings`` maps each package domain to its counter's readings ('fail'
         raises), the first taken when the machine is built."""
-        root = make_powercap_tree(tmp_path, [(name, 10**6, 0) for name in readings])
+        root = make_powercap_tree(tmp_path, [(name, max_range, 0) for name in readings])
         monkeypatch.setenv(probe.POWERCAP_ROOT_ENV, str(root))
         left = {name: list(values) for name, values in readings.items()}
 
@@ -1057,11 +1115,20 @@ class TestRaplWindow:
         return left
 
     def test_domains_summed_across_a_wrap(self, tmp_path, monkeypatch):
-        left = self.script(tmp_path, monkeypatch, {"package-0": [5, 100, 250], "package-1": [5, 999_990, 10]})
+        left = self.script(tmp_path, monkeypatch,
+                           {"package-0": [5, 100, 250], "package-1": [5, RAPL_RANGE_UJ - 10, 10]})
         result = measure_config(self.cfg(), 1_000, window_seconds=1e-3, repeats=1)
         assert result.repeats[0].energy_j == 170 / 1e6  # 150 uJ, and 20 uJ across package-1's wrap
         assert result.domains == ("package-0", "package-1")
         assert left == {"package-0": [], "package-1": []}  # read once when built, then around the window
+
+    def test_window_past_the_safe_interval_is_refused(self, tmp_path, monkeypatch):
+        # a 10 uJ range is 10 ns at 1 kW, and one pass over 100,000 floats takes longer
+        left = self.script(tmp_path, monkeypatch, {"package-0": [0, 0], "package-1": [0, 0]}, max_range=10)
+        cfg = LayerConfig(kind=LayerKind.RELU, batch_size=1, in_channels=100_000)
+        with pytest.raises(CounterRangeError, match=r"^a .* s window reached the counters' safe interval of 1e-08 s$"):
+            measure_config(cfg, 100_000, window_seconds=1e-9, repeats=3)
+        assert left == {"package-0": [], "package-1": []}  # refused before the window's closing read
 
     def test_failed_read_mid_measurement_drops_the_repeat(self, tmp_path, monkeypatch):
         left = self.script(tmp_path, monkeypatch, {"package-0": [0, 0, 1_000, 1_000, "fail", 2_000, 2_500]})

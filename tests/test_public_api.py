@@ -16,11 +16,11 @@ depends on and what a test exercises.
 
 Every parameter with a default, on every function or method in
 ``src/joulecast``, is set to something other than its default by some call
-in ``src/``, ``perfbench/``, ``scripts/`` or ``tests/``: a setting only one
-value serves is a constant. Calls are matched by the called name alone; an
-argument written as the default itself (the same literal value, or the same
-expression) does not set it, and a ``*`` or ``**`` splat counts as setting
-every parameter it could reach.
+outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``: a setting
+only one value serves, or only tests set, is a constant. Calls are matched
+by the called name alone; an argument written as the default itself (the
+same literal value, or the same expression) does not set it, and a ``*`` or
+``**`` splat counts as setting every parameter it could reach.
 
 Every public method or property of a class in ``src/joulecast`` is read
 outside the tests, in ``src/``, ``perfbench/`` or ``scripts/``, matched by
@@ -192,8 +192,8 @@ def _sets(call: ast.Call, parameter: str, index: int | None, default: ast.expr) 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     calls: dict[str, list[ast.Call]] = {}
-    for path in (p for directory in ("src", "perfbench", "scripts", "tests") for p in (ROOT / directory).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _outside_the_tests():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)

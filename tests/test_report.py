@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import re
+from itertools import zip_longest
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -34,44 +36,52 @@ def _csv_writer_bytes(path, table):
 
 
 def _old_scatter_svg(series, title, xlabel, ylabel, diagonal=True):
-    """``scatter_svg`` as it was, one point at a time in Python floats."""
+    """``scatter_svg`` as it was, one point at a time in Python floats, with
+    one range for both axes under the diagonal and one per axis without it."""
     points = [p for _, pts in series for p in pts]
     if not points:
         xs = ys = [0.0, 1.0]
     else:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-    lo = min(min(xs), min(ys), 0.0)
-    hi = max(max(xs), max(ys))
-    ticks = svgplot.nice_ticks(lo, hi)
-    lo, hi = ticks[0], ticks[-1]
+
+    def ticks_of(values):
+        ticks = svgplot.nice_ticks(min(min(values), 0.0), max(values))
+        if not diagonal and ticks[-1] < max(values):  # one step more, to span the values
+            ticks.append(round(ticks[-1] + (ticks[-1] - ticks[-2]), 12))
+        return ticks
+
+    xticks, yticks = (ticks_of(xs + ys), ticks_of(xs + ys)) if diagonal else (ticks_of(xs), ticks_of(ys))
     x0, x1 = svgplot.MARGIN["left"], svgplot.WIDTH - svgplot.MARGIN["right"]
     y0, y1 = svgplot.HEIGHT - svgplot.MARGIN["bottom"], svgplot.MARGIN["top"]
 
     def sx(v):
-        return x0 + (v - lo) / (hi - lo) * (x1 - x0)
+        return x0 + (v - xticks[0]) / (xticks[-1] - xticks[0]) * (x1 - x0)
 
     def sy(v):
-        return y0 + (v - lo) / (hi - lo) * (y1 - y0)
+        return y0 + (v - yticks[0]) / (yticks[-1] - yticks[0]) * (y1 - y0)
 
     canvas = svgplot._Canvas(title, xlabel, ylabel)
     canvas.parts.append(
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" fill="none" stroke="#333333"/>'
     )
-    for tick in ticks:
-        px, py = sx(tick), sy(tick)
-        canvas.parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="#333333"/>')
-        canvas.parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle" font-size="10">{svgplot._fmt(tick)}</text>'
-        )
-        canvas.parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#333333"/>')
-        canvas.parts.append(
-            f'<text x="{x0 - 8}" y="{py + 3:.1f}" text-anchor="end" font-size="10">{svgplot._fmt(tick)}</text>'
-        )
+    for xtick, ytick in zip_longest(xticks, yticks):
+        if xtick is not None:
+            canvas.parts.append(
+                f'<line x1="{sx(xtick):.1f}" y1="{y0}" x2="{sx(xtick):.1f}" y2="{y0 + 5}" stroke="#333333"/>'
+            )
+            canvas.parts.append(f'<text x="{sx(xtick):.1f}" y="{y0 + 18}" text-anchor="middle" '
+                                f'font-size="10">{svgplot._fmt(xtick)}</text>')
+        if ytick is not None:
+            canvas.parts.append(
+                f'<line x1="{x0 - 5}" y1="{sy(ytick):.1f}" x2="{x0}" y2="{sy(ytick):.1f}" stroke="#333333"/>'
+            )
+            canvas.parts.append(f'<text x="{x0 - 8}" y="{sy(ytick) + 3:.1f}" text-anchor="end" '
+                                f'font-size="10">{svgplot._fmt(ytick)}</text>')
     if diagonal:
         canvas.parts.append(
-            f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
-            'stroke="#999999" stroke-dasharray="6 4"/>'
+            f'<line x1="{sx(xticks[0]):.1f}" y1="{sy(yticks[0]):.1f}" x2="{sx(xticks[-1]):.1f}" '
+            f'y2="{sy(yticks[-1]):.1f}" stroke="#999999" stroke-dasharray="6 4"/>'
         )
     for i, (label, pts) in enumerate(series):
         color = svgplot.PALETTE[i % len(svgplot.PALETTE)]
@@ -140,6 +150,25 @@ class TestAblationSvg:
             title="Feature-subset scores", xlabel="feature subset index", ylabel="test R^2", diagonal=False,
         )
         assert chart.svg == expected
+
+    @pytest.mark.parametrize("table", ["scores", "linear"])
+    def test_y_ticks_span_the_scores(self, tmp_path, table, linear_ablation):
+        """The y axis is the R^2 axis alone: the subset index on x does not stretch it."""
+        table = _scores_table() if table == "scores" else linear_ablation
+        path = tmp_path / "ablation.csv"
+        write_ablation_csv(path, table)
+        svg = ablation_chart(path).svg
+        r2 = table.r2[1:]
+        y_labels = re.findall(r'text-anchor="end" font-size="10">([^<]*)</text>', svg)
+        y_ticks = [float(label) for label in y_labels]
+        assert y_ticks[0] <= min(float(r2.min()), 0.0) and float(r2.max()) <= y_ticks[-1]
+        step = y_ticks[1] - y_ticks[0]
+        assert y_ticks[-1] - step < float(r2.max())  # no tick past the one that covers the top score
+        cx, cy = zip(*[(float(x), float(y)) for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3.5"', svg)])
+        x0, x1 = svgplot.MARGIN["left"], svgplot.WIDTH - svgplot.MARGIN["right"]
+        y0, y1 = svgplot.HEIGHT - svgplot.MARGIN["bottom"], svgplot.MARGIN["top"]
+        assert x0 <= min(cx) and max(cx) <= x1 and y1 <= min(cy) and max(cy) <= y0  # every point in the frame
+        assert max(cy) - min(cy) >= (y0 - y1) / 2  # the scores spread over the plot
 
     def test_scatter_of_pairs_equals_per_point_scatter(self):
         series = [("a", [(0.5, 0.25), (3.0, -1.75), (1e-3, 2.0)]), ("b", [(7.0, 6.5)]), ("empty", [])]
