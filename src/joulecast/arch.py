@@ -106,14 +106,14 @@ class LayerConfig:
         if not isinstance(kind, LayerKind):
             kind = LayerKind(kind)
             object.__setattr__(self, "kind", kind)
-        missing = False
+        missing = None  # the first unset required field, in canonical order
         for name, floor, required in _CHECK_PLANS[kind]:
             value = values[name]
             if type(value) is int and value >= floor:
                 continue
             if value is None:
-                if required:
-                    missing = True
+                if required and missing is None:
+                    missing = name
                 continue
             if floor is _INAPPLICABLE:
                 raise ValidationError(f"{kind.value}: field {name!r} is not applicable")
@@ -121,10 +121,8 @@ class LayerConfig:
                 raise ValidationError(f"{kind.value}: field {name!r} must be an integer")
             if value < floor:
                 raise ValidationError(f"{kind.value}: {name}={value} is out of range")
-        if missing:
-            for name in KIND_SPECS[kind].required:
-                if values[name] is None:
-                    raise ValidationError(f"{kind.value}: field {name!r} is required")
+        if missing is not None:
+            raise ValidationError(f"{kind.value}: field {missing!r} is required")
         # only window kinds carry image_size, and they require kernel_size and padding
         image_size = values["image_size"]
         if image_size is not None and image_size + 2 * values["padding"] < values["kernel_size"]:

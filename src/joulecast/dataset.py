@@ -212,14 +212,23 @@ def _csv_writer(path, header: tuple[str, ...], to_rows, append: bool):
     flushes them. The first write opens ``path``, and writes the header if
     the file is new; a block that ends cleanly without writing still leaves
     the header. So a caller that fails before its first write leaves no
-    file, and a ``path`` that cannot be written is refused on entry, before
-    the caller's work (a collect's measurements). Every CSV the package
-    writes goes through here, except the ablation table
-    (``report.write_ablation_csv``) and the MAC table on stdout."""
+    file, and a ``path`` that cannot be written, or that ``append`` would
+    add to under another header, is refused on entry, before the caller's
+    work (a collect's measurements). Every CSV the package writes goes
+    through here, except the ablation table (``report.write_ablation_csv``)
+    and the MAC table on stdout."""
     new = not os.path.exists(path)
     open(path, "a", encoding="utf-8").close()  # the open error now; an append that writes nothing changes no file
     if new:
         os.remove(path)
+    elif append and os.path.getsize(path):
+        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+            try:
+                first = next(csv.reader(fh))
+            except csv.Error:
+                first = None
+        if first != list(header):
+            raise ParseError(f"{path}: holds another table: its first row is not {','.join(header)}")
     fh = writer = None
 
     def write(items) -> None:

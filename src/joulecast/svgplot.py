@@ -4,6 +4,7 @@ cleanly in review."""
 from __future__ import annotations
 
 import math
+import sys
 from itertools import zip_longest
 from xml.sax.saxutils import escape
 
@@ -18,34 +19,25 @@ PALETTE = (
 )
 
 
-def nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions, about five of them, from the last at or below
-    ``lo`` to the last at or below ``hi``: the top one may fall short of ``hi``."""
-    if hi <= lo:
-        hi = lo + (abs(lo) or 1.0)
-    span = hi - lo
-    raw_step = span / 4
-    magnitude = 10 ** math.floor(math.log10(raw_step))
+def covering_ticks(lo: float, hi: float) -> list[float]:
+    """Round ticks that cover [lo, hi], at most seven: every multiple of the
+    step from the last at or below ``lo`` to the first at or above ``hi``.
+    The step is 1, 2, 2.5, 5 or 10 times a power of ten, the least that is at
+    least a quarter of the span, and each tick is rounded to the step's last
+    decimal place. A span under eight float spacings of its larger end or
+    under the smallest normal float, an empty one too, is widened to
+    ``abs(lo)``, or to 1 where ``lo`` is 0 or subnormal, so the ticks always
+    differ."""
+    tiny = sys.float_info.min
+    if hi - lo < max(8 * math.ulp(max(-lo, hi)), tiny):
+        hi = lo + (abs(lo) if abs(lo) >= tiny else 1.0)
+    raw_step = (hi - lo) / 4
+    exponent = math.floor(math.log10(raw_step))
     for multiple in (1, 2, 2.5, 5, 10):
-        step = multiple * magnitude
+        step = multiple * 10.0 ** exponent
         if step >= raw_step:
             break
-    start = math.floor(lo / step) * step
-    ticks = []
-    value = start
-    while value <= hi + step * 1e-9:
-        ticks.append(round(value, 12))
-        value += step
-    return ticks
-
-
-def _covering_ticks(lo: float, hi: float) -> list[float]:
-    """``nice_ticks``, with one step more where its top tick falls short of
-    ``hi``, so the ticks span [lo, hi]."""
-    ticks = nice_ticks(lo, hi)
-    if ticks[-1] < hi:
-        ticks.append(round(ticks[-1] + (ticks[-1] - ticks[-2]), 12))
-    return ticks
+    return [round(k * step, 1 - exponent) for k in range(math.floor(lo / step), math.ceil(hi / step) + 1)]
 
 
 def _fmt(value: float) -> str:
@@ -84,22 +76,22 @@ def scatter_svg(
     """Scatter plot of (x, y) series; the diagonal marks perfect predictions.
 
     Each series' points are a sequence of (x, y) pairs or an (n, 2) array.
-    With the diagonal both axes share one range (``nice_ticks``, whose top
-    tick may fall short of the largest value); without it each axis spans its
-    own values (``_covering_ticks``). Each range starts at 0 or below.
+    Every axis takes ``covering_ticks`` of its values, so every point lies in
+    the frame: with the diagonal both axes share one range, and without it
+    each axis spans its own values. Each range starts at 0 or below.
     """
     arrays = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts in series]
     filled = [pts for pts in arrays if len(pts)]
 
-    def axis_ticks(columns, ticks):
+    def axis_ticks(columns):
         lo = min([float(pts[:, columns].min()) for pts in filled] + [0.0])
         hi = max([float(pts[:, columns].max()) for pts in filled] or [1.0])  # no points span [0, 1]
-        return ticks(lo, hi)
+        return covering_ticks(lo, hi)
 
     if diagonal:
-        xticks = yticks = axis_ticks(slice(None), nice_ticks)
+        xticks = yticks = axis_ticks(slice(None))
     else:
-        xticks, yticks = axis_ticks(0, _covering_ticks), axis_ticks(1, _covering_ticks)
+        xticks, yticks = axis_ticks(0), axis_ticks(1)
     xlo, xhi, ylo, yhi = xticks[0], xticks[-1], yticks[0], yticks[-1]
     x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]
     y0, y1 = HEIGHT - MARGIN["bottom"], MARGIN["top"]
@@ -161,7 +153,7 @@ def stacked_bar_svg(
     canvas.parts.append(
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" fill="none" stroke="#333333"/>'
     )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+    for frac in covering_ticks(0.0, 1.0):
         py = y0 + frac * (y1 - y0)
         canvas.parts.append(
             f'<text x="{x0 - 8}" y="{py + 3:.1f}" text-anchor="end" font-size="10">{_fmt(frac)}</text>'

@@ -2,6 +2,11 @@
 pipeline's recovered models can be checked against an analytic truth."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,3 +251,22 @@ def bundle_dataset() -> list[MeasurementRecord]:
 @pytest.fixture(scope="session")
 def trained_bundle(bundle_dataset):
     return train_default_bundle(bundle_dataset, 11)
+
+
+def run_child(code: str, *args: str, **env) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``sys.argv[1:]`` set to ``args`` in a fresh
+    interpreter that imports this checkout's package, with ``env`` added to
+    its environment. It gets one BLAS thread, 1 GiB of address space and
+    60 s, so code that never ends fails its test instead of filling the
+    machine's memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **env},
+    )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ACTIVATIONS_NET, NON_SQUARE_NET
+from conftest import ACTIVATIONS_NET, NON_SQUARE_NET, run_child
 from joulecast.arch import (
     _CONFIG_FIELDS,
     _LAYER_KEYS,
@@ -151,6 +151,31 @@ class TestLayerConfig:
             LayerConfig(**fields)
         assert type(info.value) is ValidationError and str(info.value) == message
 
+    @pytest.mark.parametrize("kind", [kind for kind, spec in KIND_SPECS.items() if len(spec.required) > 1],
+                             ids=lambda kind: kind.value)
+    def test_missing_field_named_is_the_first_in_field_order(self, kind):
+        spec = KIND_SPECS[kind]
+        required = [name for name in spec.fields if name in spec.required]
+        for first, second in itertools.combinations(required, 2):
+            fields = {name: 0 if name == "padding" else 1 for name in required if name not in (first, second)}
+            with pytest.raises(ValidationError) as info:
+                LayerConfig(kind=kind, **fields)
+            assert str(info.value) == f"{kind.value}: field {first!r} is required"
+
+    def test_missing_field_named_is_the_same_under_every_hash_seed(self):
+        """``KindSpec.required`` is a frozenset, whose order follows the hash
+        seed; under seed 3 it lists out_channels before kernel_size."""
+        child = run_child(
+            "from joulecast.arch import LayerConfig\n"
+            "from joulecast.errors import ValidationError\n"
+            "try:\n"
+            "    LayerConfig.from_dict({'kind': 'Conv2d', 'stride': 1, 'padding': 0})\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n",
+            PYTHONHASHSEED="3",
+        )
+        assert (child.returncode, child.stdout) == (0, "Conv2d: field 'kernel_size' is required\n"), child.stderr
+
     def test_kind_string_is_coerced(self):
         assert LayerConfig(kind="ReLU") == LayerConfig(kind=LayerKind.RELU)
 
@@ -219,8 +244,8 @@ class ReferenceLayerConfig:
             minimum = 0 if name == "padding" else 1
             if value < minimum:
                 raise ValidationError(f"{kind.value}: {name}={value} is out of range")
-        for name in spec.required:
-            if values[name] is None:
+        for name in fields:
+            if name in spec.required and values[name] is None:
                 raise ValidationError(f"{kind.value}: field {name!r} is required")
         # only window kinds carry image_size, and they require kernel_size and padding
         if self.image_size is not None and self.image_size + 2 * self.padding < self.kernel_size:

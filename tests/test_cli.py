@@ -359,6 +359,50 @@ class TestCollect:
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("first, then, header", [
+        ("vgg11", "relu", "module,batch_size,"),
+        ("relu", "alexnet", "architecture,batch_size,"),
+    ], ids=["layerwise-into-modelwise", "modelwise-into-layerwise"])
+    def test_out_holding_another_table_is_refused_before_any_measurement(self, tmp_path, capsys, monkeypatch,
+                                                                          first, then, header):
+        out = tmp_path / "x.csv"
+        assert run("--simulate", "--quiet", "collect", "--kind", first, "--count", "1", "--out", str(out))[0] == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        measured = []
+        monkeypatch.setattr(probe, "measure_config", lambda *args, **kwargs: measured.append(args))
+        code, _ = run("--simulate", "--quiet", "collect", "--kind", then, "--count", "2", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: holds another table: its first row is not {header}")
+        assert err.count("\n") == 1
+        assert measured == []
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\n", b'"' + b"x" * 200_000 + b'"\n'],
+                             ids=["non-utf8", "oversized-cell"])
+    def test_out_whose_first_row_cannot_be_read_is_refused(self, tmp_path, capsys, content):
+        out = tmp_path / "x.csv"
+        out.write_bytes(content)
+        code, _ = run("--simulate", "--quiet", "collect", "--kind", "relu", "--count", "1", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: holds another table: ") and err.count("\n") == 1
+        assert out.read_bytes() == content
+
+    @pytest.mark.parametrize("kind, load, records", [
+        ("relu", load_layerwise_csv, 6),  # 2 configs x 3 repeats
+        ("alexnet", load_modelwise_csv, 2),
+    ])
+    def test_resumed_collect_appends_under_the_same_header(self, tmp_path, kind, load, records):
+        out = tmp_path / "x.csv"
+        for seed in ("1", "2"):
+            assert run("--seed", seed, "--simulate", "--quiet", "collect", "--kind", kind, "--count", "1",
+                       "--out", str(out))[0] == 0
+        lines = out.read_text().splitlines()
+        assert lines.count(lines[0]) == 1
+        assert len(load(out)) == records
+
     def test_unknown_kind_exits_one(self, tmp_path):
         code, _ = run("--simulate", "collect", "--kind", "resnet", "--count", "1",
                       "--out", str(tmp_path / "x.csv"))

@@ -1,13 +1,16 @@
 import csv
 import hashlib
+import json
+import math
 import re
 from itertools import zip_longest
 from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import synth_records
+from conftest import run_child, synth_records
 from joulecast import svgplot
 from joulecast.arch import LayerKind
 from joulecast.errors import ParseError
@@ -36,8 +39,9 @@ def _csv_writer_bytes(path, table):
 
 
 def _old_scatter_svg(series, title, xlabel, ylabel, diagonal=True):
-    """``scatter_svg`` as it was, one point at a time in Python floats, with
-    one range for both axes under the diagonal and one per axis without it."""
+    """``scatter_svg`` one point at a time in Python floats, with the ticks
+    that cover one range for both axes under the diagonal and one per axis
+    without it."""
     points = [p for _, pts in series for p in pts]
     if not points:
         xs = ys = [0.0, 1.0]
@@ -46,10 +50,7 @@ def _old_scatter_svg(series, title, xlabel, ylabel, diagonal=True):
         ys = [p[1] for p in points]
 
     def ticks_of(values):
-        ticks = svgplot.nice_ticks(min(min(values), 0.0), max(values))
-        if not diagonal and ticks[-1] < max(values):  # one step more, to span the values
-            ticks.append(round(ticks[-1] + (ticks[-1] - ticks[-2]), 12))
-        return ticks
+        return svgplot.covering_ticks(min(min(values), 0.0), max(values))
 
     xticks, yticks = (ticks_of(xs + ys), ticks_of(xs + ys)) if diagonal else (ticks_of(xs), ticks_of(ys))
     x0, x1 = svgplot.MARGIN["left"], svgplot.WIDTH - svgplot.MARGIN["right"]
@@ -93,6 +94,19 @@ def _old_scatter_svg(series, title, xlabel, ylabel, diagonal=True):
         canvas.parts.append(f'<circle cx="{x1 + 16}" cy="{ly}" r="4" fill="{color}"/>')
         canvas.parts.append(f'<text x="{x1 + 26}" y="{ly + 4}" font-size="11">{escape(label)}</text>')
     return canvas.finish()
+
+
+_X_LEFT, _X_RIGHT = svgplot.MARGIN["left"], svgplot.WIDTH - svgplot.MARGIN["right"]
+_Y_BOTTOM, _Y_TOP = svgplot.HEIGHT - svgplot.MARGIN["bottom"], svgplot.MARGIN["top"]
+
+
+def _points(svg) -> list[tuple[float, float]]:
+    """The centres of a chart's data circles (the legend's are larger)."""
+    return [(float(x), float(y)) for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3.5"', svg)]
+
+
+def _outside_the_frame(svg) -> list[tuple[float, float]]:
+    return [(x, y) for x, y in _points(svg) if not (_X_LEFT <= x <= _X_RIGHT and _Y_TOP <= y <= _Y_BOTTOM)]
 
 
 def _scores_table():
@@ -164,17 +178,76 @@ class TestAblationSvg:
         assert y_ticks[0] <= min(float(r2.min()), 0.0) and float(r2.max()) <= y_ticks[-1]
         step = y_ticks[1] - y_ticks[0]
         assert y_ticks[-1] - step < float(r2.max())  # no tick past the one that covers the top score
-        cx, cy = zip(*[(float(x), float(y)) for x, y in re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3.5"', svg)])
-        x0, x1 = svgplot.MARGIN["left"], svgplot.WIDTH - svgplot.MARGIN["right"]
-        y0, y1 = svgplot.HEIGHT - svgplot.MARGIN["bottom"], svgplot.MARGIN["top"]
-        assert x0 <= min(cx) and max(cx) <= x1 and y1 <= min(cy) and max(cy) <= y0  # every point in the frame
-        assert max(cy) - min(cy) >= (y0 - y1) / 2  # the scores spread over the plot
+        assert _outside_the_frame(svg) == []
+        cy = [y for _, y in _points(svg)]
+        assert max(cy) - min(cy) >= (_Y_BOTTOM - _Y_TOP) / 2  # the scores spread over the plot
 
     def test_scatter_of_pairs_equals_per_point_scatter(self):
         series = [("a", [(0.5, 0.25), (3.0, -1.75), (1e-3, 2.0)]), ("b", [(7.0, 6.5)]), ("empty", [])]
         args = ("t", "x", "y")
         assert svgplot.scatter_svg(series, *args) == _old_scatter_svg(series, *args)
         assert svgplot.scatter_svg([], *args) == _old_scatter_svg([], *args)
+
+
+_ENDS = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def _tick_ranges(draw):
+    """Finite ``lo <= hi``: any two ends, one end twice, an end and the next
+    float (one ulp), or the range ``scatter_svg`` passes, from 0 or below."""
+    a, b = draw(_ENDS), draw(_ENDS)
+    form = draw(st.sampled_from(["pair", "equal", "ulp", "scatter"]))
+    if form == "equal":
+        return a, a
+    if form == "ulp":
+        return a, math.nextafter(a, math.inf)
+    return (min(a, b, 0.0) if form == "scatter" else min(a, b)), max(a, b)
+
+
+class TestTicks:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_tick_ranges())
+    def test_at_most_seven_ticks_cover_the_range(self, ends):
+        """Past ``lo`` and ``hi`` by at most the rounding of ``k * step``, a
+        few float spacings of the larger end."""
+        lo, hi = ends
+        ticks = svgplot.covering_ticks(lo, hi)
+        assert len(ticks) <= 7
+        assert ticks == sorted(ticks) and ticks[-1] > ticks[0]
+        slack = 4 * math.ulp(max(-lo, hi))
+        assert ticks[0] <= lo + slack and hi - slack <= ticks[-1]
+
+    def test_fraction_axis_is_quarters(self):
+        assert svgplot.covering_ticks(0.0, 1.0) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_diagonal_scatter_keeps_every_point_in_the_frame(self):
+        """The top tick covers 1.1; a top tick of 1.0 would put (1.1, 1.05) past the frame."""
+        svg = svgplot.scatter_svg([("a", [(0.0, 0.0), (1.1, 1.05)])], "t", "x", "y")
+        assert len(_points(svg)) == 2 and _outside_the_frame(svg) == []
+
+    def test_charts_of_a_span_under_one_float_spacing_finish(self, tmp_path):
+        """-1e16 and -1e16 + 2 are one float apart: a quarter of their span is
+        a step that adds nothing to -1e16. The charts are drawn in a child
+        process, so a tick loop that never ends fails here instead of
+        filling memory."""
+        low, high = repr(-1e16), repr(-1e16 + 2)
+        layers, ablation = tmp_path / "layers.csv", tmp_path / "ablation.csv"
+        layers.write_text(",".join(LAYER_SCATTER_HEADER) + f"\nvgg11,1,0,Conv2d,{low},{high}\n"
+                          f"vgg11,1,1,Conv2d,{high},{low}\n")
+        ablation.write_text(",".join(ABLATION_HEADER) + f"\n1,macs,1,{low},0.5\n2,batch_size,0,{high},0.5\n")
+        child = run_child(
+            "import json, sys\n"
+            "from joulecast.report import ablation_chart, layer_charts\n"
+            "charts = layer_charts(sys.argv[1]) + [ablation_chart(sys.argv[2])]\n"
+            "print(json.dumps({chart.name: chart.svg for chart in charts}))\n",
+            str(layers), str(ablation),
+        )
+        assert child.returncode == 0, child.stderr
+        charts = json.loads(child.stdout)
+        assert list(charts) == ["scatter_conv2d.svg", "contribution_bars.svg", "ablation_scatter.svg"]
+        for name in ("scatter_conv2d.svg", "ablation_scatter.svg"):
+            assert len(_points(charts[name])) == 2 and _outside_the_frame(charts[name]) == []
 
 
 class TestMalformedNumbers:
